@@ -1,10 +1,12 @@
 """Flexible authorization: trapdoor generation and the three equality tests.
 
 A type-1 trapdoor is the identity's second delegated basis and lets the
-holder compare every ciphertext of that identity; a type-2 trapdoor is a
-preimage bound to a single ciphertext; type-3 wraps either side, so one
-party can grant identity-wide comparison while the other grants a single
-ciphertext.  Every test compares the decoded digests of the two sides
+holder compare every ciphertext of that identity, through the key's
+preimage of U that needs no ciphertext (see scheme.key_preimage); a
+type-2 trapdoor is a preimage bound to a single ciphertext, sampled
+afresh against that ciphertext's tag matrix; type-3 wraps either side,
+so one party can grant identity-wide comparison while the other grants
+a single ciphertext.  Every test compares the decoded digests of the two sides
 and never exposes message material.
 
 None is the domain "reject" outcome throughout (failed integrity or
@@ -26,9 +28,10 @@ from .scheme import (
     UserSecretKey,
     ciphertext_integrity_ok,
     compute_f,
-    decode_bits,
+    decode_with_preimage,
+    key_preimage,
 )
-from .trapdoor import sample_left
+from .trapdoor import TrapdoorBasis, sample_left
 from .zqlinalg import mat_mul
 
 
@@ -36,12 +39,17 @@ from .zqlinalg import mat_mul
 class TrapdoorT1:
     """Identity-wide comparison authority: the second delegated basis.
 
-    Carries the identity because rebuilding the concatenated public
-    matrix requires it.
+    One made by td1 shares the key's TrapdoorBasis, so the QR data and the
+    preimage of U are built once for both.  Carries the identity because
+    rebuilding the concatenated public matrix requires it.
     """
 
     identity: Identity
-    e_prime: np.ndarray
+    trapdoor: TrapdoorBasis
+
+    @property
+    def e_prime(self) -> np.ndarray:
+        return self.trapdoor.basis
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ def td1(sk: UserSecretKey, ident: Identity) -> TrapdoorT1:
     """Identity-wide trapdoor from a secret key."""
     if ident.bits != sk.identity.bits:
         raise ParameterError("secret key belongs to a different identity")
-    return TrapdoorT1(ident, sk.e_id_prime)
+    return TrapdoorT1(ident, sk.trapdoor_prime)
 
 
 def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rng: RandomSource):
@@ -80,8 +88,11 @@ def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rn
     p = pp.params
     ar = mat_mul(pp.a, ct.r_tag, p.q)
     f_prime = compute_f(pp, ident, "prime")
+    # Sampled afresh against this ciphertext's A@R, with a Gaussian A@R-side
+    # block: the key's ciphertext-independent preimage of U would let the
+    # holder decode every ciphertext of the identity (type-1 power).
     e_prime = sample_left(
-        f_prime, ar, sk.e_id_prime, pp.u, p.q, p.sigma, rng, enforce_sigma=False
+        f_prime, ar, sk.trapdoor_prime, pp.u, p.q, p.sigma, rng, enforce_sigma=False
     )
     return TrapdoorT2(ident, np.asarray(ct.c5, dtype=np.uint8).copy(), e_prime)
 
@@ -100,20 +111,14 @@ def td3_ct(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext,
 def digest_from_basis(pp: PublicParams, td: TrapdoorT1, ct: Ciphertext, rng: RandomSource):
     """Decode the digest component of a ciphertext using a type-1 trapdoor.
 
-    Verifies integrity, samples a fresh preimage against the ciphertext's
-    tag matrix, and thresholds c2 - e'^T c4.  Returns None on a tampered
-    ciphertext.
+    Verifies integrity and thresholds c2 - e_F'^T c4[:2m] with the key's
+    preimage e_F' of U under F'_ID (sampled with rng on first use, then
+    held).  Returns None on a tampered ciphertext.
     """
     if not ciphertext_integrity_ok(pp, ct):
         return None
-    p = pp.params
-    ar = mat_mul(pp.a, ct.r_tag, p.q)
-    f_prime = compute_f(pp, td.identity, "prime")
-    e_prime = sample_left(
-        f_prime, ar, td.e_prime, pp.u, p.q, p.sigma, rng, enforce_sigma=False
-    )
-    w_prime = (ct.c2 - mat_mul(e_prime.T, ct.c4, p.q)) % p.q
-    return decode_bits(w_prime, p.q)
+    e_prime = key_preimage(pp, td.trapdoor, td.identity, "prime", rng)
+    return decode_with_preimage(e_prime, ct.c2, ct.c4, pp.params.q)
 
 
 def digest_from_e(td: TrapdoorT2, ct: Ciphertext, q: int):
@@ -128,8 +133,7 @@ def digest_from_e(td: TrapdoorT2, ct: Ciphertext, q: int):
         raise DimensionMismatch(
             f"trapdoor preimage has {td.e_prime.shape[0]} rows, c4 has {ct.c4.shape[0]}"
         )
-    w_prime = (ct.c2 - mat_mul(td.e_prime.T, ct.c4, q)) % q
-    return decode_bits(w_prime, q)
+    return decode_with_preimage(td.e_prime, ct.c2, ct.c4, q)
 
 
 def _compare(h_i, h_j):

@@ -28,7 +28,7 @@ from .errors import FormatError, IbeetfaError, ParameterError
 from .hashing import bits_to_bytes, bytes_to_bits
 from .params import ParamSet, preset, validate_params
 from .samplers import RandomSource
-from .scheme import decrypt, encrypt_traced, extract, identity_from_string, setup
+from .scheme import decrypt, encrypt, extract, identity_from_string, setup
 
 EXIT_OK = 0
 EXIT_NOT_EQUAL = 1
@@ -118,7 +118,7 @@ def _cmd_encrypt(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
     ident = identity_from_string(args.id, pp.params.ell)
     bits, bitlen = _read_message(args.infile, pp.params.t)
-    ct, _ = encrypt_traced(pp, ident, bits, _rng(args))
+    ct = encrypt(pp, ident, bits, _rng(args))
     fileio.write_file(args.out, fileio.dump_ciphertext(ct, pp.params, bitlen))
     print(f"wrote {args.out}")
     return EXIT_OK

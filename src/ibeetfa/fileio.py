@@ -30,6 +30,7 @@ from .errors import FormatError
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
+from .trapdoor import TrapdoorBasis
 
 MAGIC = b"IBFA"
 VERSION = 1
@@ -175,7 +176,7 @@ def load_master_secret(blob: bytes, reference: ParamSet | None = None) -> Master
     t_a = rd.signed((p.m, p.m))
     t_a_prime = rd.signed((p.m, p.m))
     rd.done()
-    return MasterSecretKey(t_a, t_a_prime)
+    return MasterSecretKey(TrapdoorBasis(t_a), TrapdoorBasis(t_a_prime))
 
 
 # -- user secret key ---------------------------------------------------------
@@ -204,7 +205,7 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     e_id = rd.signed((2 * p.m, 2 * p.m))
     e_id_prime = rd.signed((2 * p.m, 2 * p.m))
     rd.done()
-    return UserSecretKey(ident, e_id, e_id_prime)
+    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime))
 
 
 # -- ciphertext ---------------------------------------------------------------
@@ -255,7 +256,7 @@ def load_td1(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT1:
     ident = _load_identity(rd, p.ell)
     e_prime = rd.signed((2 * p.m, 2 * p.m))
     rd.done()
-    return TrapdoorT1(ident, e_prime)
+    return TrapdoorT1(ident, TrapdoorBasis(e_prime))
 
 
 def dump_td2(td: TrapdoorT2, p: ParamSet) -> bytes:
@@ -299,7 +300,7 @@ def load_td3(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT3:
     if variant == 0:
         e_prime = rd.signed((2 * p.m, 2 * p.m))
         rd.done()
-        return TrapdoorT3(TrapdoorT1(ident, e_prime))
+        return TrapdoorT3(TrapdoorT1(ident, TrapdoorBasis(e_prime)))
     if variant == 1:
         binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
         e_prime = rd.signed((3 * p.m, p.t))

@@ -91,6 +91,29 @@ def _sample_z_enum(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.n
     return base + offsets[idx]
 
 
+def _propose(sigma: float, delta: np.ndarray, tries: int, rng: RandomSource):
+    """``tries`` proposals per lane: (accepted?, first accepted offset) per lane.
+
+    The three uniforms of a proposal are consecutive (tries, lanes) blocks
+    of the stream, drawn as they are needed and dropped on return, so
+    fewer lane-sized temporaries are alive at once.
+    """
+    log_r = -_SQRT_2PI / sigma
+    # Envelope constant: sup over integers of target/proposal for |delta| <= 1/2
+    # is exp(1/2 + sqrt(2*pi)/(2*sigma)) * 2; anything smaller clips acceptance.
+    log_m = math.log(2.0) + 0.5 + _SQRT_2PI / (2.0 * sigma)
+    k = np.floor(np.log(rng.random((tries, delta.size))) / log_r)
+    x = np.where(rng.random(k.shape) < 0.5, k, -k)
+    d = x - delta
+    log_accept = (
+        -(math.pi / (sigma * sigma)) * d * d - k * log_r - log_m
+        - np.where(k > 0, math.log(0.5), 0.0)
+    )
+    del k
+    ok = (np.log(rng.random(d.shape)) < log_accept) & (np.abs(d) <= TAIL_CUT * sigma)
+    return ok.any(axis=0), x[ok.argmax(axis=0), np.arange(delta.size)]
+
+
 def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
     """Bilateral-geometric rejection around round(c), rate sqrt(2*pi)/sigma.
 
@@ -98,31 +121,13 @@ def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np
     which keeps the number of numpy passes small even though single
     proposals are only accepted with probability ~1/2.
     """
-    n = centers.shape[0]
     base = np.rint(centers).astype(np.int64)
     delta = centers - base
-    log_r = -_SQRT_2PI / sigma
-    # Envelope constant: sup over integers of target/proposal for |delta| <= 1/2
-    # is exp(1/2 + sqrt(2*pi)/(2*sigma)) * 2; anything smaller clips acceptance.
-    log_m = math.log(2.0) + 0.5 + _SQRT_2PI / (2.0 * sigma)
-    out = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n)
-    tail = TAIL_CUT * sigma
+    out = np.zeros(centers.shape[0], dtype=np.int64)
+    pending = np.arange(centers.shape[0])
     tries = 1  # one proposal per lane first, then oversample the stragglers
     while pending.size:
-        sz = pending.size
-        u = rng.random((3, tries, sz))
-        k = np.floor(np.log(u[0]) / log_r)
-        x = np.where(u[1] < 0.5, k, -k)
-        d = x - delta[pending]
-        log_accept = (
-            -(math.pi / (sigma * sigma)) * d * d - k * log_r - log_m
-            - np.where(k > 0, math.log(0.5), 0.0)
-        )
-        ok = (np.log(u[2]) < log_accept) & (np.abs(d) <= tail)
-        hit = ok.any(axis=0)
-        first = ok.argmax(axis=0)
-        chosen = x[first, np.arange(sz)]
+        hit, chosen = _propose(sigma, delta[pending], tries, rng)
         lanes = pending[hit]
         out[lanes] = base[lanes] + chosen[hit].astype(np.int64)
         pending = pending[~hit]
@@ -152,16 +157,26 @@ def sample_z_gaussian(sigma: float, center: float, rng: RandomSource) -> int:
 
 @dataclass
 class PreparedBasis:
-    """QR data of a column basis, reused across many sampling calls."""
+    """QR data of a column basis, reused across many sampling calls.
+
+    Only the upper triangle of R is kept, row after row, which halves its
+    memory: a key holds this data for as long as it lives.
+    """
 
     basis: np.ndarray          # int64, d x d, columns are basis vectors
     q_factor: np.ndarray       # float64 orthonormal
-    r_factor: np.ndarray       # float64 upper triangular
+    r_rows: np.ndarray         # float64, R[0, 0:], R[1, 1:], ... end to end
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
+
+    def r_row(self, k: int) -> np.ndarray:
+        """R[k, k:], a view into r_rows."""
+        d = self.dim
+        start = k * d - k * (k - 1) // 2
+        return self.r_rows[start : start + d - k]
 
     @property
     def gs_norm(self) -> float:
@@ -179,7 +194,8 @@ def prepare_basis(basis) -> PreparedBasis:
     scale = np.linalg.norm(bf)
     if gs.min() <= scale * np.finfo(np.float64).eps * b.shape[0] * 16:
         raise SingularMatrix("basis columns are (numerically) linearly dependent")
-    return PreparedBasis(b, q_factor, r_factor, gs)
+    r_rows = np.concatenate([r_factor[k, k:] for k in range(b.shape[0])])
+    return PreparedBasis(b, q_factor, r_rows, gs)
 
 
 def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSource) -> np.ndarray:
@@ -199,14 +215,14 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
     if t.shape[0] != d:
         raise DimensionMismatch(f"targets have dimension {t.shape[0]}, basis has {d}")
     proj = prep.q_factor.T @ t  # row k: <target, q_k>
-    r = prep.r_factor
     # float64 holds the coefficients exactly (they stay far below 2**53)
     # and avoids an int-to-float copy of the tail on every step
     z = np.zeros((d, t.shape[1]), dtype=np.float64)
     for k in range(d - 1, -1, -1):
-        rest = r[k, k + 1 :] @ z[k + 1 :] if k + 1 < d else 0.0
-        centers = (proj[k] - rest) / r[k, k]
-        z[k] = sample_z_gaussian_batch(sigma / abs(float(r[k, k])), centers, rng)
+        r = prep.r_row(k)
+        rest = r[1:] @ z[k + 1 :] if k + 1 < d else 0.0
+        centers = (proj[k] - rest) / r[0]
+        z[k] = sample_z_gaussian_batch(sigma / abs(float(r[0])), centers, rng)
     out = z.astype(np.int64)
     return out[:, 0] if one else out
 

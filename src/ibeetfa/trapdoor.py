@@ -19,10 +19,8 @@ used and the walk handles the large offset through its QR projections.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import OrderedDict
+import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,8 +88,12 @@ class TrapdoorPair:
 
     a: np.ndarray        # n x m residues
     s: np.ndarray        # m x m integer basis
-    gs_norm: float
     aux: GadgetAux | None = field(default=None, compare=False)
+
+    @property
+    def gs_norm(self) -> float:
+        """Gram-Schmidt norm of s, computed on demand (nothing in sampling reads it)."""
+        return gram_schmidt_norm(self.s)
 
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
@@ -156,89 +158,70 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     top_left = exact_int_matmul(r_bar, s_g)
     top_right = np.eye(m_bar, dtype=np.int64) - exact_int_matmul(r_bar, d_bits)
     s = np.block([[top_left, top_right], [s_g, -d_bits]])
-    gs = gram_schmidt_norm(s)
-    return TrapdoorPair(a, s, gs, GadgetAux(k, m_bar, r_bar))
+    return TrapdoorPair(a, s, GadgetAux(k, m_bar, r_bar))
 
 
 # ---------------------------------------------------------------------------
-# Prepared-basis cache and gadget-structure recovery
+# Trapdoors that own their sampling data, and gadget-structure recovery
 # ---------------------------------------------------------------------------
 
-# QR factorizations keyed by the identity of the basis array itself; the
-# weakref detects a recycled id.  Entries are ~50 MB at full scale, so the
-# cache stays small.
-_PREP_CACHE: OrderedDict[int, tuple[object, PreparedBasis]] = OrderedDict()
-_PREP_CACHE_SIZE = 8
-# Gadget-structure lookups keyed by the (public matrix, basis) pair.
-_AUX_CACHE: OrderedDict[tuple[int, int], tuple[object, object, GadgetAux | None]] = OrderedDict()
-_AUX_CACHE_SIZE = 32
+_UNDERIVED = object()
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """A trapdoor ready for sampling: QR data plus optional gadget shortcut."""
+class TrapdoorBasis:
+    """A short basis together with the sampling data built from it.
 
-    prep: PreparedBasis
-    aux: GadgetAux | None
+    The QR factorization, the gadget shortcut (derived from the public
+    matrix on first use unless handed over) and a held preimage of one
+    target are each built once and then kept by this object.  A lock
+    guards every first use, so one instance may serve concurrent calls.
+    """
+
+    def __init__(self, basis, *, prep: PreparedBasis | None = None, aux=_UNDERIVED):
+        self.basis = np.asarray(basis, dtype=np.int64)
+        self._prep = prep
+        self._aux = aux
+        self.held_preimage: np.ndarray | None = None  # kept by preimage()
+        self._lock = threading.RLock()
+
+    def prepared(self) -> PreparedBasis:
+        with self._lock:
+            if self._prep is None:
+                self._prep = prepare_basis(self.basis)
+            return self._prep
+
+    def gadget_aux(self, a: np.ndarray, q: int) -> GadgetAux | None:
+        with self._lock:
+            if self._aux is _UNDERIVED:
+                self._aux = derive_gadget_aux(a, self.basis, q)
+            return self._aux
+
+    def preimage(self, a, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+        """A preimage of u under a: sampled by sample_pre on first use, then held.
+
+        Every call checks the held preimage against (a, u) and samples a
+        new one when it fails, so it is only used with the matrices it
+        satisfies.
+        """
+        q = check_modulus(q)
+        a = as_residues(a, q)
+        u = as_residues(u, q)
+        with self._lock:
+            e = self.held_preimage
+            if e is None or e.shape[0] != a.shape[1] or not np.array_equal(mat_mul(a, e, q), u):
+                e = self.held_preimage = sample_pre(a, self, u, q, sigma, rng, enforce_sigma=enforce_sigma)
+            return e
 
 
-def _prep_of(arr: np.ndarray) -> PreparedBasis:
-    key = id(arr)
-    hit = _PREP_CACHE.get(key)
-    if hit is not None and hit[0]() is arr:
-        _PREP_CACHE.move_to_end(key)
-        return hit[1]
-    prep = prepare_basis(arr)
-    register_prepared(arr, prep)
-    return prep
-
-
-def register_prepared(arr: np.ndarray, prep: PreparedBasis) -> None:
-    """Make an already-computed factorization available to later calls."""
-    _PREP_CACHE[id(arr)] = (weakref.ref(arr), prep)
-    while len(_PREP_CACHE) > _PREP_CACHE_SIZE:
-        _PREP_CACHE.popitem(last=False)
-
-
-def _aux_of(a: np.ndarray, t_arr: np.ndarray, q: int) -> GadgetAux | None:
-    key = (id(a), id(t_arr))
-    hit = _AUX_CACHE.get(key)
-    if hit is not None and hit[0]() is a and hit[1]() is t_arr:
-        _AUX_CACHE.move_to_end(key)
-        return hit[2]
-    aux = derive_gadget_aux(np.asarray(a, dtype=np.int64), t_arr, q)
-    _AUX_CACHE[key] = (weakref.ref(a), weakref.ref(t_arr), aux)
-    while len(_AUX_CACHE) > _AUX_CACHE_SIZE:
-        _AUX_CACHE.popitem(last=False)
-    return aux
-
-
-def _fraction_adjugate(mat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Adjugate and determinant of a small integer matrix, exactly."""
-    k = mat.shape[0]
-    frac = [[Fraction(int(x)) for x in row] for row in mat]
-    det = Fraction(1)
-    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if frac[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("gadget block is singular")
-        if piv != col:
-            frac[col], frac[piv] = frac[piv], frac[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        det *= frac[col][col]
-        scale = frac[col][col]
-        frac[col] = [x / scale for x in frac[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(k):
-            if r != col and frac[r][col] != 0:
-                f = frac[r][col]
-                frac[r] = [x - f * y for x, y in zip(frac[r], frac[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    det_i = int(det)
-    adj = np.array([[int(x * det) for x in row] for row in inv], dtype=np.int64)
-    return adj, det_i
+def _as_trapdoor(t) -> TrapdoorBasis:
+    """Any accepted trapdoor form; arrays and pairs are prepared for one call only."""
+    if isinstance(t, TrapdoorBasis):
+        return t
+    if isinstance(t, PreparedBasis):
+        return TrapdoorBasis(t.basis, prep=t, aux=None)
+    if isinstance(t, TrapdoorPair):
+        return TrapdoorBasis(t.s, aux=t.aux)
+    return TrapdoorBasis(t)
 
 
 def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
@@ -252,14 +235,18 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
     s_k = _gadget_block(q, k)
     if not np.array_equal(s[m_bar:, :nk], np.kron(np.eye(n, dtype=np.int64), s_k)):
         return None
-    adj, det = _fraction_adjugate(s_k)
-    top = s[:m_bar, :nk]
-    r_bar = np.zeros((m_bar, nk), dtype=np.int64)
-    for i in range(n):
-        prod = exact_int_matmul(top[:, i * k : (i + 1) * k], adj)
-        if np.any(prod % det):
-            return None
-        r_bar[:, i * k : (i + 1) * k] = prod // det
+    # Solve top = r_bar @ (I_n kron S_k) per gadget block.  Column j < k-1
+    # of S_k is 2e_j - e_(j+1), so r_bar[.., j] = 2^j x - c_j with
+    # c_(j+1) = 2 c_j + top[.., j]; the last column (the bits of q) then
+    # gives q x = top[.., k-1] + sum_j bit_j(q) c_j.
+    top = s[:m_bar, :nk].reshape(m_bar, n, k)
+    c = np.zeros_like(top)
+    for j in range(k - 1):
+        c[..., j + 1] = 2 * c[..., j] + top[..., j]
+    num = top[..., k - 1] + c @ s_k[:, k - 1]
+    if np.any(num % q):
+        return None
+    r_bar = ((num // q)[..., None] * (1 << np.arange(k, dtype=np.int64)) - c).reshape(m_bar, nk)
     if np.abs(r_bar).max(initial=0) > (1 << 20):
         return None
     # definitive check: A @ [r_bar; I] must equal the gadget matrix mod q
@@ -267,18 +254,6 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
     if not np.array_equal(mat_mul(a, w, q), _gadget_matrix(n, k) % q):
         return None
     return GadgetAux(k, m_bar, r_bar)
-
-
-def _resolve_trapdoor(a: np.ndarray, t, q: int) -> _Resolved:
-    """Normalize any accepted trapdoor form into prepared QR data + aux."""
-    if isinstance(t, _Resolved):
-        return t
-    if isinstance(t, PreparedBasis):
-        return _Resolved(t, None)
-    if isinstance(t, TrapdoorPair):
-        return _Resolved(_prep_of(t.s), t.aux)
-    t_arr = np.asarray(t, dtype=np.int64)
-    return _Resolved(_prep_of(t_arr), _aux_of(a, t_arr, q))
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +272,18 @@ def _check_sigma(sigma: float, prep: PreparedBasis, total_dim: int, enforce: boo
         )
 
 
-def _coset_representatives(a: np.ndarray, res: _Resolved, targets: np.ndarray, q: int) -> np.ndarray:
+def _coset_representatives(a: np.ndarray, aux: GadgetAux | None, targets: np.ndarray, q: int) -> np.ndarray:
     """Integer c with A @ c == targets (mod q), kept short when possible."""
-    if res.aux is not None:
-        d_bits = _bit_decompose(targets % q, res.aux.k)
-        top = exact_int_matmul(res.aux.r_bar, d_bits)
+    if aux is not None:
+        d_bits = _bit_decompose(targets % q, aux.k)
+        top = exact_int_matmul(aux.r_bar, d_bits)
         return np.vstack([top, d_bits]) if targets.ndim == 2 else np.concatenate([top, d_bits])
     return center_rep(solve_mod(a, targets, q), q)
 
 
 def _preimage_batch(
     a: np.ndarray,
-    res: _Resolved,
+    td: TrapdoorBasis,
     targets: np.ndarray,
     q: int,
     sigma: float,
@@ -316,8 +291,8 @@ def _preimage_batch(
 ) -> np.ndarray:
     from .samplers import TAIL_CUT
 
-    prep = res.prep
-    c = _coset_representatives(a, res, targets, q)
+    prep = td.prepared()
+    c = _coset_representatives(a, td.gadget_aux(a, q), targets, q)
     z = klein_coefficients(prep, sigma, c.astype(np.float64), rng)
     e = c - exact_int_matmul(prep.basis, z)
     # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
@@ -349,11 +324,12 @@ def sample_pre(a, t, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigm
     q = check_modulus(q)
     a = as_residues(a, q)
     u = as_residues(u, q)
-    res = _resolve_trapdoor(a, t, q)
-    if a.ndim != 2 or a.shape[1] != res.prep.dim:
-        raise DimensionMismatch(f"matrix {a.shape} does not match basis dimension {res.prep.dim}")
-    _check_sigma(sigma, res.prep, res.prep.dim, enforce_sigma)
-    e = _preimage_batch(a, res, u, q, sigma, rng)
+    td = _as_trapdoor(t)
+    prep = td.prepared()
+    if a.ndim != 2 or a.shape[1] != prep.dim:
+        raise DimensionMismatch(f"matrix {a.shape} does not match basis dimension {prep.dim}")
+    _check_sigma(sigma, prep, prep.dim, enforce_sigma)
+    e = _preimage_batch(a, td, u, q, sigma, rng)
     if np.any(mat_mul(a, e, q) != u):
         raise SamplingError("preimage congruence self-check failed")
     return e
@@ -377,15 +353,15 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     u_mat = u if u.ndim == 2 else u.reshape(-1, 1)
     if u_mat.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"target has {u_mat.shape[0]} rows, expected {a.shape[0]}")
-    res = _resolve_trapdoor(a, t_a, q)
+    td = _as_trapdoor(t_a)
     total = a.shape[1] + m_block.shape[1]
-    _check_sigma(sigma, res.prep, total, enforce_sigma)
+    _check_sigma(sigma, td.prepared(), total, enforce_sigma)
     n_cols = u_mat.shape[1]
     e_m = sample_z_gaussian_batch(
         sigma, np.zeros(m_block.shape[1] * n_cols), rng
     ).reshape(m_block.shape[1], n_cols)
     residual = (u_mat - mat_mul(m_block, e_m, q)) % q
-    e_a = _preimage_batch(a, res, residual, q, sigma, rng)
+    e_a = _preimage_batch(a, td, residual, q, sigma, rng)
     e = np.vstack([e_a, e_m])
     f1 = concat_cols([a, m_block])
     if not _spot_check_columns(f1, e, u_mat, q):
@@ -428,15 +404,12 @@ def sample_right(a, b, r, t_b, u, q: int, sigma: float, rng: RandomSource, *, en
         raise DimensionMismatch(
             f"R must be {a.shape[1]} x {b.shape[1]}, got {r.shape}"
         )
-    res = _resolve_trapdoor(b, t_b, q)
+    td = _as_trapdoor(t_b)
     if enforce_sigma:
-        s_r = operator_norm(r)
-        if sigma < res.prep.gs_norm * s_r * slack_factor(b.shape[1]):
-            raise SamplingError(
-                f"sigma = {sigma:.6g} is below the sample_right threshold "
-                f"{res.prep.gs_norm * s_r * slack_factor(b.shape[1]):.6g}"
-            )
-    swapped = sample_left(b, a, res, u, q, sigma, rng, enforce_sigma=False)
+        floor = td.prepared().gs_norm * operator_norm(r) * slack_factor(b.shape[1])
+        if sigma < floor:
+            raise SamplingError(f"sigma = {sigma:.6g} is below the sample_right threshold {floor:.6g}")
+    swapped = sample_left(b, a, td, u, q, sigma, rng, enforce_sigma=False)
     one = swapped.ndim == 1
     sw = swapped.reshape(-1, 1) if one else swapped
     m_b = b.shape[1]
@@ -465,31 +438,33 @@ def _full_rank_subset(vectors: np.ndarray, dim: int) -> np.ndarray | None:
     return None
 
 
-def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> np.ndarray:
+def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> TrapdoorBasis:
     """Assemble a nonsingular basis from Gaussian preimages of zero.
 
-    The QR run doubles as the nonsingularity certificate and is cached so
-    that downstream sampling against the returned basis reuses it.
+    The QR run doubles as the nonsingularity certificate and stays with
+    the returned basis, so later sampling against it reuses it.
     """
     for _ in range(retries):
         batch = sampler(dim + _BASIS_OVERHEAD)
         cand = np.ascontiguousarray(batch[:, :dim])
         try:
-            register_prepared(cand, prepare_basis(cand))
-            return cand
+            return TrapdoorBasis(cand, prep=prepare_basis(cand))
         except SingularMatrix:
             pass
         subset = _full_rank_subset(batch, dim)
         if subset is not None:
             subset = np.ascontiguousarray(subset)
-            register_prepared(subset, prepare_basis(subset))
-            return subset
+            return TrapdoorBasis(subset, prep=prepare_basis(subset))
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
-def sample_basis_left(a, m_block, t_a, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
-    """Short basis of the nullspace lattice of (A | M) from a trapdoor for A."""
+def sample_basis_left(a, m_block, t_a, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
+    """Short basis of the nullspace lattice of (A | M) from a trapdoor for A.
+
+    The basis is returned with the QR factorization that certified it.
+    """
     q = check_modulus(q)
+    t_a = _as_trapdoor(t_a)
     a = as_residues(a, q)
     m_block = as_residues(m_block, q)
     dim = a.shape[1] + m_block.shape[1]
@@ -503,14 +478,18 @@ def sample_basis_left(a, m_block, t_a, q: int, sigma: float, rng: RandomSource, 
 
     basis = _basis_from_preimages(sampler, dim, q)
     f1 = concat_cols([a, m_block])
-    if np.any(mat_mul(f1, basis, q)):
+    if np.any(mat_mul(f1, basis.basis, q)):
         raise SamplingError("basis columns left the nullspace lattice")
     return basis
 
 
-def sample_basis_right(a, b, r, t_b, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
-    """Short basis of the nullspace lattice of (A | A@R + B) from a trapdoor for B."""
+def sample_basis_right(a, b, r, t_b, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
+    """Short basis of the nullspace lattice of (A | A@R + B) from a trapdoor for B.
+
+    The basis is returned with the QR factorization that certified it.
+    """
     q = check_modulus(q)
+    t_b = _as_trapdoor(t_b)
     a = as_residues(a, q)
     b = as_residues(b, q)
     dim = a.shape[1] + b.shape[1]
@@ -524,7 +503,7 @@ def sample_basis_right(a, b, r, t_b, q: int, sigma: float, rng: RandomSource, *,
 
     basis = _basis_from_preimages(sampler, dim, q)
     f2 = concat_cols([a, (mat_mul(a, r, q) + b) % q])
-    if np.any(mat_mul(f2, basis, q)):
+    if np.any(mat_mul(f2, basis.basis, q)):
         raise SamplingError("basis columns left the nullspace lattice")
     return basis
 

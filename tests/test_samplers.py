@@ -267,3 +267,66 @@ class TestDeterminism:
         a = sample_d_lattice(basis, 9.0, np.zeros(2), RandomSource(79))
         b = sample_d_lattice(basis, 9.0, np.zeros(2), RandomSource(79))
         assert np.array_equal(a, b)
+
+
+def _reject_reference(sigma, centers, rng):
+    """The rejection sampler drawing each round's uniforms as one block."""
+    root = math.sqrt(2.0 * math.pi)
+    base = np.rint(centers).astype(np.int64)
+    delta = centers - base
+    log_r = -root / sigma
+    log_m = math.log(2.0) + 0.5 + root / (2.0 * sigma)
+    out = np.zeros(centers.shape[0], dtype=np.int64)
+    pending = np.arange(centers.shape[0])
+    tries = 1
+    while pending.size:
+        sz = pending.size
+        u = rng.random((3, tries, sz))
+        k = np.floor(np.log(u[0]) / log_r)
+        x = np.where(u[1] < 0.5, k, -k)
+        d = x - delta[pending]
+        log_accept = (
+            -(math.pi / (sigma * sigma)) * d * d - k * log_r - log_m
+            - np.where(k > 0, math.log(0.5), 0.0)
+        )
+        ok = (np.log(u[2]) < log_accept) & (np.abs(d) <= 12.0 * sigma)
+        hit = ok.any(axis=0)
+        chosen = x[ok.argmax(axis=0), np.arange(sz)]
+        lanes = pending[hit]
+        out[lanes] = base[lanes] + chosen[hit].astype(np.int64)
+        pending = pending[~hit]
+        tries = 6
+    return out
+
+
+def _walk_reference(basis, sigma, targets, rng):
+    """The nearest-plane walk over the full square R factor."""
+    q_factor, r = np.linalg.qr(basis.astype(np.float64))
+    proj = q_factor.T @ targets
+    d = basis.shape[0]
+    z = np.zeros(targets.shape, dtype=np.float64)
+    for k in range(d - 1, -1, -1):
+        rest = r[k, k + 1 :] @ z[k + 1 :] if k + 1 < d else 0.0
+        z[k] = sample_z_gaussian_batch(sigma / abs(float(r[k, k])), (proj[k] - rest) / r[k, k], rng)
+    return z.astype(np.int64)
+
+
+class TestReferenceAgreement:
+    """The samplers keep their exact outputs and stream use across layouts."""
+
+    @pytest.mark.parametrize("sigma", [2.0, 7.5, 1000.0, 235000.0])
+    def test_rejection_sampler_matches_block_reference(self, sigma):
+        centers = RandomSource(81).normal(40.0, 3000)
+        r1, r2 = RandomSource(82), RandomSource(82)
+        assert np.array_equal(sample_z_gaussian_batch(sigma, centers, r1),
+                              _reject_reference(sigma, centers, r2))
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("lanes", [1, 9])
+    def test_walk_matches_full_r_reference(self, lanes):
+        from ibeetfa.samplers import klein_coefficients
+
+        basis = RandomSource(83).integers(-50, 51, (40, 40)) + 200 * np.eye(40, dtype=np.int64)
+        targets = RandomSource(84).normal(500.0, (40, lanes))
+        got = klein_coefficients(prepare_basis(basis), 3.0, targets, RandomSource(85))
+        assert np.array_equal(got, _walk_reference(basis, 3.0, targets, RandomSource(85)))

@@ -205,7 +205,7 @@ class TestBasisSampling:
         f1 = concat_cols([pair.a, mblk])
         good = 0
         for i in range(50):
-            basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(500 + i))
+            basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(500 + i)).basis
             good += int(check_nullspace_basis(f1, basis, q))
         assert good == 50
 
@@ -214,7 +214,7 @@ class TestBasisSampling:
         mblk = RandomSource(197).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
         for i in range(3):
-            basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(199 + i))
+            basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(199 + i)).basis
             f1 = concat_cols([pair.a, mblk])
             assert check_nullspace_basis(f1, basis, q)
 
@@ -222,14 +222,14 @@ class TestBasisSampling:
         pair, q, n, m = small_pair(211)
         mblk = RandomSource(223).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
-        basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(227))
+        basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(227)).basis
         assert gram_schmidt_norm(basis) <= 2 * sigma * math.sqrt(2 * m)
 
     def test_basis_left_full_rank(self):
         pair, q, n, m = small_pair(229)
         mblk = RandomSource(233).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
-        basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(239))
+        basis = sample_basis_left(pair.a, mblk, pair, q, sigma, RandomSource(239)).basis
         assert basis.shape == (2 * m, 2 * m)
         assert is_nonsingular(basis)
 
@@ -238,7 +238,7 @@ class TestBasisSampling:
         a = RandomSource(251).integers(0, q, (n, m))
         r = RandomSource(257).integers(0, 2, (m, m)) * 2 - 1
         sigma = pairb.gs_norm * operator_norm(r) * slack_factor(2 * m) * 1.05
-        basis = sample_basis_right(a, pairb.a, r, pairb, q, sigma, RandomSource(263))
+        basis = sample_basis_right(a, pairb.a, r, pairb, q, sigma, RandomSource(263)).basis
         f2 = concat_cols([a, (mat_mul(a, r, q) + pairb.a) % q])
         assert check_nullspace_basis(f2, basis, q)
 
@@ -249,7 +249,7 @@ class TestBasisSampling:
         sigma = pairb.gs_norm * operator_norm(r) * slack_factor(2 * m) * 1.05
         b1 = sample_basis_right(a, pairb.a, r, pairb, q, sigma, RandomSource(281))
         b2 = sample_basis_right(a, pairb.a, r, pairb, q, sigma, RandomSource(281))
-        assert np.array_equal(b1, b2)
+        assert np.array_equal(b1.basis, b2.basis)
 
     def test_delegation_closure(self):
         # a basis from sample_basis_left serves as the trapdoor for a further
