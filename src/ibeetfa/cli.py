@@ -140,32 +140,39 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
+#: --type -> (trapdoor file kind, grant(pp, sk, ct, rng), test(pp, rng, td_i, td_j, ct_i, ct_j)).
+#: Functions are looked up by name at call time (fileio.dump_/load_<kind>
+#: and the authz names), so perfbench's tracer, which rebinds module
+#: attributes, sees every call.
+_TD_TYPES = {
+    1: ("td1",
+        lambda pp, sk, ct, rng: td1(sk, sk.identity),
+        lambda pp, rng, *operands: test1(*operands, pp, rng)),
+    2: ("td2",
+        lambda pp, sk, ct, rng: td2(pp, sk, sk.identity, ct, rng),
+        lambda pp, rng, *operands: test2(*operands, pp.params.q)),
+    3: ("td3",
+        lambda pp, sk, ct, rng: (td3_basis(sk, sk.identity) if ct is None
+                                 else td3_ct(pp, sk, sk.identity, ct, rng)),
+        lambda pp, rng, *operands: test3(*operands, pp, rng)),
+}
+
+
 def _cmd_td(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
     sk = fileio.load_user_secret(fileio.read_file(args.sk), pp.params)
-    kind = args.type
-    if kind == 2 and args.ct is None:
+    kind, grant, _ = _TD_TYPES[args.type]
+    if args.type == 2 and args.ct is None:
         raise ParameterError("--type 2 requires --ct")
-    if kind == 1:
-        blob = fileio.dump_td1(td1(sk, sk.identity), pp.params)
-    elif kind == 2:
+    ct = rng = None
+    if args.ct is not None and args.type != 1:  # a type-1 trapdoor is never bound
         ct, _ = fileio.load_ciphertext(fileio.read_file(args.ct), pp.params)
-        td = td2(pp, sk, sk.identity, ct, _rng(args))
-        if td is None:
-            print("REJECT")
-            return EXIT_REJECT
-        blob = fileio.dump_td2(td, pp.params)
-    else:
-        if args.ct is None:
-            blob = fileio.dump_td3(td3_basis(sk, sk.identity), pp.params)
-        else:
-            ct, _ = fileio.load_ciphertext(fileio.read_file(args.ct), pp.params)
-            td = td3_ct(pp, sk, sk.identity, ct, _rng(args))
-            if td is None:
-                print("REJECT")
-                return EXIT_REJECT
-            blob = fileio.dump_td3(td, pp.params)
-    fileio.write_file(args.out, blob)
+        rng = _rng(args)
+    td = grant(pp, sk, ct, rng)
+    if td is None:
+        print("REJECT")
+        return EXIT_REJECT
+    fileio.write_file(args.out, getattr(fileio, f"dump_{kind}")(td, pp.params))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -175,18 +182,11 @@ def _cmd_test(args) -> int:
     ct_i, _ = fileio.load_ciphertext(fileio.read_file(args.ct_i), pp.params)
     ct_j, _ = fileio.load_ciphertext(fileio.read_file(args.ct_j), pp.params)
     rng = _rng(args)
-    if args.type == 1:
-        td_i = fileio.load_td1(fileio.read_file(args.td_i), pp.params)
-        td_j = fileio.load_td1(fileio.read_file(args.td_j), pp.params)
-        outcome = test1(td_i, td_j, ct_i, ct_j, pp, rng)
-    elif args.type == 2:
-        td_i = fileio.load_td2(fileio.read_file(args.td_i), pp.params)
-        td_j = fileio.load_td2(fileio.read_file(args.td_j), pp.params)
-        outcome = test2(td_i, td_j, ct_i, ct_j, pp.params.q)
-    else:
-        td_i = fileio.load_td3(fileio.read_file(args.td_i), pp.params)
-        td_j = fileio.load_td3(fileio.read_file(args.td_j), pp.params)
-        outcome = test3(td_i, td_j, ct_i, ct_j, pp, rng)
+    kind, _, test = _TD_TYPES[args.type]
+    load = getattr(fileio, f"load_{kind}")
+    td_i = load(fileio.read_file(args.td_i), pp.params)
+    td_j = load(fileio.read_file(args.td_j), pp.params)
+    outcome = test(pp, rng, td_i, td_j, ct_i, ct_j)
     if outcome is None:
         print("REJECT")
         return EXIT_REJECT

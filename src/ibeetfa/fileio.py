@@ -247,66 +247,63 @@ def load_ciphertext(blob: bytes, reference: ParamSet | None = None) -> tuple[Cip
 # -- trapdoors ----------------------------------------------------------------
 
 
+def _dump_td1_payload(td: TrapdoorT1) -> list[bytes]:
+    return [_dump_identity(td.identity), _signed(td.e_prime)]
+
+
+def _load_td1_payload(rd: _Reader, p: ParamSet) -> TrapdoorT1:
+    ident = _load_identity(rd, p.ell)
+    return TrapdoorT1(ident, TrapdoorBasis(rd.signed((2 * p.m, 2 * p.m))))
+
+
+def _dump_td2_payload(td: TrapdoorT2) -> list[bytes]:
+    return [_dump_identity(td.identity), bits_to_bytes(td.ct_binding), _signed(td.e_prime)]
+
+
+def _load_td2_payload(rd: _Reader, p: ParamSet) -> TrapdoorT2:
+    ident = _load_identity(rd, p.ell)
+    binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
+    return TrapdoorT2(ident, binding, rd.signed((3 * p.m, p.t)))
+
+
 def dump_td1(td: TrapdoorT1, p: ParamSet) -> bytes:
-    return b"".join([_header(KIND_TD1, p), _dump_identity(td.identity), _signed(td.e_prime)])
+    return b"".join([_header(KIND_TD1, p), *_dump_td1_payload(td)])
 
 
 def load_td1(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT1:
     rd, p = _open(blob, KIND_TD1, reference)
-    ident = _load_identity(rd, p.ell)
-    e_prime = rd.signed((2 * p.m, 2 * p.m))
+    td = _load_td1_payload(rd, p)
     rd.done()
-    return TrapdoorT1(ident, TrapdoorBasis(e_prime))
+    return td
 
 
 def dump_td2(td: TrapdoorT2, p: ParamSet) -> bytes:
-    return b"".join(
-        [
-            _header(KIND_TD2, p),
-            _dump_identity(td.identity),
-            bits_to_bytes(td.ct_binding),
-            _signed(td.e_prime),
-        ]
-    )
+    return b"".join([_header(KIND_TD2, p), *_dump_td2_payload(td)])
 
 
 def load_td2(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT2:
     rd, p = _open(blob, KIND_TD2, reference)
-    ident = _load_identity(rd, p.ell)
-    binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
-    e_prime = rd.signed((3 * p.m, p.t))
+    td = _load_td2_payload(rd, p)
     rd.done()
-    return TrapdoorT2(ident, binding, e_prime)
+    return td
 
 
+# type-3 payload: variant byte (0 basis side, 1 ciphertext-bound), then the
+# type-1 or type-2 payload
 def dump_td3(td: TrapdoorT3, p: ParamSet) -> bytes:
     if td.is_basis_side:
-        inner = _dump_identity(td.payload.identity) + _signed(td.payload.e_prime)
-        variant = 0
-    else:
-        inner = (
-            _dump_identity(td.payload.identity)
-            + bits_to_bytes(td.payload.ct_binding)
-            + _signed(td.payload.e_prime)
-        )
-        variant = 1
-    return b"".join([_header(KIND_TD3, p), bytes([variant]), inner])
+        return b"".join([_header(KIND_TD3, p), b"\x00", *_dump_td1_payload(td.payload)])
+    return b"".join([_header(KIND_TD3, p), b"\x01", *_dump_td2_payload(td.payload)])
 
 
 def load_td3(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT3:
     rd, p = _open(blob, KIND_TD3, reference)
     variant = rd.take(1)[0]
-    ident = _load_identity(rd, p.ell)
-    if variant == 0:
-        e_prime = rd.signed((2 * p.m, 2 * p.m))
-        rd.done()
-        return TrapdoorT3(TrapdoorT1(ident, TrapdoorBasis(e_prime)))
-    if variant == 1:
-        binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
-        e_prime = rd.signed((3 * p.m, p.t))
-        rd.done()
-        return TrapdoorT3(TrapdoorT2(ident, binding, e_prime))
-    raise FormatError(f"type-3 trapdoor: unknown variant {variant}")
+    if variant not in (0, 1):
+        raise FormatError(f"type-3 trapdoor: unknown variant {variant}")
+    td = (_load_td2_payload if variant else _load_td1_payload)(rd, p)
+    rd.done()
+    return TrapdoorT3(td)
 
 
 # -- atomic file helpers ------------------------------------------------------

@@ -58,8 +58,8 @@ class MasterSecretKey:
     """The two trapdoor bases behind A and A'.
 
     Each basis keeps its QR factorization and gadget shortcut once built:
-    setup hands over the shortcut it generated, a loaded key derives it on
-    first use.
+    setup hands over the bases trap_gen built, shortcut included; a loaded
+    key derives the shortcut on first use.
     """
 
     trapdoor_a: TrapdoorBasis
@@ -188,10 +188,7 @@ def setup(params: ParamSet, rng: RandomSource) -> tuple[PublicParams, MasterSecr
     b = sample_uniform_zq(n, m, q, rng)
     u = sample_uniform_zq(n, params.t, q, rng)
     pp = PublicParams(params, pair_a.a, pair_a_prime.a, a_list, b, u)
-    msk = MasterSecretKey(
-        TrapdoorBasis(pair_a.s, aux=pair_a.aux), TrapdoorBasis(pair_a_prime.s, aux=pair_a_prime.aux)
-    )
-    return pp, msk
+    return pp, MasterSecretKey(pair_a.trapdoor, pair_a_prime.trapdoor)
 
 
 def compute_a_id(pp: PublicParams, ident: Identity) -> np.ndarray:
@@ -340,22 +337,17 @@ def key_preimage(pp: PublicParams, trapdoor: TrapdoorBasis, ident: Identity, whi
 
 
 def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
-    """Recompute the integrity digest and compare."""
-    p = pp.params
-    want = hash_hprime(canonical_ct_bytes(p, ct.r_tag, ct.c1, ct.c2, ct.c3, ct.c4), p.lambda_bits)
-    return bool(np.array_equal(want, np.asarray(ct.c5, dtype=np.uint8)))
+    """Recompute the integrity digest and compare.
 
-
-def _check_ct_shape(pp: PublicParams, ct: Ciphertext) -> None:
+    Malformed shapes raise DimensionMismatch: c5 here, R and c1..c4 in
+    canonical_ct_bytes.
+    """
     p = pp.params
-    if ct.r_tag.shape != (p.m, p.m):
-        raise DimensionMismatch(f"tag matrix must be {p.m} x {p.m}")
-    if ct.c1.shape != (p.t,) or ct.c2.shape != (p.t,):
-        raise DimensionMismatch(f"c1/c2 must have length {p.t}")
-    if ct.c3.shape != (3 * p.m,) or ct.c4.shape != (3 * p.m,):
-        raise DimensionMismatch(f"c3/c4 must have length {3 * p.m}")
-    if np.asarray(ct.c5).shape != (p.lambda_bits,):
+    c5 = np.asarray(ct.c5, dtype=np.uint8)
+    if c5.shape != (p.lambda_bits,):
         raise DimensionMismatch(f"c5 must have {p.lambda_bits} bits")
+    want = hash_hprime(canonical_ct_bytes(p, ct.r_tag, ct.c1, ct.c2, ct.c3, ct.c4), p.lambda_bits)
+    return bool(np.array_equal(want, c5))
 
 
 def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSource):
@@ -365,7 +357,6 @@ def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSour
     error; malformed shapes raise instead.
     """
     p = pp.params
-    _check_ct_shape(pp, ct)
     if not ciphertext_integrity_ok(pp, ct):
         return None
 

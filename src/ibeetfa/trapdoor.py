@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,16 +84,15 @@ class GadgetAux:
 
 @dataclass(frozen=True)
 class TrapdoorPair:
-    """Public matrix with a short basis of its q-ary nullspace lattice."""
+    """Public matrix with a trapdoor for its q-ary nullspace lattice."""
 
-    a: np.ndarray        # n x m residues
-    s: np.ndarray        # m x m integer basis
-    aux: GadgetAux | None = field(default=None, compare=False)
+    a: np.ndarray               # n x m residues
+    trapdoor: TrapdoorBasis     # m x m basis, carrying the gadget shortcut
 
     @property
     def gs_norm(self) -> float:
-        """Gram-Schmidt norm of s, computed on demand (nothing in sampling reads it)."""
-        return gram_schmidt_norm(self.s)
+        """Gram-Schmidt norm of the basis, computed on demand (nothing in sampling reads it)."""
+        return gram_schmidt_norm(self.trapdoor.basis)
 
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
@@ -158,7 +157,7 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     top_left = exact_int_matmul(r_bar, s_g)
     top_right = np.eye(m_bar, dtype=np.int64) - exact_int_matmul(r_bar, d_bits)
     s = np.block([[top_left, top_right], [s_g, -d_bits]])
-    return TrapdoorPair(a, s, GadgetAux(k, m_bar, r_bar))
+    return TrapdoorPair(a, TrapdoorBasis(s, aux=GadgetAux(k, m_bar, r_bar)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +212,10 @@ class TrapdoorBasis:
             return e
 
 
-def _as_trapdoor(t) -> TrapdoorBasis:
-    """Any accepted trapdoor form; arrays and pairs are prepared for one call only."""
-    if isinstance(t, TrapdoorBasis):
-        return t
-    if isinstance(t, PreparedBasis):
-        return TrapdoorBasis(t.basis, prep=t, aux=None)
-    if isinstance(t, TrapdoorPair):
-        return TrapdoorBasis(t.s, aux=t.aux)
-    return TrapdoorBasis(t)
+def _require_trapdoor(t) -> TrapdoorBasis:
+    if not isinstance(t, TrapdoorBasis):
+        raise TypeError(f"trapdoor must be a TrapdoorBasis, got {type(t).__name__}")
+    return t
 
 
 def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
@@ -313,8 +307,11 @@ def _spot_check_columns(f: np.ndarray, e: np.ndarray, u: np.ndarray, q: int, lim
     return bool(np.array_equal(sub, u[:, idx]))
 
 
-def sample_pre(a, t, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+def sample_pre(a, t: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
     """Gaussian preimage e with A @ e == u (mod q), sampled with trapdoor t.
+
+    Every sampler takes its trapdoor as a TrapdoorBasis and raises
+    TypeError on any other argument.
 
     ``u`` may be a vector or an n x t matrix (one preimage per column).
     With ``enforce_sigma=False`` the quality precondition on sigma is
@@ -324,7 +321,7 @@ def sample_pre(a, t, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigm
     q = check_modulus(q)
     a = as_residues(a, q)
     u = as_residues(u, q)
-    td = _as_trapdoor(t)
+    td = _require_trapdoor(t)
     prep = td.prepared()
     if a.ndim != 2 or a.shape[1] != prep.dim:
         raise DimensionMismatch(f"matrix {a.shape} does not match basis dimension {prep.dim}")
@@ -335,7 +332,7 @@ def sample_pre(a, t, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigm
     return e
 
 
-def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
     """Preimage E of U for the concatenation (A | M), using a trapdoor for A.
 
     The M-side coordinates are drawn independently Gaussian, then the
@@ -353,7 +350,7 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     u_mat = u if u.ndim == 2 else u.reshape(-1, 1)
     if u_mat.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"target has {u_mat.shape[0]} rows, expected {a.shape[0]}")
-    td = _as_trapdoor(t_a)
+    td = _require_trapdoor(t_a)
     total = a.shape[1] + m_block.shape[1]
     _check_sigma(sigma, td.prepared(), total, enforce_sigma)
     n_cols = u_mat.shape[1]
@@ -387,7 +384,7 @@ def operator_norm(r, iters: int = 50) -> float:
     return float(np.linalg.norm(rf @ v))
 
 
-def sample_right(a, b, r, t_b, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+def sample_right(a, b, r, t_b: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
     """Preimage E of U for F2 = (A | A@R + B), using a trapdoor for B.
 
     Internally samples a preimage (f1, f2) for (B | A) and returns
@@ -404,7 +401,7 @@ def sample_right(a, b, r, t_b, u, q: int, sigma: float, rng: RandomSource, *, en
         raise DimensionMismatch(
             f"R must be {a.shape[1]} x {b.shape[1]}, got {r.shape}"
         )
-    td = _as_trapdoor(t_b)
+    td = _require_trapdoor(t_b)
     if enforce_sigma:
         floor = td.prepared().gs_norm * operator_norm(r) * slack_factor(b.shape[1])
         if sigma < floor:
@@ -458,56 +455,48 @@ def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> Trapdo
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
-def sample_basis_left(a, m_block, t_a, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
+def _nullspace_basis(f: np.ndarray, sampler, q: int) -> TrapdoorBasis:
+    """Certified basis of the nullspace lattice of f: the tail of sample_basis_left/right.
+
+    ``sampler(targets)`` returns preimages of the target columns under f.
+    """
+    zero = np.zeros((f.shape[0], 1), dtype=np.int64)
+    basis = _basis_from_preimages(lambda count: sampler(np.repeat(zero, count, axis=1)), f.shape[1], q)
+    if np.any(mat_mul(f, basis.basis, q)):
+        raise SamplingError("basis columns left the nullspace lattice")
+    return basis
+
+
+def sample_basis_left(a, m_block, t_a: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
     """Short basis of the nullspace lattice of (A | M) from a trapdoor for A.
 
     The basis is returned with the QR factorization that certified it.
     """
     q = check_modulus(q)
-    t_a = _as_trapdoor(t_a)
     a = as_residues(a, q)
     m_block = as_residues(m_block, q)
-    dim = a.shape[1] + m_block.shape[1]
-    zero = np.zeros((a.shape[0], 1), dtype=np.int64)
-
-    def sampler(count):
-        return sample_left(
-            a, m_block, t_a, np.repeat(zero, count, axis=1), q, sigma, rng,
-            enforce_sigma=enforce_sigma,
-        )
-
-    basis = _basis_from_preimages(sampler, dim, q)
-    f1 = concat_cols([a, m_block])
-    if np.any(mat_mul(f1, basis.basis, q)):
-        raise SamplingError("basis columns left the nullspace lattice")
-    return basis
+    return _nullspace_basis(
+        concat_cols([a, m_block]),
+        lambda targets: sample_left(a, m_block, t_a, targets, q, sigma, rng, enforce_sigma=enforce_sigma),
+        q,
+    )
 
 
-def sample_basis_right(a, b, r, t_b, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
+def sample_basis_right(a, b, r, t_b: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
     """Short basis of the nullspace lattice of (A | A@R + B) from a trapdoor for B.
 
     The basis is returned with the QR factorization that certified it.
     """
     q = check_modulus(q)
-    t_b = _as_trapdoor(t_b)
     a = as_residues(a, q)
     b = as_residues(b, q)
-    dim = a.shape[1] + b.shape[1]
-    zero = np.zeros((a.shape[0], 1), dtype=np.int64)
-
-    def sampler(count):
-        return sample_right(
-            a, b, r, t_b, np.repeat(zero, count, axis=1), q, sigma, rng,
-            enforce_sigma=enforce_sigma,
-        )
-
-    basis = _basis_from_preimages(sampler, dim, q)
-    f2 = concat_cols([a, (mat_mul(a, r, q) + b) % q])
-    if np.any(mat_mul(f2, basis.basis, q)):
-        raise SamplingError("basis columns left the nullspace lattice")
-    return basis
+    return _nullspace_basis(
+        concat_cols([a, (mat_mul(a, r, q) + b) % q]),
+        lambda targets: sample_right(a, b, r, t_b, targets, q, sigma, rng, enforce_sigma=enforce_sigma),
+        q,
+    )
 
 
 def verify_trapdoor(pair: TrapdoorPair, q: int) -> bool:
     """Full invariant check: nullspace membership plus rational rank."""
-    return check_nullspace_basis(pair.a, pair.s, q)
+    return check_nullspace_basis(pair.a, pair.trapdoor.basis, q)

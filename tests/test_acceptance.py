@@ -200,10 +200,10 @@ def test_criterion_3_algebraic_invariants(system, keys, pool):
     ep_ok = 0
     for i in range(50):
         u = RandomSource(7_000 + i).integers(0, q, (TOY.n, 1))
-        e = sample_left(compute_f(pp, ident, "primary"), ar, sk.e_id, u, q, TOY.sigma,
+        e = sample_left(compute_f(pp, ident, "primary"), ar, sk.trapdoor, u, q, TOY.sigma,
                         rng, enforce_sigma=False)
         e_ok += int(np.array_equal(mat_mul(f1, e, q), u))
-        ep = sample_left(compute_f(pp, ident, "prime"), ar, sk.e_id_prime, u, q, TOY.sigma,
+        ep = sample_left(compute_f(pp, ident, "prime"), ar, sk.trapdoor_prime, u, q, TOY.sigma,
                          rng, enforce_sigma=False)
         ep_ok += int(np.array_equal(mat_mul(f2, ep, q), u))
     ok = key_ok == 20 and e_ok == 50 and ep_ok == 50

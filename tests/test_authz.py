@@ -9,7 +9,7 @@ from ibeetfa.authz import digest_from_basis, digest_from_e, td1, td2, td3_basis,
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
 from ibeetfa.authz import test3 as eq_test3
-from ibeetfa.errors import ParameterError
+from ibeetfa.errors import DimensionMismatch, ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, encrypt
@@ -111,6 +111,15 @@ class TestDigests:
         ct = cts[("a", 1)]
         bad = dataclasses.replace(ct, c5=1 - np.asarray(ct.c5))
         assert digest_from_basis(pp, td1(sk_a, ident_a), bad, RandomSource(9)) is None
+
+    def test_malformed_c5_raises(self, pool):
+        # a wrong-length digest is a malformed shape, not a tampered ciphertext
+        pp, (ident_a, sk_a), _, _, cts = pool
+        bad = dataclasses.replace(cts[("a", 1)], c5=np.asarray(cts[("a", 1)].c5)[:-1])
+        with pytest.raises(DimensionMismatch):
+            td2(pp, sk_a, ident_a, bad, RandomSource(13))
+        with pytest.raises(DimensionMismatch):
+            digest_from_basis(pp, td1(sk_a, ident_a), bad, RandomSource(14))
 
     def test_e_digest_equals_message_hash(self, pool):
         pp, (ident_a, sk_a), _, (msg1, _), cts = pool

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from ibeetfa import fileio
+from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
 from ibeetfa.errors import FormatError
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import encrypt_traced, identity_from_string, setup
+from ibeetfa.scheme import encrypt, encrypt_traced, identity_from_string, setup
 
-from conftest import MINI
+from conftest import MINI, random_message
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +242,29 @@ class TestSerializationUnits:
         blob2 = fileio.dump_master_secret(msk, MINI)
         back2 = fileio.load_master_secret(blob2, MINI)
         assert fileio.dump_master_secret(back2, MINI) == blob2
+
+    def test_trapdoor_round_trips(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        ct = encrypt(pp, ident, random_message(MINI.t, 600), RandomSource(0x7D))
+        cases = [
+            (fileio.dump_td1, fileio.load_td1, td1(sk, ident)),
+            (fileio.dump_td2, fileio.load_td2, td2(pp, sk, ident, ct, RandomSource(0x7E))),
+            (fileio.dump_td3, fileio.load_td3, td3_basis(sk, ident)),
+            (fileio.dump_td3, fileio.load_td3, td3_ct(pp, sk, ident, ct, RandomSource(0x7F))),
+        ]
+        for dump, load, td in cases:
+            blob = dump(td, MINI)
+            assert dump(load(blob, MINI), MINI) == blob
+
+    def test_unknown_td3_variant_rejected(self, mini_key):
+        ident, sk = mini_key
+        blob = bytearray(fileio.dump_td3(td3_basis(sk, ident), MINI))
+        header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
+        assert blob[header] == 0
+        blob[header] = 2
+        with pytest.raises(FormatError, match="unknown variant"):
+            fileio.load_td3(bytes(blob), MINI)
 
     def test_ct_payload_length_formula(self, workspace):
         blob = fileio.read_file(workspace["ct_a1"])
