@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterError
+from .params import ParamSet
 from .samplers import RandomSource
 from .scheme import (
     Ciphertext,
@@ -54,11 +55,16 @@ class TrapdoorT1:
 
 @dataclass(frozen=True)
 class TrapdoorT2:
-    """Single-ciphertext comparison authority: a bound preimage."""
+    """Single-ciphertext comparison authority: a bound preimage.
+
+    Carries the parameters it was issued under, so the test side can check
+    the ciphertext's integrity without the public parameters.
+    """
 
     identity: Identity
     ct_binding: np.ndarray  # lambda-bit digest of the bound ciphertext
     e_prime: np.ndarray     # 3m x t
+    params: ParamSet
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rn
     e_prime = sample_left(
         f_prime, ar, sk.trapdoor_prime, pp.u, p.q, p.sigma, rng, enforce_sigma=False
     )
-    return TrapdoorT2(ident, np.asarray(ct.c5, dtype=np.uint8).copy(), e_prime)
+    return TrapdoorT2(ident, ct.c5, e_prime, p)
 
 
 def td3_basis(sk: UserSecretKey, ident: Identity) -> TrapdoorT3:
@@ -124,10 +130,14 @@ def digest_from_basis(pp: PublicParams, td: TrapdoorT1, ct: Ciphertext, rng: Ran
 def digest_from_e(td: TrapdoorT2, ct: Ciphertext, q: int):
     """Decode the digest component using a ciphertext-bound trapdoor.
 
-    The trapdoor only applies to the ciphertext it was issued for; a
-    binding mismatch returns None.  Deterministic given (td, ct).
+    The trapdoor only applies to the ciphertext it was issued for: a
+    binding mismatch, or a ciphertext that fails its integrity check under
+    the trapdoor's parameters, returns None.  A q other than the
+    trapdoor's raises ParameterError.  Deterministic given (td, ct).
     """
-    if not np.array_equal(td.ct_binding, np.asarray(ct.c5, dtype=np.uint8)):
+    if q != td.params.q:
+        raise ParameterError(f"modulus {q} differs from the trapdoor's {td.params.q}")
+    if not np.array_equal(td.ct_binding, ct.c5) or not ct.intact(td.params):
         return None
     if td.e_prime.shape[0] != ct.c4.shape[0]:
         raise DimensionMismatch(

@@ -263,7 +263,7 @@ def _dump_td2_payload(td: TrapdoorT2) -> list[bytes]:
 def _load_td2_payload(rd: _Reader, p: ParamSet) -> TrapdoorT2:
     ident = _load_identity(rd, p.ell)
     binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
-    return TrapdoorT2(ident, binding, rd.signed((3 * p.m, p.t)))
+    return TrapdoorT2(ident, binding, rd.signed((3 * p.m, p.t)), p)
 
 
 def dump_td1(td: TrapdoorT1, p: ParamSet) -> bytes:

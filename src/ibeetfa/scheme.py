@@ -2,16 +2,18 @@
 
 Every operation takes an explicit RandomSource, so a fixed seed pins
 every produced artifact byte for byte.  Data objects are immutable apart
-from the sampling data a key's TrapdoorBasis builds on first use (its QR
-factorization, gadget shortcut and held preimage of U); a per-basis lock
-makes that first use happen once.  Calls may therefore run concurrently,
-sharing keys and trapdoors, as long as each call has a RandomSource of
-its own: a RandomSource is single-owner state.
+from what they build on first use: the sampling data of a key's
+TrapdoorBasis (its QR factorization, gadget shortcut and held preimage of
+U), which a per-basis lock makes happen once, and the integrity tag a
+Ciphertext keeps per parameter set, which two racing threads at worst
+compute twice, with equal results.  Calls may therefore run concurrently,
+sharing keys, trapdoors and ciphertexts, as long as each call has a
+RandomSource of its own: a RandomSource is single-owner state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .trapdoor import (
     sample_basis_left,
     trap_gen,
 )
-from .zqlinalg import concat_cols, mat_mul, solve_mod
+from .zqlinalg import concat_cols, exact_int_matmul, mat_mul, solve_mod
 
 _SETUP_ATTEMPTS = 8
 _EXTRACT_ATTEMPTS = 8
@@ -133,7 +135,13 @@ class UserSecretKey:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """(R, c1, c2, c3, c4, c5): tag matrix, payloads, integrity digest."""
+    """(R, c1, c2, c3, c4, c5): tag matrix, payloads, integrity digest.
+
+    Holds read-only copies of its arrays (int64; c5 as uint8 bits), so a
+    later change to the caller's arrays cannot reach it, and keeps the
+    integrity tag recomputed under each ParamSet (see intact).
+    dataclasses.replace builds a new ciphertext that recomputes its tag.
+    """
 
     r_tag: np.ndarray
     c1: np.ndarray
@@ -141,9 +149,32 @@ class Ciphertext:
     c3: np.ndarray
     c4: np.ndarray
     c5: np.ndarray  # lambda bits
+    _tags: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("r_tag", "c1", "c2", "c3", "c4", "c5"):
+            arr = np.array(getattr(self, name), dtype=np.uint8 if name == "c5" else np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def element_count(self) -> int:
         return self.r_tag.size + self.c1.size + self.c2.size + self.c3.size + self.c4.size
+
+    def intact(self, params: ParamSet) -> bool:
+        """Whether c5 is the integrity tag H'(R, c1..c4) under params.
+
+        The tag is hashed once per ParamSet and kept; later checks compare
+        lambda bits.  Two threads that race store the same tag.  Malformed
+        shapes raise DimensionMismatch: c5 here, R and c1..c4 in
+        canonical_ct_bytes.
+        """
+        if self.c5.shape != (params.lambda_bits,):
+            raise DimensionMismatch(f"c5 must have {params.lambda_bits} bits")
+        tag = self._tags.get(params)
+        if tag is None:
+            data = canonical_ct_bytes(params, self.r_tag, self.c1, self.c2, self.c3, self.c4)
+            tag = self._tags[params] = hash_hprime(data, params.lambda_bits)
+        return bool(np.array_equal(tag, self.c5))
 
 
 @dataclass(frozen=True)
@@ -277,22 +308,25 @@ def encrypt_traced(
         r_id += bit * r_i
     r_tag = sample_bounded_matrix(ell, m, rng)
 
+    # R and R_ID have entries in [-ell, ell], so exact_int_matmul gives the
+    # exact integer products (one float64 product at the presets) and % q
+    # the residues mat_mul would, without its per-entry reduction and limb split
     f_id = compute_f(pp, ident, "primary")
     f_id_prime = compute_f(pp, ident, "prime")
-    ar = mat_mul(pp.a, r_tag, q)
+    ar = exact_int_matmul(pp.a, r_tag) % q
     f1 = concat_cols([f_id, ar])
     f2 = concat_cols([f_id_prime, ar])
 
-    z1 = mat_mul(r_id.T, y1, q)
-    z2 = mat_mul(r_id.T, y2, q)
-    rr1 = mat_mul(r_tag.T, y1, q)
-    rr2 = mat_mul(r_tag.T, y2, q)
+    y = np.column_stack([y1, y2])
+    z1, z2 = exact_int_matmul(r_id.T, y).T % q
+    rr1, rr2 = exact_int_matmul(r_tag.T, y).T % q
 
     c3 = (mat_mul(f1.T, s1, q) + np.concatenate([y1, z1, rr1])) % q
     c4 = (mat_mul(f2.T, s2, q) + np.concatenate([y2, z2, rr2])) % q
     c5 = hash_hprime(canonical_ct_bytes(p, r_tag, c1, c2, c3, c4), p.lambda_bits)
 
     ct = Ciphertext(r_tag, c1, c2, c3, c4, c5)
+    ct._tags[p] = ct.c5
     trace = EncryptionRandomness(s1, s2, x1, x2, y1, y2, r_list, r_id, r_tag, z1, z2, rr1, rr2)
     return ct, trace
 
@@ -337,17 +371,8 @@ def key_preimage(pp: PublicParams, trapdoor: TrapdoorBasis, ident: Identity, whi
 
 
 def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
-    """Recompute the integrity digest and compare.
-
-    Malformed shapes raise DimensionMismatch: c5 here, R and c1..c4 in
-    canonical_ct_bytes.
-    """
-    p = pp.params
-    c5 = np.asarray(ct.c5, dtype=np.uint8)
-    if c5.shape != (p.lambda_bits,):
-        raise DimensionMismatch(f"c5 must have {p.lambda_bits} bits")
-    want = hash_hprime(canonical_ct_bytes(p, ct.r_tag, ct.c1, ct.c2, ct.c3, ct.c4), p.lambda_bits)
-    return bool(np.array_equal(want, c5))
+    """Whether ct passes its integrity check under pp's parameters (Ciphertext.intact)."""
+    return ct.intact(pp.params)
 
 
 def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSource):

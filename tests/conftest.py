@@ -1,5 +1,7 @@
 """Shared fixtures: a fast fully-valid parameter set and cached key material."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,17 @@ def mini_key_other(mini_system):
 
 def random_message(t, seed):
     return RandomSource(seed).integers(0, 2, t).astype(np.uint8)
+
+
+class CallCounter:
+    """Counts calls of a wrapped function, from any thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        with self._lock:
+            self.calls += 1
+        return self.fn(*args, **kwargs)

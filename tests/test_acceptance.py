@@ -14,6 +14,7 @@ import pytest
 
 from ibeetfa.authz import (
     digest_from_basis,
+    digest_from_e,
     td1,
     td2,
     td3_basis,
@@ -247,6 +248,9 @@ def test_criterion_5_integrity(system, keys, pool):
     q, m, t = TOY.q, TOY.m, TOY.t
 
     sizes = {"r": m * m, "c1": t, "c2": t, "c3": 3 * m, "c4": 3 * m}
+    # a type-2 trapdoor of the untouched ciphertext: its binding matches
+    # every tampered copy (c5 is kept), so only the integrity check rejects
+    bound = td2(pp, sk, ident, ct, RandomSource(SEED + 50))
     rejected = 0
     for _ in range(100):
         component = list(sizes)[int(rng.integers(0, 5))]
@@ -267,7 +271,8 @@ def test_criterion_5_integrity(system, keys, pool):
         a = decrypt(pp, sk, tampered, rng) is None
         b = td2(pp, sk, ident, tampered, rng) is None
         c = digest_from_basis(pp, td1(sk, ident), tampered, rng) is None
-        rejected += int(a and b and c)
+        d = digest_from_e(bound, tampered, q) is None
+        rejected += int(a and b and c and d)
     report("criterion-5", rejected == 100, f"tamper rejections {rejected}/100")
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ibeetfa import fileio
 from ibeetfa.authz import digest_from_basis, digest_from_e, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
@@ -139,6 +140,13 @@ class TestDigests:
         td = td2(pp, sk_a, ident_a, ct, RandomSource(12))
         assert np.array_equal(digest_from_e(td, ct, MINI.q), digest_from_e(td, ct, MINI.q))
 
+    def test_e_digest_modulus_mismatch_raises(self, pool):
+        pp, (ident_a, sk_a), _, _, cts = pool
+        ct = cts[("a", 1)]
+        td = td2(pp, sk_a, ident_a, ct, RandomSource(36))
+        with pytest.raises(ParameterError):
+            digest_from_e(td, ct, MINI.q + 2)
+
 
 class TestType1:
     def test_same_message_different_identities(self, pool):
@@ -197,6 +205,24 @@ class TestType2:
         ta = td2(pp, sk_a, ident_a, cts[("a", 1)], RandomSource(24))
         tb = td2(pp, sk_b, ident_b, cts[("b", 1)], RandomSource(25))
         assert eq_test2(ta, tb, cts[("a", 1)], cts[("b", 2)], MINI.q) is None
+
+    def test_integrity_reject(self, pool):
+        # c2[0] shifted by q/2 with c5 kept: the binding matches, the tag does not
+        pp, (ident_a, sk_a), (ident_b, sk_b), _, cts = pool
+        ct, other = cts[("a", 1)], cts[("b", 1)]
+        ta = td2(pp, sk_a, ident_a, ct, RandomSource(37))
+        tb = td2(pp, sk_b, ident_b, other, RandomSource(38))
+        t3 = td3_ct(pp, sk_a, ident_a, ct, RandomSource(39))
+        c2 = ct.c2.copy()
+        c2[0] = (c2[0] + MINI.q // 2) % MINI.q
+        tampered = dataclasses.replace(ct, c2=c2)
+        assert eq_test2(ta, tb, tampered, other, MINI.q) is None
+        out = eq_test3(td3_basis(sk_b, ident_b), t3, other, tampered, pp, RandomSource(40))
+        assert out is None
+        # a trapdoor read from file takes its parameters from the header
+        loaded = fileio.load_td2(fileio.dump_td2(ta, MINI), MINI)
+        assert loaded.params == MINI
+        assert eq_test2(loaded, tb, tampered, other, MINI.q) is None
 
 
 class TestType3:

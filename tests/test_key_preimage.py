@@ -21,26 +21,12 @@ from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, key_preimage
 from ibeetfa.zqlinalg import center_rep, concat_cols, mat_mul
 
-from conftest import MINI, random_message
-
-
-class _Counter:
-    """Counts calls of a wrapped function, from any thread."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, *args, **kwargs):
-        with self._lock:
-            self.calls += 1
-        return self.fn(*args, **kwargs)
+from conftest import MINI, CallCounter, random_message
 
 
 @pytest.fixture
 def walks(monkeypatch):
-    counter = _Counter(trapdoor.klein_coefficients)
+    counter = CallCounter(trapdoor.klein_coefficients)
     monkeypatch.setattr(trapdoor, "klein_coefficients", counter)
     return counter
 
@@ -124,7 +110,7 @@ class TestOwnership:
         td = td1(sk, ident)
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
-        preps = _Counter(trapdoor.prepare_basis)
+        preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
         walks.calls = 0
         start = threading.Barrier(2, timeout=60)
