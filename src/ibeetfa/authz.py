@@ -31,9 +31,9 @@ from .scheme import (
     compute_f,
     decode_with_preimage,
     key_preimage,
+    tag_product,
 )
 from .trapdoor import TrapdoorBasis, sample_left
-from .zqlinalg import mat_mul
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rn
     if not ciphertext_integrity_ok(pp, ct):
         return None
     p = pp.params
-    ar = mat_mul(pp.a, ct.r_tag, p.q)
+    ar = tag_product(pp, ct.r_tag)
     f_prime = compute_f(pp, ident, "prime")
     # Sampled afresh against this ciphertext's A@R, with a Gaussian A@R-side
     # block: the key's ciphertext-independent preimage of U would let the

@@ -198,6 +198,10 @@ def prepare_basis(basis) -> PreparedBasis:
     return PreparedBasis(b, q_factor, r_rows, gs)
 
 
+#: Rows per block of the nearest-plane walk (see klein_coefficients).
+WALK_BLOCK = 64
+
+
 def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSource) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
@@ -206,6 +210,12 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
     clears the Gram-Schmidt norm times the slack factor; below that the
     walk still terminates and stays lattice-exact, degrading smoothly
     toward deterministic nearest-plane rounding.
+
+    The rows are walked bottom-up in blocks of WALK_BLOCK: the rows already
+    sampled below a block enter its centers through one product
+    R[lo:hi, hi:] @ Z[hi:], and inside the block each row subtracts the
+    rows below it within the block.  The 1-D sampler calls, their order
+    and the random stream are those of a row-by-row walk.
     """
     t = np.asarray(targets, dtype=np.float64)
     one = t.ndim == 1
@@ -218,11 +228,16 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
     # float64 holds the coefficients exactly (they stay far below 2**53)
     # and avoids an int-to-float copy of the tail on every step
     z = np.zeros((d, t.shape[1]), dtype=np.float64)
-    for k in range(d - 1, -1, -1):
-        r = prep.r_row(k)
-        rest = r[1:] @ z[k + 1 :] if k + 1 < d else 0.0
-        centers = (proj[k] - rest) / r[0]
-        z[k] = sample_z_gaussian_batch(sigma / abs(float(r[0])), centers, rng)
+    for hi in range(d, 0, -WALK_BLOCK):
+        lo = max(0, hi - WALK_BLOCK)
+        shifted = proj[lo:hi]
+        if hi < d:
+            r_below = np.stack([prep.r_row(k)[hi - k :] for k in range(lo, hi)])
+            shifted = shifted - r_below @ z[hi:]
+        for k in range(hi - 1, lo - 1, -1):
+            r = prep.r_row(k)
+            centers = (shifted[k - lo] - r[1 : hi - k] @ z[k + 1 : hi]) / r[0]
+            z[k] = sample_z_gaussian_batch(sigma / abs(float(r[0])), centers, rng)
     out = z.astype(np.int64)
     return out[:, 0] if one else out
 

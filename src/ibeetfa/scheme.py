@@ -111,8 +111,10 @@ def identity_from_bits(bits) -> Identity:
 class UserSecretKey:
     """Per-identity key: two delegated bases, one for each public matrix.
 
-    Each basis keeps its QR data (handed over by extract, built on first
-    use after loading) and the key's preimage of U (see key_preimage).
+    Each basis builds its QR data on first use, whether the key was just
+    extracted or loaded (extract only certifies the bases, and a key that
+    is only shipped never factors them), and keeps it together with the
+    key's preimage of U (see key_preimage).
     Carries its identity so decryption can rebuild the concatenated
     matrices without out-of-band context.
     """
@@ -267,6 +269,22 @@ def _message_bits(msg, t: int) -> np.ndarray:
     return bits
 
 
+def tag_product(pp: PublicParams, r_tag) -> np.ndarray:
+    """A @ R mod q for a ciphertext's tag matrix R.
+
+    An R that encrypt draws has entries in [-ell, ell], and exact_int_matmul
+    then gives the exact integer product (one float64 product at the
+    presets) without mat_mul's per-entry reduction and limb split.  A
+    loaded R is not range-checked, so one outside that range goes through
+    mat_mul; the residues are the same either way.
+    """
+    q, ell = pp.params.q, pp.params.ell
+    r_tag = np.asarray(r_tag, dtype=np.int64)
+    if r_tag.max(initial=0) > ell or r_tag.min(initial=0) < -ell:
+        return mat_mul(pp.a, r_tag, q)
+    return exact_int_matmul(pp.a, r_tag) % q
+
+
 def encrypt_traced(
     pp: PublicParams,
     ident: Identity,
@@ -313,7 +331,7 @@ def encrypt_traced(
     # the residues mat_mul would, without its per-entry reduction and limb split
     f_id = compute_f(pp, ident, "primary")
     f_id_prime = compute_f(pp, ident, "prime")
-    ar = exact_int_matmul(pp.a, r_tag) % q
+    ar = tag_product(pp, r_tag)
     f1 = concat_cols([f_id, ar])
     f2 = concat_cols([f_id_prime, ar])
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError, SamplingError, SingularMatrix
+from .errors import DimensionMismatch, ParameterError, SamplingError
 from .samplers import (
     PreparedBasis,
     RandomSource,
@@ -34,6 +34,9 @@ from .samplers import (
     slack_factor,
 )
 from .zqlinalg import (
+    _RANK_CHECK_PRIMES,
+    _pivot_columns_mod_p,
+    _qr_nonsingular_certificate,
     as_residues,
     center_rep,
     check_modulus,
@@ -170,15 +173,16 @@ _UNDERIVED = object()
 class TrapdoorBasis:
     """A short basis together with the sampling data built from it.
 
-    The QR factorization, the gadget shortcut (derived from the public
-    matrix on first use unless handed over) and a held preimage of one
-    target are each built once and then kept by this object.  A lock
-    guards every first use, so one instance may serve concurrent calls.
+    The QR factorization (built on first use), the gadget shortcut
+    (derived from the public matrix on first use unless handed over) and
+    a held preimage of one target are each built once and then kept by
+    this object.  A lock guards every first use, so one instance may
+    serve concurrent calls.
     """
 
-    def __init__(self, basis, *, prep: PreparedBasis | None = None, aux=_UNDERIVED):
+    def __init__(self, basis, *, aux=_UNDERIVED):
         self.basis = np.asarray(basis, dtype=np.int64)
-        self._prep = prep
+        self._prep: PreparedBasis | None = None
         self._aux = aux
         self.held_preimage: np.ndarray | None = None  # kept by preimage()
         self._lock = threading.RLock()
@@ -419,39 +423,27 @@ def sample_right(a, b, r, t_b: TrapdoorBasis, u, q: int, sigma: float, rng: Rand
     return e[:, 0] if one else e
 
 
-def _full_rank_subset(vectors: np.ndarray, dim: int) -> np.ndarray | None:
-    """Greedy selection of dim independent columns, exact mod-p ranks."""
-    from .zqlinalg import _rank_mod_p  # rare fallback path
-
-    p = 33554393
-    chosen: list[int] = []
-    for j in range(vectors.shape[1]):
-        cand = chosen + [j]
-        sub = np.ascontiguousarray(vectors[:, cand])
-        if _rank_mod_p(sub, p) == len(cand):
-            chosen.append(j)
-            if len(chosen) == dim:
-                return vectors[:, chosen]
-    return None
-
-
 def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> TrapdoorBasis:
     """Assemble a nonsingular basis from Gaussian preimages of zero.
 
-    The QR run doubles as the nonsingularity certificate and stays with
-    the returned basis, so later sampling against it reuses it.
+    The first dim columns are certified nonsingular by an R-only float QR
+    (zqlinalg._qr_nonsingular_certificate, the threshold prepare_basis
+    enforces).  When that fails, the first dim columns that raise the rank
+    mod a prime are taken instead and certified the same way; a batch with
+    no certified choice is drawn again.  The basis is returned without QR
+    data: its owner factors it on first use.
     """
     for _ in range(retries):
         batch = sampler(dim + _BASIS_OVERHEAD)
         cand = np.ascontiguousarray(batch[:, :dim])
-        try:
-            return TrapdoorBasis(cand, prep=prepare_basis(cand))
-        except SingularMatrix:
-            pass
-        subset = _full_rank_subset(batch, dim)
-        if subset is not None:
-            subset = np.ascontiguousarray(subset)
-            return TrapdoorBasis(subset, prep=prepare_basis(subset))
+        if not _qr_nonsingular_certificate(cand):
+            cols = _pivot_columns_mod_p(batch, _RANK_CHECK_PRIMES[0])
+            if len(cols) < dim:
+                continue
+            cand = batch[:, cols]
+            if not _qr_nonsingular_certificate(cand):
+                continue
+        return TrapdoorBasis(cand)
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
@@ -470,7 +462,8 @@ def _nullspace_basis(f: np.ndarray, sampler, q: int) -> TrapdoorBasis:
 def sample_basis_left(a, m_block, t_a: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
     """Short basis of the nullspace lattice of (A | M) from a trapdoor for A.
 
-    The basis is returned with the QR factorization that certified it.
+    The basis is certified nonsingular and carries no QR data yet (see
+    _basis_from_preimages).
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -485,7 +478,8 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, q: int, sigma: float, rng:
 def sample_basis_right(a, b, r, t_b: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
     """Short basis of the nullspace lattice of (A | A@R + B) from a trapdoor for B.
 
-    The basis is returned with the QR factorization that certified it.
+    The basis is certified nonsingular and carries no QR data yet (see
+    _basis_from_preimages).
     """
     q = check_modulus(q)
     a = as_residues(a, q)

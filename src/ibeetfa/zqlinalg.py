@@ -275,12 +275,17 @@ def _qr_nonsingular_certificate(s: np.ndarray) -> bool:
     return dmin > bound
 
 
-def _rank_mod_p(s: np.ndarray, p: int) -> int:
-    """Rank of s over GF(p), float64 arithmetic kept exact below 2**53."""
-    a = np.mod(s, p).astype(np.float64)
+def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
+    """Columns of s that raise its rank over GF(p), in order: one elimination pass.
+
+    Their count is the rank of s mod p.  p < 2**26 keeps every product
+    below 2**52, exact in int64.
+    """
+    a = np.mod(s, p)
     rows, cols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for c in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         piv = rank + int(np.argmax(a[rank:, c] != 0))
@@ -288,15 +293,14 @@ def _rank_mod_p(s: np.ndarray, p: int) -> int:
             continue
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        # p < 2**26 keeps every product below 2**52, exact in float64.
         inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = np.mod(a[rank] * float(inv), p)
-        below = a[rank + 1 :, c] != 0
-        if below.any():
-            idx = rank + 1 + np.nonzero(below)[0]
-            a[idx] = np.mod(a[idx] - np.outer(a[idx, c], a[rank]), p)
-        rank += 1
-    return rank
+        a[rank, c:] = a[rank, c:] * inv % p
+        # rows below the pivot are zero left of column c
+        rest = a[rank + 1 :, c:]
+        rest -= np.outer(rest[:, 0], a[rank, c:])
+        np.remainder(rest, p, out=rest)
+        pivots.append(c)
+    return pivots
 
 
 def is_nonsingular(s) -> bool:
@@ -320,7 +324,7 @@ def is_nonsingular(s) -> bool:
             return False
     if _qr_nonsingular_certificate(s):
         return True
-    return any(_rank_mod_p(s, p) == d for p in _RANK_CHECK_PRIMES)
+    return any(len(_pivot_columns_mod_p(s, p)) == d for p in _RANK_CHECK_PRIMES)
 
 
 def check_nullspace_basis(f, s, q: int) -> bool:

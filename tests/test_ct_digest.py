@@ -144,13 +144,15 @@ class TestHashedOnce:
 class TestGoldenBytes:
     """SHA-256 of seeded artifacts at MINI.
 
-    How encrypt computes its products and how a Ciphertext stores its
-    arrays must not move a byte; only a deliberate change of the file
-    format or of what encrypt and td2 sample may change these values.
+    How encrypt computes its products, how a Ciphertext stores its arrays
+    and how extract walks and certifies must not move a byte; only a
+    deliberate change of the file format or of what extract, encrypt and
+    td2 sample may change these values.
     """
 
     CT = "cccc6473d8bf2d5f4075aa15a7442154276a6cb677785cb1781bacf120227f44"
     TD2 = "0819d84eccc18879594ec5c33c93c56e2b52f0a9ad12e42cb892a35809c8d480"
+    SK = "1541d86708ddc8411cc7b40feec0352f1f8327bcf73a932863907c9c06e51fe4"
 
     def test_ciphertext_and_td2_bytes(self, mini_system, mini_key):
         pp, _ = mini_system
@@ -161,3 +163,7 @@ class TestGoldenBytes:
         for source in (ct, _load(blob)):
             td = td2(pp, sk, ident, source, RandomSource(0x601E))
             assert hashlib.sha256(fileio.dump_td2(td, MINI)).hexdigest() == self.TD2
+
+    def test_secret_key_bytes(self, mini_key):
+        _, sk = mini_key
+        assert hashlib.sha256(fileio.dump_user_secret(sk, MINI)).hexdigest() == self.SK

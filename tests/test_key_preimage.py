@@ -103,6 +103,24 @@ class TestOwnership:
         b = extract(pp, loaded, ident, RandomSource(341))
         assert np.array_equal(a.e_id, b.e_id) and np.array_equal(a.e_id_prime, b.e_id_prime)
 
+    def test_extract_and_first_decrypt_build_one_qr_per_basis(self, mini_system, monkeypatch):
+        pp, msk = mini_system
+        for master in (msk.trapdoor_a, msk.trapdoor_a_prime):
+            master.prepared()  # the master QR is built once per master key
+        preps = CallCounter(trapdoor.prepare_basis)
+        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
+        ident = identity_from_string("frank", MINI.ell)
+        sk = extract(pp, msk, ident, RandomSource(381))
+        # extract certifies the delegated bases; a key that is only shipped
+        # never factors them
+        assert preps.calls == 0
+        msg = random_message(MINI.t, 382)
+        ct = encrypt(pp, ident, msg, RandomSource(383))
+        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(384)), msg)
+        assert preps.calls == 2
+        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(385)), msg)
+        assert preps.calls == 2
+
     def test_threads_share_a_fresh_key(self, mini_system, monkeypatch, walks):
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
@@ -131,9 +149,9 @@ class TestOwnership:
         for (out, same), msg in zip(results, msgs):
             assert np.array_equal(out, msg)
             assert same == int(np.array_equal(msgs[0], msgs[1]))
-        # one walk per basis, and extract handed its QR data over
+        # one walk and one QR per basis, however the two threads race
         assert walks.calls == 2
-        assert preps.calls == 0
+        assert preps.calls == 2
         held = (sk.trapdoor.held_preimage, sk.trapdoor_prime.held_preimage)
         assert np.array_equal(decrypt(pp, sk, cts[0], RandomSource(370)), msgs[0])
         assert sk.trapdoor.held_preimage is held[0]

@@ -324,9 +324,19 @@ class TestReferenceAgreement:
 
     @pytest.mark.parametrize("lanes", [1, 9])
     def test_walk_matches_full_r_reference(self, lanes):
-        from ibeetfa.samplers import klein_coefficients
+        from ibeetfa.samplers import WALK_BLOCK, klein_coefficients
 
-        basis = RandomSource(83).integers(-50, 51, (40, 40)) + 200 * np.eye(40, dtype=np.int64)
-        targets = RandomSource(84).normal(500.0, (40, lanes))
-        got = klein_coefficients(prepare_basis(basis), 3.0, targets, RandomSource(85))
-        assert np.array_equal(got, _walk_reference(basis, 3.0, targets, RandomSource(85)))
+        # 40 rows fit in one block; 150 rows take two full blocks and a
+        # partial one.  sigma 3 puts every row in the enumeration regime
+        # (sigma/|r_kk| below 2), sigma 3000 every row in the rejection regime.
+        assert 150 > 2 * WALK_BLOCK and 150 % WALK_BLOCK
+        for dim in (40, 150):
+            basis = RandomSource(83).integers(-50, 51, (dim, dim)) + 200 * np.eye(dim, dtype=np.int64)
+            prep = prepare_basis(basis)
+            targets = RandomSource(84).normal(500.0, (dim, lanes))
+            for sigma, enum in ((3.0, True), (3000.0, False)):
+                assert (sigma / prep.gs_norms < 2.0).all() if enum else (sigma / prep.gs_norms >= 2.0).all()
+                r1, r2 = RandomSource(85), RandomSource(85)
+                got = klein_coefficients(prep, sigma, targets, r1)
+                assert np.array_equal(got, _walk_reference(basis, sigma, targets, r2))
+                assert r1.random() == r2.random()

@@ -23,6 +23,7 @@ from ibeetfa.scheme import (
     extract,
     identity_from_string,
     setup,
+    tag_product,
 )
 from ibeetfa.zqlinalg import check_nullspace_basis, mat_mul
 
@@ -185,6 +186,18 @@ class TestEncrypt:
         ident = identity_from_string("alice", MINI.ell)
         with pytest.raises(DimensionMismatch):
             encrypt(pp, ident, np.zeros(MINI.t - 1, dtype=np.uint8), RandomSource(1))
+
+    def test_tag_product_matches_mat_mul(self, mini_system):
+        pp, _ = mini_system
+        m, ell = MINI.m, MINI.ell
+        inside = RandomSource(10).integers(-ell, ell + 1, (m, m))
+        # a loaded R is not range-checked: entries past ell, past q and at
+        # the int64 extremes must reduce as mat_mul reduces them
+        outside = inside.copy()
+        outside[0, :4] = [ell + 1, -(ell + 1), 5 * MINI.q + 3, -(7 * MINI.q) - 1]
+        outside[1, :2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+        for r in (inside, outside):
+            assert np.array_equal(tag_product(pp, r), mat_mul(pp.a, r, MINI.q))
 
 
 class TestDecodeBits:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ibeetfa import trapdoor
 from ibeetfa.errors import ParameterError, SamplingError
 from ibeetfa.samplers import RandomSource, slack_factor
 from ibeetfa.trapdoor import (
@@ -29,6 +30,8 @@ from ibeetfa.zqlinalg import (
     is_nonsingular,
     mat_mul,
 )
+
+from conftest import CallCounter
 
 Q_SMALL = 4093
 
@@ -264,6 +267,50 @@ class TestBasisSampling:
         u = RandomSource(313).integers(0, q, (n, 5))
         e = sample_left(f1, ext, basis, u, q, sigma, RandomSource(317), enforce_sigma=False)
         assert np.array_equal(mat_mul(concat_cols([f1, ext]), e, q), u)
+
+
+class TestBasisFromPreimages:
+    """The certificate and the fallback of _basis_from_preimages, with stub samplers."""
+
+    @staticmethod
+    def stub(*batches):
+        calls = []
+
+        def sampler(count):
+            calls.append(count)
+            return batches[len(calls) - 1][:, :count]
+
+        return sampler, calls
+
+    def test_dependent_columns_skipped_in_order(self, monkeypatch):
+        dim = 200
+        batch = RandomSource(353).integers(-20, 21, (dim, dim + 8)) + 300 * np.eye(dim, dim + 8, dtype=np.int64)
+        batch[:, 1] = batch[:, 0]
+        batch[:, 5] = batch[:, 2] - 3 * batch[:, 4]
+        sampler, calls = self.stub(batch)
+        preps = CallCounter(trapdoor.prepare_basis)
+        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
+        got = trapdoor._basis_from_preimages(sampler, dim, 4093)
+        keep = [j for j in range(dim + 2) if j not in (1, 5)]
+        assert np.array_equal(got.basis, batch[:, keep])
+        assert calls == [dim + 8]
+        assert preps.calls == 0  # certified without building its QR
+
+    def test_uncertified_subset_draws_again(self):
+        # full rank mod p, but 2**60 + 1 rounds to 2**60 in float64, so the
+        # float certificate fails for the chosen subset as well
+        big = 1 << 60
+        bad = np.zeros((2, 10), dtype=np.int64)
+        bad[:, :2] = [[big, big + 1], [big, big]]
+        good = RandomSource(359).integers(-5, 6, (2, 10)) + 50 * np.eye(2, 10, dtype=np.int64)
+        sampler, calls = self.stub(bad, good)
+        got = trapdoor._basis_from_preimages(sampler, 2, 4093)
+        assert np.array_equal(got.basis, good[:, :2])
+        assert len(calls) == 2
+        sampler, calls = self.stub(*[bad] * 4)
+        with pytest.raises(SamplingError):
+            trapdoor._basis_from_preimages(sampler, 2, 4093)
+        assert len(calls) == 4
 
 
 @pytest.mark.parametrize(
