@@ -1,12 +1,13 @@
 """Flexible authorization: trapdoor generation and the three equality tests.
 
-A type-1 trapdoor is the identity's second delegated basis and lets the
-holder compare every ciphertext of that identity, through the key's
-preimage of U that needs no ciphertext (see scheme.key_preimage); a
-type-2 trapdoor is a preimage bound to a single ciphertext, sampled
-afresh against that ciphertext's tag matrix; type-3 wraps either side,
-so one party can grant identity-wide comparison while the other grants
-a single ciphertext.  Every test compares the decoded digests of the two sides
+A type-1 trapdoor is the key's preimage e_F' of U under F'_ID, which
+needs no ciphertext, so it lets the holder decode the digest of every
+ciphertext of that identity and nothing more: it carries no basis, so it
+cannot issue type-2 trapdoors.  A type-2 trapdoor is a preimage bound to
+a single ciphertext, sampled afresh with the key basis E'_ID against
+that ciphertext's tag matrix; type-3 wraps either side, so one party can
+grant identity-wide comparison while the other grants a single
+ciphertext.  Every test compares the decoded digests of the two sides
 and never exposes message material.
 
 None is the domain "reject" outcome throughout (failed integrity or
@@ -27,30 +28,29 @@ from .scheme import (
     Identity,
     PublicParams,
     UserSecretKey,
+    checked_preimage,
     ciphertext_integrity_ok,
     compute_f,
     decode_with_preimage,
-    key_preimage,
+    frozen_array,
     tag_product,
 )
-from .trapdoor import TrapdoorBasis, sample_left
+from .trapdoor import sample_left
 
 
 @dataclass(frozen=True)
 class TrapdoorT1:
-    """Identity-wide comparison authority: the second delegated basis.
+    """Identity-wide comparison authority: the key's preimage e_F' (2m x t) of U.
 
-    One made by td1 shares the key's TrapdoorBasis, so the QR data and the
-    preimage of U are built once for both.  Carries the identity because
-    rebuilding the concatenated public matrix requires it.
+    Held as a read-only copy.  Carries the identity because checking
+    F'_ID @ e_F' == U requires it.
     """
 
     identity: Identity
-    trapdoor: TrapdoorBasis
+    e_prime: np.ndarray
 
-    @property
-    def e_prime(self) -> np.ndarray:
-        return self.trapdoor.basis
+    def __post_init__(self):
+        object.__setattr__(self, "e_prime", frozen_array(self.e_prime))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def td1(sk: UserSecretKey, ident: Identity) -> TrapdoorT1:
     """Identity-wide trapdoor from a secret key."""
     if ident.bits != sk.identity.bits:
         raise ParameterError("secret key belongs to a different identity")
-    return TrapdoorT1(ident, sk.trapdoor_prime)
+    return TrapdoorT1(ident, sk.e_f_prime)
 
 
 def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rng: RandomSource):
@@ -117,13 +117,13 @@ def td3_ct(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext,
 def digest_from_basis(pp: PublicParams, td: TrapdoorT1, ct: Ciphertext, rng: RandomSource):
     """Decode the digest component of a ciphertext using a type-1 trapdoor.
 
-    Verifies integrity and thresholds c2 - e_F'^T c4[:2m] with the key's
-    preimage e_F' of U under F'_ID (sampled with rng on first use, then
-    held).  Returns None on a tampered ciphertext.
+    Checks F'_ID @ e_F' == U for pp (ParameterError if not), verifies
+    integrity and thresholds c2 - e_F'^T c4[:2m].  Returns None on a
+    tampered ciphertext.  rng is unused.
     """
+    e_prime = checked_preimage(pp, td.identity, "prime", td.e_prime)
     if not ciphertext_integrity_ok(pp, ct):
         return None
-    e_prime = key_preimage(pp, td.trapdoor, td.identity, "prime", rng)
     return decode_with_preimage(e_prime, ct.c2, ct.c4, pp.params.q)
 
 

@@ -10,11 +10,18 @@ Layout of every artifact:
 
 Residue matrices are stored row-major as u64 little-endian; signed
 integer matrices as i64 two's-complement little-endian; bit strings are
-packed little-endian within each byte.  Loads verify magic, version,
-kind, exact payload length, and (when the caller supplies a reference
-parameter set) the fingerprint, so mixed-parameter artifacts are always
-rejected.  Writes are atomic: temp file in the same directory, then
-rename.
+packed little-endian within each byte.  Dumps join views of the arrays'
+own buffers, so each blob is built in one copy.  Loads verify magic,
+version, kind, exact payload length, and (when the caller supplies a
+reference parameter set) the fingerprint, so mixed-parameter artifacts
+are always rejected.  Writes are atomic: temp file in the same
+directory, then rename.
+
+Each kind is written and read at the format version in which its payload
+last changed (_VERSIONS); a file of any other version is refused.
+Version 2 gave the user secret key its preimages e_F and e_F' of U, and
+made the type-1 payload (also the basis side of type 3) e_F' instead of
+the basis E'_ID.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSec
 from .trapdoor import TrapdoorBasis
 
 MAGIC = b"IBFA"
-VERSION = 1
+VERSION = 2
 
 KIND_PP = 1
 KIND_MSK = 2
@@ -52,6 +59,9 @@ _KIND_NAMES = {
     KIND_TD2: "type-2 trapdoor",
     KIND_TD3: "type-3 trapdoor",
 }
+
+#: Kinds whose payload changed in VERSION; every other kind is still at 1.
+_VERSIONS = {KIND_SK: VERSION, KIND_TD1: VERSION, KIND_TD3: VERSION}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -75,21 +85,22 @@ def params_fingerprint(p: ParamSet) -> bytes:
     return bits_to_bytes(hash_hprime(encode_params(p), 256))
 
 
-def _residues(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.int64).astype("<u8").tobytes()
+def _words(arr: np.ndarray) -> memoryview:
+    """The 8-byte little-endian words of arr, as a view (no copy for C-ordered int64).
 
-
-def _signed(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.int64).astype("<i8").tobytes()
+    Signed entries are written in two's complement, residues in [0, q)
+    read back as u64: the bytes are the same.
+    """
+    return memoryview(np.ascontiguousarray(arr, dtype="<i8"))
 
 
 class _Reader:
     def __init__(self, blob: bytes, what: str):
-        self.blob = blob
+        self.blob = memoryview(blob)  # take() slices without copying
         self.pos = 0
         self.what = what
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise FormatError(f"{self.what}: truncated (need {n} more bytes)")
         out = self.blob[self.pos : self.pos + n]
@@ -115,7 +126,8 @@ class _Reader:
 
 
 def _header(kind: int, p: ParamSet) -> bytes:
-    return MAGIC + struct.pack("<HB", VERSION, kind) + params_fingerprint(p) + encode_params(p)
+    version = _VERSIONS.get(kind, 1)
+    return MAGIC + struct.pack("<HB", version, kind) + params_fingerprint(p) + encode_params(p)
 
 
 def _open(blob: bytes, expect_kind: int, reference: ParamSet | None):
@@ -124,12 +136,12 @@ def _open(blob: bytes, expect_kind: int, reference: ParamSet | None):
     if rd.take(4) != MAGIC:
         raise FormatError(f"{what}: bad magic")
     version, kind = struct.unpack("<HB", rd.take(3))
-    if version != VERSION:
-        raise FormatError(f"{what}: unsupported version {version}")
     if kind != expect_kind:
         raise FormatError(
             f"expected {what}, file holds {_KIND_NAMES.get(kind, f'kind {kind}')}"
         )
+    if version != _VERSIONS.get(kind, 1):
+        raise FormatError(f"{what}: unsupported format version {version}")
     fingerprint = rd.take(32)
     params = decode_params(rd.take(_PARAMS_STRUCT.size))
     if fingerprint != params_fingerprint(params):
@@ -144,9 +156,9 @@ def _open(blob: bytes, expect_kind: int, reference: ParamSet | None):
 
 def dump_public_params(pp: PublicParams) -> bytes:
     p = pp.params
-    parts = [_header(KIND_PP, p), _residues(pp.a), _residues(pp.a_prime)]
-    parts += [_residues(a_i) for a_i in pp.a_list]
-    parts += [_residues(pp.b), _residues(pp.u)]
+    parts = [_header(KIND_PP, p), _words(pp.a), _words(pp.a_prime)]
+    parts += [_words(a_i) for a_i in pp.a_list]
+    parts += [_words(pp.b), _words(pp.u)]
     return b"".join(parts)
 
 
@@ -168,7 +180,7 @@ def load_public_params(blob: bytes) -> PublicParams:
 
 
 def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
-    return b"".join([_header(KIND_MSK, p), _signed(msk.t_a), _signed(msk.t_a_prime)])
+    return b"".join([_header(KIND_MSK, p), _words(msk.t_a), _words(msk.t_a_prime)])
 
 
 def load_master_secret(blob: bytes, reference: ParamSet | None = None) -> MasterSecretKey:
@@ -182,8 +194,8 @@ def load_master_secret(blob: bytes, reference: ParamSet | None = None) -> Master
 # -- user secret key ---------------------------------------------------------
 
 
-def _dump_identity(ident: Identity) -> bytes:
-    return _signed(np.asarray(ident.bits, dtype=np.int64))
+def _dump_identity(ident: Identity) -> memoryview:
+    return _words(np.asarray(ident.bits, dtype=np.int64))
 
 
 def _load_identity(rd: _Reader, ell: int) -> Identity:
@@ -195,7 +207,8 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
 
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     return b"".join(
-        [_header(KIND_SK, p), _dump_identity(sk.identity), _signed(sk.e_id), _signed(sk.e_id_prime)]
+        [_header(KIND_SK, p), _dump_identity(sk.identity), _words(sk.e_id), _words(sk.e_id_prime),
+         _words(sk.e_f), _words(sk.e_f_prime)]
     )
 
 
@@ -204,8 +217,10 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     ident = _load_identity(rd, p.ell)
     e_id = rd.signed((2 * p.m, 2 * p.m))
     e_id_prime = rd.signed((2 * p.m, 2 * p.m))
+    e_f = rd.signed((2 * p.m, p.t))
+    e_f_prime = rd.signed((2 * p.m, p.t))
     rd.done()
-    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime))
+    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime), e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------
@@ -217,11 +232,11 @@ def dump_ciphertext(ct: Ciphertext, p: ParamSet, msg_bitlen: int | None = None) 
         [
             _header(KIND_CT, p),
             struct.pack("<Q", msg_bitlen),
-            _signed(ct.r_tag),
-            _residues(ct.c1),
-            _residues(ct.c2),
-            _residues(ct.c3),
-            _residues(ct.c4),
+            _words(ct.r_tag),
+            _words(ct.c1),
+            _words(ct.c2),
+            _words(ct.c3),
+            _words(ct.c4),
             bits_to_bytes(ct.c5),
         ]
     )
@@ -247,17 +262,17 @@ def load_ciphertext(blob: bytes, reference: ParamSet | None = None) -> tuple[Cip
 # -- trapdoors ----------------------------------------------------------------
 
 
-def _dump_td1_payload(td: TrapdoorT1) -> list[bytes]:
-    return [_dump_identity(td.identity), _signed(td.e_prime)]
+def _dump_td1_payload(td: TrapdoorT1) -> list:
+    return [_dump_identity(td.identity), _words(td.e_prime)]
 
 
 def _load_td1_payload(rd: _Reader, p: ParamSet) -> TrapdoorT1:
     ident = _load_identity(rd, p.ell)
-    return TrapdoorT1(ident, TrapdoorBasis(rd.signed((2 * p.m, 2 * p.m))))
+    return TrapdoorT1(ident, rd.signed((2 * p.m, p.t)))
 
 
-def _dump_td2_payload(td: TrapdoorT2) -> list[bytes]:
-    return [_dump_identity(td.identity), bits_to_bytes(td.ct_binding), _signed(td.e_prime)]
+def _dump_td2_payload(td: TrapdoorT2) -> list:
+    return [_dump_identity(td.identity), bits_to_bytes(td.ct_binding), _words(td.e_prime)]
 
 
 def _load_td2_payload(rd: _Reader, p: ParamSet) -> TrapdoorT2:

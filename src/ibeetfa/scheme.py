@@ -2,9 +2,10 @@
 
 Every operation takes an explicit RandomSource, so a fixed seed pins
 every produced artifact byte for byte.  Data objects are immutable apart
-from what they build on first use: the sampling data of a key's
-TrapdoorBasis (its QR factorization, gadget shortcut and held preimage of
-U), which a per-basis lock makes happen once, and the integrity tag a
+from what they build on first use.  A key's only lazy state is the QR
+factorization of E'_ID, which td2 and td3_ct sample with and a per-basis
+lock makes happen once; decrypt and the type-1 tests read the key's
+preimages of U, fixed at extract.  The other is the integrity tag a
 Ciphertext keeps per parameter set, which two racing threads at worst
 compute twice, with equal results.  Calls may therefore run concurrently,
 sharing keys, trapdoors and ciphertexts, as long as each call has a
@@ -37,6 +38,13 @@ from .zqlinalg import concat_cols, exact_int_matmul, mat_mul, solve_mod
 
 _SETUP_ATTEMPTS = 8
 _EXTRACT_ATTEMPTS = 8
+
+
+def frozen_array(arr, dtype=np.int64) -> np.ndarray:
+    """A read-only copy of arr, so later changes to the caller's array cannot reach it."""
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,19 +117,27 @@ def identity_from_bits(bits) -> Identity:
 
 @dataclass(frozen=True)
 class UserSecretKey:
-    """Per-identity key: two delegated bases, one for each public matrix.
+    """Per-identity key: two delegated bases and a preimage of U under each F.
 
-    Each basis builds its QR data on first use, whether the key was just
-    extracted or loaded (extract only certifies the bases, and a key that
-    is only shipped never factors them), and keeps it together with the
-    key's preimage of U (see key_preimage).
-    Carries its identity so decryption can rebuild the concatenated
-    matrices without out-of-band context.
+    e_f (e_F, 2m x t) satisfies F_ID @ e_F == U and e_f_prime (e_F') does
+    for F'_ID; extract samples both with the master trapdoor (the
+    Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
+    them, so neither builds any sampling data.  Both are held as read-only
+    copies.  Of the bases, only E'_ID is sampled with (by td2 and
+    td3_ct), and it factors itself on first use; E_ID is carried, never
+    factored.  Carries its identity so decryption can rebuild the
+    concatenated matrices without out-of-band context.
     """
 
     identity: Identity
     trapdoor: TrapdoorBasis
     trapdoor_prime: TrapdoorBasis
+    e_f: np.ndarray
+    e_f_prime: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "e_f", frozen_array(self.e_f))
+        object.__setattr__(self, "e_f_prime", frozen_array(self.e_f_prime))
 
     @property
     def e_id(self) -> np.ndarray:
@@ -132,7 +148,7 @@ class UserSecretKey:
         return self.trapdoor_prime.basis
 
     def element_count(self) -> int:
-        return self.e_id.size + self.e_id_prime.size
+        return self.e_id.size + self.e_id_prime.size + self.e_f.size + self.e_f_prime.size
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,7 @@ class Ciphertext:
 
     def __post_init__(self):
         for name in ("r_tag", "c1", "c2", "c3", "c4", "c5"):
-            arr = np.array(getattr(self, name), dtype=np.uint8 if name == "c5" else np.int64)
-            arr.setflags(write=False)
+            arr = frozen_array(getattr(self, name), np.uint8 if name == "c5" else np.int64)
             object.__setattr__(self, name, arr)
 
     def element_count(self) -> int:
@@ -248,15 +263,22 @@ def compute_f(pp: PublicParams, ident: Identity, which: str = "primary") -> np.n
 
 
 def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: RandomSource) -> UserSecretKey:
-    """Derive the identity's secret key: delegated bases for F_ID and F'_ID."""
+    """Derive the identity's secret key: delegated bases and preimages of U for F_ID and F'_ID.
+
+    Each basis and its preimage e_F of U come from one SampleLeft call
+    with the master trapdoor, sigma enforced, and F @ e_F == U is checked
+    on every column (sample_basis_left).
+    """
     p = pp.params
     a_id = compute_a_id(pp, ident)
     last_err = None
     for _ in range(_EXTRACT_ATTEMPTS):
         try:
-            basis = sample_basis_left(pp.a, a_id, msk.trapdoor_a, p.q, p.sigma, rng)
-            basis_prime = sample_basis_left(pp.a_prime, a_id, msk.trapdoor_a_prime, p.q, p.sigma, rng)
-            return UserSecretKey(ident, basis, basis_prime)
+            basis, e_f = sample_basis_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
+            basis_prime, e_f_prime = sample_basis_left(
+                pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
+            )
+            return UserSecretKey(ident, basis, basis_prime, e_f, e_f_prime)
         except SamplingError as err:  # pragma: no cover - negligible probability
             last_err = err
     raise SamplingError(f"key extraction failed after {_EXTRACT_ATTEMPTS} attempts: {last_err}")
@@ -371,21 +393,16 @@ def decode_with_preimage(e, c_payload, c_mask, q: int) -> np.ndarray:
     return decode_bits((c_payload - mat_mul(e.T, c_mask[: e.shape[0]], q)) % q, q)
 
 
-def key_preimage(pp: PublicParams, trapdoor: TrapdoorBasis, ident: Identity, which: str,
-                 rng: RandomSource) -> np.ndarray:
-    """The key's preimage e_F (2m x t) of U under F_ID alone, held by its basis.
+def checked_preimage(pp: PublicParams, ident: Identity, which: str, e) -> np.ndarray:
+    """e, once F_ID @ e == U (mod q) holds for these public parameters.
 
-    A preimage of U under (F_ID | A@R) with zero A@R-side coordinates does
-    not depend on the ciphertext (the Agrawal-Boneh-Boyen key shape), so
-    it is sampled with rng on first use and reused; each call re-checks
-    F_ID @ e_F == U for these public parameters.
+    A key preimage checked against public parameters other than its own,
+    or against another identity's F_ID, raises ParameterError.
     """
-    p = pp.params
-    # the delegated basis has a larger Gram-Schmidt profile than the global
-    # sigma covers, so the quality precondition is waived here; the
-    # congruence that correctness relies on is checked on every call
     f = compute_f(pp, ident, which)
-    return trapdoor.preimage(f, pp.u, p.q, p.sigma, rng, enforce_sigma=False)
+    if e.shape != (f.shape[1], pp.u.shape[1]) or not np.array_equal(mat_mul(f, e, pp.params.q), pp.u):
+        raise ParameterError("key preimage does not solve F_ID @ e == U for these public parameters")
+    return e
 
 
 def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
@@ -397,15 +414,17 @@ def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSour
     """Recover the message, or None when the ciphertext fails its checks.
 
     None is a domain outcome (tampered or mismatched ciphertext), not an
-    error; malformed shapes raise instead.
+    error; malformed shapes, and a key whose preimages do not solve
+    F @ e == U for pp (ParameterError), raise instead.  rng is unused: the
+    key's preimages were sampled at extract.
     """
     p = pp.params
+    e = checked_preimage(pp, sk.identity, "primary", sk.e_f)
+    e_prime = checked_preimage(pp, sk.identity, "prime", sk.e_f_prime)
     if not ciphertext_integrity_ok(pp, ct):
         return None
 
-    e = key_preimage(pp, sk.trapdoor, sk.identity, "primary", rng)
     msg = decode_with_preimage(e, ct.c1, ct.c3, p.q)
-    e_prime = key_preimage(pp, sk.trapdoor_prime, sk.identity, "prime", rng)
     h = decode_with_preimage(e_prime, ct.c2, ct.c4, p.q)
 
     if not np.array_equal(h, hash_h(bits_to_bytes(msg), p.t)):

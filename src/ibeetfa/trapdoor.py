@@ -56,8 +56,8 @@ TRAPGEN_GS_CONSTANT = 7.0
 #: square sign matrices (and C * ell * sqrt(m) for their [-ell, ell] sums).
 SIGN_OPNORM_CONSTANT = 2.2
 
-#: How many extra preimages sample_basis_left/right draw beyond the
-#: dimension, to survive the (vanishingly rare) dependent column.
+#: How many extra preimages sample_basis_left draws beyond the dimension,
+#: to survive the (vanishingly rare) dependent column.
 _BASIS_OVERHEAD = 8
 
 
@@ -173,18 +173,16 @@ _UNDERIVED = object()
 class TrapdoorBasis:
     """A short basis together with the sampling data built from it.
 
-    The QR factorization (built on first use), the gadget shortcut
-    (derived from the public matrix on first use unless handed over) and
-    a held preimage of one target are each built once and then kept by
-    this object.  A lock guards every first use, so one instance may
-    serve concurrent calls.
+    The QR factorization (built on first use) and the gadget shortcut
+    (derived from the public matrix on first use unless handed over) are
+    each built once and then kept by this object.  A lock guards every
+    first use, so one instance may serve concurrent calls.
     """
 
     def __init__(self, basis, *, aux=_UNDERIVED):
         self.basis = np.asarray(basis, dtype=np.int64)
         self._prep: PreparedBasis | None = None
         self._aux = aux
-        self.held_preimage: np.ndarray | None = None  # kept by preimage()
         self._lock = threading.RLock()
 
     def prepared(self) -> PreparedBasis:
@@ -198,22 +196,6 @@ class TrapdoorBasis:
             if self._aux is _UNDERIVED:
                 self._aux = derive_gadget_aux(a, self.basis, q)
             return self._aux
-
-    def preimage(self, a, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
-        """A preimage of u under a: sampled by sample_pre on first use, then held.
-
-        Every call checks the held preimage against (a, u) and samples a
-        new one when it fails, so it is only used with the matrices it
-        satisfies.
-        """
-        q = check_modulus(q)
-        a = as_residues(a, q)
-        u = as_residues(u, q)
-        with self._lock:
-            e = self.held_preimage
-            if e is None or e.shape[0] != a.shape[1] or not np.array_equal(mat_mul(a, e, q), u):
-                e = self.held_preimage = sample_pre(a, self, u, q, sigma, rng, enforce_sigma=enforce_sigma)
-            return e
 
 
 def _require_trapdoor(t) -> TrapdoorBasis:
@@ -311,16 +293,13 @@ def _spot_check_columns(f: np.ndarray, e: np.ndarray, u: np.ndarray, q: int, lim
     return bool(np.array_equal(sub, u[:, idx]))
 
 
-def sample_pre(a, t: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+def sample_pre(a, t: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource) -> np.ndarray:
     """Gaussian preimage e with A @ e == u (mod q), sampled with trapdoor t.
 
     Every sampler takes its trapdoor as a TrapdoorBasis and raises
     TypeError on any other argument.
 
     ``u`` may be a vector or an n x t matrix (one preimage per column).
-    With ``enforce_sigma=False`` the quality precondition on sigma is
-    skipped: the walk still terminates and the congruence still holds,
-    but the output is only nearest-plane-short rather than Gaussian.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -329,7 +308,7 @@ def sample_pre(a, t: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, 
     prep = td.prepared()
     if a.ndim != 2 or a.shape[1] != prep.dim:
         raise DimensionMismatch(f"matrix {a.shape} does not match basis dimension {prep.dim}")
-    _check_sigma(sigma, prep, prep.dim, enforce_sigma)
+    _check_sigma(sigma, prep, prep.dim, True)
     e = _preimage_batch(a, td, u, q, sigma, rng)
     if np.any(mat_mul(a, e, q) != u):
         raise SamplingError("preimage congruence self-check failed")
@@ -388,107 +367,64 @@ def operator_norm(r, iters: int = 50) -> float:
     return float(np.linalg.norm(rf @ v))
 
 
-def sample_right(a, b, r, t_b: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
-    """Preimage E of U for F2 = (A | A@R + B), using a trapdoor for B.
-
-    Internally samples a preimage (f1, f2) for (B | A) and returns
-    [f2 - R @ f1; f1], which satisfies F2 @ E == U (mod q).
-    """
-    q = check_modulus(q)
-    a = as_residues(a, q)
-    b = as_residues(b, q)
-    r = np.asarray(r, dtype=np.int64)
-    u = as_residues(u, q)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"A and B must share rows, got {a.shape} and {b.shape}")
-    if r.shape != (a.shape[1], b.shape[1]):
-        raise DimensionMismatch(
-            f"R must be {a.shape[1]} x {b.shape[1]}, got {r.shape}"
-        )
-    td = _require_trapdoor(t_b)
-    if enforce_sigma:
-        floor = td.prepared().gs_norm * operator_norm(r) * slack_factor(b.shape[1])
-        if sigma < floor:
-            raise SamplingError(f"sigma = {sigma:.6g} is below the sample_right threshold {floor:.6g}")
-    swapped = sample_left(b, a, td, u, q, sigma, rng, enforce_sigma=False)
-    one = swapped.ndim == 1
-    sw = swapped.reshape(-1, 1) if one else swapped
-    m_b = b.shape[1]
-    f1, f2 = sw[:m_b], sw[m_b:]
-    e = np.vstack([f2 - exact_int_matmul(r, f1), f1])
-    f_mat = concat_cols([a, (mat_mul(a, r, q) + b) % q])
-    u_mat = u if u.ndim == 2 else u.reshape(-1, 1)
-    if not _spot_check_columns(f_mat, e, u_mat, q):
-        raise SamplingError("sample_right congruence self-check failed")
-    return e[:, 0] if one else e
-
-
-def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> TrapdoorBasis:
+def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> tuple[TrapdoorBasis, np.ndarray]:
     """Assemble a nonsingular basis from Gaussian preimages of zero.
 
-    The first dim columns are certified nonsingular by an R-only float QR
+    ``sampler(count)`` returns count preimages of zero, then any further
+    columns, which come back untouched next to the basis.  The first dim
+    columns are certified nonsingular by an R-only float QR
     (zqlinalg._qr_nonsingular_certificate, the threshold prepare_basis
     enforces).  When that fails, the first dim columns that raise the rank
     mod a prime are taken instead and certified the same way; a batch with
     no certified choice is drawn again.  The basis is returned without QR
     data: its owner factors it on first use.
     """
+    count = dim + _BASIS_OVERHEAD
     for _ in range(retries):
-        batch = sampler(dim + _BASIS_OVERHEAD)
-        cand = np.ascontiguousarray(batch[:, :dim])
+        batch = sampler(count)
+        # rest is copied so that it does not keep the whole batch alive
+        zero, rest = batch[:, :count], batch[:, count:].copy()
+        cand = np.ascontiguousarray(zero[:, :dim])
         if not _qr_nonsingular_certificate(cand):
-            cols = _pivot_columns_mod_p(batch, _RANK_CHECK_PRIMES[0])
+            cols = _pivot_columns_mod_p(zero, _RANK_CHECK_PRIMES[0])
             if len(cols) < dim:
                 continue
-            cand = batch[:, cols]
+            cand = zero[:, cols]
             if not _qr_nonsingular_certificate(cand):
                 continue
-        return TrapdoorBasis(cand)
+        return TrapdoorBasis(cand), rest
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
-def _nullspace_basis(f: np.ndarray, sampler, q: int) -> TrapdoorBasis:
-    """Certified basis of the nullspace lattice of f: the tail of sample_basis_left/right.
+def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
+                      rng: RandomSource) -> tuple[TrapdoorBasis, np.ndarray]:
+    """Short basis of the nullspace lattice of F = (A | M) from a trapdoor for A,
+    and preimages E of the columns of u (n x t) under F.
 
-    ``sampler(targets)`` returns preimages of the target columns under f.
-    """
-    zero = np.zeros((f.shape[0], 1), dtype=np.int64)
-    basis = _basis_from_preimages(lambda count: sampler(np.repeat(zero, count, axis=1)), f.shape[1], q)
-    if np.any(mat_mul(f, basis.basis, q)):
-        raise SamplingError("basis columns left the nullspace lattice")
-    return basis
-
-
-def sample_basis_left(a, m_block, t_a: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
-    """Short basis of the nullspace lattice of (A | M) from a trapdoor for A.
-
-    The basis is certified nonsingular and carries no QR data yet (see
-    _basis_from_preimages).
+    One sample_left call per draw covers the zero targets the basis is
+    assembled from and u's columns, so the preimages cost no walk of their
+    own.  Returns (basis, E): the basis is certified nonsingular and
+    carries no QR data yet (see _basis_from_preimages), and F @ basis == 0
+    and F @ E == u (mod q) are checked on every column.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
     m_block = as_residues(m_block, q)
-    return _nullspace_basis(
-        concat_cols([a, m_block]),
-        lambda targets: sample_left(a, m_block, t_a, targets, q, sigma, rng, enforce_sigma=enforce_sigma),
-        q,
-    )
+    u = as_residues(u, q)
+    f = concat_cols([a, m_block])
+    if u.ndim != 2 or u.shape[0] != f.shape[0]:
+        raise DimensionMismatch(f"targets must be {f.shape[0]} x t, got shape {u.shape}")
 
+    def sampler(count):
+        targets = np.hstack([np.zeros((f.shape[0], count), dtype=np.int64), u])
+        return sample_left(a, m_block, t_a, targets, q, sigma, rng)
 
-def sample_basis_right(a, b, r, t_b: TrapdoorBasis, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> TrapdoorBasis:
-    """Short basis of the nullspace lattice of (A | A@R + B) from a trapdoor for B.
-
-    The basis is certified nonsingular and carries no QR data yet (see
-    _basis_from_preimages).
-    """
-    q = check_modulus(q)
-    a = as_residues(a, q)
-    b = as_residues(b, q)
-    return _nullspace_basis(
-        concat_cols([a, (mat_mul(a, r, q) + b) % q]),
-        lambda targets: sample_right(a, b, r, t_b, targets, q, sigma, rng, enforce_sigma=enforce_sigma),
-        q,
-    )
+    basis, e = _basis_from_preimages(sampler, f.shape[1], q)
+    if np.any(mat_mul(f, basis.basis, q)):
+        raise SamplingError("basis columns left the nullspace lattice")
+    if not np.array_equal(mat_mul(f, e, q), u):
+        raise SamplingError("preimage congruence self-check failed")
+    return basis, e
 
 
 def verify_trapdoor(pair: TrapdoorPair, q: int) -> bool:

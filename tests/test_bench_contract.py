@@ -1,16 +1,22 @@
-"""The names perfbench traces must exist in the package it benchmarks.
+"""What perfbench reads of the package it benchmarks must keep existing.
 
-perfbench/tracing.py wraps functions by module and name; a rename that
-drops one of them would only surface when the benchmark runs.
+perfbench/tracing.py wraps functions by module and name, and the
+authority workload's oracle (Authority._key_ok and _shipped_ok) reads a
+key's delegated bases; a change that drops one of them would only surface
+when the benchmark runs.
 """
 
 import importlib
 import importlib.util
 import os
 
+import numpy as np
+
+from ibeetfa import fileio
 from ibeetfa.authz import td3_basis, td3_ct
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import encrypt
+from ibeetfa.scheme import compute_f, encrypt
+from ibeetfa.zqlinalg import mat_mul
 
 from conftest import MINI, random_message
 
@@ -40,3 +46,22 @@ def test_type3_trapdoors_report_their_side(mini_system, mini_key):
     ct = encrypt(pp, ident, random_message(MINI.t, 700), RandomSource(0xBC))
     assert td3_ct(pp, sk, ident, ct, RandomSource(0xBD)).is_basis_side is False
     assert td3_basis(sk, ident).is_basis_side is True
+
+
+def test_keys_expose_the_bases_the_authority_oracle_reads(mini_system, mini_key):
+    """sk.e_id and sk.e_id_prime, fresh and after dump/load, with F_ID @ E == 0.
+
+    Decryption and the type-1 tests no longer read E_ID, but perfbench's
+    authority oracle checks both bases of every issued and shipped key.
+    Dropping E_ID (ROADMAP item 1(b)) therefore needs a benchmark change to
+    that oracle first.
+    """
+    pp, _ = mini_system
+    ident, sk = mini_key
+    back = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+    for key in (sk, back):
+        assert key.identity == ident
+        for which, e in (("primary", key.e_id), ("prime", key.e_id_prime)):
+            assert e.shape == (2 * MINI.m, 2 * MINI.m)
+            assert not np.any(mat_mul(compute_f(pp, ident, which), e, MINI.q))
+    assert np.array_equal(back.e_id, sk.e_id) and np.array_equal(back.e_id_prime, sk.e_id_prime)

@@ -1,6 +1,7 @@
 """CLI verbs, file formats, exit codes, and differential checks."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -195,6 +196,50 @@ class TestTamperingAndErrors:
                             "--out-pp", pp2, "--out-msk", msk2]) == 0
         code = run_command(["extract", "--pp", pp2, "--msk", workspace["msk"],
                             "--id", "eve", "--out", "/dev/null"])
+        assert code == 65
+
+
+class TestVersionOneFiles:
+    """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
+    carries preimages of U: they are refused, never read as something else."""
+
+    @staticmethod
+    def v1_blob(kind, *arrays, variant=b""):
+        header = (fileio.MAGIC + struct.pack("<HB", 1, kind) + fileio.params_fingerprint(MINI)
+                  + fileio.encode_params(MINI))
+        return header + variant + b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)
+
+    @pytest.fixture(scope="class")
+    def v1_files(self, workspace):
+        sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
+        ident = np.asarray(sk.identity.bits, dtype=np.int64)
+        blobs = {
+            "sk": (fileio.load_user_secret,
+                   self.v1_blob(fileio.KIND_SK, ident, sk.e_id, sk.e_id_prime)),
+            "td1": (fileio.load_td1, self.v1_blob(fileio.KIND_TD1, ident, sk.e_id_prime)),
+            "td3": (fileio.load_td3, self.v1_blob(fileio.KIND_TD3, ident, sk.e_id_prime, variant=b"\x00")),
+        }
+        paths = {}
+        for name, (load, blob) in blobs.items():
+            with pytest.raises(FormatError, match="unsupported format version 1"):
+                load(blob, MINI)
+            paths[name] = str(workspace["dir"] / f"v1.{name}")
+            fileio.write_file(paths[name], blob)
+        return paths
+
+    def test_v1_secret_key_refused(self, workspace, v1_files):
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk"],
+                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+        assert code == 65
+
+    @pytest.mark.parametrize("kind", ["td1", "td3"])
+    def test_v1_type1_side_refused(self, workspace, v1_files, kind):
+        d = workspace["dir"]
+        assert run_command(["td", "--type", kind[-1], "--pp", workspace["pp"], "--sk", workspace["sk_b"],
+                            "--out", str(d / f"v2_b.{kind}")]) == 0
+        code = run_command(["test", "--type", kind[-1], "--pp", workspace["pp"],
+                            "--td-i", v1_files[kind], "--td-j", str(d / f"v2_b.{kind}"),
+                            "--ct-i", workspace["ct_a1"], "--ct-j", workspace["ct_b1"]])
         assert code == 65
 
 

@@ -147,12 +147,14 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.
+    td2 sample may change these values.  SK and TD2 last changed when
+    extract began drawing the key's preimages of U in the same stream as
+    the basis (format version 2).
     """
 
     CT = "cccc6473d8bf2d5f4075aa15a7442154276a6cb677785cb1781bacf120227f44"
-    TD2 = "0819d84eccc18879594ec5c33c93c56e2b52f0a9ad12e42cb892a35809c8d480"
-    SK = "1541d86708ddc8411cc7b40feec0352f1f8327bcf73a932863907c9c06e51fe4"
+    TD2 = "11beceaf9e464c053151b36efa43957db1707759af16e3e519310323f3c7d99d"
+    SK = "5a8d282fd4b1ca4fa9a021f8190b10d7dab54ee4c82f0c159b40a914d1104b2e"
 
     def test_ciphertext_and_td2_bytes(self, mini_system, mini_key):
         pp, _ = mini_system

@@ -1,11 +1,15 @@
 """Per-key preimages of U and the sampling data keys own.
 
-Decryption and the type-1 side of the equality tests use a preimage e_F
-of U under F_ID alone, sampled once per key basis; td2 and td3_ct keep
-sampling against each ciphertext's tag matrix.
+Extract samples a preimage e_F of U under F_ID alone (and e_F' under
+F'_ID) with the master trapdoor, in the same SampleLeft call that draws
+the delegated basis.  Decryption and the type-1 side of the equality
+tests read these preimages and build no sampling data; only td2 and
+td3_ct sample, against each ciphertext's tag matrix, with the basis
+E'_ID, which factors itself on first use.
 """
 
 import dataclasses
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,11 +18,13 @@ import numpy as np
 import pytest
 
 from ibeetfa import fileio, trapdoor
-from ibeetfa.authz import digest_from_basis, td1, td2
+from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
+from ibeetfa.authz import test3 as eq_test3
+from ibeetfa.errors import ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, key_preimage
+from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string
 from ibeetfa.zqlinalg import center_rep, concat_cols, mat_mul
 
 from conftest import MINI, CallCounter, random_message
@@ -31,50 +37,95 @@ def walks(monkeypatch):
     return counter
 
 
+@pytest.fixture
+def preps(monkeypatch):
+    counter = CallCounter(trapdoor.prepare_basis)
+    monkeypatch.setattr(trapdoor, "prepare_basis", counter)
+    return counter
+
+
+@pytest.fixture(scope="module")
+def fresh_key(mini_system):
+    """A key no other test samples with, so its basis E'_ID has no QR data yet."""
+    pp, msk = mini_system
+    ident = identity_from_string("frank", MINI.ell)
+    return ident, extract(pp, msk, ident, RandomSource(381))
+
+
 class TestHeldPreimage:
-    def test_repeat_decrypt_and_digest_run_no_walk(self, mini_system, mini_key, walks):
+    def test_repeat_decrypt_and_digest_run_no_walk(self, mini_system, mini_key_other, fresh_key,
+                                                   walks, preps):
+        # a fresh and a loaded key decrypt and serve both type-1 sides
+        # with no QR and no walk
         pp, _ = mini_system
-        ident, sk = mini_key
+        ident, sk = fresh_key
+        ident_o, sk_o = mini_key_other
         msg = random_message(MINI.t, 301)
         ct = encrypt(pp, ident, msg, RandomSource(302))
-        td = td1(sk, ident)
-        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(303)), msg)
-        assert digest_from_basis(pp, td, ct, RandomSource(304)) is not None
-        walks.calls = 0
-        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(305)), msg)
+        ct_o = encrypt(pp, ident_o, msg, RandomSource(303))
+        bound = td3_ct(pp, sk_o, ident_o, ct_o, RandomSource(304))
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        walks.calls = preps.calls = 0
         want = hash_h(bits_to_bytes(msg), MINI.t)
-        assert np.array_equal(digest_from_basis(pp, td, ct, RandomSource(306)), want)
+        for key in (sk, loaded):
+            assert np.array_equal(decrypt(pp, key, ct, RandomSource(305)), msg)
+            assert np.array_equal(digest_from_basis(pp, td1(key, ident), ct, RandomSource(306)), want)
+            assert eq_test1(td1(key, ident), td1(sk_o, ident_o), ct, ct_o, pp, RandomSource(307)) == 1
+            assert eq_test3(td3_basis(key, ident), bound, ct, ct_o, pp, RandomSource(308)) == 1
         assert walks.calls == 0
+        assert preps.calls == 0
 
     def test_held_preimage_solves_f_alone_with_margin(self, mini_system, mini_key):
         pp, _ = mini_system
         ident, sk = mini_key
-        q = MINI.q
+        q, m = MINI.q, MINI.m
+        bound = MINI.sigma * math.sqrt(2 * m)
+        for which, e in (("primary", sk.e_f), ("prime", sk.e_f_prime)):
+            assert e.shape == (2 * m, MINI.t)
+            assert not e.flags.writeable
+            # exact on every column, and every column as short as a sigma-Gaussian
+            # draw from the master trapdoor (one from a delegated basis is ~2.3x longer)
+            assert np.array_equal(mat_mul(compute_f(pp, ident, which), e, q), pp.u)
+            assert np.linalg.norm(e.astype(np.float64), axis=0).max() <= bound
         msg = random_message(MINI.t, 311)
         ct = encrypt(pp, ident, msg, RandomSource(312))
-        e = key_preimage(pp, sk.trapdoor, ident, "primary", RandomSource(313))
-        assert e is sk.trapdoor.held_preimage
-        assert e.shape == (2 * MINI.m, MINI.t)
-        assert np.array_equal(mat_mul(compute_f(pp, ident, "primary"), e, q), pp.u)
-        w = (ct.c1 - mat_mul(e.T, ct.c3[: 2 * MINI.m], q)) % q
+        w = (ct.c1 - mat_mul(sk.e_f.T, ct.c3[: 2 * m], q)) % q
         noise = center_rep((w - msg.astype(np.int64) * (q // 2)) % q, q)
         assert int(np.abs(noise).max()) < q // 4
 
-    def test_other_public_params_get_their_own_preimage(self, mini_system, mini_key):
+    def test_other_public_params_raise(self, mini_system, mini_key):
         pp, _ = mini_system
         ident, sk = mini_key
-        q = MINI.q
-        first = key_preimage(pp, sk.trapdoor_prime, ident, "prime", RandomSource(321))
-        other = dataclasses.replace(pp, u=RandomSource(322).integers(0, q, pp.u.shape))
-        e = key_preimage(other, sk.trapdoor_prime, ident, "prime", RandomSource(323))
-        assert e is not first
-        assert np.array_equal(mat_mul(compute_f(other, ident, "prime"), e, q), other.u)
-        back = key_preimage(pp, sk.trapdoor_prime, ident, "prime", RandomSource(324))
-        assert np.array_equal(mat_mul(compute_f(pp, ident, "prime"), back, q), pp.u)
+        msg = random_message(MINI.t, 321)
+        ct = encrypt(pp, ident, msg, RandomSource(322))
+        other = dataclasses.replace(pp, u=RandomSource(323).integers(0, MINI.q, pp.u.shape))
+        td = td1(sk, ident)
+        with pytest.raises(ParameterError):
+            decrypt(other, sk, ct, RandomSource(324))
+        with pytest.raises(ParameterError):
+            digest_from_basis(other, td, ct, RandomSource(325))
+        with pytest.raises(ParameterError):
+            eq_test1(td, td, ct, ct, other, RandomSource(326))
+        # a key checked against another identity's matrices raises too
+        stranger = identity_from_string("mallory", MINI.ell)
+        with pytest.raises(ParameterError):
+            digest_from_basis(pp, dataclasses.replace(td, identity=stranger), ct, RandomSource(327))
+        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(328)), msg)
 
-    def test_td1_shares_the_key_basis(self, mini_key):
+    def test_td1_ships_the_prime_preimage(self, mini_system, mini_key):
+        pp, _ = mini_system
         ident, sk = mini_key
-        assert td1(sk, ident).trapdoor is sk.trapdoor_prime
+        td = td1(sk, ident)
+        assert np.array_equal(td.e_prime, sk.e_f_prime)
+        assert td.e_prime.shape == (2 * MINI.m, MINI.t)
+        blob = fileio.dump_td1(td, MINI)
+        back = fileio.load_td1(blob, MINI)
+        assert back.identity == ident and np.array_equal(back.e_prime, td.e_prime)
+        assert fileio.dump_td1(back, MINI) == blob
+        msg = random_message(MINI.t, 331)
+        ct = encrypt(pp, ident, msg, RandomSource(332))
+        want = hash_h(bits_to_bytes(msg), MINI.t)
+        assert np.array_equal(digest_from_basis(pp, back, ct, RandomSource(333)), want)
 
 
 class TestCiphertextBoundPreimages:
@@ -102,41 +153,40 @@ class TestOwnership:
         a = extract(pp, msk, ident, RandomSource(341))
         b = extract(pp, loaded, ident, RandomSource(341))
         assert np.array_equal(a.e_id, b.e_id) and np.array_equal(a.e_id_prime, b.e_id_prime)
+        assert np.array_equal(a.e_f, b.e_f) and np.array_equal(a.e_f_prime, b.e_f_prime)
 
-    def test_extract_and_first_decrypt_build_one_qr_per_basis(self, mini_system, monkeypatch):
+    def test_only_td2_factors_a_key_basis(self, mini_system, preps):
         pp, msk = mini_system
         for master in (msk.trapdoor_a, msk.trapdoor_a_prime):
             master.prepared()  # the master QR is built once per master key
-        preps = CallCounter(trapdoor.prepare_basis)
-        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        ident = identity_from_string("frank", MINI.ell)
-        sk = extract(pp, msk, ident, RandomSource(381))
-        # extract certifies the delegated bases; a key that is only shipped
-        # never factors them
+        preps.calls = 0
+        ident = identity_from_string("grace", MINI.ell)
+        sk = extract(pp, msk, ident, RandomSource(391))
+        assert preps.calls == 0  # extract certifies the bases without factoring them
+        msg = random_message(MINI.t, 392)
+        ct = encrypt(pp, ident, msg, RandomSource(393))
+        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(394)), msg)
         assert preps.calls == 0
-        msg = random_message(MINI.t, 382)
-        ct = encrypt(pp, ident, msg, RandomSource(383))
-        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(384)), msg)
-        assert preps.calls == 2
-        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(385)), msg)
-        assert preps.calls == 2
+        assert td2(pp, sk, ident, ct, RandomSource(395)) is not None
+        assert preps.calls == 1  # E'_ID, once
+        assert td3_ct(pp, sk, ident, ct, RandomSource(396)) is not None
+        assert td2(pp, sk, ident, ct, RandomSource(397)) is not None
+        assert preps.calls == 1
+        assert sk.trapdoor._prep is None  # E_ID is carried, never factored
 
-    def test_threads_share_a_fresh_key(self, mini_system, monkeypatch, walks):
+    def test_threads_share_a_fresh_key(self, mini_system, preps):
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(351))
-        td = td1(sk, ident)
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
-        preps = CallCounter(trapdoor.prepare_basis)
-        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        walks.calls = 0
+        preps.calls = 0
         start = threading.Barrier(2, timeout=60)
 
         def work(i):
             rng = RandomSource(360 + i)
             start.wait()
-            return decrypt(pp, sk, cts[i], rng), eq_test1(td, td, cts[i], cts[1 - i], pp, rng)
+            return td2(pp, sk, ident, cts[i], rng), decrypt(pp, sk, cts[i], rng)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -146,13 +196,11 @@ class TestOwnership:
                 results = [f.result(timeout=300) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for (out, same), msg in zip(results, msgs):
+        q = MINI.q
+        f_prime = compute_f(pp, ident, "prime")
+        for (bound, out), ct, msg in zip(results, cts, msgs):
+            f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
+            assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
             assert np.array_equal(out, msg)
-            assert same == int(np.array_equal(msgs[0], msgs[1]))
-        # one walk and one QR per basis, however the two threads race
-        assert walks.calls == 2
-        assert preps.calls == 2
-        held = (sk.trapdoor.held_preimage, sk.trapdoor_prime.held_preimage)
-        assert np.array_equal(decrypt(pp, sk, cts[0], RandomSource(370)), msgs[0])
-        assert sk.trapdoor.held_preimage is held[0]
-        assert sk.trapdoor_prime.held_preimage is held[1] is td.trapdoor.held_preimage
+        # E'_ID's QR is built once, however the two threads race
+        assert preps.calls == 1

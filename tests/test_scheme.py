@@ -127,8 +127,9 @@ class TestExtract:
 
     def test_key_element_count(self, mini_key):
         _, sk = mini_key
-        # two (2m x 2m) bases; the published table understates this as 4m^2
-        assert sk.element_count() == 8 * MINI.m * MINI.m
+        # two (2m x 2m) bases and two (2m x t) preimages of U; the published
+        # table lists 4m^2
+        assert sk.element_count() == 8 * MINI.m * MINI.m + 4 * MINI.m * MINI.t
 
     def test_distinct_identities_distinct_keys(self, mini_system):
         pp, msk = mini_system

@@ -15,10 +15,8 @@ from ibeetfa.trapdoor import (
     derive_gadget_aux,
     operator_norm,
     sample_basis_left,
-    sample_basis_right,
     sample_left,
     sample_pre,
-    sample_right,
     trap_gen,
     trapgen_width,
     verify_trapdoor,
@@ -167,19 +165,7 @@ class TestSampleLeft:
 
 
 class TestSampleRight:
-    def test_zero_and_random_targets(self):
-        pairb, q, n, m = small_pair(139)
-        a = RandomSource(149).integers(0, q, (n, m))
-        r = RandomSource(151).integers(0, 2, (m, m)) * 2 - 1
-        s_r = operator_norm(r)
-        sigma = pairb.gs_norm * s_r * slack_factor(m) * 1.05
-        f2 = concat_cols([a, (mat_mul(a, r, q) + pairb.a) % q])
-        zero = np.zeros(n, dtype=np.int64)
-        e0 = sample_right(a, pairb.a, r, pairb.trapdoor, zero, q, sigma, RandomSource(157))
-        assert not np.any(mat_mul(f2, e0, q))
-        u = RandomSource(163).integers(0, q, (n, 100))
-        e = sample_right(a, pairb.a, r, pairb.trapdoor, u, q, sigma, RandomSource(167))
-        assert np.array_equal(mat_mul(f2, e, q), u)
+    """The s_R bound on sign matrices behind the SampleRight term of the sigma floor in params."""
 
     def test_sign_matrix_operator_norm_constant(self):
         # measured spectral norms of square sign matrices against the
@@ -189,13 +175,11 @@ class TestSampleRight:
                 r = RandomSource(1000 * m + i).integers(0, 2, (m, m)) * 2 - 1
                 assert operator_norm(r) < SIGN_OPNORM_CONSTANT * math.sqrt(m)
 
-    def test_sigma_floor_uses_operator_norm(self):
-        pairb, q, n, m = small_pair(173)
-        a = RandomSource(179).integers(0, q, (n, m))
-        r = RandomSource(181).integers(0, 2, (m, m)) * 2 - 1
-        with pytest.raises(SamplingError):
-            sample_right(a, pairb.a, r, pairb.trapdoor, np.zeros(n, dtype=np.int64), q,
-                         pairb.gs_norm * 2, RandomSource(191))
+
+def basis_only(pair, mblk, q, sigma, seed):
+    """The basis that sample_basis_left draws next to the preimage of one zero target."""
+    u = np.zeros((mblk.shape[0], 1), dtype=np.int64)
+    return sample_basis_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(seed))[0]
 
 
 class TestBasisSampling:
@@ -209,7 +193,7 @@ class TestBasisSampling:
         f1 = concat_cols([pair.a, mblk])
         good = 0
         for i in range(50):
-            basis = sample_basis_left(pair.a, mblk, pair.trapdoor, q, sigma, RandomSource(500 + i)).basis
+            basis = basis_only(pair, mblk, q, sigma, 500 + i).basis
             good += int(check_nullspace_basis(f1, basis, q))
         assert good == 50
 
@@ -218,7 +202,7 @@ class TestBasisSampling:
         mblk = RandomSource(197).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
         for i in range(3):
-            basis = sample_basis_left(pair.a, mblk, pair.trapdoor, q, sigma, RandomSource(199 + i)).basis
+            basis = basis_only(pair, mblk, q, sigma, 199 + i).basis
             f1 = concat_cols([pair.a, mblk])
             assert check_nullspace_basis(f1, basis, q)
 
@@ -226,34 +210,29 @@ class TestBasisSampling:
         pair, q, n, m = small_pair(211)
         mblk = RandomSource(223).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
-        basis = sample_basis_left(pair.a, mblk, pair.trapdoor, q, sigma, RandomSource(227)).basis
+        basis = basis_only(pair, mblk, q, sigma, 227).basis
         assert gram_schmidt_norm(basis) <= 2 * sigma * math.sqrt(2 * m)
 
     def test_basis_left_full_rank(self):
         pair, q, n, m = small_pair(229)
         mblk = RandomSource(233).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
-        basis = sample_basis_left(pair.a, mblk, pair.trapdoor, q, sigma, RandomSource(239)).basis
+        basis = basis_only(pair, mblk, q, sigma, 239).basis
         assert basis.shape == (2 * m, 2 * m)
         assert is_nonsingular(basis)
 
-    def test_basis_right_nullspace_and_rank(self):
-        pairb, q, n, m = small_pair(241)
-        a = RandomSource(251).integers(0, q, (n, m))
-        r = RandomSource(257).integers(0, 2, (m, m)) * 2 - 1
-        sigma = pairb.gs_norm * operator_norm(r) * slack_factor(2 * m) * 1.05
-        basis = sample_basis_right(a, pairb.a, r, pairb.trapdoor, q, sigma, RandomSource(263)).basis
-        f2 = concat_cols([a, (mat_mul(a, r, q) + pairb.a) % q])
-        assert check_nullspace_basis(f2, basis, q)
-
-    def test_basis_right_reproducible(self):
-        pairb, q, n, m = small_pair(269)
-        a = RandomSource(271).integers(0, q, (n, m))
-        r = RandomSource(277).integers(0, 2, (m, m)) * 2 - 1
-        sigma = pairb.gs_norm * operator_norm(r) * slack_factor(2 * m) * 1.05
-        b1 = sample_basis_right(a, pairb.a, r, pairb.trapdoor, q, sigma, RandomSource(281))
-        b2 = sample_basis_right(a, pairb.a, r, pairb.trapdoor, q, sigma, RandomSource(281))
-        assert np.array_equal(b1.basis, b2.basis)
+    def test_basis_left_with_targets(self):
+        # the same draws give the basis and exact preimages of every target column
+        pair, q, n, m = small_pair(241)
+        mblk = RandomSource(251).integers(0, q, (n, m))
+        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        u = RandomSource(257).integers(0, q, (n, 5))
+        basis, e = sample_basis_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(263))
+        f1 = concat_cols([pair.a, mblk])
+        assert check_nullspace_basis(f1, basis.basis, q)
+        assert e.shape == (2 * m, 5)
+        assert np.array_equal(mat_mul(f1, e, q), u)
+        assert (np.linalg.norm(e.astype(float), axis=0) <= sigma * math.sqrt(2 * m)).all()
 
     def test_delegation_closure(self):
         # a basis from sample_basis_left serves as the trapdoor for a further
@@ -261,7 +240,7 @@ class TestBasisSampling:
         pair, q, n, m = small_pair(283)
         mblk = RandomSource(293).integers(0, q, (n, m))
         sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
-        basis = sample_basis_left(pair.a, mblk, pair.trapdoor, q, sigma, RandomSource(307))
+        basis = basis_only(pair, mblk, q, sigma, 307)
         f1 = concat_cols([pair.a, mblk])
         ext = RandomSource(311).integers(0, q, (n, m))
         u = RandomSource(313).integers(0, q, (n, 5))
@@ -290,9 +269,10 @@ class TestBasisFromPreimages:
         sampler, calls = self.stub(batch)
         preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        got = trapdoor._basis_from_preimages(sampler, dim, 4093)
+        got, rest = trapdoor._basis_from_preimages(sampler, dim, 4093)
         keep = [j for j in range(dim + 2) if j not in (1, 5)]
         assert np.array_equal(got.basis, batch[:, keep])
+        assert rest.shape == (dim, 0)
         assert calls == [dim + 8]
         assert preps.calls == 0  # certified without building its QR
 
@@ -304,7 +284,7 @@ class TestBasisFromPreimages:
         bad[:, :2] = [[big, big + 1], [big, big]]
         good = RandomSource(359).integers(-5, 6, (2, 10)) + 50 * np.eye(2, 10, dtype=np.int64)
         sampler, calls = self.stub(bad, good)
-        got = trapdoor._basis_from_preimages(sampler, 2, 4093)
+        got, _ = trapdoor._basis_from_preimages(sampler, 2, 4093)
         assert np.array_equal(got.basis, good[:, :2])
         assert len(calls) == 2
         sampler, calls = self.stub(*[bad] * 4)
@@ -313,23 +293,18 @@ class TestBasisFromPreimages:
         assert len(calls) == 4
 
 
-@pytest.mark.parametrize(
-    "sampler", ["sample_pre", "sample_left", "sample_right", "sample_basis_left", "sample_basis_right"]
-)
+@pytest.mark.parametrize("sampler", ["sample_pre", "sample_left", "sample_basis_left"])
 def test_raw_array_trapdoor_rejected(sampler):
     # every sampler takes a TrapdoorBasis; a bare basis array is not converted
     pair, q, n, m = small_pair(331)
     raw = pair.trapdoor.basis
     a = RandomSource(337).integers(0, q, (n, m))
-    r = RandomSource(347).integers(0, 2, (m, m)) * 2 - 1
     u = np.zeros(n, dtype=np.int64)
     rng = RandomSource(349)
     calls = {
         "sample_pre": lambda: sample_pre(pair.a, raw, u, q, 1e6, rng),
         "sample_left": lambda: sample_left(pair.a, a, raw, u, q, 1e6, rng),
-        "sample_right": lambda: sample_right(a, pair.a, r, raw, u, q, 1e6, rng),
-        "sample_basis_left": lambda: sample_basis_left(pair.a, a, raw, q, 1e6, rng),
-        "sample_basis_right": lambda: sample_basis_right(a, pair.a, r, raw, q, 1e6, rng),
+        "sample_basis_left": lambda: sample_basis_left(pair.a, a, raw, u[:, None], q, 1e6, rng),
     }
     with pytest.raises(TypeError):
         calls[sampler]()
