@@ -107,12 +107,12 @@ class _Reader:
         self.pos += n
         return out
 
-    def residues(self, shape) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = np.frombuffer(self.take(8 * count), dtype="<u8")
-        return raw.astype(np.int64).reshape(shape)
+    def words(self, shape) -> np.ndarray:
+        """The next 8-byte words as an int64 array (the mirror of _words).
 
-    def signed(self, shape) -> np.ndarray:
+        A residue word of 2**63 or more reads back negative, which the
+        range check of load_public_params rejects.
+        """
         count = int(np.prod(shape))
         raw = np.frombuffer(self.take(8 * count), dtype="<i8")
         return raw.astype(np.int64).reshape(shape)
@@ -164,11 +164,11 @@ def dump_public_params(pp: PublicParams) -> bytes:
 
 def load_public_params(blob: bytes) -> PublicParams:
     rd, p = _open(blob, KIND_PP, None)
-    a = rd.residues((p.n, p.m))
-    a_prime = rd.residues((p.n, p.m))
-    a_list = tuple(rd.residues((p.n, p.m)) for _ in range(p.ell))
-    b = rd.residues((p.n, p.m))
-    u = rd.residues((p.n, p.t))
+    a = rd.words((p.n, p.m))
+    a_prime = rd.words((p.n, p.m))
+    a_list = tuple(rd.words((p.n, p.m)) for _ in range(p.ell))
+    b = rd.words((p.n, p.m))
+    u = rd.words((p.n, p.t))
     rd.done()
     for name, mat in (("A", a), ("A'", a_prime), ("B", b), ("U", u), *(("A_i", x) for x in a_list)):
         if mat.min() < 0 or mat.max() >= p.q:
@@ -185,8 +185,8 @@ def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
 
 def load_master_secret(blob: bytes, reference: ParamSet | None = None) -> MasterSecretKey:
     rd, p = _open(blob, KIND_MSK, reference)
-    t_a = rd.signed((p.m, p.m))
-    t_a_prime = rd.signed((p.m, p.m))
+    t_a = rd.words((p.m, p.m))
+    t_a_prime = rd.words((p.m, p.m))
     rd.done()
     return MasterSecretKey(TrapdoorBasis(t_a), TrapdoorBasis(t_a_prime))
 
@@ -199,7 +199,7 @@ def _dump_identity(ident: Identity) -> memoryview:
 
 
 def _load_identity(rd: _Reader, ell: int) -> Identity:
-    bits = rd.signed((ell,))
+    bits = rd.words((ell,))
     if not np.all(np.abs(bits) == 1):
         raise FormatError(f"{rd.what}: identity entries must be +-1")
     return Identity(tuple(int(b) for b in bits))
@@ -215,10 +215,10 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
 def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecretKey:
     rd, p = _open(blob, KIND_SK, reference)
     ident = _load_identity(rd, p.ell)
-    e_id = rd.signed((2 * p.m, 2 * p.m))
-    e_id_prime = rd.signed((2 * p.m, 2 * p.m))
-    e_f = rd.signed((2 * p.m, p.t))
-    e_f_prime = rd.signed((2 * p.m, p.t))
+    e_id = rd.words((2 * p.m, 2 * p.m))
+    e_id_prime = rd.words((2 * p.m, 2 * p.m))
+    e_f = rd.words((2 * p.m, p.t))
+    e_f_prime = rd.words((2 * p.m, p.t))
     rd.done()
     return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime), e_f, e_f_prime)
 
@@ -247,11 +247,11 @@ def load_ciphertext(blob: bytes, reference: ParamSet | None = None) -> tuple[Cip
     msg_bitlen = rd.u64()
     if msg_bitlen > p.t:
         raise FormatError("ciphertext: recorded message length exceeds t")
-    r_tag = rd.signed((p.m, p.m))
-    c1 = rd.residues((p.t,))
-    c2 = rd.residues((p.t,))
-    c3 = rd.residues((3 * p.m,))
-    c4 = rd.residues((3 * p.m,))
+    r_tag = rd.words((p.m, p.m))
+    c1 = rd.words((p.t,))
+    c2 = rd.words((p.t,))
+    c3 = rd.words((3 * p.m,))
+    c4 = rd.words((3 * p.m,))
     c5 = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
     rd.done()
     # no value-range checks here: the integrity digest is the authority on
@@ -268,7 +268,7 @@ def _dump_td1_payload(td: TrapdoorT1) -> list:
 
 def _load_td1_payload(rd: _Reader, p: ParamSet) -> TrapdoorT1:
     ident = _load_identity(rd, p.ell)
-    return TrapdoorT1(ident, rd.signed((2 * p.m, p.t)))
+    return TrapdoorT1(ident, rd.words((2 * p.m, p.t)))
 
 
 def _dump_td2_payload(td: TrapdoorT2) -> list:
@@ -278,7 +278,7 @@ def _dump_td2_payload(td: TrapdoorT2) -> list:
 def _load_td2_payload(rd: _Reader, p: ParamSet) -> TrapdoorT2:
     ident = _load_identity(rd, p.ell)
     binding = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
-    return TrapdoorT2(ident, binding, rd.signed((3 * p.m, p.t)), p)
+    return TrapdoorT2(ident, binding, rd.words((3 * p.m, p.t)), p)
 
 
 def dump_td1(td: TrapdoorT1, p: ParamSet) -> bytes:

@@ -15,7 +15,7 @@ cryptographic security; the CLI prints a warning whenever one is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .samplers import slack_factor
@@ -39,9 +39,6 @@ class ParamSet:
     sigma: float       # Gaussian sampling parameter
     alpha: float       # LWE noise rate, in (0, 1)
     q_bound: int       # assumed cap on identity-key queries
-
-    def encode_fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def validate_params(p: ParamSet) -> list[str]:

@@ -1,12 +1,14 @@
-"""Randomness sources and all samplers used by the scheme.
+"""Randomness sources and the samplers beneath trapdoor.sample_left.
 
-One-dimensional discrete Gaussians use a bilateral-geometric rejection
-sampler with the tail cut at 12*sigma; below sigma = 2 the support is
-so small that direct inverse-CDF enumeration over the (at most ~50)
-candidate integers is both faster and immune to the pathological
-rejection rates a geometric envelope has at half-integer centers.
-Lattice Gaussians use the randomized-nearest-plane walk over a QR
-factorization of the basis.
+One-dimensional discrete Gaussians (sample_z_gaussian_batch) use a
+bilateral-geometric rejection sampler with the tail cut at 12*sigma;
+below sigma = 2 the support is so small that direct inverse-CDF
+enumeration over the (at most ~50) candidate integers is both faster and
+immune to the pathological rejection rates a geometric envelope has at
+half-integer centers.  Lattice Gaussians are the randomized-nearest-plane
+walk of klein_coefficients over a basis factored once by prepare_basis;
+its targets are d x k matrices, one walk per column.  Encryption's noise
+and small matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SamplingError, SingularMatrix
-from .zqlinalg import exact_int_matmul
+from .zqlinalg import qr_singularity_bound
 
 #: Rejection/enumeration tails are cut at TAIL_CUT * sigma; the discarded
 #: mass is below 2**-100 for every sigma.
@@ -41,8 +43,9 @@ class RandomSource:
     """Seedable deterministic randomness for every sampler.
 
     A thin wrapper over numpy's PCG64 so that (params, seed) fully pins
-    every artifact the library produces.  Single-owner mutable state:
-    use one source per execution context, or spawn children.
+    every artifact the library produces.  The seed is an int, a hex
+    string or bytes.  Single-owner mutable state: use one source per
+    execution context.
     """
 
     def __init__(self, seed):
@@ -50,12 +53,7 @@ class RandomSource:
             seed = int.from_bytes(bytes.fromhex(seed), "big") if seed else 0
         elif isinstance(seed, (bytes, bytearray)):
             seed = int.from_bytes(bytes(seed), "big")
-        self._seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.PCG64(self._seed_seq))
-
-    def spawn(self) -> "RandomSource":
-        """Child source with an independent, reproducible stream."""
-        return RandomSource(self._seed_seq.spawn(1)[0])
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
     def integers(self, low, high, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size, dtype=np.int64)
@@ -145,11 +143,6 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
     return _sample_z_reject(sigma, centers, rng)
 
 
-def sample_z_gaussian(sigma: float, center: float, rng: RandomSource) -> int:
-    """One integer distributed statistically close to D_{Z, sigma, center}."""
-    return int(sample_z_gaussian_batch(float(sigma), [float(center)], rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # Lattice Gaussian (randomized nearest plane over a QR factorization)
 # ---------------------------------------------------------------------------
@@ -191,8 +184,7 @@ def prepare_basis(basis) -> PreparedBasis:
     bf = b.astype(np.float64)
     q_factor, r_factor = np.linalg.qr(bf)
     gs = np.abs(np.diag(r_factor))
-    scale = np.linalg.norm(bf)
-    if gs.min() <= scale * np.finfo(np.float64).eps * b.shape[0] * 16:
+    if gs.min() <= qr_singularity_bound(bf):
         raise SingularMatrix("basis columns are (numerically) linearly dependent")
     r_rows = np.concatenate([r_factor[k, k:] for k in range(b.shape[0])])
     return PreparedBasis(b, q_factor, r_rows, gs)
@@ -205,7 +197,7 @@ WALK_BLOCK = 64
 def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSource) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
-    targets is d x n (one column per walk).  Column j of the result
+    targets is d x k (one column per walk).  Column j of the result
     satisfies: B @ Z[:, j] ~ D_{L(B), sigma, targets[:, j]} when sigma
     clears the Gram-Schmidt norm times the slack factor; below that the
     walk still terminates and stays lattice-exact, degrading smoothly
@@ -218,12 +210,9 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
     and the random stream are those of a row-by-row walk.
     """
     t = np.asarray(targets, dtype=np.float64)
-    one = t.ndim == 1
-    if one:
-        t = t.reshape(-1, 1)
     d = prep.dim
-    if t.shape[0] != d:
-        raise DimensionMismatch(f"targets have dimension {t.shape[0]}, basis has {d}")
+    if t.ndim != 2 or t.shape[0] != d:
+        raise DimensionMismatch(f"targets must be {d} x k, got shape {t.shape}")
     proj = prep.q_factor.T @ t  # row k: <target, q_k>
     # float64 holds the coefficients exactly (they stay far below 2**53)
     # and avoids an int-to-float copy of the tail on every step
@@ -238,24 +227,7 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
             r = prep.r_row(k)
             centers = (shifted[k - lo] - r[1 : hi - k] @ z[k + 1 : hi]) / r[0]
             z[k] = sample_z_gaussian_batch(sigma / abs(float(r[0])), centers, rng)
-    out = z.astype(np.int64)
-    return out[:, 0] if one else out
-
-
-def sample_d_lattice(basis, sigma: float, center, rng: RandomSource) -> np.ndarray:
-    """A point of the lattice spanned by the basis columns, close to D_{L, sigma, c}.
-
-    The slack precondition sigma >= gs_norm(basis) * slack_factor(dim)
-    is the caller's responsibility; only singularity is rejected here.
-    """
-    if not sigma > 0:
-        raise SamplingError(f"sigma must be positive, got {sigma}")
-    prep = basis if isinstance(basis, PreparedBasis) else prepare_basis(basis)
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (prep.dim,):
-        raise DimensionMismatch(f"center must have shape ({prep.dim},)")
-    z = klein_coefficients(prep, float(sigma), center, rng)
-    return exact_int_matmul(prep.basis, z)
+    return z.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

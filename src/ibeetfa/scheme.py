@@ -111,10 +111,6 @@ def identity_from_string(name: str, ell: int) -> Identity:
     return Identity(tuple(2 * int(b) - 1 for b in digest))
 
 
-def identity_from_bits(bits) -> Identity:
-    return Identity(tuple(int(b) for b in bits))
-
-
 @dataclass(frozen=True)
 class UserSecretKey:
     """Per-identity key: two delegated bases and a preimage of U under each F.
@@ -204,7 +200,6 @@ class EncryptionRandomness:
     x2: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
-    r_list: tuple[np.ndarray, ...]
     r_id: np.ndarray
     r_tag: np.ndarray
     z1: np.ndarray
@@ -342,10 +337,10 @@ def encrypt_traced(
     c1 = (mat_mul(pp.u.T, s1, q) + x1 + bits.astype(np.int64) * half_q) % q
     c2 = (mat_mul(pp.u.T, s2, q) + x2 + msg_digest.astype(np.int64) * half_q) % q
 
-    r_list = tuple(sample_sign_matrix(m, rng) for _ in range(ell))
+    # R_ID = sum_i b_i R_i; each sign matrix R_i is dropped once it is added
     r_id = np.zeros((m, m), dtype=np.int64)
-    for bit, r_i in zip(ident.bits, r_list):
-        r_id += bit * r_i
+    for bit in ident.bits:
+        r_id += bit * sample_sign_matrix(m, rng)
     r_tag = sample_bounded_matrix(ell, m, rng)
 
     # R and R_ID have entries in [-ell, ell], so exact_int_matmul gives the
@@ -367,7 +362,7 @@ def encrypt_traced(
 
     ct = Ciphertext(r_tag, c1, c2, c3, c4, c5)
     ct._tags[p] = ct.c5
-    trace = EncryptionRandomness(s1, s2, x1, x2, y1, y2, r_list, r_id, r_tag, z1, z2, rr1, rr2)
+    trace = EncryptionRandomness(s1, s2, x1, x2, y1, y2, r_id, r_tag, z1, z2, rr1, rr2)
     return ct, trace
 
 

@@ -1,4 +1,4 @@
-"""Trapdoor lattices: generation and Gaussian preimage/basis sampling.
+"""Trapdoor lattices: generation, SampleLeft and basis delegation.
 
 Trapdoor generation follows the gadget template: A = [Abar | G - Abar*Rbar]
 with Rbar a random sign matrix and G the base-2 gadget.  The short basis
@@ -9,9 +9,13 @@ decomposition of Abar.  Ordering the gadget block first keeps the
 Gram-Schmidt norms of the completion block at 1 or below, so the whole
 basis has Gram-Schmidt norm within a small constant of sqrt(n log q).
 
-Preimage sampling is the randomized-nearest-plane walk of samplers.py.
-For trapdoors carrying the gadget structure, coset representatives come
-from the bit decomposition of the target (entries bounded by n*log q),
+The scheme samples through two functions only: sample_left, which draws
+preimages of an n x k target matrix under (A | M) with a trapdoor for A
+and checks every column it returns, and sample_basis_left, which builds a
+delegated basis (and preimages of U) from one sample_left batch.  The
+A-side walk is the randomized nearest plane of samplers.py.  For
+trapdoors carrying the gadget structure, coset representatives come
+from the bit decomposition of the targets (entries bounded by n*log q),
 which keeps every intermediate tiny; otherwise a sparse mod-q solve is
 used and the walk handles the large offset through its QR projections.
 """
@@ -40,10 +44,8 @@ from .zqlinalg import (
     as_residues,
     center_rep,
     check_modulus,
-    check_nullspace_basis,
     concat_cols,
     exact_int_matmul,
-    gram_schmidt_norm,
     mat_mul,
     solve_mod,
 )
@@ -92,11 +94,6 @@ class TrapdoorPair:
     a: np.ndarray               # n x m residues
     trapdoor: TrapdoorBasis     # m x m basis, carrying the gadget shortcut
 
-    @property
-    def gs_norm(self) -> float:
-        """Gram-Schmidt norm of the basis, computed on demand (nothing in sampling reads it)."""
-        return gram_schmidt_norm(self.trapdoor.basis)
-
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
     """The k x k basis of the 1-D gadget lattice, determinant +-q."""
@@ -111,15 +108,12 @@ def _gadget_block(q: int, k: int) -> np.ndarray:
 def _bit_decompose(u: np.ndarray, k: int) -> np.ndarray:
     """Stack the k base-2 digits of every row of u (n x t -> n*k x t)."""
     u = np.asarray(u, dtype=np.int64)
-    one = u.ndim == 1
-    if one:
-        u = u.reshape(-1, 1)
     n, t = u.shape
     out = np.zeros((n * k, t), dtype=np.int64)
     for j in range(k):
         out[j::k] = (u >> j) & 1
     # interleaving above put digit j of row i at position i*k + j
-    return out[:, 0] if one else out
+    return out
 
 
 def _gadget_matrix(n: int, k: int) -> np.ndarray:
@@ -241,23 +235,12 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
 # ---------------------------------------------------------------------------
 
 
-def _check_sigma(sigma: float, prep: PreparedBasis, total_dim: int, enforce: bool):
-    if not sigma > 0:
-        raise SamplingError(f"sigma must be positive, got {sigma}")
-    if enforce and sigma < prep.gs_norm * slack_factor(total_dim):
-        raise SamplingError(
-            f"sigma = {sigma:.6g} is below the sampling threshold "
-            f"{prep.gs_norm * slack_factor(total_dim):.6g} "
-            f"(basis GS norm {prep.gs_norm:.6g} times slack {slack_factor(total_dim)})"
-        )
-
-
 def _coset_representatives(a: np.ndarray, aux: GadgetAux | None, targets: np.ndarray, q: int) -> np.ndarray:
     """Integer c with A @ c == targets (mod q), kept short when possible."""
     if aux is not None:
         d_bits = _bit_decompose(targets % q, aux.k)
         top = exact_int_matmul(aux.r_bar, d_bits)
-        return np.vstack([top, d_bits]) if targets.ndim == 2 else np.concatenate([top, d_bits])
+        return np.vstack([top, d_bits])
     return center_rep(solve_mod(a, targets, q), q)
 
 
@@ -283,44 +266,15 @@ def _preimage_batch(
     return e
 
 
-def _spot_check_columns(f: np.ndarray, e: np.ndarray, u: np.ndarray, q: int, limit: int = 48) -> bool:
-    """Congruence check on an evenly spaced column subset (all, if few)."""
-    cols = u.shape[1]
-    if cols <= limit:
-        return bool(np.array_equal(mat_mul(f, e, q), u))
-    idx = np.linspace(0, cols - 1, limit).astype(np.int64)
-    sub = mat_mul(f, np.ascontiguousarray(e[:, idx]), q)
-    return bool(np.array_equal(sub, u[:, idx]))
-
-
-def sample_pre(a, t: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource) -> np.ndarray:
-    """Gaussian preimage e with A @ e == u (mod q), sampled with trapdoor t.
-
-    Every sampler takes its trapdoor as a TrapdoorBasis and raises
-    TypeError on any other argument.
-
-    ``u`` may be a vector or an n x t matrix (one preimage per column).
-    """
-    q = check_modulus(q)
-    a = as_residues(a, q)
-    u = as_residues(u, q)
-    td = _require_trapdoor(t)
-    prep = td.prepared()
-    if a.ndim != 2 or a.shape[1] != prep.dim:
-        raise DimensionMismatch(f"matrix {a.shape} does not match basis dimension {prep.dim}")
-    _check_sigma(sigma, prep, prep.dim, True)
-    e = _preimage_batch(a, td, u, q, sigma, rng)
-    if np.any(mat_mul(a, e, q) != u):
-        raise SamplingError("preimage congruence self-check failed")
-    return e
-
-
 def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
-    """Preimage E of U for the concatenation (A | M), using a trapdoor for A.
+    """Preimages E of the n x k targets U for the concatenation (A | M), using a trapdoor for A.
 
     The M-side coordinates are drawn independently Gaussian, then the
     A-side is completed by trapdoor preimage sampling of the residual
-    target; columns of the result satisfy (A|M) @ E == U (mod q).
+    targets.  (A|M) @ E == U (mod q) is checked on every column before E
+    is returned.  An empty M block gives plain preimages under A.
+    With enforce_sigma, a sigma below the trapdoor's Gram-Schmidt norm
+    times slack_factor raises SamplingError.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -330,23 +284,27 @@ def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: Ra
         raise DimensionMismatch(
             f"blocks must share a row count, got {a.shape} and {m_block.shape}"
         )
-    u_mat = u if u.ndim == 2 else u.reshape(-1, 1)
-    if u_mat.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"target has {u_mat.shape[0]} rows, expected {a.shape[0]}")
+    if u.ndim != 2 or u.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"targets must be {a.shape[0]} x k, got shape {u.shape}")
     td = _require_trapdoor(t_a)
-    total = a.shape[1] + m_block.shape[1]
-    _check_sigma(sigma, td.prepared(), total, enforce_sigma)
-    n_cols = u_mat.shape[1]
+    if not sigma > 0:
+        raise SamplingError(f"sigma must be positive, got {sigma}")
+    gs, slack = td.prepared().gs_norm, slack_factor(a.shape[1] + m_block.shape[1])
+    if enforce_sigma and sigma < gs * slack:
+        raise SamplingError(
+            f"sigma = {sigma:.6g} is below the sampling threshold {gs * slack:.6g} "
+            f"(basis GS norm {gs:.6g} times slack {slack})"
+        )
+    n_cols = u.shape[1]
     e_m = sample_z_gaussian_batch(
         sigma, np.zeros(m_block.shape[1] * n_cols), rng
     ).reshape(m_block.shape[1], n_cols)
-    residual = (u_mat - mat_mul(m_block, e_m, q)) % q
+    residual = (u - mat_mul(m_block, e_m, q)) % q
     e_a = _preimage_batch(a, td, residual, q, sigma, rng)
     e = np.vstack([e_a, e_m])
-    f1 = concat_cols([a, m_block])
-    if not _spot_check_columns(f1, e, u_mat, q):
+    if not np.array_equal(mat_mul(concat_cols([a, m_block]), e, q), u):
         raise SamplingError("sample_left congruence self-check failed")
-    return e[:, 0] if u.ndim == 1 else e
+    return e
 
 
 def operator_norm(r, iters: int = 50) -> float:
@@ -373,10 +331,11 @@ def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> tuple[
     ``sampler(count)`` returns count preimages of zero, then any further
     columns, which come back untouched next to the basis.  The first dim
     columns are certified nonsingular by an R-only float QR
-    (zqlinalg._qr_nonsingular_certificate, the threshold prepare_basis
-    enforces).  When that fails, the first dim columns that raise the rank
-    mod a prime are taken instead and certified the same way; a batch with
-    no certified choice is drawn again.  The basis is returned without QR
+    (zqlinalg._qr_nonsingular_certificate, against the bound
+    zqlinalg.qr_singularity_bound that prepare_basis enforces too).  When
+    that fails, the first dim columns that raise the rank mod a prime are
+    taken instead and certified the same way; a batch with no certified
+    choice is drawn again.  The basis is returned without QR
     data: its owner factors it on first use.
     """
     count = dim + _BASIS_OVERHEAD
@@ -404,8 +363,9 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
     One sample_left call per draw covers the zero targets the basis is
     assembled from and u's columns, so the preimages cost no walk of their
     own.  Returns (basis, E): the basis is certified nonsingular and
-    carries no QR data yet (see _basis_from_preimages), and F @ basis == 0
-    and F @ E == u (mod q) are checked on every column.
+    carries no QR data yet (see _basis_from_preimages).  Both are columns
+    of the sample_left batch, which checked F @ basis == 0 and
+    F @ E == u (mod q) on every column.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -419,14 +379,4 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
         targets = np.hstack([np.zeros((f.shape[0], count), dtype=np.int64), u])
         return sample_left(a, m_block, t_a, targets, q, sigma, rng)
 
-    basis, e = _basis_from_preimages(sampler, f.shape[1], q)
-    if np.any(mat_mul(f, basis.basis, q)):
-        raise SamplingError("basis columns left the nullspace lattice")
-    if not np.array_equal(mat_mul(f, e, q), u):
-        raise SamplingError("preimage congruence self-check failed")
-    return basis, e
-
-
-def verify_trapdoor(pair: TrapdoorPair, q: int) -> bool:
-    """Full invariant check: nullspace membership plus rational rank."""
-    return check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
+    return _basis_from_preimages(sampler, f.shape[1], q)

@@ -258,21 +258,30 @@ def gram_schmidt_norm(s) -> float:
     return float(np.sqrt(_gs_norms_longdouble(s).max()))
 
 
+def qr_singularity_bound(sf: np.ndarray) -> float:
+    """16*d*eps*||sf||_F: a float QR of the d-column sf certifies full rank
+    only when every |R_kk| exceeds this.
+
+    Backward-stable QR computes the exact factorization of sf + E with
+    ||E|| <= c*d*eps*||sf||.  prepare_basis and _qr_nonsingular_certificate
+    both judge against this bound, so a basis the certificate accepts is
+    one prepare_basis factors.
+    """
+    return np.linalg.norm(sf) * np.finfo(np.float64).eps * sf.shape[1] * 16
+
+
 def _qr_nonsingular_certificate(s: np.ndarray) -> bool:
     """True only if float QR certifies s nonsingular over the reals.
 
-    Backward-stable QR computes the exact factorization of s + E with
-    ||E|| <= c*d*eps*||s||; a smallest diagonal well above that bound
-    certifies full rank.  False means "unknown", not "singular".
+    The smallest |R_kk| must exceed qr_singularity_bound.  False means
+    "unknown", not "singular".
     """
     sf = s.astype(np.float64)
     try:
         r = np.linalg.qr(sf, mode="r")
     except np.linalg.LinAlgError:
         return False
-    dmin = float(np.abs(np.diag(r)).min())
-    bound = np.linalg.norm(sf) * np.finfo(np.float64).eps * s.shape[1] * 16
-    return dmin > bound
+    return float(np.abs(np.diag(r)).min()) > qr_singularity_bound(sf)
 
 
 def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:

@@ -288,6 +288,16 @@ class TestSerializationUnits:
         back2 = fileio.load_master_secret(blob2, MINI)
         assert fileio.dump_master_secret(back2, MINI) == blob2
 
+    def test_pp_out_of_range_residue_rejected(self, mini_system):
+        # the last word of a pp blob is an entry of U; every word is read as
+        # int64, so words at and above 2**63 come back negative
+        pp, _ = mini_system
+        blob = bytearray(fileio.dump_public_params(pp))
+        for word in (MINI.q, 1 << 63, (1 << 64) - 1):
+            blob[-8:] = struct.pack("<Q", word)
+            with pytest.raises(FormatError, match="out-of-range"):
+                fileio.load_public_params(bytes(blob))
+
     def test_trapdoor_round_trips(self, mini_system, mini_key):
         pp, _ = mini_system
         ident, sk = mini_key

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ibeetfa import trapdoor
-from ibeetfa.errors import ParameterError, SamplingError
+from ibeetfa.errors import DimensionMismatch, ParameterError, SamplingError
 from ibeetfa.samplers import RandomSource, slack_factor
 from ibeetfa.trapdoor import (
     SIGN_OPNORM_CONSTANT,
@@ -16,10 +16,8 @@ from ibeetfa.trapdoor import (
     operator_norm,
     sample_basis_left,
     sample_left,
-    sample_pre,
     trap_gen,
     trapgen_width,
-    verify_trapdoor,
 )
 from ibeetfa.zqlinalg import (
     check_nullspace_basis,
@@ -39,6 +37,15 @@ def small_pair(seed=0, q=Q_SMALL, n=2):
     return trap_gen(q, n, m, RandomSource(seed)), q, n, m
 
 
+def basis_gs_norm(pair):
+    return gram_schmidt_norm(pair.trapdoor.basis)
+
+
+def preimages_under_a(a, td, u, q, sigma, rng):
+    """SamplePre: sample_left with an empty M block."""
+    return sample_left(a, np.zeros((a.shape[0], 0), dtype=np.int64), td, u, q, sigma, rng)
+
+
 class TestTrapGen:
     def test_tiny_instance_is_valid_basis(self):
         pair = trap_gen(7, 1, 18, RandomSource(3))
@@ -50,15 +57,11 @@ class TestTrapGen:
         limit = bound_gs(n, q)
         for i in range(20):
             pair = trap_gen(q, n, m, RandomSource(100 + i))
-            assert pair.gs_norm <= limit
+            assert basis_gs_norm(pair) <= limit
 
     def test_width_constraint_enforced(self):
         with pytest.raises(ParameterError):
             trap_gen(7, 1, 2, RandomSource(0))
-
-    def test_gs_norm_field_matches_recomputation(self):
-        pair, q, _, _ = small_pair(5)
-        assert pair.gs_norm == pytest.approx(gram_schmidt_norm(pair.trapdoor.basis), rel=1e-9)
 
     def test_deterministic_under_seed(self):
         a = trap_gen(Q_SMALL, 2, trapgen_width(2, Q_SMALL), RandomSource(7))
@@ -70,9 +73,9 @@ class TestTrapGen:
         mean = pair.a.mean()
         assert abs(mean - (q - 1) / 2) < 0.05 * q
 
-    def test_verify_trapdoor_full_check(self):
+    def test_full_nullspace_check(self):
         pair, q, _, _ = small_pair(13)
-        assert verify_trapdoor(pair, q)
+        assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
 
     def test_aux_recoverable_from_matrices(self):
         pair, q, _, _ = small_pair(17)
@@ -82,35 +85,37 @@ class TestTrapGen:
 
 
 class TestSamplePre:
+    """Preimages under A alone: sample_left with an empty M block."""
+
     def test_zero_target_stays_in_lattice(self):
         pair, q, n, m = small_pair(19)
         rng = RandomSource(23)
-        sigma = pair.gs_norm * slack_factor(m) * 1.05
-        e = sample_pre(pair.a, pair.trapdoor, np.zeros(n, dtype=np.int64), q, sigma, rng)
+        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
+        e = preimages_under_a(pair.a, pair.trapdoor, np.zeros((n, 1), dtype=np.int64), q, sigma, rng)
         assert not np.any(mat_mul(pair.a, e, q))
         assert np.any(e)  # a lattice point, but not forced to be zero
 
     def test_random_targets_congruence(self):
         pair, q, n, m = small_pair(29)
         rng = RandomSource(31)
-        sigma = pair.gs_norm * slack_factor(m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
         targets = RandomSource(37).integers(0, q, (n, 1000))
-        e = sample_pre(pair.a, pair.trapdoor, targets, q, sigma, rng)
+        e = preimages_under_a(pair.a, pair.trapdoor, targets, q, sigma, rng)
         assert np.array_equal(mat_mul(pair.a, e, q), targets)
 
     def test_norm_tail(self):
         pair, q, n, m = small_pair(41)
         rng = RandomSource(43)
-        sigma = pair.gs_norm * slack_factor(m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
         targets = RandomSource(47).integers(0, q, (n, 1000))
-        e = sample_pre(pair.a, pair.trapdoor, targets, q, sigma, rng)
+        e = preimages_under_a(pair.a, pair.trapdoor, targets, q, sigma, rng)
         norms = np.linalg.norm(e.astype(float), axis=0)
         assert (norms <= 2 * sigma * math.sqrt(m)).mean() >= 0.99
 
     def test_sigma_floor_enforced(self):
         pair, q, n, m = small_pair(53)
         with pytest.raises(SamplingError):
-            sample_pre(pair.a, pair.trapdoor, np.zeros(n, dtype=np.int64), q, 0.5, RandomSource(1))
+            preimages_under_a(pair.a, pair.trapdoor, np.zeros((n, 1), dtype=np.int64), q, 0.5, RandomSource(1))
 
     def test_generic_path_without_gadget_structure(self):
         # shuffle the basis columns so the gadget layout is unrecognizable;
@@ -121,7 +126,7 @@ class TestSamplePre:
         # reordering columns changes the Gram-Schmidt profile
         sigma = gram_schmidt_norm(shuffled) * slack_factor(m) * 1.05
         u = RandomSource(67).integers(0, q, (n, 8))
-        e = sample_pre(pair.a, TrapdoorBasis(shuffled), u, q, sigma, RandomSource(71))
+        e = preimages_under_a(pair.a, TrapdoorBasis(shuffled), u, q, sigma, RandomSource(71))
         assert np.array_equal(mat_mul(pair.a, e, q), u)
 
 
@@ -130,15 +135,15 @@ class TestSampleLeft:
         pair, q, n, m = small_pair(73)
         m1 = 8
         mblk = RandomSource(79).integers(0, q, (n, m1))
-        sigma = pair.gs_norm * slack_factor(m + m1) * 1.05
-        e = sample_left(pair.a, mblk, pair.trapdoor, np.zeros(n, dtype=np.int64), q, sigma, RandomSource(83))
+        sigma = basis_gs_norm(pair) * slack_factor(m + m1) * 1.05
+        e = sample_left(pair.a, mblk, pair.trapdoor, np.zeros((n, 1), dtype=np.int64), q, sigma, RandomSource(83))
         f1 = concat_cols([pair.a, mblk])
         assert not np.any(mat_mul(f1, e, q))
 
     def test_toy_instance_exhaustive_congruence(self):
         pair7 = trap_gen(7, 1, 18, RandomSource(87))
         mblk = RandomSource(89).integers(0, 7, (1, 4))
-        sigma = pair7.gs_norm * slack_factor(22) * 1.05
+        sigma = basis_gs_norm(pair7) * slack_factor(22) * 1.05
         u = np.arange(7, dtype=np.int64).reshape(1, -1)  # every residue target
         e = sample_left(pair7.a, mblk, pair7.trapdoor, u, 7, sigma, RandomSource(97))
         f1 = concat_cols([pair7.a, mblk])
@@ -148,20 +153,35 @@ class TestSampleLeft:
         pair, q, n, m = small_pair(101)
         m1 = m
         mblk = RandomSource(103).integers(0, q, (n, m1))
-        sigma = pair.gs_norm * slack_factor(m + m1) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(m + m1) * 1.05
         u = RandomSource(107).integers(0, q, (n, 200))
         e = sample_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(109))
         norms = np.linalg.norm(e.astype(float), axis=0)
         assert (norms <= 2 * sigma * math.sqrt(m + m1)).mean() >= 0.99
 
-    def test_vector_target(self):
+    def test_every_column_checked(self, monkeypatch):
+        # one wrong entry in any column of the draw is caught, not only in
+        # an evenly spaced subset of the columns
         pair, q, n, m = small_pair(113)
         mblk = RandomSource(127).integers(0, q, (n, 6))
-        sigma = pair.gs_norm * slack_factor(m + 6) * 1.05
-        u = RandomSource(131).integers(0, q, n)
-        e = sample_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(137))
-        assert e.ndim == 1
-        assert np.array_equal(mat_mul(concat_cols([pair.a, mblk]), e, q), u)
+        sigma = basis_gs_norm(pair) * slack_factor(m + 6) * 1.05
+        u = RandomSource(131).integers(0, q, (n, 64))
+        draw = trapdoor._preimage_batch
+
+        def corrupted(*args):
+            e = draw(*args)
+            e[0, 3] += 1
+            return e
+
+        monkeypatch.setattr(trapdoor, "_preimage_batch", corrupted)
+        with pytest.raises(SamplingError):
+            sample_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(137))
+
+    def test_vector_target_rejected(self):
+        pair, q, n, m = small_pair(139)
+        mblk = RandomSource(149).integers(0, q, (n, 6))
+        with pytest.raises(DimensionMismatch):
+            sample_left(pair.a, mblk, pair.trapdoor, np.zeros(n, dtype=np.int64), q, 1e6, RandomSource(151))
 
 
 class TestSampleRight:
@@ -189,7 +209,7 @@ class TestBasisSampling:
         m = trapgen_width(n, q)
         pair = trap_gen(q, n, m, RandomSource(401))
         mblk = RandomSource(403).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         f1 = concat_cols([pair.a, mblk])
         good = 0
         for i in range(50):
@@ -200,7 +220,7 @@ class TestBasisSampling:
     def test_basis_left_passes_nullspace_check(self):
         pair, q, n, m = small_pair(193)
         mblk = RandomSource(197).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         for i in range(3):
             basis = basis_only(pair, mblk, q, sigma, 199 + i).basis
             f1 = concat_cols([pair.a, mblk])
@@ -209,14 +229,14 @@ class TestBasisSampling:
     def test_basis_left_gs_norm_bounded(self):
         pair, q, n, m = small_pair(211)
         mblk = RandomSource(223).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         basis = basis_only(pair, mblk, q, sigma, 227).basis
         assert gram_schmidt_norm(basis) <= 2 * sigma * math.sqrt(2 * m)
 
     def test_basis_left_full_rank(self):
         pair, q, n, m = small_pair(229)
         mblk = RandomSource(233).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         basis = basis_only(pair, mblk, q, sigma, 239).basis
         assert basis.shape == (2 * m, 2 * m)
         assert is_nonsingular(basis)
@@ -225,7 +245,7 @@ class TestBasisSampling:
         # the same draws give the basis and exact preimages of every target column
         pair, q, n, m = small_pair(241)
         mblk = RandomSource(251).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         u = RandomSource(257).integers(0, q, (n, 5))
         basis, e = sample_basis_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(263))
         f1 = concat_cols([pair.a, mblk])
@@ -239,7 +259,7 @@ class TestBasisSampling:
         # extension, and the congruence survives the second hop
         pair, q, n, m = small_pair(283)
         mblk = RandomSource(293).integers(0, q, (n, m))
-        sigma = pair.gs_norm * slack_factor(2 * m) * 1.05
+        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
         basis = basis_only(pair, mblk, q, sigma, 307)
         f1 = concat_cols([pair.a, mblk])
         ext = RandomSource(311).integers(0, q, (n, m))
@@ -293,18 +313,17 @@ class TestBasisFromPreimages:
         assert len(calls) == 4
 
 
-@pytest.mark.parametrize("sampler", ["sample_pre", "sample_left", "sample_basis_left"])
+@pytest.mark.parametrize("sampler", ["sample_left", "sample_basis_left"])
 def test_raw_array_trapdoor_rejected(sampler):
     # every sampler takes a TrapdoorBasis; a bare basis array is not converted
     pair, q, n, m = small_pair(331)
     raw = pair.trapdoor.basis
     a = RandomSource(337).integers(0, q, (n, m))
-    u = np.zeros(n, dtype=np.int64)
+    u = np.zeros((n, 1), dtype=np.int64)
     rng = RandomSource(349)
     calls = {
-        "sample_pre": lambda: sample_pre(pair.a, raw, u, q, 1e6, rng),
         "sample_left": lambda: sample_left(pair.a, a, raw, u, q, 1e6, rng),
-        "sample_basis_left": lambda: sample_basis_left(pair.a, a, raw, u[:, None], q, 1e6, rng),
+        "sample_basis_left": lambda: sample_basis_left(pair.a, a, raw, u, q, 1e6, rng),
     }
     with pytest.raises(TypeError):
         calls[sampler]()

@@ -212,6 +212,32 @@ class TestNullspaceCheck:
             check_nullspace_basis(np.zeros((1, 3), dtype=np.int64), np.eye(2, dtype=np.int64), 7)
 
 
+class TestNonsingularityThreshold:
+    def test_certificate_passes_exactly_when_prepare_basis_accepts(self):
+        # _basis_from_preimages certifies a delegated basis with the R-only
+        # QR and its owner factors it with prepare_basis later: the two must
+        # draw the line at the same place.  The last column approaches
+        # 2**k times the first, which walks |R_dd| / ||B|| through the bound.
+        from ibeetfa.samplers import prepare_basis
+        from ibeetfa.zqlinalg import _qr_nonsingular_certificate
+
+        d = 80
+        rng = np.random.default_rng(5)
+        base = rng.integers(-50, 51, (d, d)) + 200 * np.eye(d, dtype=np.int64)
+        seen = set()
+        for k in range(0, 52):
+            b = base.copy()
+            b[:, -1] = (1 << k) * base[:, 0] + rng.integers(-3, 4, d)
+            try:
+                prepare_basis(b)
+                accepted = True
+            except SingularMatrix:
+                accepted = False
+            assert _qr_nonsingular_certificate(b) == accepted, k
+            seen.add(accepted)
+        assert seen == {True, False}
+
+
 class TestGramSchmidtNorm:
     def test_orthonormal(self):
         assert gram_schmidt_norm(np.eye(3, dtype=np.int64)) == pytest.approx(1.0)
