@@ -6,9 +6,11 @@ below sigma = 2 the support is so small that direct inverse-CDF
 enumeration over the (at most ~50) candidate integers is both faster and
 immune to the pathological rejection rates a geometric envelope has at
 half-integer centers.  Lattice Gaussians are the randomized-nearest-plane
-walk of klein_coefficients over a basis factored once by prepare_basis;
-its targets are d x k matrices, one walk per column.  Encryption's noise
-and small matrices are drawn here too.
+walk of klein_coefficients over the R factor that prepare_basis keeps of
+a basis; no Q is ever formed.  A walk takes the projections Q^T t of its
+d x k targets (one walk per column), which PreparedBasis.project computes
+from R and the basis.  Encryption's noise and small matrices are drawn
+here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamplingError, SingularMatrix
-from .zqlinalg import qr_singularity_bound
+from .errors import DimensionMismatch, SamplingError
+from .zqlinalg import certified_r_factor
 
 #: Rejection/enumeration tails are cut at TAIL_CUT * sigma; the discarded
 #: mass is below 2**-100 for every sigma.
@@ -148,16 +150,22 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+#: Rows per block of the nearest-plane walk (see klein_coefficients) and of
+#: PreparedBasis.project.
+WALK_BLOCK = 64
+
+
 @dataclass
 class PreparedBasis:
-    """QR data of a column basis, reused across many sampling calls.
+    """The R factor of a column basis, reused across many sampling calls.
 
+    No Q is formed or kept: a walk needs only R and the projections Q^T t
+    of its targets, and project computes those from R and the basis.
     Only the upper triangle of R is kept, row after row, which halves its
     memory: a key holds this data for as long as it lives.
     """
 
     basis: np.ndarray          # int64, d x d, columns are basis vectors
-    q_factor: np.ndarray       # float64 orthonormal
     r_rows: np.ndarray         # float64, R[0, 0:], R[1, 1:], ... end to end
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
 
@@ -175,30 +183,78 @@ class PreparedBasis:
     def gs_norm(self) -> float:
         return float(self.gs_norms.max())
 
+    def project(self, t) -> np.ndarray:
+        """Q^T t = R^-T (B^T t) for a d x k matrix t, without Q.
+
+        B^T t holds far larger entries than Q^T t whenever R has large
+        entries above its diagonal, so the plain solve loses digits to
+        cancellation; one correction step with the residual
+        t - B R^-1 p (the corrected seminormal equations) leaves only the
+        rounding error of the computed R itself, which an explicit Q
+        carries too.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if t.ndim != 2 or t.shape[0] != self.dim:
+            raise DimensionMismatch(f"t must be {self.dim} x k, got shape {t.shape}")
+        bf = self.basis.astype(np.float64)
+        p = self._solve_rt(bf.T @ t)
+        return p + self._solve_rt(bf.T @ (t - bf @ self._solve_r(p)))
+
+    def _r_block(self, lo: int, hi: int) -> np.ndarray:
+        """R[lo:hi, lo:], zeros below the diagonal."""
+        rows = np.zeros((hi - lo, self.dim - lo))
+        for i in range(hi - lo):
+            rows[i, i:] = self.r_row(lo + i)
+        return rows
+
+    def _solve_rt(self, g: np.ndarray) -> np.ndarray:
+        """R^-T g by forward substitution, blocked like the walk but top-down:
+        the rows of a block are solved in order, then the block updates every
+        row below it through one product R[lo:hi, hi:]^T @ p[lo:hi]."""
+        d, p = self.dim, g.copy()
+        for lo in range(0, d, WALK_BLOCK):
+            hi = min(d, lo + WALK_BLOCK)
+            rows = self._r_block(lo, hi)
+            for i in range(hi - lo):
+                p[lo + i] = (p[lo + i] - rows[:i, i] @ p[lo : lo + i]) / rows[i, i]
+            if hi < d:
+                p[hi:] -= rows[:, hi - lo :].T @ p[lo:hi]
+        return p
+
+    def _solve_r(self, p: np.ndarray) -> np.ndarray:
+        """R^-1 p by back substitution, blocked bottom-up like the walk."""
+        d, x = self.dim, p.copy()
+        for hi in range(d, 0, -WALK_BLOCK):
+            lo = max(0, hi - WALK_BLOCK)
+            rows = self._r_block(lo, hi)
+            if hi < d:
+                x[lo:hi] -= rows[:, hi - lo :] @ x[hi:]
+            for i in range(hi - lo - 1, -1, -1):
+                x[lo + i] = (x[lo + i] - rows[i, i + 1 : hi - lo] @ x[lo + i + 1 : hi]) / rows[i, i]
+        return x
+
 
 def prepare_basis(basis) -> PreparedBasis:
-    """Factor a nonsingular integer column basis for repeated sampling."""
+    """Factor a nonsingular integer column basis for repeated sampling.
+
+    R comes from zqlinalg.certified_r_factor, so a basis is factored
+    exactly when it is certified nonsingular: SingularMatrix otherwise.
+    """
     b = np.asarray(basis, dtype=np.int64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
-    bf = b.astype(np.float64)
-    q_factor, r_factor = np.linalg.qr(bf)
-    gs = np.abs(np.diag(r_factor))
-    if gs.min() <= qr_singularity_bound(bf):
-        raise SingularMatrix("basis columns are (numerically) linearly dependent")
+    r_factor = certified_r_factor(b)
     r_rows = np.concatenate([r_factor[k, k:] for k in range(b.shape[0])])
-    return PreparedBasis(b, q_factor, r_rows, gs)
+    return PreparedBasis(b, r_rows, np.abs(np.diag(r_factor)))
 
 
-#: Rows per block of the nearest-plane walk (see klein_coefficients).
-WALK_BLOCK = 64
-
-
-def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSource) -> np.ndarray:
+def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
-    targets is d x k (one column per walk).  Column j of the result
-    satisfies: B @ Z[:, j] ~ D_{L(B), sigma, targets[:, j]} when sigma
+    proj is d x k, one column per walk: the projections Q^T t of the
+    targets t onto the Gram-Schmidt directions (prep.project(t), or P @ y
+    for a per-basis P = Q^T W when t = W @ y).  Column j of the result
+    satisfies: B @ Z[:, j] ~ D_{L(B), sigma, t[:, j]} when sigma
     clears the Gram-Schmidt norm times the slack factor; below that the
     walk still terminates and stays lattice-exact, degrading smoothly
     toward deterministic nearest-plane rounding.
@@ -209,14 +265,13 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, targets, rng: RandomSo
     rows below it within the block.  The 1-D sampler calls, their order
     and the random stream are those of a row-by-row walk.
     """
-    t = np.asarray(targets, dtype=np.float64)
+    proj = np.asarray(proj, dtype=np.float64)
     d = prep.dim
-    if t.ndim != 2 or t.shape[0] != d:
-        raise DimensionMismatch(f"targets must be {d} x k, got shape {t.shape}")
-    proj = prep.q_factor.T @ t  # row k: <target, q_k>
+    if proj.ndim != 2 or proj.shape[0] != d:
+        raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
     # float64 holds the coefficients exactly (they stay far below 2**53)
     # and avoids an int-to-float copy of the tail on every step
-    z = np.zeros((d, t.shape[1]), dtype=np.float64)
+    z = np.zeros((d, proj.shape[1]), dtype=np.float64)
     for hi in range(d, 0, -WALK_BLOCK):
         lo = max(0, hi - WALK_BLOCK)
         shifted = proj[lo:hi]

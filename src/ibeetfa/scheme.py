@@ -2,14 +2,16 @@
 
 Every operation takes an explicit RandomSource, so a fixed seed pins
 every produced artifact byte for byte.  Data objects are immutable apart
-from what they build on first use.  A key's only lazy state is the QR
-factorization of E'_ID, which td2 and td3_ct sample with and a per-basis
-lock makes happen once; decrypt and the type-1 tests read the key's
-preimages of U, fixed at extract.  The other is the integrity tag a
-Ciphertext keeps per parameter set, which two racing threads at worst
-compute twice, with equal results.  Calls may therefore run concurrently,
-sharing keys, trapdoors and ciphertexts, as long as each call has a
-RandomSource of its own: a RandomSource is single-owner state.
+from what they build on first use.  A key's only lazy state is the
+sampling data of E'_ID that td2 and td3_ct build once under a per-basis
+lock: its coset map with projections, and the R factor of a loaded key
+(a fresh key keeps the one extract certified E'_ID with).  Decrypt and
+the type-1 tests read the key's preimages of U, fixed at extract.  The
+other is the integrity tag a Ciphertext keeps per parameter set, which
+two racing threads at worst compute twice, with equal results.  Calls
+may therefore run concurrently, sharing keys, trapdoors and ciphertexts,
+as long as each call has a RandomSource of its own: a RandomSource is
+single-owner state.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ class PublicParams:
 class MasterSecretKey:
     """The two trapdoor bases behind A and A'.
 
-    Each basis keeps its QR factorization and gadget shortcut once built:
-    setup hands over the bases trap_gen built, shortcut included; a loaded
-    key derives the shortcut on first use.
+    Each basis builds its R factor and the coset map of its public matrix
+    (gadget shortcut and projections) on first use and keeps them; a
+    basis asked to sample under another public matrix raises
+    ParameterError.
     """
 
     trapdoor_a: TrapdoorBasis
@@ -120,8 +123,9 @@ class UserSecretKey:
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
     them, so neither builds any sampling data.  Both are held as read-only
     copies.  Of the bases, only E'_ID is sampled with (by td2 and
-    td3_ct), and it factors itself on first use; E_ID is carried, never
-    factored.  Carries its identity so decryption can rebuild the
+    td3_ct): extract hands it the R factor it was certified with, and a
+    loaded key factors it on first use.  E_ID is carried and holds no
+    sampling data.  Carries its identity so decryption can rebuild the
     concatenated matrices without out-of-band context.
     """
 
@@ -262,7 +266,9 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
 
     Each basis and its preimage e_F of U come from one SampleLeft call
     with the master trapdoor, sigma enforced, and F @ e_F == U is checked
-    on every column (sample_basis_left).
+    on every column (sample_basis_left).  Each basis is certified by
+    factoring it; E'_ID keeps that R factor for td2.  A master key whose
+    bases are no trapdoors of pp's A and A' raises ParameterError.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)
@@ -270,6 +276,8 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     for _ in range(_EXTRACT_ATTEMPTS):
         try:
             basis, e_f = sample_basis_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
+            # nothing samples with E_ID: drop its R factor before E'_ID is drawn
+            basis = TrapdoorBasis(basis.basis)
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )

@@ -13,11 +13,14 @@ The scheme samples through two functions only: sample_left, which draws
 preimages of an n x k target matrix under (A | M) with a trapdoor for A
 and checks every column it returns, and sample_basis_left, which builds a
 delegated basis (and preimages of U) from one sample_left batch.  The
-A-side walk is the randomized nearest plane of samplers.py.  For
-trapdoors carrying the gadget structure, coset representatives come
-from the bit decomposition of the targets (entries bounded by n*log q),
-which keeps every intermediate tiny; otherwise a sparse mod-q solve is
-used and the walk handles the large offset through its QR projections.
+A-side walk is the randomized nearest plane of samplers.py, over the R
+factor of the trapdoor basis only.  Every coset representative is
+c = W @ y for a fixed per-basis map W of few columns (CosetMap): for
+trapdoors carrying the gadget structure, y is the bit decomposition of
+the targets and W = [Rbar; I], which keeps every intermediate tiny;
+otherwise y is the mod-q solution on the n pivot columns of A and W
+places it there.  The walk's projections Q^T c are then P @ y with
+P = Q^T W computed once per basis, so no Q is ever formed.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError, SamplingError
+from .errors import DimensionMismatch, ParameterError, SamplingError, SingularMatrix
 from .samplers import (
+    TAIL_CUT,
     PreparedBasis,
     RandomSource,
     klein_coefficients,
@@ -40,7 +44,6 @@ from .samplers import (
 from .zqlinalg import (
     _RANK_CHECK_PRIMES,
     _pivot_columns_mod_p,
-    _qr_nonsingular_certificate,
     as_residues,
     center_rep,
     check_modulus,
@@ -92,7 +95,7 @@ class TrapdoorPair:
     """Public matrix with a trapdoor for its q-ary nullspace lattice."""
 
     a: np.ndarray               # n x m residues
-    trapdoor: TrapdoorBasis     # m x m basis, carrying the gadget shortcut
+    trapdoor: TrapdoorBasis     # m x m basis in the gadget layout
 
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
@@ -154,29 +157,72 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     top_left = exact_int_matmul(r_bar, s_g)
     top_right = np.eye(m_bar, dtype=np.int64) - exact_int_matmul(r_bar, d_bits)
     s = np.block([[top_left, top_right], [s_g, -d_bits]])
-    return TrapdoorPair(a, TrapdoorBasis(s, aux=GadgetAux(k, m_bar, r_bar)))
+    return TrapdoorPair(a, TrapdoorBasis(s))
 
 
 # ---------------------------------------------------------------------------
 # Trapdoors that own their sampling data, and gadget-structure recovery
 # ---------------------------------------------------------------------------
 
-_UNDERIVED = object()
+@dataclass(frozen=True)
+class CosetMap:
+    """Short coset representatives under one public matrix A, as c = W @ y.
+
+    On the gadget path (k > 0) y holds the k bits of every target entry and
+    W = [Rbar; I]; otherwise y = center_rep(E @ targets mod q) with E the
+    elimination solve_mod applies to A, and W puts y on solve_mod's pivot
+    rows, so c is the centered solve_mod solution.  proj = Q^T W of the
+    basis the map belongs to, which turns the walk's projections Q^T c
+    into proj @ y.
+    """
+
+    a: np.ndarray            # the public matrix (residues) the map was derived for
+    q: int
+    k: int                   # bits per residue on the gadget path, 0 on the pivot path
+    elim: np.ndarray | None  # n x n, E (pivot path only)
+    w: np.ndarray            # d x width int64
+    proj: np.ndarray         # d x width float64
+
+    def coordinates(self, targets: np.ndarray) -> np.ndarray:
+        """y with A @ (W @ y) == targets (mod q)."""
+        if self.k:
+            return _bit_decompose(targets % self.q, self.k)
+        return center_rep(mat_mul(self.elim, targets, self.q), self.q)
+
+
+def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int) -> CosetMap:
+    """The CosetMap of A for the basis behind prep; ParameterError if the
+    basis is provably no trapdoor of A (see derive_gadget_aux)."""
+    a = np.array(a, dtype=np.int64)
+    a.setflags(write=False)
+    aux = derive_gadget_aux(a, prep.basis, q)
+    if aux is not None:
+        w = np.vstack([aux.r_bar, np.eye(a.shape[0] * aux.k, dtype=np.int64)])
+        return CosetMap(a, q, aux.k, None, w, prep.project(w))
+    # solve_mod of the identity is E on the pivot rows and zero elsewhere
+    x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
+    pivots = np.flatnonzero(x.any(axis=1))
+    w = np.zeros((a.shape[1], pivots.size), dtype=np.int64)
+    w[pivots, np.arange(pivots.size)] = 1
+    return CosetMap(a, q, 0, x[pivots], w, prep.project(w))
 
 
 class TrapdoorBasis:
     """A short basis together with the sampling data built from it.
 
-    The QR factorization (built on first use) and the gadget shortcut
-    (derived from the public matrix on first use unless handed over) are
-    each built once and then kept by this object.  A lock guards every
-    first use, so one instance may serve concurrent calls.
+    The R factor (PreparedBasis; handed over by whoever factored the basis
+    already, else built on first use) and the CosetMap of the public
+    matrix the basis is a trapdoor of (derived on first use) are each
+    built once and then kept by this object.  The coset map belongs to
+    the matrix it was derived for: a call with another matrix raises
+    ParameterError.  A lock guards every first use, so one instance may
+    serve concurrent calls.
     """
 
-    def __init__(self, basis, *, aux=_UNDERIVED):
+    def __init__(self, basis, *, prep: PreparedBasis | None = None):
         self.basis = np.asarray(basis, dtype=np.int64)
-        self._prep: PreparedBasis | None = None
-        self._aux = aux
+        self._prep = prep
+        self._coset: CosetMap | None = None
         self._lock = threading.RLock()
 
     def prepared(self) -> PreparedBasis:
@@ -185,11 +231,13 @@ class TrapdoorBasis:
                 self._prep = prepare_basis(self.basis)
             return self._prep
 
-    def gadget_aux(self, a: np.ndarray, q: int) -> GadgetAux | None:
+    def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
         with self._lock:
-            if self._aux is _UNDERIVED:
-                self._aux = derive_gadget_aux(a, self.basis, q)
-            return self._aux
+            if self._coset is None:
+                self._coset = derive_coset_map(a, self.prepared(), q)
+            elif q != self._coset.q or not np.array_equal(a, self._coset.a):
+                raise ParameterError("the trapdoor basis belongs to another public matrix")
+            return self._coset
 
 
 def _require_trapdoor(t) -> TrapdoorBasis:
@@ -199,7 +247,12 @@ def _require_trapdoor(t) -> TrapdoorBasis:
 
 
 def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
-    """Recover the gadget shortcut from (A, S) when S has our block layout."""
+    """Recover the gadget shortcut from (A, S) when S has our block layout.
+
+    None when S lacks the layout, or has it without being the gadget
+    trapdoor of A.  When S has the layout and A @ S != 0 (mod q), S is no
+    trapdoor of A at all, and ParameterError is raised.
+    """
     n, m = a.shape
     k = gadget_length(q)
     nk = n * k
@@ -226,6 +279,8 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
     # definitive check: A @ [r_bar; I] must equal the gadget matrix mod q
     w = np.vstack([r_bar, np.eye(nk, dtype=np.int64)])
     if not np.array_equal(mat_mul(a, w, q), _gadget_matrix(n, k) % q):
+        if np.any(mat_mul(a, s, q)):
+            raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
         return None
     return GadgetAux(k, m_bar, r_bar)
 
@@ -233,15 +288,6 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
 # ---------------------------------------------------------------------------
 # Preimage sampling
 # ---------------------------------------------------------------------------
-
-
-def _coset_representatives(a: np.ndarray, aux: GadgetAux | None, targets: np.ndarray, q: int) -> np.ndarray:
-    """Integer c with A @ c == targets (mod q), kept short when possible."""
-    if aux is not None:
-        d_bits = _bit_decompose(targets % q, aux.k)
-        top = exact_int_matmul(aux.r_bar, d_bits)
-        return np.vstack([top, d_bits])
-    return center_rep(solve_mod(a, targets, q), q)
 
 
 def _preimage_batch(
@@ -252,11 +298,11 @@ def _preimage_batch(
     sigma: float,
     rng: RandomSource,
 ) -> np.ndarray:
-    from .samplers import TAIL_CUT
-
     prep = td.prepared()
-    c = _coset_representatives(a, td.gadget_aux(a, q), targets, q)
-    z = klein_coefficients(prep, sigma, c.astype(np.float64), rng)
+    cmap = td.coset_map(a, q)
+    y = cmap.coordinates(targets)
+    c = exact_int_matmul(cmap.w, y)
+    z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
     e = c - exact_int_matmul(prep.basis, z)
     # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
     # direction, so anything far beyond this bound means numerical corruption.
@@ -325,33 +371,36 @@ def operator_norm(r, iters: int = 50) -> float:
     return float(np.linalg.norm(rf @ v))
 
 
+def _basis_candidates(zero: np.ndarray, dim: int):
+    """The first dim columns of zero, then (only if asked for) the first dim
+    columns that raise its rank mod a prime."""
+    yield np.ascontiguousarray(zero[:, :dim])
+    cols = _pivot_columns_mod_p(zero, _RANK_CHECK_PRIMES[0])
+    if len(cols) == dim:
+        yield zero[:, cols]
+
+
 def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> tuple[TrapdoorBasis, np.ndarray]:
     """Assemble a nonsingular basis from Gaussian preimages of zero.
 
     ``sampler(count)`` returns count preimages of zero, then any further
     columns, which come back untouched next to the basis.  The first dim
-    columns are certified nonsingular by an R-only float QR
-    (zqlinalg._qr_nonsingular_certificate, against the bound
-    zqlinalg.qr_singularity_bound that prepare_basis enforces too).  When
-    that fails, the first dim columns that raise the rank mod a prime are
-    taken instead and certified the same way; a batch with no certified
-    choice is drawn again.  The basis is returned without QR
-    data: its owner factors it on first use.
+    columns are certified nonsingular by factoring them (prepare_basis,
+    whose R-only QR must clear zqlinalg.qr_singularity_bound), and the
+    basis keeps that factorization.  When that fails, the first dim
+    columns that raise the rank mod a prime are taken instead and factored
+    the same way; a batch with no certified choice is drawn again.
     """
     count = dim + _BASIS_OVERHEAD
     for _ in range(retries):
         batch = sampler(count)
         # rest is copied so that it does not keep the whole batch alive
         zero, rest = batch[:, :count], batch[:, count:].copy()
-        cand = np.ascontiguousarray(zero[:, :dim])
-        if not _qr_nonsingular_certificate(cand):
-            cols = _pivot_columns_mod_p(zero, _RANK_CHECK_PRIMES[0])
-            if len(cols) < dim:
-                continue
-            cand = zero[:, cols]
-            if not _qr_nonsingular_certificate(cand):
-                continue
-        return TrapdoorBasis(cand), rest
+        for cand in _basis_candidates(zero, dim):
+            try:
+                return TrapdoorBasis(cand, prep=prepare_basis(cand)), rest
+            except SingularMatrix:
+                pass
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
@@ -362,10 +411,10 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
 
     One sample_left call per draw covers the zero targets the basis is
     assembled from and u's columns, so the preimages cost no walk of their
-    own.  Returns (basis, E): the basis is certified nonsingular and
-    carries no QR data yet (see _basis_from_preimages).  Both are columns
-    of the sample_left batch, which checked F @ basis == 0 and
-    F @ E == u (mod q) on every column.
+    own.  Returns (basis, E): the basis is certified nonsingular by its
+    own factorization, which it keeps (see _basis_from_preimages).  Both
+    are columns of the sample_left batch, which checked F @ basis == 0
+    and F @ E == u (mod q) on every column.
     """
     q = check_modulus(q)
     a = as_residues(a, q)

@@ -263,25 +263,27 @@ def qr_singularity_bound(sf: np.ndarray) -> float:
     only when every |R_kk| exceeds this.
 
     Backward-stable QR computes the exact factorization of sf + E with
-    ||E|| <= c*d*eps*||sf||.  prepare_basis and _qr_nonsingular_certificate
-    both judge against this bound, so a basis the certificate accepts is
-    one prepare_basis factors.
+    ||E|| <= c*d*eps*||sf||.  certified_r_factor, the package's one QR,
+    judges against this bound, so the certificate that is_nonsingular and
+    extract rely on and the factorization the walks sample with are the
+    same computation.
     """
     return np.linalg.norm(sf) * np.finfo(np.float64).eps * sf.shape[1] * 16
 
 
-def _qr_nonsingular_certificate(s: np.ndarray) -> bool:
-    """True only if float QR certifies s nonsingular over the reals.
+def certified_r_factor(s) -> np.ndarray:
+    """The R factor of a float QR of the square integer matrix s, without Q.
 
-    The smallest |R_kk| must exceed qr_singularity_bound.  False means
+    Raises SingularMatrix unless every |R_kk| exceeds qr_singularity_bound,
+    which certifies s nonsingular over the reals; a failure means
     "unknown", not "singular".
     """
-    sf = s.astype(np.float64)
-    try:
-        r = np.linalg.qr(sf, mode="r")
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.abs(np.diag(r)).min()) > qr_singularity_bound(sf)
+    s = np.asarray(s, dtype=np.int64)
+    bound = qr_singularity_bound(s)
+    r = np.linalg.qr(s, mode="r")
+    if not float(np.abs(np.diag(r)).min()) > bound:
+        raise SingularMatrix("basis columns are (numerically) linearly dependent")
+    return r
 
 
 def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
@@ -331,9 +333,11 @@ def is_nonsingular(s) -> bool:
             return True
         except SingularMatrix:
             return False
-    if _qr_nonsingular_certificate(s):
+    try:
+        certified_r_factor(s)
         return True
-    return any(len(_pivot_columns_mod_p(s, p)) == d for p in _RANK_CHECK_PRIMES)
+    except SingularMatrix:
+        return any(len(_pivot_columns_mod_p(s, p)) == d for p in _RANK_CHECK_PRIMES)
 
 
 def check_nullspace_basis(f, s, q: int) -> bool:

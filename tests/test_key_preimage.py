@@ -5,7 +5,8 @@ F'_ID) with the master trapdoor, in the same SampleLeft call that draws
 the delegated basis.  Decryption and the type-1 side of the equality
 tests read these preimages and build no sampling data; only td2 and
 td3_ct sample, against each ciphertext's tag matrix, with the basis
-E'_ID, which factors itself on first use.
+E'_ID.  Extract certifies each basis by factoring it, and E'_ID keeps
+that R factor; a loaded key factors E'_ID on first use.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from ibeetfa.authz import test3 as eq_test3
 from ibeetfa.errors import ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string
+from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
 from ibeetfa.zqlinalg import center_rep, concat_cols, mat_mul
 
 from conftest import MINI, CallCounter, random_message
@@ -155,29 +156,57 @@ class TestOwnership:
         assert np.array_equal(a.e_id, b.e_id) and np.array_equal(a.e_id_prime, b.e_id_prime)
         assert np.array_equal(a.e_f, b.e_f) and np.array_equal(a.e_f_prime, b.e_f_prime)
 
+    def test_master_key_refuses_other_public_params(self, mini_system):
+        # a loaded master key asked to extract under another system's public
+        # matrices raises at once and keeps nothing derived for them, so
+        # the next extract under its own matrices is that of a clean load
+        pp, msk = mini_system
+        pp_other, _ = setup(MINI, RandomSource(0x0DD))
+        ident = identity_from_string("heidi", MINI.ell)
+        blob = fileio.dump_master_secret(msk, MINI)
+        loaded = fileio.load_master_secret(blob, MINI)
+        with pytest.raises(ParameterError):
+            extract(pp_other, loaded, ident, RandomSource(411))
+        got = extract(pp, loaded, ident, RandomSource(412))
+        want = extract(pp, fileio.load_master_secret(blob, MINI), ident, RandomSource(412))
+        assert fileio.dump_user_secret(got, MINI) == fileio.dump_user_secret(want, MINI)
+        with pytest.raises(ParameterError):
+            extract(pp_other, loaded, ident, RandomSource(413))
+
     def test_only_td2_factors_a_key_basis(self, mini_system, preps):
+        # extract factors each basis once, as its certificate; E'_ID keeps
+        # that R and E_ID drops it.  Of a loaded key, only td2 (and td3_ct)
+        # factor a basis, E'_ID, once.
         pp, msk = mini_system
         for master in (msk.trapdoor_a, msk.trapdoor_a_prime):
-            master.prepared()  # the master QR is built once per master key
+            master.prepared()  # the master R is built once per master key
         preps.calls = 0
         ident = identity_from_string("grace", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(391))
-        assert preps.calls == 0  # extract certifies the bases without factoring them
+        assert preps.calls == 2  # one certificate per basis
+        assert sk.trapdoor._prep is None  # E_ID is carried, never sampled with
         msg = random_message(MINI.t, 392)
         ct = encrypt(pp, ident, msg, RandomSource(393))
-        assert np.array_equal(decrypt(pp, sk, ct, RandomSource(394)), msg)
-        assert preps.calls == 0
-        assert td2(pp, sk, ident, ct, RandomSource(395)) is not None
-        assert preps.calls == 1  # E'_ID, once
-        assert td3_ct(pp, sk, ident, ct, RandomSource(396)) is not None
-        assert td2(pp, sk, ident, ct, RandomSource(397)) is not None
-        assert preps.calls == 1
-        assert sk.trapdoor._prep is None  # E_ID is carried, never factored
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        preps.calls = 0
+        for key, builds in ((sk, 0), (loaded, 1)):
+            assert np.array_equal(decrypt(pp, key, ct, RandomSource(394)), msg)
+            assert preps.calls == 0
+            assert td2(pp, key, ident, ct, RandomSource(395)) is not None
+            assert preps.calls == builds
+            assert td3_ct(pp, key, ident, ct, RandomSource(396)) is not None
+            assert td2(pp, key, ident, ct, RandomSource(397)) is not None
+            assert preps.calls == builds
+            assert key.trapdoor._prep is None
+        assert fileio.dump_td2(td2(pp, sk, ident, ct, RandomSource(398)), MINI) == \
+            fileio.dump_td2(td2(pp, loaded, ident, ct, RandomSource(398)), MINI)
 
     def test_threads_share_a_fresh_key(self, mini_system, preps):
+        # a freshly loaded key: E'_ID has no R factor yet
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(351))
+        sk = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
         preps.calls = 0
@@ -202,5 +231,5 @@ class TestOwnership:
             f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
             assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
             assert np.array_equal(out, msg)
-        # E'_ID's QR is built once, however the two threads race
+        # E'_ID's R factor is built once, however the two threads race
         assert preps.calls == 1

@@ -1,4 +1,5 @@
-"""Distributional checks for every randomness source.
+"""Distributional checks for every randomness source, and the R-only
+projections the walk starts from against an explicit Q.
 
 Monte-Carlo expectations are compared against exact mass functions
 summed over the truncated support, which is the independent oracle for
@@ -6,10 +7,13 @@ all Gaussian-shaped distributions here.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ibeetfa import fileio
+from ibeetfa.authz import td2
 from ibeetfa.errors import DimensionMismatch, SamplingError, SingularMatrix
 from ibeetfa.samplers import (
     RandomSource,
@@ -22,6 +26,11 @@ from ibeetfa.samplers import (
     sample_z_gaussian_batch,
     slack_factor,
 )
+from ibeetfa.scheme import compute_f, encrypt
+from ibeetfa.trapdoor import TrapdoorBasis, trap_gen, trapgen_width
+from ibeetfa.zqlinalg import exact_int_matmul
+
+from conftest import MINI, random_message
 
 
 def gaussian_mass_moments(sigma, center, width=None):
@@ -40,7 +49,8 @@ def lattice_points(basis, sigma, center, count, rng):
     """count lattice points near center: one walk per column, as extract and td2 run it."""
     basis = np.asarray(basis, dtype=np.int64)
     targets = np.repeat(np.asarray(center, dtype=np.float64)[:, None], count, axis=1)
-    z = klein_coefficients(prepare_basis(basis), sigma, targets, rng)
+    prep = prepare_basis(basis)
+    z = klein_coefficients(prep, sigma, prep.project(targets), rng)
     return (basis @ z).T
 
 
@@ -162,6 +172,8 @@ class TestLatticeGaussian:
         for bad in (np.zeros(3), np.zeros((2, 4))):
             with pytest.raises(DimensionMismatch):
                 klein_coefficients(prep, 5.0, bad, RandomSource(7))
+            with pytest.raises(DimensionMismatch):
+                prep.project(bad)
 
     def test_offset_center_tracks(self):
         rng = RandomSource(59)
@@ -301,12 +313,11 @@ def _reject_reference(sigma, centers, rng):
     return out
 
 
-def _walk_reference(basis, sigma, targets, rng):
-    """The nearest-plane walk over the full square R factor."""
-    q_factor, r = np.linalg.qr(basis.astype(np.float64))
-    proj = q_factor.T @ targets
+def _walk_reference(basis, sigma, proj, rng):
+    """The nearest-plane walk row by row over the full square R factor."""
+    r = np.linalg.qr(basis.astype(np.float64), mode="r")
     d = basis.shape[0]
-    z = np.zeros(targets.shape, dtype=np.float64)
+    z = np.zeros(proj.shape, dtype=np.float64)
     for k in range(d - 1, -1, -1):
         rest = r[k, k + 1 :] @ z[k + 1 :] if k + 1 < d else 0.0
         z[k] = sample_z_gaussian_batch(sigma / abs(float(r[k, k])), (proj[k] - rest) / r[k, k], rng)
@@ -331,14 +342,122 @@ class TestReferenceAgreement:
         # 40 rows fit in one block; 150 rows take two full blocks and a
         # partial one.  sigma 3 puts every row in the enumeration regime
         # (sigma/|r_kk| below 2), sigma 3000 every row in the rejection regime.
+        # Both walks get the same projections: this pins the blocked row
+        # order, not the projection (see TestProjection).
         assert 150 > 2 * WALK_BLOCK and 150 % WALK_BLOCK
         for dim in (40, 150):
             basis = RandomSource(83).integers(-50, 51, (dim, dim)) + 200 * np.eye(dim, dtype=np.int64)
             prep = prepare_basis(basis)
-            targets = RandomSource(84).normal(500.0, (dim, lanes))
+            proj = prep.project(RandomSource(84).normal(500.0, (dim, lanes)))
             for sigma, enum in ((3.0, True), (3000.0, False)):
                 assert (sigma / prep.gs_norms < 2.0).all() if enum else (sigma / prep.gs_norms >= 2.0).all()
                 r1, r2 = RandomSource(85), RandomSource(85)
-                got = klein_coefficients(prep, sigma, targets, r1)
-                assert np.array_equal(got, _walk_reference(basis, sigma, targets, r2))
+                got = klein_coefficients(prep, sigma, proj, r1)
+                assert np.array_equal(got, _walk_reference(basis, sigma, proj, r2))
+                assert r1.random() == r2.random()
+
+
+def _longdouble_projections(basis, t):
+    """Q^T t in long double: Householder QR of [B | t], signs matched to numpy's R."""
+    a = np.hstack([basis, t]).astype(np.longdouble)
+    d = basis.shape[0]
+    for j in range(d):
+        x = a[j:, j]
+        alpha = -np.sqrt(x @ x) if x[0] >= 0 else np.sqrt(x @ x)
+        v = x.copy()
+        v[0] -= alpha
+        a[j:, j:] -= np.outer(v, (v @ a[j:, j:]) * (2 / (v @ v)))
+    sign = np.sign(np.diag(a[:, :d])) * np.sign(np.diag(np.linalg.qr(basis.astype(np.float64), mode="r")))
+    return a[:, d:] * sign[:, None]
+
+
+@pytest.fixture(scope="module")
+def coset_cases(mini_system, mini_key):
+    """(name, basis, coset map, sigma) for the MINI master and key bases.
+
+    The master basis has the gadget layout (W = [Rbar; I], 2n*log q
+    columns); the key basis E'_ID takes the pivot path (W = n unit columns).
+    """
+    pp, msk = mini_system
+    ident, sk = mini_key
+    cases = []
+    for name, basis, a in (("master", msk.t_a, pp.a),
+                           ("key", sk.e_id_prime, compute_f(pp, ident, "prime"))):
+        cmap = TrapdoorBasis(basis).coset_map(a, MINI.q)
+        cases.append((name, basis, cmap, MINI.sigma))
+    return cases
+
+
+class TestProjection:
+    """P = Q^T W from R alone (PreparedBasis.project) against an explicit Q."""
+
+    def test_no_orthonormal_factor_is_held_or_formed(self, monkeypatch, mini_system, mini_key):
+        modes = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        pp, _ = mini_system
+        ident, sk = mini_key
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        ct = encrypt(pp, ident, random_message(MINI.t, 91), RandomSource(92))
+        assert td2(pp, loaded, ident, ct, RandomSource(93)) is not None
+        assert modes == ["r"]  # the loaded key's one factorization
+        prep = loaded.trapdoor_prime.prepared()
+        d = prep.dim
+        assert [f.name for f in fields(prep)] == ["basis", "r_rows", "gs_norms"]
+        assert prep.r_rows.shape == (d * (d + 1) // 2,)
+
+    @staticmethod
+    def errors(basis, cmap, targets):
+        """Max error of P @ y and of Q^T c against a long-double reference,
+        in lattice units (divided by |R_kk|), for the coset representatives
+        c = W @ y of targets that sample_left would form."""
+        y = cmap.coordinates(targets)
+        c = exact_int_matmul(cmap.w, y)
+        gs = prepare_basis(basis).gs_norms[:, None]
+        ref = _longdouble_projections(basis, c)
+        q_factor = np.linalg.qr(basis.astype(np.float64))[0]
+        err_p = float(np.max(np.abs(cmap.proj @ y - ref) / gs))
+        err_q = float(np.max(np.abs(q_factor.T @ c.astype(np.float64) - ref) / gs))
+        return err_p, err_q
+
+    def test_matches_explicit_q_on_scheme_bases(self, coset_cases):
+        # Both paths carry the rounding error of the computed R.  On gadget
+        # bases (W = [Rbar; I]) the projection is the more accurate one,
+        # 0.2-0.5x the Q path's error.  On key bases (pivot W, |y| up to q/2)
+        # R-only projections reach 0.3-4.3x of it, still below 1e-8 of a
+        # lattice step; the walk test below shows that changes no output.
+        master, key = coset_cases
+        targets = RandomSource(95).integers(0, MINI.q, (MINI.n, 16))
+        err_p, err_q = self.errors(master[1], master[2], targets)
+        assert err_p <= err_q, (err_p, err_q)
+        err_p, err_q = self.errors(key[1], key[2], targets)
+        assert err_p <= 5 * err_q and err_p < 1e-8, (err_p, err_q)
+
+    def test_matches_explicit_q_on_small_gs_basis(self):
+        # a trap_gen basis: Gram-Schmidt norms at most ~25 and W = [Rbar; I]
+        q, n = 4093, 2
+        pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
+        cmap = TrapdoorBasis(pair.trapdoor.basis).coset_map(pair.a, q)
+        err_p, err_q = self.errors(pair.trapdoor.basis, cmap, RandomSource(97).integers(0, q, (n, 16)))
+        assert err_p <= err_q, (err_p, err_q)
+
+    def test_walk_from_p_y_matches_q_path(self, coset_cases):
+        # the reference walks from Q^T c with an explicit Q; walking from
+        # P @ y must give the same coefficients and stream position
+        for name, basis, cmap, sigma in coset_cases:
+            prep = prepare_basis(basis)
+            q_factor = np.linalg.qr(basis.astype(np.float64))[0]
+            for seed in range(20):
+                targets = RandomSource(1000 + seed).integers(0, MINI.q, (MINI.n, 4))
+                y = cmap.coordinates(targets)
+                c = exact_int_matmul(cmap.w, y).astype(np.float64)
+                r1, r2 = RandomSource(2000 + seed), RandomSource(2000 + seed)
+                got = klein_coefficients(prep, sigma, cmap.proj @ y, r1)
+                want = klein_coefficients(prep, sigma, q_factor.T @ c, r2)
+                assert np.array_equal(got, want), (name, seed)
                 assert r1.random() == r2.random()

@@ -20,11 +20,13 @@ from ibeetfa.trapdoor import (
     trapgen_width,
 )
 from ibeetfa.zqlinalg import (
+    center_rep,
     check_nullspace_basis,
     concat_cols,
     gram_schmidt_norm,
     is_nonsingular,
     mat_mul,
+    solve_mod,
 )
 
 from conftest import CallCounter
@@ -78,10 +80,13 @@ class TestTrapGen:
         assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
 
     def test_aux_recoverable_from_matrices(self):
-        pair, q, _, _ = small_pair(17)
+        # the basis's coset map takes the gadget path: W = [Rbar; I]
+        pair, q, n, m = small_pair(17)
         aux = derive_gadget_aux(pair.a, pair.trapdoor.basis, q)
         assert aux is not None
-        assert np.array_equal(aux.r_bar, pair.trapdoor.gadget_aux(pair.a, q).r_bar)
+        cmap = pair.trapdoor.coset_map(pair.a, q)
+        assert cmap.k == aux.k and cmap.elim is None
+        assert np.array_equal(cmap.w, np.vstack([aux.r_bar, np.eye(m - aux.m_bar, dtype=np.int64)]))
 
 
 class TestSamplePre:
@@ -294,9 +299,12 @@ class TestBasisFromPreimages:
         assert np.array_equal(got.basis, batch[:, keep])
         assert rest.shape == (dim, 0)
         assert calls == [dim + 8]
-        assert preps.calls == 0  # certified without building its QR
+        # a certificate is a factorization: the first dim columns fail one,
+        # the pivot columns pass one, and the basis keeps that R
+        assert preps.calls == 2
+        assert got._prep is not None and got.prepared().basis is got.basis
 
-    def test_uncertified_subset_draws_again(self):
+    def test_uncertified_subset_draws_again(self, monkeypatch):
         # full rank mod p, but 2**60 + 1 rounds to 2**60 in float64, so the
         # float certificate fails for the chosen subset as well
         big = 1 << 60
@@ -304,13 +312,55 @@ class TestBasisFromPreimages:
         bad[:, :2] = [[big, big + 1], [big, big]]
         good = RandomSource(359).integers(-5, 6, (2, 10)) + 50 * np.eye(2, 10, dtype=np.int64)
         sampler, calls = self.stub(bad, good)
+        preps = CallCounter(trapdoor.prepare_basis)
+        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
         got, _ = trapdoor._basis_from_preimages(sampler, 2, 4093)
         assert np.array_equal(got.basis, good[:, :2])
         assert len(calls) == 2
+        assert preps.calls == 3  # two failed certificates, then the one kept
         sampler, calls = self.stub(*[bad] * 4)
         with pytest.raises(SamplingError):
             trapdoor._basis_from_preimages(sampler, 2, 4093)
         assert len(calls) == 4
+
+
+class TestCosetMapBinding:
+    """A basis's coset map belongs to the public matrix it was derived for."""
+
+    def test_other_matrix_raises_after_first_use(self):
+        pair, q, n, m = small_pair(361)
+        other, _, _, _ = small_pair(367)
+        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
+        u = RandomSource(373).integers(0, q, (n, 4))
+        assert np.array_equal(mat_mul(pair.a, preimages_under_a(pair.a, pair.trapdoor, u, q, sigma,
+                                                                RandomSource(379)), q), u)
+        with pytest.raises(ParameterError):
+            pair.trapdoor.coset_map(other.a, q)
+        with pytest.raises(ParameterError):
+            pair.trapdoor.coset_map(pair.a, 4091)
+        assert pair.trapdoor.coset_map(pair.a.copy(), q) is pair.trapdoor.coset_map(pair.a, q)
+
+    def test_gadget_basis_of_another_matrix_raises_before_binding(self):
+        # a basis with the gadget layout that is no trapdoor of the matrix
+        # is refused on first use, and nothing is kept for that matrix
+        pair, q, n, m = small_pair(383)
+        other, _, _, _ = small_pair(389)
+        td = TrapdoorBasis(pair.trapdoor.basis)
+        with pytest.raises(ParameterError):
+            td.coset_map(other.a, q)
+        assert td._coset is None
+        assert td.coset_map(pair.a, q).k == pair.trapdoor.coset_map(pair.a, q).k
+
+    def test_pivot_path_reproduces_solve_mod(self):
+        # without the gadget layout, W @ y is the centered solve_mod solution
+        pair, q, n, m = small_pair(397)
+        perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
+        td = TrapdoorBasis(np.ascontiguousarray(pair.trapdoor.basis[:, perm]))
+        cmap = td.coset_map(pair.a, q)
+        assert cmap.k == 0 and cmap.w.shape == (m, n)
+        targets = RandomSource(409).integers(0, q, (n, 12))
+        got = cmap.w @ cmap.coordinates(targets)
+        assert np.array_equal(got, center_rep(solve_mod(pair.a, targets, q), q))
 
 
 @pytest.mark.parametrize("sampler", ["sample_left", "sample_basis_left"])

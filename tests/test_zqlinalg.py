@@ -214,12 +214,15 @@ class TestNullspaceCheck:
 
 class TestNonsingularityThreshold:
     def test_certificate_passes_exactly_when_prepare_basis_accepts(self):
-        # _basis_from_preimages certifies a delegated basis with the R-only
-        # QR and its owner factors it with prepare_basis later: the two must
-        # draw the line at the same place.  The last column approaches
-        # 2**k times the first, which walks |R_dd| / ||B|| through the bound.
+        # The certificate is the factorization: _basis_from_preimages accepts
+        # a batch exactly when prepare_basis factors it, and keeps that R; the
+        # float branch of is_nonsingular draws the line at the same place.
+        # The last column approaches 2**k times the first, which walks
+        # |R_dd| / ||B|| through the bound.
+        from ibeetfa import trapdoor
+        from ibeetfa.errors import SamplingError
         from ibeetfa.samplers import prepare_basis
-        from ibeetfa.zqlinalg import _qr_nonsingular_certificate
+        from ibeetfa.zqlinalg import certified_r_factor
 
         d = 80
         rng = np.random.default_rng(5)
@@ -229,11 +232,21 @@ class TestNonsingularityThreshold:
             b = base.copy()
             b[:, -1] = (1 << k) * base[:, 0] + rng.integers(-3, 4, d)
             try:
-                prepare_basis(b)
+                prep = prepare_basis(b)
                 accepted = True
             except SingularMatrix:
                 accepted = False
-            assert _qr_nonsingular_certificate(b) == accepted, k
+            try:
+                certified_r_factor(b)
+                assert accepted, k
+            except SingularMatrix:
+                assert not accepted, k
+            try:
+                got, _ = trapdoor._basis_from_preimages(lambda count: b, d, 4093, retries=1)
+                assert accepted, k
+                assert np.array_equal(got.prepared().r_rows, prep.r_rows)
+            except SamplingError:
+                assert not accepted, k
             seen.add(accepted)
         assert seen == {True, False}
 
