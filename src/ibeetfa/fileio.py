@@ -9,19 +9,23 @@ Layout of every artifact:
   kind-specific payload
 
 Residue matrices are stored row-major as u64 little-endian; signed
-integer matrices as i64 two's-complement little-endian; bit strings are
-packed little-endian within each byte.  Dumps join views of the arrays'
-own buffers, so each blob is built in one copy.  Loads verify magic,
-version, kind, exact payload length, and (when the caller supplies a
-reference parameter set) the fingerprint, so mixed-parameter artifacts
-are always rejected.  Writes are atomic: temp file in the same
-directory, then rename.
+integer matrices as i64 two's-complement little-endian; real factors as
+IEEE-754 binary64 little-endian; bit strings are packed little-endian
+within each byte.  Dumps join views of the arrays' own buffers, so each
+blob is built in one copy.  Loads verify magic, version, kind, exact
+payload length, and (when the caller supplies a reference parameter
+set) the fingerprint, so mixed-parameter artifacts are always rejected.
+Writes are atomic: temp file in the same directory, then rename.
 
 Each kind is written and read at the format version in which its payload
 last changed (_VERSIONS); a file of any other version is refused.
 Version 2 gave the user secret key its preimages e_F and e_F' of U, and
 made the type-1 payload (also the basis side of type 3) e_F' instead of
-the basis E'_ID.
+the basis E'_ID.  Version 3 (user secret key only) appends the R factor
+extract certified E'_ID with, its upper triangle row after row
+(2m(2m+1)/2 words, PreparedBasis.r_rows), so a loaded key factors
+nothing; the load checks in O(m^2) that it is E'_ID's
+(samplers.adopt_r_factor) and refuses the file otherwise.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ import tempfile
 import numpy as np
 
 from .authz import TrapdoorT1, TrapdoorT2, TrapdoorT3
-from .errors import FormatError
+from .errors import FormatError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
+from .samplers import adopt_r_factor
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
 from .trapdoor import TrapdoorBasis
 
 MAGIC = b"IBFA"
-VERSION = 2
 
 KIND_PP = 1
 KIND_MSK = 2
@@ -60,8 +64,8 @@ _KIND_NAMES = {
     KIND_TD3: "type-3 trapdoor",
 }
 
-#: Kinds whose payload changed in VERSION; every other kind is still at 1.
-_VERSIONS = {KIND_SK: VERSION, KIND_TD1: VERSION, KIND_TD3: VERSION}
+#: Format version of each kind whose payload changed; every other kind is at 1.
+_VERSIONS = {KIND_SK: 3, KIND_TD1: 2, KIND_TD3: 2}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -116,6 +120,10 @@ class _Reader:
         count = int(np.prod(shape))
         raw = np.frombuffer(self.take(8 * count), dtype="<i8")
         return raw.astype(np.int64).reshape(shape)
+
+    def reals(self, count: int) -> np.ndarray:
+        """The next count binary64 words, as a float64 array of its own."""
+        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
@@ -206,9 +214,10 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
 
 
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
+    r_rows = sk.trapdoor_prime.prepared().r_rows
     return b"".join(
         [_header(KIND_SK, p), _dump_identity(sk.identity), _words(sk.e_id), _words(sk.e_id_prime),
-         _words(sk.e_f), _words(sk.e_f_prime)]
+         _words(sk.e_f), _words(sk.e_f_prime), memoryview(np.ascontiguousarray(r_rows, dtype="<f8"))]
     )
 
 
@@ -219,8 +228,14 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     e_id_prime = rd.words((2 * p.m, 2 * p.m))
     e_f = rd.words((2 * p.m, p.t))
     e_f_prime = rd.words((2 * p.m, p.t))
+    r_rows = rd.reals(p.m * (2 * p.m + 1))  # 2m(2m+1)/2
     rd.done()
-    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime), e_f, e_f_prime)
+    try:
+        prep = adopt_r_factor(e_id_prime, r_rows)
+    except SingularMatrix as err:
+        raise FormatError(f"user secret key: stored R factor refused: {err}") from None
+    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime, prep=prep),
+                         e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------

@@ -8,7 +8,6 @@ arrays of 0/1 values; within a byte, bit i is (byte >> i) & 1.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
@@ -34,8 +33,9 @@ def bytes_to_bits(data: bytes, nbits: int) -> np.ndarray:
 
 
 def _xof(prefix: bytes, data: bytes, nbits: int) -> np.ndarray:
-    digest = hashlib.shake_256(prefix + data).digest((nbits + 7) // 8)
-    return bytes_to_bits(digest, nbits)
+    xof = hashlib.shake_256(prefix)
+    xof.update(data)  # hashes prefix || data without joining them
+    return bytes_to_bits(xof.digest((nbits + 7) // 8), nbits)
 
 
 def hash_h(data: bytes, t: int) -> np.ndarray:
@@ -58,7 +58,8 @@ def canonical_ct_bytes(params, r_tag: np.ndarray, c1, c2, c3, c4) -> bytes:
     Layout: header (q, n, m, t, ell as 64-bit little-endian), then the
     tag matrix R with entries re-encoded mod q row-major as 64-bit
     little-endian residues, then c1..c4 entries in order.  Total length
-    is 8 * (5 + m*m + 2*t + 6*m) bytes.
+    is 8 * (5 + m*m + 2*t + 6*m) bytes.  Every part is reduced straight
+    into one word buffer, which is copied once into the returned bytes.
     """
     m, t, q = params.m, params.t, params.q
     r_tag = np.asarray(r_tag, dtype=np.int64)
@@ -71,8 +72,17 @@ def canonical_ct_bytes(params, r_tag: np.ndarray, c1, c2, c3, c4) -> bytes:
     for name, vec, want in (("c1", c1, t), ("c2", c2, t), ("c3", c3, 3 * m), ("c4", c4, 3 * m)):
         if vec.shape != (want,):
             raise DimensionMismatch(f"{name} must have length {want}, got {vec.shape}")
-    head = struct.pack("<5Q", q, params.n, m, t, params.ell)
-    parts = [head, (r_tag % q).astype("<u8").tobytes()]
-    for vec in (c1, c2, c3, c4):
-        parts.append((vec % q).astype("<u8").tobytes())
-    return b"".join(parts)
+    # residues in [0, q) have the same 8 bytes as int64 and as u64
+    words = np.empty(5 + m * m + 2 * t + 6 * m, dtype="<i8")
+    words[:5] = (q, params.n, m, t, params.ell)
+    pos = 5
+    for part in (r_tag.reshape(-1), c1, c2, c3, c4):
+        # part mod q as part - q * floor(part / q): numpy divides by a scalar
+        # several times faster than np.remainder reduces negative entries,
+        # and where the product wraps, the sum wraps back to the residue
+        out = words[pos : pos + part.size]
+        np.floor_divide(part, q, out=out)
+        out *= -q
+        out += part
+        pos += part.size
+    return words.tobytes()

@@ -7,10 +7,10 @@ enumeration over the (at most ~50) candidate integers is both faster and
 immune to the pathological rejection rates a geometric envelope has at
 half-integer centers.  Lattice Gaussians are the randomized-nearest-plane
 walk of klein_coefficients over the R factor that prepare_basis keeps of
-a basis; no Q is ever formed.  A walk takes the projections Q^T t of its
-d x k targets (one walk per column), which PreparedBasis.project computes
-from R and the basis.  Encryption's noise and small matrices are drawn
-here too.
+a basis (or adopt_r_factor takes over, checked, from a key file); no Q
+is ever formed.  A walk takes the projections Q^T t of its d x k targets
+(one walk per column), which PreparedBasis.project computes from R and
+the basis.  Encryption's noise and small matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamplingError
-from .zqlinalg import certified_r_factor
+from .errors import DimensionMismatch, SamplingError, SingularMatrix
+from .zqlinalg import certified_r_factor, qr_singularity_bound
 
 #: Rejection/enumeration tails are cut at TAIL_CUT * sigma; the discarded
 #: mass is below 2**-100 for every sigma.
@@ -246,6 +246,54 @@ def prepare_basis(basis) -> PreparedBasis:
     r_factor = certified_r_factor(b)
     r_rows = np.concatenate([r_factor[k, k:] for k in range(b.shape[0])])
     return PreparedBasis(b, r_rows, np.abs(np.diag(r_factor)))
+
+
+#: Seed of the fixed probes adopt_r_factor checks an R factor on, so the
+#: check never draws from a caller's RandomSource.
+_R_PROBE_SEED = 0x0B5E
+_R_PROBES = 4
+
+
+def adopt_r_factor(basis, r_rows) -> PreparedBasis:
+    """A PreparedBasis from R rows factored elsewhere (packed as in
+    PreparedBasis.r_rows), checked to belong to basis in O(d^2), not O(d^3).
+
+    The check repeats the certificate of certified_r_factor on the given
+    diagonal (every |R_kk| must exceed qr_singularity_bound), then compares
+    |Bx| with |Rx| on a few fixed +-1 probes x, since B = QR gives
+    |Bx| = |Rx| for every x.  A backward-stable QR returns the exact R
+    factor of B + E with |E| at most the bound, so an honest R differs by
+    at most bound * |x|; forming Bx and Rx in float64 adds less than
+    another bound * |x|, which the tolerance allows.  An R from a QR run on
+    another host (another LAPACK, another BLAS thread count) passes.
+    B and R are read WALK_BLOCK rows at a time, so no d x d float copy of
+    B is made.  Raises SingularMatrix when r_rows does not certify basis.
+    """
+    b = np.asarray(basis, dtype=np.int64)
+    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        raise DimensionMismatch(f"basis must be square, got {b.shape}")
+    d = b.shape[0]
+    r_rows = np.asarray(r_rows, dtype=np.float64)
+    if r_rows.shape != (d * (d + 1) // 2,):
+        raise DimensionMismatch(f"r_rows must hold {d * (d + 1) // 2} entries, got {r_rows.shape}")
+    k = np.arange(d)
+    prep = PreparedBasis(b, r_rows, np.abs(r_rows[k * d - k * (k - 1) // 2]))
+    x = RandomSource(_R_PROBE_SEED).integers(0, 2, (d, _R_PROBES)) * 2.0 - 1.0
+    bx, rx, norm2 = np.empty(x.shape), np.empty(x.shape), 0.0
+    for lo in range(0, d, WALK_BLOCK):
+        hi = min(d, lo + WALK_BLOCK)
+        rows = b[lo:hi].astype(np.float64)
+        norm2 += float(np.einsum("ij,ij->", rows, rows))
+        bx[lo:hi] = rows @ x
+        rx[lo:hi] = prep._r_block(lo, hi) @ x[lo:]
+    bound = qr_singularity_bound(math.sqrt(norm2), d)
+    # both comparisons are written so that a NaN fails them
+    if not float(prep.gs_norms.min()) > bound:
+        raise SingularMatrix("R factor does not certify the basis nonsingular")
+    gap = np.abs(np.linalg.norm(bx, axis=0) - np.linalg.norm(rx, axis=0))
+    if not float(gap.max()) <= 2.0 * bound * math.sqrt(d):
+        raise SingularMatrix("R factor is not the basis's: |Bx| and |Rx| differ")
+    return prep
 
 
 def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Core scheme: system setup, identity key extraction, encrypt, decrypt.
 
 Every operation takes an explicit RandomSource, so a fixed seed pins
-every produced artifact byte for byte.  Data objects are immutable apart
-from what they build on first use.  A key's only lazy state is the
-sampling data of E'_ID that td2 and td3_ct build once under a per-basis
-lock: its coset map with projections, and the R factor of a loaded key
-(a fresh key keeps the one extract certified E'_ID with).  Decrypt and
-the type-1 tests read the key's preimages of U, fixed at extract.  The
-other is the integrity tag a Ciphertext keeps per parameter set, which
-two racing threads at worst compute twice, with equal results.  Calls
-may therefore run concurrently, sharing keys, trapdoors and ciphertexts,
-as long as each call has a RandomSource of its own: a RandomSource is
-single-owner state.
+every produced artifact on one host.  Across hosts, one thing can move:
+the walks center on a float QR's R factor, whose last bits LAPACK rounds
+differently under other BLAS thread counts, so the R block of a key file
+differs and, at a rounding tie, so could a sampled coordinate.  A key
+file carries the R extract certified E'_ID with, so a loaded key samples
+with exactly the R of the host that extracted it.  Data objects are
+immutable apart from what they build on first use.  A key's only lazy
+state is the coset map (with projections) of E'_ID that td2 and td3_ct
+build once under a per-basis lock; E'_ID's R factor comes from extract
+or from the key file.  Decrypt and the type-1 tests read the key's
+preimages of U, fixed at extract.  The other is the integrity tag a
+Ciphertext keeps per parameter set, which two racing threads at worst
+compute twice, with equal results.  Calls may therefore run
+concurrently, sharing keys, trapdoors and ciphertexts, as long as each
+call has a RandomSource of its own: a RandomSource is single-owner state.
 """
 
 from __future__ import annotations
@@ -123,10 +127,11 @@ class UserSecretKey:
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
     them, so neither builds any sampling data.  Both are held as read-only
     copies.  Of the bases, only E'_ID is sampled with (by td2 and
-    td3_ct): extract hands it the R factor it was certified with, and a
-    loaded key factors it on first use.  E_ID is carried and holds no
-    sampling data.  Carries its identity so decryption can rebuild the
-    concatenated matrices without out-of-band context.
+    td3_ct): extract hands it the R factor it was certified with, the key
+    file stores that R, and a loaded key adopts it once load has checked
+    it (samplers.adopt_r_factor).  E_ID is carried and holds no sampling
+    data.  Carries its identity so decryption can rebuild the concatenated
+    matrices without out-of-band context.
     """
 
     identity: Identity

@@ -211,12 +211,12 @@ class TrapdoorBasis:
     """A short basis together with the sampling data built from it.
 
     The R factor (PreparedBasis; handed over by whoever factored the basis
-    already, else built on first use) and the CosetMap of the public
-    matrix the basis is a trapdoor of (derived on first use) are each
-    built once and then kept by this object.  The coset map belongs to
-    the matrix it was derived for: a call with another matrix raises
-    ParameterError.  A lock guards every first use, so one instance may
-    serve concurrent calls.
+    already or loaded a checked one, else built on first use) and the
+    CosetMap of the public matrix the basis is a trapdoor of (derived on
+    first use) are each built once and then kept by this object.  The
+    coset map belongs to the matrix it was derived for: a call with
+    another matrix raises ParameterError.  A lock guards every first use,
+    so one instance may serve concurrent calls.
     """
 
     def __init__(self, basis, *, prep: PreparedBasis | None = None):

@@ -258,17 +258,18 @@ def gram_schmidt_norm(s) -> float:
     return float(np.sqrt(_gs_norms_longdouble(s).max()))
 
 
-def qr_singularity_bound(sf: np.ndarray) -> float:
-    """16*d*eps*||sf||_F: a float QR of the d-column sf certifies full rank
-    only when every |R_kk| exceeds this.
+def qr_singularity_bound(norm: float, d: int) -> float:
+    """16*d*eps*norm, for the Frobenius norm of a d-column matrix sf: a
+    float QR of sf certifies full rank only when every |R_kk| exceeds this.
 
     Backward-stable QR computes the exact factorization of sf + E with
     ||E|| <= c*d*eps*||sf||.  certified_r_factor, the package's one QR,
     judges against this bound, so the certificate that is_nonsingular and
     extract rely on and the factorization the walks sample with are the
-    same computation.
+    same computation.  samplers.adopt_r_factor checks an R factored
+    elsewhere against the same bound.
     """
-    return np.linalg.norm(sf) * np.finfo(np.float64).eps * sf.shape[1] * 16
+    return float(norm) * np.finfo(np.float64).eps * d * 16
 
 
 def certified_r_factor(s) -> np.ndarray:
@@ -279,7 +280,7 @@ def certified_r_factor(s) -> np.ndarray:
     "unknown", not "singular".
     """
     s = np.asarray(s, dtype=np.int64)
-    bound = qr_singularity_bound(s)
+    bound = qr_singularity_bound(np.linalg.norm(s), s.shape[1])
     r = np.linalg.qr(s, mode="r")
     if not float(np.abs(np.diag(r)).min()) > bound:
         raise SingularMatrix("basis columns are (numerically) linearly dependent")

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from ibeetfa import fileio
 from ibeetfa.authz import (
     digest_from_basis,
     digest_from_e,
@@ -227,13 +228,17 @@ def test_criterion_4_size_formulas(system, keys, pool):
     ct_ok = ct.element_count() == p.m**2 + 2 * p.t + 6 * p.m and ct.c5.size == p.lambda_bits
     sk_measured = sk.element_count()
     sk_ok = sk_measured == 8 * p.m**2 + 4 * p.m * p.t
+    # the file also holds the identity and the packed R factor of E'_ID
+    header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
+    sk_words = (len(fileio.dump_user_secret(sk, p)) - header) // 8
     report(
         "criterion-4",
         pp_ok and msk_ok and ct_ok and sk_ok,
         f"PP={(p.ell + 3) * p.m * p.n + p.n * p.t}, MSK={2 * p.m ** 2}, "
         f"CT={p.m ** 2 + 2 * p.t + 6 * p.m}+{p.lambda_bits} bits; "
         f"secret key measured {sk_measured} = 8m^2 + 4mt "
-        f"(published table lists 4m^2; discrepancy reported, not matched)",
+        f"(published table lists 4m^2; discrepancy reported, not matched), "
+        f"its file {sk_words} words ({sk_words - sk_measured} more: identity and R of E'_ID)",
     )
 
 

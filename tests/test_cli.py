@@ -11,7 +11,7 @@ from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
 from ibeetfa.errors import FormatError
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import encrypt, encrypt_traced, identity_from_string, setup
+from ibeetfa.scheme import encrypt, encrypt_traced, extract, identity_from_string, setup
 
 from conftest import MINI, random_message
 
@@ -201,11 +201,12 @@ class TestTamperingAndErrors:
 
 class TestVersionOneFiles:
     """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
-    carries preimages of U: they are refused, never read as something else."""
+    carries preimages of U, and version-2 keys lack the R factor of E'_ID that
+    version 3 appends: they are refused, never read as something else."""
 
     @staticmethod
-    def v1_blob(kind, *arrays, variant=b""):
-        header = (fileio.MAGIC + struct.pack("<HB", 1, kind) + fileio.params_fingerprint(MINI)
+    def old_blob(kind, version, *arrays, variant=b""):
+        header = (fileio.MAGIC + struct.pack("<HB", version, kind) + fileio.params_fingerprint(MINI)
                   + fileio.encode_params(MINI))
         return header + variant + b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)
 
@@ -214,22 +215,39 @@ class TestVersionOneFiles:
         sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
         ident = np.asarray(sk.identity.bits, dtype=np.int64)
         blobs = {
-            "sk": (fileio.load_user_secret,
-                   self.v1_blob(fileio.KIND_SK, ident, sk.e_id, sk.e_id_prime)),
-            "td1": (fileio.load_td1, self.v1_blob(fileio.KIND_TD1, ident, sk.e_id_prime)),
-            "td3": (fileio.load_td3, self.v1_blob(fileio.KIND_TD3, ident, sk.e_id_prime, variant=b"\x00")),
+            "sk": (fileio.load_user_secret, 1,
+                   self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
+            "sk_v2": (fileio.load_user_secret, 2,
+                      self.old_blob(fileio.KIND_SK, 2, ident, sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)),
+            "td1": (fileio.load_td1, 1, self.old_blob(fileio.KIND_TD1, 1, ident, sk.e_id_prime)),
+            "td3": (fileio.load_td3, 1,
+                    self.old_blob(fileio.KIND_TD3, 1, ident, sk.e_id_prime, variant=b"\x00")),
         }
         paths = {}
-        for name, (load, blob) in blobs.items():
-            with pytest.raises(FormatError, match="unsupported format version 1"):
+        for name, (load, version, blob) in blobs.items():
+            with pytest.raises(FormatError, match=f"unsupported format version {version}"):
                 load(blob, MINI)
-            paths[name] = str(workspace["dir"] / f"v1.{name}")
+            paths[name] = str(workspace["dir"] / f"old.{name}")
             fileio.write_file(paths[name], blob)
         return paths
 
     def test_v1_secret_key_refused(self, workspace, v1_files):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk"],
                             "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+        assert code == 65
+
+    def test_v2_secret_key_refused(self, workspace, v1_files):
+        # a version-2 key is the version-3 payload without its R block
+        current = fileio.read_file(workspace["sk_a"])
+        with open(v1_files["sk_v2"], "rb") as fh:
+            v2 = fh.read()
+        d = 2 * MINI.m
+        assert current[6:].startswith(v2[6:]) and len(current) - len(v2) == 8 * d * (d + 1) // 2
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
+                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+        assert code == 65
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", "/dev/null"])
         assert code == 65
 
     @pytest.mark.parametrize("kind", ["td1", "td3"])
@@ -240,6 +258,40 @@ class TestVersionOneFiles:
         code = run_command(["test", "--type", kind[-1], "--pp", workspace["pp"],
                             "--td-i", v1_files[kind], "--td-j", str(d / f"v2_b.{kind}"),
                             "--ct-i", workspace["ct_a1"], "--ct-j", workspace["ct_b1"]])
+        assert code == 65
+
+
+class TestStoredRBlock:
+    """A key file whose R block is not E'_ID's R factor is a load error."""
+
+    @pytest.fixture(scope="class")
+    def bad_keys(self, workspace):
+        blob = fileio.read_file(workspace["sk_a"])
+        d = 2 * MINI.m
+        start = len(blob) - 8 * d * (d + 1) // 2
+        r_rows = np.frombuffer(blob[start:], dtype="<f8")
+        diagonal = [k * d - k * (k - 1) // 2 for k in range(d)]
+        off_diagonal = np.abs(r_rows).copy()
+        off_diagonal[diagonal] = 0
+        flipped = bytearray(blob)
+        flipped[start + 8 * int(np.argmax(off_diagonal)) + 7] ^= 0x80
+        zeroed = bytearray(blob)
+        word = start + 8 * diagonal[d // 2]
+        zeroed[word : word + 8] = bytes(8)
+        swapped = blob[:start] + fileio.read_file(workspace["sk_b"])[start:]
+        paths = {}
+        for name, bad in (("flipped", flipped), ("zeroed", zeroed), ("swapped", swapped)):
+            paths[name] = str(workspace["dir"] / f"{name}.sk")
+            fileio.write_file(paths[name], bytes(bad))
+        return paths
+
+    @pytest.mark.parametrize("name", ["flipped", "zeroed", "swapped"])
+    def test_bad_r_block_is_load_error(self, workspace, bad_keys, name):
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", bad_keys[name],
+                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+        assert code == 65
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_keys[name],
+                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", "/dev/null"])
         assert code == 65
 
 
@@ -337,3 +389,35 @@ class TestSerializationUnits:
         blob = fileio.read_file(workspace["ct_a1"]) + b"\x00"
         with pytest.raises(FormatError):
             fileio.load_ciphertext(blob, MINI)
+
+
+@pytest.mark.slow
+class TestToyKeyFile:
+    def test_loaded_key_grants_the_fresh_keys_bytes(self, tmp_path):
+        # at toy, td --type 2 and td --type 3 --ct of a key read from its file
+        # walk with the R extract certified E'_ID with: their files equal the
+        # library's from the freshly extracted key
+        files = {name: str(tmp_path / name) for name in ("pp", "msk", "sk", "m", "ct", "td2", "td3")}
+        with open(files["m"], "wb") as fh:
+            fh.write(b"toy key!")
+        assert run_command(["setup", "--params", "toy", "--seed", "21",
+                            "--out-pp", files["pp"], "--out-msk", files["msk"]]) == 0
+        assert run_command(["extract", "--pp", files["pp"], "--msk", files["msk"],
+                            "--id", "ivan", "--seed", "22", "--out", files["sk"]]) == 0
+        assert run_command(["encrypt", "--pp", files["pp"], "--id", "ivan",
+                            "--in", files["m"], "--seed", "23", "--out", files["ct"]]) == 0
+        for kind, seed in (("2", "24"), ("3", "25")):
+            assert run_command(["td", "--type", kind, "--pp", files["pp"], "--sk", files["sk"],
+                                "--ct", files["ct"], "--seed", seed,
+                                "--out", files[f"td{kind}"]]) == 0
+        pp = fileio.load_public_params(fileio.read_file(files["pp"]))
+        p = pp.params
+        msk = fileio.load_master_secret(fileio.read_file(files["msk"]), p)
+        ident = identity_from_string("ivan", p.ell)
+        sk = extract(pp, msk, ident, RandomSource("22"))
+        assert fileio.read_file(files["sk"]) == fileio.dump_user_secret(sk, p)
+        ct, _ = fileio.load_ciphertext(fileio.read_file(files["ct"]), p)
+        want2 = fileio.dump_td2(td2(pp, sk, ident, ct, RandomSource("24")), p)
+        want3 = fileio.dump_td3(td3_ct(pp, sk, ident, ct, RandomSource("25")), p)
+        assert fileio.read_file(files["td2"]) == want2
+        assert fileio.read_file(files["td3"]) == want3

@@ -1,5 +1,8 @@
 """Digest functions and the canonical ciphertext encoding."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,22 @@ class TestCanonicalBytes:
         # first tag entry sits right after the 40-byte header
         val = int.from_bytes(blob[40:48], "little")
         assert val == TINY.q - 1
+
+    def test_matches_reference_encoding_on_extreme_words(self):
+        # the encoder reduces in place; the reference reduces each part with
+        # % q and joins the copies, as the layout is specified
+        q = TINY.q
+        extremes = np.array([-(1 << 63), (1 << 63) - 1, -q, -q - 1, -1, 0, q - 1, q, 2 * q + 5],
+                            dtype=np.int64)
+        r, c1, c2, c3, c4 = tiny_components(7)
+        r.flat[: r.size] = np.resize(extremes, r.size)
+        c3[: extremes.size] = extremes
+        want = struct.pack("<5Q", q, TINY.n, TINY.m, TINY.t, TINY.ell) + b"".join(
+            (x % q).astype("<u8").tobytes() for x in (r, c1, c2, c3, c4))
+        got = canonical_ct_bytes(TINY, r, c1, c2, c3, c4)
+        assert got == want
+        prefix_joined = hashlib.shake_256(b"IBEETFA-Hp" + got).digest(TINY.lambda_bits // 8)
+        assert bits_to_bytes(hash_hprime(got, TINY.lambda_bits)) == prefix_joined
 
     def test_dimension_mismatch(self):
         r, c1, c2, c3, c4 = tiny_components()

@@ -6,7 +6,8 @@ the delegated basis.  Decryption and the type-1 side of the equality
 tests read these preimages and build no sampling data; only td2 and
 td3_ct sample, against each ciphertext's tag matrix, with the basis
 E'_ID.  Extract certifies each basis by factoring it, and E'_ID keeps
-that R factor; a loaded key factors E'_ID on first use.
+that R factor; the key file carries it, and a loaded key adopts it after
+an O(d^2) check, so no key, fresh or loaded, factors a basis again.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from ibeetfa import fileio, trapdoor
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test3 as eq_test3
-from ibeetfa.errors import ParameterError
+from ibeetfa.errors import FormatError, ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
@@ -42,6 +43,13 @@ def walks(monkeypatch):
 def preps(monkeypatch):
     counter = CallCounter(trapdoor.prepare_basis)
     monkeypatch.setattr(trapdoor, "prepare_basis", counter)
+    return counter
+
+
+@pytest.fixture
+def coset_maps(monkeypatch):
+    counter = CallCounter(trapdoor.derive_coset_map)
+    monkeypatch.setattr(trapdoor, "derive_coset_map", counter)
     return counter
 
 
@@ -173,10 +181,19 @@ class TestOwnership:
         with pytest.raises(ParameterError):
             extract(pp_other, loaded, ident, RandomSource(413))
 
-    def test_only_td2_factors_a_key_basis(self, mini_system, preps):
+    def test_only_td2_factors_a_key_basis(self, mini_system, preps, monkeypatch):
         # extract factors each basis once, as its certificate; E'_ID keeps
-        # that R and E_ID drops it.  Of a loaded key, only td2 (and td3_ct)
-        # factor a basis, E'_ID, once.
+        # that R and E_ID drops it.  The key file carries E'_ID's R, so a
+        # loaded key factors nothing either: not with prepare_basis, not
+        # with any QR.
+        qr_calls = []
+        qr = np.linalg.qr
+
+        def qr_spy(a, mode="reduced"):
+            qr_calls.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", qr_spy)
         pp, msk = mini_system
         for master in (msk.trapdoor_a, msk.trapdoor_a_prime):
             master.prepared()  # the master R is built once per master key
@@ -189,7 +206,8 @@ class TestOwnership:
         ct = encrypt(pp, ident, msg, RandomSource(393))
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         preps.calls = 0
-        for key, builds in ((sk, 0), (loaded, 1)):
+        qr_calls.clear()
+        for key, builds in ((sk, 0), (loaded, 0)):
             assert np.array_equal(decrypt(pp, key, ct, RandomSource(394)), msg)
             assert preps.calls == 0
             assert td2(pp, key, ident, ct, RandomSource(395)) is not None
@@ -198,18 +216,29 @@ class TestOwnership:
             assert td2(pp, key, ident, ct, RandomSource(397)) is not None
             assert preps.calls == builds
             assert key.trapdoor._prep is None
-        assert fileio.dump_td2(td2(pp, sk, ident, ct, RandomSource(398)), MINI) == \
-            fileio.dump_td2(td2(pp, loaded, ident, ct, RandomSource(398)), MINI)
+        assert qr_calls == []
 
-    def test_threads_share_a_fresh_key(self, mini_system, preps):
-        # a freshly loaded key: E'_ID has no R factor yet
+    def test_loaded_key_grants_the_fresh_keys_bytes(self, mini_system, mini_key):
+        # td2 and td3_ct of a dumped-and-loaded key walk with the R extract
+        # certified E'_ID with, so their bytes are those of the fresh key
+        pp, _ = mini_system
+        ident, sk = mini_key
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        ct = encrypt(pp, ident, random_message(MINI.t, 398), RandomSource(399))
+        for grant, dump in ((td2, fileio.dump_td2), (td3_ct, fileio.dump_td3)):
+            got = [dump(grant(pp, key, ident, ct, RandomSource(400)), MINI) for key in (sk, loaded)]
+            assert got[0] == got[1]
+
+
+    def test_threads_share_a_fresh_key(self, mini_system, preps, coset_maps):
+        # a freshly loaded key: E'_ID carries its R but no coset map yet
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(351))
         sk = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
-        preps.calls = 0
+        preps.calls = coset_maps.calls = 0
         start = threading.Barrier(2, timeout=60)
 
         def work(i):
@@ -231,5 +260,51 @@ class TestOwnership:
             f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
             assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
             assert np.array_equal(out, msg)
-        # E'_ID's R factor is built once, however the two threads race
-        assert preps.calls == 1
+        # E'_ID's coset map is derived once, however the two threads race,
+        # and nothing is factored
+        assert coset_maps.calls == 1
+        assert preps.calls == 0
+
+
+class TestStoredRFactor:
+    """The R block of a key file is checked against E'_ID at load."""
+
+    @staticmethod
+    def r_block(blob):
+        d = 2 * MINI.m
+        return len(blob) - 8 * d * (d + 1) // 2
+
+    @staticmethod
+    def diagonal_word(k):
+        d = 2 * MINI.m
+        return k * d - k * (k - 1) // 2
+
+    def test_r_block_is_the_certified_r(self, mini_key):
+        _, sk = mini_key
+        blob = fileio.dump_user_secret(sk, MINI)
+        start = self.r_block(blob)
+        assert blob[start:] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
+        loaded = fileio.load_user_secret(blob, MINI)
+        assert np.array_equal(loaded.trapdoor_prime.prepared().r_rows, sk.trapdoor_prime.prepared().r_rows)
+        assert fileio.dump_user_secret(loaded, MINI) == blob
+
+    def test_corrupted_r_block_refused(self, mini_key, mini_key_other):
+        _, sk = mini_key
+        _, other = mini_key_other
+        blob = fileio.dump_user_secret(sk, MINI)
+        start = self.r_block(blob)
+        r_rows = sk.trapdoor_prime.prepared().r_rows
+        off_diagonal = np.ones(r_rows.size, dtype=bool)
+        off_diagonal[[self.diagonal_word(k) for k in range(2 * MINI.m)]] = False
+        big = int(np.argmax(np.abs(r_rows) * off_diagonal))
+        flipped = bytearray(blob)
+        flipped[start + 8 * big + 7] ^= 0x80  # the sign bit of a little-endian binary64
+        zeroed = bytearray(blob)
+        word = start + 8 * self.diagonal_word(MINI.m)
+        zeroed[word : word + 8] = bytes(8)
+        swapped = blob[:start] + fileio.dump_user_secret(other, MINI)[start:]
+        for bad in (flipped, zeroed, swapped):
+            assert bytes(bad) != blob
+            with pytest.raises(FormatError, match="stored R factor refused"):
+                fileio.load_user_secret(bytes(bad), MINI)
+        assert fileio.dump_user_secret(fileio.load_user_secret(blob, MINI), MINI) == blob

@@ -17,6 +17,7 @@ from ibeetfa.authz import td2
 from ibeetfa.errors import DimensionMismatch, SamplingError, SingularMatrix
 from ibeetfa.samplers import (
     RandomSource,
+    adopt_r_factor,
     klein_coefficients,
     prepare_basis,
     sample_bounded_matrix,
@@ -28,7 +29,7 @@ from ibeetfa.samplers import (
 )
 from ibeetfa.scheme import compute_f, encrypt
 from ibeetfa.trapdoor import TrapdoorBasis, trap_gen, trapgen_width
-from ibeetfa.zqlinalg import exact_int_matmul
+from ibeetfa.zqlinalg import exact_gram, exact_int_matmul
 
 from conftest import MINI, random_message
 
@@ -405,8 +406,9 @@ class TestProjection:
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         ct = encrypt(pp, ident, random_message(MINI.t, 91), RandomSource(92))
         assert td2(pp, loaded, ident, ct, RandomSource(93)) is not None
-        assert modes == ["r"]  # the loaded key's one factorization
-        prep = loaded.trapdoor_prime.prepared()
+        assert modes == []  # a loaded key adopts the R its file carries
+        prep = TrapdoorBasis(loaded.e_id_prime).prepared()
+        assert modes == ["r"]  # a basis without one factors it, R only
         d = prep.dim
         assert [f.name for f in fields(prep)] == ["basis", "r_rows", "gs_norms"]
         assert prep.r_rows.shape == (d * (d + 1) // 2,)
@@ -461,3 +463,39 @@ class TestProjection:
                 want = klein_coefficients(prep, sigma, q_factor.T @ c, r2)
                 assert np.array_equal(got, want), (name, seed)
                 assert r1.random() == r2.random()
+
+
+class TestAdoptRFactor:
+    """adopt_r_factor takes a basis's R factor from elsewhere after an O(d^2) check."""
+
+    @staticmethod
+    def packed(r):
+        return np.concatenate([r[k, k:] for k in range(r.shape[0])])
+
+    def test_accepts_any_r_factor_of_the_basis(self, mini_key):
+        _, sk = mini_key
+        basis = sk.e_id_prime
+        prep = sk.trapdoor_prime.prepared()
+        got = adopt_r_factor(basis, prep.r_rows)
+        assert np.array_equal(got.r_rows, prep.r_rows) and np.array_equal(got.gs_norms, prep.gs_norms)
+        # other R factors of the same basis, rounded differently or with
+        # other row signs, as another host's QR may return them
+        cholesky = np.linalg.cholesky(exact_gram(basis).astype(np.float64)).T
+        signs = np.where(RandomSource(98).integers(0, 2, basis.shape[0]) == 1, -1.0, 1.0)
+        for r in (cholesky, signs[:, None] * cholesky):
+            got = adopt_r_factor(basis, self.packed(r))
+            assert np.allclose(got.gs_norms, prep.gs_norms, rtol=1e-9)
+
+    def test_refuses_an_r_factor_of_another_basis(self, mini_key, mini_key_other):
+        _, sk = mini_key
+        _, other = mini_key_other
+        r_rows = sk.trapdoor_prime.prepared().r_rows
+        with pytest.raises(SingularMatrix):
+            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prepared().r_rows)
+        for word, value in ((1, 2.0 * r_rows[1]), (0, 0.0), (5, np.nan), (7, np.inf)):
+            bad = r_rows.copy()
+            bad[word] = value
+            with pytest.raises(SingularMatrix):
+                adopt_r_factor(sk.e_id_prime, bad)
+        with pytest.raises(DimensionMismatch):
+            adopt_r_factor(sk.e_id_prime, r_rows[:-1])
