@@ -1,8 +1,9 @@
 """Command-line tool: one verb per scheme operation, file-based artifacts.
 
-Exit codes: 0 success (and EQUAL for `test`), 1 NOT-EQUAL, 2 REJECT
-(domain failure such as tampered input), 64 usage errors, 65 artifact
-load errors.
+Exit codes: 0 success (and EQUAL for `test`), 1 NOT-EQUAL (violations
+found, for `params validate`), 2 REJECT (domain failure such as tampered
+input), 64 usage errors and output paths that cannot be written, 65
+artifact and parameter-file load errors.
 """
 
 from __future__ import annotations
@@ -38,6 +39,13 @@ EXIT_LOAD = 65
 
 _PRESET_NAMES = ("toy", "small")
 
+#: Parameter-file field -> (ParamSet field, type); q_bound may be left out.
+_PARAM_FIELDS = {
+    "lambda": ("lambda_bits", int), "n": ("n", int), "m": ("m", int), "q": ("q", int),
+    "t": ("t", int), "ell": ("ell", int), "sigma": ("sigma", float),
+    "alpha": ("alpha", float), "q_bound": ("q_bound", int),
+}
+
 
 def _load_params(source: str) -> ParamSet:
     if source in _PRESET_NAMES:
@@ -52,20 +60,18 @@ def _load_params(source: str) -> ParamSet:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read parameter file {source}: {err}") from None
-    try:
-        return ParamSet(
-            lambda_bits=int(raw["lambda"]),
-            n=int(raw["n"]),
-            m=int(raw["m"]),
-            q=int(raw["q"]),
-            t=int(raw["t"]),
-            ell=int(raw["ell"]),
-            sigma=float(raw["sigma"]),
-            alpha=float(raw["alpha"]),
-            q_bound=int(raw.get("q_bound", 1 << 20)),
-        )
-    except KeyError as err:
-        raise FormatError(f"parameter file {source} misses field {err}") from None
+    if not isinstance(raw, dict):
+        raise FormatError(f"parameter file {source} must hold a JSON object of fields")
+    raw = {"q_bound": 1 << 20, **raw}
+    values = {}
+    for key, (name, kind) in _PARAM_FIELDS.items():
+        if key not in raw:
+            raise FormatError(f"parameter file {source} misses field '{key}'")
+        try:
+            values[name] = kind(raw[key])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise FormatError(f"parameter file {source}: field '{key}' is malformed: {err}") from None
+    return ParamSet(**values)
 
 
 def _rng(args) -> RandomSource:
@@ -132,10 +138,7 @@ def _cmd_decrypt(args) -> int:
     if msg is None:
         print("REJECT")
         return EXIT_REJECT
-    payload = bits_to_bytes(msg[:bitlen]) if bitlen else b""
-    payload = payload[: (bitlen + 7) // 8]
-    with open(args.out, "wb") as fh:
-        fh.write(payload)
+    fileio.write_file(args.out, bits_to_bytes(msg[:bitlen]))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pp", required=True)
     sp.add_argument("--sk", required=True)
     sp.add_argument("--ct", required=True)
-    sp.add_argument("--seed", help="hex seed")
+    sp.add_argument("--seed", help="accepted and unused: decryption draws no randomness")
     sp.add_argument("--out", default="message.out")
     sp.set_defaults(func=_cmd_decrypt)
 
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--td-j", dest="td_j", required=True)
     sp.add_argument("--ct-i", dest="ct_i", required=True)
     sp.add_argument("--ct-j", dest="ct_j", required=True)
-    sp.add_argument("--seed", help="hex seed")
+    sp.add_argument("--seed", help="accepted and unused: equality tests draw no randomness")
     sp.set_defaults(func=_cmd_test)
 
     sp = sub.add_parser("params", help="inspect parameter sets")

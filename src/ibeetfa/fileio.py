@@ -15,7 +15,9 @@ within each byte.  Dumps join views of the arrays' own buffers, so each
 blob is built in one copy.  Loads verify magic, version, kind, exact
 payload length, and (when the caller supplies a reference parameter
 set) the fingerprint, so mixed-parameter artifacts are always rejected.
-Writes are atomic: temp file in the same directory, then rename.
+Writes are atomic: temp file in the same directory, then rename (a
+target that exists and is no regular file, such as a FIFO, is written in
+place instead).
 
 Each kind is written and read at the format version in which its payload
 last changed (_VERSIONS); a file of any other version is refused.
@@ -37,7 +39,7 @@ import tempfile
 import numpy as np
 
 from .authz import TrapdoorT1, TrapdoorT2, TrapdoorT3
-from .errors import FormatError, SingularMatrix
+from .errors import FormatError, IbeetfaError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .samplers import adopt_r_factor
@@ -234,8 +236,7 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
         prep = adopt_r_factor(e_id_prime, r_rows)
     except SingularMatrix as err:
         raise FormatError(f"user secret key: stored R factor refused: {err}") from None
-    return UserSecretKey(ident, TrapdoorBasis(e_id), TrapdoorBasis(e_id_prime, prep=prep),
-                         e_f, e_f_prime)
+    return UserSecretKey(ident, e_id, TrapdoorBasis(e_id_prime, prep=prep), e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------
@@ -340,19 +341,31 @@ def load_td3(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT3:
 
 
 def write_file(path: str, blob: bytes) -> None:
-    """Write-then-rename so readers never observe a partial artifact."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ibfa-")
+    """Write-then-rename so readers never observe a partial artifact.
+
+    A target that exists and is no regular file once symlinks are
+    resolved (a FIFO, a device) is written in place: a rename would
+    replace it with a regular file.  A path that cannot be written raises
+    IbeetfaError and leaves no temp file behind.
+    """
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ibfa-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        raise IbeetfaError(f"cannot write {path}: {err}") from None
 
 
 def read_file(path: str) -> bytes:

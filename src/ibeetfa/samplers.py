@@ -10,7 +10,8 @@ walk of klein_coefficients over the R factor that prepare_basis keeps of
 a basis (or adopt_r_factor takes over, checked, from a key file); no Q
 is ever formed.  A walk takes the projections Q^T t of its d x k targets
 (one walk per column), which PreparedBasis.project computes from R and
-the basis.  Encryption's noise and small matrices are drawn here too.
+the basis, through the walk's own back substitution (_nearest_plane).
+Encryption's noise and small matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -150,8 +151,8 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-#: Rows per block of the nearest-plane walk (see klein_coefficients) and of
-#: PreparedBasis.project.
+#: Rows per block of the back substitution (_nearest_plane) and of the
+#: forward substitution (PreparedBasis._solve_rt).
 WALK_BLOCK = 64
 
 
@@ -198,7 +199,8 @@ class PreparedBasis:
             raise DimensionMismatch(f"t must be {self.dim} x k, got shape {t.shape}")
         bf = self.basis.astype(np.float64)
         p = self._solve_rt(bf.T @ t)
-        return p + self._solve_rt(bf.T @ (t - bf @ self._solve_r(p)))
+        r_inv_p = _nearest_plane(self, p, lambda centers, r_kk: centers)
+        return p + self._solve_rt(bf.T @ (t - bf @ r_inv_p))
 
     def _r_block(self, lo: int, hi: int) -> np.ndarray:
         """R[lo:hi, lo:], zeros below the diagonal."""
@@ -220,18 +222,6 @@ class PreparedBasis:
             if hi < d:
                 p[hi:] -= rows[:, hi - lo :].T @ p[lo:hi]
         return p
-
-    def _solve_r(self, p: np.ndarray) -> np.ndarray:
-        """R^-1 p by back substitution, blocked bottom-up like the walk."""
-        d, x = self.dim, p.copy()
-        for hi in range(d, 0, -WALK_BLOCK):
-            lo = max(0, hi - WALK_BLOCK)
-            rows = self._r_block(lo, hi)
-            if hi < d:
-                x[lo:hi] -= rows[:, hi - lo :] @ x[hi:]
-            for i in range(hi - lo - 1, -1, -1):
-                x[lo + i] = (x[lo + i] - rows[i, i + 1 : hi - lo] @ x[lo + i + 1 : hi]) / rows[i, i]
-        return x
 
 
 def prepare_basis(basis) -> PreparedBasis:
@@ -296,6 +286,31 @@ def adopt_r_factor(basis, r_rows) -> PreparedBasis:
     return prep
 
 
+def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
+    """Back substitution through R, bottom-up: x[k] = pick(c_k, R_kk) with
+    c_k = (proj[k] - R[k, k+1:] @ x[k+1:]) / R_kk.
+
+    pick returning c_k gives R^-1 proj; a Gaussian draw around c_k is the
+    randomized nearest-plane walk.  Blocked by WALK_BLOCK rows: the rows
+    below a block enter its centers through one product
+    R[lo:hi, hi:] @ x[hi:]; pick still sees the rows one at a time, in order.
+    """
+    d = prep.dim
+    # float64 holds a walk's coefficients exactly (they stay far below
+    # 2**53) and avoids an int-to-float copy of the tail on every step
+    x = np.zeros((d, proj.shape[1]), dtype=np.float64)
+    for hi in range(d, 0, -WALK_BLOCK):
+        lo = max(0, hi - WALK_BLOCK)
+        shifted = proj[lo:hi]
+        if hi < d:
+            r_below = np.stack([prep.r_row(k)[hi - k :] for k in range(lo, hi)])
+            shifted = shifted - r_below @ x[hi:]
+        for k in range(hi - 1, lo - 1, -1):
+            r = prep.r_row(k)
+            x[k] = pick((shifted[k - lo] - r[1 : hi - k] @ x[k + 1 : hi]) / r[0], r[0])
+    return x
+
+
 def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
@@ -305,31 +320,16 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
     satisfies: B @ Z[:, j] ~ D_{L(B), sigma, t[:, j]} when sigma
     clears the Gram-Schmidt norm times the slack factor; below that the
     walk still terminates and stays lattice-exact, degrading smoothly
-    toward deterministic nearest-plane rounding.
-
-    The rows are walked bottom-up in blocks of WALK_BLOCK: the rows already
-    sampled below a block enter its centers through one product
-    R[lo:hi, hi:] @ Z[hi:], and inside the block each row subtracts the
-    rows below it within the block.  The 1-D sampler calls, their order
-    and the random stream are those of a row-by-row walk.
+    toward deterministic nearest-plane rounding.  The walk is
+    _nearest_plane with one 1-D sampler call per row, bottom-up.
     """
     proj = np.asarray(proj, dtype=np.float64)
     d = prep.dim
     if proj.ndim != 2 or proj.shape[0] != d:
         raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
-    # float64 holds the coefficients exactly (they stay far below 2**53)
-    # and avoids an int-to-float copy of the tail on every step
-    z = np.zeros((d, proj.shape[1]), dtype=np.float64)
-    for hi in range(d, 0, -WALK_BLOCK):
-        lo = max(0, hi - WALK_BLOCK)
-        shifted = proj[lo:hi]
-        if hi < d:
-            r_below = np.stack([prep.r_row(k)[hi - k :] for k in range(lo, hi)])
-            shifted = shifted - r_below @ z[hi:]
-        for k in range(hi - 1, lo - 1, -1):
-            r = prep.r_row(k)
-            centers = (shifted[k - lo] - r[1 : hi - k] @ z[k + 1 : hi]) / r[0]
-            z[k] = sample_z_gaussian_batch(sigma / abs(float(r[0])), centers, rng)
+    z = _nearest_plane(
+        prep, proj, lambda centers, r_kk: sample_z_gaussian_batch(sigma / abs(float(r_kk)), centers, rng)
+    )
     return z.astype(np.int64)
 
 

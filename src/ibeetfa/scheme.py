@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError, SamplingError, SingularMatrix
+from .errors import DimensionMismatch, ParameterError, SamplingError
 from .hashing import bits_to_bytes, canonical_ct_bytes, hash_h, hash_hprime
 from .params import ParamSet, require_valid
 from .samplers import (
@@ -34,15 +34,9 @@ from .samplers import (
     sample_sign_matrix,
     sample_uniform_zq,
 )
-from .trapdoor import (
-    TrapdoorBasis,
-    TrapdoorPair,
-    sample_basis_left,
-    trap_gen,
-)
-from .zqlinalg import concat_cols, exact_int_matmul, mat_mul, solve_mod
+from .trapdoor import TrapdoorBasis, sample_basis_left, trap_gen
+from .zqlinalg import concat_cols, exact_int_matmul, mat_mul
 
-_SETUP_ATTEMPTS = 8
 _EXTRACT_ATTEMPTS = 8
 
 
@@ -129,24 +123,23 @@ class UserSecretKey:
     copies.  Of the bases, only E'_ID is sampled with (by td2 and
     td3_ct): extract hands it the R factor it was certified with, the key
     file stores that R, and a loaded key adopts it once load has checked
-    it (samplers.adopt_r_factor).  E_ID is carried and holds no sampling
-    data.  Carries its identity so decryption can rebuild the concatenated
-    matrices without out-of-band context.
+    it (samplers.adopt_r_factor).  E_ID (e_id, 2m x 2m int64) is plain
+    key data, held as given: no scheme operation samples with it, and a
+    read-only copy would cost another 2m x 2m words.  Carries its identity
+    so decryption can rebuild the concatenated matrices without
+    out-of-band context.
     """
 
     identity: Identity
-    trapdoor: TrapdoorBasis
+    e_id: np.ndarray
     trapdoor_prime: TrapdoorBasis
     e_f: np.ndarray
     e_f_prime: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "e_id", np.asarray(self.e_id, dtype=np.int64))
         object.__setattr__(self, "e_f", frozen_array(self.e_f))
         object.__setattr__(self, "e_f_prime", frozen_array(self.e_f_prime))
-
-    @property
-    def e_id(self) -> np.ndarray:
-        return self.trapdoor.basis
 
     @property
     def e_id_prime(self) -> np.ndarray:
@@ -221,21 +214,9 @@ def setup(params: ParamSet, rng: RandomSource) -> tuple[PublicParams, MasterSecr
     """Generate public parameters and the master secret key."""
     require_valid(params)
     q, n, m = params.q, params.n, params.m
-
-    def gen_with_rank() -> TrapdoorPair:
-        for _ in range(_SETUP_ATTEMPTS):
-            pair = trap_gen(q, n, m, rng)
-            # rank n over Z_q; the gadget construction guarantees it, but a
-            # rank-deficient matrix would break every later sampling call
-            try:
-                solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
-                return pair
-            except SingularMatrix:
-                continue
-        raise SamplingError("could not generate a full-rank public matrix")
-
-    pair_a = gen_with_rank()
-    pair_a_prime = gen_with_rank()
+    # A @ [Rbar; I] == G (mod q) gives each matrix rank n for every q
+    pair_a = trap_gen(q, n, m, rng)
+    pair_a_prime = trap_gen(q, n, m, rng)
     a_list = tuple(sample_uniform_zq(n, m, q, rng) for _ in range(params.ell))
     b = sample_uniform_zq(n, m, q, rng)
     u = sample_uniform_zq(n, params.t, q, rng)
@@ -272,8 +253,10 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     Each basis and its preimage e_F of U come from one SampleLeft call
     with the master trapdoor, sigma enforced, and F @ e_F == U is checked
     on every column (sample_basis_left).  Each basis is certified by
-    factoring it; E'_ID keeps that R factor for td2.  A master key whose
-    bases are no trapdoors of pp's A and A' raises ParameterError.
+    factoring it; E'_ID keeps that R factor for td2.  A draw that fails
+    (SamplingError) draws the whole key again, up to _EXTRACT_ATTEMPTS
+    times.  A master key whose bases are no trapdoors of pp's A and A'
+    raises ParameterError.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)
@@ -281,13 +264,14 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     for _ in range(_EXTRACT_ATTEMPTS):
         try:
             basis, e_f = sample_basis_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
-            # nothing samples with E_ID: drop its R factor before E'_ID is drawn
-            basis = TrapdoorBasis(basis.basis)
+            # nothing samples with E_ID: its R factor goes with basis before E'_ID is drawn
+            e_id = basis.basis
+            del basis
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
-            return UserSecretKey(ident, basis, basis_prime, e_f, e_f_prime)
-        except SamplingError as err:  # pragma: no cover - negligible probability
+            return UserSecretKey(ident, e_id, basis_prime, e_f, e_f_prime)
+        except SamplingError as err:
             last_err = err
     raise SamplingError(f"key extraction failed after {_EXTRACT_ATTEMPTS} attempts: {last_err}")
 

@@ -82,15 +82,6 @@ def bound_gs(n: int, q: int) -> float:
 
 
 @dataclass(frozen=True)
-class GadgetAux:
-    """Construction data enabling short coset representatives."""
-
-    k: int
-    m_bar: int
-    r_bar: np.ndarray  # m_bar x n*k, small entries
-
-
-@dataclass(frozen=True)
 class TrapdoorPair:
     """Public matrix with a trapdoor for its q-ary nullspace lattice."""
 
@@ -195,10 +186,11 @@ def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int) -> CosetMap:
     basis is provably no trapdoor of A (see derive_gadget_aux)."""
     a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
-    aux = derive_gadget_aux(a, prep.basis, q)
-    if aux is not None:
-        w = np.vstack([aux.r_bar, np.eye(a.shape[0] * aux.k, dtype=np.int64)])
-        return CosetMap(a, q, aux.k, None, w, prep.project(w))
+    r_bar = derive_gadget_aux(a, prep.basis, q)
+    if r_bar is not None:
+        k = gadget_length(q)
+        w = np.vstack([r_bar, np.eye(a.shape[0] * k, dtype=np.int64)])
+        return CosetMap(a, q, k, None, w, prep.project(w))
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
@@ -246,8 +238,9 @@ def _require_trapdoor(t) -> TrapdoorBasis:
     return t
 
 
-def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
-    """Recover the gadget shortcut from (A, S) when S has our block layout.
+def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> np.ndarray | None:
+    """Recover Rbar (m - n*k x n*k, entries small) with A @ [Rbar; I] == G
+    (mod q) from (A, S) when S has our block layout.
 
     None when S lacks the layout, or has it without being the gadget
     trapdoor of A.  When S has the layout and A @ S != 0 (mod q), S is no
@@ -282,7 +275,7 @@ def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> GadgetAux | None:
         if np.any(mat_mul(a, s, q)):
             raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
         return None
-    return GadgetAux(k, m_bar, r_bar)
+    return r_bar
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +373,8 @@ def _basis_candidates(zero: np.ndarray, dim: int):
         yield zero[:, cols]
 
 
-def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> tuple[TrapdoorBasis, np.ndarray]:
-    """Assemble a nonsingular basis from Gaussian preimages of zero.
+def _basis_from_preimages(sampler, dim: int) -> tuple[TrapdoorBasis, np.ndarray]:
+    """Assemble a nonsingular basis from one batch of Gaussian preimages of zero.
 
     ``sampler(count)`` returns count preimages of zero, then any further
     columns, which come back untouched next to the basis.  The first dim
@@ -389,18 +382,18 @@ def _basis_from_preimages(sampler, dim: int, q: int, retries: int = 4) -> tuple[
     whose R-only QR must clear zqlinalg.qr_singularity_bound), and the
     basis keeps that factorization.  When that fails, the first dim
     columns that raise the rank mod a prime are taken instead and factored
-    the same way; a batch with no certified choice is drawn again.
+    the same way; a batch with no certified choice raises SamplingError
+    (extract draws the whole key again).
     """
     count = dim + _BASIS_OVERHEAD
-    for _ in range(retries):
-        batch = sampler(count)
-        # rest is copied so that it does not keep the whole batch alive
-        zero, rest = batch[:, :count], batch[:, count:].copy()
-        for cand in _basis_candidates(zero, dim):
-            try:
-                return TrapdoorBasis(cand, prep=prepare_basis(cand)), rest
-            except SingularMatrix:
-                pass
+    batch = sampler(count)
+    # rest is copied so that it does not keep the whole batch alive
+    zero, rest = batch[:, :count], batch[:, count:].copy()
+    for cand in _basis_candidates(zero, dim):
+        try:
+            return TrapdoorBasis(cand, prep=prepare_basis(cand)), rest
+        except SingularMatrix:
+            pass
     raise SamplingError("could not assemble a full-rank basis from preimages")
 
 
@@ -409,12 +402,13 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
     """Short basis of the nullspace lattice of F = (A | M) from a trapdoor for A,
     and preimages E of the columns of u (n x t) under F.
 
-    One sample_left call per draw covers the zero targets the basis is
+    One sample_left call covers the zero targets the basis is
     assembled from and u's columns, so the preimages cost no walk of their
     own.  Returns (basis, E): the basis is certified nonsingular by its
     own factorization, which it keeps (see _basis_from_preimages).  Both
     are columns of the sample_left batch, which checked F @ basis == 0
-    and F @ E == u (mod q) on every column.
+    and F @ E == u (mod q) on every column.  A batch with no certified
+    basis raises SamplingError.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -428,4 +422,4 @@ def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
         targets = np.hstack([np.zeros((f.shape[0], count), dtype=np.int64), u])
         return sample_left(a, m_block, t_a, targets, q, sigma, rng)
 
-    return _basis_from_preimages(sampler, f.shape[1], q)
+    return _basis_from_preimages(sampler, f.shape[1])

@@ -88,21 +88,6 @@ def center_rep(v, q: int) -> np.ndarray:
     return np.where(arr > (q - 1) // 2, arr - q, arr)
 
 
-def mulmod(a, b, q: int) -> np.ndarray:
-    """Exact elementwise (a * b) mod q for residues below 2**38.
-
-    Broadcasts like ``a * b``.  Splits ``a`` into 19-bit limbs so that
-    every intermediate stays below 2**60.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    a_hi = a >> _LIMB_BITS
-    a_lo = a & _LIMB_MASK
-    acc = (a_hi * b) % q
-    acc = ((acc << _LIMB_BITS) + a_lo * b) % q
-    return acc
-
-
 def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a >> _LIMB_BITS).astype(np.float64), (a & _LIMB_MASK).astype(np.float64)
 
@@ -386,12 +371,12 @@ def solve_mod(a, b, q: int) -> np.ndarray:
         if hit != row:
             aug[[row, hit]] = aug[[hit, row]]
         inv = pow(int(aug[row, col]), q - 2, q)
-        aug[row] = mulmod(aug[row], np.int64(inv), q)
+        aug[row] = mat_mul([[inv]], aug[row : row + 1], q)[0]
         others = aug[:, col] != 0
         others[row] = False
         if others.any():
             idx = np.nonzero(others)[0]
-            aug[idx] = (aug[idx] - mulmod(aug[idx, col : col + 1], aug[row], q)) % q
+            aug[idx] = (aug[idx] - mat_mul(aug[idx, col : col + 1], aug[row : row + 1], q)) % q
         piv_cols.append(col)
         row += 1
     if row < n and np.any(aug[row:, m:]):

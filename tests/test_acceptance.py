@@ -35,7 +35,7 @@ from ibeetfa.scheme import (
     extract,
     setup,
 )
-from ibeetfa.trapdoor import sample_left
+from ibeetfa.trapdoor import TrapdoorBasis, sample_left
 from ibeetfa.zqlinalg import concat_cols, mat_mul
 
 from conftest import random_message
@@ -200,9 +200,11 @@ def test_criterion_3_algebraic_invariants(system, keys, pool):
     f2 = concat_cols([compute_f(pp, ident, "prime"), ar])
     e_ok = 0
     ep_ok = 0
+    # E_ID is key data; this check samples with it, so it wraps it once
+    trapdoor = TrapdoorBasis(sk.e_id)
     for i in range(50):
         u = RandomSource(7_000 + i).integers(0, q, (TOY.n, 1))
-        e = sample_left(compute_f(pp, ident, "primary"), ar, sk.trapdoor, u, q, TOY.sigma,
+        e = sample_left(compute_f(pp, ident, "primary"), ar, trapdoor, u, q, TOY.sigma,
                         rng, enforce_sigma=False)
         e_ok += int(np.array_equal(mat_mul(f1, e, q), u))
         ep = sample_left(compute_f(pp, ident, "prime"), ar, sk.trapdoor_prime, u, q, TOY.sigma,

@@ -13,7 +13,7 @@ from ibeetfa.authz import test3 as eq_test3
 from ibeetfa.errors import DimensionMismatch, ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import compute_f, encrypt
+from ibeetfa.scheme import compute_f, decrypt, encrypt
 from ibeetfa.zqlinalg import concat_cols, mat_mul
 
 from conftest import MINI, random_message
@@ -283,3 +283,28 @@ class TestOracleAgreement:
             )
             hits += int(got == want)
         assert hits == len(cases)
+
+
+class TestNoRandomness:
+    """Dec and Test draw nothing: their rng is unused, and the parameter stays
+    for callers that pass it."""
+
+    def test_stream_untouched_and_results_seed_free(self, pool):
+        pp, (ident_a, sk_a), (ident_b, sk_b), _, cts = pool
+        ct_a, ct_b = cts[("a", 1)], cts[("b", 1)]
+        t1a, t1b = td1(sk_a, ident_a), td1(sk_b, ident_b)
+        t3a = td3_basis(sk_a, ident_a)
+        t3b = td3_ct(pp, sk_b, ident_b, ct_b, RandomSource(0x3B))
+        calls = {
+            "decrypt": lambda rng: decrypt(pp, sk_a, ct_a, rng),
+            "digest_from_basis": lambda rng: digest_from_basis(pp, t1a, ct_a, rng),
+            "test1": lambda rng: eq_test1(t1a, t1b, ct_a, ct_b, pp, rng),
+            "test3": lambda rng: eq_test3(t3a, t3b, ct_a, ct_b, pp, rng),
+        }
+        for name, call in calls.items():
+            results = []
+            for seed in (0x51, 0x52):
+                rng = RandomSource(seed)
+                results.append(call(rng))
+                assert rng.bytes(32) == RandomSource(seed).bytes(32), name
+            assert results[0] is not None and np.array_equal(results[0], results[1]), name

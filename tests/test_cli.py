@@ -1,7 +1,14 @@
-"""CLI verbs, file formats, exit codes, and differential checks."""
+"""CLI verbs, file formats, exit codes, and differential checks.
+
+No test writes to a device: an output that must not be written is a
+path in the test's own directory.
+"""
 
 import json
+import os
+import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +16,7 @@ import pytest
 from ibeetfa import fileio
 from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
-from ibeetfa.errors import FormatError
+from ibeetfa.errors import FormatError, IbeetfaError
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import encrypt, encrypt_traced, extract, identity_from_string, setup
 
@@ -51,6 +58,7 @@ def workspace(tmp_path_factory, params_file):
         "ct_a1": str(d / "ct_a1.ibfa"),
         "ct_b1": str(d / "ct_b1.ibfa"),
         "ct_b2": str(d / "ct_b2.ibfa"),
+        "unused": str(d / "never-written"),  # --out of commands that must fail first
         "dir": d,
     }
     with open(paths["msg1"], "wb") as fh:
@@ -99,7 +107,7 @@ class TestRoundTrips:
         with open(msg, "wb") as fh:
             fh.write(b"x" * (MINI.t // 8 + 1))
         code = run_command(["encrypt", "--pp", workspace["pp"], "--id", "alice",
-                            "--in", msg, "--seed", "0a", "--out", "/dev/null"])
+                            "--in", msg, "--seed", "0a", "--out", workspace["unused"]])
         assert code == 64
 
 
@@ -146,7 +154,7 @@ class TestEqualityVerbs:
 
     def test_type2_requires_ct(self, workspace):
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"],
-                            "--sk", workspace["sk_a"], "--out", "/dev/null"])
+                            "--sk", workspace["sk_a"], "--out", workspace["unused"]])
         assert code == 64
 
 
@@ -158,7 +166,7 @@ class TestTamperingAndErrors:
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", bad, "--seed", "11", "--out", "/dev/null"])
+                            "--ct", bad, "--seed", "11", "--out", workspace["unused"]])
         assert code == 2
 
     def test_corrupted_magic_is_load_error(self, workspace):
@@ -168,17 +176,17 @@ class TestTamperingAndErrors:
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
         code = run_command(["decrypt", "--pp", bad, "--sk", workspace["sk_a"],
-                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
 
     def test_kind_confusion_is_load_error(self, workspace):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["pp"],
-                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
 
     def test_missing_file_is_load_error(self, workspace):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", str(workspace["dir"] / "nope.ibfa"), "--out", "/dev/null"])
+                            "--ct", str(workspace["dir"] / "nope.ibfa"), "--out", workspace["unused"]])
         assert code == 65
 
     def test_usage_error_code(self):
@@ -195,7 +203,7 @@ class TestTamperingAndErrors:
         assert run_command(["setup", "--params", str(other_file), "--seed", "12",
                             "--out-pp", pp2, "--out-msk", msk2]) == 0
         code = run_command(["extract", "--pp", pp2, "--msk", workspace["msk"],
-                            "--id", "eve", "--out", "/dev/null"])
+                            "--id", "eve", "--out", workspace["unused"]])
         assert code == 65
 
 
@@ -233,7 +241,7 @@ class TestVersionOneFiles:
 
     def test_v1_secret_key_refused(self, workspace, v1_files):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk"],
-                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
 
     def test_v2_secret_key_refused(self, workspace, v1_files):
@@ -244,10 +252,10 @@ class TestVersionOneFiles:
         d = 2 * MINI.m
         assert current[6:].startswith(v2[6:]) and len(current) - len(v2) == 8 * d * (d + 1) // 2
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
-                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
-                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
         assert code == 65
 
     @pytest.mark.parametrize("kind", ["td1", "td3"])
@@ -288,10 +296,10 @@ class TestStoredRBlock:
     @pytest.mark.parametrize("name", ["flipped", "zeroed", "swapped"])
     def test_bad_r_block_is_load_error(self, workspace, bad_keys, name):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", "/dev/null"])
+                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", workspace["unused"]])
         assert code == 65
 
 
@@ -304,6 +312,22 @@ class TestParamsVerb:
         bad.write_text(json.dumps({"lambda": 128, "n": 4, "m": 10, "q": 4093,
                                    "t": 64, "ell": 8, "sigma": 1.0, "alpha": 0.5}))
         assert run_command(["params", "validate", "--params", str(bad)]) == 1
+
+    @pytest.mark.parametrize("field, raw", [
+        ("lambda", '{"lambda": "x", "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+                   '"sigma": 1.0, "alpha": 0.5}'),
+        (None, '[128, 4, 914]'),
+        ("q_bound", '{"lambda": 128, "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+                    '"sigma": 1.0, "alpha": 0.5, "q_bound": 1e400}'),
+    ])
+    def test_malformed_file_is_load_error(self, tmp_path, capsys, field, raw):
+        # exit 1 would read as "violations found"; a malformed file is refused
+        bad = tmp_path / "malformed.json"
+        bad.write_text(raw)
+        assert run_command(["params", "validate", "--params", str(bad)]) == 65
+        err = capsys.readouterr().err
+        assert str(bad) in err and (field is None or f"'{field}'" in err)
+        assert "Traceback" not in err
 
 
 class TestDifferentialWithLibrary:
@@ -421,3 +445,77 @@ class TestToyKeyFile:
         want3 = fileio.dump_td3(td3_ct(pp, sk, ident, ct, RandomSource("25")), p)
         assert fileio.read_file(files["td2"]) == want2
         assert fileio.read_file(files["td3"]) == want3
+
+
+class TestOutputPaths:
+    """An output that cannot be written is a usage error (64) and leaves no
+    temp file; an existing target that is no regular file is written in place."""
+
+    def test_missing_directory_is_usage_error(self, params_file, tmp_path, capsys):
+        out_pp = tmp_path / "missing" / "pp.ibfa"
+        code = run_command(["setup", "--params", params_file, "--seed", "01",
+                            "--out-pp", str(out_pp), "--out-msk", str(tmp_path / "msk.ibfa")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_pp}") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, workspace, tmp_path, monkeypatch, capsys):
+        # the temp file exists when the rename fails; decrypt's plaintext
+        # goes through the same write as every artifact
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                            "--ct", workspace["ct_a1"], "--out", str(tmp_path / "restored.bin")])
+        assert code == 64
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(IbeetfaError, match="cannot write"):
+            fileio.write_file(str(tmp_path / "direct.bin"), b"x")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fifo_target_stays_a_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        link = tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo)
+        for target, blob in ((fifo, b"first"), (link, b"second")):
+            got = []
+            reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+            reader.start()
+            fileio.write_file(str(target), blob)
+            reader.join(timeout=60)
+            assert not reader.is_alive() and got == [blob]
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode) and link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [link, fifo]
+
+
+class TestUnusedSeed:
+    """decrypt and test accept --seed and draw nothing: two seeds, one output."""
+
+    def test_decrypt_output_is_seed_free(self, workspace):
+        outs = []
+        for seed in ("1a", "2b"):
+            out = str(workspace["dir"] / f"seeded_{seed}.bin")
+            assert run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                                "--ct", workspace["ct_a1"], "--seed", seed, "--out", out]) == 0
+            outs.append(fileio.read_file(out))
+        assert outs == [b"equal!!!", b"equal!!!"]
+
+    def test_test_outcome_is_seed_free(self, workspace, capsys):
+        d = workspace["dir"]
+        for who in ("a", "b"):
+            assert run_command(["td", "--type", "1", "--pp", workspace["pp"],
+                                "--sk", workspace[f"sk_{who}"], "--out", str(d / f"seedless_{who}.td1")]) == 0
+        for ct_j, want in (("ct_b1", "EQUAL"), ("ct_b2", "NOT-EQUAL")):
+            seen = set()
+            for seed in ("1a", "2b"):
+                capsys.readouterr()
+                code = run_command(["test", "--type", "1", "--pp", workspace["pp"],
+                                    "--td-i", str(d / "seedless_a.td1"), "--td-j", str(d / "seedless_b.td1"),
+                                    "--ct-i", workspace["ct_a1"], "--ct-j", workspace[ct_j],
+                                    "--seed", seed])
+                seen.add((code, capsys.readouterr().out))
+            assert seen == {(0 if want == "EQUAL" else 1, want + "\n")}

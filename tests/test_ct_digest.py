@@ -153,12 +153,32 @@ class TestGoldenBytes:
     version 3 appended it; the rest differs from version 2 only in the
     version field): LAPACK's QR rounds R's last bits differently under
     other BLAS thread counts, so the R block is checked against the key's
-    own R instead.
+    own R instead.  PP and MSK pin setup, TD1 and TD3 (basis side and
+    ciphertext side) the key's preimage and a td3_ct draw.
     """
 
     CT = "cccc6473d8bf2d5f4075aa15a7442154276a6cb677785cb1781bacf120227f44"
     TD2 = "11beceaf9e464c053151b36efa43957db1707759af16e3e519310323f3c7d99d"
     SK = "2da4399181f9a1f42db19057b36fecb91efc72da4f8d994683b4f4b21f788e76"
+    PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
+    MSK = "23d91d4449148e7bb5b7d451f0b7522ebbcfcdbb32b4e63ad0202fd5103f59fc"
+    TD1 = "465f8d99ae82e311bf2050369d223f7a4a2e2540d54e51318a8d2d12197f5e11"
+    TD3_BASIS = "a85c986858710347abc156fdbf00efe6dcd8d12ae8418d95ec0128b95c6ea9b4"
+    TD3_CT = "d86435ad9972e745c4f91150367e14899516b93941eef131b28dd5e0c4167a8b"
+
+    def test_setup_bytes(self, mini_system):
+        pp, msk = mini_system
+        assert hashlib.sha256(fileio.dump_public_params(pp)).hexdigest() == self.PP
+        assert hashlib.sha256(fileio.dump_master_secret(msk, MINI)).hexdigest() == self.MSK
+
+    def test_type1_and_type3_bytes(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        assert hashlib.sha256(fileio.dump_td1(td1(sk, ident), MINI)).hexdigest() == self.TD1
+        assert hashlib.sha256(fileio.dump_td3(td3_basis(sk, ident), MINI)).hexdigest() == self.TD3_BASIS
+        ct = encrypt(pp, ident, random_message(MINI.t, 0x601D), RandomSource(0x601D))
+        td = td3_ct(pp, sk, ident, ct, RandomSource(0x601F))
+        assert hashlib.sha256(fileio.dump_td3(td, MINI)).hexdigest() == self.TD3_CT
 
     def test_ciphertext_and_td2_bytes(self, mini_system, mini_key):
         pp, _ = mini_system

@@ -201,7 +201,7 @@ class TestOwnership:
         ident = identity_from_string("grace", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(391))
         assert preps.calls == 2  # one certificate per basis
-        assert sk.trapdoor._prep is None  # E_ID is carried, never sampled with
+        assert type(sk.e_id) is np.ndarray  # E_ID is key data, never sampled with
         msg = random_message(MINI.t, 392)
         ct = encrypt(pp, ident, msg, RandomSource(393))
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
@@ -215,7 +215,7 @@ class TestOwnership:
             assert td3_ct(pp, key, ident, ct, RandomSource(396)) is not None
             assert td2(pp, key, ident, ct, RandomSource(397)) is not None
             assert preps.calls == builds
-            assert key.trapdoor._prep is None
+            assert type(key.e_id) is np.ndarray
         assert qr_calls == []
 
     def test_loaded_key_grants_the_fresh_keys_bytes(self, mini_system, mini_key):

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ibeetfa import trapdoor
+from ibeetfa import scheme, trapdoor
 from ibeetfa.errors import DimensionMismatch, ParameterError, SamplingError
+from ibeetfa.params import preset
 from ibeetfa.samplers import RandomSource, slack_factor
+from ibeetfa.scheme import identity_from_string
 from ibeetfa.trapdoor import (
     SIGN_OPNORM_CONSTANT,
     TrapdoorBasis,
     bound_gs,
     derive_gadget_aux,
+    gadget_length,
     operator_norm,
     sample_basis_left,
     sample_left,
@@ -29,9 +32,10 @@ from ibeetfa.zqlinalg import (
     solve_mod,
 )
 
-from conftest import CallCounter
+from conftest import MINI, CallCounter
 
 Q_SMALL = 4093
+TOY = preset("toy")
 
 
 def small_pair(seed=0, q=Q_SMALL, n=2):
@@ -80,13 +84,22 @@ class TestTrapGen:
         assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
 
     def test_aux_recoverable_from_matrices(self):
+        # Rbar is recovered from (A, S), A @ [Rbar; I] == G (mod q), so A has
+        # rank n for every q: setup draws each public matrix once
+        for q, n in ((7, 1), (Q_SMALL, 2), (MINI.q, MINI.n), (TOY.q, TOY.n)):
+            k = gadget_length(q)
+            gadget = np.kron(np.eye(n, dtype=np.int64), 1 << np.arange(k, dtype=np.int64))
+            for seed in range(5):
+                pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(17 + seed))
+                r_bar = derive_gadget_aux(pair.a, pair.trapdoor.basis, q)
+                assert r_bar is not None and r_bar.shape[1] == n * k
+                w = np.vstack([r_bar, np.eye(n * k, dtype=np.int64)])
+                assert np.array_equal(mat_mul(pair.a, w, q), gadget % q), (q, seed)
+                solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
         # the basis's coset map takes the gadget path: W = [Rbar; I]
-        pair, q, n, m = small_pair(17)
-        aux = derive_gadget_aux(pair.a, pair.trapdoor.basis, q)
-        assert aux is not None
         cmap = pair.trapdoor.coset_map(pair.a, q)
-        assert cmap.k == aux.k and cmap.elim is None
-        assert np.array_equal(cmap.w, np.vstack([aux.r_bar, np.eye(m - aux.m_bar, dtype=np.int64)]))
+        assert cmap.k == k and cmap.elim is None
+        assert np.array_equal(cmap.w, w)
 
 
 class TestSamplePre:
@@ -274,7 +287,8 @@ class TestBasisSampling:
 
 
 class TestBasisFromPreimages:
-    """The certificate and the fallback of _basis_from_preimages, with stub samplers."""
+    """The certificate and the fallback of _basis_from_preimages, and extract's
+    retry around it, with stub samplers."""
 
     @staticmethod
     def stub(*batches):
@@ -294,7 +308,7 @@ class TestBasisFromPreimages:
         sampler, calls = self.stub(batch)
         preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        got, rest = trapdoor._basis_from_preimages(sampler, dim, 4093)
+        got, rest = trapdoor._basis_from_preimages(sampler, dim)
         keep = [j for j in range(dim + 2) if j not in (1, 5)]
         assert np.array_equal(got.basis, batch[:, keep])
         assert rest.shape == (dim, 0)
@@ -304,24 +318,63 @@ class TestBasisFromPreimages:
         assert preps.calls == 2
         assert got._prep is not None and got.prepared().basis is got.basis
 
-    def test_uncertified_subset_draws_again(self, monkeypatch):
+    def test_uncertified_batch_raises_after_one_draw(self, monkeypatch):
         # full rank mod p, but 2**60 + 1 rounds to 2**60 in float64, so the
-        # float certificate fails for the chosen subset as well
+        # float certificate fails for the chosen subset as well; the batch
+        # is not drawn again (extract's loop redraws the whole key)
         big = 1 << 60
         bad = np.zeros((2, 10), dtype=np.int64)
         bad[:, :2] = [[big, big + 1], [big, big]]
-        good = RandomSource(359).integers(-5, 6, (2, 10)) + 50 * np.eye(2, 10, dtype=np.int64)
-        sampler, calls = self.stub(bad, good)
+        sampler, calls = self.stub(bad, bad)
         preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        got, _ = trapdoor._basis_from_preimages(sampler, 2, 4093)
-        assert np.array_equal(got.basis, good[:, :2])
-        assert len(calls) == 2
-        assert preps.calls == 3  # two failed certificates, then the one kept
-        sampler, calls = self.stub(*[bad] * 4)
         with pytest.raises(SamplingError):
-            trapdoor._basis_from_preimages(sampler, 2, 4093)
-        assert len(calls) == 4
+            trapdoor._basis_from_preimages(sampler, 2)
+        assert calls == [10]
+        assert preps.calls == 2  # the first columns, then the pivot columns
+
+    def test_extract_redraws_the_whole_key(self, mini_system, monkeypatch):
+        # extract's loop is the only retry: a failed E'_ID draw draws E_ID again
+        pp, msk = mini_system
+        ident = identity_from_string("heidi", MINI.ell)
+        real, drawn = scheme.sample_basis_left, []
+
+        def fails_second(*args):
+            if len(drawn) == 1:
+                drawn.append(None)
+                raise SamplingError("stub: no certified basis")
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(scheme, "sample_basis_left", fails_second)
+        sk = scheme.extract(pp, msk, ident, RandomSource(419))
+        assert len(drawn) == 4
+        assert sk.e_id is drawn[2][0].basis and sk.trapdoor_prime is drawn[3][0]
+        assert check_nullspace_basis(scheme.compute_f(pp, ident, "primary"), sk.e_id, MINI.q)
+        scheme.checked_preimage(pp, ident, "primary", sk.e_f)
+        scheme.checked_preimage(pp, ident, "prime", sk.e_f_prime)
+
+    def test_extract_gives_up_after_its_attempts(self, mini_system, monkeypatch):
+        pp, msk = mini_system
+        calls = []
+
+        def always_fails(*args):
+            calls.append(args)
+            raise SamplingError("stub: no certified basis")
+
+        monkeypatch.setattr(scheme, "sample_basis_left", always_fails)
+        with pytest.raises(SamplingError, match=f"after {scheme._EXTRACT_ATTEMPTS} attempts"):
+            scheme.extract(pp, msk, identity_from_string("ivan", MINI.ell), RandomSource(421))
+        assert len(calls) == scheme._EXTRACT_ATTEMPTS
+
+    def test_wrong_master_key_raises_on_the_first_attempt(self, mini_system, monkeypatch):
+        pp, _ = mini_system
+        _, other_msk = scheme.setup(MINI, RandomSource(431))
+        counted = CallCounter(scheme.sample_basis_left)
+        monkeypatch.setattr(scheme, "sample_basis_left", counted)
+        with pytest.raises(ParameterError):
+            scheme.extract(pp, other_msk, identity_from_string("judy", MINI.ell), RandomSource(433))
+        assert counted.calls == 1
 
 
 class TestCosetMapBinding:

@@ -17,7 +17,6 @@ from ibeetfa.zqlinalg import (
     gram_schmidt_norm,
     is_prime,
     mat_mul,
-    mulmod,
     solve_mod,
 )
 
@@ -242,7 +241,7 @@ class TestNonsingularityThreshold:
             except SingularMatrix:
                 assert not accepted, k
             try:
-                got, _ = trapdoor._basis_from_preimages(lambda count: b, d, 4093, retries=1)
+                got, _ = trapdoor._basis_from_preimages(lambda count: b, d)
                 assert accepted, k
                 assert np.array_equal(got.prepared().r_rows, prep.r_rows)
             except SamplingError:
@@ -293,15 +292,6 @@ class TestGramSchmidtNorm:
 
 
 class TestHelpers:
-    def test_mulmod_matches_python(self):
-        q = 274877906899  # a 38-bit prime
-        rs = np.random.default_rng(17)
-        a = rs.integers(0, q, 50)
-        b = rs.integers(0, q, 50)
-        got = mulmod(a, b, q)
-        want = [(int(x) * int(y)) % q for x, y in zip(a, b)]
-        assert got.tolist() == want
-
     def test_exact_int_matmul_split_path(self):
         rs = np.random.default_rng(19)
         a = rs.integers(-(1 << 25), 1 << 25, (8, 8))
