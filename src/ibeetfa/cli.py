@@ -67,9 +67,14 @@ def _load_params(source: str) -> ParamSet:
     for key, (name, kind) in _PARAM_FIELDS.items():
         if key not in raw:
             raise FormatError(f"parameter file {source} misses field '{key}'")
+        value = raw[key]
+        # bool is an int subclass; an int field takes no float, a float field any number
+        if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+            raise FormatError(f"parameter file {source}: field '{key}' must be a JSON "
+                              f"{'integer' if kind is int else 'number'}, got {value!r}")
         try:
-            values[name] = kind(raw[key])
-        except (TypeError, ValueError, OverflowError) as err:
+            values[name] = kind(value)
+        except OverflowError as err:
             raise FormatError(f"parameter file {source}: field '{key}' is malformed: {err}") from None
     return ParamSet(**values)
 
@@ -95,7 +100,7 @@ def _cmd_setup(args) -> int:
 
 def _cmd_extract(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
-    msk = fileio.load_master_secret(fileio.read_file(args.msk), pp.params)
+    msk = fileio.load_master_secret(fileio.read_file(args.msk), pp)
     ident = identity_from_string(args.id, pp.params.ell)
     sk = extract(pp, msk, ident, _rng(args))
     fileio.write_file(args.out, fileio.dump_user_secret(sk, pp.params))

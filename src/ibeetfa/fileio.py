@@ -15,9 +15,9 @@ within each byte.  Dumps join views of the arrays' own buffers, so each
 blob is built in one copy.  Loads verify magic, version, kind, exact
 payload length, and (when the caller supplies a reference parameter
 set) the fingerprint, so mixed-parameter artifacts are always rejected.
-Writes are atomic: temp file in the same directory, then rename (a
-target that exists and is no regular file, such as a FIFO, is written in
-place instead).
+Writes are atomic: temp file in the directory of the target (symlinks
+resolved), then rename (a target that exists and is no regular file,
+such as a FIFO, is written in place instead).
 
 Each kind is written and read at the format version in which its payload
 last changed (_VERSIONS); a file of any other version is refused.
@@ -27,12 +27,14 @@ the basis E'_ID.  Version 3 (user secret key only) appends the R factor
 extract certified E'_ID with, its upper triangle row after row
 (2m(2m+1)/2 words, PreparedBasis.r_rows), so a loaded key factors
 nothing; the load checks in O(m^2) that it is E'_ID's
-(samplers.adopt_r_factor) and refuses the file otherwise.
+(samplers.adopt_r_factor) and refuses the file otherwise.  Version 2 of
+the master secret key holds only Rbar and Rbar' (entries +-1), not T_A, T_A'.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import tempfile
 
@@ -44,7 +46,7 @@ from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .samplers import adopt_r_factor
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
-from .trapdoor import TrapdoorBasis
+from .trapdoor import TrapdoorBasis, gadget_length, gadget_trapdoor
 
 MAGIC = b"IBFA"
 
@@ -67,7 +69,7 @@ _KIND_NAMES = {
 }
 
 #: Format version of each kind whose payload changed; every other kind is at 1.
-_VERSIONS = {KIND_SK: 3, KIND_TD1: 2, KIND_TD3: 2}
+_VERSIONS = {KIND_MSK: 2, KIND_SK: 3, KIND_TD1: 2, KIND_TD3: 2}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -190,15 +192,19 @@ def load_public_params(blob: bytes) -> PublicParams:
 
 
 def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
-    return b"".join([_header(KIND_MSK, p), _words(msk.t_a), _words(msk.t_a_prime)])
+    return b"".join([_header(KIND_MSK, p), _words(msk.trapdoor_a.r_bar), _words(msk.trapdoor_a_prime.r_bar)])
 
 
-def load_master_secret(blob: bytes, reference: ParamSet | None = None) -> MasterSecretKey:
-    rd, p = _open(blob, KIND_MSK, reference)
-    t_a = rd.words((p.m, p.m))
-    t_a_prime = rd.words((p.m, p.m))
+def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
+    """The master key of pp, each basis rebuilt from its Rbar and Abar (gadget_trapdoor)."""
+    rd, p = _open(blob, KIND_MSK, pp.params)
+    m_bar = p.m - p.n * gadget_length(p.q)
+    r_bar = rd.words((2, m_bar, p.m - m_bar))
     rd.done()
-    return MasterSecretKey(TrapdoorBasis(t_a), TrapdoorBasis(t_a_prime))
+    if np.any(np.abs(r_bar) != 1):
+        raise FormatError("master secret key: Rbar entries must be +-1")
+    return MasterSecretKey(gadget_trapdoor(pp.a[:, :m_bar], r_bar[0], p.q),
+                           gadget_trapdoor(pp.a_prime[:, :m_bar], r_bar[1], p.q))
 
 
 # -- user secret key ---------------------------------------------------------
@@ -343,21 +349,28 @@ def load_td3(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT3:
 def write_file(path: str, blob: bytes) -> None:
     """Write-then-rename so readers never observe a partial artifact.
 
-    A target that exists and is no regular file once symlinks are
-    resolved (a FIFO, a device) is written in place: a rename would
-    replace it with a regular file.  A path that cannot be written raises
-    IbeetfaError and leaves no temp file behind.
+    Symlinks are resolved first, so a link stays a link and its target
+    gets the bytes.  A target that exists and is no regular file (a FIFO,
+    a device) is written in place: a rename would replace it with a
+    regular file.  An existing regular file keeps its permission bits; a
+    new file is created 0600 whatever the umask, because master and user
+    secret keys are written here too and this function does not know the
+    kind.  A path that cannot be written raises IbeetfaError and leaves no
+    temp file behind.
     """
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
-            with open(path, "wb") as fh:
+        target = os.path.realpath(path)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "wb") as fh:
                 fh.write(blob)
             return
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ibfa-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ibfa-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
-            os.replace(tmp, path)
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(tmp, target)
         except BaseException:
             try:
                 os.unlink(tmp)

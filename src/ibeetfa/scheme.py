@@ -1,10 +1,11 @@
 """Core scheme: system setup, identity key extraction, encrypt, decrypt.
 
 Every operation takes an explicit RandomSource, so a fixed seed pins
-every produced artifact on one host.  Across hosts, one thing can move:
-the walks center on a float QR's R factor, whose last bits LAPACK rounds
-differently under other BLAS thread counts, so the R block of a key file
-differs and, at a rounding tie, so could a sampled coordinate.  A key
+every produced artifact on one host at one BLAS thread count.  Across
+hosts or thread counts, one thing can move: the walks center on a float
+QR's R factor, whose last bits LAPACK rounds differently under other BLAS
+thread counts, so the R block of a key file differs and, at a rounding
+tie, so could a sampled coordinate.  A key
 file carries the R extract certified E'_ID with, so a loaded key samples
 with exactly the R of the host that extracted it.  Data objects are
 immutable apart from what they build on first use.  A key's only lazy
@@ -65,12 +66,12 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class MasterSecretKey:
-    """The two trapdoor bases behind A and A'.
+    """The gadget trapdoors behind A and A': each holds its basis and Rbar.
 
-    Each basis builds its R factor and the coset map of its public matrix
-    (gadget shortcut and projections) on first use and keeps them; a
-    basis asked to sample under another public matrix raises
-    ParameterError.
+    Each builds its R factor and the coset map of its public matrix
+    (W = [Rbar; I] and projections) on first use and keeps them; a
+    trapdoor asked to sample under a matrix A with A @ [Rbar; I] != G
+    (mod q), or under another matrix than its first, raises ParameterError.
     """
 
     trapdoor_a: TrapdoorBasis

@@ -16,11 +16,12 @@ delegated basis (and preimages of U) from one sample_left batch.  The
 A-side walk is the randomized nearest plane of samplers.py, over the R
 factor of the trapdoor basis only.  Every coset representative is
 c = W @ y for a fixed per-basis map W of few columns (CosetMap): for
-trapdoors carrying the gadget structure, y is the bit decomposition of
-the targets and W = [Rbar; I], which keeps every intermediate tiny;
-otherwise y is the mod-q solution on the n pivot columns of A and W
-places it there.  The walk's projections Q^T c are then P @ y with
-P = Q^T W computed once per basis, so no Q is ever formed.
+a gadget trapdoor, which keeps the Rbar it was built from, y is the bit
+decomposition of the targets and W = [Rbar; I], which keeps every
+intermediate tiny; for any other basis y is the mod-q solution on the n
+pivot columns of A and W places it there.  The walk's projections Q^T c
+are then P @ y with P = Q^T W computed once per basis, so no Q is ever
+formed.
 """
 
 from __future__ import annotations
@@ -140,7 +141,13 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     g = _gadget_matrix(n, k)
     a_right = (g - mat_mul(a_bar, r_bar, q)) % q
     a = concat_cols([a_bar, a_right])
+    return TrapdoorPair(a, gadget_trapdoor(a_bar, r_bar, q))
 
+
+def gadget_trapdoor(a_bar: np.ndarray, r_bar: np.ndarray, q: int) -> TrapdoorBasis:
+    """The basis of A = [Abar | G - Abar*Rbar], a function of (Abar, Rbar), keeping Rbar."""
+    n, m_bar = a_bar.shape
+    k = gadget_length(q)
     s_k = _gadget_block(q, k)
     s_g = np.kron(np.eye(n, dtype=np.int64), s_k)
     d_bits = _bit_decompose(a_bar, k)
@@ -148,11 +155,11 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     top_left = exact_int_matmul(r_bar, s_g)
     top_right = np.eye(m_bar, dtype=np.int64) - exact_int_matmul(r_bar, d_bits)
     s = np.block([[top_left, top_right], [s_g, -d_bits]])
-    return TrapdoorPair(a, TrapdoorBasis(s))
+    return TrapdoorBasis(s, r_bar=r_bar)
 
 
 # ---------------------------------------------------------------------------
-# Trapdoors that own their sampling data, and gadget-structure recovery
+# Trapdoors that own their sampling data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -181,15 +188,16 @@ class CosetMap:
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
 
 
-def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int) -> CosetMap:
-    """The CosetMap of A for the basis behind prep; ParameterError if the
-    basis is provably no trapdoor of A (see derive_gadget_aux)."""
+def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarray | None) -> CosetMap:
+    """The CosetMap of A for the basis behind prep: the gadget path with its
+    Rbar (ParameterError unless A @ [Rbar; I] == G mod q), else the pivot path."""
     a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
-    r_bar = derive_gadget_aux(a, prep.basis, q)
     if r_bar is not None:
         k = gadget_length(q)
         w = np.vstack([r_bar, np.eye(a.shape[0] * k, dtype=np.int64)])
+        if not np.array_equal(mat_mul(a, w, q), _gadget_matrix(a.shape[0], k) % q):
+            raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
         return CosetMap(a, q, k, None, w, prep.project(w))
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
@@ -211,8 +219,9 @@ class TrapdoorBasis:
     so one instance may serve concurrent calls.
     """
 
-    def __init__(self, basis, *, prep: PreparedBasis | None = None):
+    def __init__(self, basis, *, prep: PreparedBasis | None = None, r_bar: np.ndarray | None = None):
         self.basis = np.asarray(basis, dtype=np.int64)
+        self.r_bar = r_bar  # a gadget trapdoor's Rbar, which selects the gadget path; else None
         self._prep = prep
         self._coset: CosetMap | None = None
         self._lock = threading.RLock()
@@ -226,7 +235,7 @@ class TrapdoorBasis:
     def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
         with self._lock:
             if self._coset is None:
-                self._coset = derive_coset_map(a, self.prepared(), q)
+                self._coset = derive_coset_map(a, self.prepared(), q, self.r_bar)
             elif q != self._coset.q or not np.array_equal(a, self._coset.a):
                 raise ParameterError("the trapdoor basis belongs to another public matrix")
             return self._coset
@@ -236,46 +245,6 @@ def _require_trapdoor(t) -> TrapdoorBasis:
     if not isinstance(t, TrapdoorBasis):
         raise TypeError(f"trapdoor must be a TrapdoorBasis, got {type(t).__name__}")
     return t
-
-
-def derive_gadget_aux(a: np.ndarray, s: np.ndarray, q: int) -> np.ndarray | None:
-    """Recover Rbar (m - n*k x n*k, entries small) with A @ [Rbar; I] == G
-    (mod q) from (A, S) when S has our block layout.
-
-    None when S lacks the layout, or has it without being the gadget
-    trapdoor of A.  When S has the layout and A @ S != 0 (mod q), S is no
-    trapdoor of A at all, and ParameterError is raised.
-    """
-    n, m = a.shape
-    k = gadget_length(q)
-    nk = n * k
-    m_bar = m - nk
-    if m_bar < 1 or s.shape != (m, m):
-        return None
-    s_k = _gadget_block(q, k)
-    if not np.array_equal(s[m_bar:, :nk], np.kron(np.eye(n, dtype=np.int64), s_k)):
-        return None
-    # Solve top = r_bar @ (I_n kron S_k) per gadget block.  Column j < k-1
-    # of S_k is 2e_j - e_(j+1), so r_bar[.., j] = 2^j x - c_j with
-    # c_(j+1) = 2 c_j + top[.., j]; the last column (the bits of q) then
-    # gives q x = top[.., k-1] + sum_j bit_j(q) c_j.
-    top = s[:m_bar, :nk].reshape(m_bar, n, k)
-    c = np.zeros_like(top)
-    for j in range(k - 1):
-        c[..., j + 1] = 2 * c[..., j] + top[..., j]
-    num = top[..., k - 1] + c @ s_k[:, k - 1]
-    if np.any(num % q):
-        return None
-    r_bar = ((num // q)[..., None] * (1 << np.arange(k, dtype=np.int64)) - c).reshape(m_bar, nk)
-    if np.abs(r_bar).max(initial=0) > (1 << 20):
-        return None
-    # definitive check: A @ [r_bar; I] must equal the gadget matrix mod q
-    w = np.vstack([r_bar, np.eye(nk, dtype=np.int64)])
-    if not np.array_equal(mat_mul(a, w, q), _gadget_matrix(n, k) % q):
-        if np.any(mat_mul(a, s, q)):
-            raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
-        return None
-    return r_bar
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ibeetfa.cli import run_command
 from ibeetfa.errors import FormatError, IbeetfaError
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import encrypt, encrypt_traced, extract, identity_from_string, setup
+from ibeetfa.trapdoor import gadget_length
 
 from conftest import MINI, random_message
 
@@ -209,8 +210,10 @@ class TestTamperingAndErrors:
 
 class TestVersionOneFiles:
     """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
-    carries preimages of U, and version-2 keys lack the R factor of E'_ID that
-    version 3 appends: they are refused, never read as something else."""
+    carries preimages of U, version-2 keys lack the R factor of E'_ID that
+    version 3 appends, and version-1 master keys carry the bases T_A and
+    T_A' where version 2 carries Rbar and Rbar': they are refused, never
+    read as something else."""
 
     @staticmethod
     def old_blob(kind, version, *arrays, variant=b""):
@@ -222,7 +225,11 @@ class TestVersionOneFiles:
     def v1_files(self, workspace):
         sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
         ident = np.asarray(sk.identity.bits, dtype=np.int64)
+        pp = fileio.load_public_params(fileio.read_file(workspace["pp"]))
+        msk = fileio.load_master_secret(fileio.read_file(workspace["msk"]), pp)
         blobs = {
+            "msk": (lambda blob, _: fileio.load_master_secret(blob, pp), 1,
+                    self.old_blob(fileio.KIND_MSK, 1, msk.t_a, msk.t_a_prime)),
             "sk": (fileio.load_user_secret, 1,
                    self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
             "sk_v2": (fileio.load_user_secret, 2,
@@ -238,6 +245,11 @@ class TestVersionOneFiles:
             paths[name] = str(workspace["dir"] / f"old.{name}")
             fileio.write_file(paths[name], blob)
         return paths
+
+    def test_v1_master_key_refused(self, workspace, v1_files):
+        code = run_command(["extract", "--pp", workspace["pp"], "--msk", v1_files["msk"],
+                            "--id", "eve", "--out", workspace["unused"]])
+        assert code == 65
 
     def test_v1_secret_key_refused(self, workspace, v1_files):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk"],
@@ -303,6 +315,26 @@ class TestStoredRBlock:
         assert code == 65
 
 
+class TestMasterKeyFile:
+    """A master key file holds Rbar and Rbar' after its header; the load
+    rebuilds T_A and T_A' from them and refuses any entry other than +-1."""
+
+    def test_non_sign_entry_is_load_error(self, workspace, capsys):
+        blob = bytearray(fileio.read_file(workspace["msk"]))
+        nk = MINI.n * gadget_length(MINI.q)
+        start = len(blob) - 16 * (MINI.m - nk) * nk
+        assert start == len(fileio.MAGIC) + 3 + 32 + fileio._PARAMS_STRUCT.size
+        assert struct.unpack_from("<q", blob, start)[0] in (-1, 1)
+        blob[start : start + 8] = struct.pack("<q", 2)
+        path = str(workspace["dir"] / "bad_rbar.msk")
+        fileio.write_file(path, bytes(blob))
+        capsys.readouterr()
+        code = run_command(["extract", "--pp", workspace["pp"], "--msk", path,
+                            "--id", "eve", "--out", workspace["unused"]])
+        assert code == 65
+        assert "+-1" in capsys.readouterr().err
+
+
 class TestParamsVerb:
     def test_preset_ok(self):
         assert run_command(["params", "validate", "--params", "toy"]) == 0
@@ -319,6 +351,15 @@ class TestParamsVerb:
         (None, '[128, 4, 914]'),
         ("q_bound", '{"lambda": 128, "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
                     '"sigma": 1.0, "alpha": 0.5, "q_bound": 1e400}'),
+        # int() would read true as 1 and 4.9 as 4, float() true as 1.0
+        ("lambda", '{"lambda": true, "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+                   '"sigma": 1.0, "alpha": 0.5}'),
+        ("n", '{"lambda": 128, "n": 4.9, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+              '"sigma": 1.0, "alpha": 0.5}'),
+        ("sigma", '{"lambda": 128, "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+                  '"sigma": true, "alpha": 0.5}'),
+        ("alpha", '{"lambda": 128, "n": 4, "m": 914, "q": 4093, "t": 64, "ell": 8, '
+                  '"sigma": 1.0, "alpha": "0.5"}'),
     ])
     def test_malformed_file_is_load_error(self, tmp_path, capsys, field, raw):
         # exit 1 would read as "violations found"; a malformed file is refused
@@ -328,6 +369,13 @@ class TestParamsVerb:
         err = capsys.readouterr().err
         assert str(bad) in err and (field is None or f"'{field}'" in err)
         assert "Traceback" not in err
+
+    def test_integer_in_float_field_accepted(self, tmp_path):
+        # the toy preset with sigma written as a JSON integer
+        good = tmp_path / "toy_int_sigma.json"
+        good.write_text('{"lambda": 128, "n": 4, "m": 914, "q": 259999999951, "t": 64, '
+                        '"ell": 8, "sigma": 235000, "alpha": 2e-11}')
+        assert run_command(["params", "validate", "--params", str(good)]) == 0
 
 
 class TestDifferentialWithLibrary:
@@ -361,8 +409,9 @@ class TestSerializationUnits:
         back = fileio.load_public_params(blob)
         assert fileio.dump_public_params(back) == blob
         blob2 = fileio.dump_master_secret(msk, MINI)
-        back2 = fileio.load_master_secret(blob2, MINI)
+        back2 = fileio.load_master_secret(blob2, pp)
         assert fileio.dump_master_secret(back2, MINI) == blob2
+        assert np.array_equal(back2.t_a, msk.t_a) and np.array_equal(back2.t_a_prime, msk.t_a_prime)
 
     def test_pp_out_of_range_residue_rejected(self, mini_system):
         # the last word of a pp blob is an entry of U; every word is read as
@@ -436,7 +485,7 @@ class TestToyKeyFile:
                                 "--out", files[f"td{kind}"]]) == 0
         pp = fileio.load_public_params(fileio.read_file(files["pp"]))
         p = pp.params
-        msk = fileio.load_master_secret(fileio.read_file(files["msk"]), p)
+        msk = fileio.load_master_secret(fileio.read_file(files["msk"]), pp)
         ident = identity_from_string("ivan", p.ell)
         sk = extract(pp, msk, ident, RandomSource("22"))
         assert fileio.read_file(files["sk"]) == fileio.dump_user_secret(sk, p)
@@ -449,7 +498,8 @@ class TestToyKeyFile:
 
 class TestOutputPaths:
     """An output that cannot be written is a usage error (64) and leaves no
-    temp file; an existing target that is no regular file is written in place."""
+    temp file; a symlink is written through, an existing target that is no
+    regular file is written in place, and an existing file keeps its mode."""
 
     def test_missing_directory_is_usage_error(self, params_file, tmp_path, capsys):
         out_pp = tmp_path / "missing" / "pp.ibfa"
@@ -490,6 +540,26 @@ class TestOutputPaths:
             assert not reader.is_alive() and got == [blob]
             assert stat.S_ISFIFO(os.stat(fifo).st_mode) and link.is_symlink()
         assert sorted(tmp_path.iterdir()) == [link, fifo]
+
+    def test_symlink_stays_a_link(self, tmp_path):
+        target = tmp_path / "target.bin"
+        link = tmp_path / "link.bin"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        fileio.write_file(str(link), b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        # a new file is 0600 whatever the umask (keys are secrets); an
+        # existing one keeps the permission bits it had
+        old = tmp_path / "shared.bin"
+        old.write_bytes(b"old")
+        os.chmod(old, 0o644)
+        fileio.write_file(str(old), b"new")
+        assert old.read_bytes() == b"new" and stat.S_IMODE(os.stat(old).st_mode) == 0o644
+        fileio.write_file(str(tmp_path / "fresh.bin"), b"new")
+        assert stat.S_IMODE(os.stat(tmp_path / "fresh.bin").st_mode) == 0o600
 
 
 class TestUnusedSeed:

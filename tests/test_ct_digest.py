@@ -153,15 +153,17 @@ class TestGoldenBytes:
     version 3 appended it; the rest differs from version 2 only in the
     version field): LAPACK's QR rounds R's last bits differently under
     other BLAS thread counts, so the R block is checked against the key's
-    own R instead.  PP and MSK pin setup, TD1 and TD3 (basis side and
-    ciphertext side) the key's preimage and a td3_ct draw.
+    own R instead.  PP and MSK pin setup (MSK last changed when the
+    master key file began storing Rbar and Rbar' in place of T_A and T_A',
+    format version 2), TD1 and TD3 (basis side and ciphertext side) the
+    key's preimage and a td3_ct draw.
     """
 
     CT = "cccc6473d8bf2d5f4075aa15a7442154276a6cb677785cb1781bacf120227f44"
     TD2 = "11beceaf9e464c053151b36efa43957db1707759af16e3e519310323f3c7d99d"
     SK = "2da4399181f9a1f42db19057b36fecb91efc72da4f8d994683b4f4b21f788e76"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
-    MSK = "23d91d4449148e7bb5b7d451f0b7522ebbcfcdbb32b4e63ad0202fd5103f59fc"
+    MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
     TD1 = "465f8d99ae82e311bf2050369d223f7a4a2e2540d54e51318a8d2d12197f5e11"
     TD3_BASIS = "a85c986858710347abc156fdbf00efe6dcd8d12ae8418d95ec0128b95c6ea9b4"
     TD3_CT = "d86435ad9972e745c4f91150367e14899516b93941eef131b28dd5e0c4167a8b"

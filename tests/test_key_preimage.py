@@ -157,7 +157,7 @@ class TestCiphertextBoundPreimages:
 class TestOwnership:
     def test_loaded_master_key_extracts_the_same_key(self, mini_system):
         pp, msk = mini_system
-        loaded = fileio.load_master_secret(fileio.dump_master_secret(msk, MINI), MINI)
+        loaded = fileio.load_master_secret(fileio.dump_master_secret(msk, MINI), pp)
         ident = identity_from_string("dora", MINI.ell)
         a = extract(pp, msk, ident, RandomSource(341))
         b = extract(pp, loaded, ident, RandomSource(341))
@@ -172,11 +172,11 @@ class TestOwnership:
         pp_other, _ = setup(MINI, RandomSource(0x0DD))
         ident = identity_from_string("heidi", MINI.ell)
         blob = fileio.dump_master_secret(msk, MINI)
-        loaded = fileio.load_master_secret(blob, MINI)
+        loaded = fileio.load_master_secret(blob, pp)
         with pytest.raises(ParameterError):
             extract(pp_other, loaded, ident, RandomSource(411))
         got = extract(pp, loaded, ident, RandomSource(412))
-        want = extract(pp, fileio.load_master_secret(blob, MINI), ident, RandomSource(412))
+        want = extract(pp, fileio.load_master_secret(blob, pp), ident, RandomSource(412))
         assert fileio.dump_user_secret(got, MINI) == fileio.dump_user_secret(want, MINI)
         with pytest.raises(ParameterError):
             extract(pp_other, loaded, ident, RandomSource(413))

@@ -28,7 +28,7 @@ from ibeetfa.samplers import (
     slack_factor,
 )
 from ibeetfa.scheme import compute_f, encrypt
-from ibeetfa.trapdoor import TrapdoorBasis, trap_gen, trapgen_width
+from ibeetfa.trapdoor import TrapdoorBasis, gadget_length, trap_gen, trapgen_width
 from ibeetfa.zqlinalg import exact_gram, exact_int_matmul
 
 from conftest import MINI, random_message
@@ -376,16 +376,17 @@ def _longdouble_projections(basis, t):
 def coset_cases(mini_system, mini_key):
     """(name, basis, coset map, sigma) for the MINI master and key bases.
 
-    The master basis has the gadget layout (W = [Rbar; I], 2n*log q
-    columns); the key basis E'_ID takes the pivot path (W = n unit columns).
+    The master trapdoor carries its Rbar, so its map takes the gadget path
+    (W = [Rbar; I], 2n*log q columns); the key basis E'_ID takes the pivot
+    path (W = n unit columns).
     """
     pp, msk = mini_system
     ident, sk = mini_key
     cases = []
-    for name, basis, a in (("master", msk.t_a, pp.a),
-                           ("key", sk.e_id_prime, compute_f(pp, ident, "prime"))):
-        cmap = TrapdoorBasis(basis).coset_map(a, MINI.q)
-        cases.append((name, basis, cmap, MINI.sigma))
+    for name, td, a in (("master", msk.trapdoor_a, pp.a),
+                        ("key", TrapdoorBasis(sk.e_id_prime), compute_f(pp, ident, "prime"))):
+        cases.append((name, td.basis, td.coset_map(a, MINI.q), MINI.sigma))
+    assert [case[2].k for case in cases] == [gadget_length(MINI.q), 0]
     return cases
 
 
@@ -444,7 +445,8 @@ class TestProjection:
         # a trap_gen basis: Gram-Schmidt norms at most ~25 and W = [Rbar; I]
         q, n = 4093, 2
         pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
-        cmap = TrapdoorBasis(pair.trapdoor.basis).coset_map(pair.a, q)
+        cmap = pair.trapdoor.coset_map(pair.a, q)
+        assert cmap.k == gadget_length(q)
         err_p, err_q = self.errors(pair.trapdoor.basis, cmap, RandomSource(97).integers(0, q, (n, 16)))
         assert err_p <= err_q, (err_p, err_q)
 

@@ -14,8 +14,8 @@ from ibeetfa.trapdoor import (
     SIGN_OPNORM_CONSTANT,
     TrapdoorBasis,
     bound_gs,
-    derive_gadget_aux,
     gadget_length,
+    gadget_trapdoor,
     operator_norm,
     sample_basis_left,
     sample_left,
@@ -84,18 +84,22 @@ class TestTrapGen:
         assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
 
     def test_aux_recoverable_from_matrices(self):
-        # Rbar is recovered from (A, S), A @ [Rbar; I] == G (mod q), so A has
-        # rank n for every q: setup draws each public matrix once
+        # the trapdoor keeps its Rbar, A @ [Rbar; I] == G (mod q), so A has
+        # rank n for every q: setup draws each public matrix once; the basis
+        # is a fixed function of (Abar, Rbar), which the master key file relies on
         for q, n in ((7, 1), (Q_SMALL, 2), (MINI.q, MINI.n), (TOY.q, TOY.n)):
             k = gadget_length(q)
             gadget = np.kron(np.eye(n, dtype=np.int64), 1 << np.arange(k, dtype=np.int64))
             for seed in range(5):
-                pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(17 + seed))
-                r_bar = derive_gadget_aux(pair.a, pair.trapdoor.basis, q)
-                assert r_bar is not None and r_bar.shape[1] == n * k
+                m = trapgen_width(n, q)
+                pair = trap_gen(q, n, m, RandomSource(17 + seed))
+                r_bar = pair.trapdoor.r_bar
+                assert r_bar.shape == (m - n * k, n * k)
                 w = np.vstack([r_bar, np.eye(n * k, dtype=np.int64)])
                 assert np.array_equal(mat_mul(pair.a, w, q), gadget % q), (q, seed)
                 solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
+                rebuilt = gadget_trapdoor(pair.a[:, : m - n * k], r_bar, q)
+                assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
         # the basis's coset map takes the gadget path: W = [Rbar; I]
         cmap = pair.trapdoor.coset_map(pair.a, q)
         assert cmap.k == k and cmap.elim is None
@@ -394,18 +398,20 @@ class TestCosetMapBinding:
         assert pair.trapdoor.coset_map(pair.a.copy(), q) is pair.trapdoor.coset_map(pair.a, q)
 
     def test_gadget_basis_of_another_matrix_raises_before_binding(self):
-        # a basis with the gadget layout that is no trapdoor of the matrix
-        # is refused on first use, and nothing is kept for that matrix
+        # a gadget trapdoor whose Rbar does not give A @ [Rbar; I] == G is
+        # refused on first use, and nothing is kept for that matrix
         pair, q, n, m = small_pair(383)
         other, _, _, _ = small_pair(389)
-        td = TrapdoorBasis(pair.trapdoor.basis)
+        r_bar = pair.trapdoor.r_bar
+        td = gadget_trapdoor(pair.a[:, : r_bar.shape[0]], r_bar, q)
         with pytest.raises(ParameterError):
             td.coset_map(other.a, q)
         assert td._coset is None
         assert td.coset_map(pair.a, q).k == pair.trapdoor.coset_map(pair.a, q).k
 
     def test_pivot_path_reproduces_solve_mod(self):
-        # without the gadget layout, W @ y is the centered solve_mod solution
+        # a basis without its Rbar takes the pivot path, whatever its layout:
+        # W @ y is the centered solve_mod solution
         pair, q, n, m = small_pair(397)
         perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
         td = TrapdoorBasis(np.ascontiguousarray(pair.trapdoor.basis[:, perm]))
@@ -414,6 +420,7 @@ class TestCosetMapBinding:
         targets = RandomSource(409).integers(0, q, (n, 12))
         got = cmap.w @ cmap.coordinates(targets)
         assert np.array_equal(got, center_rep(solve_mod(pair.a, targets, q), q))
+        assert TrapdoorBasis(pair.trapdoor.basis).coset_map(pair.a, q).k == 0
 
 
 @pytest.mark.parametrize("sampler", ["sample_left", "sample_basis_left"])
