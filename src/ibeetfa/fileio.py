@@ -29,6 +29,11 @@ extract certified E'_ID with, its upper triangle row after row
 nothing; the load checks in O(m^2) that it is E'_ID's
 (samplers.adopt_r_factor) and refuses the file otherwise.  Version 2 of
 the master secret key holds only Rbar and Rbar' (entries +-1), not T_A, T_A'.
+Version 2 of the ciphertext keeps the version-1 layout, but its c5 is
+H' over the coded tag matrix (hashing.canonical_ct_bytes), so a
+version-1 ciphertext, whose c5 hashed R as 64-bit residues, is refused
+rather than rejected as tampered.  Type-2 and type-3 trapdoors keep their
+version: their binding is simply the new c5.
 """
 
 from __future__ import annotations
@@ -41,12 +46,12 @@ import tempfile
 import numpy as np
 
 from .authz import TrapdoorT1, TrapdoorT2, TrapdoorT3
-from .errors import FormatError, IbeetfaError, SingularMatrix
+from .errors import FormatError, IbeetfaError, ParameterError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .samplers import adopt_r_factor
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
-from .trapdoor import TrapdoorBasis, gadget_length, gadget_trapdoor
+from .trapdoor import TrapdoorBasis, gadget_length, gadget_trapdoor, require_gadget_trapdoor
 
 MAGIC = b"IBFA"
 
@@ -69,7 +74,7 @@ _KIND_NAMES = {
 }
 
 #: Format version of each kind whose payload changed; every other kind is at 1.
-_VERSIONS = {KIND_MSK: 2, KIND_SK: 3, KIND_TD1: 2, KIND_TD3: 2}
+_VERSIONS = {KIND_MSK: 2, KIND_SK: 3, KIND_CT: 2, KIND_TD1: 2, KIND_TD3: 2}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -192,17 +197,32 @@ def load_public_params(blob: bytes) -> PublicParams:
 
 
 def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
-    return b"".join([_header(KIND_MSK, p), _words(msk.trapdoor_a.r_bar), _words(msk.trapdoor_a_prime.r_bar)])
+    """The msk file: Rbar and Rbar'.  A basis that keeps no Rbar (built other
+    than by trap_gen or gadget_trapdoor) cannot be written: ParameterError."""
+    r_bars = [msk.trapdoor_a.r_bar, msk.trapdoor_a_prime.r_bar]
+    if any(r_bar is None for r_bar in r_bars):
+        raise ParameterError("master secret key: a trapdoor without its Rbar cannot be written "
+                             "(the file stores Rbar, not the basis)")
+    return b"".join([_header(KIND_MSK, p), *map(_words, r_bars)])
 
 
 def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
-    """The master key of pp, each basis rebuilt from its Rbar and Abar (gadget_trapdoor)."""
+    """The master key of pp, each basis rebuilt from its Rbar and Abar (gadget_trapdoor).
+
+    Each Rbar must be a gadget trapdoor of pp's A or A' (require_gadget_trapdoor),
+    so another system's master key is refused here, before any sampling.
+    """
     rd, p = _open(blob, KIND_MSK, pp.params)
     m_bar = p.m - p.n * gadget_length(p.q)
     r_bar = rd.words((2, m_bar, p.m - m_bar))
     rd.done()
     if np.any(np.abs(r_bar) != 1):
         raise FormatError("master secret key: Rbar entries must be +-1")
+    try:
+        for a, r in zip((pp.a, pp.a_prime), r_bar):
+            require_gadget_trapdoor(a, r, p.q)
+    except ParameterError:
+        raise FormatError("master secret key: Rbar is no trapdoor of these public parameters") from None
     return MasterSecretKey(gadget_trapdoor(pp.a[:, :m_bar], r_bar[0], p.q),
                            gadget_trapdoor(pp.a_prime[:, :m_bar], r_bar[1], p.q))
 
@@ -276,8 +296,9 @@ def load_ciphertext(blob: bytes, reference: ParamSet | None = None) -> tuple[Cip
     c4 = rd.words((3 * p.m,))
     c5 = bytes_to_bits(rd.take((p.lambda_bits + 7) // 8), p.lambda_bits)
     rd.done()
-    # no value-range checks here: the integrity digest is the authority on
-    # tampered content, and decryption must answer REJECT, not a load error
+    # no value-range checks here: the integrity check (Ciphertext.intact,
+    # which range-checks R) is the authority on tampered content, and
+    # decryption must answer REJECT, not a load error
     return Ciphertext(r_tag, c1, c2, c3, c4, c5), int(msg_bitlen)
 
 

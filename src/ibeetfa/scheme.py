@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterError, SamplingError
-from .hashing import bits_to_bytes, canonical_ct_bytes, hash_h, hash_hprime
+from .hashing import (
+    bits_to_bytes,
+    canonical_ct_bytes,
+    hash_h,
+    hash_hprime,
+    require_tag_in_range,
+    tag_in_range,
+)
 from .params import ParamSet, require_valid
 from .samplers import (
     RandomSource,
@@ -179,15 +186,21 @@ class Ciphertext:
     def intact(self, params: ParamSet) -> bool:
         """Whether c5 is the integrity tag H'(R, c1..c4) under params.
 
-        The tag is hashed once per ParamSet and kept; later checks compare
-        lambda bits.  Two threads that race store the same tag.  Malformed
-        shapes raise DimensionMismatch: c5 here, R and c1..c4 in
-        canonical_ct_bytes.
+        An R entry outside [-ell, ell] has no code in the input of H'
+        (canonical_ct_bytes), so such a ciphertext is not intact: False
+        before any hashing, never a raise, so that a tampered file loads
+        and is then rejected, and no entry moved by q (or by 256, a wrap of
+        its code) keeps the tag.  The tag is hashed once per ParamSet and
+        kept; later checks compare lambda bits.  Two threads that race
+        store the same tag.  Malformed shapes raise DimensionMismatch: c5
+        here, R and c1..c4 in canonical_ct_bytes.
         """
         if self.c5.shape != (params.lambda_bits,):
             raise DimensionMismatch(f"c5 must have {params.lambda_bits} bits")
         tag = self._tags.get(params)
         if tag is None:
+            if not tag_in_range(self.r_tag, params.ell):
+                return False
             data = canonical_ct_bytes(params, self.r_tag, self.c1, self.c2, self.c3, self.c4)
             tag = self._tags[params] = hash_hprime(data, params.lambda_bits)
         return bool(np.array_equal(tag, self.c5))
@@ -285,19 +298,17 @@ def _message_bits(msg, t: int) -> np.ndarray:
 
 
 def tag_product(pp: PublicParams, r_tag) -> np.ndarray:
-    """A @ R mod q for a ciphertext's tag matrix R.
+    """A @ R mod q for a ciphertext's tag matrix R, whose entries lie in [-ell, ell].
 
-    An R that encrypt draws has entries in [-ell, ell], and exact_int_matmul
-    then gives the exact integer product (one float64 product at the
-    presets) without mat_mul's per-entry reduction and limb split.  A
-    loaded R is not range-checked, so one outside that range goes through
-    mat_mul; the residues are the same either way.
+    exact_int_matmul then gives the exact integer product (one float64
+    product at the presets) without mat_mul's per-entry reduction and
+    limb split.  Encrypt draws R in range and td2 calls this only on an
+    intact ciphertext, whose R is range-checked; any other R raises
+    ParameterError.
     """
-    q, ell = pp.params.q, pp.params.ell
     r_tag = np.asarray(r_tag, dtype=np.int64)
-    if r_tag.max(initial=0) > ell or r_tag.min(initial=0) < -ell:
-        return mat_mul(pp.a, r_tag, q)
-    return exact_int_matmul(pp.a, r_tag) % q
+    require_tag_in_range(r_tag, pp.params.ell)
+    return exact_int_matmul(pp.a, r_tag) % pp.params.q
 
 
 def encrypt_traced(

@@ -188,16 +188,29 @@ class CosetMap:
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
 
 
+def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
+    """ParameterError unless A @ [Rbar; I] == G (mod q): Rbar is a gadget trapdoor of A.
+
+    Computed as Abar @ Rbar plus A's last nk columns, one exact product
+    with no factorization and no stacked copy of [Rbar; I].
+    """
+    m_bar = r_bar.shape[0]
+    g = _gadget_matrix(a.shape[0], gadget_length(q)) % q
+    if a.shape[1] != m_bar + g.shape[1] or not np.array_equal(
+        (exact_int_matmul(a[:, :m_bar], r_bar) + a[:, m_bar:]) % q, g
+    ):
+        raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
+
+
 def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarray | None) -> CosetMap:
     """The CosetMap of A for the basis behind prep: the gadget path with its
     Rbar (ParameterError unless A @ [Rbar; I] == G mod q), else the pivot path."""
     a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
     if r_bar is not None:
+        require_gadget_trapdoor(a, r_bar, q)
         k = gadget_length(q)
         w = np.vstack([r_bar, np.eye(a.shape[0] * k, dtype=np.int64)])
-        if not np.array_equal(mat_mul(a, w, q), _gadget_matrix(a.shape[0], k) % q):
-            raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
         return CosetMap(a, q, k, None, w, prep.project(w))
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)

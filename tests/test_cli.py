@@ -16,10 +16,10 @@ import pytest
 from ibeetfa import fileio
 from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
-from ibeetfa.errors import FormatError, IbeetfaError
+from ibeetfa.errors import FormatError, IbeetfaError, ParameterError
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import encrypt, encrypt_traced, extract, identity_from_string, setup
-from ibeetfa.trapdoor import gadget_length
+from ibeetfa.scheme import MasterSecretKey, encrypt, encrypt_traced, extract, identity_from_string, setup
+from ibeetfa.trapdoor import TrapdoorBasis, gadget_length
 
 from conftest import MINI, random_message
 
@@ -211,15 +211,21 @@ class TestTamperingAndErrors:
 class TestVersionOneFiles:
     """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
     carries preimages of U, version-2 keys lack the R factor of E'_ID that
-    version 3 appends, and version-1 master keys carry the bases T_A and
-    T_A' where version 2 carries Rbar and Rbar': they are refused, never
-    read as something else."""
+    version 3 appends, version-1 master keys carry the bases T_A and
+    T_A' where version 2 carries Rbar and Rbar', and a version-1
+    ciphertext's c5 hashed R as 64-bit residues where version 2 hashes one
+    code per entry: they are refused, never read as something else (a
+    version-1 ciphertext never comes back as a misleading REJECT)."""
 
     @staticmethod
     def old_blob(kind, version, *arrays, variant=b""):
         header = (fileio.MAGIC + struct.pack("<HB", version, kind) + fileio.params_fingerprint(MINI)
                   + fileio.encode_params(MINI))
         return header + variant + b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)
+
+    @staticmethod
+    def with_version(blob, version):
+        return blob[:4] + struct.pack("<H", version) + blob[6:]
 
     @pytest.fixture(scope="class")
     def v1_files(self, workspace):
@@ -237,6 +243,8 @@ class TestVersionOneFiles:
             "td1": (fileio.load_td1, 1, self.old_blob(fileio.KIND_TD1, 1, ident, sk.e_id_prime)),
             "td3": (fileio.load_td3, 1,
                     self.old_blob(fileio.KIND_TD3, 1, ident, sk.e_id_prime, variant=b"\x00")),
+            # the layout did not change, only what c5 means
+            "ct": (fileio.load_ciphertext, 1, self.with_version(fileio.read_file(workspace["ct_a1"]), 1)),
         }
         paths = {}
         for name, (load, version, blob) in blobs.items():
@@ -268,6 +276,16 @@ class TestVersionOneFiles:
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
                             "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+        assert code == 65
+
+    def test_v1_ciphertext_refused(self, workspace, v1_files):
+        current = fileio.read_file(workspace["ct_a1"])
+        assert self.with_version(current, 2) == current
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                            "--ct", v1_files["ct"], "--out", workspace["unused"]])
+        assert code == 65
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                            "--ct", v1_files["ct"], "--seed", "15", "--out", workspace["unused"]])
         assert code == 65
 
     @pytest.mark.parametrize("kind", ["td1", "td3"])
@@ -317,7 +335,9 @@ class TestStoredRBlock:
 
 class TestMasterKeyFile:
     """A master key file holds Rbar and Rbar' after its header; the load
-    rebuilds T_A and T_A' from them and refuses any entry other than +-1."""
+    rebuilds T_A and T_A' from them and refuses any entry other than +-1,
+    and an Rbar that is no gadget trapdoor of the public parameters' A or
+    A'.  A trapdoor that keeps no Rbar cannot be written."""
 
     def test_non_sign_entry_is_load_error(self, workspace, capsys):
         blob = bytearray(fileio.read_file(workspace["msk"]))
@@ -333,6 +353,23 @@ class TestMasterKeyFile:
                             "--id", "eve", "--out", workspace["unused"]])
         assert code == 65
         assert "+-1" in capsys.readouterr().err
+
+    def test_other_systems_master_key_is_load_error(self, workspace, params_file, tmp_path, capsys):
+        # same parameters, another seed: the fingerprints agree, the Rbar do not
+        pp2, msk2 = str(tmp_path / "pp2.ibfa"), str(tmp_path / "msk2.ibfa")
+        assert run_command(["setup", "--params", params_file, "--seed", "02",
+                            "--out-pp", pp2, "--out-msk", msk2]) == 0
+        capsys.readouterr()
+        code = run_command(["extract", "--pp", workspace["pp"], "--msk", msk2,
+                            "--id", "eve", "--out", workspace["unused"]])
+        assert code == 65
+        assert "no trapdoor of these public parameters" in capsys.readouterr().err
+
+    def test_trapdoor_without_rbar_cannot_be_written(self, mini_system):
+        _, msk = mini_system
+        bare = MasterSecretKey(TrapdoorBasis(msk.t_a), msk.trapdoor_a_prime)
+        with pytest.raises(ParameterError, match="without its Rbar"):
+            fileio.dump_master_secret(bare, MINI)
 
 
 class TestParamsVerb:

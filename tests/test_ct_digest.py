@@ -6,6 +6,8 @@ hashes itself once per ParamSet and later checks compare the kept tag.
 
 import dataclasses
 import hashlib
+import os
+import struct
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,10 +16,11 @@ import numpy as np
 import pytest
 
 from ibeetfa import fileio, scheme
-from ibeetfa.authz import td1, td2, td3_basis, td3_ct
+from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
 from ibeetfa.authz import test3 as eq_test3
+from ibeetfa.cli import run_command
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import Ciphertext, ciphertext_integrity_ok, decrypt, encrypt
 
@@ -141,6 +144,65 @@ class TestHashedOnce:
         assert rx.intact(MINI)
 
 
+def _r_word_changes(blob):
+    """(label, file) for each change to R that a ciphertext file can carry:
+    every bit of the first, a middle and the last R word flipped, and the
+    first zero entry moved by +256 (a wrap onto its own 1-byte code), by
+    +q (an alias of R mod q) and to -2**63 (which np.abs leaves negative,
+    and whose code wraps onto the code of 0)."""
+    m, t = MINI.m, MINI.t
+    r_start = len(blob) - (MINI.lambda_bits + 7) // 8 - 8 * (2 * t + 6 * m) - 8 * m * m
+    for word in (0, m * m // 2, m * m - 1):
+        pos = r_start + 8 * word
+        for bit in range(64):
+            out = bytearray(blob)
+            out[pos + bit // 8] ^= 1 << (bit % 8)
+            yield f"word {word} bit {bit}", bytes(out)
+    r_words = np.frombuffer(blob, dtype="<i8", count=m * m, offset=r_start)
+    pos = r_start + 8 * int(np.flatnonzero(r_words == 0)[0])
+    for label, value in (("+256", 256), ("+q", MINI.q), ("-2**63", -(1 << 63))):
+        out = bytearray(blob)
+        struct.pack_into("<q", out, pos, value)
+        yield f"zero entry {label}", bytes(out)
+
+
+class TestTagRange:
+    """Every changed R word is rejected, never refused at load: an entry that
+    leaves [-ell, ell] fails the range check of Ciphertext.intact, one that
+    stays in it changes its code and so the tag."""
+
+    def test_each_change_is_rejected(self, mini_system, mini_key, sent):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        _, _, blob = sent
+        rng = RandomSource(420)
+        t1 = td1(sk, ident)
+        changes = list(_r_word_changes(blob))
+        assert len(changes) == 3 * 64 + 3
+        for label, bad in changes:
+            rx = _load(bad)
+            assert not rx.intact(MINI), label
+            assert decrypt(pp, sk, rx, rng) is None, label
+            assert td2(pp, sk, ident, rx, rng) is None, label
+            assert digest_from_basis(pp, t1, rx, rng) is None, label
+
+    def test_cli_decrypt_exits_reject(self, mini_system, mini_key, sent, tmp_path):
+        pp, _ = mini_system
+        _, sk = mini_key
+        _, _, blob = sent
+        files = {"pp": fileio.dump_public_params(pp), "sk": fileio.dump_user_secret(sk, MINI), "ct": blob}
+        paths = {name: str(tmp_path / name) for name in (*files, "out")}
+        for name, data in files.items():
+            fileio.write_file(paths[name], data)
+        argv = ["decrypt", "--pp", paths["pp"], "--sk", paths["sk"], "--ct", paths["ct"], "--out", paths["out"]]
+        assert run_command(argv) == 0
+        os.remove(paths["out"])
+        for label, bad in _r_word_changes(blob):
+            fileio.write_file(paths["ct"], bad)
+            assert run_command(argv) == 2, label
+        assert not os.path.exists(paths["out"])
+
+
 class TestGoldenBytes:
     """SHA-256 of seeded artifacts at MINI.
 
@@ -156,17 +218,23 @@ class TestGoldenBytes:
     own R instead.  PP and MSK pin setup (MSK last changed when the
     master key file began storing Rbar and Rbar' in place of T_A and T_A',
     format version 2), TD1 and TD3 (basis side and ciphertext side) the
-    key's preimage and a td3_ct draw.
+    key's preimage and a td3_ct draw.  CT, TD2 and TD3_CT last changed
+    when H' began hashing R as one code R + ell per entry instead of a
+    64-bit residue (ciphertext format version 2): c5 changed, and with it
+    the binding that TD2 and TD3_CT carry, while every sampled word stayed
+    put.  CT_BODY pins the ciphertext file without its version field and
+    c5, which that change left as it was.
     """
 
-    CT = "cccc6473d8bf2d5f4075aa15a7442154276a6cb677785cb1781bacf120227f44"
-    TD2 = "11beceaf9e464c053151b36efa43957db1707759af16e3e519310323f3c7d99d"
+    CT = "8616f2313f462ff2fc96f239a594b0fec9ee3ca9cdbb12e9877595ce5e9f7c63"
+    CT_BODY = "1d6915f9d99f27090d3ec47658e232db90cfdad451fe50b611da028ed7502a6b"
+    TD2 = "c0b298be50e7b6741b446b2a677edc8967bd4f877c201f5e8cc3630e58becbc7"
     SK = "2da4399181f9a1f42db19057b36fecb91efc72da4f8d994683b4f4b21f788e76"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
     TD1 = "465f8d99ae82e311bf2050369d223f7a4a2e2540d54e51318a8d2d12197f5e11"
     TD3_BASIS = "a85c986858710347abc156fdbf00efe6dcd8d12ae8418d95ec0128b95c6ea9b4"
-    TD3_CT = "d86435ad9972e745c4f91150367e14899516b93941eef131b28dd5e0c4167a8b"
+    TD3_CT = "c281703ed0becb44b0160416f1d8b0d50fdc9063e9bb631679d50bc875de484c"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system
@@ -188,6 +256,8 @@ class TestGoldenBytes:
         ct = encrypt(pp, ident, random_message(MINI.t, 0x601D), RandomSource(0x601D))
         blob = fileio.dump_ciphertext(ct, MINI)
         assert hashlib.sha256(blob).hexdigest() == self.CT
+        c5_start = len(blob) - (MINI.lambda_bits + 7) // 8
+        assert hashlib.sha256(blob[:4] + blob[6:c5_start]).hexdigest() == self.CT_BODY
         for source in (ct, _load(blob)):
             td = td2(pp, sk, ident, source, RandomSource(0x601E))
             assert hashlib.sha256(fileio.dump_td2(td, MINI)).hexdigest() == self.TD2

@@ -1,18 +1,21 @@
 """Digest functions and the canonical ciphertext encoding."""
 
+import dataclasses
 import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from ibeetfa.errors import DimensionMismatch
+from ibeetfa.errors import DimensionMismatch, ParameterError
 from ibeetfa.hashing import (
     bits_to_bytes,
     bytes_to_bits,
     canonical_ct_bytes,
     hash_h,
     hash_hprime,
+    tag_code_width,
+    tag_in_range,
 )
 from ibeetfa.params import ParamSet
 
@@ -98,38 +101,63 @@ class TestCanonicalBytes:
         base = canonical_ct_bytes(TINY, r, c1, c2, c3, c4)
         for mutate in range(5):
             rr, d1, d2, d3, d4 = (x.copy() for x in (r, c1, c2, c3, c4))
-            [rr, d1, d2, d3, d4][mutate].flat[0] += 1
+            part = [rr, d1, d2, d3, d4][mutate]
+            # R moves within [-ell, ell]: any other R has no code
+            part.flat[0] += -1 if mutate == 0 and part.flat[0] == TINY.ell else 1
             assert canonical_ct_bytes(TINY, rr, d1, d2, d3, d4) != base
 
     def test_layout_length(self):
         m, t = TINY.m, TINY.t
         blob = canonical_ct_bytes(TINY, *tiny_components())
-        assert len(blob) == 8 * (5 + m * m + 2 * t + 6 * m)
+        assert len(blob) == 40 + 1 * m * m + 8 * (2 * t + 6 * m)
 
-    def test_negative_tag_entries_encode_mod_q(self):
+    def test_negative_tag_entries_encode_as_codes(self):
         r, c1, c2, c3, c4 = tiny_components()
         r_neg = r.copy()
         r_neg[0, 0] = -1
         blob = canonical_ct_bytes(TINY, r_neg, c1, c2, c3, c4)
-        # first tag entry sits right after the 40-byte header
-        val = int.from_bytes(blob[40:48], "little")
-        assert val == TINY.q - 1
+        # first tag code sits right after the 40-byte header: R + ell
+        assert blob[40] == TINY.ell - 1
 
     def test_matches_reference_encoding_on_extreme_words(self):
-        # the encoder reduces in place; the reference reduces each part with
-        # % q and joins the copies, as the layout is specified
-        q = TINY.q
+        # the encoder reduces c1..c4 in place and codes R by a wrapping cast;
+        # the reference codes each R entry with int arithmetic, reduces each
+        # part with % q and joins the copies, as the layout is specified
+        q, ell = TINY.q, TINY.ell
         extremes = np.array([-(1 << 63), (1 << 63) - 1, -q, -q - 1, -1, 0, q - 1, q, 2 * q + 5],
                             dtype=np.int64)
         r, c1, c2, c3, c4 = tiny_components(7)
-        r.flat[: r.size] = np.resize(extremes, r.size)
+        r.flat[:] = np.resize(np.arange(-ell, ell + 1), r.size)  # every code
         c3[: extremes.size] = extremes
-        want = struct.pack("<5Q", q, TINY.n, TINY.m, TINY.t, TINY.ell) + b"".join(
-            (x % q).astype("<u8").tobytes() for x in (r, c1, c2, c3, c4))
+        want = (struct.pack("<5Q", q, TINY.n, TINY.m, TINY.t, ell)
+                + bytes(int(x) + ell for x in r.flat)
+                + b"".join((x % q).astype("<u8").tobytes() for x in (c1, c2, c3, c4)))
         got = canonical_ct_bytes(TINY, r, c1, c2, c3, c4)
         assert got == want
         prefix_joined = hashlib.shake_256(b"IBEETFA-Hp" + got).digest(TINY.lambda_bits // 8)
         assert bits_to_bytes(hash_hprime(got, TINY.lambda_bits)) == prefix_joined
+        # the extreme words have no code in R: each raises, none wraps
+        # (ell + 256 and 256 - ell would wrap onto the codes of ell and -ell)
+        outside = (*extremes.tolist(), -ell - 1, ell + 1, ell + 256, 256 - ell)
+        for word in [x for x in outside if not -ell <= x <= ell]:
+            bad = r.copy()
+            bad[1, 1] = word
+            assert not tag_in_range(bad, ell)
+            with pytest.raises(ParameterError, match="tag matrix"):
+                canonical_ct_bytes(TINY, bad, c1, c2, c3, c4)
+
+    def test_code_width(self):
+        assert [tag_code_width(ell) for ell in (1, 8, 127, 128, 32767, 32768)] == [1, 1, 1, 2, 2, 4]
+        with pytest.raises(ParameterError):
+            tag_code_width(1 << 31)
+        # two-byte codes are little-endian: -200 + 200 = 0 and 200 + 200 = 400
+        wide = dataclasses.replace(TINY, ell=200)
+        r, c1, c2, c3, c4 = tiny_components(8)
+        r[0, :2] = [-200, 200]
+        blob = canonical_ct_bytes(wide, r, c1, c2, c3, c4)
+        assert len(blob) == 40 + 2 * TINY.m ** 2 + 8 * (2 * TINY.t + 6 * TINY.m)
+        assert blob[40:44] == struct.pack("<2H", 0, 400)
+        assert blob[44 : 40 + 2 * TINY.m ** 2] == (r.reshape(-1)[2:] + 200).astype("<u2").tobytes()
 
     def test_dimension_mismatch(self):
         r, c1, c2, c3, c4 = tiny_components()

@@ -192,13 +192,17 @@ class TestEncrypt:
         pp, _ = mini_system
         m, ell = MINI.m, MINI.ell
         inside = RandomSource(10).integers(-ell, ell + 1, (m, m))
-        # a loaded R is not range-checked: entries past ell, past q and at
-        # the int64 extremes must reduce as mat_mul reduces them
-        outside = inside.copy()
-        outside[0, :4] = [ell + 1, -(ell + 1), 5 * MINI.q + 3, -(7 * MINI.q) - 1]
-        outside[1, :2] = [np.iinfo(np.int64).max, np.iinfo(np.int64).min]
-        for r in (inside, outside):
-            assert np.array_equal(tag_product(pp, r), mat_mul(pp.a, r, MINI.q))
+        inside[0, :2] = [-ell, ell]
+        assert np.array_equal(tag_product(pp, inside), mat_mul(pp.a, inside, MINI.q))
+        # every R that reaches it is in range (encrypt draws it so, td2 asks
+        # Ciphertext.intact first): entries past ell, past q and at the
+        # int64 extremes raise, never reduce to a product
+        for word in (ell + 1, -(ell + 1), 5 * MINI.q + 3, -(7 * MINI.q) - 1,
+                     np.iinfo(np.int64).max, np.iinfo(np.int64).min):
+            outside = inside.copy()
+            outside[1, 3] = word
+            with pytest.raises(ParameterError, match="tag matrix"):
+                tag_product(pp, outside)
 
 
 class TestDecodeBits:
