@@ -9,7 +9,8 @@ Layout of every artifact:
   kind-specific payload
 
 Residue matrices are stored row-major as u64 little-endian; signed
-integer matrices as i64 two's-complement little-endian; real factors as
+integer matrices as i64 two's-complement little-endian (the user secret
+key's as i32, see below); real factors as
 IEEE-754 binary64 little-endian; bit strings are packed little-endian
 within each byte.  Dumps join views of the arrays' own buffers, so each
 blob is built in one copy.  Loads verify magic, version, kind, exact
@@ -27,7 +28,16 @@ the basis E'_ID.  Version 3 (user secret key only) appends the R factor
 extract certified E'_ID with, its upper triangle row after row
 (2m(2m+1)/2 words, PreparedBasis.r_rows), so a loaded key factors
 nothing; the load checks in O(m^2) that it is E'_ID's
-(samplers.adopt_r_factor) and refuses the file otherwise.  Version 2 of
+(samplers.adopt_r_factor) and refuses the file otherwise.  Version 4
+(user secret key only) stores E_ID, E'_ID, e_F and e_F' as i32 (dump
+refuses an entry that does not fit, and a load widens them back to
+int64), keeps the R block, and appends the coset map extract built for
+E'_ID under F'_ID: its n pivot rows (i64), the n x n elimination matrix
+E (u64 residues) and the 2m x n projections P = Q^T W (binary64).  The
+load checks the pivots, E's range and P against E'_ID and R in
+O(m^2 n) (trapdoor.adopt_coset_map); the map is bound to F'_ID on first
+use (CosetMap.bound_to), so a loaded key derives nothing before it
+samples.  Version 2 of
 the master secret key holds only Rbar and Rbar' (entries +-1), not T_A, T_A'.
 Version 2 of the ciphertext keeps the version-1 layout, but its c5 is
 H' over the coded tag matrix (hashing.canonical_ct_bytes), so a
@@ -51,7 +61,13 @@ from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .samplers import adopt_r_factor
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
-from .trapdoor import TrapdoorBasis, gadget_length, gadget_trapdoor, require_gadget_trapdoor
+from .trapdoor import (
+    TrapdoorBasis,
+    adopt_coset_map,
+    gadget_length,
+    gadget_trapdoor,
+    require_gadget_trapdoor,
+)
 
 MAGIC = b"IBFA"
 
@@ -74,7 +90,7 @@ _KIND_NAMES = {
 }
 
 #: Format version of each kind whose payload changed; every other kind is at 1.
-_VERSIONS = {KIND_MSK: 2, KIND_SK: 3, KIND_CT: 2, KIND_TD1: 2, KIND_TD3: 2}
+_VERSIONS = {KIND_MSK: 2, KIND_SK: 4, KIND_CT: 2, KIND_TD1: 2, KIND_TD3: 2}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -107,6 +123,11 @@ def _words(arr: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(arr, dtype="<i8"))
 
 
+def _reals(arr: np.ndarray) -> memoryview:
+    """The IEEE-754 binary64 little-endian words of arr, as a view when it is C-ordered float64."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<f8"))
+
+
 class _Reader:
     def __init__(self, blob: bytes, what: str):
         self.blob = memoryview(blob)  # take() slices without copying
@@ -129,6 +150,11 @@ class _Reader:
         count = int(np.prod(shape))
         raw = np.frombuffer(self.take(8 * count), dtype="<i8")
         return raw.astype(np.int64).reshape(shape)
+
+    def int32s(self, shape) -> np.ndarray:
+        """The next 4-byte signed words, widened to an int64 array (the mirror of _int32_words)."""
+        count = int(np.prod(shape))
+        return np.frombuffer(self.take(4 * count), dtype="<i4").astype(np.int64).reshape(shape)
 
     def reals(self, count: int) -> np.ndarray:
         """The next count binary64 words, as a float64 array of its own."""
@@ -241,28 +267,54 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
     return Identity(tuple(int(b) for b in bits))
 
 
+def _int32_words(arr: np.ndarray, name: str) -> memoryview:
+    """The 4-byte little-endian words of a signed matrix; ParameterError
+    if an entry does not fit in int32, so no entry ever wraps."""
+    if arr.size and (arr.min() < -(1 << 31) or arr.max() >= 1 << 31):
+        raise ParameterError(f"user secret key: {name} holds an entry outside int32")
+    return memoryview(np.ascontiguousarray(arr, dtype="<i4"))
+
+
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
-    r_rows = sk.trapdoor_prime.prepared().r_rows
+    """The sk file (version 4); ParameterError for a key whose E'_ID holds no
+    coset map (extract and load_user_secret always give it one) or whose
+    integer entries do not fit in int32."""
+    td = sk.trapdoor_prime
+    cmap = td.coset
+    if cmap is None or cmap.k:
+        raise ParameterError("user secret key: E'_ID has no coset map to write")
+    sections = [_int32_words(arr, name) for name, arr in (
+        ("E_ID", sk.e_id), ("E'_ID", sk.e_id_prime), ("e_F", sk.e_f), ("e_F'", sk.e_f_prime))]
     return b"".join(
-        [_header(KIND_SK, p), _dump_identity(sk.identity), _words(sk.e_id), _words(sk.e_id_prime),
-         _words(sk.e_f), _words(sk.e_f_prime), memoryview(np.ascontiguousarray(r_rows, dtype="<f8"))]
+        [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _reals(td.prepared().r_rows),
+         _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
     )
 
 
 def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecretKey:
+    """The key in blob, E'_ID holding its stored R factor and (unbound) coset
+    map once both are checked against it; FormatError otherwise."""
     rd, p = _open(blob, KIND_SK, reference)
+    d = 2 * p.m
     ident = _load_identity(rd, p.ell)
-    e_id = rd.words((2 * p.m, 2 * p.m))
-    e_id_prime = rd.words((2 * p.m, 2 * p.m))
-    e_f = rd.words((2 * p.m, p.t))
-    e_f_prime = rd.words((2 * p.m, p.t))
-    r_rows = rd.reals(p.m * (2 * p.m + 1))  # 2m(2m+1)/2
+    e_id = rd.int32s((d, d))
+    e_id_prime = rd.int32s((d, d))
+    e_f = rd.int32s((d, p.t))
+    e_f_prime = rd.int32s((d, p.t))
+    r_rows = rd.reals(d * (d + 1) // 2)
+    pivots = rd.words((p.n,))
+    elim = rd.words((p.n, p.n))
+    proj = rd.reals(d * p.n).reshape(d, p.n)
     rd.done()
     try:
         prep = adopt_r_factor(e_id_prime, r_rows)
     except SingularMatrix as err:
         raise FormatError(f"user secret key: stored R factor refused: {err}") from None
-    return UserSecretKey(ident, e_id, TrapdoorBasis(e_id_prime, prep=prep), e_f, e_f_prime)
+    try:
+        cmap = adopt_coset_map(prep, p.q, pivots, elim, proj)
+    except ParameterError as err:
+        raise FormatError(f"user secret key: stored coset map refused: {err}") from None
+    return UserSecretKey(ident, e_id, TrapdoorBasis(e_id_prime, prep=prep, coset=cmap), e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------

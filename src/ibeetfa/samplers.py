@@ -151,8 +151,8 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-#: Rows per block of the back substitution (_nearest_plane) and of the
-#: forward substitution (PreparedBasis._solve_rt).
+#: Rows per block of the back substitution (_nearest_plane), of the
+#: forward substitution (PreparedBasis._solve_rt) and of R^T p (rt_times).
 WALK_BLOCK = 64
 
 
@@ -201,6 +201,14 @@ class PreparedBasis:
         p = self._solve_rt(bf.T @ t)
         r_inv_p = _nearest_plane(self, p, lambda centers, r_kk: centers)
         return p + self._solve_rt(bf.T @ (t - bf @ r_inv_p))
+
+    def rt_times(self, p: np.ndarray) -> np.ndarray:
+        """R^T p for a d x k matrix p, WALK_BLOCK rows of R at a time."""
+        out = np.zeros((self.dim, p.shape[1]))
+        for lo in range(0, self.dim, WALK_BLOCK):
+            hi = min(self.dim, lo + WALK_BLOCK)
+            out[lo:] += self._r_block(lo, hi).T @ p[lo:hi]
+        return out
 
     def _r_block(self, lo: int, hi: int) -> np.ndarray:
         """R[lo:hi, lo:], zeros below the diagonal."""

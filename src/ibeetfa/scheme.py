@@ -8,11 +8,12 @@ thread counts, so the R block of a key file differs and, at a rounding
 tie, so could a sampled coordinate.  A key
 file carries the R extract certified E'_ID with, so a loaded key samples
 with exactly the R of the host that extracted it.  Data objects are
-immutable apart from what they build on first use.  A key's only lazy
-state is the coset map (with projections) of E'_ID that td2 and td3_ct
-build once under a per-basis lock; E'_ID's R factor comes from extract
-or from the key file.  Decrypt and the type-1 tests read the key's
-preimages of U, fixed at extract.  The other is the integrity tag a
+immutable apart from what they build on first use.  Extract builds E'_ID's
+R factor and coset map (with projections) and the key file carries both,
+so a loaded key's only lazy state is binding its stored map to F'_ID,
+which td2 and td3_ct do once under a per-basis lock.  Decrypt and the
+type-1 tests read the key's preimages of U, fixed at extract.  The other
+lazy state is the integrity tag a
 Ciphertext keeps per parameter set, which two racing threads at worst
 compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
@@ -129,9 +130,12 @@ class UserSecretKey:
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
     them, so neither builds any sampling data.  Both are held as read-only
     copies.  Of the bases, only E'_ID is sampled with (by td2 and
-    td3_ct): extract hands it the R factor it was certified with, the key
-    file stores that R, and a loaded key adopts it once load has checked
-    it (samplers.adopt_r_factor).  E_ID (e_id, 2m x 2m int64) is plain
+    td3_ct): extract hands it the R factor it was certified with and
+    builds its coset map under F'_ID, the key file stores both, and a
+    loaded key adopts them once load has checked them against E'_ID
+    (samplers.adopt_r_factor, trapdoor.adopt_coset_map) and binds the map
+    to F'_ID on first use.  The file holds every integer entry as int32; a
+    loaded key holds int64 like a fresh one.  E_ID (e_id, 2m x 2m int64) is plain
     key data, held as given: no scheme operation samples with it, and a
     read-only copy would cost another 2m x 2m words.  Carries its identity
     so decryption can rebuild the concatenated matrices without
@@ -187,9 +191,10 @@ class Ciphertext:
         """Whether c5 is the integrity tag H'(R, c1..c4) under params.
 
         An R entry outside [-ell, ell] has no code in the input of H'
-        (canonical_ct_bytes), so such a ciphertext is not intact: False
-        before any hashing, never a raise, so that a tampered file loads
-        and is then rejected, and no entry moved by q (or by 256, a wrap of
+        (canonical_ct_bytes), and a c1..c4 word outside [0, q) is no
+        residue, so such a ciphertext is not intact: False before any
+        hashing, never a raise, so that a tampered file loads and is then
+        rejected, and no word moved by q (or an R entry by 256, a wrap of
         its code) keeps the tag.  The tag is hashed once per ParamSet and
         kept; later checks compare lambda bits.  Two threads that race
         store the same tag.  Malformed shapes raise DimensionMismatch: c5
@@ -199,7 +204,10 @@ class Ciphertext:
             raise DimensionMismatch(f"c5 must have {params.lambda_bits} bits")
         tag = self._tags.get(params)
         if tag is None:
-            if not tag_in_range(self.r_tag, params.ell):
+            payloads = (self.c1, self.c2, self.c3, self.c4)
+            if not tag_in_range(self.r_tag, params.ell) or any(
+                c.size and (c.min() < 0 or c.max() >= params.q) for c in payloads
+            ):
                 return False
             data = canonical_ct_bytes(params, self.r_tag, self.c1, self.c2, self.c3, self.c4)
             tag = self._tags[params] = hash_hprime(data, params.lambda_bits)
@@ -267,7 +275,8 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     Each basis and its preimage e_F of U come from one SampleLeft call
     with the master trapdoor, sigma enforced, and F @ e_F == U is checked
     on every column (sample_basis_left).  Each basis is certified by
-    factoring it; E'_ID keeps that R factor for td2.  A draw that fails
+    factoring it; E'_ID keeps that R factor for td2, and the coset map of
+    F'_ID that td2 walks with is built here once.  A draw that fails
     (SamplingError) draws the whole key again, up to _EXTRACT_ATTEMPTS
     times.  A master key whose bases are no trapdoors of pp's A and A'
     raises ParameterError.
@@ -284,6 +293,9 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
+            # td2 samples with E'_ID under F'_ID: its coset map is built once, here,
+            # and the key file carries it
+            basis_prime.coset_map(concat_cols([pp.a_prime, a_id]), p.q)
             return UserSecretKey(ident, e_id, basis_prime, e_f, e_f_prime)
         except SamplingError as err:
             last_err = err

@@ -21,14 +21,16 @@ decomposition of the targets and W = [Rbar; I], which keeps every
 intermediate tiny; for any other basis y is the mod-q solution on the n
 pivot columns of A and W places it there.  The walk's projections Q^T c
 are then P @ y with P = Q^T W computed once per basis, so no Q is ever
-formed.
+formed.  A user key's map is built at extract and shipped in the key
+file; a loaded map is checked against the basis at load
+(adopt_coset_map) and bound to its public matrix on first use.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +53,7 @@ from .zqlinalg import (
     concat_cols,
     exact_int_matmul,
     mat_mul,
+    qr_singularity_bound,
     solve_mod,
 )
 
@@ -171,21 +174,39 @@ class CosetMap:
     elimination solve_mod applies to A, and W puts y on solve_mod's pivot
     rows, so c is the centered solve_mod solution.  proj = Q^T W of the
     basis the map belongs to, which turns the walk's projections Q^T c
-    into proj @ y.
+    into proj @ y.  A map read from a key file (adopt_coset_map) holds no
+    A until TrapdoorBasis.coset_map binds it (bound_to).
     """
 
-    a: np.ndarray            # the public matrix (residues) the map was derived for
+    a: np.ndarray | None     # the public matrix (residues) the map is bound to; None if unbound
     q: int
     k: int                   # bits per residue on the gadget path, 0 on the pivot path
     elim: np.ndarray | None  # n x n, E (pivot path only)
     w: np.ndarray            # d x width int64
     proj: np.ndarray         # d x width float64
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """The row of W that each column of W puts its coordinate on (pivot path)."""
+        return self.w.argmax(axis=0)
+
     def coordinates(self, targets: np.ndarray) -> np.ndarray:
         """y with A @ (W @ y) == targets (mod q)."""
         if self.k:
             return _bit_decompose(targets % self.q, self.k)
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
+
+    def bound_to(self, a: np.ndarray, q: int) -> CosetMap:
+        """This pivot-path map bound to A: ParameterError unless
+        A[:, pivots] @ E == I (mod q), which makes every c = W @ y a solution."""
+        a = np.array(a, dtype=np.int64)
+        a.setflags(write=False)
+        n = self.elim.shape[0]
+        if q != self.q or a.shape != (n, self.w.shape[0]) or not np.array_equal(
+            mat_mul(a[:, self.pivots], self.elim, q), np.eye(n, dtype=np.int64)
+        ):
+            raise ParameterError("the trapdoor basis belongs to another public matrix")
+        return replace(self, a=a)
 
 
 def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
@@ -202,6 +223,13 @@ def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
         raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
 
 
+def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:
+    """The d x n matrix W that puts coordinate j on row pivots[j]."""
+    w = np.zeros((d, pivots.size), dtype=np.int64)
+    w[pivots, np.arange(pivots.size)] = 1
+    return w
+
+
 def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarray | None) -> CosetMap:
     """The CosetMap of A for the basis behind prep: the gadget path with its
     Rbar (ParameterError unless A @ [Rbar; I] == G mod q), else the pivot path."""
@@ -215,9 +243,39 @@ def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarr
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
-    w = np.zeros((a.shape[1], pivots.size), dtype=np.int64)
-    w[pivots, np.arange(pivots.size)] = 1
+    w = _pivot_map(pivots, a.shape[1])
     return CosetMap(a, q, 0, x[pivots], w, prep.project(w))
+
+
+def adopt_coset_map(prep: PreparedBasis, q: int, pivots: np.ndarray, elim: np.ndarray,
+                    proj: np.ndarray) -> CosetMap:
+    """An unbound pivot-path CosetMap from data computed elsewhere (a key
+    file: n pivots, n x n E, d x n proj), checked to belong to the basis
+    behind prep; ParameterError if not.
+
+    The pivots must be n distinct rows of the basis and E a residue
+    matrix.  proj must be Q^T W of this basis: B = QR gives
+    R^T (Q^T W) = B^T W = B[pivots, :]^T.  A backward-stable QR returns the
+    exact R factor of B + F with |F| at most qr_singularity_bound (the
+    error adopt_r_factor allows), so for the exact Q of B + F each column
+    of R^T Q^T W is off B[pivots[j], :] by at most |F| |w_j| = bound;
+    computing Q^T W (PreparedBasis.project) and R^T proj in float64 adds
+    less than another bound, which the tolerance allows.  The bound is
+    taken from |R|_F = |B + F|_F, and R^T proj is formed WALK_BLOCK rows of
+    R at a time, O(d^2 n).  Which A the map solves for is checked when it
+    is bound (CosetMap.bound_to).
+    """
+    d, n = prep.dim, pivots.size
+    if pivots.min() < 0 or pivots.max() >= d or np.unique(pivots).size != n:
+        raise ParameterError(f"pivots must be {n} distinct rows in [0, {d})")
+    if elim.min() < 0 or elim.max() >= q:
+        raise ParameterError(f"E holds entries outside [0, {q})")
+    gap = np.linalg.norm(prep.rt_times(proj) - prep.basis[pivots].T, axis=0)
+    bound = qr_singularity_bound(float(np.linalg.norm(prep.r_rows)), d)
+    # written so that a NaN fails it
+    if not float(gap.max()) <= 2.0 * bound:
+        raise ParameterError("projections are not Q^T W of this basis")
+    return CosetMap(None, q, 0, elim, _pivot_map(pivots, d), proj)
 
 
 class TrapdoorBasis:
@@ -226,18 +284,27 @@ class TrapdoorBasis:
     The R factor (PreparedBasis; handed over by whoever factored the basis
     already or loaded a checked one, else built on first use) and the
     CosetMap of the public matrix the basis is a trapdoor of (derived on
-    first use) are each built once and then kept by this object.  The
-    coset map belongs to the matrix it was derived for: a call with
-    another matrix raises ParameterError.  A lock guards every first use,
-    so one instance may serve concurrent calls.
+    first use, or handed over: extract builds E'_ID's, and a loaded key
+    carries it unbound) are each built once and then kept by this object.
+    The coset map belongs to the matrix it was derived for or first bound
+    to: a call with another matrix, or the binding of a handed-over map to
+    a matrix it does not solve, raises ParameterError.  A lock guards
+    every first use and the binding, so one instance may serve concurrent
+    calls.
     """
 
-    def __init__(self, basis, *, prep: PreparedBasis | None = None, r_bar: np.ndarray | None = None):
+    def __init__(self, basis, *, prep: PreparedBasis | None = None, r_bar: np.ndarray | None = None,
+                 coset: CosetMap | None = None):
         self.basis = np.asarray(basis, dtype=np.int64)
         self.r_bar = r_bar  # a gadget trapdoor's Rbar, which selects the gadget path; else None
         self._prep = prep
-        self._coset: CosetMap | None = None
+        self._coset = coset
         self._lock = threading.RLock()
+
+    @property
+    def coset(self) -> CosetMap | None:
+        """The coset map held so far, bound or not; None before first use."""
+        return self._coset
 
     def prepared(self) -> PreparedBasis:
         with self._lock:
@@ -249,6 +316,8 @@ class TrapdoorBasis:
         with self._lock:
             if self._coset is None:
                 self._coset = derive_coset_map(a, self.prepared(), q, self.r_bar)
+            elif self._coset.a is None:
+                self._coset = self._coset.bound_to(a, q)
             elif q != self._coset.q or not np.array_equal(a, self._coset.a):
                 raise ParameterError("the trapdoor basis belongs to another public matrix")
             return self._coset

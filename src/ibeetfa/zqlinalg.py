@@ -3,10 +3,13 @@
 Residue matrices live in numpy int64 arrays with entries in [0, q);
 signed integer matrices (trapdoor bases, Gaussian preimages) are int64
 arrays whose magnitudes stay far below 2**62.  Every mod-q product is
-exact: operands are split into 19-bit limbs, the limb products are
-accumulated with float64 matmuls (whose partial sums stay below 2**53
-for any inner dimension up to 2**14), and the limbs are recombined in
-int64.  This caps the modulus at 2**38, which every supported parameter
+exact: operands are split into limbs, the limb products are accumulated
+with float64 matmuls whose partial sums stay below 2**53, and the limbs
+are recombined in int64.  When the operand with more entries is a short
+signed matrix, only the other one is reduced and split (at most three
+limbs), and the short one enters the products as it is; otherwise both
+are split into two 19-bit limbs, exact for any inner dimension up to
+2**14.  This caps the modulus at 2**38, which every supported parameter
 set respects; the gain is that the hot paths run through BLAS instead
 of arbitrary-precision integers.
 """
@@ -92,16 +95,57 @@ def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a >> _LIMB_BITS).astype(np.float64), (a & _LIMB_MASK).astype(np.float64)
 
 
+def _magnitude(a: np.ndarray) -> int:
+    """max |a_ij| as a Python int (np.abs(-2**63) is -2**63)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+#: Widest limb of the one-sided split; wider limbs would let acc << L pass 2**63.
+_WIDE_LIMB_MAX = 24
+#: Narrowest limb of the one-sided split, so a residue below 2**38 takes at most 3.
+_WIDE_LIMB_MIN = 13
+
+
+def _mod_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q of two int64 matrices; a and b need not be reduced.
+
+    When the operand with more entries (g) is short, with
+    L = min(24, 53 - bitlen(max|g|) - bitlen(k)) >= 13 for inner
+    dimension k, g enters float64 as it is, and only the other operand is
+    reduced to [0, q) and split into L-bit limbs: every product
+    g @ limb is then exact in float64, and acc = ((acc << L) + p) % q
+    stays below 2**38 * 2**24 + 2**53 < 2**63.  Otherwise both operands
+    are reduced and split into two 19-bit limbs (four products).
+    """
+    k = a.shape[1]
+    g_left = a.size > b.size
+    g, other = (a, b) if g_left else (b, a)
+    width = min(_WIDE_LIMB_MAX, 53 - _magnitude(g).bit_length() - k.bit_length())
+    if width < _WIDE_LIMB_MIN:
+        a_hi, a_lo = _limbs(as_residues(a, q))
+        b_hi, b_lo = _limbs(as_residues(b, q))
+        acc = (a_hi @ b_hi).astype(np.int64) % q
+        acc = ((acc << _LIMB_BITS) + (a_hi @ b_lo + a_lo @ b_hi).astype(np.int64)) % q
+        return ((acc << _LIMB_BITS) + (a_lo @ b_lo).astype(np.int64)) % q
+    gf = g.astype(np.float64)
+    other = as_residues(other, q)
+    acc = 0
+    for shift in range(((q - 1).bit_length() - 1) // width * width, -1, -width):
+        limb = ((other >> shift) & ((1 << width) - 1)).astype(np.float64)
+        acc = ((acc << width) + (gf @ limb if g_left else limb @ gf).astype(np.int64)) % q
+    return acc
+
+
 def mat_mul(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) mod q.
 
-    ``b`` may be a residue matrix or a signed integer matrix; signed
-    entries are reduced mod q first.  1-D operands are treated as
-    column/row vectors the way ``@`` does.
+    Either operand may be a residue matrix or a signed integer matrix;
+    the result is in [0, q).  1-D operands are treated as column/row
+    vectors the way ``@`` does.
     """
     q = int(q)
-    a = as_residues(a, q)
-    b = as_residues(b, q)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     b_vec = b.ndim == 1
     if b_vec:
         b = b.reshape(-1, 1)
@@ -114,15 +158,7 @@ def mat_mul(a, b, q: int) -> np.ndarray:
         raise DimensionMismatch(
             f"inner dimension {a_mat.shape[1]} exceeds exact-product limit {_MAX_INNER_DIM}"
         )
-    a_hi, a_lo = _limbs(a_mat)
-    b_hi, b_lo = _limbs(b)
-    p_hh = (a_hi @ b_hi).astype(np.int64)
-    p_mid = (a_hi @ b_lo + a_lo @ b_hi).astype(np.int64)
-    p_ll = (a_lo @ b_lo).astype(np.int64)
-    acc = p_hh % q
-    acc = ((acc << _LIMB_BITS) + p_mid) % q
-    acc = ((acc << _LIMB_BITS) + p_ll) % q
-    out = acc
+    out = _mod_product(a_mat, b, q)
     if a.ndim == 1:
         out = out.reshape(-1)
     if b_vec:
@@ -159,8 +195,8 @@ def exact_int_matmul(a, b) -> np.ndarray:
     if a.shape[-1] != b.shape[0]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     k = b.shape[0]
-    amax = int(np.abs(a).max(initial=0)) or 1
-    bmax = int(np.abs(b).max(initial=0)) or 1
+    amax = _magnitude(a) or 1
+    bmax = _magnitude(b) or 1
     if amax * bmax * k >= 1 << 62:
         raise DimensionMismatch("integer product bound exceeds int64 range")
     if amax * bmax * k < 1 << 53:

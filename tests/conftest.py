@@ -47,6 +47,19 @@ def mini_key_other(mini_system):
     return ident, sk
 
 
+def sk_sections(p):
+    """Byte slices of the sections of a user secret key file (format version 4)."""
+    d = 2 * p.m
+    sizes = (("identity", 8 * p.ell), ("e_id", 4 * d * d), ("e_id_prime", 4 * d * d),
+             ("e_f", 4 * d * p.t), ("e_f_prime", 4 * d * p.t), ("r_rows", 8 * d * (d + 1) // 2),
+             ("pivots", 8 * p.n), ("elim", 8 * p.n * p.n), ("proj", 8 * d * p.n))
+    spans, pos = {}, 4 + 2 + 1 + 32 + 72  # the common header
+    for name, size in sizes:
+        spans[name] = slice(pos, pos + size)
+        pos += size
+    return spans
+
+
 def random_message(t, seed):
     return RandomSource(seed).integers(0, 2, t).astype(np.uint8)
 

@@ -230,9 +230,11 @@ def test_criterion_4_size_formulas(system, keys, pool):
     ct_ok = ct.element_count() == p.m**2 + 2 * p.t + 6 * p.m and ct.c5.size == p.lambda_bits
     sk_measured = sk.element_count()
     sk_ok = sk_measured == 8 * p.m**2 + 4 * p.m * p.t
-    # the file also holds the identity and the packed R factor of E'_ID
+    # the file stores the key entries as int32 words, then the identity,
+    # the packed R factor and the coset map of E'_ID as 8-byte words
     header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
-    sk_words = (len(fileio.dump_user_secret(sk, p)) - header) // 8
+    sk_bytes = len(fileio.dump_user_secret(sk, p))
+    extra_words = (sk_bytes - header - 4 * sk_measured) // 8
     report(
         "criterion-4",
         pp_ok and msk_ok and ct_ok and sk_ok,
@@ -240,7 +242,8 @@ def test_criterion_4_size_formulas(system, keys, pool):
         f"CT={p.m ** 2 + 2 * p.t + 6 * p.m}+{p.lambda_bits} bits; "
         f"secret key measured {sk_measured} = 8m^2 + 4mt "
         f"(published table lists 4m^2; discrepancy reported, not matched), "
-        f"its file {sk_words} words ({sk_words - sk_measured} more: identity and R of E'_ID)",
+        f"its file {sk_bytes} bytes: a {header}-byte header, those {sk_measured} entries "
+        f"as int32 words and {extra_words} 8-byte words (identity, R and coset map of E'_ID)",
     )
 
 

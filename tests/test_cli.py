@@ -21,7 +21,7 @@ from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import MasterSecretKey, encrypt, encrypt_traced, extract, identity_from_string, setup
 from ibeetfa.trapdoor import TrapdoorBasis, gadget_length
 
-from conftest import MINI, random_message
+from conftest import MINI, random_message, sk_sections
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,8 @@ class TestTamperingAndErrors:
 class TestVersionOneFiles:
     """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
     carries preimages of U, version-2 keys lack the R factor of E'_ID that
-    version 3 appends, version-1 master keys carry the bases T_A and
+    version 3 appends, version-3 keys hold 64-bit integer words and lack
+    the coset map of E'_ID that version 4 carries, version-1 master keys carry the bases T_A and
     T_A' where version 2 carries Rbar and Rbar', and a version-1
     ciphertext's c5 hashed R as 64-bit residues where version 2 hashes one
     code per entry: they are refused, never read as something else (a
@@ -240,6 +241,9 @@ class TestVersionOneFiles:
                    self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
             "sk_v2": (fileio.load_user_secret, 2,
                       self.old_blob(fileio.KIND_SK, 2, ident, sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)),
+            "sk_v3": (fileio.load_user_secret, 3,
+                      self.old_blob(fileio.KIND_SK, 3, ident, sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)
+                      + sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()),
             "td1": (fileio.load_td1, 1, self.old_blob(fileio.KIND_TD1, 1, ident, sk.e_id_prime)),
             "td3": (fileio.load_td3, 1,
                     self.old_blob(fileio.KIND_TD3, 1, ident, sk.e_id_prime, variant=b"\x00")),
@@ -266,15 +270,30 @@ class TestVersionOneFiles:
 
     def test_v2_secret_key_refused(self, workspace, v1_files):
         # a version-2 key is the version-3 payload without its R block
-        current = fileio.read_file(workspace["sk_a"])
-        with open(v1_files["sk_v2"], "rb") as fh:
-            v2 = fh.read()
+        v2, v3 = (fileio.read_file(v1_files[name]) for name in ("sk_v2", "sk_v3"))
         d = 2 * MINI.m
-        assert current[6:].startswith(v2[6:]) and len(current) - len(v2) == 8 * d * (d + 1) // 2
+        assert v3[6:].startswith(v2[6:]) and len(v3) - len(v2) == 8 * d * (d + 1) // 2
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
                             "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+        assert code == 65
+
+    def test_v3_secret_key_refused(self, workspace, v1_files):
+        # a version-3 key holds the version-4 integer sections as 64-bit words,
+        # then the same R block, and no coset map
+        current = fileio.read_file(workspace["sk_a"])
+        v3 = fileio.read_file(v1_files["sk_v3"])
+        spans = sk_sections(MINI)
+        r_block = current[spans["r_rows"]]
+        assert v3.endswith(r_block)
+        int32_bytes = spans["r_rows"].start - spans["e_id"].start
+        assert len(v3) - len(r_block) == spans["e_id"].start + 2 * int32_bytes
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+        assert code == 65
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
                             "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
         assert code == 65
 
@@ -306,8 +325,9 @@ class TestStoredRBlock:
     def bad_keys(self, workspace):
         blob = fileio.read_file(workspace["sk_a"])
         d = 2 * MINI.m
-        start = len(blob) - 8 * d * (d + 1) // 2
-        r_rows = np.frombuffer(blob[start:], dtype="<f8")
+        span = sk_sections(MINI)["r_rows"]
+        start = span.start
+        r_rows = np.frombuffer(blob[span], dtype="<f8")
         diagonal = [k * d - k * (k - 1) // 2 for k in range(d)]
         off_diagonal = np.abs(r_rows).copy()
         off_diagonal[diagonal] = 0
@@ -316,7 +336,7 @@ class TestStoredRBlock:
         zeroed = bytearray(blob)
         word = start + 8 * diagonal[d // 2]
         zeroed[word : word + 8] = bytes(8)
-        swapped = blob[:start] + fileio.read_file(workspace["sk_b"])[start:]
+        swapped = blob[:start] + fileio.read_file(workspace["sk_b"])[span] + blob[span.stop :]
         paths = {}
         for name, bad in (("flipped", flipped), ("zeroed", zeroed), ("swapped", swapped)):
             paths[name] = str(workspace["dir"] / f"{name}.sk")
@@ -330,6 +350,48 @@ class TestStoredRBlock:
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_keys[name],
                             "--ct", workspace["ct_a1"], "--seed", "14", "--out", workspace["unused"]])
+        assert code == 65
+
+
+class TestStoredCosetMap:
+    """A key file whose coset map of E'_ID (pivots, E, projections) is not
+    E'_ID's is a load error, before any sampling."""
+
+    @pytest.fixture(scope="class")
+    def bad_maps(self, workspace):
+        blob = fileio.read_file(workspace["sk_a"])
+        spans = sk_sections(MINI)
+        proj = np.frombuffer(blob[spans["proj"]], dtype="<f8")
+        pivots = np.frombuffer(blob[spans["pivots"]], dtype="<i8")
+        moved = next(row for row in range(2 * MINI.m) if row not in pivots)
+        assert max(moved, int(pivots[0])) < 256  # both fit in the word's low byte
+        changes = {
+            # the sign bit of the largest projection entry
+            "proj_sign": (spans["proj"].start + 8 * int(np.argmax(np.abs(proj))) + 7, 0x80),
+            # a pivot moved to a row that is no pivot, and one moved past the last row
+            "pivot_moved": (spans["pivots"].start, int(pivots[0]) ^ moved),
+            "pivot_range": (spans["pivots"].start + 2, 0x01),
+            # the sign bit of an E word: no residue
+            "elim_sign": (spans["elim"].start + 7, 0x80),
+        }
+        paths = {}
+        for name, (byte, mask) in changes.items():
+            bad = bytearray(blob)
+            bad[byte] ^= mask
+            assert bytes(bad) != blob
+            paths[name] = str(workspace["dir"] / f"{name}.sk")
+            fileio.write_file(paths[name], bytes(bad))
+        return paths
+
+    @pytest.mark.parametrize("name", ["proj_sign", "pivot_moved", "pivot_range", "elim_sign"])
+    def test_bad_coset_map_is_load_error(self, workspace, bad_maps, name, capsys):
+        capsys.readouterr()
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_maps[name],
+                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", workspace["unused"]])
+        assert code == 65
+        assert "stored coset map refused" in capsys.readouterr().err
+        code = run_command(["td", "--type", "3", "--pp", workspace["pp"], "--sk", bad_maps[name],
+                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", workspace["unused"]])
         assert code == 65
 
 

@@ -24,7 +24,7 @@ from ibeetfa.cli import run_command
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import Ciphertext, ciphertext_integrity_ok, decrypt, encrypt
 
-from conftest import MINI, CallCounter, random_message
+from conftest import MINI, CallCounter, random_message, sk_sections
 
 FIELDS = ("r_tag", "c1", "c2", "c3", "c4", "c5")
 
@@ -203,6 +203,57 @@ class TestTagRange:
         assert not os.path.exists(paths["out"])
 
 
+def _payload_word_changes(blob):
+    """(label, file) for the first word of each of c1..c4 moved by +q (an
+    alias mod q), set to -1 and set to -2**63."""
+    m, t = MINI.m, MINI.t
+    start = len(blob) - (MINI.lambda_bits + 7) // 8 - 8 * (2 * t + 6 * m)
+    for name, size in (("c1", t), ("c2", t), ("c3", 3 * m), ("c4", 3 * m)):
+        word = struct.unpack_from("<q", blob, start)[0]
+        for label, value in (("+q", word + MINI.q), ("-1", -1), ("-2**63", -(1 << 63))):
+            out = bytearray(blob)
+            struct.pack_into("<q", out, start, value)
+            yield f"{name}[0] {label}", bytes(out)
+        start += 8 * size
+
+
+class TestPayloadRange:
+    """A c1..c4 word outside [0, q) is no residue: Ciphertext.intact is
+    False before hashing, never a load error, so a word moved by q does not
+    keep c5 (H' reduces c1..c4 mod q)."""
+
+    def test_each_change_is_rejected_unhashed(self, mini_system, mini_key, sent, hashes):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        _, _, blob = sent
+        rng = RandomSource(430)
+        t1 = td1(sk, ident)
+        changes = list(_payload_word_changes(blob))
+        assert len(changes) == 4 * 3
+        for label, bad in changes:
+            rx = _load(bad)
+            hashes.calls = 0
+            assert not rx.intact(MINI), label
+            assert hashes.calls == 0, label
+            assert decrypt(pp, sk, rx, rng) is None, label
+            assert td2(pp, sk, ident, rx, rng) is None, label
+            assert digest_from_basis(pp, t1, rx, rng) is None, label
+
+    def test_cli_decrypt_exits_reject(self, mini_system, mini_key, sent, tmp_path):
+        pp, _ = mini_system
+        _, sk = mini_key
+        _, _, blob = sent
+        files = {"pp": fileio.dump_public_params(pp), "sk": fileio.dump_user_secret(sk, MINI), "ct": blob}
+        paths = {name: str(tmp_path / name) for name in (*files, "out")}
+        for name, data in files.items():
+            fileio.write_file(paths[name], data)
+        argv = ["decrypt", "--pp", paths["pp"], "--sk", paths["sk"], "--ct", paths["ct"], "--out", paths["out"]]
+        for label, bad in _payload_word_changes(blob):
+            fileio.write_file(paths["ct"], bad)
+            assert run_command(argv) == 2, label
+        assert not os.path.exists(paths["out"])
+
+
 class TestGoldenBytes:
     """SHA-256 of seeded artifacts at MINI.
 
@@ -211,11 +262,12 @@ class TestGoldenBytes:
     deliberate change of the file format or of what extract, encrypt and
     td2 sample may change these values.  TD2 last changed when extract
     began drawing the key's preimages of U in the same stream as the basis
-    (format version 2).  SK pins the key file up to its R block (format
-    version 3 appended it; the rest differs from version 2 only in the
-    version field): LAPACK's QR rounds R's last bits differently under
-    other BLAS thread counts, so the R block is checked against the key's
-    own R instead.  PP and MSK pin setup (MSK last changed when the
+    (format version 2).  SK pins the key file without its two binary64
+    sections, the R block and the projections P of E'_ID's coset map
+    (format version 4 stores the integer sections as int32 and appends the
+    coset map after R): LAPACK's QR rounds R's last bits differently under
+    other BLAS thread counts, and P is computed from R, so those two are
+    checked against the key's own R and P instead.  PP and MSK pin setup (MSK last changed when the
     master key file began storing Rbar and Rbar' in place of T_A and T_A',
     format version 2), TD1 and TD3 (basis side and ciphertext side) the
     key's preimage and a td3_ct draw.  CT, TD2 and TD3_CT last changed
@@ -229,7 +281,7 @@ class TestGoldenBytes:
     CT = "8616f2313f462ff2fc96f239a594b0fec9ee3ca9cdbb12e9877595ce5e9f7c63"
     CT_BODY = "1d6915f9d99f27090d3ec47658e232db90cfdad451fe50b611da028ed7502a6b"
     TD2 = "c0b298be50e7b6741b446b2a677edc8967bd4f877c201f5e8cc3630e58becbc7"
-    SK = "2da4399181f9a1f42db19057b36fecb91efc72da4f8d994683b4f4b21f788e76"
+    SK = "3044ba5ed48681a0a36cf9a9f5a3488626d8d54a11bbd0d3cd6bbee1204d933e"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
     TD1 = "465f8d99ae82e311bf2050369d223f7a4a2e2540d54e51318a8d2d12197f5e11"
@@ -265,7 +317,9 @@ class TestGoldenBytes:
     def test_secret_key_bytes(self, mini_key):
         _, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
-        d = 2 * MINI.m
-        start = len(blob) - 8 * d * (d + 1) // 2
-        assert hashlib.sha256(blob[:start]).hexdigest() == self.SK
-        assert blob[start:] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
+        spans = sk_sections(MINI)
+        r_block, proj = spans["r_rows"], spans["proj"]
+        assert len(blob) == proj.stop
+        assert hashlib.sha256(blob[: r_block.start] + blob[r_block.stop : proj.start]).hexdigest() == self.SK
+        assert blob[r_block] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
+        assert blob[proj] == sk.trapdoor_prime.coset.proj.astype("<f8").tobytes()

@@ -29,7 +29,7 @@ from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
 from ibeetfa.zqlinalg import center_rep, concat_cols, mat_mul
 
-from conftest import MINI, CallCounter, random_message
+from conftest import MINI, CallCounter, random_message, sk_sections
 
 
 @pytest.fixture
@@ -230,14 +230,25 @@ class TestOwnership:
             assert got[0] == got[1]
 
 
-    def test_threads_share_a_fresh_key(self, mini_system, preps, coset_maps):
-        # a freshly loaded key: E'_ID carries its R but no coset map yet
+    def test_threads_share_a_fresh_key(self, mini_system, preps, coset_maps, monkeypatch):
+        # a freshly loaded key: E'_ID carries its R and an unbound coset map
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(351))
         sk = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        assert sk.trapdoor_prime.coset.a is None
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
+        binds = CallCounter(trapdoor.CosetMap.bound_to)
+        monkeypatch.setattr(trapdoor.CosetMap, "bound_to", lambda cmap, a, q: binds(cmap, a, q))
+        seen = []
+        coset_map = sk.trapdoor_prime.coset_map
+
+        def recording_coset_map(a, q):
+            seen.append(coset_map(a, q))
+            return seen[-1]
+
+        monkeypatch.setattr(sk.trapdoor_prime, "coset_map", recording_coset_map)
         preps.calls = coset_maps.calls = 0
         start = threading.Barrier(2, timeout=60)
 
@@ -260,9 +271,13 @@ class TestOwnership:
             f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
             assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
             assert np.array_equal(out, msg)
-        # E'_ID's coset map is derived once, however the two threads race,
-        # and nothing is factored
-        assert coset_maps.calls == 1
+        # E'_ID's stored coset map is bound once, however the two threads
+        # race, both walk with that one bound map, and nothing is derived
+        # or factored
+        assert binds.calls == 1
+        assert len(seen) == 2 and seen[0] is seen[1] is sk.trapdoor_prime.coset
+        assert np.array_equal(seen[0].a, f_prime)
+        assert coset_maps.calls == 0
         assert preps.calls == 0
 
 
@@ -271,8 +286,7 @@ class TestStoredRFactor:
 
     @staticmethod
     def r_block(blob):
-        d = 2 * MINI.m
-        return len(blob) - 8 * d * (d + 1) // 2
+        return sk_sections(MINI)["r_rows"].start
 
     @staticmethod
     def diagonal_word(k):
@@ -283,7 +297,7 @@ class TestStoredRFactor:
         _, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
         start = self.r_block(blob)
-        assert blob[start:] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
+        assert blob[sk_sections(MINI)["r_rows"]] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
         loaded = fileio.load_user_secret(blob, MINI)
         assert np.array_equal(loaded.trapdoor_prime.prepared().r_rows, sk.trapdoor_prime.prepared().r_rows)
         assert fileio.dump_user_secret(loaded, MINI) == blob
@@ -302,9 +316,118 @@ class TestStoredRFactor:
         zeroed = bytearray(blob)
         word = start + 8 * self.diagonal_word(MINI.m)
         zeroed[word : word + 8] = bytes(8)
-        swapped = blob[:start] + fileio.dump_user_secret(other, MINI)[start:]
+        stop = sk_sections(MINI)["r_rows"].stop
+        swapped = blob[:start] + fileio.dump_user_secret(other, MINI)[start:stop] + blob[stop:]
         for bad in (flipped, zeroed, swapped):
             assert bytes(bad) != blob
             with pytest.raises(FormatError, match="stored R factor refused"):
                 fileio.load_user_secret(bytes(bad), MINI)
         assert fileio.dump_user_secret(fileio.load_user_secret(blob, MINI), MINI) == blob
+
+
+class TestStoredCosetMap:
+    """Extract builds E'_ID's coset map, the key file carries it, and a
+    loaded key checks it at load and binds it to F'_ID on first use."""
+
+    @staticmethod
+    def with_word(blob, section, index, value, dtype="<i8"):
+        span = sk_sections(MINI)[section]
+        words = np.frombuffer(blob[span], dtype=dtype).copy()
+        words[index] = value
+        return blob[: span.start] + words.tobytes() + blob[span.stop :]
+
+    def test_extract_binds_and_the_file_carries_the_map(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        cmap = sk.trapdoor_prime.coset
+        assert np.array_equal(cmap.a, compute_f(pp, ident, "prime")) and cmap.k == 0
+        blob = fileio.dump_user_secret(sk, MINI)
+        assert len(blob) == sk_sections(MINI)["proj"].stop
+        loaded = fileio.load_user_secret(blob, MINI)
+        held = loaded.trapdoor_prime.coset
+        assert held.a is None
+        assert np.array_equal(held.pivots, cmap.pivots) and np.array_equal(held.elim, cmap.elim)
+        assert held.proj.tobytes() == cmap.proj.tobytes()
+        for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+            assert getattr(loaded, name).dtype == np.int64
+            assert np.array_equal(getattr(loaded, name), getattr(sk, name))
+        assert fileio.dump_user_secret(loaded, MINI) == blob
+
+    def test_other_systems_public_params_raise_at_binding(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        pp_other, _ = setup(MINI, RandomSource(0x0DD))
+        ct_other = encrypt(pp_other, ident, random_message(MINI.t, 421), RandomSource(422))
+        # extract bound the fresh key's map to pp's F'_ID
+        with pytest.raises(ParameterError, match="another public matrix"):
+            td2(pp_other, sk, ident, ct_other, RandomSource(423))
+        # a failed binding keeps the map unbound: the key still serves its own system
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        with pytest.raises(ParameterError, match="another public matrix"):
+            td2(pp_other, loaded, ident, ct_other, RandomSource(424))
+        assert loaded.trapdoor_prime.coset.a is None
+        ct = encrypt(pp, ident, random_message(MINI.t, 425), RandomSource(426))
+        assert td2(pp, loaded, ident, ct, RandomSource(427)) is not None
+        with pytest.raises(ParameterError, match="another public matrix"):
+            td2(pp_other, loaded, ident, ct_other, RandomSource(428))
+
+    def test_elimination_word_in_range_is_caught_at_binding(self, mini_system, mini_key):
+        # E is checked against F'_ID, which the key file does not hold, when
+        # the map is bound: before any walk
+        pp, _ = mini_system
+        ident, sk = mini_key
+        blob = fileio.dump_user_secret(sk, MINI)
+        word = int(sk.trapdoor_prime.coset.elim[0, 0])
+        bad = fileio.load_user_secret(self.with_word(blob, "elim", 0, (word + 1) % MINI.q), MINI)
+        ct = encrypt(pp, ident, random_message(MINI.t, 431), RandomSource(432))
+        with pytest.raises(ParameterError, match="another public matrix"):
+            td2(pp, bad, ident, ct, RandomSource(433))
+
+    def test_corrupted_map_refused_at_load(self, mini_key, mini_key_other):
+        _, sk = mini_key
+        _, other = mini_key_other
+        blob = fileio.dump_user_secret(sk, MINI)
+        cmap = sk.trapdoor_prime.coset
+        spans = sk_sections(MINI)
+        proj = cmap.proj.reshape(-1)
+        big = int(np.argmax(np.abs(proj)))
+        free_row = next(row for row in range(2 * MINI.m) if row not in cmap.pivots)
+        bad = {
+            "proj sign": self.with_word(blob, "proj", big, -proj[big], "<f8"),
+            "proj nan": self.with_word(blob, "proj", big, np.nan, "<f8"),
+            "proj of another key": blob[: spans["proj"].start]
+            + fileio.dump_user_secret(other, MINI)[spans["proj"]],
+            "pivot moved": self.with_word(blob, "pivots", 0, free_row),
+            "pivot repeated": self.with_word(blob, "pivots", 1, int(cmap.pivots[0])),
+            "pivot past the last row": self.with_word(blob, "pivots", 0, 2 * MINI.m),
+            "negative pivot": self.with_word(blob, "pivots", 0, -1),
+            "E word q": self.with_word(blob, "elim", 0, MINI.q),
+            "E word negative": self.with_word(blob, "elim", 0, -1),
+        }
+        for label, data in bad.items():
+            assert data != blob and len(data) == len(blob), label
+            with pytest.raises(FormatError, match="stored coset map refused"):
+                fileio.load_user_secret(data, MINI)
+
+    def test_dump_refuses_what_it_cannot_write(self, mini_key):
+        ident, sk = mini_key
+        top = 1 << 31
+        for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+            for value, fits in ((top - 1, True), (-top, True), (top, False), (-top - 1, False)):
+                arr = getattr(sk, name).copy()
+                arr[0, 0] = value
+                if name == "e_id_prime":
+                    key = dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(
+                        arr, prep=sk.trapdoor_prime.prepared(), coset=sk.trapdoor_prime.coset))
+                else:
+                    key = dataclasses.replace(sk, **{name: arr})
+                if fits:
+                    blob = fileio.dump_user_secret(key, MINI)
+                    assert int(np.frombuffer(blob[sk_sections(MINI)[name]], dtype="<i4")[0]) == value
+                else:
+                    with pytest.raises(ParameterError, match="outside int32"):
+                        fileio.dump_user_secret(key, MINI)
+        # a basis that holds no coset map: dump has no public matrix to derive one from
+        bare = dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(sk.e_id_prime))
+        with pytest.raises(ParameterError, match="no coset map"):
+            fileio.dump_user_secret(bare, MINI)

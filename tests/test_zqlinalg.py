@@ -143,6 +143,69 @@ class TestMatMul:
             assert np.array_equal(dist, (mat_mul(a, b, q) + mat_mul(a, d, q)) % q)
 
 
+def _largest_prime_below(n):
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+#: 7, 4093, MINI's q, toy's q and the largest supported modulus
+_SPLIT_MODULI = (7, 4093, 13_000_000_073, 259_999_999_951, _largest_prime_below(1 << 38))
+
+
+def _python_product(a, b, q):
+    """(a @ b) mod q in Python ints (numpy object arrays), 1-D operands as @ treats them."""
+    return np.asarray((np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % q, dtype=np.int64)
+
+
+class TestOneSidedSplit:
+    """mat_mul's one-sided split: the operand with more entries, when short,
+    enters float64 as it is and only the other one is split into limbs."""
+
+    @pytest.mark.parametrize("q", _SPLIT_MODULI)
+    @pytest.mark.parametrize("k", [1, 7, 1 << 14])
+    def test_against_python_ints(self, q, k):
+        rs = np.random.default_rng(q % 1000 + k)
+        for bits in (1, 10, 19, 26, 38):
+            top = (1 << bits) - 1
+            big = rs.integers(-top, top + 1, (k, 4))
+            big[0, 0], big[-1, -1] = top, -top
+            small = rs.integers(-top, top + 1, (3, k))
+            small[0, 0] = -top
+            residues = rs.integers(0, q, (3, k))
+            for a, b in ((small, big), (residues, big), (big.T, small.T), (big.T, residues.T),
+                         (residues[0], big), (big.T, residues[0])):
+                assert np.array_equal(mat_mul(a, b, q), _python_product(a, b, q)), (bits, a.shape, b.shape)
+
+    @pytest.mark.parametrize("q", _SPLIT_MODULI)
+    def test_one_hot_operands(self, q):
+        rs = np.random.default_rng(q % 997)
+        k = 300
+        one_hot = np.zeros((k, 5), dtype=np.int64)
+        one_hot[rs.choice(k, 5, replace=False), np.arange(5)] = 1
+        residues = rs.integers(0, q, (2, k))
+        assert np.array_equal(mat_mul(residues, one_hot, q), _python_product(residues, one_hot, q))
+        assert np.array_equal(mat_mul(one_hot.T, residues.T, q), _python_product(one_hot.T, residues.T, q))
+        # one-hot rows pick columns, the way A[:, pivots] @ E does
+        picks = np.eye(k, dtype=np.int64)[:3]
+        wide = rs.integers(0, q, (k, 4))
+        assert np.array_equal(mat_mul(picks, wide, q), wide[:3])
+
+    def test_limb_width_is_capped(self):
+        # |g| <= 2**10 and k = 2**10 leave 53 - 11 - 11 = 31 bits for a limb;
+        # acc << 31 with acc near 2**38 would overflow int64
+        q = _SPLIT_MODULI[-1]
+        k = 1 << 10
+        rs = np.random.default_rng(1038)
+        g = rs.integers(-(1 << 10), (1 << 10) + 1, (k, 6))
+        g[:, 0] = 1 << 10
+        other = np.full((2, k), q - 1, dtype=np.int64)
+        other[1] = rs.integers(0, q, k)
+        assert np.array_equal(mat_mul(other, g, q), _python_product(other, g, q))
+        assert np.array_equal(mat_mul(g.T, other.T, q), _python_product(g.T, other.T, q))
+
+
 class TestConcat:
     def test_left_block_preserved(self):
         a = np.arange(6, dtype=np.int64).reshape(2, 3)
@@ -300,6 +363,16 @@ class TestHelpers:
             [[sum(int(a[i, k]) * int(b[k, j]) for k in range(8)) for j in range(8)] for i in range(8)]
         )
         assert np.array_equal(exact_int_matmul(a, b), want)
+
+    def test_exact_int_matmul_refuses_the_most_negative_word(self):
+        # |-2**63| is no int64: np.abs returns -2**63, which once certified
+        # a float product of -2**63 + 5 as -2**63
+        for a in ([[-(2**63), 5]], [[5, -(2**63)]]):
+            with pytest.raises(DimensionMismatch):
+                exact_int_matmul(a, [[1], [1]])
+            with pytest.raises(DimensionMismatch):
+                exact_int_matmul([[1, 1]], np.array(a).T)
+        assert np.array_equal(exact_int_matmul([[-(2**40), 5]], [[1], [1]]), [[-(2**40) + 5]])
 
     def test_solve_mod_solutions(self):
         q = 4093
