@@ -7,6 +7,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     IbeetfaError,
+    KeyMismatch,
     ParameterError,
     SamplingError,
     SingularMatrix,
@@ -44,6 +45,7 @@ __all__ = [
     "FormatError",
     "IbeetfaError",
     "Identity",
+    "KeyMismatch",
     "MasterSecretKey",
     "ParamSet",
     "ParameterError",

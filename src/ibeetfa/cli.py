@@ -3,7 +3,10 @@
 Exit codes: 0 success (and EQUAL for `test`), 1 NOT-EQUAL (violations
 found, for `params validate`), 2 REJECT (domain failure such as tampered
 input), 64 usage errors and output paths that cannot be written, 65
-artifact and parameter-file load errors.
+artifact and parameter-file load errors, and a key or type-1 trapdoor that
+does not belong to the public parameters given (KeyMismatch: another
+system's key, or a key file changed where only those parameters can
+tell).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .authz import (
     test2,
     test3,
 )
-from .errors import FormatError, IbeetfaError, ParameterError
+from .errors import FormatError, IbeetfaError, KeyMismatch, ParameterError
 from .hashing import bits_to_bytes, bytes_to_bits
 from .params import ParamSet, preset, validate_params
 from .samplers import RandomSource
@@ -291,7 +294,7 @@ def run_command(argv) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FormatError as err:
+    except (FormatError, KeyMismatch) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LOAD
     except IbeetfaError as err:

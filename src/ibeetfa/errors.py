@@ -21,6 +21,16 @@ class ParameterError(IbeetfaError):
         self.violations = list(violations) if violations else []
 
 
+class KeyMismatch(ParameterError):
+    """Key material does not belong to the public parameters in use.
+
+    Only the public parameters can tell: a key preimage that does not
+    solve F_ID @ e == U for them, or a coset map that does not solve their
+    F'_ID (another system's key, or a key file changed within range).
+    The CLI reports it as a load error of the key.
+    """
+
+
 class SingularMatrix(IbeetfaError):
     """A matrix that must be nonsingular (over the rationals) is not."""
 

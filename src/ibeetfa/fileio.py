@@ -29,16 +29,17 @@ extract certified E'_ID with, its upper triangle row after row
 (2m(2m+1)/2 words, PreparedBasis.r_rows), so a loaded key factors
 nothing; the load checks in O(m^2) that it is E'_ID's
 (samplers.adopt_r_factor) and refuses the file otherwise.  Version 4
-(user secret key only) stores E_ID, E'_ID, e_F and e_F' as i32 (dump
-refuses an entry that does not fit, and a load widens them back to
-int64), keeps the R block, and appends the coset map extract built for
-E'_ID under F'_ID: its n pivot rows (i64), the n x n elimination matrix
-E (u64 residues) and the 2m x n projections P = Q^T W (binary64).  The
-load checks the pivots, E's range and P against E'_ID and R in
-O(m^2 n) (trapdoor.adopt_coset_map); the map is bound to F'_ID on first
-use (CosetMap.bound_to), so a loaded key derives nothing before it
-samples.  Version 2 of
-the master secret key holds only Rbar and Rbar' (entries +-1), not T_A, T_A'.
+(user secret key only) stores E_ID, E'_ID, e_F and e_F' as i32, the
+width a key holds them at in memory too (scheme.UserSecretKey), so dump
+writes them as they are and a load copies them without widening.  It
+keeps the R block and appends the coset map extract built for E'_ID
+under F'_ID: its n pivot rows (i64), the n x n elimination matrix E (u64
+residues) and the 2m x n projections P = Q^T W (binary64).  The load
+checks the pivots, E's range and P against E'_ID and R in O(m^2 n)
+(trapdoor.adopt_trapdoor); the map is bound to F'_ID on first use
+(CosetMap.bound_to), so a loaded key derives nothing before it samples.
+Version 2 of the master secret key holds only Rbar and Rbar' (entries
++-1), not T_A, T_A'.
 Version 2 of the ciphertext keeps the version-1 layout, but its c5 is
 H' over the coded tag matrix (hashing.canonical_ct_bytes), so a
 version-1 ciphertext, whose c5 hashed R as 64-bit residues, is refused
@@ -59,11 +60,9 @@ from .authz import TrapdoorT1, TrapdoorT2, TrapdoorT3
 from .errors import FormatError, IbeetfaError, ParameterError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
-from .samplers import adopt_r_factor
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
 from .trapdoor import (
-    TrapdoorBasis,
-    adopt_coset_map,
+    adopt_trapdoor,
     gadget_length,
     gadget_trapdoor,
     require_gadget_trapdoor,
@@ -152,9 +151,12 @@ class _Reader:
         return raw.astype(np.int64).reshape(shape)
 
     def int32s(self, shape) -> np.ndarray:
-        """The next 4-byte signed words, widened to an int64 array (the mirror of _int32_words)."""
+        """The next 4-byte signed words, as an int32 array of its own (no int64 copy).
+
+        The copy is aligned and does not keep the blob alive.
+        """
         count = int(np.prod(shape))
-        return np.frombuffer(self.take(4 * count), dtype="<i4").astype(np.int64).reshape(shape)
+        return np.frombuffer(self.take(4 * count), dtype="<i4").astype(np.int32).reshape(shape)
 
     def reals(self, count: int) -> np.ndarray:
         """The next count binary64 words, as a float64 array of its own."""
@@ -267,24 +269,17 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
     return Identity(tuple(int(b) for b in bits))
 
 
-def _int32_words(arr: np.ndarray, name: str) -> memoryview:
-    """The 4-byte little-endian words of a signed matrix; ParameterError
-    if an entry does not fit in int32, so no entry ever wraps."""
-    if arr.size and (arr.min() < -(1 << 31) or arr.max() >= 1 << 31):
-        raise ParameterError(f"user secret key: {name} holds an entry outside int32")
-    return memoryview(np.ascontiguousarray(arr, dtype="<i4"))
-
-
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     """The sk file (version 4); ParameterError for a key whose E'_ID holds no
-    coset map (extract and load_user_secret always give it one) or whose
-    integer entries do not fit in int32."""
+    coset map (extract and load_user_secret always give it one).  The key's
+    integer matrices are int32 (UserSecretKey narrows them), so they are
+    written as they are."""
     td = sk.trapdoor_prime
     cmap = td.coset
     if cmap is None or cmap.k:
         raise ParameterError("user secret key: E'_ID has no coset map to write")
-    sections = [_int32_words(arr, name) for name, arr in (
-        ("E_ID", sk.e_id), ("E'_ID", sk.e_id_prime), ("e_F", sk.e_f), ("e_F'", sk.e_f_prime))]
+    sections = [memoryview(np.ascontiguousarray(arr, dtype="<i4"))
+                for arr in (sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
     return b"".join(
         [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _reals(td.prepared().r_rows),
          _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
@@ -293,12 +288,17 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
 
 def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecretKey:
     """The key in blob, E'_ID holding its stored R factor and (unbound) coset
-    map once both are checked against it; FormatError otherwise."""
+    map once both are checked against it; FormatError otherwise.
+
+    E_ID and E'_ID, consecutive sections, are read with one int32 copy
+    that the key holds as two halves: one allocation of the size of one
+    int64 basis, not two.  R and the map are checked in that order
+    (trapdoor.adopt_trapdoor), in one pass over R's blocks.
+    """
     rd, p = _open(blob, KIND_SK, reference)
     d = 2 * p.m
     ident = _load_identity(rd, p.ell)
-    e_id = rd.int32s((d, d))
-    e_id_prime = rd.int32s((d, d))
+    e_id, e_id_prime = rd.int32s((2, d, d))
     e_f = rd.int32s((d, p.t))
     e_f_prime = rd.int32s((d, p.t))
     r_rows = rd.reals(d * (d + 1) // 2)
@@ -307,14 +307,12 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     proj = rd.reals(d * p.n).reshape(d, p.n)
     rd.done()
     try:
-        prep = adopt_r_factor(e_id_prime, r_rows)
+        td = adopt_trapdoor(e_id_prime, r_rows, p.q, pivots, elim, proj)
     except SingularMatrix as err:
         raise FormatError(f"user secret key: stored R factor refused: {err}") from None
-    try:
-        cmap = adopt_coset_map(prep, p.q, pivots, elim, proj)
     except ParameterError as err:
         raise FormatError(f"user secret key: stored coset map refused: {err}") from None
-    return UserSecretKey(ident, e_id, TrapdoorBasis(e_id_prime, prep=prep, coset=cmap), e_f, e_f_prime)
+    return UserSecretKey(ident, e_id, td, e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------

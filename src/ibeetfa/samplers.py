@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SamplingError, SingularMatrix
-from .zqlinalg import certified_r_factor, qr_singularity_bound
+from .zqlinalg import certified_r_factor, int_array, qr_singularity_bound
 
 #: Rejection/enumeration tails are cut at TAIL_CUT * sigma; the discarded
 #: mass is below 2**-100 for every sigma.
@@ -152,7 +152,8 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 
 
 #: Rows per block of the back substitution (_nearest_plane), of the
-#: forward substitution (PreparedBasis._solve_rt) and of R^T p (rt_times).
+#: forward substitution (PreparedBasis._solve_rt) and of the pass over R
+#: that checks a stored R factor (adopt_r_factor).
 WALK_BLOCK = 64
 
 
@@ -163,10 +164,12 @@ class PreparedBasis:
     No Q is formed or kept: a walk needs only R and the projections Q^T t
     of its targets, and project computes those from R and the basis.
     Only the upper triangle of R is kept, row after row, which halves its
-    memory: a key holds this data for as long as it lives.
+    memory: a key holds this data for as long as it lives.  basis is the
+    factored array itself, int32 or int64, never a copy: for a user key's
+    E'_ID it is the int32 array its TrapdoorBasis holds.
     """
 
-    basis: np.ndarray          # int64, d x d, columns are basis vectors
+    basis: np.ndarray          # int32 or int64, d x d, columns are basis vectors
     r_rows: np.ndarray         # float64, R[0, 0:], R[1, 1:], ... end to end
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
 
@@ -202,14 +205,6 @@ class PreparedBasis:
         r_inv_p = _nearest_plane(self, p, lambda centers, r_kk: centers)
         return p + self._solve_rt(bf.T @ (t - bf @ r_inv_p))
 
-    def rt_times(self, p: np.ndarray) -> np.ndarray:
-        """R^T p for a d x k matrix p, WALK_BLOCK rows of R at a time."""
-        out = np.zeros((self.dim, p.shape[1]))
-        for lo in range(0, self.dim, WALK_BLOCK):
-            hi = min(self.dim, lo + WALK_BLOCK)
-            out[lo:] += self._r_block(lo, hi).T @ p[lo:hi]
-        return out
-
     def _r_block(self, lo: int, hi: int) -> np.ndarray:
         """R[lo:hi, lo:], zeros below the diagonal."""
         rows = np.zeros((hi - lo, self.dim - lo))
@@ -237,8 +232,9 @@ def prepare_basis(basis) -> PreparedBasis:
 
     R comes from zqlinalg.certified_r_factor, so a basis is factored
     exactly when it is certified nonsingular: SingularMatrix otherwise.
+    An int32 basis is kept as it is, not copied to int64.
     """
-    b = np.asarray(basis, dtype=np.int64)
+    b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
     r_factor = certified_r_factor(b)
@@ -252,9 +248,10 @@ _R_PROBE_SEED = 0x0B5E
 _R_PROBES = 4
 
 
-def adopt_r_factor(basis, r_rows) -> PreparedBasis:
-    """A PreparedBasis from R rows factored elsewhere (packed as in
-    PreparedBasis.r_rows), checked to belong to basis in O(d^2), not O(d^3).
+def adopt_r_factor(basis, r_rows, proj):
+    """(PreparedBasis, R^T proj) from R rows factored elsewhere (packed as in
+    PreparedBasis.r_rows), checked to belong to basis in O(d^2), not O(d^3),
+    and a d x k matrix proj (k may be 0).
 
     The check repeats the certificate of certified_r_factor on the given
     diagonal (every |R_kk| must exceed qr_singularity_bound), then compares
@@ -265,9 +262,12 @@ def adopt_r_factor(basis, r_rows) -> PreparedBasis:
     another bound * |x|, which the tolerance allows.  An R from a QR run on
     another host (another LAPACK, another BLAS thread count) passes.
     B and R are read WALK_BLOCK rows at a time, so no d x d float copy of
-    B is made.  Raises SingularMatrix when r_rows does not certify basis.
+    B is made, and an int32 basis is kept as it is.  Raises SingularMatrix
+    when r_rows does not certify basis.  R^T proj is formed from the same
+    blocks of R as the check, so a load that checks more against R
+    (trapdoor.adopt_trapdoor) builds none of them again.
     """
-    b = np.asarray(basis, dtype=np.int64)
+    b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
     d = b.shape[0]
@@ -277,13 +277,15 @@ def adopt_r_factor(basis, r_rows) -> PreparedBasis:
     k = np.arange(d)
     prep = PreparedBasis(b, r_rows, np.abs(r_rows[k * d - k * (k - 1) // 2]))
     x = RandomSource(_R_PROBE_SEED).integers(0, 2, (d, _R_PROBES)) * 2.0 - 1.0
-    bx, rx, norm2 = np.empty(x.shape), np.empty(x.shape), 0.0
+    bx, rx, rt, norm2 = np.empty(x.shape), np.empty(x.shape), np.zeros((d, proj.shape[1])), 0.0
     for lo in range(0, d, WALK_BLOCK):
         hi = min(d, lo + WALK_BLOCK)
         rows = b[lo:hi].astype(np.float64)
         norm2 += float(np.einsum("ij,ij->", rows, rows))
         bx[lo:hi] = rows @ x
-        rx[lo:hi] = prep._r_block(lo, hi) @ x[lo:]
+        r_block = prep._r_block(lo, hi)
+        rx[lo:hi] = r_block @ x[lo:]
+        rt[lo:] += r_block.T @ proj[lo:hi]
     bound = qr_singularity_bound(math.sqrt(norm2), d)
     # both comparisons are written so that a NaN fails them
     if not float(prep.gs_norms.min()) > bound:
@@ -291,7 +293,7 @@ def adopt_r_factor(basis, r_rows) -> PreparedBasis:
     gap = np.abs(np.linalg.norm(bx, axis=0) - np.linalg.norm(rx, axis=0))
     if not float(gap.max()) <= 2.0 * bound * math.sqrt(d):
         raise SingularMatrix("R factor is not the basis's: |Bx| and |Rx| differ")
-    return prep
+    return prep, rt
 
 
 def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError, SamplingError
+from .errors import DimensionMismatch, KeyMismatch, ParameterError, SamplingError
 from .hashing import (
     bits_to_bytes,
     canonical_ct_bytes,
@@ -44,7 +44,7 @@ from .samplers import (
     sample_uniform_zq,
 )
 from .trapdoor import TrapdoorBasis, sample_basis_left, trap_gen
-from .zqlinalg import concat_cols, exact_int_matmul, mat_mul
+from .zqlinalg import concat_cols, exact_int_matmul, int32_matrix, mat_mul
 
 _EXTRACT_ATTEMPTS = 8
 
@@ -133,13 +133,21 @@ class UserSecretKey:
     td3_ct): extract hands it the R factor it was certified with and
     builds its coset map under F'_ID, the key file stores both, and a
     loaded key adopts them once load has checked them against E'_ID
-    (samplers.adopt_r_factor, trapdoor.adopt_coset_map) and binds the map
-    to F'_ID on first use.  The file holds every integer entry as int32; a
-    loaded key holds int64 like a fresh one.  E_ID (e_id, 2m x 2m int64) is plain
-    key data, held as given: no scheme operation samples with it, and a
-    read-only copy would cost another 2m x 2m words.  Carries its identity
-    so decryption can rebuild the concatenated matrices without
-    out-of-band context.
+    (trapdoor.adopt_trapdoor) and binds the map to F'_ID on first use.
+    E_ID (e_id, 2m x 2m) is plain key data, held as the int32 array it is
+    given, with no copy (any other array becomes a range-checked int32
+    copy): no scheme operation samples with it, and a read-only copy
+    would cost another 2m x 2m words.  Carries its identity so decryption
+    can rebuild the concatenated matrices without out-of-band context.
+
+    All four integer matrices are int32, fresh from extract or loaded, as
+    the key file stores them: construction narrows each one
+    (zqlinalg.int32_matrix, no copy of an int32 array), so an entry that
+    does not fit raises ParameterError here, and a key that dump cannot
+    write never exists.  An E'_ID handed over at another width is held as
+    TrapdoorBasis.narrowed, with the sampling data it carries.  Arithmetic
+    on these matrices goes through mat_mul, exact_int_matmul or an
+    explicit float64 or int64 conversion, never int32 products.
     """
 
     identity: Identity
@@ -149,9 +157,11 @@ class UserSecretKey:
     e_f_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "e_id", np.asarray(self.e_id, dtype=np.int64))
-        object.__setattr__(self, "e_f", frozen_array(self.e_f))
-        object.__setattr__(self, "e_f_prime", frozen_array(self.e_f_prime))
+        object.__setattr__(self, "e_id", int32_matrix(self.e_id, "user secret key: E_ID"))
+        object.__setattr__(self, "trapdoor_prime", self.trapdoor_prime.narrowed("user secret key: E'_ID"))
+        for name, section in (("e_f", "e_F"), ("e_f_prime", "e_F'")):
+            arr = int32_matrix(getattr(self, name), f"user secret key: {section}")
+            object.__setattr__(self, name, frozen_array(arr, np.int32))
 
     @property
     def e_id_prime(self) -> np.ndarray:
@@ -276,10 +286,11 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     with the master trapdoor, sigma enforced, and F @ e_F == U is checked
     on every column (sample_basis_left).  Each basis is certified by
     factoring it; E'_ID keeps that R factor for td2, and the coset map of
-    F'_ID that td2 walks with is built here once.  A draw that fails
-    (SamplingError) draws the whole key again, up to _EXTRACT_ATTEMPTS
-    times.  A master key whose bases are no trapdoors of pp's A and A'
-    raises ParameterError.
+    F'_ID that td2 walks with is built here once.  Each basis is narrowed
+    to int32 as it is drawn, E_ID before E'_ID is drawn, so the two int64
+    bases never coexist.  A draw that fails (SamplingError) draws the
+    whole key again, up to _EXTRACT_ATTEMPTS times.  A master key whose
+    bases are no trapdoors of pp's A and A' raises ParameterError.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)
@@ -287,14 +298,16 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     for _ in range(_EXTRACT_ATTEMPTS):
         try:
             basis, e_f = sample_basis_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
-            # nothing samples with E_ID: its R factor goes with basis before E'_ID is drawn
-            e_id = basis.basis
+            # nothing samples with E_ID: its R factor goes with basis, and it is
+            # narrowed to the key's int32, before E'_ID is drawn
+            e_id = int32_matrix(basis.basis, "user secret key: E_ID")
             del basis
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
             # td2 samples with E'_ID under F'_ID: its coset map is built once, here,
-            # and the key file carries it
+            # after the int64 basis is dropped, and the key file carries it
+            basis_prime = basis_prime.narrowed("user secret key: E'_ID")
             basis_prime.coset_map(concat_cols([pp.a_prime, a_id]), p.q)
             return UserSecretKey(ident, e_id, basis_prime, e_f, e_f_prime)
         except SamplingError as err:
@@ -413,11 +426,12 @@ def checked_preimage(pp: PublicParams, ident: Identity, which: str, e) -> np.nda
     """e, once F_ID @ e == U (mod q) holds for these public parameters.
 
     A key preimage checked against public parameters other than its own,
-    or against another identity's F_ID, raises ParameterError.
+    or against another identity's F_ID, raises KeyMismatch (a
+    ParameterError).
     """
     f = compute_f(pp, ident, which)
     if e.shape != (f.shape[1], pp.u.shape[1]) or not np.array_equal(mat_mul(f, e, pp.params.q), pp.u):
-        raise ParameterError("key preimage does not solve F_ID @ e == U for these public parameters")
+        raise KeyMismatch("key preimage does not solve F_ID @ e == U for these public parameters")
     return e
 
 
@@ -431,7 +445,7 @@ def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSour
 
     None is a domain outcome (tampered or mismatched ciphertext), not an
     error; malformed shapes, and a key whose preimages do not solve
-    F @ e == U for pp (ParameterError), raise instead.  rng is unused: the
+    F @ e == U for pp (KeyMismatch), raise instead.  rng is unused: the
     key's preimages were sampled at extract.
     """
     p = pp.params

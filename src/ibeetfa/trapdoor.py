@@ -23,7 +23,7 @@ pivot columns of A and W places it there.  The walk's projections Q^T c
 are then P @ y with P = Q^T W computed once per basis, so no Q is ever
 formed.  A user key's map is built at extract and shipped in the key
 file; a loaded map is checked against the basis at load
-(adopt_coset_map) and bound to its public matrix on first use.
+(adopt_trapdoor) and bound to its public matrix on first use.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError, SamplingError, SingularMatrix
+from .errors import DimensionMismatch, KeyMismatch, ParameterError, SamplingError, SingularMatrix
 from .samplers import (
     TAIL_CUT,
     PreparedBasis,
     RandomSource,
+    adopt_r_factor,
     klein_coefficients,
     prepare_basis,
     sample_z_gaussian_batch,
@@ -52,6 +53,8 @@ from .zqlinalg import (
     check_modulus,
     concat_cols,
     exact_int_matmul,
+    int32_matrix,
+    int_array,
     mat_mul,
     qr_singularity_bound,
     solve_mod,
@@ -174,7 +177,7 @@ class CosetMap:
     elimination solve_mod applies to A, and W puts y on solve_mod's pivot
     rows, so c is the centered solve_mod solution.  proj = Q^T W of the
     basis the map belongs to, which turns the walk's projections Q^T c
-    into proj @ y.  A map read from a key file (adopt_coset_map) holds no
+    into proj @ y.  A map read from a key file (adopt_trapdoor) holds no
     A until TrapdoorBasis.coset_map binds it (bound_to).
     """
 
@@ -197,7 +200,7 @@ class CosetMap:
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
 
     def bound_to(self, a: np.ndarray, q: int) -> CosetMap:
-        """This pivot-path map bound to A: ParameterError unless
+        """This pivot-path map bound to A: KeyMismatch (a ParameterError) unless
         A[:, pivots] @ E == I (mod q), which makes every c = W @ y a solution."""
         a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
@@ -205,7 +208,7 @@ class CosetMap:
         if q != self.q or a.shape != (n, self.w.shape[0]) or not np.array_equal(
             mat_mul(a[:, self.pivots], self.elim, q), np.eye(n, dtype=np.int64)
         ):
-            raise ParameterError("the trapdoor basis belongs to another public matrix")
+            raise KeyMismatch("the trapdoor basis belongs to another public matrix")
         return replace(self, a=a)
 
 
@@ -247,11 +250,13 @@ def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarr
     return CosetMap(a, q, 0, x[pivots], w, prep.project(w))
 
 
-def adopt_coset_map(prep: PreparedBasis, q: int, pivots: np.ndarray, elim: np.ndarray,
-                    proj: np.ndarray) -> CosetMap:
-    """An unbound pivot-path CosetMap from data computed elsewhere (a key
-    file: n pivots, n x n E, d x n proj), checked to belong to the basis
-    behind prep; ParameterError if not.
+def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
+                   proj: np.ndarray) -> TrapdoorBasis:
+    """A TrapdoorBasis from a basis and its sampling data computed elsewhere
+    (a key file: the packed R rows, n pivots, n x n E, d x n proj), the R
+    factor checked first (samplers.adopt_r_factor: SingularMatrix if it is
+    not the basis's), then the pivot-path coset map (ParameterError if it is
+    not the basis's).  The map is left unbound.
 
     The pivots must be n distinct rows of the basis and E a residue
     matrix.  proj must be Q^T W of this basis: B = QR gives
@@ -261,41 +266,45 @@ def adopt_coset_map(prep: PreparedBasis, q: int, pivots: np.ndarray, elim: np.nd
     of R^T Q^T W is off B[pivots[j], :] by at most |F| |w_j| = bound;
     computing Q^T W (PreparedBasis.project) and R^T proj in float64 adds
     less than another bound, which the tolerance allows.  The bound is
-    taken from |R|_F = |B + F|_F, and R^T proj is formed WALK_BLOCK rows of
-    R at a time, O(d^2 n).  Which A the map solves for is checked when it
-    is bound (CosetMap.bound_to).
+    taken from |R|_F = |B + F|_F.  R^T proj comes from the pass over R
+    that checks R, so no block of R is built twice.  Which A the map
+    solves for is checked when it is bound (CosetMap.bound_to).
     """
+    prep, rt_proj = adopt_r_factor(basis, r_rows, proj)
     d, n = prep.dim, pivots.size
     if pivots.min() < 0 or pivots.max() >= d or np.unique(pivots).size != n:
         raise ParameterError(f"pivots must be {n} distinct rows in [0, {d})")
     if elim.min() < 0 or elim.max() >= q:
         raise ParameterError(f"E holds entries outside [0, {q})")
-    gap = np.linalg.norm(prep.rt_times(proj) - prep.basis[pivots].T, axis=0)
+    gap = np.linalg.norm(rt_proj - prep.basis[pivots].T, axis=0)
     bound = qr_singularity_bound(float(np.linalg.norm(prep.r_rows)), d)
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:
         raise ParameterError("projections are not Q^T W of this basis")
-    return CosetMap(None, q, 0, elim, _pivot_map(pivots, d), proj)
+    coset = CosetMap(None, q, 0, elim, _pivot_map(pivots, d), proj)
+    return TrapdoorBasis(prep.basis, prep=prep, coset=coset)
 
 
 class TrapdoorBasis:
     """A short basis together with the sampling data built from it.
 
-    The R factor (PreparedBasis; handed over by whoever factored the basis
-    already or loaded a checked one, else built on first use) and the
-    CosetMap of the public matrix the basis is a trapdoor of (derived on
-    first use, or handed over: extract builds E'_ID's, and a loaded key
-    carries it unbound) are each built once and then kept by this object.
-    The coset map belongs to the matrix it was derived for or first bound
-    to: a call with another matrix, or the binding of a handed-over map to
-    a matrix it does not solve, raises ParameterError.  A lock guards
-    every first use and the binding, so one instance may serve concurrent
-    calls.
+    The basis is held as given when it is int32 or int64, anything else as
+    int64: a user key's E'_ID is int32, and its PreparedBasis holds the
+    same array.  The R factor (PreparedBasis; handed over by whoever
+    factored the basis already or loaded a checked one, else built on
+    first use) and the CosetMap of the public matrix the basis is a
+    trapdoor of (derived on first use, or handed over: extract builds
+    E'_ID's, and a loaded key carries it unbound) are each built once and
+    then kept by this object.  The coset map belongs to the matrix it was
+    derived for or first bound to: a call with another matrix, or the
+    binding of a handed-over map to a matrix it does not solve, raises
+    KeyMismatch (a ParameterError).  A lock guards every first use and the
+    binding, so one instance may serve concurrent calls.
     """
 
     def __init__(self, basis, *, prep: PreparedBasis | None = None, r_bar: np.ndarray | None = None,
                  coset: CosetMap | None = None):
-        self.basis = np.asarray(basis, dtype=np.int64)
+        self.basis = int_array(basis)
         self.r_bar = r_bar  # a gadget trapdoor's Rbar, which selects the gadget path; else None
         self._prep = prep
         self._coset = coset
@@ -312,6 +321,18 @@ class TrapdoorBasis:
                 self._prep = prepare_basis(self.basis)
             return self._prep
 
+    def narrowed(self, what: str) -> TrapdoorBasis:
+        """This trapdoor with its basis as int32 (zqlinalg.int32_matrix:
+        ParameterError naming what if an entry does not fit): itself when the
+        basis already is, else a new one holding the R factor and coset map
+        built so far, its PreparedBasis over the same int32 array."""
+        basis = int32_matrix(self.basis, what)
+        if basis is self.basis:
+            return self
+        with self._lock:
+            prep = self._prep and replace(self._prep, basis=basis)
+            return TrapdoorBasis(basis, prep=prep, r_bar=self.r_bar, coset=self._coset)
+
     def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
         with self._lock:
             if self._coset is None:
@@ -319,7 +340,7 @@ class TrapdoorBasis:
             elif self._coset.a is None:
                 self._coset = self._coset.bound_to(a, q)
             elif q != self._coset.q or not np.array_equal(a, self._coset.a):
-                raise ParameterError("the trapdoor basis belongs to another public matrix")
+                raise KeyMismatch("the trapdoor basis belongs to another public matrix")
             return self._coset
 
 

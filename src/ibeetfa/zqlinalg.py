@@ -2,16 +2,19 @@
 
 Residue matrices live in numpy int64 arrays with entries in [0, q);
 signed integer matrices (trapdoor bases, Gaussian preimages) are int64
-arrays whose magnitudes stay far below 2**62.  Every mod-q product is
-exact: operands are split into limbs, the limb products are accumulated
-with float64 matmuls whose partial sums stay below 2**53, and the limbs
-are recombined in int64.  When the operand with more entries is a short
-signed matrix, only the other one is reduced and split (at most three
-limbs), and the short one enters the products as it is; otherwise both
-are split into two 19-bit limbs, exact for any inner dimension up to
-2**14.  This caps the modulus at 2**38, which every supported parameter
-set respects; the gain is that the hot paths run through BLAS instead
-of arbitrary-precision integers.
+arrays whose magnitudes stay far below 2**62, or int32 ones: a user
+key's matrices are held at the int32 width of its file (int32_matrix),
+and the products and factorizations here read them as they are, without
+an int64 copy, never multiplying two int32 entries in int32.  Every
+mod-q product is exact: operands are split into limbs, the limb products
+are accumulated with float64 matmuls whose partial sums stay below
+2**53, and the limbs are recombined in int64.  When the operand with
+more entries is a short signed matrix, only the other one is reduced
+and split (at most three limbs), and the short one enters the products
+as it is; otherwise both are split into two 19-bit limbs, exact for any
+inner dimension up to 2**14.  This caps the modulus at 2**38, which
+every supported parameter set respects; the gain is that the hot paths
+run through BLAS instead of arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -85,6 +88,25 @@ def as_residues(a, q: int) -> np.ndarray:
     return arr
 
 
+def int_array(a) -> np.ndarray:
+    """a as a signed integer array: an int32 or int64 array as it is (no copy), anything else as int64."""
+    arr = np.asarray(a)
+    return arr if arr.dtype in (np.int32, np.int64) else arr.astype(np.int64)
+
+
+def int32_matrix(a, what: str) -> np.ndarray:
+    """a as a C-ordered int32 array (itself when it already is one).
+
+    astype would wrap an entry outside int32 silently, so such an entry
+    raises ParameterError naming what holds it instead.  Every key matrix
+    is narrowed here.
+    """
+    arr = np.asarray(a)
+    if arr.dtype != np.int32 and arr.size and (arr.min() < -(1 << 31) or arr.max() >= 1 << 31):
+        raise ParameterError(f"{what} holds an entry outside int32")
+    return np.ascontiguousarray(arr, dtype=np.int32)
+
+
 def center_rep(v, q: int) -> np.ndarray:
     """Map residues to the centered representative in (-q/2, q/2]."""
     arr = as_residues(v, q)
@@ -96,7 +118,7 @@ def _limbs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _magnitude(a: np.ndarray) -> int:
-    """max |a_ij| as a Python int (np.abs(-2**63) is -2**63)."""
+    """max |a_ij| as a Python int (np.abs wraps the most negative entry: -2**63, or -2**31 in int32)."""
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
@@ -139,13 +161,13 @@ def _mod_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def mat_mul(a, b, q: int) -> np.ndarray:
     """Exact (a @ b) mod q.
 
-    Either operand may be a residue matrix or a signed integer matrix;
-    the result is in [0, q).  1-D operands are treated as column/row
-    vectors the way ``@`` does.
+    Either operand may be a residue matrix or a signed integer matrix
+    (int32 or int64); the result is in [0, q).  1-D operands are treated
+    as column/row vectors the way ``@`` does.
     """
     q = int(q)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = int_array(a)
+    b = int_array(b)
     b_vec = b.ndim == 1
     if b_vec:
         b = b.reshape(-1, 1)
@@ -180,15 +202,33 @@ def concat_cols(parts) -> np.ndarray:
     return np.hstack(parts)
 
 
+#: Rows of the left operand exact_int_matmul converts to float64 at a time.
+_ROW_BLOCK = 256
+
+
+def _float_product(a: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """a @ bf as int64 for an integer a and a float64 bf whose partial sums
+    stay below 2**53 (so every sum is exact), a converted _ROW_BLOCK rows at
+    a time: a 2m x 2m key basis gets no float64 copy."""
+    if a.ndim == 1 or a.shape[0] <= _ROW_BLOCK:
+        return (a.astype(np.float64) @ bf).astype(np.int64)
+    out = np.empty((a.shape[0], bf.shape[1]), dtype=np.int64)
+    for lo in range(0, a.shape[0], _ROW_BLOCK):
+        out[lo : lo + _ROW_BLOCK] = a[lo : lo + _ROW_BLOCK].astype(np.float64) @ bf
+    return out
+
+
 def exact_int_matmul(a, b) -> np.ndarray:
     """Exact integer a @ b without any modulus.
 
     Chooses between a single float64 matmul and a limb-split pair of
     matmuls depending on magnitude bounds; raises if the true product
-    cannot be certified to fit in int64.
+    cannot be certified to fit in int64.  int32 operands are read as they
+    are, and a is converted to float64 a block of rows at a time
+    (_float_product); the result is int64.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a = int_array(a)
+    b = int_array(b)
     b_vec = b.ndim == 1
     if b_vec:
         b = b.reshape(-1, 1)
@@ -200,17 +240,15 @@ def exact_int_matmul(a, b) -> np.ndarray:
     if amax * bmax * k >= 1 << 62:
         raise DimensionMismatch("integer product bound exceeds int64 range")
     if amax * bmax * k < 1 << 53:
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out = _float_product(a, b.astype(np.float64))
     else:
-        # Split b so both partial products are float64-exact.
+        # Split b so both partial products are float64-exact (an int32 b
+        # has bmax < 2**31, so its shift stays below 30 and the mask fits)
         shift = 52 - (amax * k).bit_length()
         if shift < 1:
             raise DimensionMismatch("operands too large for exact split product")
-        b_hi = b >> shift
-        b_lo = b & ((1 << shift) - 1)
-        af = a.astype(np.float64)
-        hi = (af @ b_hi.astype(np.float64)).astype(np.int64)
-        lo = (af @ b_lo.astype(np.float64)).astype(np.int64)
+        hi = _float_product(a, (b >> shift).astype(np.float64))
+        lo = _float_product(a, (b & ((1 << shift) - 1)).astype(np.float64))
         out = (hi << shift) + lo
     return out.reshape(-1) if b_vec else out
 
@@ -298,9 +336,9 @@ def certified_r_factor(s) -> np.ndarray:
 
     Raises SingularMatrix unless every |R_kk| exceeds qr_singularity_bound,
     which certifies s nonsingular over the reals; a failure means
-    "unknown", not "singular".
+    "unknown", not "singular".  An int32 s is read as it is.
     """
-    s = np.asarray(s, dtype=np.int64)
+    s = int_array(s)
     bound = qr_singularity_bound(np.linalg.norm(s), s.shape[1])
     r = np.linalg.qr(s, mode="r")
     if not float(np.abs(np.diag(r)).min()) > bound:

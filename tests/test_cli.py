@@ -395,6 +395,65 @@ class TestStoredCosetMap:
         assert code == 65
 
 
+class TestForeignKey:
+    """A key that does not belong to the public parameters given is a load
+    error of the key (65), not a usage error: another system's key with
+    the same parameters, or a key file whose E word was changed within
+    [0, q), which only F'_ID can tell."""
+
+    @pytest.fixture(scope="class")
+    def other_system(self, workspace, params_file):
+        d = workspace["dir"]
+        paths = {"pp": str(d / "pp2.ibfa"), "msk": str(d / "msk2.ibfa"),
+                 "ct": str(d / "ct2_a.ibfa"), "ct_b": str(d / "ct2_b.ibfa"), "td1": str(d / "foreign.td1")}
+        assert run_command(["setup", "--params", params_file, "--seed", "02",
+                            "--out-pp", paths["pp"], "--out-msk", paths["msk"]]) == 0
+        for ct, who, seed in ((paths["ct"], "alice", "21"), (paths["ct_b"], "bob", "22")):
+            assert run_command(["encrypt", "--pp", paths["pp"], "--id", who, "--in", workspace["msg1"],
+                                "--seed", seed, "--out", ct]) == 0
+        # type 1 needs no ciphertext and checks nothing at issue
+        assert run_command(["td", "--type", "1", "--pp", paths["pp"], "--sk", workspace["sk_a"],
+                            "--out", paths["td1"]]) == 0
+        return paths
+
+    def test_other_systems_key_exits_65(self, workspace, other_system, capsys):
+        pp, ct = other_system["pp"], other_system["ct"]
+        commands = {
+            "decrypt": ["decrypt", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct],
+            "td2": ["td", "--type", "2", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct, "--seed", "23"],
+            "td3": ["td", "--type", "3", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct, "--seed", "23"],
+            "test1": ["test", "--type", "1", "--pp", pp, "--td-i", other_system["td1"],
+                      "--td-j", other_system["td1"], "--ct-i", ct, "--ct-j", other_system["ct_b"]],
+        }
+        messages = {"decrypt": "key preimage", "td2": "another public matrix",
+                    "td3": "another public matrix", "test1": "key preimage"}
+        for name, argv in commands.items():
+            capsys.readouterr()
+            out = [] if name == "test1" else ["--out", workspace["unused"]]
+            assert run_command(argv + out) == 65, name
+            assert messages[name] in capsys.readouterr().err, name
+        assert not os.path.exists(workspace["unused"])
+
+    def test_elimination_word_in_range_exits_65(self, workspace, capsys):
+        blob = fileio.read_file(workspace["sk_a"])
+        span = sk_sections(MINI)["elim"]
+        words = np.frombuffer(blob[span], dtype="<i8").copy()
+        words[0] = (words[0] + 1) % MINI.q
+        path = str(workspace["dir"] / "elim_in_range.sk")
+        fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
+        capsys.readouterr()
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", path,
+                            "--ct", workspace["ct_a1"], "--seed", "24", "--out", workspace["unused"]])
+        assert code == 65
+        assert "another public matrix" in capsys.readouterr().err
+
+    def test_usage_errors_stay_64(self, workspace):
+        assert run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                            "--out", workspace["unused"]]) == 64
+        assert run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
+                            "--ct", workspace["ct_a1"], "--seed", "zz", "--out", workspace["unused"]]) == 64
+
+
 class TestMasterKeyFile:
     """A master key file holds Rbar and Rbar' after its header; the load
     rebuilds T_A and T_A' from them and refuses any entry other than +-1,

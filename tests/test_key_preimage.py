@@ -12,14 +12,16 @@ an O(d^2) check, so no key, fresh or loaded, factors a basis again.
 
 import dataclasses
 import math
+import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from ibeetfa import fileio, trapdoor
+from ibeetfa import fileio, scheme, trapdoor
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test3 as eq_test3
@@ -349,7 +351,7 @@ class TestStoredCosetMap:
         assert np.array_equal(held.pivots, cmap.pivots) and np.array_equal(held.elim, cmap.elim)
         assert held.proj.tobytes() == cmap.proj.tobytes()
         for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
-            assert getattr(loaded, name).dtype == np.int64
+            assert getattr(loaded, name).dtype == getattr(sk, name).dtype == np.int32
             assert np.array_equal(getattr(loaded, name), getattr(sk, name))
         assert fileio.dump_user_secret(loaded, MINI) == blob
 
@@ -409,25 +411,82 @@ class TestStoredCosetMap:
             with pytest.raises(FormatError, match="stored coset map refused"):
                 fileio.load_user_secret(data, MINI)
 
-    def test_dump_refuses_what_it_cannot_write(self, mini_key):
+    def test_key_refuses_what_dump_cannot_write(self, mini_key):
+        # a key holds its integer matrices as int32, so an entry outside int32
+        # is refused when the key is built, and one inside dumps to its word
         ident, sk = mini_key
         top = 1 << 31
-        for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+        sections = {"e_id": "E_ID", "e_id_prime": "E'_ID", "e_f": "e_F", "e_f_prime": "e_F'"}
+        for name, section in sections.items():
             for value, fits in ((top - 1, True), (-top, True), (top, False), (-top - 1, False)):
-                arr = getattr(sk, name).copy()
+                arr = getattr(sk, name).astype(np.int64)
                 arr[0, 0] = value
-                if name == "e_id_prime":
-                    key = dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(
-                        arr, prep=sk.trapdoor_prime.prepared(), coset=sk.trapdoor_prime.coset))
-                else:
-                    key = dataclasses.replace(sk, **{name: arr})
+
+                def build():
+                    if name == "e_id_prime":
+                        return dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(
+                            arr, prep=sk.trapdoor_prime.prepared(), coset=sk.trapdoor_prime.coset))
+                    return dataclasses.replace(sk, **{name: arr})
+
                 if fits:
+                    key = build()
+                    assert getattr(key, name).dtype == np.int32 and getattr(key, name)[0, 0] == value
                     blob = fileio.dump_user_secret(key, MINI)
                     assert int(np.frombuffer(blob[sk_sections(MINI)[name]], dtype="<i4")[0]) == value
                 else:
-                    with pytest.raises(ParameterError, match="outside int32"):
-                        fileio.dump_user_secret(key, MINI)
+                    with pytest.raises(ParameterError, match=re.escape(
+                            f"user secret key: {section} holds an entry outside int32")):
+                        build()
         # a basis that holds no coset map: dump has no public matrix to derive one from
         bare = dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(sk.e_id_prime))
         with pytest.raises(ParameterError, match="no coset map"):
             fileio.dump_user_secret(bare, MINI)
+
+
+class TestKeyWidth:
+    """A key's integer matrices (E_ID, E'_ID, e_F, e_F') are int32 in memory,
+    fresh or loaded, as the key file stores them; E'_ID is one array, shared
+    with the PreparedBasis it samples with."""
+
+    def test_fresh_and_loaded_keys_hold_int32(self, mini_key):
+        _, sk = mini_key
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        for key in (sk, loaded):
+            for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+                assert getattr(key, name).dtype == np.int32, name
+            assert key.trapdoor_prime.basis is key.trapdoor_prime.prepared().basis
+        assert loaded.trapdoor_prime.narrowed("E'_ID") is loaded.trapdoor_prime
+
+    def test_extract_refuses_a_basis_outside_int32(self, mini_system, monkeypatch):
+        # each basis is narrowed as it is drawn, E_ID before E'_ID is drawn
+        pp, msk = mini_system
+        ident = identity_from_string("ivan", MINI.ell)
+        real = scheme.sample_basis_left
+        for spoiled, section in ((1, "E_ID"), (2, "E'_ID")):
+            calls = []
+
+            def draw(*args):
+                calls.append(None)
+                basis, e = real(*args)
+                if len(calls) == spoiled:
+                    basis.basis[0, 0] = 1 << 31
+                return basis, e
+
+            monkeypatch.setattr(scheme, "sample_basis_left", draw)
+            with pytest.raises(ParameterError, match=re.escape(f"user secret key: {section} holds an entry outside int32")):
+                extract(pp, msk, ident, RandomSource(437))
+            assert len(calls) == spoiled
+
+    def test_load_peaks_near_the_file_size(self, mini_key):
+        # the parent format's load widened E_ID and E'_ID to int64 (1.9 x the
+        # file); at the file's width every section is held once
+        _, sk = mini_key
+        blob = fileio.dump_user_secret(sk, MINI)
+        tracemalloc.start()
+        try:
+            loaded = fileio.load_user_secret(blob, MINI)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.identity == sk.identity
+        assert peak <= 1.3 * len(blob), (peak, len(blob))

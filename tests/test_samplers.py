@@ -478,26 +478,33 @@ class TestAdoptRFactor:
         _, sk = mini_key
         basis = sk.e_id_prime
         prep = sk.trapdoor_prime.prepared()
-        got = adopt_r_factor(basis, prep.r_rows)
+        d = basis.shape[0]
+        r_full = np.zeros((d, d))
+        r_full[np.triu_indices(d)] = prep.r_rows
+        proj = np.linspace(-1.0, 1.0, 3 * d).reshape(d, 3)
+        got, rt = adopt_r_factor(basis, prep.r_rows, proj)
+        assert np.allclose(rt, r_full.T @ proj, rtol=0, atol=1e-9 * np.abs(r_full).sum())
+        none = np.zeros((d, 0))
         assert np.array_equal(got.r_rows, prep.r_rows) and np.array_equal(got.gs_norms, prep.gs_norms)
         # other R factors of the same basis, rounded differently or with
         # other row signs, as another host's QR may return them
         cholesky = np.linalg.cholesky(exact_gram(basis).astype(np.float64)).T
         signs = np.where(RandomSource(98).integers(0, 2, basis.shape[0]) == 1, -1.0, 1.0)
         for r in (cholesky, signs[:, None] * cholesky):
-            got = adopt_r_factor(basis, self.packed(r))
+            got, _ = adopt_r_factor(basis, self.packed(r), none)
             assert np.allclose(got.gs_norms, prep.gs_norms, rtol=1e-9)
 
     def test_refuses_an_r_factor_of_another_basis(self, mini_key, mini_key_other):
         _, sk = mini_key
         _, other = mini_key_other
         r_rows = sk.trapdoor_prime.prepared().r_rows
+        none = np.zeros((sk.e_id_prime.shape[0], 0))
         with pytest.raises(SingularMatrix):
-            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prepared().r_rows)
+            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prepared().r_rows, none)
         for word, value in ((1, 2.0 * r_rows[1]), (0, 0.0), (5, np.nan), (7, np.inf)):
             bad = r_rows.copy()
             bad[word] = value
             with pytest.raises(SingularMatrix):
-                adopt_r_factor(sk.e_id_prime, bad)
+                adopt_r_factor(sk.e_id_prime, bad, none)
         with pytest.raises(DimensionMismatch):
-            adopt_r_factor(sk.e_id_prime, r_rows[:-1])
+            adopt_r_factor(sk.e_id_prime, r_rows[:-1], none)

@@ -353,7 +353,12 @@ class TestBasisFromPreimages:
         monkeypatch.setattr(scheme, "sample_basis_left", fails_second)
         sk = scheme.extract(pp, msk, ident, RandomSource(419))
         assert len(drawn) == 4
-        assert sk.e_id is drawn[2][0].basis and sk.trapdoor_prime is drawn[3][0]
+        # the key holds the last draws narrowed to int32; E'_ID keeps that
+        # draw's own R factor, over the narrowed array
+        assert sk.e_id.dtype == sk.e_id_prime.dtype == np.int32
+        assert np.array_equal(sk.e_id, drawn[2][0].basis) and np.array_equal(sk.e_id_prime, drawn[3][0].basis)
+        prep = sk.trapdoor_prime.prepared()
+        assert prep.r_rows is drawn[3][0].prepared().r_rows and prep.basis is sk.e_id_prime
         assert check_nullspace_basis(scheme.compute_f(pp, ident, "primary"), sk.e_id, MINI.q)
         scheme.checked_preimage(pp, ident, "primary", sk.e_f)
         scheme.checked_preimage(pp, ident, "prime", sk.e_f_prime)

@@ -15,6 +15,7 @@ from ibeetfa.zqlinalg import (
     concat_cols,
     exact_int_matmul,
     gram_schmidt_norm,
+    int32_matrix,
     is_prime,
     mat_mul,
     solve_mod,
@@ -152,6 +153,10 @@ def _largest_prime_below(n):
 
 #: 7, 4093, MINI's q, toy's q and the largest supported modulus
 _SPLIT_MODULI = (7, 4093, 13_000_000_073, 259_999_999_951, _largest_prime_below(1 << 38))
+
+
+#: The MINI modulus (tests/conftest.py), a prime above 2**33.
+MINI_Q = 13_000_000_073
 
 
 def _python_product(a, b, q):
@@ -373,6 +378,37 @@ class TestHelpers:
             with pytest.raises(DimensionMismatch):
                 exact_int_matmul([[1, 1]], np.array(a).T)
         assert np.array_equal(exact_int_matmul([[-(2**40), 5]], [[1], [1]]), [[-(2**40) + 5]])
+
+    def test_int32_operands_at_the_most_negative_word(self):
+        # |-2**31| is no int32 (np.abs returns -2**31), and an int32 product of
+        # two 2**19 entries wraps: int32 operands must be read as they are,
+        # with magnitudes from _magnitude and products in float64 or int64
+        low = -(1 << 31)
+        a = np.array([[low, 5, -7], [3, low, 1 << 19]], dtype=np.int32)
+        cases = [
+            (a, np.array([[1, -2], [1 << 19, 3], [1 << 19, 1]], dtype=np.int32)),  # one float64 product
+            (a, np.array([[1 << 28, 1], [-(1 << 28), 7], [5, 1 << 27]], dtype=np.int64)),  # b split
+            (np.array([[1 << 28, -(1 << 27)]], dtype=np.int64), np.array([[low], [low]], dtype=np.int32)),  # int32 b split
+        ]
+        for x, y in cases:
+            want = np.asarray(x, dtype=object) @ np.asarray(y, dtype=object)
+            got = exact_int_matmul(x, y)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert np.array_equal(mat_mul(x, y, MINI_Q), np.asarray(want % MINI_Q, dtype=np.int64))
+
+    def test_int32_matrix_narrows_in_range_and_refuses_the_rest(self):
+        top = 1 << 31
+        for value in (top - 1, -top, 0):
+            arr = np.array([[value, 1]], dtype=np.int64)
+            got = int32_matrix(arr, "E_ID")
+            assert got.dtype == np.int32 and got.flags.c_contiguous and got.tolist() == arr.tolist()
+        for value in (top, -top - 1, 1 << 62):
+            with pytest.raises(ParameterError, match="E_ID holds an entry outside int32"):
+                int32_matrix(np.array([[1, value]], dtype=np.int64), "E_ID")
+        held = np.arange(6, dtype=np.int32).reshape(2, 3)
+        assert int32_matrix(held, "E_ID") is held
+        assert int32_matrix(held.T, "E_ID").flags.c_contiguous
+        assert int32_matrix(np.zeros((0, 3), dtype=np.int64), "E_ID").shape == (0, 3)
 
     def test_solve_mod_solutions(self):
         q = 4093
