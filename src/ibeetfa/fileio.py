@@ -38,6 +38,11 @@ residues) and the 2m x n projections P = Q^T W (binary64).  The load
 checks the pivots, E's range and P against E'_ID and R in O(m^2 n)
 (trapdoor.adopt_trapdoor); the map is bound to F'_ID on first use
 (CosetMap.bound_to), so a loaded key derives nothing before it samples.
+Version 5 (user secret key only) replaces the 2m x 2m basis E_ID by the
+key's gadget trapdoor R_ID ((2m - nk) x nk, i32) and appends the public
+Abar_ID, the left 2m - nk columns of F_ID (u64 residues), from which a
+key rebuilds E_ID (scheme.UserSecretKey.e_id); the R block and the coset
+map stay as in version 4.
 Version 2 of the master secret key holds only Rbar and Rbar' (entries
 +-1), not T_A, T_A'.
 Version 2 of the ciphertext keeps the version-1 layout, but its c5 is
@@ -89,7 +94,7 @@ _KIND_NAMES = {
 }
 
 #: Format version of each kind whose payload changed; every other kind is at 1.
-_VERSIONS = {KIND_MSK: 2, KIND_SK: 4, KIND_CT: 2, KIND_TD1: 2, KIND_TD3: 2}
+_VERSIONS = {KIND_MSK: 2, KIND_SK: 5, KIND_CT: 2, KIND_TD1: 2, KIND_TD3: 2}
 
 _PARAMS_STRUCT = struct.Struct("<QQQQQQddQ")
 
@@ -270,7 +275,7 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
 
 
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
-    """The sk file (version 4); ParameterError for a key whose E'_ID holds no
+    """The sk file (version 5); ParameterError for a key whose E'_ID holds no
     coset map (extract and load_user_secret always give it one).  The key's
     integer matrices are int32 (UserSecretKey narrows them), so they are
     written as they are."""
@@ -279,10 +284,10 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     if cmap is None or cmap.k:
         raise ParameterError("user secret key: E'_ID has no coset map to write")
     sections = [memoryview(np.ascontiguousarray(arr, dtype="<i4"))
-                for arr in (sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
+                for arr in (sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
     return b"".join(
-        [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _reals(td.prepared().r_rows),
-         _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
+        [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _words(sk.a_bar_id),
+         _reals(td.prepared().r_rows), _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
     )
 
 
@@ -290,29 +295,34 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     """The key in blob, E'_ID holding its stored R factor and (unbound) coset
     map once both are checked against it; FormatError otherwise.
 
-    E_ID and E'_ID, consecutive sections, are read with one int32 copy
-    that the key holds as two halves: one allocation of the size of one
-    int64 basis, not two.  R and the map are checked in that order
-    (trapdoor.adopt_trapdoor), in one pass over R's blocks.
+    Each int32 section is copied once, at its width; E'_ID is the only
+    2m x 2m one.  An Abar_ID word outside [0, q) is refused.  R and the
+    map are checked in that order (trapdoor.adopt_trapdoor), in one pass
+    over R's blocks.
     """
     rd, p = _open(blob, KIND_SK, reference)
     d = 2 * p.m
+    nk = p.n * gadget_length(p.q)
     ident = _load_identity(rd, p.ell)
-    e_id, e_id_prime = rd.int32s((2, d, d))
+    r_id = rd.int32s((d - nk, nk))
+    e_id_prime = rd.int32s((d, d))
     e_f = rd.int32s((d, p.t))
     e_f_prime = rd.int32s((d, p.t))
+    a_bar_id = rd.words((p.n, d - nk))
     r_rows = rd.reals(d * (d + 1) // 2)
     pivots = rd.words((p.n,))
     elim = rd.words((p.n, p.n))
     proj = rd.reals(d * p.n).reshape(d, p.n)
     rd.done()
+    if a_bar_id.min() < 0 or a_bar_id.max() >= p.q:
+        raise FormatError("user secret key: Abar_ID holds out-of-range residues")
     try:
         td = adopt_trapdoor(e_id_prime, r_rows, p.q, pivots, elim, proj)
     except SingularMatrix as err:
         raise FormatError(f"user secret key: stored R factor refused: {err}") from None
     except ParameterError as err:
         raise FormatError(f"user secret key: stored coset map refused: {err}") from None
-    return UserSecretKey(ident, e_id, td, e_f, e_f_prime)
+    return UserSecretKey(ident, r_id, a_bar_id, p.q, td, e_f, e_f_prime)
 
 
 # -- ciphertext ---------------------------------------------------------------

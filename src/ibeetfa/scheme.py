@@ -11,9 +11,10 @@ with exactly the R of the host that extracted it.  Data objects are
 immutable apart from what they build on first use.  Extract builds E'_ID's
 R factor and coset map (with projections) and the key file carries both,
 so a loaded key's only lazy state is binding its stored map to F'_ID,
-which td2 and td3_ct do once under a per-basis lock.  Decrypt and the
-type-1 tests read the key's preimages of U, fixed at extract.  The other
-lazy state is the integrity tag a
+which td2 and td3_ct do once under a per-basis lock.  A key's E_ID is
+rebuilt from its R_ID on every access and kept by nobody, so it is no
+lazy state.  Decrypt and the type-1 tests read the key's preimages of U,
+fixed at extract.  The other lazy state is the integrity tag a
 Ciphertext keeps per parameter set, which two racing threads at worst
 compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
@@ -43,7 +44,15 @@ from .samplers import (
     sample_sign_matrix,
     sample_uniform_zq,
 )
-from .trapdoor import TrapdoorBasis, sample_basis_left, trap_gen
+from .trapdoor import (
+    TrapdoorBasis,
+    gadget_length,
+    gadget_matrix,
+    gadget_trapdoor,
+    sample_basis_left,
+    sample_left,
+    trap_gen,
+)
 from .zqlinalg import concat_cols, exact_int_matmul, int32_matrix, mat_mul
 
 _EXTRACT_ATTEMPTS = 8
@@ -123,52 +132,68 @@ def identity_from_string(name: str, ell: int) -> Identity:
 
 @dataclass(frozen=True)
 class UserSecretKey:
-    """Per-identity key: two delegated bases and a preimage of U under each F.
+    """Per-identity key: a gadget trapdoor of F_ID, a basis of F'_ID, and a preimage of U under each.
 
+    r_id (R_ID, (2m - nk) x nk; not the sign-matrix sum encrypt draws) is
+    a gadget trapdoor of F_ID = (A | A_ID) in the Micciancio-Peikert
+    sense: F_ID @ [R_ID; I] == G (mod q).  The key also holds F_ID's left
+    2m - nk columns, a_bar_id (Abar_ID, public residues), so that E_ID
+    can be rebuilt without the public parameters.
     e_f (e_F, 2m x t) satisfies F_ID @ e_F == U and e_f_prime (e_F') does
     for F'_ID; extract samples both with the master trapdoor (the
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
     them, so neither builds any sampling data.  Both are held as read-only
-    copies.  Of the bases, only E'_ID is sampled with (by td2 and
-    td3_ct): extract hands it the R factor it was certified with and
-    builds its coset map under F'_ID, the key file stores both, and a
-    loaded key adopts them once load has checked them against E'_ID
+    copies.  Only the basis E'_ID is sampled with (by td2 and td3_ct):
+    extract hands it the R factor it was certified with and builds its
+    coset map under F'_ID, the key file stores both, and a loaded key
+    adopts them once load has checked them against E'_ID
     (trapdoor.adopt_trapdoor) and binds the map to F'_ID on first use.
-    E_ID (e_id, 2m x 2m) is plain key data, held as the int32 array it is
-    given, with no copy (any other array becomes a range-checked int32
-    copy): no scheme operation samples with it, and a read-only copy
-    would cost another 2m x 2m words.  Carries its identity so decryption
-    can rebuild the concatenated matrices without out-of-band context.
+    Carries its identity so decryption can rebuild the concatenated
+    matrices without out-of-band context.
 
-    All four integer matrices are int32, fresh from extract or loaded, as
-    the key file stores them: construction narrows each one
-    (zqlinalg.int32_matrix, no copy of an int32 array), so an entry that
-    does not fit raises ParameterError here, and a key that dump cannot
-    write never exists.  An E'_ID handed over at another width is held as
-    TrapdoorBasis.narrowed, with the sampling data it carries.  Arithmetic
-    on these matrices goes through mat_mul, exact_int_matmul or an
-    explicit float64 or int64 conversion, never int32 products.
+    All four integer matrices (R_ID, E'_ID, e_F, e_F') are int32, fresh
+    from extract or loaded, as the key file stores them: construction
+    narrows each one (zqlinalg.int32_matrix, no copy of an int32 array),
+    so an entry that does not fit raises ParameterError here, and a key
+    that dump cannot write never exists.  An E'_ID handed over at another
+    width is held as TrapdoorBasis.narrowed, with the sampling data it
+    carries.  Arithmetic on these matrices goes through mat_mul,
+    exact_int_matmul or an explicit float64 or int64 conversion, never
+    int32 products.
     """
 
     identity: Identity
-    e_id: np.ndarray
+    r_id: np.ndarray
+    a_bar_id: np.ndarray
+    q: int
     trapdoor_prime: TrapdoorBasis
     e_f: np.ndarray
     e_f_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "e_id", int32_matrix(self.e_id, "user secret key: E_ID"))
         object.__setattr__(self, "trapdoor_prime", self.trapdoor_prime.narrowed("user secret key: E'_ID"))
-        for name, section in (("e_f", "e_F"), ("e_f_prime", "e_F'")):
+        for name, section in (("r_id", "R_ID"), ("e_f", "e_F"), ("e_f_prime", "e_F'")):
             arr = int32_matrix(getattr(self, name), f"user secret key: {section}")
             object.__setattr__(self, name, frozen_array(arr, np.int32))
+        object.__setattr__(self, "a_bar_id", frozen_array(self.a_bar_id))
+
+    @property
+    def e_id(self) -> np.ndarray:
+        """E_ID, the 2m x 2m basis of the whole lattice of F_ID that R_ID
+        determines (trapdoor.gadget_trapdoor), as int32, built anew on each
+        access and kept by nobody.  It is for checks, not for sampling: its
+        smallest Gram-Schmidt norm lies far below the bound of the QR
+        certificate, so TrapdoorBasis(sk.e_id) cannot be prepared.
+        """
+        basis = gadget_trapdoor(self.a_bar_id, self.r_id, self.q).basis
+        return int32_matrix(basis, "user secret key: E_ID")
 
     @property
     def e_id_prime(self) -> np.ndarray:
         return self.trapdoor_prime.basis
 
     def element_count(self) -> int:
-        return self.e_id.size + self.e_id_prime.size + self.e_f.size + self.e_f_prime.size
+        return self.r_id.size + self.e_id_prime.size + self.e_f.size + self.e_f_prime.size
 
 
 @dataclass(frozen=True)
@@ -280,28 +305,30 @@ def compute_f(pp: PublicParams, ident: Identity, which: str = "primary") -> np.n
 
 
 def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: RandomSource) -> UserSecretKey:
-    """Derive the identity's secret key: delegated bases and preimages of U for F_ID and F'_ID.
+    """Derive the identity's secret key: a gadget trapdoor R_ID of F_ID, a
+    delegated basis E'_ID of F'_ID, and preimages of U under both.
 
-    Each basis and its preimage e_F of U come from one SampleLeft call
-    with the master trapdoor, sigma enforced, and F @ e_F == U is checked
-    on every column (sample_basis_left).  Each basis is certified by
-    factoring it; E'_ID keeps that R factor for td2, and the coset map of
-    F'_ID that td2 walks with is built here once.  Each basis is narrowed
-    to int32 as it is drawn, E_ID before E'_ID is drawn, so the two int64
-    bases never coexist.  A draw that fails (SamplingError) draws the
-    whole key again, up to _EXTRACT_ATTEMPTS times.  A master key whose
-    bases are no trapdoors of pp's A and A' raises ParameterError.
+    Three draws with the master trapdoors, sigma enforced, each checked
+    by sample_left on every column: R_ID, the preimages under (A | the
+    first m - nk columns of A_ID) of G minus A_ID's last nk columns, so
+    the check is F_ID @ [R_ID; I] == G (mod q); e_F, the preimages of U
+    under F_ID; and E'_ID with e_F' from one sample_basis_left call.
+    E'_ID is certified by factoring it and keeps that R factor for td2,
+    and the coset map of F'_ID that td2 walks with is built here once.  A
+    draw that fails (SamplingError) draws the whole key again, up to
+    _EXTRACT_ATTEMPTS times.  A master key whose bases are no trapdoors
+    of pp's A and A' raises ParameterError.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)
+    # F_ID's last nk columns, the right end of A_ID, are its gadget block
+    split = p.m - p.n * gadget_length(p.q)
+    gadget_target = (gadget_matrix(p.n, p.q) - a_id[:, split:]) % p.q
     last_err = None
     for _ in range(_EXTRACT_ATTEMPTS):
         try:
-            basis, e_f = sample_basis_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
-            # nothing samples with E_ID: its R factor goes with basis, and it is
-            # narrowed to the key's int32, before E'_ID is drawn
-            e_id = int32_matrix(basis.basis, "user secret key: E_ID")
-            del basis
+            r_id = sample_left(pp.a, a_id[:, :split], msk.trapdoor_a, gadget_target, p.q, p.sigma, rng)
+            e_f = sample_left(pp.a, a_id, msk.trapdoor_a, pp.u, p.q, p.sigma, rng)
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
@@ -309,7 +336,8 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
             # after the int64 basis is dropped, and the key file carries it
             basis_prime = basis_prime.narrowed("user secret key: E'_ID")
             basis_prime.coset_map(concat_cols([pp.a_prime, a_id]), p.q)
-            return UserSecretKey(ident, e_id, basis_prime, e_f, e_f_prime)
+            a_bar_id = concat_cols([pp.a, a_id[:, :split]])
+            return UserSecretKey(ident, r_id, a_bar_id, p.q, basis_prime, e_f, e_f_prime)
         except SamplingError as err:
             last_err = err
     raise SamplingError(f"key extraction failed after {_EXTRACT_ATTEMPTS} attempts: {last_err}")

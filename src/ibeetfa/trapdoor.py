@@ -117,7 +117,10 @@ def _bit_decompose(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _gadget_matrix(n: int, k: int) -> np.ndarray:
+def gadget_matrix(n: int, q: int) -> np.ndarray:
+    """The n x nk gadget G (k = gadget_length(q)): row i holds
+    1, 2, ..., 2^(k-1) in columns ik to ik + k - 1."""
+    k = gadget_length(q)
     g = np.zeros((n, n * k), dtype=np.int64)
     for i in range(n):
         g[i, i * k : (i + 1) * k] = 1 << np.arange(k, dtype=np.int64)
@@ -144,8 +147,7 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     m_bar = m - nk
     a_bar = rng.integers(0, q, (n, m_bar))
     r_bar = rng.integers(0, 2, (m_bar, nk)) * 2 - 1
-    g = _gadget_matrix(n, k)
-    a_right = (g - mat_mul(a_bar, r_bar, q)) % q
+    a_right = (gadget_matrix(n, q) - mat_mul(a_bar, r_bar, q)) % q
     a = concat_cols([a_bar, a_right])
     return TrapdoorPair(a, gadget_trapdoor(a_bar, r_bar, q))
 
@@ -215,13 +217,16 @@ class CosetMap:
 def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
     """ParameterError unless A @ [Rbar; I] == G (mod q): Rbar is a gadget trapdoor of A.
 
-    Computed as Abar @ Rbar plus A's last nk columns, one exact product
-    with no factorization and no stacked copy of [Rbar; I].
+    Computed as Abar @ Rbar mod q plus A's last nk columns, one mat_mul
+    with no factorization and no stacked copy of [Rbar; I].  mat_mul
+    reduces as it goes, so a user key's R_ID (entries near 2**19, whose
+    exact product with residues would pass int64) is checked as the
+    master key's +-1 Rbar is.
     """
     m_bar = r_bar.shape[0]
-    g = _gadget_matrix(a.shape[0], gadget_length(q)) % q
+    g = gadget_matrix(a.shape[0], q)
     if a.shape[1] != m_bar + g.shape[1] or not np.array_equal(
-        (exact_int_matmul(a[:, :m_bar], r_bar) + a[:, m_bar:]) % q, g
+        (mat_mul(a[:, :m_bar], r_bar, q) + a[:, m_bar:]) % q, g
     ):
         raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
 
@@ -416,24 +421,6 @@ def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: Ra
     if not np.array_equal(mat_mul(concat_cols([a, m_block]), e, q), u):
         raise SamplingError("sample_left congruence self-check failed")
     return e
-
-
-def operator_norm(r, iters: int = 50) -> float:
-    """Spectral norm estimate by power iteration with a fixed start."""
-    rf = np.asarray(r, dtype=np.float64)
-    probe = RandomSource(0x5EED)  # fixed internal seed keeps the estimate deterministic
-    v = probe.normal(1.0, rf.shape[1])
-    nrm = np.linalg.norm(v)
-    if nrm == 0 or rf.size == 0:
-        return 0.0
-    v /= nrm
-    for _ in range(iters):
-        v = rf.T @ (rf @ v)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return 0.0
-        v /= nrm
-    return float(np.linalg.norm(rf @ v))
 
 
 def _basis_candidates(zero: np.ndarray, dim: int):

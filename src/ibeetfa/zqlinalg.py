@@ -323,10 +323,10 @@ def qr_singularity_bound(norm: float, d: int) -> float:
 
     Backward-stable QR computes the exact factorization of sf + E with
     ||E|| <= c*d*eps*||sf||.  certified_r_factor, the package's one QR,
-    judges against this bound, so the certificate that is_nonsingular and
-    extract rely on and the factorization the walks sample with are the
-    same computation.  samplers.adopt_r_factor checks an R factored
-    elsewhere against the same bound.
+    judges against this bound, so the certificate that extract relies on
+    and the factorization the walks sample with are the same computation.
+    samplers.adopt_r_factor checks an R factored elsewhere against the
+    same bound.
     """
     return float(norm) * np.finfo(np.float64).eps * d * 16
 
@@ -372,50 +372,6 @@ def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
         np.remainder(rest, p, out=rest)
         pivots.append(c)
     return pivots
-
-
-def is_nonsingular(s) -> bool:
-    """Nonsingularity over the rationals.
-
-    Small matrices get an exact rational elimination.  Large ones first
-    try a rigorous float QR certificate, then fall back to rank checks
-    modulo several 25-bit primes (a nonzero determinant mod any prime
-    proves nonsingularity; vanishing mod all of them, combined with the
-    failed certificate, is treated as singular).
-    """
-    s = np.asarray(s, dtype=np.int64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    d = s.shape[0]
-    if d <= GS_EXACT_DIM:
-        try:
-            _gs_norms_fraction(s)
-            return True
-        except SingularMatrix:
-            return False
-    try:
-        certified_r_factor(s)
-        return True
-    except SingularMatrix:
-        return any(len(_pivot_columns_mod_p(s, p)) == d for p in _RANK_CHECK_PRIMES)
-
-
-def check_nullspace_basis(f, s, q: int) -> bool:
-    """True iff F @ S == 0 (mod q) and S is nonsingular over Q."""
-    q = int(q)
-    f = as_residues(f, q)
-    s = np.asarray(s, dtype=np.int64)
-    if f.ndim != 2 or s.ndim != 2:
-        raise DimensionMismatch("expected matrices")
-    if s.shape[0] != s.shape[1]:
-        raise DimensionMismatch(f"candidate basis must be square, got {s.shape}")
-    if f.shape[1] != s.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {f.shape} by {s.shape}: inner dimensions differ"
-        )
-    if np.any(mat_mul(f, s, q)):
-        return False
-    return is_nonsingular(s)
 
 
 def solve_mod(a, b, q: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from ibeetfa.params import ParamSet
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import extract, identity_from_string, setup
+from ibeetfa.trapdoor import gadget_length
 
 # Smallest set that clears every validator constraint; pipeline unit tests
 # run against this, the acceptance suite runs against preset("toy").
@@ -48,10 +49,12 @@ def mini_key_other(mini_system):
 
 
 def sk_sections(p):
-    """Byte slices of the sections of a user secret key file (format version 4)."""
+    """Byte slices of the sections of a user secret key file (format version 5)."""
     d = 2 * p.m
-    sizes = (("identity", 8 * p.ell), ("e_id", 4 * d * d), ("e_id_prime", 4 * d * d),
-             ("e_f", 4 * d * p.t), ("e_f_prime", 4 * d * p.t), ("r_rows", 8 * d * (d + 1) // 2),
+    nk = p.n * gadget_length(p.q)
+    sizes = (("identity", 8 * p.ell), ("r_id", 4 * (d - nk) * nk), ("e_id_prime", 4 * d * d),
+             ("e_f", 4 * d * p.t), ("e_f_prime", 4 * d * p.t), ("a_bar_id", 8 * p.n * (d - nk)),
+             ("r_rows", 8 * d * (d + 1) // 2),
              ("pivots", 8 * p.n), ("elim", 8 * p.n * p.n), ("proj", 8 * d * p.n))
     spans, pos = {}, 4 + 2 + 1 + 32 + 72  # the common header
     for name, size in sizes:

@@ -35,7 +35,8 @@ from ibeetfa.scheme import (
     extract,
     setup,
 )
-from ibeetfa.trapdoor import TrapdoorBasis, sample_left
+from ibeetfa.errors import ParameterError
+from ibeetfa.trapdoor import gadget_length, require_gadget_trapdoor, sample_left
 from ibeetfa.zqlinalg import concat_cols, mat_mul
 
 from conftest import random_message
@@ -169,13 +170,22 @@ def test_criterion_2_equality_tests(system, keys, pool):
 
 
 def test_criterion_3_algebraic_invariants(system, keys, pool):
-    """Key and preimage congruences hold exactly mod q."""
+    """Key and preimage congruences hold exactly mod q.
+
+    F_ID's side is checked on every key: E_ID (rebuilt from R_ID) spans the
+    nullspace, F_ID @ [R_ID; I] == G, which is what lets R_ID answer any
+    preimage query under F_ID, and F_ID @ e_F == U on every column.  E_ID
+    cannot be walked, so no preimage is sampled with it; F'_ID's side
+    samples 50 preimages with E'_ID.
+    """
     pp, _ = system
     idents, _, cts = pool
     rng = RandomSource(SEED + 4)
     q = TOY.q
 
     key_ok = 0
+    gadget_ok = 0
+    e_f_ok = 0
     checked = []
     pool_of_ids = list(idents)
     while len(pool_of_ids) < 20:
@@ -189,32 +199,32 @@ def test_criterion_3_algebraic_invariants(system, keys, pool):
         a = not np.any(mat_mul(f_id, sk.e_id, q))
         b = not np.any(mat_mul(f_idp, sk.e_id_prime, q))
         key_ok += int(a and b)
+        try:
+            require_gadget_trapdoor(f_id, sk.r_id, q)
+            gadget_ok += 1
+        except ParameterError:
+            pass
+        e_f_ok += int(np.array_equal(mat_mul(f_id, sk.e_f, q), pp.u))
         checked.append(ident)
 
-    # 50 preimages against F1 and 50 against F2, exact congruence each
+    # 50 preimages against F2, exact congruence each
     ident = checked[0]
     sk = keys.get(ident)
     ct = cts[(0, 0, 0)]
     ar = mat_mul(pp.a, ct.r_tag, q)
-    f1 = concat_cols([compute_f(pp, ident, "primary"), ar])
     f2 = concat_cols([compute_f(pp, ident, "prime"), ar])
-    e_ok = 0
     ep_ok = 0
-    # E_ID is key data; this check samples with it, so it wraps it once
-    trapdoor = TrapdoorBasis(sk.e_id)
     for i in range(50):
         u = RandomSource(7_000 + i).integers(0, q, (TOY.n, 1))
-        e = sample_left(compute_f(pp, ident, "primary"), ar, trapdoor, u, q, TOY.sigma,
-                        rng, enforce_sigma=False)
-        e_ok += int(np.array_equal(mat_mul(f1, e, q), u))
         ep = sample_left(compute_f(pp, ident, "prime"), ar, sk.trapdoor_prime, u, q, TOY.sigma,
                          rng, enforce_sigma=False)
         ep_ok += int(np.array_equal(mat_mul(f2, ep, q), u))
-    ok = key_ok == 20 and e_ok == 50 and ep_ok == 50
+    ok = key_ok == 20 and gadget_ok == 20 and e_f_ok == 20 and ep_ok == 50
     report(
         "criterion-3",
         ok,
-        f"key nullspace {key_ok}/20, F1 preimages {e_ok}/50, F2 preimages {ep_ok}/50",
+        f"key nullspace {key_ok}/20, F_ID [R_ID; I] = G {gadget_ok}/20, "
+        f"F_ID e_F = U {e_f_ok}/20, F2 preimages {ep_ok}/50",
     )
 
 
@@ -229,9 +239,10 @@ def test_criterion_4_size_formulas(system, keys, pool):
     msk_ok = msk.element_count() == 2 * p.m**2
     ct_ok = ct.element_count() == p.m**2 + 2 * p.t + 6 * p.m and ct.c5.size == p.lambda_bits
     sk_measured = sk.element_count()
-    sk_ok = sk_measured == 8 * p.m**2 + 4 * p.m * p.t
+    nk = p.n * gadget_length(p.q)
+    sk_ok = sk_measured == 4 * p.m**2 + 4 * p.m * p.t + (2 * p.m - nk) * nk
     # the file stores the key entries as int32 words, then the identity,
-    # the packed R factor and the coset map of E'_ID as 8-byte words
+    # Abar_ID, the packed R factor and the coset map of E'_ID as 8-byte words
     header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
     sk_bytes = len(fileio.dump_user_secret(sk, p))
     extra_words = (sk_bytes - header - 4 * sk_measured) // 8
@@ -240,10 +251,11 @@ def test_criterion_4_size_formulas(system, keys, pool):
         pp_ok and msk_ok and ct_ok and sk_ok,
         f"PP={(p.ell + 3) * p.m * p.n + p.n * p.t}, MSK={2 * p.m ** 2}, "
         f"CT={p.m ** 2 + 2 * p.t + 6 * p.m}+{p.lambda_bits} bits; "
-        f"secret key measured {sk_measured} = 8m^2 + 4mt "
-        f"(published table lists 4m^2; discrepancy reported, not matched), "
+        f"secret key measured {sk_measured} = 4m^2 + 4mt + (2m - nk)nk "
+        f"(E'_ID, e_F, e_F' and R_ID; published table lists 4m^2 = {4 * p.m ** 2}; "
+        f"discrepancy reported, not matched), "
         f"its file {sk_bytes} bytes: a {header}-byte header, those {sk_measured} entries "
-        f"as int32 words and {extra_words} 8-byte words (identity, R and coset map of E'_ID)",
+        f"as int32 words and {extra_words} 8-byte words (identity, Abar_ID, R and coset map of E'_ID)",
     )
 
 

@@ -99,10 +99,11 @@ def test_type3_trapdoors_report_their_side(mini_system, mini_key):
 def test_keys_expose_the_bases_the_authority_oracle_reads(mini_system, mini_key):
     """sk.e_id and sk.e_id_prime, fresh and after dump/load, with F_ID @ E == 0.
 
-    Decryption and the type-1 tests no longer read E_ID, but perfbench's
+    Decryption and the type-1 tests do not read E_ID, but perfbench's
     authority oracle checks both bases of every issued and shipped key.
-    Dropping E_ID (ROADMAP item 1(b)) therefore needs a benchmark change to
-    that oracle first.
+    The key holds R_ID, and e_id is the basis that R_ID determines, rebuilt
+    on each access, so the oracle checks the key's own secret.  Moving the
+    oracle to F_ID @ [R_ID; I] == G needs a benchmark change (ROADMAP item 3).
     """
     pp, _ = mini_system
     ident, sk = mini_key

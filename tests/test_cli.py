@@ -212,7 +212,9 @@ class TestVersionOneFiles:
     """Version-1 keys and type-1/type-3 trapdoors carry a basis where version 2
     carries preimages of U, version-2 keys lack the R factor of E'_ID that
     version 3 appends, version-3 keys hold 64-bit integer words and lack
-    the coset map of E'_ID that version 4 carries, version-1 master keys carry the bases T_A and
+    the coset map of E'_ID that version 4 carries, version-4 keys hold the
+    2m x 2m basis E_ID where version 5 holds the gadget trapdoor R_ID and
+    Abar_ID, version-1 master keys carry the bases T_A and
     T_A' where version 2 carries Rbar and Rbar', and a version-1
     ciphertext's c5 hashed R as 64-bit residues where version 2 hashes one
     code per entry: they are refused, never read as something else (a
@@ -230,20 +232,26 @@ class TestVersionOneFiles:
 
     @pytest.fixture(scope="class")
     def v1_files(self, workspace):
-        sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
+        current = fileio.read_file(workspace["sk_a"])
+        sk = fileio.load_user_secret(current, MINI)
         ident = np.asarray(sk.identity.bits, dtype=np.int64)
         pp = fileio.load_public_params(fileio.read_file(workspace["pp"]))
         msk = fileio.load_master_secret(fileio.read_file(workspace["msk"]), pp)
+        bases = (sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)
         blobs = {
             "msk": (lambda blob, _: fileio.load_master_secret(blob, pp), 1,
                     self.old_blob(fileio.KIND_MSK, 1, msk.t_a, msk.t_a_prime)),
             "sk": (fileio.load_user_secret, 1,
                    self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
-            "sk_v2": (fileio.load_user_secret, 2,
-                      self.old_blob(fileio.KIND_SK, 2, ident, sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)),
+            "sk_v2": (fileio.load_user_secret, 2, self.old_blob(fileio.KIND_SK, 2, ident, *bases)),
             "sk_v3": (fileio.load_user_secret, 3,
-                      self.old_blob(fileio.KIND_SK, 3, ident, sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)
+                      self.old_blob(fileio.KIND_SK, 3, ident, *bases)
                       + sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()),
+            # version 4: E_ID in R_ID's place, as int32, no Abar_ID, then the same R block and map
+            "sk_v4": (fileio.load_user_secret, 4,
+                      self.old_blob(fileio.KIND_SK, 4, ident)
+                      + b"".join(np.ascontiguousarray(a, dtype="<i4").tobytes() for a in bases)
+                      + current[sk_sections(MINI)["r_rows"].start:]),
             "td1": (fileio.load_td1, 1, self.old_blob(fileio.KIND_TD1, 1, ident, sk.e_id_prime)),
             "td3": (fileio.load_td3, 1,
                     self.old_blob(fileio.KIND_TD3, 1, ident, sk.e_id_prime, variant=b"\x00")),
@@ -284,16 +292,37 @@ class TestVersionOneFiles:
         # a version-3 key holds the version-4 integer sections as 64-bit words,
         # then the same R block, and no coset map
         current = fileio.read_file(workspace["sk_a"])
-        v3 = fileio.read_file(v1_files["sk_v3"])
+        v3, v4 = (fileio.read_file(v1_files[name]) for name in ("sk_v3", "sk_v4"))
         spans = sk_sections(MINI)
         r_block = current[spans["r_rows"]]
         assert v3.endswith(r_block)
-        int32_bytes = spans["r_rows"].start - spans["e_id"].start
-        assert len(v3) - len(r_block) == spans["e_id"].start + 2 * int32_bytes
+        d = 2 * MINI.m
+        int32_bytes = 4 * (2 * d * d + 2 * d * MINI.t)  # E_ID, E'_ID, e_F, e_F' in version 4
+        assert len(v4) == spans["identity"].stop + int32_bytes + len(current) - spans["r_rows"].start
+        assert len(v3) - len(r_block) == spans["identity"].stop + 2 * int32_bytes
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
                             "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+        assert code == 65
+
+    def test_v4_secret_key_refused(self, workspace, v1_files):
+        # a version-4 key holds E_ID (2m x 2m) where version 5 holds R_ID and
+        # Abar_ID; the identity, E'_ID, e_F, e_F', the R block and the map are the same
+        current = fileio.read_file(workspace["sk_a"])
+        v4 = fileio.read_file(v1_files["sk_v4"])
+        spans = sk_sections(MINI)
+        d = 2 * MINI.m
+        assert v4[6:spans["identity"].stop] == current[6:spans["identity"].stop]
+        assert v4.endswith(current[spans["e_id_prime"].start:spans["e_f_prime"].stop]
+                           + current[spans["r_rows"].start:])
+        assert len(v4) - len(current) == 4 * d * d - (spans["r_id"].stop - spans["r_id"].start) - (
+            spans["a_bar_id"].stop - spans["a_bar_id"].start)
+        code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v4"],
+                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+        assert code == 65
+        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v4"],
                             "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
         assert code == 65
 
@@ -393,6 +422,26 @@ class TestStoredCosetMap:
         code = run_command(["td", "--type", "3", "--pp", workspace["pp"], "--sk", bad_maps[name],
                             "--ct", workspace["ct_a1"], "--seed", "16", "--out", workspace["unused"]])
         assert code == 65
+
+
+class TestStoredAbar:
+    """The Abar_ID words of a key file are residues: one outside [0, q) is a
+    load error, from decrypt as from td, before the key is used."""
+
+    @pytest.mark.parametrize("word", [MINI.q, -1])
+    def test_out_of_range_word_exits_65(self, workspace, word, capsys):
+        blob = fileio.read_file(workspace["sk_a"])
+        span = sk_sections(MINI)["a_bar_id"]
+        words = np.frombuffer(blob[span], dtype="<i8").copy()
+        words[5] = word
+        path = str(workspace["dir"] / "abar_range.sk")
+        fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
+        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", workspace["unused"]]
+        for argv in (["decrypt", *common], ["td", "--type", "2", "--seed", "25", *common]):
+            capsys.readouterr()
+            assert run_command(argv) == 65
+            assert "Abar_ID holds out-of-range residues" in capsys.readouterr().err
+        assert not os.path.exists(workspace["unused"])
 
 
 class TestForeignKey:

@@ -260,33 +260,34 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.  TD2 last changed when extract
-    began drawing the key's preimages of U in the same stream as the basis
-    (format version 2).  SK pins the key file without its two binary64
-    sections, the R block and the projections P of E'_ID's coset map
-    (format version 4 stores the integer sections as int32 and appends the
-    coset map after R): LAPACK's QR rounds R's last bits differently under
+    td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
+    TD3_CT last changed when the key began holding the gadget trapdoor
+    R_ID in place of the basis E_ID (sk format version 5): extract now
+    draws R_ID and then e_F, each by a sample_left call of its own, before
+    E'_ID and e_F', so the random stream before E'_ID changed, and with it
+    every key word, e_F' (TD1, TD3_BASIS) and the td2 and td3_ct walks
+    over E'_ID.  SK pins the key file without its two binary64
+    sections, the R block and the projections P of E'_ID's coset map:
+    LAPACK's QR rounds R's last bits differently under
     other BLAS thread counts, and P is computed from R, so those two are
     checked against the key's own R and P instead.  PP and MSK pin setup (MSK last changed when the
     master key file began storing Rbar and Rbar' in place of T_A and T_A',
-    format version 2), TD1 and TD3 (basis side and ciphertext side) the
-    key's preimage and a td3_ct draw.  CT, TD2 and TD3_CT last changed
+    format version 2).  CT last changed
     when H' began hashing R as one code R + ell per entry instead of a
-    64-bit residue (ciphertext format version 2): c5 changed, and with it
-    the binding that TD2 and TD3_CT carry, while every sampled word stayed
-    put.  CT_BODY pins the ciphertext file without its version field and
-    c5, which that change left as it was.
+    64-bit residue (ciphertext format version 2): c5 changed, while every
+    sampled word stayed put.  CT_BODY pins the ciphertext file without its
+    version field and c5, which that change left as it was.
     """
 
     CT = "8616f2313f462ff2fc96f239a594b0fec9ee3ca9cdbb12e9877595ce5e9f7c63"
     CT_BODY = "1d6915f9d99f27090d3ec47658e232db90cfdad451fe50b611da028ed7502a6b"
-    TD2 = "c0b298be50e7b6741b446b2a677edc8967bd4f877c201f5e8cc3630e58becbc7"
-    SK = "3044ba5ed48681a0a36cf9a9f5a3488626d8d54a11bbd0d3cd6bbee1204d933e"
+    TD2 = "9f3ae9daaa7e8abbcc84b53091266add4952f8c81e8ba000022b29b5b36867f8"
+    SK = "404b96f71c5c9edc392e23d21d9dcb3252122182528812755b58dfb3aa3e37e1"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
-    TD1 = "465f8d99ae82e311bf2050369d223f7a4a2e2540d54e51318a8d2d12197f5e11"
-    TD3_BASIS = "a85c986858710347abc156fdbf00efe6dcd8d12ae8418d95ec0128b95c6ea9b4"
-    TD3_CT = "c281703ed0becb44b0160416f1d8b0d50fdc9063e9bb631679d50bc875de484c"
+    TD1 = "d7505c4ed487fbfd55781b2b7611e8f088b46b5f2b6d25f6e58a4b54d1ac7f01"
+    TD3_BASIS = "cb9656e45add82a92ce6df33e1f283f45da85889d5b2b05a950c581e6691752c"
+    TD3_CT = "32cd9f0e357d5c76ce12ec1ac539156460859d435b8de1fc9e3e8434593242f2"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system

@@ -1,13 +1,15 @@
-"""Per-key preimages of U and the sampling data keys own.
+"""Per-key preimages of U, the key's gadget trapdoor, and the sampling data keys own.
 
 Extract samples a preimage e_F of U under F_ID alone (and e_F' under
-F'_ID) with the master trapdoor, in the same SampleLeft call that draws
-the delegated basis.  Decryption and the type-1 side of the equality
-tests read these preimages and build no sampling data; only td2 and
-td3_ct sample, against each ciphertext's tag matrix, with the basis
-E'_ID.  Extract certifies each basis by factoring it, and E'_ID keeps
-that R factor; the key file carries it, and a loaded key adopts it after
-an O(d^2) check, so no key, fresh or loaded, factors a basis again.
+F'_ID) with the master trapdoor: e_F in a SampleLeft call of its own,
+e_F' in the same call that draws the delegated basis E'_ID.  For F_ID
+the key holds the gadget trapdoor R_ID, from which E_ID is rebuilt on
+each access.  Decryption and the type-1 side of the equality tests read
+the preimages and build no sampling data; only td2 and td3_ct sample,
+against each ciphertext's tag matrix, with the basis E'_ID.  Extract
+certifies E'_ID by factoring it, and E'_ID keeps that R factor; the key
+file carries it, and a loaded key adopts it after an O(d^2) check, so no
+key, fresh or loaded, factors a basis again.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ from ibeetfa import fileio, scheme, trapdoor
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test3 as eq_test3
-from ibeetfa.errors import FormatError, ParameterError
+from ibeetfa.errors import FormatError, ParameterError, SingularMatrix
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
@@ -163,7 +165,7 @@ class TestOwnership:
         ident = identity_from_string("dora", MINI.ell)
         a = extract(pp, msk, ident, RandomSource(341))
         b = extract(pp, loaded, ident, RandomSource(341))
-        assert np.array_equal(a.e_id, b.e_id) and np.array_equal(a.e_id_prime, b.e_id_prime)
+        assert np.array_equal(a.r_id, b.r_id) and np.array_equal(a.e_id_prime, b.e_id_prime)
         assert np.array_equal(a.e_f, b.e_f) and np.array_equal(a.e_f_prime, b.e_f_prime)
 
     def test_master_key_refuses_other_public_params(self, mini_system):
@@ -184,10 +186,10 @@ class TestOwnership:
             extract(pp_other, loaded, ident, RandomSource(413))
 
     def test_only_td2_factors_a_key_basis(self, mini_system, preps, monkeypatch):
-        # extract factors each basis once, as its certificate; E'_ID keeps
-        # that R and E_ID drops it.  The key file carries E'_ID's R, so a
-        # loaded key factors nothing either: not with prepare_basis, not
-        # with any QR.
+        # extract factors E'_ID once, as its certificate, and E'_ID keeps
+        # that R; R_ID is no basis and is not factored.  The key file
+        # carries E'_ID's R, so a loaded key factors nothing either: not
+        # with prepare_basis, not with any QR.
         qr_calls = []
         qr = np.linalg.qr
 
@@ -202,8 +204,8 @@ class TestOwnership:
         preps.calls = 0
         ident = identity_from_string("grace", MINI.ell)
         sk = extract(pp, msk, ident, RandomSource(391))
-        assert preps.calls == 2  # one certificate per basis
-        assert type(sk.e_id) is np.ndarray  # E_ID is key data, never sampled with
+        assert preps.calls == 1  # E'_ID's certificate
+        assert type(sk.e_id) is np.ndarray  # E_ID is derived key data, never sampled with
         msg = random_message(MINI.t, 392)
         ct = encrypt(pp, ident, msg, RandomSource(393))
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
@@ -350,9 +352,10 @@ class TestStoredCosetMap:
         assert held.a is None
         assert np.array_equal(held.pivots, cmap.pivots) and np.array_equal(held.elim, cmap.elim)
         assert held.proj.tobytes() == cmap.proj.tobytes()
-        for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+        for name in ("r_id", "e_id_prime", "e_f", "e_f_prime"):
             assert getattr(loaded, name).dtype == getattr(sk, name).dtype == np.int32
             assert np.array_equal(getattr(loaded, name), getattr(sk, name))
+        assert np.array_equal(loaded.a_bar_id, sk.a_bar_id)
         assert fileio.dump_user_secret(loaded, MINI) == blob
 
     def test_other_systems_public_params_raise_at_binding(self, mini_system, mini_key):
@@ -416,7 +419,7 @@ class TestStoredCosetMap:
         # is refused when the key is built, and one inside dumps to its word
         ident, sk = mini_key
         top = 1 << 31
-        sections = {"e_id": "E_ID", "e_id_prime": "E'_ID", "e_f": "e_F", "e_f_prime": "e_F'"}
+        sections = {"r_id": "R_ID", "e_id_prime": "E'_ID", "e_f": "e_F", "e_f_prime": "e_F'"}
         for name, section in sections.items():
             for value, fits in ((top - 1, True), (-top, True), (top, False), (-top - 1, False)):
                 arr = getattr(sk, name).astype(np.int64)
@@ -444,38 +447,44 @@ class TestStoredCosetMap:
 
 
 class TestKeyWidth:
-    """A key's integer matrices (E_ID, E'_ID, e_F, e_F') are int32 in memory,
-    fresh or loaded, as the key file stores them; E'_ID is one array, shared
-    with the PreparedBasis it samples with."""
+    """A key's integer matrices (R_ID, E'_ID, e_F, e_F') are int32 in memory,
+    fresh or loaded, as the key file stores them, and so is the E_ID it
+    derives; E'_ID is one array, shared with the PreparedBasis it samples
+    with."""
 
     def test_fresh_and_loaded_keys_hold_int32(self, mini_key):
         _, sk = mini_key
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         for key in (sk, loaded):
-            for name in ("e_id", "e_id_prime", "e_f", "e_f_prime"):
+            for name in ("r_id", "e_id", "e_id_prime", "e_f", "e_f_prime"):
                 assert getattr(key, name).dtype == np.int32, name
             assert key.trapdoor_prime.basis is key.trapdoor_prime.prepared().basis
         assert loaded.trapdoor_prime.narrowed("E'_ID") is loaded.trapdoor_prime
 
     def test_extract_refuses_a_basis_outside_int32(self, mini_system, monkeypatch):
-        # each basis is narrowed as it is drawn, E_ID before E'_ID is drawn
+        # R_ID (extract's first sample_left) and E'_ID (its sample_basis_left)
+        # are narrowed when the key is built
         pp, msk = mini_system
         ident = identity_from_string("ivan", MINI.ell)
-        real = scheme.sample_basis_left
-        for spoiled, section in ((1, "E_ID"), (2, "E'_ID")):
-            calls = []
+        left, basis_left = scheme.sample_left, scheme.sample_basis_left
 
-            def draw(*args):
-                calls.append(None)
-                basis, e = real(*args)
-                if len(calls) == spoiled:
-                    basis.basis[0, 0] = 1 << 31
-                return basis, e
+        def spoiled_left(*args):
+            e = left(*args)
+            e[0, 0] = 1 << 31
+            return e
 
-            monkeypatch.setattr(scheme, "sample_basis_left", draw)
-            with pytest.raises(ParameterError, match=re.escape(f"user secret key: {section} holds an entry outside int32")):
-                extract(pp, msk, ident, RandomSource(437))
-            assert len(calls) == spoiled
+        def spoiled_basis_left(*args):
+            basis, e = basis_left(*args)
+            basis.basis[0, 0] = 1 << 31
+            return basis, e
+
+        for name, spoiled, section in (("sample_left", spoiled_left, "R_ID"),
+                                       ("sample_basis_left", spoiled_basis_left, "E'_ID")):
+            with monkeypatch.context() as patch:
+                patch.setattr(scheme, name, spoiled)
+                with pytest.raises(ParameterError, match=re.escape(
+                        f"user secret key: {section} holds an entry outside int32")):
+                    extract(pp, msk, ident, RandomSource(437))
 
     def test_load_peaks_near_the_file_size(self, mini_key):
         # the parent format's load widened E_ID and E'_ID to int64 (1.9 x the
@@ -490,3 +499,51 @@ class TestKeyWidth:
             tracemalloc.stop()
         assert loaded.identity == sk.identity
         assert peak <= 1.3 * len(blob), (peak, len(blob))
+
+
+class TestDerivedKeyBasis:
+    """E_ID is rebuilt from R_ID and Abar_ID on each access: the basis of the
+    whole lattice of F_ID that trapdoor.gadget_trapdoor builds, never kept,
+    and never sampled with."""
+
+    def test_e_id_is_the_gadget_basis_of_r_id(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        f_id = compute_f(pp, ident, "primary")
+        nk = MINI.n * trapdoor.gadget_length(MINI.q)
+        assert sk.r_id.shape == (2 * MINI.m - nk, nk)
+        assert np.array_equal(sk.a_bar_id, f_id[:, : 2 * MINI.m - nk])
+        want = trapdoor.gadget_trapdoor(sk.a_bar_id, sk.r_id, MINI.q).basis.astype(np.int32)
+        e_id = sk.e_id
+        assert e_id.dtype == np.int32 and np.array_equal(e_id, want)
+        assert not np.any(mat_mul(f_id, e_id, MINI.q))
+        assert sk.e_id is not e_id  # built per access, kept by nobody
+        # its Gram-Schmidt norms fall far below the certificate's bound
+        with pytest.raises(SingularMatrix):
+            trapdoor.TrapdoorBasis(e_id).prepared()
+
+    def test_changed_r_id_entry_breaks_e_id(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        r_id = sk.r_id.copy()
+        r_id[3, 1] += 1
+        changed = dataclasses.replace(sk, r_id=r_id)
+        assert not np.array_equal(changed.e_id, sk.e_id)
+        assert np.any(mat_mul(compute_f(pp, ident, "primary"), changed.e_id, MINI.q))
+
+    def test_loaded_key_derives_the_fresh_e_id(self, mini_key):
+        _, sk = mini_key
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        assert np.array_equal(loaded.e_id, sk.e_id)
+
+    def test_require_gadget_trapdoor_checks_a_key(self, mini_system, mini_key):
+        # the check reduces mod q as it goes, so it also takes toy's R_ID,
+        # whose exact product with residues would pass int64 (criterion 3)
+        pp, _ = mini_system
+        ident, sk = mini_key
+        f_id = compute_f(pp, ident, "primary")
+        trapdoor.require_gadget_trapdoor(f_id, sk.r_id, MINI.q)
+        r_id = sk.r_id.copy()
+        r_id[0, 0] -= 1
+        with pytest.raises(ParameterError, match="no trapdoor of this public matrix"):
+            trapdoor.require_gadget_trapdoor(f_id, r_id, MINI.q)

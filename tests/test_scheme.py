@@ -25,9 +25,11 @@ from ibeetfa.scheme import (
     setup,
     tag_product,
 )
-from ibeetfa.zqlinalg import check_nullspace_basis, mat_mul
+from ibeetfa.trapdoor import gadget_length
+from ibeetfa.zqlinalg import mat_mul
 
 from conftest import MINI, random_message
+from oracles import check_nullspace_basis
 
 
 class TestSetup:
@@ -127,15 +129,17 @@ class TestExtract:
 
     def test_key_element_count(self, mini_key):
         _, sk = mini_key
-        # two (2m x 2m) bases and two (2m x t) preimages of U; the published
-        # table lists 4m^2
-        assert sk.element_count() == 8 * MINI.m * MINI.m + 4 * MINI.m * MINI.t
+        # a (2m - nk) x nk gadget trapdoor, one (2m x 2m) basis and two
+        # (2m x t) preimages of U; the published table lists 4m^2
+        nk = MINI.n * gadget_length(MINI.q)
+        want = 4 * MINI.m * MINI.m + 4 * MINI.m * MINI.t + (2 * MINI.m - nk) * nk
+        assert sk.element_count() == want
 
     def test_distinct_identities_distinct_keys(self, mini_system):
         pp, msk = mini_system
         sk1 = extract(pp, msk, identity_from_string("u1", MINI.ell), RandomSource(5))
         sk2 = extract(pp, msk, identity_from_string("u2", MINI.ell), RandomSource(5))
-        assert not np.array_equal(sk1.e_id, sk2.e_id)
+        assert not np.array_equal(sk1.r_id, sk2.r_id)
 
     def test_wrong_length_identity_rejected(self, mini_system):
         pp, msk = mini_system

@@ -16,7 +16,6 @@ from ibeetfa.trapdoor import (
     bound_gs,
     gadget_length,
     gadget_trapdoor,
-    operator_norm,
     sample_basis_left,
     sample_left,
     trap_gen,
@@ -24,15 +23,14 @@ from ibeetfa.trapdoor import (
 )
 from ibeetfa.zqlinalg import (
     center_rep,
-    check_nullspace_basis,
     concat_cols,
     gram_schmidt_norm,
-    is_nonsingular,
     mat_mul,
     solve_mod,
 )
 
 from conftest import MINI, CallCounter
+from oracles import check_nullspace_basis, is_nonsingular, operator_norm
 
 Q_SMALL = 4093
 TOY = preset("toy")
@@ -338,28 +336,36 @@ class TestBasisFromPreimages:
         assert preps.calls == 2  # the first columns, then the pivot columns
 
     def test_extract_redraws_the_whole_key(self, mini_system, monkeypatch):
-        # extract's loop is the only retry: a failed E'_ID draw draws E_ID again
+        # extract's loop is the only retry: a failed E'_ID draw draws R_ID and
+        # e_F again
         pp, msk = mini_system
         ident = identity_from_string("heidi", MINI.ell)
+        real_left, lefts = scheme.sample_left, []
         real, drawn = scheme.sample_basis_left, []
 
-        def fails_second(*args):
-            if len(drawn) == 1:
+        def recorded_left(*args):
+            lefts.append(real_left(*args))
+            return lefts[-1]
+
+        def fails_first(*args):
+            if not drawn:
                 drawn.append(None)
                 raise SamplingError("stub: no certified basis")
             drawn.append(real(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(scheme, "sample_basis_left", fails_second)
+        monkeypatch.setattr(scheme, "sample_left", recorded_left)
+        monkeypatch.setattr(scheme, "sample_basis_left", fails_first)
         sk = scheme.extract(pp, msk, ident, RandomSource(419))
-        assert len(drawn) == 4
+        assert len(lefts) == 4 and len(drawn) == 2
         # the key holds the last draws narrowed to int32; E'_ID keeps that
         # draw's own R factor, over the narrowed array
-        assert sk.e_id.dtype == sk.e_id_prime.dtype == np.int32
-        assert np.array_equal(sk.e_id, drawn[2][0].basis) and np.array_equal(sk.e_id_prime, drawn[3][0].basis)
+        assert sk.r_id.dtype == sk.e_id_prime.dtype == np.int32
+        assert np.array_equal(sk.r_id, lefts[2]) and np.array_equal(sk.e_f, lefts[3])
+        assert np.array_equal(sk.e_id_prime, drawn[1][0].basis)
         prep = sk.trapdoor_prime.prepared()
-        assert prep.r_rows is drawn[3][0].prepared().r_rows and prep.basis is sk.e_id_prime
-        assert check_nullspace_basis(scheme.compute_f(pp, ident, "primary"), sk.e_id, MINI.q)
+        assert prep.r_rows is drawn[1][0].prepared().r_rows and prep.basis is sk.e_id_prime
+        trapdoor.require_gadget_trapdoor(scheme.compute_f(pp, ident, "primary"), sk.r_id, MINI.q)
         scheme.checked_preimage(pp, ident, "primary", sk.e_f)
         scheme.checked_preimage(pp, ident, "prime", sk.e_f_prime)
 
@@ -377,13 +383,16 @@ class TestBasisFromPreimages:
         assert len(calls) == scheme._EXTRACT_ATTEMPTS
 
     def test_wrong_master_key_raises_on_the_first_attempt(self, mini_system, monkeypatch):
+        # the first draw, R_ID's, finds the master trapdoor is not A's
         pp, _ = mini_system
         _, other_msk = scheme.setup(MINI, RandomSource(431))
+        lefts = CallCounter(scheme.sample_left)
         counted = CallCounter(scheme.sample_basis_left)
+        monkeypatch.setattr(scheme, "sample_left", lefts)
         monkeypatch.setattr(scheme, "sample_basis_left", counted)
         with pytest.raises(ParameterError):
             scheme.extract(pp, other_msk, identity_from_string("judy", MINI.ell), RandomSource(433))
-        assert counted.calls == 1
+        assert lefts.calls == 1 and counted.calls == 0
 
 
 class TestCosetMapBinding:

@@ -11,7 +11,6 @@ from ibeetfa.errors import DimensionMismatch, ParameterError, SingularMatrix
 from ibeetfa.zqlinalg import (
     center_rep,
     check_modulus,
-    check_nullspace_basis,
     concat_cols,
     exact_int_matmul,
     gram_schmidt_norm,
@@ -20,6 +19,8 @@ from ibeetfa.zqlinalg import (
     mat_mul,
     solve_mod,
 )
+
+from oracles import check_nullspace_basis
 
 
 def schoolbook_mod(a, b, q):
