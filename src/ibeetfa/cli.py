@@ -32,7 +32,8 @@ from .errors import FormatError, IbeetfaError, KeyMismatch, ParameterError
 from .hashing import bits_to_bytes, bytes_to_bits
 from .params import ParamSet, preset, validate_params
 from .samplers import RandomSource
-from .scheme import decrypt, encrypt, extract, identity_from_string, setup
+from .scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
+from .trapdoor import require_gadget_trapdoor
 
 EXIT_OK = 0
 EXIT_NOT_EQUAL = 1
@@ -138,9 +139,20 @@ def _cmd_encrypt(args) -> int:
     return EXIT_OK
 
 
+def _load_key(path: str, pp):
+    """The key file at path, once it belongs to pp: KeyMismatch unless its
+    Abar_ID is F_ID's first 2m - nk columns and F_ID @ [R_ID; I] == G."""
+    sk = fileio.load_user_secret(fileio.read_file(path), pp.params)
+    f = compute_f(pp, sk.identity)
+    if not np.array_equal(sk.a_bar_id, f[:, : sk.r_id.shape[0]]):
+        raise KeyMismatch("the key's Abar_ID is not F_ID's for these public parameters")
+    require_gadget_trapdoor(f, sk.r_id, pp.params.q)
+    return sk
+
+
 def _cmd_decrypt(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
-    sk = fileio.load_user_secret(fileio.read_file(args.sk), pp.params)
+    sk = _load_key(args.sk, pp)
     ct, bitlen = fileio.load_ciphertext(fileio.read_file(args.ct), pp.params)
     msg = decrypt(pp, sk, ct, _rng(args))
     if msg is None:
@@ -171,7 +183,7 @@ _TD_TYPES = {
 
 def _cmd_td(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
-    sk = fileio.load_user_secret(fileio.read_file(args.sk), pp.params)
+    sk = _load_key(args.sk, pp)
     kind, grant, _ = _TD_TYPES[args.type]
     if args.type == 2 and args.ct is None:
         raise ParameterError("--type 2 requires --ct")

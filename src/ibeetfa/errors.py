@@ -25,8 +25,9 @@ class KeyMismatch(ParameterError):
     """Key material does not belong to the public parameters in use.
 
     Only the public parameters can tell: a key preimage that does not
-    solve F_ID @ e == U for them, or a coset map that does not solve their
-    F'_ID (another system's key, or a key file changed within range).
+    solve F_ID @ e == U for them, a coset map or gadget trapdoor that does
+    not fit their F'_ID or F_ID (another system's key, or a key file
+    changed within range).
     The CLI reports it as a load error of the key.
     """
 

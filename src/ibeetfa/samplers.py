@@ -1,17 +1,17 @@
 """Randomness sources and the samplers beneath trapdoor.sample_left.
 
-One-dimensional discrete Gaussians (sample_z_gaussian_batch) use a
-bilateral-geometric rejection sampler with the tail cut at 12*sigma;
-below sigma = 2 the support is so small that direct inverse-CDF
-enumeration over the (at most ~50) candidate integers is both faster and
-immune to the pathological rejection rates a geometric envelope has at
-half-integer centers.  Lattice Gaussians are the randomized-nearest-plane
-walk of klein_coefficients over the R factor that prepare_basis keeps of
-a basis (or adopt_r_factor takes over, checked, from a key file); no Q
-is ever formed.  A walk takes the projections Q^T t of its d x k targets
-(one walk per column), which PreparedBasis.project computes from R and
-the basis, through the walk's own back substitution (_nearest_plane).
-Encryption's noise and small matrices are drawn here too.
+One-dimensional discrete Gaussians (sample_z_gaussian_batch) are exact
+on the support cut at 12*sigma: below sigma = 2 by inverse-CDF
+enumeration, from sigma = 2 on by rejection from a rounded, slightly
+wider continuous Gaussian (_sample_z_reject), which keeps 0.57 of its
+proposals at sigma = 2 and nearly all at the walks' sigmas.  Lattice
+Gaussians are the randomized-nearest-plane walk of klein_coefficients
+over the R factor that prepare_basis keeps of a basis (or adopt_r_factor
+takes over, checked, from a key file); no Q is ever formed.  A walk
+takes the projections Q^T t of its d x k targets (one walk per column),
+which PreparedBasis.project computes from R and the basis, through the
+walk's own back substitution (_nearest_plane).  Encryption's noise and
+small matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DimensionMismatch, SamplingError, SingularMatrix
 from .zqlinalg import certified_r_factor, int_array, qr_singularity_bound
 
-#: Rejection/enumeration tails are cut at TAIL_CUT * sigma; the discarded
-#: mass is below 2**-100 for every sigma.
+#: Both 1-D samplers draw D_{Z, sigma, c} exactly on |x - c| <= TAIL_CUT * sigma;
+#: the discarded mass is below 2**-100 for every sigma.
 TAIL_CUT = 12.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -92,55 +92,42 @@ def _sample_z_enum(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.n
     return base + offsets[idx]
 
 
-def _propose(sigma: float, delta: np.ndarray, tries: int, rng: RandomSource):
-    """``tries`` proposals per lane: (accepted?, first accepted offset) per lane.
-
-    The three uniforms of a proposal are consecutive (tries, lanes) blocks
-    of the stream, drawn as they are needed and dropped on return, so
-    fewer lane-sized temporaries are alive at once.
-    """
-    log_r = -_SQRT_2PI / sigma
-    # Envelope constant: sup over integers of target/proposal for |delta| <= 1/2
-    # is exp(1/2 + sqrt(2*pi)/(2*sigma)) * 2; anything smaller clips acceptance.
-    log_m = math.log(2.0) + 0.5 + _SQRT_2PI / (2.0 * sigma)
-    k = np.floor(np.log(rng.random((tries, delta.size))) / log_r)
-    x = np.where(rng.random(k.shape) < 0.5, k, -k)
-    d = x - delta
-    log_accept = (
-        -(math.pi / (sigma * sigma)) * d * d - k * log_r - log_m
-        - np.where(k > 0, math.log(0.5), 0.0)
-    )
-    del k
-    ok = (np.log(rng.random(d.shape)) < log_accept) & (np.abs(d) <= TAIL_CUT * sigma)
-    return ok.any(axis=0), x[ok.argmax(axis=0), np.arange(delta.size)]
-
-
 def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """Bilateral-geometric rejection around round(c), rate sqrt(2*pi)/sigma.
+    """Rejection from a rounded continuous Gaussian, exact on the cut support.
 
-    Each round draws several proposals per still-pending lane at once,
-    which keeps the number of numpy passes small even though single
-    proposals are only accepted with probability ~1/2.
+    Per lane, with delta = c - round(c): v has density exp(-pi*v^2/sp2),
+    sp2 = (1 + eps)*sigma^2, x = rint(delta + v) and d = x - delta.  As
+    |d - v| <= 1/2, d^2/sigma^2 - v^2/sp2 >= -(d - v)^2/(eps*sigma^2) >= -1/(4*eps*sigma^2),
+    so x is kept with probability exp(pi*v^2/sp2 - pi*d^2/sigma^2 - log_m) <= 1,
+    log_m = pi/(4*eps*sigma^2) = sqrt(2*pi)/(4*sigma), if |d| <= TAIL_CUT*sigma;
+    each integer's bin of v has length 1, so kept x are exact.  eps = sqrt(pi/2)/sigma
+    maximizes the acceptance (1 + eps)^-1/2 * exp(-log_m): 0.57 at sigma = 2,
+    above 0.999 from 2,700.  A round draws normals, then uniforms, per pending lane.
     """
     base = np.rint(centers).astype(np.int64)
     delta = centers - base
-    out = np.zeros(centers.shape[0], dtype=np.int64)
+    eps = math.sqrt(math.pi / 2.0) / sigma
+    inv_s2, inv_sp2, log_m = math.pi / sigma**2, math.pi / ((1.0 + eps) * sigma**2), _SQRT_2PI / (4.0 * sigma)
+    out = np.empty(centers.shape[0], dtype=np.int64)
     pending = np.arange(centers.shape[0])
-    tries = 1  # one proposal per lane first, then oversample the stragglers
     while pending.size:
-        hit, chosen = _propose(sigma, delta[pending], tries, rng)
-        lanes = pending[hit]
-        out[lanes] = base[lanes] + chosen[hit].astype(np.int64)
-        pending = pending[~hit]
-        tries = 6
+        v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, pending.size)
+        dp = delta[pending]
+        x = np.rint(dp + v)
+        d = x - dp
+        ok = (np.log(rng.random(pending.size)) < inv_sp2 * v * v - inv_s2 * d * d - log_m) & (
+            np.abs(d) <= TAIL_CUT * sigma)
+        lanes = pending[ok]
+        out[lanes] = base[lanes] + x[ok].astype(np.int64)
+        pending = pending[~ok]
     return out
 
 
 def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndarray:
     """Vector of independent D_{Z, sigma, c_i} samples, one per center."""
-    if not sigma > 0:
-        raise SamplingError(f"sigma must be positive, got {sigma}")
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
+    if not (0 < sigma < math.inf and np.isfinite(centers).all()):
+        raise SamplingError(f"sigma must be positive and finite and every center finite, got sigma {sigma}")
     if sigma < 2.0:
         return _sample_z_enum(sigma, centers, rng)
     return _sample_z_reject(sigma, centers, rng)

@@ -215,7 +215,7 @@ class CosetMap:
 
 
 def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
-    """ParameterError unless A @ [Rbar; I] == G (mod q): Rbar is a gadget trapdoor of A.
+    """KeyMismatch unless A @ [Rbar; I] == G (mod q): Rbar is a gadget trapdoor of A.
 
     Computed as Abar @ Rbar mod q plus A's last nk columns, one mat_mul
     with no factorization and no stacked copy of [Rbar; I].  mat_mul
@@ -228,7 +228,7 @@ def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
     if a.shape[1] != m_bar + g.shape[1] or not np.array_equal(
         (mat_mul(a[:, :m_bar], r_bar, q) + a[:, m_bar:]) % q, g
     ):
-        raise ParameterError("the trapdoor basis is no trapdoor of this public matrix")
+        raise KeyMismatch("the trapdoor basis is no trapdoor of this public matrix")
 
 
 def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:

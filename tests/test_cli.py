@@ -16,9 +16,9 @@ import pytest
 from ibeetfa import fileio
 from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
-from ibeetfa.errors import FormatError, IbeetfaError, ParameterError
+from ibeetfa.errors import FormatError, IbeetfaError, KeyMismatch, ParameterError
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import MasterSecretKey, encrypt, encrypt_traced, extract, identity_from_string, setup
+from ibeetfa.scheme import MasterSecretKey, decrypt, encrypt, encrypt_traced, extract, identity_from_string, setup
 from ibeetfa.trapdoor import TrapdoorBasis, gadget_length
 
 from conftest import MINI, random_message, sk_sections
@@ -444,6 +444,45 @@ class TestStoredAbar:
         assert not os.path.exists(workspace["unused"])
 
 
+class TestKeyBelongsToPublicParams:
+    """decrypt and td check a loaded key against the pp given before using
+    it: Abar_ID must be F_ID's first 2m - nk columns and F_ID @ [R_ID; I]
+    == G.  A key file changed there within range loads (neither section is
+    read by decrypt or td2), so only this check refuses it (65)."""
+
+    @pytest.mark.parametrize("section, word, message", [
+        ("r_id", 0, "no trapdoor of this public matrix"),
+        ("r_id", -1, "no trapdoor of this public matrix"),
+        ("a_bar_id", 5, "Abar_ID is not F_ID's"),
+    ])
+    def test_changed_word_exits_65(self, workspace, section, word, message, capsys):
+        blob = fileio.read_file(workspace["sk_a"])
+        span = sk_sections(MINI)[section]
+        if section == "r_id":  # int32 entries of R_ID, any value in range
+            words = np.frombuffer(blob[span], dtype="<i4").copy()
+            words[word] += 1
+        else:  # residues, kept in [0, q)
+            words = np.frombuffer(blob[span], dtype="<i8").copy()
+            words[word] = (words[word] + 1) % MINI.q
+        path = str(workspace["dir"] / f"{section}_in_range.sk")
+        fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
+        fileio.load_user_secret(fileio.read_file(path), MINI)  # the file itself is well formed
+        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", workspace["unused"]]
+        for argv in (["decrypt", *common], ["td", "--type", "2", "--seed", "26", *common]):
+            capsys.readouterr()
+            assert run_command(argv) == 65
+            assert message in capsys.readouterr().err
+        assert not os.path.exists(workspace["unused"])
+
+    def test_untouched_key_still_works(self, workspace):
+        out = str(workspace["dir"] / "checked.out")
+        common = ["--pp", workspace["pp"], "--sk", workspace["sk_a"], "--ct", workspace["ct_a1"], "--out", out]
+        assert run_command(["decrypt", *common]) == 0
+        with open(out, "rb") as fh:
+            assert fh.read() == b"equal!!!"
+        assert run_command(["td", "--type", "2", "--seed", "27", *common]) == 0
+
+
 class TestForeignKey:
     """A key that does not belong to the public parameters given is a load
     error of the key (65), not a usage error: another system's key with
@@ -460,28 +499,36 @@ class TestForeignKey:
         for ct, who, seed in ((paths["ct"], "alice", "21"), (paths["ct_b"], "bob", "22")):
             assert run_command(["encrypt", "--pp", paths["pp"], "--id", who, "--in", workspace["msg1"],
                                 "--seed", seed, "--out", ct]) == 0
-        # type 1 needs no ciphertext and checks nothing at issue
-        assert run_command(["td", "--type", "1", "--pp", paths["pp"], "--sk", workspace["sk_a"],
-                            "--out", paths["td1"]]) == 0
+        # the CLI checks the key against pp2 and issues nothing, so this
+        # system's type-1 trapdoor reaches test1 as a file made by the library
+        sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
+        fileio.write_file(paths["td1"], fileio.dump_td1(td1(sk, sk.identity), MINI))
         return paths
 
     def test_other_systems_key_exits_65(self, workspace, other_system, capsys):
         pp, ct = other_system["pp"], other_system["ct"]
         commands = {
             "decrypt": ["decrypt", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct],
+            "td1": ["td", "--type", "1", "--pp", pp, "--sk", workspace["sk_a"]],
             "td2": ["td", "--type", "2", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct, "--seed", "23"],
             "td3": ["td", "--type", "3", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct, "--seed", "23"],
             "test1": ["test", "--type", "1", "--pp", pp, "--td-i", other_system["td1"],
                       "--td-j", other_system["td1"], "--ct-i", ct, "--ct-j", other_system["ct_b"]],
         }
-        messages = {"decrypt": "key preimage", "td2": "another public matrix",
-                    "td3": "another public matrix", "test1": "key preimage"}
+        messages = {"decrypt": "Abar_ID is not F_ID's", "td1": "Abar_ID is not F_ID's",
+                    "td2": "Abar_ID is not F_ID's", "td3": "Abar_ID is not F_ID's", "test1": "key preimage"}
         for name, argv in commands.items():
             capsys.readouterr()
             out = [] if name == "test1" else ["--out", workspace["unused"]]
             assert run_command(argv + out) == 65, name
             assert messages[name] in capsys.readouterr().err, name
         assert not os.path.exists(workspace["unused"])
+        # behind the CLI's check, decrypt still refuses the key by its preimages
+        pp2 = fileio.load_public_params(fileio.read_file(pp))
+        sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
+        ct2, _ = fileio.load_ciphertext(fileio.read_file(ct), MINI)
+        with pytest.raises(KeyMismatch, match="key preimage"):
+            decrypt(pp2, sk, ct2, None)
 
     def test_elimination_word_in_range_exits_65(self, workspace, capsys):
         blob = fileio.read_file(workspace["sk_a"])

@@ -261,12 +261,15 @@ class TestGoldenBytes:
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
     td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
-    TD3_CT last changed when the key began holding the gadget trapdoor
-    R_ID in place of the basis E_ID (sk format version 5): extract now
-    draws R_ID and then e_F, each by a sample_left call of its own, before
-    E'_ID and e_F', so the random stream before E'_ID changed, and with it
-    every key word, e_F' (TD1, TD3_BASIS) and the td2 and td3_ct walks
-    over E'_ID.  SK pins the key file without its two binary64
+    TD3_CT last changed when the 1-D sampler for sigma >= 2 became
+    rejection from a rounded continuous Gaussian (one normal and one
+    uniform per proposal, where the bilateral-geometric sampler before it
+    drew three uniforms): every draw of extract, td2 and td3_ct goes
+    through it, so every sampled key word, e_F' (TD1, TD3_BASIS) and the
+    td2 and td3_ct walks moved, while setup and encrypt, which never call
+    it, kept PP, MSK, CT and CT_BODY.  The change before that was the
+    key's gadget trapdoor R_ID in place of the basis E_ID (sk format
+    version 5).  SK pins the key file without its two binary64
     sections, the R block and the projections P of E'_ID's coset map:
     LAPACK's QR rounds R's last bits differently under
     other BLAS thread counts, and P is computed from R, so those two are
@@ -281,13 +284,13 @@ class TestGoldenBytes:
 
     CT = "8616f2313f462ff2fc96f239a594b0fec9ee3ca9cdbb12e9877595ce5e9f7c63"
     CT_BODY = "1d6915f9d99f27090d3ec47658e232db90cfdad451fe50b611da028ed7502a6b"
-    TD2 = "9f3ae9daaa7e8abbcc84b53091266add4952f8c81e8ba000022b29b5b36867f8"
-    SK = "404b96f71c5c9edc392e23d21d9dcb3252122182528812755b58dfb3aa3e37e1"
+    TD2 = "4251f416fe9777e91aa75b5dd054946d79639812c0dfca0f87707b511df6313b"
+    SK = "c102e57a04906284d2fd335abc9d19f0df76ce57e17d400df505dfe683e89958"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
-    TD1 = "d7505c4ed487fbfd55781b2b7611e8f088b46b5f2b6d25f6e58a4b54d1ac7f01"
-    TD3_BASIS = "cb9656e45add82a92ce6df33e1f283f45da85889d5b2b05a950c581e6691752c"
-    TD3_CT = "32cd9f0e357d5c76ce12ec1ac539156460859d435b8de1fc9e3e8434593242f2"
+    TD1 = "3364cec64ffa5d4a541547d8eeb3b8557ed5980c8a0cde3cfee35f4240885577"
+    TD3_BASIS = "cdee614877807ea0d6b591afb72d1341f1d93fc30e020e04066ea771eb4f89d6"
+    TD3_CT = "be88f3347184e7aca5fd9dd8eee34bd4019bc48428fbad134e9d37807b5281f4"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system
