@@ -19,6 +19,7 @@ so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,20 +77,44 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _enum_offsets(w: int) -> np.ndarray:
+    """The column of offsets -w..w that _sample_z_enum adds to round(c),
+    read-only.  w = ceil(TAIL_CUT * sigma) <= 24 below sigma = 2, so the
+    cache holds at most 24 columns."""
+    offsets = np.arange(-w, w + 1, dtype=np.float64)[:, None]
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _sample_z_enum(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """Inverse-CDF enumeration over round(c) + [-w, w]; exact for small sigma."""
+    """Inverse-CDF enumeration over round(c) + [-w, w]; exact for small sigma.
+
+    The weights are rho(x)/rho(round(c)): round(c) is the integer nearest
+    c, so no offset has a larger log-weight (a tie has the same one), and
+    subtracting that row needs no reduction over the window.  The lane
+    takes round(c) - w plus the number of partial sums at or below
+    u = r * total, r < 1, so u < total and the last sum never counts.
+    """
     w = max(1, math.ceil(TAIL_CUT * sigma))
-    base = np.rint(centers).astype(np.int64)
-    offsets = np.arange(-w, w + 1, dtype=np.int64)
-    # weights[i, j] = rho(base_j + offsets_i)
-    dev = (base[None, :] + offsets[:, None]) - centers[None, :]
+    base = np.rint(centers)
+    # base + offset in float64 rounds the exact sum once, as converting the
+    # int64 sum did, so dev keeps its bits
+    dev = (base + _enum_offsets(w)) - centers
     logw = -(math.pi / (sigma * sigma)) * dev * dev
-    logw -= logw.max(axis=0, keepdims=True)
+    logw -= logw[w]
     weights = np.exp(logw)
+    out = base.astype(np.int64) - w
+    if w == 1:
+        # three rows, half of a key basis's walk at toy: cumsum's two adds
+        # and the count, row by row, cost less than the axis calls
+        low = weights[0]
+        mid = low + weights[1]
+        u = rng.random(centers.shape[0]) * (mid + weights[2])
+        return out + (u >= low) + (u >= mid)
     cdf = np.cumsum(weights, axis=0)
     u = rng.random(centers.shape[0]) * cdf[-1]
-    idx = (u[None, :] >= cdf).sum(axis=0)
-    return base + offsets[idx]
+    return out + (u >= cdf[:-1]).sum(axis=0)
 
 
 def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
@@ -126,7 +151,9 @@ def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np
 def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndarray:
     """Vector of independent D_{Z, sigma, c_i} samples, one per center."""
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    if not (0 < sigma < math.inf and np.isfinite(centers).all()):
+    # one product checks every center: a NaN or infinite one, or one so far
+    # past the int64 range that its square overflows, makes the sum non-finite
+    if not (0 < sigma < math.inf and math.isfinite(centers.dot(centers))):
         raise SamplingError(f"sigma must be positive and finite and every center finite, got sigma {sigma}")
     if sigma < 2.0:
         return _sample_z_enum(sigma, centers, rng)
@@ -189,7 +216,7 @@ class PreparedBasis:
             raise DimensionMismatch(f"t must be {self.dim} x k, got shape {t.shape}")
         bf = self.basis.astype(np.float64)
         p = self._solve_rt(bf.T @ t)
-        r_inv_p = _nearest_plane(self, p, lambda centers, r_kk: centers)
+        r_inv_p = _nearest_plane(self, p, lambda centers, k: centers)
         return p + self._solve_rt(bf.T @ (t - bf @ r_inv_p))
 
     def _r_block(self, lo: int, hi: int) -> np.ndarray:
@@ -284,7 +311,7 @@ def adopt_r_factor(basis, r_rows, proj):
 
 
 def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
-    """Back substitution through R, bottom-up: x[k] = pick(c_k, R_kk) with
+    """Back substitution through R, bottom-up: x[k] = pick(c_k, k) with
     c_k = (proj[k] - R[k, k+1:] @ x[k+1:]) / R_kk.
 
     pick returning c_k gives R^-1 proj; a Gaussian draw around c_k is the
@@ -304,7 +331,7 @@ def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
             shifted = shifted - r_below @ x[hi:]
         for k in range(hi - 1, lo - 1, -1):
             r = prep.r_row(k)
-            x[k] = pick((shifted[k - lo] - r[1 : hi - k] @ x[k + 1 : hi]) / r[0], r[0])
+            x[k] = pick((shifted[k - lo] - r[1 : hi - k] @ x[k + 1 : hi]) / r[0], k)
     return x
 
 
@@ -324,9 +351,9 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
     d = prep.dim
     if proj.ndim != 2 or proj.shape[0] != d:
         raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
-    z = _nearest_plane(
-        prep, proj, lambda centers, r_kk: sample_z_gaussian_batch(sigma / abs(float(r_kk)), centers, rng)
-    )
+    # row k draws at sigma/|R_kk|, taken for every row at once
+    row_sigmas = (sigma / prep.gs_norms).tolist()
+    z = _nearest_plane(prep, proj, lambda centers, k: sample_z_gaussian_batch(row_sigmas[k], centers, rng))
     return z.astype(np.int64)
 
 
@@ -345,11 +372,27 @@ def sample_psi_bar(alpha: float, q: int, rng: RandomSource, size=None):
     return r if size is not None else int(r)
 
 
-def sample_sign_matrix(m: int, rng: RandomSource) -> np.ndarray:
-    """m x m matrix with i.i.d. uniform entries in {-1, +1}."""
-    if m < 1:
-        raise DimensionMismatch(f"m must be positive, got {m}")
-    return rng.integers(0, 2, (m, m)) * 2 - 1
+#: Set bits of each byte value (numpy 1.24, the oldest numpy this package
+#: supports, has no bitwise_count).
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def sample_sign_sum(ell: int, m: int, rng: RandomSource) -> np.ndarray:
+    """m x m matrix whose entries are i.i.d. sums of ell uniform +-1 signs.
+
+    Each entry is 2*popcount(b) - ell for ell uniform bits b, all taken
+    from one rng.bytes draw of ceil(ell/8) byte planes; the last plane
+    keeps its top ell - 8*(planes - 1) bits.
+    """
+    if ell < 1 or m < 1:
+        raise DimensionMismatch(f"need ell, m >= 1, got ell={ell} m={m}")
+    planes = np.frombuffer(rng.bytes(-(-ell // 8) * m * m), dtype=np.uint8).reshape(-1, m, m)
+    ones = _POPCOUNT[planes[-1] >> (8 * planes.shape[0] - ell)]
+    for plane in planes[:-1]:
+        ones += _POPCOUNT[plane]
+    ones *= 2
+    ones -= ell
+    return ones
 
 
 def sample_bounded_matrix(ell: int, m: int, rng: RandomSource) -> np.ndarray:

@@ -41,7 +41,7 @@ from .samplers import (
     RandomSource,
     sample_bounded_matrix,
     sample_psi_bar,
-    sample_sign_matrix,
+    sample_sign_sum,
     sample_uniform_zq,
 )
 from .trapdoor import (
@@ -399,10 +399,10 @@ def encrypt_traced(
     c1 = (mat_mul(pp.u.T, s1, q) + x1 + bits.astype(np.int64) * half_q) % q
     c2 = (mat_mul(pp.u.T, s2, q) + x2 + msg_digest.astype(np.int64) * half_q) % q
 
-    # R_ID = sum_i b_i R_i; each sign matrix R_i is dropped once it is added
-    r_id = np.zeros((m, m), dtype=np.int64)
-    for bit in ident.bits:
-        r_id += bit * sample_sign_matrix(m, rng)
+    # R_ID = sum_i b_i R_i over independent uniform sign matrices R_i; each
+    # b_i is +-1, so each b_i R_i is a uniform sign matrix too and R_ID's
+    # entries are i.i.d. sums of ell uniform signs, drawn in one pass
+    r_id = sample_sign_sum(ell, m, rng)
     r_tag = sample_bounded_matrix(ell, m, rng)
 
     # R and R_ID have entries in [-ell, ell], so exact_int_matmul gives the

@@ -59,7 +59,6 @@ def workspace(tmp_path_factory, params_file):
         "ct_a1": str(d / "ct_a1.ibfa"),
         "ct_b1": str(d / "ct_b1.ibfa"),
         "ct_b2": str(d / "ct_b2.ibfa"),
-        "unused": str(d / "never-written"),  # --out of commands that must fail first
         "dir": d,
     }
     with open(paths["msg1"], "wb") as fh:
@@ -79,6 +78,13 @@ def workspace(tmp_path_factory, params_file):
     assert run_command(["encrypt", "--pp", paths["pp"], "--id", "bob",
                         "--in", paths["msg2"], "--seed", "06", "--out", paths["ct_b2"]]) == 0
     return paths
+
+
+@pytest.fixture
+def unused(tmp_path):
+    """A fresh --out path for one test's commands that must fail before
+    writing it, so a command that wrongly succeeds fails only its own test."""
+    return str(tmp_path / "never-written")
 
 
 class TestRoundTrips:
@@ -103,12 +109,12 @@ class TestRoundTrips:
         with open(out, "rb") as fh:
             assert fh.read() == b"ab"
 
-    def test_oversized_message_rejected(self, workspace):
+    def test_oversized_message_rejected(self, workspace, unused):
         msg = str(workspace["dir"] / "long.bin")
         with open(msg, "wb") as fh:
             fh.write(b"x" * (MINI.t // 8 + 1))
         code = run_command(["encrypt", "--pp", workspace["pp"], "--id", "alice",
-                            "--in", msg, "--seed", "0a", "--out", workspace["unused"]])
+                            "--in", msg, "--seed", "0a", "--out", unused])
         assert code == 64
 
 
@@ -153,47 +159,47 @@ class TestEqualityVerbs:
                             "--ct-i", workspace["ct_a1"], "--ct-j", workspace["ct_b1"],
                             "--seed", "10"]) == 0
 
-    def test_type2_requires_ct(self, workspace):
+    def test_type2_requires_ct(self, workspace, unused):
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"],
-                            "--sk", workspace["sk_a"], "--out", workspace["unused"]])
+                            "--sk", workspace["sk_a"], "--out", unused])
         assert code == 64
 
 
 class TestTamperingAndErrors:
-    def test_bitflip_ciphertext_rejects(self, workspace):
+    def test_bitflip_ciphertext_rejects(self, workspace, unused):
         blob = bytearray(fileio.read_file(workspace["ct_a1"]))
         blob[len(blob) // 2] ^= 0x04  # somewhere inside the payload
         bad = str(workspace["dir"] / "ct_bad.ibfa")
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", bad, "--seed", "11", "--out", workspace["unused"]])
+                            "--ct", bad, "--seed", "11", "--out", unused])
         assert code == 2
 
-    def test_corrupted_magic_is_load_error(self, workspace):
+    def test_corrupted_magic_is_load_error(self, workspace, unused):
         blob = bytearray(fileio.read_file(workspace["pp"]))
         blob[0] ^= 0xFF
         bad = str(workspace["dir"] / "pp_bad.ibfa")
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
         code = run_command(["decrypt", "--pp", bad, "--sk", workspace["sk_a"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
 
-    def test_kind_confusion_is_load_error(self, workspace):
+    def test_kind_confusion_is_load_error(self, workspace, unused):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["pp"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
 
-    def test_missing_file_is_load_error(self, workspace):
+    def test_missing_file_is_load_error(self, workspace, unused):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", str(workspace["dir"] / "nope.ibfa"), "--out", workspace["unused"]])
+                            "--ct", str(workspace["dir"] / "nope.ibfa"), "--out", unused])
         assert code == 65
 
     def test_usage_error_code(self):
         assert run_command(["encrypt"]) == 64
 
-    def test_fingerprint_mismatch_detected(self, workspace, tmp_path, params_file):
+    def test_fingerprint_mismatch_detected(self, workspace, tmp_path, params_file, unused):
         # artifacts from a different parameter set must be refused
         other = json.loads(open(params_file).read())
         other["q_bound"] = 2048
@@ -204,7 +210,7 @@ class TestTamperingAndErrors:
         assert run_command(["setup", "--params", str(other_file), "--seed", "12",
                             "--out-pp", pp2, "--out-msk", msk2]) == 0
         code = run_command(["extract", "--pp", pp2, "--msk", workspace["msk"],
-                            "--id", "eve", "--out", workspace["unused"]])
+                            "--id", "eve", "--out", unused])
         assert code == 65
 
 
@@ -266,29 +272,29 @@ class TestVersionOneFiles:
             fileio.write_file(paths[name], blob)
         return paths
 
-    def test_v1_master_key_refused(self, workspace, v1_files):
+    def test_v1_master_key_refused(self, workspace, v1_files, unused):
         code = run_command(["extract", "--pp", workspace["pp"], "--msk", v1_files["msk"],
-                            "--id", "eve", "--out", workspace["unused"]])
+                            "--id", "eve", "--out", unused])
         assert code == 65
 
-    def test_v1_secret_key_refused(self, workspace, v1_files):
+    def test_v1_secret_key_refused(self, workspace, v1_files, unused):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
 
-    def test_v2_secret_key_refused(self, workspace, v1_files):
+    def test_v2_secret_key_refused(self, workspace, v1_files, unused):
         # a version-2 key is the version-3 payload without its R block
         v2, v3 = (fileio.read_file(v1_files[name]) for name in ("sk_v2", "sk_v3"))
         d = 2 * MINI.m
         assert v3[6:].startswith(v2[6:]) and len(v3) - len(v2) == 8 * d * (d + 1) // 2
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v2"],
-                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", unused])
         assert code == 65
 
-    def test_v3_secret_key_refused(self, workspace, v1_files):
+    def test_v3_secret_key_refused(self, workspace, v1_files, unused):
         # a version-3 key holds the version-4 integer sections as 64-bit words,
         # then the same R block, and no coset map
         current = fileio.read_file(workspace["sk_a"])
@@ -301,13 +307,13 @@ class TestVersionOneFiles:
         assert len(v4) == spans["identity"].stop + int32_bytes + len(current) - spans["r_rows"].start
         assert len(v3) - len(r_block) == spans["identity"].stop + 2 * int32_bytes
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
-                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", unused])
         assert code == 65
 
-    def test_v4_secret_key_refused(self, workspace, v1_files):
+    def test_v4_secret_key_refused(self, workspace, v1_files, unused):
         # a version-4 key holds E_ID (2m x 2m) where version 5 holds R_ID and
         # Abar_ID; the identity, E'_ID, e_F, e_F', the R block and the map are the same
         current = fileio.read_file(workspace["sk_a"])
@@ -320,20 +326,20 @@ class TestVersionOneFiles:
         assert len(v4) - len(current) == 4 * d * d - (spans["r_id"].stop - spans["r_id"].start) - (
             spans["a_bar_id"].stop - spans["a_bar_id"].start)
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v4"],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", v1_files["sk_v4"],
-                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "13", "--out", unused])
         assert code == 65
 
-    def test_v1_ciphertext_refused(self, workspace, v1_files):
+    def test_v1_ciphertext_refused(self, workspace, v1_files, unused):
         current = fileio.read_file(workspace["ct_a1"])
         assert self.with_version(current, 2) == current
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", v1_files["ct"], "--out", workspace["unused"]])
+                            "--ct", v1_files["ct"], "--out", unused])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", v1_files["ct"], "--seed", "15", "--out", workspace["unused"]])
+                            "--ct", v1_files["ct"], "--seed", "15", "--out", unused])
         assert code == 65
 
     @pytest.mark.parametrize("kind", ["td1", "td3"])
@@ -373,12 +379,12 @@ class TestStoredRBlock:
         return paths
 
     @pytest.mark.parametrize("name", ["flipped", "zeroed", "swapped"])
-    def test_bad_r_block_is_load_error(self, workspace, bad_keys, name):
+    def test_bad_r_block_is_load_error(self, workspace, bad_keys, name, unused):
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", unused])
         assert code == 65
 
 
@@ -413,14 +419,14 @@ class TestStoredCosetMap:
         return paths
 
     @pytest.mark.parametrize("name", ["proj_sign", "pivot_moved", "pivot_range", "elim_sign"])
-    def test_bad_coset_map_is_load_error(self, workspace, bad_maps, name, capsys):
+    def test_bad_coset_map_is_load_error(self, workspace, bad_maps, name, capsys, unused):
         capsys.readouterr()
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_maps[name],
-                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", unused])
         assert code == 65
         assert "stored coset map refused" in capsys.readouterr().err
         code = run_command(["td", "--type", "3", "--pp", workspace["pp"], "--sk", bad_maps[name],
-                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "16", "--out", unused])
         assert code == 65
 
 
@@ -429,19 +435,19 @@ class TestStoredAbar:
     load error, from decrypt as from td, before the key is used."""
 
     @pytest.mark.parametrize("word", [MINI.q, -1])
-    def test_out_of_range_word_exits_65(self, workspace, word, capsys):
+    def test_out_of_range_word_exits_65(self, workspace, word, capsys, unused):
         blob = fileio.read_file(workspace["sk_a"])
         span = sk_sections(MINI)["a_bar_id"]
         words = np.frombuffer(blob[span], dtype="<i8").copy()
         words[5] = word
         path = str(workspace["dir"] / "abar_range.sk")
         fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
-        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", workspace["unused"]]
+        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", unused]
         for argv in (["decrypt", *common], ["td", "--type", "2", "--seed", "25", *common]):
             capsys.readouterr()
             assert run_command(argv) == 65
             assert "Abar_ID holds out-of-range residues" in capsys.readouterr().err
-        assert not os.path.exists(workspace["unused"])
+        assert not os.path.exists(unused)
 
 
 class TestKeyBelongsToPublicParams:
@@ -455,7 +461,7 @@ class TestKeyBelongsToPublicParams:
         ("r_id", -1, "no trapdoor of this public matrix"),
         ("a_bar_id", 5, "Abar_ID is not F_ID's"),
     ])
-    def test_changed_word_exits_65(self, workspace, section, word, message, capsys):
+    def test_changed_word_exits_65(self, workspace, section, word, message, capsys, unused):
         blob = fileio.read_file(workspace["sk_a"])
         span = sk_sections(MINI)[section]
         if section == "r_id":  # int32 entries of R_ID, any value in range
@@ -467,12 +473,12 @@ class TestKeyBelongsToPublicParams:
         path = str(workspace["dir"] / f"{section}_in_range.sk")
         fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
         fileio.load_user_secret(fileio.read_file(path), MINI)  # the file itself is well formed
-        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", workspace["unused"]]
+        common = ["--pp", workspace["pp"], "--sk", path, "--ct", workspace["ct_a1"], "--out", unused]
         for argv in (["decrypt", *common], ["td", "--type", "2", "--seed", "26", *common]):
             capsys.readouterr()
             assert run_command(argv) == 65
             assert message in capsys.readouterr().err
-        assert not os.path.exists(workspace["unused"])
+        assert not os.path.exists(unused)
 
     def test_untouched_key_still_works(self, workspace):
         out = str(workspace["dir"] / "checked.out")
@@ -505,7 +511,7 @@ class TestForeignKey:
         fileio.write_file(paths["td1"], fileio.dump_td1(td1(sk, sk.identity), MINI))
         return paths
 
-    def test_other_systems_key_exits_65(self, workspace, other_system, capsys):
+    def test_other_systems_key_exits_65(self, workspace, other_system, capsys, unused):
         pp, ct = other_system["pp"], other_system["ct"]
         commands = {
             "decrypt": ["decrypt", "--pp", pp, "--sk", workspace["sk_a"], "--ct", ct],
@@ -519,10 +525,10 @@ class TestForeignKey:
                     "td2": "Abar_ID is not F_ID's", "td3": "Abar_ID is not F_ID's", "test1": "key preimage"}
         for name, argv in commands.items():
             capsys.readouterr()
-            out = [] if name == "test1" else ["--out", workspace["unused"]]
+            out = [] if name == "test1" else ["--out", unused]
             assert run_command(argv + out) == 65, name
             assert messages[name] in capsys.readouterr().err, name
-        assert not os.path.exists(workspace["unused"])
+        assert not os.path.exists(unused)
         # behind the CLI's check, decrypt still refuses the key by its preimages
         pp2 = fileio.load_public_params(fileio.read_file(pp))
         sk = fileio.load_user_secret(fileio.read_file(workspace["sk_a"]), MINI)
@@ -530,7 +536,7 @@ class TestForeignKey:
         with pytest.raises(KeyMismatch, match="key preimage"):
             decrypt(pp2, sk, ct2, None)
 
-    def test_elimination_word_in_range_exits_65(self, workspace, capsys):
+    def test_elimination_word_in_range_exits_65(self, workspace, capsys, unused):
         blob = fileio.read_file(workspace["sk_a"])
         span = sk_sections(MINI)["elim"]
         words = np.frombuffer(blob[span], dtype="<i8").copy()
@@ -539,15 +545,15 @@ class TestForeignKey:
         fileio.write_file(path, blob[: span.start] + words.tobytes() + blob[span.stop :])
         capsys.readouterr()
         code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", path,
-                            "--ct", workspace["ct_a1"], "--seed", "24", "--out", workspace["unused"]])
+                            "--ct", workspace["ct_a1"], "--seed", "24", "--out", unused])
         assert code == 65
         assert "another public matrix" in capsys.readouterr().err
 
-    def test_usage_errors_stay_64(self, workspace):
+    def test_usage_errors_stay_64(self, workspace, unused):
         assert run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--out", workspace["unused"]]) == 64
+                            "--out", unused]) == 64
         assert run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
-                            "--ct", workspace["ct_a1"], "--seed", "zz", "--out", workspace["unused"]]) == 64
+                            "--ct", workspace["ct_a1"], "--seed", "zz", "--out", unused]) == 64
 
 
 class TestMasterKeyFile:
@@ -556,7 +562,7 @@ class TestMasterKeyFile:
     and an Rbar that is no gadget trapdoor of the public parameters' A or
     A'.  A trapdoor that keeps no Rbar cannot be written."""
 
-    def test_non_sign_entry_is_load_error(self, workspace, capsys):
+    def test_non_sign_entry_is_load_error(self, workspace, capsys, unused):
         blob = bytearray(fileio.read_file(workspace["msk"]))
         nk = MINI.n * gadget_length(MINI.q)
         start = len(blob) - 16 * (MINI.m - nk) * nk
@@ -567,18 +573,18 @@ class TestMasterKeyFile:
         fileio.write_file(path, bytes(blob))
         capsys.readouterr()
         code = run_command(["extract", "--pp", workspace["pp"], "--msk", path,
-                            "--id", "eve", "--out", workspace["unused"]])
+                            "--id", "eve", "--out", unused])
         assert code == 65
         assert "+-1" in capsys.readouterr().err
 
-    def test_other_systems_master_key_is_load_error(self, workspace, params_file, tmp_path, capsys):
+    def test_other_systems_master_key_is_load_error(self, workspace, params_file, tmp_path, capsys, unused):
         # same parameters, another seed: the fingerprints agree, the Rbar do not
         pp2, msk2 = str(tmp_path / "pp2.ibfa"), str(tmp_path / "msk2.ibfa")
         assert run_command(["setup", "--params", params_file, "--seed", "02",
                             "--out-pp", pp2, "--out-msk", msk2]) == 0
         capsys.readouterr()
         code = run_command(["extract", "--pp", workspace["pp"], "--msk", msk2,
-                            "--id", "eve", "--out", workspace["unused"]])
+                            "--id", "eve", "--out", unused])
         assert code == 65
         assert "no trapdoor of these public parameters" in capsys.readouterr().err
 

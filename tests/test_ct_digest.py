@@ -260,37 +260,39 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
-    TD3_CT last changed when the 1-D sampler for sigma >= 2 became
-    rejection from a rounded continuous Gaussian (one normal and one
-    uniform per proposal, where the bilateral-geometric sampler before it
-    drew three uniforms): every draw of extract, td2 and td3_ct goes
-    through it, so every sampled key word, e_F' (TD1, TD3_BASIS) and the
-    td2 and td3_ct walks moved, while setup and encrypt, which never call
-    it, kept PP, MSK, CT and CT_BODY.  The change before that was the
-    key's gadget trapdoor R_ID in place of the basis E_ID (sk format
-    version 5).  SK pins the key file without its two binary64
-    sections, the R block and the projections P of E'_ID's coset map:
-    LAPACK's QR rounds R's last bits differently under
-    other BLAS thread counts, and P is computed from R, so those two are
-    checked against the key's own R and P instead.  PP and MSK pin setup (MSK last changed when the
-    master key file began storing Rbar and Rbar' in place of T_A and T_A',
-    format version 2).  CT last changed
-    when H' began hashing R as one code R + ell per entry instead of a
-    64-bit residue (ciphertext format version 2): c5 changed, while every
-    sampled word stayed put.  CT_BODY pins the ciphertext file without its
-    version field and c5, which that change left as it was.
+    td2 sample may change these values.  CT, CT_BODY, TD2 and TD3_CT
+    last changed when encrypt began drawing its R_ID = sum_i b_i R_i in
+    one pass, each entry a sum of ell uniform signs from one byte draw,
+    in place of ell sign matrices: R_ID and the tag R drawn after it
+    moved, so did c3, c4 and c5 (c1 and c2 are drawn before R_ID and
+    stayed), and td2 and td3_ct bind to the ciphertext; setup and
+    extract, which never draw R_ID, kept PP, MSK, SK, TD1 and TD3_BASIS.
+    SK, TD1 and TD3_BASIS last changed when the 1-D sampler for
+    sigma >= 2 became rejection from a rounded continuous Gaussian (one
+    normal and one uniform per proposal, where the bilateral-geometric
+    sampler before it drew three uniforms): every draw of extract, td2
+    and td3_ct goes through it, so every sampled key word and e_F' (TD1,
+    TD3_BASIS) moved.  The change before that was the key's gadget
+    trapdoor R_ID in place of the basis E_ID (sk format version 5).  SK
+    pins the key file without its two binary64 sections, the R block and
+    the projections P of E'_ID's coset map: LAPACK's QR rounds R's last
+    bits differently under other BLAS thread counts, and P is computed
+    from R, so those two are checked against the key's own R and P
+    instead.  PP and MSK pin setup (MSK last changed when the master key
+    file began storing Rbar and Rbar' in place of T_A and T_A', format
+    version 2).  CT_BODY pins the ciphertext file without its version
+    field and c5, which H' computes.
     """
 
-    CT = "8616f2313f462ff2fc96f239a594b0fec9ee3ca9cdbb12e9877595ce5e9f7c63"
-    CT_BODY = "1d6915f9d99f27090d3ec47658e232db90cfdad451fe50b611da028ed7502a6b"
-    TD2 = "4251f416fe9777e91aa75b5dd054946d79639812c0dfca0f87707b511df6313b"
+    CT = "d4ba5daf9d976a6fbdfcedafeb387e9a6bc862b0143a706447d5cb4b6fea47d0"
+    CT_BODY = "adc5a3674af98d7fff3689a6cc7a36174e247db06ba5b913c37035b8aae80fe4"
+    TD2 = "fa9f883827b7f354b1b80d307eeea52ff2b9537c7b86e88598788a310d67200f"
     SK = "c102e57a04906284d2fd335abc9d19f0df76ce57e17d400df505dfe683e89958"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
     TD1 = "3364cec64ffa5d4a541547d8eeb3b8557ed5980c8a0cde3cfee35f4240885577"
     TD3_BASIS = "cdee614877807ea0d6b591afb72d1341f1d93fc30e020e04066ea771eb4f89d6"
-    TD3_CT = "be88f3347184e7aca5fd9dd8eee34bd4019bc48428fbad134e9d37807b5281f4"
+    TD3_CT = "497356c5449c54672588dc7862dbda800f572074f566e6900ab3873820eee915"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system

@@ -23,7 +23,7 @@ from ibeetfa.samplers import (
     prepare_basis,
     sample_bounded_matrix,
     sample_psi_bar,
-    sample_sign_matrix,
+    sample_sign_sum,
     sample_uniform_zq,
     sample_z_gaussian_batch,
     slack_factor,
@@ -179,7 +179,7 @@ class CountingSource(RandomSource):
 
 
 class TestExactness:
-    """The sigma >= 2 sampler is D_{Z, sigma, c} itself, not an approximation.
+    """Both 1-D samplers are D_{Z, sigma, c} itself, not an approximation.
 
     The correction matters most at small sigma.  On these 2 M draws per
     case, plain rounding of a continuous Gaussian of width sigma (same
@@ -197,6 +197,20 @@ class TestExactness:
         draws = sample_z_gaussian_batch(sigma, np.full(2_000_000, center), RandomSource(seed))
         chi2, dof, tv = exact_fit(draws, sigma, center)
         assert dof >= 6
+        assert chi2 < 50 and tv < 0.003, (chi2, dof, tv)
+
+    @pytest.mark.parametrize("sigma", [0.06, 0.5, 1.5])
+    @pytest.mark.parametrize("center", [0.0, 0.25, 0.5])
+    def test_enumeration_matches_the_exact_mass_function(self, sigma, center):
+        # the same 2 M draws and bounds, below sigma = 2; at sigma 0.06 all
+        # the mass sits on the one or two integers nearest the center, so
+        # chi^2 has few degrees of freedom there and TV carries the check.
+        # Drawn 100 k lanes a call, which keeps the 37-row window of
+        # sigma 1.5 to a few tens of MB.
+        rng = RandomSource(950 + int(100 * sigma) + int(100 * center))
+        draws = np.concatenate([sample_z_gaussian_batch(sigma, np.full(100_000, center), rng)
+                                for _ in range(20)])
+        chi2, dof, tv = exact_fit(draws, sigma, center)
         assert chi2 < 50 and tv < 0.003, (chi2, dof, tv)
 
     @pytest.mark.parametrize("sigma", [2.0, 3.0, 235000.0])
@@ -320,19 +334,27 @@ class TestPsiBar:
 
 
 class TestSmallMatrices:
-    def test_sign_matrix_entries(self):
-        rng = RandomSource(79)
-        r = sample_sign_matrix(20, rng)
-        assert set(np.unique(r)) == {-1, 1}
+    @pytest.mark.parametrize("ell", [1, 3, 8, 11, 16])
+    def test_sign_sum_range_and_parity(self, ell):
+        r = sample_sign_sum(ell, 40, RandomSource(79))
+        assert r.shape == (40, 40) and r.dtype == np.int64
+        assert np.abs(r).max() <= ell and not np.any((r + ell) % 2)
 
-    def test_sign_matrix_mean(self):
-        rng = RandomSource(83)
-        r = sample_sign_matrix(320, rng)  # ~1e5 entries
-        assert abs(r.mean()) < 0.02
+    @pytest.mark.parametrize("ell", [1, 8, 11])
+    def test_sign_sum_matches_the_binomial(self, ell):
+        # 2*Bin(ell, 1/2) - ell, the law of a sum of ell independent signs;
+        # chi^2 on at most ell degrees of freedom exceeds 50 with
+        # probability below 1e-6
+        r = sample_sign_sum(ell, 320, RandomSource(83 + ell))
+        want = r.size * np.array([math.comb(ell, j) for j in range(ell + 1)]) / 2.0**ell
+        assert want.min() >= 10
+        obs = np.bincount((r.ravel() + ell) // 2, minlength=ell + 1)
+        chi2 = float(((obs - want) ** 2 / want).sum())
+        assert chi2 < 50, chi2
 
-    def test_sign_matrix_seeds_differ(self):
-        a = sample_sign_matrix(16, RandomSource(1))
-        b = sample_sign_matrix(16, RandomSource(2))
+    def test_sign_sum_seeds_differ(self):
+        a = sample_sign_sum(8, 16, RandomSource(1))
+        b = sample_sign_sum(8, 16, RandomSource(2))
         assert not np.array_equal(a, b)
 
     def test_bounded_matrix_support(self):
@@ -418,6 +440,23 @@ def _reject_reference(sigma, centers, rng):
     return out
 
 
+def _enum_reference(sigma, centers, rng):
+    """The sigma < 2 sampler as it was first written, with reductions over
+    the window: its largest log-weight subtracted, one cumsum, one count."""
+    w = max(1, math.ceil(12.0 * sigma))
+    base = np.rint(centers).astype(np.int64)
+    offsets = np.arange(-w, w + 1, dtype=np.int64)
+    # weights[i, j] = rho(base_j + offsets_i)
+    dev = (base[None, :] + offsets[:, None]) - centers[None, :]
+    logw = -(math.pi / (sigma * sigma)) * dev * dev
+    logw -= logw.max(axis=0, keepdims=True)
+    weights = np.exp(logw)
+    cdf = np.cumsum(weights, axis=0)
+    u = rng.random(centers.shape[0]) * cdf[-1]
+    idx = (u[None, :] >= cdf).sum(axis=0)
+    return base + offsets[idx]
+
+
 def _walk_reference(basis, sigma, proj, rng):
     """The nearest-plane walk row by row over the full square R factor."""
     r = np.linalg.qr(basis.astype(np.float64), mode="r")
@@ -440,22 +479,36 @@ class TestReferenceAgreement:
                               _reject_reference(sigma, centers, r2))
         assert r1.random() == r2.random()
 
+    @pytest.mark.parametrize("sigma", [0.057, 0.08, 0.2, 0.5, 1.2, 1.99])
+    @pytest.mark.parametrize("lanes", [1, 64, 3000])
+    def test_enumeration_matches_reduction_reference(self, sigma, lanes):
+        # half-integer centers are ties between two neighbours; 1e6 + 0.5
+        # is one far from zero
+        specials = [0.5, -0.5, -3.5, 1e6 + 0.5, 0.0, -7.0, 2.25]
+        centers = np.concatenate([specials, RandomSource(86).normal(40.0, 3000)])[:lanes]
+        r1, r2 = RandomSource(87), RandomSource(87)
+        assert np.array_equal(sample_z_gaussian_batch(sigma, centers, r1),
+                              _enum_reference(sigma, centers, r2))
+        assert r1.random() == r2.random()
+
     @pytest.mark.parametrize("lanes", [1, 9])
     def test_walk_matches_full_r_reference(self, lanes):
         from ibeetfa.samplers import WALK_BLOCK
 
         # 40 rows fit in one block; 150 rows take two full blocks and a
         # partial one.  sigma 3 puts every row in the enumeration regime
-        # (sigma/|r_kk| below 2), sigma 3000 every row in the rejection regime.
-        # Both walks get the same projections: this pins the blocked row
-        # order, not the projection (see TestProjection).
+        # (sigma/|r_kk| below 2), sigma 3000 every row in the rejection
+        # regime, and twice the median |r_kk| some rows in each.  Both walks
+        # get the same projections: this pins the blocked row order, not
+        # the projection (see TestProjection).
         assert 150 > 2 * WALK_BLOCK and 150 % WALK_BLOCK
         for dim in (40, 150):
             basis = RandomSource(83).integers(-50, 51, (dim, dim)) + 200 * np.eye(dim, dtype=np.int64)
             prep = prepare_basis(basis)
             proj = prep.project(RandomSource(84).normal(500.0, (dim, lanes)))
-            for sigma, enum in ((3.0, True), (3000.0, False)):
-                assert (sigma / prep.gs_norms < 2.0).all() if enum else (sigma / prep.gs_norms >= 2.0).all()
+            mixed = 2.0 * float(np.median(prep.gs_norms))
+            for sigma, regimes in ((3.0, {True}), (mixed, {True, False}), (3000.0, {False})):
+                assert set((sigma / prep.gs_norms < 2.0).tolist()) == regimes
                 r1, r2 = RandomSource(85), RandomSource(85)
                 got = klein_coefficients(prep, sigma, proj, r1)
                 assert np.array_equal(got, _walk_reference(basis, sigma, proj, r2))
