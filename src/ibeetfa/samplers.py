@@ -34,6 +34,9 @@ TAIL_CUT = 12.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: Bound on the sum of squares of one call's centers (see sample_z_gaussian_batch).
+_CENTER_SQUARES = 2.0**104
+
 
 def slack_factor(dim) -> int:
     """Concrete stand-in for the omega(sqrt(log dim)) slack: ceil(sqrt(log2 dim)) + 1."""
@@ -128,33 +131,63 @@ def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np
     each integer's bin of v has length 1, so kept x are exact.  eps = sqrt(pi/2)/sigma
     maximizes the acceptance (1 + eps)^-1/2 * exp(-log_m): 0.57 at sigma = 2,
     above 0.999 from 2,700.  A round draws normals, then uniforms, per pending lane.
+
+    The first round runs over every lane with no gather; only its refused
+    lanes are gathered, and they alone take the later rounds.  No lanes
+    draw nothing.
     """
-    base = np.rint(centers).astype(np.int64)
-    delta = centers - base
+    if not centers.size:
+        return np.empty(0, dtype=np.int64)
+    out, kept = _reject_round(sigma, centers, rng)
+    pending = np.flatnonzero(~kept)
+    while pending.size:
+        drawn, kept = _reject_round(sigma, centers[pending], rng)
+        out[pending[kept]] = drawn[kept]
+        pending = pending[~kept]
+    return out
+
+
+def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
+    """One round of _sample_z_reject over every lane of centers: (round(c) + x
+    as int64, whether x is kept), in at most four 8-byte arrays a lane at a
+    time besides centers.
+
+    Each buffer is reused as soon as its value is spent, and every float is
+    the one the plain expressions give: (inv_s2*|d|)*|d| equals
+    (inv_s2*d)*d bit for bit, as a sign change is exact.
+    """
     eps = math.sqrt(math.pi / 2.0) / sigma
     inv_s2, inv_sp2, log_m = math.pi / sigma**2, math.pi / ((1.0 + eps) * sigma**2), _SQRT_2PI / (4.0 * sigma)
-    out = np.empty(centers.shape[0], dtype=np.int64)
-    pending = np.arange(centers.shape[0])
-    while pending.size:
-        v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, pending.size)
-        dp = delta[pending]
-        x = np.rint(dp + v)
-        d = x - dp
-        ok = (np.log(rng.random(pending.size)) < inv_sp2 * v * v - inv_s2 * d * d - log_m) & (
-            np.abs(d) <= TAIL_CUT * sigma)
-        lanes = pending[ok]
-        out[lanes] = base[lanes] + x[ok].astype(np.int64)
-        pending = pending[~ok]
-    return out
+    x = np.rint(centers)
+    d = centers - x                                   # delta = c - round(c)
+    out = x.astype(np.int64)
+    v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, centers.shape[0])
+    np.add(d, v, out=x)
+    np.rint(x, out=x)
+    np.subtract(x, d, out=d)                          # d = x - delta
+    np.add(out, x, out=out, dtype=np.int64, casting="unsafe")
+    np.abs(d, out=d)
+    kept = d <= TAIL_CUT * sigma
+    np.multiply(v, inv_sp2, out=x)
+    x *= v
+    np.multiply(d, inv_s2, out=v)
+    v *= d
+    x -= v
+    x -= log_m                                        # the log of the acceptance
+    del v, d
+    u = rng.random(centers.shape[0])
+    kept &= np.log(u, out=u) < x
+    return out, kept
 
 
 def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndarray:
     """Vector of independent D_{Z, sigma, c_i} samples, one per center."""
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    # one product checks every center: a NaN or infinite one, or one so far
-    # past the int64 range that its square overflows, makes the sum non-finite
-    if not (0 < sigma < math.inf and math.isfinite(centers.dot(centers))):
-        raise SamplingError(f"sigma must be positive and finite and every center finite, got sigma {sigma}")
+    # one product checks every center: a sum of squares below 2**104 puts
+    # each |c| below 2**52, where round(c) + offset is exact in float64 and
+    # int64; a NaN or infinite center fails the comparison
+    if not (0 < sigma < math.inf and centers.dot(centers) < _CENTER_SQUARES):
+        raise SamplingError(f"sigma must be positive and finite and every |center| below 2**52, got sigma {sigma}")
     if sigma < 2.0:
         return _sample_z_enum(sigma, centers, rng)
     return _sample_z_reject(sigma, centers, rng)
@@ -315,9 +348,10 @@ def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
     c_k = (proj[k] - R[k, k+1:] @ x[k+1:]) / R_kk.
 
     pick returning c_k gives R^-1 proj; a Gaussian draw around c_k is the
-    randomized nearest-plane walk.  Blocked by WALK_BLOCK rows: the rows
-    below a block enter its centers through one product
-    R[lo:hi, hi:] @ x[hi:]; pick still sees the rows one at a time, in order.
+    randomized nearest-plane walk.  Blocked by WALK_BLOCK rows, whose R rows
+    are built once (PreparedBasis._r_block): the rows below a block enter
+    its centers through one product R[lo:hi, hi:] @ x[hi:]; pick still sees
+    the rows one at a time, in order.
     """
     d = prep.dim
     # float64 holds a walk's coefficients exactly (they stay far below
@@ -325,13 +359,12 @@ def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
     x = np.zeros((d, proj.shape[1]), dtype=np.float64)
     for hi in range(d, 0, -WALK_BLOCK):
         lo = max(0, hi - WALK_BLOCK)
+        rows = prep._r_block(lo, hi)
         shifted = proj[lo:hi]
         if hi < d:
-            r_below = np.stack([prep.r_row(k)[hi - k :] for k in range(lo, hi)])
-            shifted = shifted - r_below @ x[hi:]
-        for k in range(hi - 1, lo - 1, -1):
-            r = prep.r_row(k)
-            x[k] = pick((shifted[k - lo] - r[1 : hi - k] @ x[k + 1 : hi]) / r[0], k)
+            shifted = shifted - rows[:, hi - lo :] @ x[hi:]
+        for i in range(hi - lo - 1, -1, -1):
+            x[lo + i] = pick((shifted[i] - rows[i, i + 1 : hi - lo] @ x[lo + i + 1 : hi]) / rows[i, i], lo + i)
     return x
 
 

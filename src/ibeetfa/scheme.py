@@ -46,9 +46,9 @@ from .samplers import (
 )
 from .trapdoor import (
     TrapdoorBasis,
+    gadget_basis,
     gadget_length,
     gadget_matrix,
-    gadget_trapdoor,
     sample_basis_left,
     sample_left,
     trap_gen,
@@ -180,13 +180,12 @@ class UserSecretKey:
     @property
     def e_id(self) -> np.ndarray:
         """E_ID, the 2m x 2m basis of the whole lattice of F_ID that R_ID
-        determines (trapdoor.gadget_trapdoor), as int32, built anew on each
-        access and kept by nobody.  It is for checks, not for sampling: its
-        smallest Gram-Schmidt norm lies far below the bound of the QR
-        certificate, so TrapdoorBasis(sk.e_id) cannot be prepared.
+        determines (trapdoor.gadget_basis), written straight into one int32
+        array on each access and kept by nobody.  It is for checks, not for
+        sampling: its smallest Gram-Schmidt norm lies far below the bound of
+        the QR certificate, so TrapdoorBasis(sk.e_id) cannot be prepared.
         """
-        basis = gadget_trapdoor(self.a_bar_id, self.r_id, self.q).basis
-        return int32_matrix(basis, "user secret key: E_ID")
+        return gadget_basis(self.a_bar_id, self.r_id, self.q, np.int32, "user secret key: E_ID")
 
     @property
     def e_id_prime(self) -> np.ndarray:

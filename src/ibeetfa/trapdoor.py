@@ -21,7 +21,9 @@ decomposition of the targets and W = [Rbar; I], which keeps every
 intermediate tiny; for any other basis y is the mod-q solution on the n
 pivot columns of A and W places it there.  The walk's projections Q^T c
 are then P @ y with P = Q^T W computed once per basis, so no Q is ever
-formed.  A user key's map is built at extract and shipped in the key
+formed.  A gadget trapdoor forms its preimages c - B @ z from Rbar and
+the bottom nk rows of B, never from the whole m x m basis
+(preimage_from_coefficients).  A user key's map is built at extract and shipped in the key
 file; a loaded map is checked against the basis at load
 (adopt_trapdoor) and bound to its public matrix on first use.
 """
@@ -47,6 +49,7 @@ from .samplers import (
 )
 from .zqlinalg import (
     _RANK_CHECK_PRIMES,
+    _magnitude,
     _pivot_columns_mod_p,
     as_residues,
     center_rep,
@@ -154,16 +157,43 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
 
 def gadget_trapdoor(a_bar: np.ndarray, r_bar: np.ndarray, q: int) -> TrapdoorBasis:
     """The basis of A = [Abar | G - Abar*Rbar], a function of (Abar, Rbar), keeping Rbar."""
+    return TrapdoorBasis(gadget_basis(a_bar, r_bar, q), r_bar=r_bar)
+
+
+#: Rows of Rbar per block of the products gadget_basis writes out.
+_GADGET_ROW_BLOCK = 256
+
+
+def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int, dtype=np.int64,
+                 what: str = "gadget basis") -> np.ndarray:
+    """[[Rbar*S_G, I - Rbar*D], [S_G, -D]] as one dtype array, D the bits of Abar.
+
+    The top rows are written a block of Rbar's rows at a time, so no
+    full-size int64 product is staged for a narrower dtype; an entry the
+    dtype cannot hold raises ParameterError naming what holds it.
+    """
     n, m_bar = a_bar.shape
     k = gadget_length(q)
-    s_k = _gadget_block(q, k)
-    s_g = np.kron(np.eye(n, dtype=np.int64), s_k)
+    nk = n * k
+    s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, k))
     d_bits = _bit_decompose(a_bar, k)
+    info = np.iinfo(dtype)
+    s = np.empty((m_bar + nk, m_bar + nk), dtype=dtype)
     # gadget block first, completion block second (keeps its GS norms <= 1)
-    top_left = exact_int_matmul(r_bar, s_g)
-    top_right = np.eye(m_bar, dtype=np.int64) - exact_int_matmul(r_bar, d_bits)
-    s = np.block([[top_left, top_right], [s_g, -d_bits]])
-    return TrapdoorBasis(s, r_bar=r_bar)
+    s[m_bar:, :nk] = s_g
+    s[m_bar:, nk:] = -d_bits
+    for lo in range(0, m_bar, _GADGET_ROW_BLOCK):
+        hi = min(m_bar, lo + _GADGET_ROW_BLOCK)
+        left = exact_int_matmul(r_bar[lo:hi], s_g)
+        right = exact_int_matmul(r_bar[lo:hi], d_bits)
+        np.negative(right, out=right)
+        right[np.arange(hi - lo), np.arange(lo, hi)] += 1
+        for part in (left, right):
+            if part.min() < info.min or part.max() > info.max:
+                raise ParameterError(f"{what} holds an entry outside {info.dtype.name}")
+        s[lo:hi, :nk] = left
+        s[lo:hi, nk:] = right
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +401,33 @@ def _preimage_batch(
     prep = td.prepared()
     cmap = td.coset_map(a, q)
     y = cmap.coordinates(targets)
-    c = exact_int_matmul(cmap.w, y)
     z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
-    e = c - exact_int_matmul(prep.basis, z)
+    e = preimage_from_coefficients(td, cmap, y, z)
     # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
     # direction, so anything far beyond this bound means numerical corruption.
     cap = 2.0 * math.sqrt(prep.dim) * (0.5 * prep.gs_norm + TAIL_CUT * sigma)
-    if int(np.abs(e).max(initial=0)) > cap:
+    if _magnitude(e) > cap:
         raise SamplingError("preimage walk produced an implausibly long vector")
+    return e
+
+
+def preimage_from_coefficients(td: TrapdoorBasis, cmap: CosetMap, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The preimage c - B @ z, c = W @ y, of the walk's coefficients z.
+
+    For a gadget trapdoor (one that keeps its Rbar) B = [[Rbar*S_G, I - Rbar*D],
+    [S_G, -D]] and W = [Rbar; I], so with z = [z1; z2] (nk and m - nk rows)
+    c - B @ z = [Rbar @ v - z2; v], v = y - [S_G, -D] @ z: the exact same
+    integers from two products of nk-wide operands, the bottom nk rows of B
+    and Rbar, instead of one with the m x m basis.  Any other basis takes
+    the dense products.
+    """
+    basis = td.basis
+    if td.r_bar is None:
+        return exact_int_matmul(cmap.w, y) - exact_int_matmul(basis, z)
+    m_bar = td.r_bar.shape[0]
+    e = np.empty(z.shape, dtype=np.int64)
+    v = np.subtract(y, exact_int_matmul(basis[m_bar:], z), out=e[m_bar:])
+    np.subtract(exact_int_matmul(td.r_bar, v), z[basis.shape[0] - m_bar :], out=e[:m_bar])
     return e
 
 

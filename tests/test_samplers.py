@@ -8,6 +8,7 @@ all Gaussian-shaped distributions here.
 
 import math
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -135,6 +136,35 @@ class TestZGaussian:
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive() and len(caught) == 1
+
+    @pytest.mark.parametrize("sigma", [0.3, 3.0])
+    def test_largest_center_is_sampled_exactly(self, sigma):
+        # below 2**52 round(c) + offset is exact on both paths
+        center = 2**52 - 1
+        draws = sample_z_gaussian_batch(sigma, [0.0, float(center)], RandomSource(91))
+        assert abs(int(draws[0])) <= 12 * sigma and abs(int(draws[1]) - center) <= 12 * sigma
+
+    @pytest.mark.parametrize("sigma", [0.3, 3.0])
+    @pytest.mark.parametrize("center", [2.0**53, 1e19, -1e19, math.nan, math.inf])
+    def test_huge_center_raises(self, sigma, center):
+        # from 2**53 the enumeration's offsets are inexact, and from 2**63
+        # both paths wrap in int64: such a call raises instead
+        with pytest.raises(SamplingError, match="below 2"):
+            sample_z_gaussian_batch(sigma, [0.0, center], RandomSource(92))
+
+    def test_extract_sized_draw_peak(self):
+        # the M-side draw of a toy key basis, 914 x 1,900 lanes at toy's
+        # sigma, sets the peak memory of extract: the sampler's own arrays
+        # must stay within 8 times the output's 8 bytes a lane
+        lanes = 1_736_600
+        centers = np.zeros(lanes)
+        tracemalloc.start()
+        try:
+            sample_z_gaussian_batch(235000.0, centers, RandomSource(93))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * lanes, peak / (8 * lanes)
 
 
 def exact_fit(draws, sigma, center):
@@ -478,6 +508,40 @@ class TestReferenceAgreement:
         assert np.array_equal(sample_z_gaussian_batch(sigma, centers, r1),
                               _reject_reference(sigma, centers, r2))
         assert r1.random() == r2.random()
+
+    @staticmethod
+    def _agree(sigma, centers, script):
+        """The sampler and _reject_reference on one scripted stream each:
+        bit for bit, and the stream position after; returns the proposals."""
+        r1, r2 = CountingSource(88, **script()), CountingSource(88, **script())
+        got = sample_z_gaussian_batch(sigma, centers, r1)
+        assert got.dtype == np.int64 and np.array_equal(got, _reject_reference(sigma, centers, r2))
+        assert r1.proposals == r2.proposals and r1.random() == r2.random()
+        return r1.proposals
+
+    @pytest.mark.parametrize("sigma", [2.0, 235000.0])
+    def test_rejection_sampler_with_no_lanes(self, sigma):
+        assert self._agree(sigma, np.zeros(0), dict) == 0
+
+    @pytest.mark.parametrize("sigma", [2.0, 50.0, 235000.0])
+    def test_rejection_round_that_keeps_every_lane(self, sigma):
+        # log(1e-300) = -690.8 lies below every log-acceptance inside the tail
+        # cut (at least -pi*144 - log_m), so the first round keeps every lane
+        centers = RandomSource(89).normal(40.0, 500)
+        assert self._agree(sigma, centers, lambda: {"uniforms": [np.full(500, 1e-300)]}) == 500
+
+    @pytest.mark.parametrize("sigma", [2.0, 50.0, 235000.0])
+    def test_rejection_round_that_refuses_one_lane(self, sigma):
+        # lane 3 proposes past the tail cut and alone goes back to the
+        # stream, however small its uniform; every other lane is kept
+        centers = RandomSource(90).normal(40.0, 500)
+        normals = np.zeros(4)
+        normals[3] = 12 * sigma + 5.0
+
+        def script():
+            return {"normals": [normals], "uniforms": [np.full(500, 1e-300)]}
+
+        assert self._agree(sigma, centers, script) > 500
 
     @pytest.mark.parametrize("sigma", [0.057, 0.08, 0.2, 0.5, 1.2, 1.99])
     @pytest.mark.parametrize("lanes", [1, 64, 3000])

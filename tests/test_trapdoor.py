@@ -395,6 +395,57 @@ class TestBasisFromPreimages:
         assert lefts.calls == 1 and counted.calls == 0
 
 
+class TestGadgetPreimage:
+    """A master preimage comes from R̄ and the bottom nk rows of T_A, never from
+    the m x m basis, and equals the dense c - T_A @ z, c = [R̄; I] @ y."""
+
+    @staticmethod
+    def dense_agrees(pp, msk, q):
+        td = msk.trapdoor_a
+        cmap = td.coset_map(pp.a, q)
+        m, nk = td.basis.shape[0], cmap.w.shape[1]
+        rng = RandomSource(439)
+        y = rng.integers(0, 2, (nk, 7))
+        z = rng.integers(-(1 << 30), (1 << 30) + 1, (m, 7))
+        z[rng.integers(0, m, 12), rng.integers(0, 7, 12)] = 1 << 30
+        z[rng.integers(0, m, 12), rng.integers(0, 7, 12)] = -(1 << 30)
+        # every product stays far inside int64, so numpy's integer matmul is exact
+        assert m * int(np.abs(td.basis).max()) * (1 << 30) < 1 << 62
+        want = cmap.w @ y - td.basis @ z
+        assert np.array_equal(trapdoor.preimage_from_coefficients(td, cmap, y, z), want)
+
+    def test_matches_dense_on_mini_master_key(self, mini_system):
+        pp, msk = mini_system
+        self.dense_agrees(pp, msk, MINI.q)
+
+    def test_matches_dense_on_toy_master_key(self):
+        pp, msk = scheme.setup(TOY, RandomSource(443))
+        self.dense_agrees(pp, msk, TOY.q)
+
+    def test_no_master_draw_multiplies_by_the_basis(self, mini_system, monkeypatch):
+        pp, msk = mini_system
+        shapes, real = [], trapdoor.exact_int_matmul
+
+        def spy(a, b):
+            shapes.append(np.shape(a))
+            return real(a, b)
+
+        monkeypatch.setattr(trapdoor, "exact_int_matmul", spy)
+        scheme.extract(pp, msk, identity_from_string("kate", MINI.ell), RandomSource(449))
+        assert shapes and (MINI.m, MINI.m) not in shapes, shapes
+
+    def test_narrow_basis_refuses_an_entry_outside_its_dtype(self):
+        pair, q, n, m = small_pair(457)
+        r_bar = pair.trapdoor.r_bar * (1 << 29)
+        a_bar = pair.a[:, : r_bar.shape[0]]
+        wide = trapdoor.gadget_basis(a_bar, r_bar, q)
+        assert np.abs(wide).max() >= 1 << 31
+        with pytest.raises(ParameterError, match="E_ID holds an entry outside int32"):
+            trapdoor.gadget_basis(a_bar, r_bar, q, np.int32, "E_ID")
+        assert np.array_equal(trapdoor.gadget_basis(a_bar, pair.trapdoor.r_bar, q, np.int32, "E_ID"),
+                              pair.trapdoor.basis)
+
+
 class TestCosetMapBinding:
     """A basis's coset map belongs to the public matrix it was derived for."""
 
