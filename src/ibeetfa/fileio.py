@@ -66,12 +66,7 @@ from .errors import FormatError, IbeetfaError, ParameterError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
 from .params import ParamSet
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
-from .trapdoor import (
-    adopt_trapdoor,
-    gadget_length,
-    gadget_trapdoor,
-    require_gadget_trapdoor,
-)
+from .trapdoor import GadgetTrapdoor, adopt_trapdoor, gadget_length, require_gadget_trapdoor
 
 MAGIC = b"IBFA"
 
@@ -230,17 +225,12 @@ def load_public_params(blob: bytes) -> PublicParams:
 
 
 def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
-    """The msk file: Rbar and Rbar'.  A basis that keeps no Rbar (built other
-    than by trap_gen or gadget_trapdoor) cannot be written: ParameterError."""
-    r_bars = [msk.trapdoor_a.r_bar, msk.trapdoor_a_prime.r_bar]
-    if any(r_bar is None for r_bar in r_bars):
-        raise ParameterError("master secret key: a trapdoor without its Rbar cannot be written "
-                             "(the file stores Rbar, not the basis)")
-    return b"".join([_header(KIND_MSK, p), *map(_words, r_bars)])
+    """The msk file: Rbar and Rbar'."""
+    return b"".join([_header(KIND_MSK, p), _words(msk.trapdoor_a.r_bar), _words(msk.trapdoor_a_prime.r_bar)])
 
 
 def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
-    """The master key of pp, each basis rebuilt from its Rbar and Abar (gadget_trapdoor).
+    """The master key of pp: a GadgetTrapdoor of each Rbar and pp's Abar.
 
     Each Rbar must be a gadget trapdoor of pp's A or A' (require_gadget_trapdoor),
     so another system's master key is refused here, before any sampling.
@@ -256,8 +246,8 @@ def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
             require_gadget_trapdoor(a, r, p.q)
     except ParameterError:
         raise FormatError("master secret key: Rbar is no trapdoor of these public parameters") from None
-    return MasterSecretKey(gadget_trapdoor(pp.a[:, :m_bar], r_bar[0], p.q),
-                           gadget_trapdoor(pp.a_prime[:, :m_bar], r_bar[1], p.q))
+    return MasterSecretKey(GadgetTrapdoor(pp.a[:, :m_bar], r_bar[0], p.q),
+                           GadgetTrapdoor(pp.a_prime[:, :m_bar], r_bar[1], p.q))
 
 
 # -- user secret key ---------------------------------------------------------
@@ -281,7 +271,7 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     written as they are."""
     td = sk.trapdoor_prime
     cmap = td.coset
-    if cmap is None or cmap.k:
+    if cmap is None:
         raise ParameterError("user secret key: E'_ID has no coset map to write")
     sections = [memoryview(np.ascontiguousarray(arr, dtype="<i4"))
                 for arr in (sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]

@@ -3,7 +3,7 @@
 The five validated constraints (names returned by validate_params):
 
   trapgen-width      m > 6 * n * ceil(log2 q)
-  sigma-sampling     sigma clears both preimage-sampling thresholds
+  sigma-sampling     sigma clears SampleD's threshold and the SampleRight term
   lwe-reduction      q > 2 * sqrt(n) / alpha
   query-bound        q > 2 * Q_bound
   decryption-margin  q >= K * sigma * m**1.5  and  alpha < 1/(sigma*ell*m*slack(m))
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .samplers import slack_factor
-from .trapdoor import SIGN_OPNORM_CONSTANT, bound_gs, gadget_length
+from .trapdoor import SIGN_OPNORM_CONSTANT, bound_gs, gadget_length, gadget_width, sample_d_floor
 from .zqlinalg import MAX_MODULUS_BITS, is_prime
 
 #: Multiplier in the decryption-margin constraint q >= K * sigma * m^(3/2).
@@ -64,9 +64,12 @@ def validate_params(p: ParamSet) -> list[str]:
         violations.append(
             f"trapgen-width: m = {p.m} must exceed 6*n*ceil(log2 q) = {width}"
         )
-    gs = bound_gs(p.n, p.q)
+    # SampleD's condition for every master draw (s1([Rbar; I])^2 = 1 + s1(Rbar)^2,
+    # s1(Rbar) below the sign-matrix bound), and the SampleRight term of the proof
+    s1_master = math.sqrt(1.0 + SIGN_OPNORM_CONSTANT**2 * p.m)
     s_rid = SIGN_OPNORM_CONSTANT * p.ell * math.sqrt(p.m)
-    sigma_floor = max(gs * slack_factor(2 * p.m), gs * s_rid * slack_factor(p.m))
+    sigma_floor = max(sample_d_floor(gadget_width(p.n, p.q) * s1_master, slack_factor(2 * p.m)),
+                      bound_gs(p.n, p.q) * s_rid * slack_factor(p.m))
     if not p.sigma > sigma_floor:
         violations.append(
             f"sigma-sampling: sigma = {p.sigma:.6g} must exceed {sigma_floor:.6g}"

@@ -8,13 +8,15 @@ thread counts, so the R block of a key file differs and, at a rounding
 tie, so could a sampled coordinate.  A key
 file carries the R extract certified E'_ID with, so a loaded key samples
 with exactly the R of the host that extracted it.  Data objects are
-immutable apart from what they build on first use.  Extract builds E'_ID's
-R factor and coset map (with projections) and the key file carries both,
-so a loaded key's only lazy state is binding its stored map to F'_ID,
-which td2 and td3_ct do once under a per-basis lock.  A key's E_ID is
-rebuilt from its R_ID on every access and kept by nobody, so it is no
-lazy state.  Decrypt and the type-1 tests read the key's preimages of U,
-fixed at extract.  The other lazy state is the integrity tag a
+immutable apart from what they build on first use.  A master trapdoor
+builds everything SampleD needs when it is made and nothing later, so
+the master key has no lazy state.  Extract builds E'_ID's R factor and
+coset map (with projections) and the key file carries both, so a loaded
+key's only lazy state is binding its stored map to F'_ID, which td2 and
+td3_ct do once under a per-basis lock.  A key's E_ID is rebuilt from its
+R_ID on every access and kept by nobody, so it is no lazy state.
+Decrypt and the type-1 tests read the key's preimages of U, fixed at
+extract.  The other lazy state is the integrity tag a
 Ciphertext keeps per parameter set, which two racing threads at worst
 compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
@@ -45,6 +47,7 @@ from .samplers import (
     sample_uniform_zq,
 )
 from .trapdoor import (
+    GadgetTrapdoor,
     TrapdoorBasis,
     gadget_basis,
     gadget_length,
@@ -83,16 +86,16 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class MasterSecretKey:
-    """The gadget trapdoors behind A and A': each holds its basis and Rbar.
+    """The gadget trapdoors behind A and A': (Abar, Rbar, q) each.
 
-    Each builds its R factor and the coset map of its public matrix
-    (W = [Rbar; I] and projections) on first use and keeps them; a
-    trapdoor asked to sample under a matrix A with A @ [Rbar; I] != G
-    (mod q), or under another matrix than its first, raises ParameterError.
+    A trapdoor asked to sample under a matrix A with A @ [Rbar; I] != G
+    (mod q) raises KeyMismatch (a ParameterError).  The bases T_A and T_A'
+    are built on each access (t_a, t_a_prime) and no draw reads them; the
+    element count is that of the two m x m bases, as published.
     """
 
-    trapdoor_a: TrapdoorBasis
-    trapdoor_a_prime: TrapdoorBasis
+    trapdoor_a: GadgetTrapdoor
+    trapdoor_a_prime: GadgetTrapdoor
 
     @property
     def t_a(self) -> np.ndarray:
@@ -103,7 +106,7 @@ class MasterSecretKey:
         return self.trapdoor_a_prime.basis
 
     def element_count(self) -> int:
-        return self.t_a.size + self.t_a_prime.size
+        return self.trapdoor_a.dim ** 2 + self.trapdoor_a_prime.dim ** 2
 
 
 @dataclass(frozen=True)
@@ -312,11 +315,12 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     first m - nk columns of A_ID) of G minus A_ID's last nk columns, so
     the check is F_ID @ [R_ID; I] == G (mod q); e_F, the preimages of U
     under F_ID; and E'_ID with e_F' from one sample_basis_left call.
-    E'_ID is certified by factoring it and keeps that R factor for td2,
-    and the coset map of F'_ID that td2 walks with is built here once.  A
-    draw that fails (SamplingError) draws the whole key again, up to
-    _EXTRACT_ATTEMPTS times.  A master key whose bases are no trapdoors
-    of pp's A and A' raises ParameterError.
+    Every master draw is SampleD (trapdoor.GadgetTrapdoor).  E'_ID is
+    certified by factoring it and keeps that R factor for td2, and the
+    coset map of F'_ID that td2 walks with is built here once.  A draw
+    that fails (SamplingError) draws the whole key again, up to
+    _EXTRACT_ATTEMPTS times.  A master key that is no trapdoor of pp's A
+    and A' raises KeyMismatch (a ParameterError) on the first draw.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)

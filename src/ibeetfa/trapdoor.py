@@ -1,31 +1,28 @@
 """Trapdoor lattices: generation, SampleLeft and basis delegation.
 
 Trapdoor generation follows the gadget template: A = [Abar | G - Abar*Rbar]
-with Rbar a random sign matrix and G the base-2 gadget.  The short basis
-of the q-ary nullspace lattice of A is assembled from the gadget-block
-columns [Rbar*S_G; S_G] (S_G the standard gadget basis, determinant q^n)
-followed by the completion columns [I - Rbar*D; -D] with D the bit
-decomposition of Abar.  Ordering the gadget block first keeps the
-Gram-Schmidt norms of the completion block at 1 or below, so the whole
-basis has Gram-Schmidt norm within a small constant of sqrt(n log q).
+with Rbar a random sign matrix and G the base-2 gadget, so
+A @ [Rbar; I] == G (mod q).  The master trapdoor is Rbar itself
+(GadgetTrapdoor), and its preimages come from Micciancio-Peikert SampleD:
+a perturbation, then a preimage under G.  The m x m basis T_A of the
+q-ary nullspace lattice of A, the gadget-block columns [Rbar*S_G; S_G]
+(S_G the standard gadget basis, determinant q^n) followed by the
+completion columns [I - Rbar*D; -D] with D the bit decomposition of
+Abar, is built only when asked for (gadget_basis); no draw uses it.
 
 The scheme samples through two functions only: sample_left, which draws
 preimages of an n x k target matrix under (A | M) with a trapdoor for A
 and checks every column it returns, and sample_basis_left, which builds a
-delegated basis (and preimages of U) from one sample_left batch.  The
-A-side walk is the randomized nearest plane of samplers.py, over the R
-factor of the trapdoor basis only.  Every coset representative is
-c = W @ y for a fixed per-basis map W of few columns (CosetMap): for
-a gadget trapdoor, which keeps the Rbar it was built from, y is the bit
-decomposition of the targets and W = [Rbar; I], which keeps every
-intermediate tiny; for any other basis y is the mod-q solution on the n
-pivot columns of A and W places it there.  The walk's projections Q^T c
-are then P @ y with P = Q^T W computed once per basis, so no Q is ever
-formed.  A gadget trapdoor forms its preimages c - B @ z from Rbar and
-the bottom nk rows of B, never from the whole m x m basis
-(preimage_from_coefficients).  A user key's map is built at extract and shipped in the key
-file; a loaded map is checked against the basis at load
-(adopt_trapdoor) and bound to its public matrix on first use.
+delegated basis (and preimages of U) from one sample_left batch.  With a
+short basis (TrapdoorBasis: a user key's E'_ID, and S_G inside SampleD)
+the A-side is the randomized nearest plane of samplers.py, over the R
+factor of the basis only.  Every coset representative is c = W @ y, y
+the mod-q solution on the n pivot columns of A and W the map that places
+it there (CosetMap).  The walk's projections Q^T c are then P @ y with
+P = Q^T W computed once per basis, so no Q is ever formed.  A user key's
+map is built at extract and shipped in the key file; a loaded map is
+checked against the basis at load (adopt_trapdoor) and bound to its
+public matrix on first use.
 """
 
 from __future__ import annotations
@@ -48,9 +45,7 @@ from .samplers import (
     slack_factor,
 )
 from .zqlinalg import (
-    _RANK_CHECK_PRIMES,
     _magnitude,
-    _pivot_columns_mod_p,
     as_residues,
     center_rep,
     check_modulus,
@@ -71,9 +66,8 @@ TRAPGEN_GS_CONSTANT = 7.0
 #: square sign matrices (and C * ell * sqrt(m) for their [-ell, ell] sums).
 SIGN_OPNORM_CONSTANT = 2.2
 
-#: How many extra preimages sample_basis_left draws beyond the dimension,
-#: to survive the (vanishingly rare) dependent column.
-_BASIS_OVERHEAD = 8
+#: SampleD's margin: c = SAMPLE_D_MARGIN * (s_G * s1(W))^2 (GadgetTrapdoor).
+SAMPLE_D_MARGIN = 1.2
 
 
 def trapgen_width(n: int, q: int) -> int:
@@ -91,12 +85,22 @@ def bound_gs(n: int, q: int) -> float:
     return TRAPGEN_GS_CONSTANT * math.sqrt(int(n) * gadget_length(q))
 
 
+def gadget_width(n: int, q: int) -> float:
+    """s_G: sqrt(5), which bounds the Gram-Schmidt norm of S_G, times slack_factor(nk)."""
+    return math.sqrt(5.0) * slack_factor(int(n) * gadget_length(q))
+
+
+def sample_d_floor(width: float, slack: float) -> float:
+    """Least sigma SampleD accepts for s_G * s1(W) = width: r = sqrt(sigma^2 - c) >= slack."""
+    return math.sqrt(SAMPLE_D_MARGIN * width * width + slack * slack)
+
+
 @dataclass(frozen=True)
 class TrapdoorPair:
     """Public matrix with a trapdoor for its q-ary nullspace lattice."""
 
     a: np.ndarray               # n x m residues
-    trapdoor: TrapdoorBasis     # m x m basis in the gadget layout
+    trapdoor: GadgetTrapdoor    # (Abar, Rbar, q)
 
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
@@ -133,8 +137,9 @@ def gadget_matrix(n: int, q: int) -> np.ndarray:
 def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     """Generate a near-uniform matrix with a short nullspace basis.
 
-    Requires m >= 6 * n * ceil(log2 q); the returned basis S satisfies
-    A @ S == 0 (mod q), det S = +-q**n, and gs_norm <= bound_gs(n, q).
+    Requires m >= 6 * n * ceil(log2 q); the trapdoor's basis S (built on
+    demand) satisfies A @ S == 0 (mod q), det S = +-q**n, and
+    gs_norm <= bound_gs(n, q).
     """
     q = check_modulus(q)
     n = int(n)
@@ -152,12 +157,7 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     r_bar = rng.integers(0, 2, (m_bar, nk)) * 2 - 1
     a_right = (gadget_matrix(n, q) - mat_mul(a_bar, r_bar, q)) % q
     a = concat_cols([a_bar, a_right])
-    return TrapdoorPair(a, gadget_trapdoor(a_bar, r_bar, q))
-
-
-def gadget_trapdoor(a_bar: np.ndarray, r_bar: np.ndarray, q: int) -> TrapdoorBasis:
-    """The basis of A = [Abar | G - Abar*Rbar], a function of (Abar, Rbar), keeping Rbar."""
-    return TrapdoorBasis(gadget_basis(a_bar, r_bar, q), r_bar=r_bar)
+    return TrapdoorPair(a, GadgetTrapdoor(a_bar, r_bar, q))
 
 
 #: Rows of Rbar per block of the products gadget_basis writes out.
@@ -204,35 +204,31 @@ def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int, dtype=np.int64,
 class CosetMap:
     """Short coset representatives under one public matrix A, as c = W @ y.
 
-    On the gadget path (k > 0) y holds the k bits of every target entry and
-    W = [Rbar; I]; otherwise y = center_rep(E @ targets mod q) with E the
-    elimination solve_mod applies to A, and W puts y on solve_mod's pivot
-    rows, so c is the centered solve_mod solution.  proj = Q^T W of the
-    basis the map belongs to, which turns the walk's projections Q^T c
-    into proj @ y.  A map read from a key file (adopt_trapdoor) holds no
-    A until TrapdoorBasis.coset_map binds it (bound_to).
+    y = center_rep(E @ targets mod q) with E the elimination solve_mod
+    applies to A, and W puts y on solve_mod's pivot rows, so c is the
+    centered solve_mod solution.  proj = Q^T W of the basis the map
+    belongs to, which turns the walk's projections Q^T c into proj @ y.
+    A map read from a key file (adopt_trapdoor) holds no A until
+    TrapdoorBasis.coset_map binds it (bound_to).
     """
 
     a: np.ndarray | None     # the public matrix (residues) the map is bound to; None if unbound
     q: int
-    k: int                   # bits per residue on the gadget path, 0 on the pivot path
-    elim: np.ndarray | None  # n x n, E (pivot path only)
-    w: np.ndarray            # d x width int64
-    proj: np.ndarray         # d x width float64
+    elim: np.ndarray         # n x n, E
+    w: np.ndarray            # d x n int64
+    proj: np.ndarray         # d x n float64
 
     @property
     def pivots(self) -> np.ndarray:
-        """The row of W that each column of W puts its coordinate on (pivot path)."""
+        """The row of W that each column of W puts its coordinate on."""
         return self.w.argmax(axis=0)
 
     def coordinates(self, targets: np.ndarray) -> np.ndarray:
         """y with A @ (W @ y) == targets (mod q)."""
-        if self.k:
-            return _bit_decompose(targets % self.q, self.k)
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
 
     def bound_to(self, a: np.ndarray, q: int) -> CosetMap:
-        """This pivot-path map bound to A: KeyMismatch (a ParameterError) unless
+        """This map bound to A: KeyMismatch (a ParameterError) unless
         A[:, pivots] @ E == I (mod q), which makes every c = W @ y a solution."""
         a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
@@ -268,21 +264,15 @@ def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
-def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int, r_bar: np.ndarray | None) -> CosetMap:
-    """The CosetMap of A for the basis behind prep: the gadget path with its
-    Rbar (ParameterError unless A @ [Rbar; I] == G mod q), else the pivot path."""
+def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int) -> CosetMap:
+    """The CosetMap of A for the basis behind prep."""
     a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
-    if r_bar is not None:
-        require_gadget_trapdoor(a, r_bar, q)
-        k = gadget_length(q)
-        w = np.vstack([r_bar, np.eye(a.shape[0] * k, dtype=np.int64)])
-        return CosetMap(a, q, k, None, w, prep.project(w))
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
     w = _pivot_map(pivots, a.shape[1])
-    return CosetMap(a, q, 0, x[pivots], w, prep.project(w))
+    return CosetMap(a, q, x[pivots], w, prep.project(w))
 
 
 def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
@@ -316,7 +306,7 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:
         raise ParameterError("projections are not Q^T W of this basis")
-    coset = CosetMap(None, q, 0, elim, _pivot_map(pivots, d), proj)
+    coset = CosetMap(None, q, elim, _pivot_map(pivots, d), proj)
     return TrapdoorBasis(prep.basis, prep=prep, coset=coset)
 
 
@@ -337,10 +327,8 @@ class TrapdoorBasis:
     binding, so one instance may serve concurrent calls.
     """
 
-    def __init__(self, basis, *, prep: PreparedBasis | None = None, r_bar: np.ndarray | None = None,
-                 coset: CosetMap | None = None):
+    def __init__(self, basis, *, prep: PreparedBasis | None = None, coset: CosetMap | None = None):
         self.basis = int_array(basis)
-        self.r_bar = r_bar  # a gadget trapdoor's Rbar, which selects the gadget path; else None
         self._prep = prep
         self._coset = coset
         self._lock = threading.RLock()
@@ -366,12 +354,12 @@ class TrapdoorBasis:
             return self
         with self._lock:
             prep = self._prep and replace(self._prep, basis=basis)
-            return TrapdoorBasis(basis, prep=prep, r_bar=self.r_bar, coset=self._coset)
+            return TrapdoorBasis(basis, prep=prep, coset=self._coset)
 
     def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
         with self._lock:
             if self._coset is None:
-                self._coset = derive_coset_map(a, self.prepared(), q, self.r_bar)
+                self._coset = derive_coset_map(a, self.prepared(), q)
             elif self._coset.a is None:
                 self._coset = self._coset.bound_to(a, q)
             elif q != self._coset.q or not np.array_equal(a, self._coset.a):
@@ -379,9 +367,75 @@ class TrapdoorBasis:
             return self._coset
 
 
-def _require_trapdoor(t) -> TrapdoorBasis:
-    if not isinstance(t, TrapdoorBasis):
-        raise TypeError(f"trapdoor must be a TrapdoorBasis, got {type(t).__name__}")
+class GadgetTrapdoor:
+    """A master trapdoor (Abar, Rbar, q): A @ W == G (mod q) for
+    A = [Abar | G - Abar*Rbar] and W = [Rbar; I].
+
+    It samples by SampleD (Micciancio-Peikert, EUROCRYPT 2012, 5.4): a
+    preimage of u at width sigma is x = p + W @ z, p a continuous Gaussian
+    with parameter matrix c*I - s_G^2 W W^T, c = SAMPLE_D_MARGIN *
+    (s_G * s1(W))^2, rounded at width r = sqrt(sigma^2 - c) (Peikert,
+    CRYPTO 2010), and z the walk's preimage of u - A @ p under G at width
+    s_G over S_G = I_n (x) S_k.  The eigendecomposition of W^T W, and S_G's
+    R factor and coset map, are built here; nothing is built later, so
+    there is no lock.  Each draw checks A first (require).  T_A is built
+    only on access (basis).
+    """
+
+    def __init__(self, a_bar, r_bar, q: int):
+        self.q = check_modulus(q)
+        self.a_bar = np.array(a_bar, dtype=np.int64)
+        self.r_bar = np.array(r_bar, dtype=np.int64)
+        n, nk = self.a_bar.shape[0], self.r_bar.shape[1]
+        self.dim = self.a_bar.shape[1] + nk
+        self.g = gadget_matrix(n, q)
+        self.width_g = gadget_width(n, q)
+        self._w = np.vstack([self.r_bar, np.eye(nk, dtype=np.int64)]).astype(np.float64)
+        lam, vecs = np.linalg.eigh(self._w.T @ self._w)  # every eigenvalue >= 1
+        self.s1 = math.sqrt(float(lam.max()))
+        self.scale = SAMPLE_D_MARGIN * (self.width_g * self.s1) ** 2  # c
+        # sqrt(c*I - s_G^2 W W^T) = sqrt(c)*I + W @ root @ W^T
+        self._root = (vecs * ((np.sqrt(self.scale - self.width_g**2 * lam) - math.sqrt(self.scale)) / lam)) @ vecs.T
+        self.g_trapdoor = TrapdoorBasis(np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, gadget_length(q))))
+        self.g_trapdoor.coset_map(self.g, q)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """T_A (gadget_basis), built on each access."""
+        return gadget_basis(self.a_bar, self.r_bar, self.q)
+
+    def require(self, a: np.ndarray, q: int) -> None:
+        """KeyMismatch unless this is a trapdoor of A for q."""
+        if q != self.q:
+            raise KeyMismatch(f"the trapdoor is for modulus {self.q}, not {q}")
+        require_gadget_trapdoor(a, self.r_bar, q)
+
+    def sigma_floor(self, slack: float) -> float:
+        return sample_d_floor(self.width_g * self.s1, slack)
+
+    def perturbation(self, g: np.ndarray) -> np.ndarray:
+        """sqrt(c*I - s_G^2 W W^T) @ g for a dim x k float matrix g, in place of g."""
+        h = self._w @ (self._root @ (self._w.T @ g))
+        g *= math.sqrt(self.scale)
+        g += h
+        return g
+
+    def preimages(self, a: np.ndarray, targets: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
+        """SampleD's preimages of the n x k targets, sigma cleared and A checked (sample_left)."""
+        p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
+        x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
+        del p
+        z = _preimage_batch(self.g, self.g_trapdoor, (targets - mat_mul(a, x, self.q)) % self.q,
+                            self.q, self.width_g, rng)
+        m_bar = self.r_bar.shape[0]
+        x[:m_bar] += exact_int_matmul(self.r_bar, z)
+        x[m_bar:] += z
+        return x
+
+
+def _require_trapdoor(t) -> TrapdoorBasis | GadgetTrapdoor:
+    if not isinstance(t, (TrapdoorBasis, GadgetTrapdoor)):
+        raise TypeError(f"trapdoor must be a TrapdoorBasis or GadgetTrapdoor, got {type(t).__name__}")
     return t
 
 
@@ -390,19 +444,14 @@ def _require_trapdoor(t) -> TrapdoorBasis:
 # ---------------------------------------------------------------------------
 
 
-def _preimage_batch(
-    a: np.ndarray,
-    td: TrapdoorBasis,
-    targets: np.ndarray,
-    q: int,
-    sigma: float,
-    rng: RandomSource,
-) -> np.ndarray:
+def _preimage_batch(a: np.ndarray, td: TrapdoorBasis, targets: np.ndarray, q: int, sigma: float,
+                    rng: RandomSource) -> np.ndarray:
+    """The walk: preimages c - B @ z, c = W @ y, of the targets under A."""
     prep = td.prepared()
     cmap = td.coset_map(a, q)
     y = cmap.coordinates(targets)
     z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
-    e = preimage_from_coefficients(td, cmap, y, z)
+    e = exact_int_matmul(cmap.w, y) - exact_int_matmul(td.basis, z)
     # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
     # direction, so anything far beyond this bound means numerical corruption.
     cap = 2.0 * math.sqrt(prep.dim) * (0.5 * prep.gs_norm + TAIL_CUT * sigma)
@@ -411,35 +460,18 @@ def _preimage_batch(
     return e
 
 
-def preimage_from_coefficients(td: TrapdoorBasis, cmap: CosetMap, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The preimage c - B @ z, c = W @ y, of the walk's coefficients z.
-
-    For a gadget trapdoor (one that keeps its Rbar) B = [[Rbar*S_G, I - Rbar*D],
-    [S_G, -D]] and W = [Rbar; I], so with z = [z1; z2] (nk and m - nk rows)
-    c - B @ z = [Rbar @ v - z2; v], v = y - [S_G, -D] @ z: the exact same
-    integers from two products of nk-wide operands, the bottom nk rows of B
-    and Rbar, instead of one with the m x m basis.  Any other basis takes
-    the dense products.
-    """
-    basis = td.basis
-    if td.r_bar is None:
-        return exact_int_matmul(cmap.w, y) - exact_int_matmul(basis, z)
-    m_bar = td.r_bar.shape[0]
-    e = np.empty(z.shape, dtype=np.int64)
-    v = np.subtract(y, exact_int_matmul(basis[m_bar:], z), out=e[m_bar:])
-    np.subtract(exact_int_matmul(td.r_bar, v), z[basis.shape[0] - m_bar :], out=e[:m_bar])
-    return e
-
-
-def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
+def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
     """Preimages E of the n x k targets U for the concatenation (A | M), using a trapdoor for A.
 
     The M-side coordinates are drawn independently Gaussian, then the
     A-side is completed by trapdoor preimage sampling of the residual
-    targets.  (A|M) @ E == U (mod q) is checked on every column before E
-    is returned.  An empty M block gives plain preimages under A.
-    With enforce_sigma, a sigma below the trapdoor's Gram-Schmidt norm
-    times slack_factor raises SamplingError.
+    targets: SampleD for a GadgetTrapdoor, the walk for a TrapdoorBasis.
+    (A|M) @ E == U (mod q) is checked on every column before E is
+    returned.  An empty M block gives plain preimages under A.  A sigma
+    below the trapdoor's threshold raises SamplingError: SampleD's
+    (GadgetTrapdoor.sigma_floor) always, a basis's Gram-Schmidt norm times
+    slack_factor only with enforce_sigma.  A GadgetTrapdoor of another
+    matrix raises KeyMismatch before anything is drawn.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -454,64 +486,56 @@ def sample_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float, rng: Ra
     td = _require_trapdoor(t_a)
     if not sigma > 0:
         raise SamplingError(f"sigma must be positive, got {sigma}")
-    gs, slack = td.prepared().gs_norm, slack_factor(a.shape[1] + m_block.shape[1])
-    if enforce_sigma and sigma < gs * slack:
-        raise SamplingError(
-            f"sigma = {sigma:.6g} is below the sampling threshold {gs * slack:.6g} "
-            f"(basis GS norm {gs:.6g} times slack {slack})"
-        )
+    slack = slack_factor(a.shape[1] + m_block.shape[1])
+    gadget = isinstance(td, GadgetTrapdoor)
+    if gadget:
+        td.require(a, q)
+        floor = td.sigma_floor(slack)
+    else:
+        floor = td.prepared().gs_norm * slack
+    if (gadget or enforce_sigma) and sigma < floor:
+        raise SamplingError(f"sigma = {sigma:.6g} is below the sampling threshold {floor:.6g} (slack {slack})")
     n_cols = u.shape[1]
     e_m = sample_z_gaussian_batch(
         sigma, np.zeros(m_block.shape[1] * n_cols), rng
     ).reshape(m_block.shape[1], n_cols)
     residual = (u - mat_mul(m_block, e_m, q)) % q
-    e_a = _preimage_batch(a, td, residual, q, sigma, rng)
+    if gadget:
+        e_a = td.preimages(a, residual, sigma, rng)
+    else:
+        e_a = _preimage_batch(a, td, residual, q, sigma, rng)
     e = np.vstack([e_a, e_m])
     if not np.array_equal(mat_mul(concat_cols([a, m_block]), e, q), u):
         raise SamplingError("sample_left congruence self-check failed")
     return e
 
 
-def _basis_candidates(zero: np.ndarray, dim: int):
-    """The first dim columns of zero, then (only if asked for) the first dim
-    columns that raise its rank mod a prime."""
-    yield np.ascontiguousarray(zero[:, :dim])
-    cols = _pivot_columns_mod_p(zero, _RANK_CHECK_PRIMES[0])
-    if len(cols) == dim:
-        yield zero[:, cols]
-
-
 def _basis_from_preimages(sampler, dim: int) -> tuple[TrapdoorBasis, np.ndarray]:
     """Assemble a nonsingular basis from one batch of Gaussian preimages of zero.
 
-    ``sampler(count)`` returns count preimages of zero, then any further
-    columns, which come back untouched next to the basis.  The first dim
+    ``sampler(dim)`` returns dim preimages of zero, then any further
+    columns, which come back untouched next to the basis.  The dim
     columns are certified nonsingular by factoring them (prepare_basis,
     whose R-only QR must clear zqlinalg.qr_singularity_bound), and the
-    basis keeps that factorization.  When that fails, the first dim
-    columns that raise the rank mod a prime are taken instead and factored
-    the same way; a batch with no certified choice raises SamplingError
-    (extract draws the whole key again).
+    basis keeps that factorization.  A batch that fails it raises
+    SamplingError (extract draws the whole key again).
     """
-    count = dim + _BASIS_OVERHEAD
-    batch = sampler(count)
-    # rest is copied so that it does not keep the whole batch alive
-    zero, rest = batch[:, :count], batch[:, count:].copy()
-    for cand in _basis_candidates(zero, dim):
-        try:
-            return TrapdoorBasis(cand, prep=prepare_basis(cand)), rest
-        except SingularMatrix:
-            pass
-    raise SamplingError("could not assemble a full-rank basis from preimages")
+    batch = sampler(dim)
+    # both parts are copied so that neither keeps the whole batch alive
+    basis, rest = np.ascontiguousarray(batch[:, :dim]), batch[:, dim:].copy()
+    try:
+        return TrapdoorBasis(basis, prep=prepare_basis(basis)), rest
+    except SingularMatrix:
+        raise SamplingError("could not certify the preimages as a full-rank basis") from None
 
 
-def sample_basis_left(a, m_block, t_a: TrapdoorBasis, u, q: int, sigma: float,
+def sample_basis_left(a, m_block, t_a, u, q: int, sigma: float,
                       rng: RandomSource) -> tuple[TrapdoorBasis, np.ndarray]:
     """Short basis of the nullspace lattice of F = (A | M) from a trapdoor for A,
     and preimages E of the columns of u (n x t) under F.
 
     One sample_left call covers the zero targets the basis is
-    assembled from and u's columns, so the preimages cost no walk of their
+    assembled from and u's columns, so the preimages cost no draw of their
     own.  Returns (basis, E): the basis is certified nonsingular by its
     own factorization, which it keeps (see _basis_from_preimages).  Both
     are columns of the sample_left batch, which checked F @ basis == 0

@@ -34,9 +34,6 @@ _MAX_INNER_DIM = 1 << 14
 
 _MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Primes just below 2**25, used for randomized exact rank checks.
-_RANK_CHECK_PRIMES = (33554393, 33554383, 33554371)
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
@@ -344,34 +341,6 @@ def certified_r_factor(s) -> np.ndarray:
     if not float(np.abs(np.diag(r)).min()) > bound:
         raise SingularMatrix("basis columns are (numerically) linearly dependent")
     return r
-
-
-def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
-    """Columns of s that raise its rank over GF(p), in order: one elimination pass.
-
-    Their count is the rank of s mod p.  p < 2**26 keeps every product
-    below 2**52, exact in int64.
-    """
-    a = np.mod(s, p)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        rank = len(pivots)
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(a[rank:, c] != 0))
-        if a[piv, c] == 0:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank, c:] = a[rank, c:] * inv % p
-        # rows below the pivot are zero left of column c
-        rest = a[rank + 1 :, c:]
-        rest -= np.outer(rest[:, 0], a[rank, c:])
-        np.remainder(rest, p, out=rest)
-        pivots.append(c)
-    return pivots
 
 
 def solve_mod(a, b, q: int) -> np.ndarray:

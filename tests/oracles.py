@@ -7,15 +7,38 @@ import numpy as np
 
 from ibeetfa.errors import DimensionMismatch, SingularMatrix
 from ibeetfa.samplers import RandomSource
-from ibeetfa.zqlinalg import (
-    _RANK_CHECK_PRIMES,
-    GS_EXACT_DIM,
-    _gs_norms_fraction,
-    _pivot_columns_mod_p,
-    as_residues,
-    certified_r_factor,
-    mat_mul,
-)
+from ibeetfa.zqlinalg import GS_EXACT_DIM, _gs_norms_fraction, as_residues, certified_r_factor, mat_mul
+
+# Primes just below 2**25, used for randomized exact rank checks.
+_RANK_CHECK_PRIMES = (33554393, 33554383, 33554371)
+
+
+def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
+    """Columns of s that raise its rank over GF(p), in order: one elimination pass.
+
+    Their count is the rank of s mod p.  p < 2**26 keeps every product
+    below 2**52, exact in int64.
+    """
+    a = np.mod(s, p)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        piv = rank + int(np.argmax(a[rank:, c] != 0))
+        if a[piv, c] == 0:
+            continue
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        inv = pow(int(a[rank, c]), p - 2, p)
+        a[rank, c:] = a[rank, c:] * inv % p
+        # rows below the pivot are zero left of column c
+        rest = a[rank + 1 :, c:]
+        rest -= np.outer(rest[:, 0], a[rank, c:])
+        np.remainder(rest, p, out=rest)
+        pivots.append(c)
+    return pivots
 
 
 def operator_norm(r, iters: int = 50) -> float:

@@ -16,10 +16,10 @@ import pytest
 from ibeetfa import fileio
 from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
-from ibeetfa.errors import FormatError, IbeetfaError, KeyMismatch, ParameterError
+from ibeetfa.errors import FormatError, IbeetfaError, KeyMismatch
 from ibeetfa.samplers import RandomSource
-from ibeetfa.scheme import MasterSecretKey, decrypt, encrypt, encrypt_traced, extract, identity_from_string, setup
-from ibeetfa.trapdoor import TrapdoorBasis, gadget_length
+from ibeetfa.scheme import decrypt, encrypt, encrypt_traced, extract, identity_from_string, setup
+from ibeetfa.trapdoor import gadget_length
 
 from conftest import MINI, random_message, sk_sections
 
@@ -587,12 +587,6 @@ class TestMasterKeyFile:
                             "--id", "eve", "--out", unused])
         assert code == 65
         assert "no trapdoor of these public parameters" in capsys.readouterr().err
-
-    def test_trapdoor_without_rbar_cannot_be_written(self, mini_system):
-        _, msk = mini_system
-        bare = MasterSecretKey(TrapdoorBasis(msk.t_a), msk.trapdoor_a_prime)
-        with pytest.raises(ParameterError, match="without its Rbar"):
-            fileio.dump_master_secret(bare, MINI)
 
 
 class TestParamsVerb:

@@ -260,19 +260,27 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.  CT, CT_BODY, TD2 and TD3_CT
-    last changed when encrypt began drawing its R_ID = sum_i b_i R_i in
-    one pass, each entry a sum of ell uniform signs from one byte draw,
-    in place of ell sign matrices: R_ID and the tag R drawn after it
-    moved, so did c3, c4 and c5 (c1 and c2 are drawn before R_ID and
-    stayed), and td2 and td3_ct bind to the ciphertext; setup and
-    extract, which never draw R_ID, kept PP, MSK, SK, TD1 and TD3_BASIS.
-    SK, TD1 and TD3_BASIS last changed when the 1-D sampler for
-    sigma >= 2 became rejection from a rounded continuous Gaussian (one
-    normal and one uniform per proposal, where the bilateral-geometric
-    sampler before it drew three uniforms): every draw of extract, td2
-    and td3_ct goes through it, so every sampled key word and e_F' (TD1,
-    TD3_BASIS) moved.  The change before that was the key's gadget
+    td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
+    TD3_CT last changed when every master draw of extract became SampleD
+    over Rbar (a perturbation rounded by the 1-D sampler, then a walk over
+    S_G under G) in place of the walk over the basis T_A, and E'_ID's batch
+    lost the 8 spare columns only a removed fallback read: R_ID, E'_ID,
+    e_F and e_F' moved (SK), e_F' is TD1 and TD3_BASIS, and td2 and td3_ct
+    walk with the new E'_ID (TD2, TD3_CT).  Setup and encrypt draw nothing
+    through a master trapdoor, so PP, MSK, CT and CT_BODY stayed.  The
+    values are the same at 1 and 2 BLAS threads.  Before that, CT,
+    CT_BODY, TD2 and TD3_CT changed when encrypt began drawing its
+    R_ID = sum_i b_i R_i in one pass, each entry a sum of ell uniform
+    signs from one byte draw, in place of ell sign matrices: R_ID and the
+    tag R drawn after it moved, so did c3, c4 and c5 (c1 and c2 are drawn
+    before R_ID and stayed), and td2 and td3_ct bind to the ciphertext;
+    setup and extract, which never draw R_ID, kept PP, MSK, SK, TD1 and
+    TD3_BASIS.  SK, TD1 and TD3_BASIS changed before that when the 1-D
+    sampler for sigma >= 2 became rejection from a rounded continuous
+    Gaussian (one normal and one uniform per proposal, where the
+    bilateral-geometric sampler before it drew three uniforms): every draw
+    of extract, td2 and td3_ct goes through it, so every sampled key word
+    and e_F' (TD1, TD3_BASIS) moved.  The change before that was the key's gadget
     trapdoor R_ID in place of the basis E_ID (sk format version 5).  SK
     pins the key file without its two binary64 sections, the R block and
     the projections P of E'_ID's coset map: LAPACK's QR rounds R's last
@@ -286,13 +294,13 @@ class TestGoldenBytes:
 
     CT = "d4ba5daf9d976a6fbdfcedafeb387e9a6bc862b0143a706447d5cb4b6fea47d0"
     CT_BODY = "adc5a3674af98d7fff3689a6cc7a36174e247db06ba5b913c37035b8aae80fe4"
-    TD2 = "fa9f883827b7f354b1b80d307eeea52ff2b9537c7b86e88598788a310d67200f"
-    SK = "c102e57a04906284d2fd335abc9d19f0df76ce57e17d400df505dfe683e89958"
+    TD2 = "3e59f41ff021ad4655e47189c0700ae382e67c9af1e35753108f3a1531a7fcd5"
+    SK = "68288278965178407088260f5e4ecf421797cac8a99d71307c972d1f48643cc3"
     PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
     MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
-    TD1 = "3364cec64ffa5d4a541547d8eeb3b8557ed5980c8a0cde3cfee35f4240885577"
-    TD3_BASIS = "cdee614877807ea0d6b591afb72d1341f1d93fc30e020e04066ea771eb4f89d6"
-    TD3_CT = "497356c5449c54672588dc7862dbda800f572074f566e6900ab3873820eee915"
+    TD1 = "baafd6a4e9b236cb547755e3503eb85321c35bcd35a0d5aea52257a7f5d72b33"
+    TD3_BASIS = "51124f8bc1ef179d676caa3c711a82ab8bc23693959484050e7181d396e290d9"
+    TD3_CT = "f4891b6cb1866f421464543711d8ef52e3649b648666f550e5baf2b8ecc6193f"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system

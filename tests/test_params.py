@@ -13,7 +13,7 @@ from ibeetfa.params import (
     validate_params,
 )
 from ibeetfa.samplers import slack_factor
-from ibeetfa.trapdoor import SIGN_OPNORM_CONSTANT, bound_gs
+from ibeetfa.trapdoor import SAMPLE_D_MARGIN, SIGN_OPNORM_CONSTANT, bound_gs, gadget_length
 
 
 def base_valid():
@@ -41,11 +41,15 @@ class TestWidthConstraint:
 
 class TestSigmaConstraint:
     def test_floor_formula(self):
+        # SampleD's condition on every master draw, with s1([Rbar; I]) at
+        # most sqrt(1 + (C sqrt(m))^2) and s_G = sqrt(5) * slack(nk), and the
+        # SampleRight term
         p = base_valid()
-        gs = bound_gs(p.n, p.q)
+        s_g = math.sqrt(5) * slack_factor(p.n * gadget_length(p.q))
+        s1 = math.sqrt(1 + SIGN_OPNORM_CONSTANT**2 * p.m)
         floor = max(
-            gs * slack_factor(2 * p.m),
-            gs * SIGN_OPNORM_CONSTANT * p.ell * math.sqrt(p.m) * slack_factor(p.m),
+            math.sqrt(SAMPLE_D_MARGIN * (s_g * s1) ** 2 + slack_factor(2 * p.m) ** 2),
+            bound_gs(p.n, p.q) * SIGN_OPNORM_CONSTANT * p.ell * math.sqrt(p.m) * slack_factor(p.m),
         )
         assert "sigma-sampling" in violation_names(with_changes(p, sigma=floor * 0.99))
         assert "sigma-sampling" not in violation_names(with_changes(p, sigma=floor * 1.01))

@@ -1,21 +1,25 @@
 """Trapdoor generation and preimage/basis sampling."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ibeetfa import scheme, trapdoor
-from ibeetfa.errors import DimensionMismatch, ParameterError, SamplingError
+from ibeetfa import fileio, scheme, trapdoor
+from ibeetfa.errors import DimensionMismatch, KeyMismatch, ParameterError, SamplingError
 from ibeetfa.params import preset
 from ibeetfa.samplers import RandomSource, slack_factor
 from ibeetfa.scheme import identity_from_string
 from ibeetfa.trapdoor import (
+    SAMPLE_D_MARGIN,
     SIGN_OPNORM_CONSTANT,
+    GadgetTrapdoor,
     TrapdoorBasis,
     bound_gs,
     gadget_length,
-    gadget_trapdoor,
     sample_basis_left,
     sample_left,
     trap_gen,
@@ -45,9 +49,21 @@ def basis_gs_norm(pair):
     return gram_schmidt_norm(pair.trapdoor.basis)
 
 
+def master_sigma(pair, width):
+    """5% above the least sigma SampleD accepts from the pair's trapdoor in
+    a sample_left of that many columns."""
+    return pair.trapdoor.sigma_floor(slack_factor(width)) * 1.05
+
+
 def preimages_under_a(a, td, u, q, sigma, rng):
     """SamplePre: sample_left with an empty M block."""
     return sample_left(a, np.zeros((a.shape[0], 0), dtype=np.int64), td, u, q, sigma, rng)
+
+
+def preimages_under_a_waived(a, td, u, sigma, enforce):
+    """preimages_under_a at MINI.q with enforce_sigma as given."""
+    return sample_left(a, np.zeros((a.shape[0], 0), dtype=np.int64), td, u, MINI.q, sigma,
+                       RandomSource(481), enforce_sigma=enforce)
 
 
 class TestTrapGen:
@@ -82,7 +98,7 @@ class TestTrapGen:
         assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
 
     def test_aux_recoverable_from_matrices(self):
-        # the trapdoor keeps its Rbar, A @ [Rbar; I] == G (mod q), so A has
+        # the trapdoor is its Rbar, A @ [Rbar; I] == G (mod q), so A has
         # rank n for every q: setup draws each public matrix once; the basis
         # is a fixed function of (Abar, Rbar), which the master key file relies on
         for q, n in ((7, 1), (Q_SMALL, 2), (MINI.q, MINI.n), (TOY.q, TOY.n)):
@@ -96,12 +112,13 @@ class TestTrapGen:
                 w = np.vstack([r_bar, np.eye(n * k, dtype=np.int64)])
                 assert np.array_equal(mat_mul(pair.a, w, q), gadget % q), (q, seed)
                 solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
-                rebuilt = gadget_trapdoor(pair.a[:, : m - n * k], r_bar, q)
+                rebuilt = GadgetTrapdoor(pair.a[:, : m - n * k].copy(), r_bar, q)
                 assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
-        # the basis's coset map takes the gadget path: W = [Rbar; I]
-        cmap = pair.trapdoor.coset_map(pair.a, q)
-        assert cmap.k == k and cmap.elim is None
-        assert np.array_equal(cmap.w, w)
+        # SampleD's G-sampling walks S_G with G's coset map: the unit digit of
+        # each row is its pivot, so E = I
+        cmap = pair.trapdoor.g_trapdoor.coset
+        assert np.array_equal(cmap.a, gadget) and np.array_equal(cmap.pivots, np.arange(n) * k)
+        assert np.array_equal(cmap.elim, np.eye(n, dtype=np.int64))
 
 
 class TestSamplePre:
@@ -110,7 +127,7 @@ class TestSamplePre:
     def test_zero_target_stays_in_lattice(self):
         pair, q, n, m = small_pair(19)
         rng = RandomSource(23)
-        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
+        sigma = master_sigma(pair, m)
         e = preimages_under_a(pair.a, pair.trapdoor, np.zeros((n, 1), dtype=np.int64), q, sigma, rng)
         assert not np.any(mat_mul(pair.a, e, q))
         assert np.any(e)  # a lattice point, but not forced to be zero
@@ -118,7 +135,7 @@ class TestSamplePre:
     def test_random_targets_congruence(self):
         pair, q, n, m = small_pair(29)
         rng = RandomSource(31)
-        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
+        sigma = master_sigma(pair, m)
         targets = RandomSource(37).integers(0, q, (n, 1000))
         e = preimages_under_a(pair.a, pair.trapdoor, targets, q, sigma, rng)
         assert np.array_equal(mat_mul(pair.a, e, q), targets)
@@ -126,7 +143,7 @@ class TestSamplePre:
     def test_norm_tail(self):
         pair, q, n, m = small_pair(41)
         rng = RandomSource(43)
-        sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
+        sigma = master_sigma(pair, m)
         targets = RandomSource(47).integers(0, q, (n, 1000))
         e = preimages_under_a(pair.a, pair.trapdoor, targets, q, sigma, rng)
         norms = np.linalg.norm(e.astype(float), axis=0)
@@ -155,7 +172,7 @@ class TestSampleLeft:
         pair, q, n, m = small_pair(73)
         m1 = 8
         mblk = RandomSource(79).integers(0, q, (n, m1))
-        sigma = basis_gs_norm(pair) * slack_factor(m + m1) * 1.05
+        sigma = master_sigma(pair, m + m1)
         e = sample_left(pair.a, mblk, pair.trapdoor, np.zeros((n, 1), dtype=np.int64), q, sigma, RandomSource(83))
         f1 = concat_cols([pair.a, mblk])
         assert not np.any(mat_mul(f1, e, q))
@@ -163,7 +180,7 @@ class TestSampleLeft:
     def test_toy_instance_exhaustive_congruence(self):
         pair7 = trap_gen(7, 1, 18, RandomSource(87))
         mblk = RandomSource(89).integers(0, 7, (1, 4))
-        sigma = basis_gs_norm(pair7) * slack_factor(22) * 1.05
+        sigma = master_sigma(pair7, 22)
         u = np.arange(7, dtype=np.int64).reshape(1, -1)  # every residue target
         e = sample_left(pair7.a, mblk, pair7.trapdoor, u, 7, sigma, RandomSource(97))
         f1 = concat_cols([pair7.a, mblk])
@@ -173,7 +190,7 @@ class TestSampleLeft:
         pair, q, n, m = small_pair(101)
         m1 = m
         mblk = RandomSource(103).integers(0, q, (n, m1))
-        sigma = basis_gs_norm(pair) * slack_factor(m + m1) * 1.05
+        sigma = master_sigma(pair, m + m1)
         u = RandomSource(107).integers(0, q, (n, 200))
         e = sample_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(109))
         norms = np.linalg.norm(e.astype(float), axis=0)
@@ -184,7 +201,7 @@ class TestSampleLeft:
         # an evenly spaced subset of the columns
         pair, q, n, m = small_pair(113)
         mblk = RandomSource(127).integers(0, q, (n, 6))
-        sigma = basis_gs_norm(pair) * slack_factor(m + 6) * 1.05
+        sigma = master_sigma(pair, m + 6)
         u = RandomSource(131).integers(0, q, (n, 64))
         draw = trapdoor._preimage_batch
 
@@ -229,7 +246,7 @@ class TestBasisSampling:
         m = trapgen_width(n, q)
         pair = trap_gen(q, n, m, RandomSource(401))
         mblk = RandomSource(403).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         f1 = concat_cols([pair.a, mblk])
         good = 0
         for i in range(50):
@@ -240,7 +257,7 @@ class TestBasisSampling:
     def test_basis_left_passes_nullspace_check(self):
         pair, q, n, m = small_pair(193)
         mblk = RandomSource(197).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         for i in range(3):
             basis = basis_only(pair, mblk, q, sigma, 199 + i).basis
             f1 = concat_cols([pair.a, mblk])
@@ -249,14 +266,14 @@ class TestBasisSampling:
     def test_basis_left_gs_norm_bounded(self):
         pair, q, n, m = small_pair(211)
         mblk = RandomSource(223).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         basis = basis_only(pair, mblk, q, sigma, 227).basis
         assert gram_schmidt_norm(basis) <= 2 * sigma * math.sqrt(2 * m)
 
     def test_basis_left_full_rank(self):
         pair, q, n, m = small_pair(229)
         mblk = RandomSource(233).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         basis = basis_only(pair, mblk, q, sigma, 239).basis
         assert basis.shape == (2 * m, 2 * m)
         assert is_nonsingular(basis)
@@ -265,7 +282,7 @@ class TestBasisSampling:
         # the same draws give the basis and exact preimages of every target column
         pair, q, n, m = small_pair(241)
         mblk = RandomSource(251).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         u = RandomSource(257).integers(0, q, (n, 5))
         basis, e = sample_basis_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(263))
         f1 = concat_cols([pair.a, mblk])
@@ -279,7 +296,7 @@ class TestBasisSampling:
         # extension, and the congruence survives the second hop
         pair, q, n, m = small_pair(283)
         mblk = RandomSource(293).integers(0, q, (n, m))
-        sigma = basis_gs_norm(pair) * slack_factor(2 * m) * 1.05
+        sigma = master_sigma(pair, 2 * m)
         basis = basis_only(pair, mblk, q, sigma, 307)
         f1 = concat_cols([pair.a, mblk])
         ext = RandomSource(311).integers(0, q, (n, m))
@@ -289,8 +306,8 @@ class TestBasisSampling:
 
 
 class TestBasisFromPreimages:
-    """The certificate and the fallback of _basis_from_preimages, and extract's
-    retry around it, with stub samplers."""
+    """The certificate of _basis_from_preimages, and extract's retry around
+    it (the only retry), with stub samplers."""
 
     @staticmethod
     def stub(*batches):
@@ -302,27 +319,9 @@ class TestBasisFromPreimages:
 
         return sampler, calls
 
-    def test_dependent_columns_skipped_in_order(self, monkeypatch):
-        dim = 200
-        batch = RandomSource(353).integers(-20, 21, (dim, dim + 8)) + 300 * np.eye(dim, dim + 8, dtype=np.int64)
-        batch[:, 1] = batch[:, 0]
-        batch[:, 5] = batch[:, 2] - 3 * batch[:, 4]
-        sampler, calls = self.stub(batch)
-        preps = CallCounter(trapdoor.prepare_basis)
-        monkeypatch.setattr(trapdoor, "prepare_basis", preps)
-        got, rest = trapdoor._basis_from_preimages(sampler, dim)
-        keep = [j for j in range(dim + 2) if j not in (1, 5)]
-        assert np.array_equal(got.basis, batch[:, keep])
-        assert rest.shape == (dim, 0)
-        assert calls == [dim + 8]
-        # a certificate is a factorization: the first dim columns fail one,
-        # the pivot columns pass one, and the basis keeps that R
-        assert preps.calls == 2
-        assert got._prep is not None and got.prepared().basis is got.basis
-
     def test_uncertified_batch_raises_after_one_draw(self, monkeypatch):
-        # full rank mod p, but 2**60 + 1 rounds to 2**60 in float64, so the
-        # float certificate fails for the chosen subset as well; the batch
+        # nonsingular, but 2**60 + 1 rounds to 2**60 in float64, so the
+        # float certificate fails; no other columns are tried and the batch
         # is not drawn again (extract's loop redraws the whole key)
         big = 1 << 60
         bad = np.zeros((2, 10), dtype=np.int64)
@@ -332,8 +331,8 @@ class TestBasisFromPreimages:
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
         with pytest.raises(SamplingError):
             trapdoor._basis_from_preimages(sampler, 2)
-        assert calls == [10]
-        assert preps.calls == 2  # the first columns, then the pivot columns
+        assert calls == [2]
+        assert preps.calls == 1
 
     def test_extract_redraws_the_whole_key(self, mini_system, monkeypatch):
         # extract's loop is the only retry: a failed E'_ID draw draws R_ID and
@@ -390,37 +389,13 @@ class TestBasisFromPreimages:
         counted = CallCounter(scheme.sample_basis_left)
         monkeypatch.setattr(scheme, "sample_left", lefts)
         monkeypatch.setattr(scheme, "sample_basis_left", counted)
-        with pytest.raises(ParameterError):
+        with pytest.raises(KeyMismatch):
             scheme.extract(pp, other_msk, identity_from_string("judy", MINI.ell), RandomSource(433))
         assert lefts.calls == 1 and counted.calls == 0
 
 
 class TestGadgetPreimage:
-    """A master preimage comes from R̄ and the bottom nk rows of T_A, never from
-    the m x m basis, and equals the dense c - T_A @ z, c = [R̄; I] @ y."""
-
-    @staticmethod
-    def dense_agrees(pp, msk, q):
-        td = msk.trapdoor_a
-        cmap = td.coset_map(pp.a, q)
-        m, nk = td.basis.shape[0], cmap.w.shape[1]
-        rng = RandomSource(439)
-        y = rng.integers(0, 2, (nk, 7))
-        z = rng.integers(-(1 << 30), (1 << 30) + 1, (m, 7))
-        z[rng.integers(0, m, 12), rng.integers(0, 7, 12)] = 1 << 30
-        z[rng.integers(0, m, 12), rng.integers(0, 7, 12)] = -(1 << 30)
-        # every product stays far inside int64, so numpy's integer matmul is exact
-        assert m * int(np.abs(td.basis).max()) * (1 << 30) < 1 << 62
-        want = cmap.w @ y - td.basis @ z
-        assert np.array_equal(trapdoor.preimage_from_coefficients(td, cmap, y, z), want)
-
-    def test_matches_dense_on_mini_master_key(self, mini_system):
-        pp, msk = mini_system
-        self.dense_agrees(pp, msk, MINI.q)
-
-    def test_matches_dense_on_toy_master_key(self):
-        pp, msk = scheme.setup(TOY, RandomSource(443))
-        self.dense_agrees(pp, msk, TOY.q)
+    """A master draw never forms T_A: SampleD works from Rbar and S_G."""
 
     def test_no_master_draw_multiplies_by_the_basis(self, mini_system, monkeypatch):
         pp, msk = mini_system
@@ -446,46 +421,147 @@ class TestGadgetPreimage:
                               pair.trapdoor.basis)
 
 
+#: Prints digests of the master-side draws of one seeded MINI extract.
+_MASTER_DRAWS = """
+import hashlib
+from conftest import MINI
+from ibeetfa.samplers import RandomSource
+from ibeetfa.scheme import extract, identity_from_string, setup
+pp, msk = setup(MINI, RandomSource(461))
+sk = extract(pp, msk, identity_from_string("olga", MINI.ell), RandomSource(463))
+for arr in (sk.r_id, sk.e_f, sk.e_f_prime, sk.e_id_prime):
+    print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+class TestSampleD:
+    """The master trapdoor samples by SampleD from Rbar alone."""
+
+    @pytest.mark.parametrize("p", [MINI, TOY, preset("small")], ids=["MINI", "toy", "small"])
+    def test_perturbation_covariance_is_positive_semidefinite(self, p):
+        # perturbation(I) is the square root of c*I - s_G^2 W W^T, whose
+        # least eigenvalue is (SAMPLE_D_MARGIN - 1) * (s_G * s1(W))^2 > 0
+        td = trap_gen(p.q, p.n, p.m, RandomSource(467)).trapdoor
+        w = np.vstack([td.r_bar, np.eye(td.r_bar.shape[1])])
+        assert td.s1 == pytest.approx(np.linalg.norm(w, 2), rel=1e-12)
+        assert td.scale == pytest.approx(SAMPLE_D_MARGIN * (td.width_g * td.s1) ** 2, rel=1e-12)
+        root = td.perturbation(np.eye(p.m))
+        cov = root @ root.T
+        want = td.scale * np.eye(p.m) - td.width_g**2 * (w @ w.T)
+        assert np.allclose(cov, want, rtol=0, atol=1e-9 * td.scale)
+        least = (SAMPLE_D_MARGIN - 1) * (td.width_g * td.s1) ** 2
+        assert np.linalg.eigvalsh(cov).min() == pytest.approx(least, rel=1e-6)
+
+    def test_sigma_below_the_threshold_raises_without_waiver(self, mini_system):
+        pp, msk = mini_system
+        td = msk.trapdoor_a
+        u = RandomSource(479).integers(0, MINI.q, (MINI.n, 3))
+        floor = td.sigma_floor(slack_factor(MINI.m))
+        assert floor == pytest.approx(math.sqrt(td.scale + slack_factor(MINI.m) ** 2))
+        for enforce in (True, False):
+            with pytest.raises(SamplingError, match="below the sampling threshold"):
+                preimages_under_a_waived(pp.a, td, u, floor * 0.999, enforce)
+        e = preimages_under_a_waived(pp.a, td, u, floor * 1.001, False)
+        assert np.array_equal(mat_mul(pp.a, e, MINI.q), u)
+
+    def test_preimages_of_zero_have_covariance_sigma2_over_2pi(self, mini_system):
+        # x ~ D_{Lambda^perp(A), sigma}: at sigma far above smoothing its
+        # covariance is sigma^2/(2 pi) I.  The sample covariance of N draws
+        # in dimension m has eigenvalues within (1 +- sqrt(m/N))^2 of that.
+        pp, msk = mini_system
+        m, count = MINI.m, 4000
+        x = preimages_under_a(pp.a, msk.trapdoor_a, np.zeros((MINI.n, count), dtype=np.int64),
+                              MINI.q, MINI.sigma, RandomSource(487)).astype(np.float64)
+        assert not np.any(mat_mul(pp.a, x.astype(np.int64), MINI.q))
+        cov = (x @ x.T) / count / (MINI.sigma**2 / (2 * math.pi))
+        assert abs(float(x.mean())) < 4 * MINI.sigma / math.sqrt(2 * math.pi * m * count)
+        assert abs(float(np.trace(cov)) / m - 1) < 0.01
+        spread = math.sqrt(m / count)
+        eig = np.linalg.eigvalsh(cov)
+        assert (1 - spread) ** 2 - 0.1 < eig.min() and eig.max() < (1 + spread) ** 2 + 0.1, eig[[0, -1]]
+
+    def test_load_and_extract_build_no_master_basis(self, mini_system, monkeypatch):
+        pp, msk = mini_system
+        built, prepared = [], []
+        real_basis, real_prep = trapdoor.gadget_basis, trapdoor.prepare_basis
+
+        def basis_spy(*args, **kwargs):
+            built.append(np.shape(args[0]))
+            return real_basis(*args, **kwargs)
+
+        def prep_spy(basis):
+            prepared.append(np.shape(basis))
+            return real_prep(basis)
+
+        for mod in (trapdoor, scheme):
+            monkeypatch.setattr(mod, "gadget_basis", basis_spy)
+        monkeypatch.setattr(trapdoor, "prepare_basis", prep_spy)
+        loaded = fileio.load_master_secret(fileio.dump_master_secret(msk, MINI), pp)
+        scheme.extract(pp, loaded, identity_from_string("nina", MINI.ell), RandomSource(491))
+        assert loaded.element_count() == 2 * MINI.m**2
+        nk = MINI.n * gadget_length(MINI.q)
+        assert built == []
+        # S_G of each master trapdoor at load, then E'_ID's certificate
+        assert prepared == [(nk, nk), (nk, nk), (2 * MINI.m, 2 * MINI.m)]
+
+    def test_master_draws_do_not_follow_the_blas_thread_count(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run([sys.executable, "-c", _MASTER_DRAWS], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.append(out.stdout.split())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
 class TestCosetMapBinding:
-    """A basis's coset map belongs to the public matrix it was derived for."""
+    """A basis's coset map belongs to the public matrix it was derived for;
+    a master trapdoor checks its matrix on every draw."""
 
     def test_other_matrix_raises_after_first_use(self):
         pair, q, n, m = small_pair(361)
         other, _, _, _ = small_pair(367)
+        td = TrapdoorBasis(pair.trapdoor.basis)
         sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
         u = RandomSource(373).integers(0, q, (n, 4))
-        assert np.array_equal(mat_mul(pair.a, preimages_under_a(pair.a, pair.trapdoor, u, q, sigma,
+        assert np.array_equal(mat_mul(pair.a, preimages_under_a(pair.a, td, u, q, sigma,
                                                                 RandomSource(379)), q), u)
-        with pytest.raises(ParameterError):
-            pair.trapdoor.coset_map(other.a, q)
-        with pytest.raises(ParameterError):
-            pair.trapdoor.coset_map(pair.a, 4091)
-        assert pair.trapdoor.coset_map(pair.a.copy(), q) is pair.trapdoor.coset_map(pair.a, q)
+        with pytest.raises(KeyMismatch):
+            td.coset_map(other.a, q)
+        with pytest.raises(KeyMismatch):
+            td.coset_map(pair.a, 4091)
+        assert td.coset_map(pair.a.copy(), q) is td.coset_map(pair.a, q)
 
     def test_gadget_basis_of_another_matrix_raises_before_binding(self):
-        # a gadget trapdoor whose Rbar does not give A @ [Rbar; I] == G is
-        # refused on first use, and nothing is kept for that matrix
+        # a master trapdoor whose Rbar does not give A @ [Rbar; I] == G is
+        # refused before anything is drawn, and keeps nothing for that matrix
         pair, q, n, m = small_pair(383)
         other, _, _, _ = small_pair(389)
-        r_bar = pair.trapdoor.r_bar
-        td = gadget_trapdoor(pair.a[:, : r_bar.shape[0]], r_bar, q)
-        with pytest.raises(ParameterError):
-            td.coset_map(other.a, q)
-        assert td._coset is None
-        assert td.coset_map(pair.a, q).k == pair.trapdoor.coset_map(pair.a, q).k
+        td = GadgetTrapdoor(pair.a[:, : pair.trapdoor.r_bar.shape[0]], pair.trapdoor.r_bar, q)
+        held = dict(vars(td))
+        u = RandomSource(391).integers(0, q, (n, 4))
+        for a, modulus in ((other.a, q), (pair.a, 4091)):
+            rng = RandomSource(393)
+            with pytest.raises(KeyMismatch):
+                preimages_under_a(a, td, u, modulus, 1e6, rng)
+            assert rng.random() == RandomSource(393).random()
+        assert vars(td).keys() == held.keys() and all(vars(td)[k] is v for k, v in held.items())
+        e = preimages_under_a(pair.a, td, u, q, master_sigma(pair, m), RandomSource(397))
+        assert np.array_equal(mat_mul(pair.a, e, q), u)
 
     def test_pivot_path_reproduces_solve_mod(self):
-        # a basis without its Rbar takes the pivot path, whatever its layout:
-        # W @ y is the centered solve_mod solution
+        # a basis takes the pivot path, whatever its layout: W @ y is the
+        # centered solve_mod solution
         pair, q, n, m = small_pair(397)
         perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
         td = TrapdoorBasis(np.ascontiguousarray(pair.trapdoor.basis[:, perm]))
         cmap = td.coset_map(pair.a, q)
-        assert cmap.k == 0 and cmap.w.shape == (m, n)
+        assert cmap.w.shape == (m, n)
         targets = RandomSource(409).integers(0, q, (n, 12))
         got = cmap.w @ cmap.coordinates(targets)
         assert np.array_equal(got, center_rep(solve_mod(pair.a, targets, q), q))
-        assert TrapdoorBasis(pair.trapdoor.basis).coset_map(pair.a, q).k == 0
 
 
 @pytest.mark.parametrize("sampler", ["sample_left", "sample_basis_left"])
