@@ -9,9 +9,9 @@ Gaussians are the randomized-nearest-plane walk of klein_coefficients
 over the R factor that prepare_basis keeps of a basis (or adopt_r_factor
 takes over, checked, from a key file); no Q is ever formed.  A walk
 takes the projections Q^T t of its d x k targets (one walk per column),
-which PreparedBasis.project computes from R and the basis, through the
-walk's own back substitution (_nearest_plane).  Encryption's noise and
-small matrices are drawn here too.
+which prepare_basis gives for the t = W @ y of a coset map by applying
+the QR's Householder reflectors to W.  Encryption's noise and small
+matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -198,9 +198,8 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-#: Rows per block of the back substitution (_nearest_plane), of the
-#: forward substitution (PreparedBasis._solve_rt) and of the pass over R
-#: that checks a stored R factor (adopt_r_factor).
+#: Rows per block of the walk's back substitution (klein_coefficients)
+#: and of the pass over R that checks a stored R factor (adopt_r_factor).
 WALK_BLOCK = 64
 
 
@@ -209,7 +208,7 @@ class PreparedBasis:
     """The R factor of a column basis, reused across many sampling calls.
 
     No Q is formed or kept: a walk needs only R and the projections Q^T t
-    of its targets, and project computes those from R and the basis.
+    of its targets, which a coset map holds as P = Q^T W (prepare_basis).
     Only the upper triangle of R is kept, row after row, which halves its
     memory: a key holds this data for as long as it lives.  basis is the
     factored array itself, int32 or int64, never a copy: for a user key's
@@ -234,24 +233,6 @@ class PreparedBasis:
     def gs_norm(self) -> float:
         return float(self.gs_norms.max())
 
-    def project(self, t) -> np.ndarray:
-        """Q^T t = R^-T (B^T t) for a d x k matrix t, without Q.
-
-        B^T t holds far larger entries than Q^T t whenever R has large
-        entries above its diagonal, so the plain solve loses digits to
-        cancellation; one correction step with the residual
-        t - B R^-1 p (the corrected seminormal equations) leaves only the
-        rounding error of the computed R itself, which an explicit Q
-        carries too.
-        """
-        t = np.asarray(t, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != self.dim:
-            raise DimensionMismatch(f"t must be {self.dim} x k, got shape {t.shape}")
-        bf = self.basis.astype(np.float64)
-        p = self._solve_rt(bf.T @ t)
-        r_inv_p = _nearest_plane(self, p, lambda centers, k: centers)
-        return p + self._solve_rt(bf.T @ (t - bf @ r_inv_p))
-
     def _r_block(self, lo: int, hi: int) -> np.ndarray:
         """R[lo:hi, lo:], zeros below the diagonal."""
         rows = np.zeros((hi - lo, self.dim - lo))
@@ -259,34 +240,36 @@ class PreparedBasis:
             rows[i, i:] = self.r_row(lo + i)
         return rows
 
-    def _solve_rt(self, g: np.ndarray) -> np.ndarray:
-        """R^-T g by forward substitution, blocked like the walk but top-down:
-        the rows of a block are solved in order, then the block updates every
-        row below it through one product R[lo:hi, hi:]^T @ p[lo:hi]."""
-        d, p = self.dim, g.copy()
-        for lo in range(0, d, WALK_BLOCK):
-            hi = min(d, lo + WALK_BLOCK)
-            rows = self._r_block(lo, hi)
-            for i in range(hi - lo):
-                p[lo + i] = (p[lo + i] - rows[:i, i] @ p[lo : lo + i]) / rows[i, i]
-            if hi < d:
-                p[hi:] -= rows[:, hi - lo :].T @ p[lo:hi]
-        return p
 
-
-def prepare_basis(basis) -> PreparedBasis:
+def prepare_basis(basis, w=None):
     """Factor a nonsingular integer column basis for repeated sampling.
 
     R comes from zqlinalg.certified_r_factor, so a basis is factored
     exactly when it is certified nonsingular: SingularMatrix otherwise.
     An int32 basis is kept as it is, not copied to int64.
+
+    Given a d x k matrix w, returns (PreparedBasis, Q^T w) instead, both
+    from one QR: Q^T w applies the QR's Householder reflectors to w, so it
+    is as accurate as an explicit Q's product and no Q is formed.  (An
+    R-only Q^T w = R^-T B^T w carries the error of the computed R, which
+    on some bases is many times the explicit Q's.)
     """
     b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
-    r_factor = certified_r_factor(b)
-    r_rows = np.concatenate([r_factor[k, k:] for k in range(b.shape[0])])
-    return PreparedBasis(b, r_rows, np.abs(np.diag(r_factor)))
+    d = b.shape[0]
+    if w is None:
+        r_factor = certified_r_factor(b)
+        return PreparedBasis(b, np.concatenate([r_factor[k, k:] for k in range(d)]), np.abs(np.diag(r_factor)))
+    # h.T holds R on and above its diagonal and reflector j's tail below it
+    h, tau = certified_r_factor(b, raw=True)
+    proj = np.array(w, dtype=np.float64)
+    for j in range(d):
+        v = h[j, j + 1 :]
+        s = tau[j] * (proj[j] + v @ proj[j + 1 :])
+        proj[j] -= s
+        proj[j + 1 :] -= np.outer(v, s)
+    return PreparedBasis(b, np.concatenate([h[k:, k] for k in range(d)]), np.abs(np.diag(h))), proj
 
 
 #: Seed of the fixed probes adopt_r_factor checks an R factor on, so the
@@ -343,42 +326,22 @@ def adopt_r_factor(basis, r_rows, proj):
     return prep, rt
 
 
-def _nearest_plane(prep: PreparedBasis, proj: np.ndarray, pick) -> np.ndarray:
-    """Back substitution through R, bottom-up: x[k] = pick(c_k, k) with
-    c_k = (proj[k] - R[k, k+1:] @ x[k+1:]) / R_kk.
-
-    pick returning c_k gives R^-1 proj; a Gaussian draw around c_k is the
-    randomized nearest-plane walk.  Blocked by WALK_BLOCK rows, whose R rows
-    are built once (PreparedBasis._r_block): the rows below a block enter
-    its centers through one product R[lo:hi, hi:] @ x[hi:]; pick still sees
-    the rows one at a time, in order.
-    """
-    d = prep.dim
-    # float64 holds a walk's coefficients exactly (they stay far below
-    # 2**53) and avoids an int-to-float copy of the tail on every step
-    x = np.zeros((d, proj.shape[1]), dtype=np.float64)
-    for hi in range(d, 0, -WALK_BLOCK):
-        lo = max(0, hi - WALK_BLOCK)
-        rows = prep._r_block(lo, hi)
-        shifted = proj[lo:hi]
-        if hi < d:
-            shifted = shifted - rows[:, hi - lo :] @ x[hi:]
-        for i in range(hi - lo - 1, -1, -1):
-            x[lo + i] = pick((shifted[i] - rows[i, i + 1 : hi - lo] @ x[lo + i + 1 : hi]) / rows[i, i], lo + i)
-    return x
-
-
 def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
     proj is d x k, one column per walk: the projections Q^T t of the
-    targets t onto the Gram-Schmidt directions (prep.project(t), or P @ y
-    for a per-basis P = Q^T W when t = W @ y).  Column j of the result
+    targets t onto the Gram-Schmidt directions (P @ y for a per-basis
+    P = Q^T W when t = W @ y).  Column j of the result
     satisfies: B @ Z[:, j] ~ D_{L(B), sigma, t[:, j]} when sigma
     clears the Gram-Schmidt norm times the slack factor; below that the
     walk still terminates and stays lattice-exact, degrading smoothly
-    toward deterministic nearest-plane rounding.  The walk is
-    _nearest_plane with one 1-D sampler call per row, bottom-up.
+    toward deterministic nearest-plane rounding.
+
+    The walk is a back substitution through R, bottom-up: Z[k] is drawn at
+    sigma/|R_kk| around (proj[k] - R[k, k+1:] @ Z[k+1:]) / R_kk, one 1-D
+    sampler call per row.  It is blocked by WALK_BLOCK rows, whose R rows
+    are built once (PreparedBasis._r_block): the rows below a block enter
+    its centers through one product R[lo:hi, hi:] @ Z[hi:].
     """
     proj = np.asarray(proj, dtype=np.float64)
     d = prep.dim
@@ -386,7 +349,18 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
         raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
     # row k draws at sigma/|R_kk|, taken for every row at once
     row_sigmas = (sigma / prep.gs_norms).tolist()
-    z = _nearest_plane(prep, proj, lambda centers, k: sample_z_gaussian_batch(row_sigmas[k], centers, rng))
+    # float64 holds a walk's coefficients exactly (they stay far below
+    # 2**53) and avoids an int-to-float copy of the tail on every step
+    z = np.zeros((d, proj.shape[1]), dtype=np.float64)
+    for hi in range(d, 0, -WALK_BLOCK):
+        lo = max(0, hi - WALK_BLOCK)
+        rows = prep._r_block(lo, hi)
+        shifted = proj[lo:hi]
+        if hi < d:
+            shifted = shifted - rows[:, hi - lo :] @ z[hi:]
+        for i in range(hi - lo - 1, -1, -1):
+            centers = (shifted[i] - rows[i, i + 1 : hi - lo] @ z[lo + i + 1 : hi]) / rows[i, i]
+            z[lo + i] = sample_z_gaussian_batch(row_sigmas[lo + i], centers, rng)
     return z.astype(np.int64)
 
 

@@ -316,8 +316,8 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     the check is F_ID @ [R_ID; I] == G (mod q); e_F, the preimages of U
     under F_ID; and E'_ID with e_F' from one sample_basis_left call.
     Every master draw is SampleD (trapdoor.GadgetTrapdoor).  E'_ID is
-    certified by factoring it and keeps that R factor for td2, and the
-    coset map of F'_ID that td2 walks with is built here once.  A draw
+    certified by factoring it and keeps that R factor for td2, with the
+    coset map of F'_ID that td2 walks with, from the same QR.  A draw
     that fails (SamplingError) draws the whole key again, up to
     _EXTRACT_ATTEMPTS times.  A master key that is no trapdoor of pp's A
     and A' raises KeyMismatch (a ParameterError) on the first draw.
@@ -335,10 +335,6 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
             basis_prime, e_f_prime = sample_basis_left(
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
-            # td2 samples with E'_ID under F'_ID: its coset map is built once, here,
-            # after the int64 basis is dropped, and the key file carries it
-            basis_prime = basis_prime.narrowed("user secret key: E'_ID")
-            basis_prime.coset_map(concat_cols([pp.a_prime, a_id]), p.q)
             a_bar_id = concat_cols([pp.a, a_id[:, :split]])
             return UserSecretKey(ident, r_id, a_bar_id, p.q, basis_prime, e_f, e_f_prime)
         except SamplingError as err:

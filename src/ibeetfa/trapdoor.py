@@ -19,10 +19,11 @@ the A-side is the randomized nearest plane of samplers.py, over the R
 factor of the basis only.  Every coset representative is c = W @ y, y
 the mod-q solution on the n pivot columns of A and W the map that places
 it there (CosetMap).  The walk's projections Q^T c are then P @ y with
-P = Q^T W computed once per basis, so no Q is ever formed.  A user key's
-map is built at extract and shipped in the key file; a loaded map is
-checked against the basis at load (adopt_trapdoor) and bound to its
-public matrix on first use.
+P = Q^T W computed once per basis, by the same QR that gives its R
+(samplers.prepare_basis), so no Q is ever formed.  A user key's map is
+built with E'_ID's certificate at extract and shipped in the key file; a
+loaded map is checked against the basis at load (adopt_trapdoor) and
+bound to its public matrix on first use.
 """
 
 from __future__ import annotations
@@ -264,15 +265,17 @@ def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
-def derive_coset_map(a: np.ndarray, prep: PreparedBasis, q: int) -> CosetMap:
-    """The CosetMap of A for the basis behind prep."""
+def derive_coset_map(a: np.ndarray, basis, q: int) -> tuple[PreparedBasis, CosetMap]:
+    """The R factor of the basis and its CosetMap of A, from one QR
+    (samplers.prepare_basis: SingularMatrix unless it certifies the basis)."""
     a = np.array(a, dtype=np.int64)
     a.setflags(write=False)
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
     w = _pivot_map(pivots, a.shape[1])
-    return CosetMap(a, q, x[pivots], w, prep.project(w))
+    prep, proj = prepare_basis(basis, w)
+    return prep, CosetMap(a, q, x[pivots], w, proj)
 
 
 def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
@@ -289,7 +292,7 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     exact R factor of B + F with |F| at most qr_singularity_bound (the
     error adopt_r_factor allows), so for the exact Q of B + F each column
     of R^T Q^T W is off B[pivots[j], :] by at most |F| |w_j| = bound;
-    computing Q^T W (PreparedBasis.project) and R^T proj in float64 adds
+    computing Q^T W (samplers.prepare_basis) and R^T proj in float64 adds
     less than another bound, which the tolerance allows.  The bound is
     taken from |R|_F = |B + F|_F.  R^T proj comes from the pass over R
     that checks R, so no block of R is built twice.  Which A the map
@@ -315,16 +318,17 @@ class TrapdoorBasis:
 
     The basis is held as given when it is int32 or int64, anything else as
     int64: a user key's E'_ID is int32, and its PreparedBasis holds the
-    same array.  The R factor (PreparedBasis; handed over by whoever
-    factored the basis already or loaded a checked one, else built on
-    first use) and the CosetMap of the public matrix the basis is a
-    trapdoor of (derived on first use, or handed over: extract builds
-    E'_ID's, and a loaded key carries it unbound) are each built once and
-    then kept by this object.  The coset map belongs to the matrix it was
-    derived for or first bound to: a call with another matrix, or the
-    binding of a handed-over map to a matrix it does not solve, raises
-    KeyMismatch (a ParameterError).  A lock guards every first use and the
-    binding, so one instance may serve concurrent calls.
+    same array.  The R factor (PreparedBasis) and the CosetMap of the
+    public matrix the basis is a trapdoor of are each built once and then
+    kept by this object: handed over (sample_basis_left builds both with
+    its certificate; a loaded key carries both, its map unbound), or built
+    on first use, both by the one QR that derives the map (a basis
+    prepared before its map is derived is factored again).  The coset map
+    belongs to the matrix it was derived for or first bound to: a call
+    with another matrix, or the binding of a handed-over map to a matrix
+    it does not solve, raises KeyMismatch (a ParameterError).  A lock
+    guards every first use and the binding, so one instance may serve
+    concurrent calls.
     """
 
     def __init__(self, basis, *, prep: PreparedBasis | None = None, coset: CosetMap | None = None):
@@ -359,12 +363,23 @@ class TrapdoorBasis:
     def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
         with self._lock:
             if self._coset is None:
-                self._coset = derive_coset_map(a, self.prepared(), q)
+                prep, self._coset = derive_coset_map(a, self.basis, q)
+                self._prep = self._prep or prep
             elif self._coset.a is None:
                 self._coset = self._coset.bound_to(a, q)
             elif q != self._coset.q or not np.array_equal(a, self._coset.a):
                 raise KeyMismatch("the trapdoor basis belongs to another public matrix")
             return self._coset
+
+    def sigma_floor(self, slack: float) -> float:
+        """The walk's threshold: the Gram-Schmidt norm times slack."""
+        return self.prepared().gs_norm * slack
+
+    def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
+                  rng: RandomSource) -> np.ndarray:
+        """The walk's preimages of the n x k targets under A (_preimage_batch;
+        KeyMismatch if A is not the matrix of this basis's coset map)."""
+        return _preimage_batch(a, self, targets, q, sigma, rng)
 
 
 class GadgetTrapdoor:
@@ -411,6 +426,7 @@ class GadgetTrapdoor:
         require_gadget_trapdoor(a, self.r_bar, q)
 
     def sigma_floor(self, slack: float) -> float:
+        """SampleD's threshold (sample_d_floor)."""
         return sample_d_floor(self.width_g * self.s1, slack)
 
     def perturbation(self, g: np.ndarray) -> np.ndarray:
@@ -420,13 +436,15 @@ class GadgetTrapdoor:
         g += h
         return g
 
-    def preimages(self, a: np.ndarray, targets: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
-        """SampleD's preimages of the n x k targets, sigma cleared and A checked (sample_left)."""
+    def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
+                  rng: RandomSource) -> np.ndarray:
+        """SampleD's preimages of the n x k targets, sigma cleared (sample_left);
+        KeyMismatch before anything is drawn if this is no trapdoor of A (require)."""
+        self.require(a, q)
         p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
         x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
         del p
-        z = _preimage_batch(self.g, self.g_trapdoor, (targets - mat_mul(a, x, self.q)) % self.q,
-                            self.q, self.width_g, rng)
+        z = self.g_trapdoor.preimages(self.g, (targets - mat_mul(a, x, q)) % q, q, self.width_g, rng)
         m_bar = self.r_bar.shape[0]
         x[:m_bar] += exact_int_matmul(self.r_bar, z)
         x[m_bar:] += z
@@ -468,10 +486,10 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     targets: SampleD for a GadgetTrapdoor, the walk for a TrapdoorBasis.
     (A|M) @ E == U (mod q) is checked on every column before E is
     returned.  An empty M block gives plain preimages under A.  A sigma
-    below the trapdoor's threshold raises SamplingError: SampleD's
-    (GadgetTrapdoor.sigma_floor) always, a basis's Gram-Schmidt norm times
-    slack_factor only with enforce_sigma.  A GadgetTrapdoor of another
-    matrix raises KeyMismatch before anything is drawn.
+    below the trapdoor's threshold (its sigma_floor) raises SamplingError:
+    SampleD's always, a basis's (its Gram-Schmidt norm times
+    slack_factor) only with enforce_sigma.  A trapdoor of another matrix
+    raises KeyMismatch before any A-side draw.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -487,44 +505,38 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     if not sigma > 0:
         raise SamplingError(f"sigma must be positive, got {sigma}")
     slack = slack_factor(a.shape[1] + m_block.shape[1])
-    gadget = isinstance(td, GadgetTrapdoor)
-    if gadget:
-        td.require(a, q)
-        floor = td.sigma_floor(slack)
-    else:
-        floor = td.prepared().gs_norm * slack
-    if (gadget or enforce_sigma) and sigma < floor:
+    floor = td.sigma_floor(slack)
+    if sigma < floor and (enforce_sigma or isinstance(td, GadgetTrapdoor)):
         raise SamplingError(f"sigma = {sigma:.6g} is below the sampling threshold {floor:.6g} (slack {slack})")
     n_cols = u.shape[1]
     e_m = sample_z_gaussian_batch(
         sigma, np.zeros(m_block.shape[1] * n_cols), rng
     ).reshape(m_block.shape[1], n_cols)
     residual = (u - mat_mul(m_block, e_m, q)) % q
-    if gadget:
-        e_a = td.preimages(a, residual, sigma, rng)
-    else:
-        e_a = _preimage_batch(a, td, residual, q, sigma, rng)
-    e = np.vstack([e_a, e_m])
+    e = np.vstack([td.preimages(a, residual, q, sigma, rng), e_m])
     if not np.array_equal(mat_mul(concat_cols([a, m_block]), e, q), u):
         raise SamplingError("sample_left congruence self-check failed")
     return e
 
 
-def _basis_from_preimages(sampler, dim: int) -> tuple[TrapdoorBasis, np.ndarray]:
-    """Assemble a nonsingular basis from one batch of Gaussian preimages of zero.
+def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis, np.ndarray]:
+    """Assemble a nonsingular basis from one batch of Gaussian preimages of
+    zero under F (n x dim).
 
     ``sampler(dim)`` returns dim preimages of zero, then any further
     columns, which come back untouched next to the basis.  The dim
-    columns are certified nonsingular by factoring them (prepare_basis,
-    whose R-only QR must clear zqlinalg.qr_singularity_bound), and the
-    basis keeps that factorization.  A batch that fails it raises
-    SamplingError (extract draws the whole key again).
+    columns are certified nonsingular by factoring them (derive_coset_map,
+    whose QR must clear zqlinalg.qr_singularity_bound), and the basis
+    keeps that factorization and the coset map of F it gives.  A batch
+    that fails it raises SamplingError (extract draws the whole key again).
     """
+    dim = f.shape[1]
     batch = sampler(dim)
     # both parts are copied so that neither keeps the whole batch alive
     basis, rest = np.ascontiguousarray(batch[:, :dim]), batch[:, dim:].copy()
     try:
-        return TrapdoorBasis(basis, prep=prepare_basis(basis)), rest
+        prep, cmap = derive_coset_map(f, basis, q)
+        return TrapdoorBasis(basis, prep=prep, coset=cmap), rest
     except SingularMatrix:
         raise SamplingError("could not certify the preimages as a full-rank basis") from None
 
@@ -537,10 +549,10 @@ def sample_basis_left(a, m_block, t_a, u, q: int, sigma: float,
     One sample_left call covers the zero targets the basis is
     assembled from and u's columns, so the preimages cost no draw of their
     own.  Returns (basis, E): the basis is certified nonsingular by its
-    own factorization, which it keeps (see _basis_from_preimages).  Both
-    are columns of the sample_left batch, which checked F @ basis == 0
-    and F @ E == u (mod q) on every column.  A batch with no certified
-    basis raises SamplingError.
+    own factorization, which it keeps with its coset map of F (see
+    _basis_from_preimages).  Both are columns of the sample_left batch,
+    which checked F @ basis == 0 and F @ E == u (mod q) on every column.
+    A batch with no certified basis raises SamplingError.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -554,4 +566,4 @@ def sample_basis_left(a, m_block, t_a, u, q: int, sigma: float,
         targets = np.hstack([np.zeros((f.shape[0], count), dtype=np.int64), u])
         return sample_left(a, m_block, t_a, targets, q, sigma, rng)
 
-    return _basis_from_preimages(sampler, f.shape[1])
+    return _basis_from_preimages(sampler, f, q)

@@ -48,12 +48,16 @@ def gaussian_mass_moments(sigma, center, width=None):
     return mean, var
 
 
+def explicit_projections(basis, t):
+    """Q^T t with an explicit Q: numpy's QR of the basis, whose R prepare_basis keeps."""
+    return np.linalg.qr(np.asarray(basis, dtype=np.float64))[0].T @ t
+
+
 def lattice_points(basis, sigma, center, count, rng):
     """count lattice points near center: one walk per column, as extract and td2 run it."""
     basis = np.asarray(basis, dtype=np.int64)
     targets = np.repeat(np.asarray(center, dtype=np.float64)[:, None], count, axis=1)
-    prep = prepare_basis(basis)
-    z = klein_coefficients(prep, sigma, prep.project(targets), rng)
+    z = klein_coefficients(prepare_basis(basis), sigma, explicit_projections(basis, targets), rng)
     return (basis @ z).T
 
 
@@ -324,8 +328,6 @@ class TestLatticeGaussian:
         for bad in (np.zeros(3), np.zeros((2, 4))):
             with pytest.raises(DimensionMismatch):
                 klein_coefficients(prep, 5.0, bad, RandomSource(7))
-            with pytest.raises(DimensionMismatch):
-                prep.project(bad)
 
     def test_offset_center_tracks(self):
         rng = RandomSource(59)
@@ -569,7 +571,7 @@ class TestReferenceAgreement:
         for dim in (40, 150):
             basis = RandomSource(83).integers(-50, 51, (dim, dim)) + 200 * np.eye(dim, dtype=np.int64)
             prep = prepare_basis(basis)
-            proj = prep.project(RandomSource(84).normal(500.0, (dim, lanes)))
+            proj = explicit_projections(basis, RandomSource(84).normal(500.0, (dim, lanes)))
             mixed = 2.0 * float(np.median(prep.gs_norms))
             for sigma, regimes in ((3.0, {True}), (mixed, {True, False}), (3000.0, {False})):
                 assert set((sigma / prep.gs_norms < 2.0).tolist()) == regimes
@@ -613,7 +615,7 @@ def coset_cases(mini_system, mini_key):
 
 
 class TestProjection:
-    """P = Q^T W from R alone (PreparedBasis.project) against an explicit Q."""
+    """P = Q^T W from the QR's Householder reflectors (prepare_basis) against an explicit Q."""
 
     def test_no_orthonormal_factor_is_held_or_formed(self, monkeypatch, mini_system, mini_key):
         modes = []
@@ -651,26 +653,35 @@ class TestProjection:
         return err_p, err_q
 
     def test_matches_explicit_q_on_scheme_bases(self, coset_cases):
-        # Both paths carry the rounding error of the computed R.  Both maps
-        # are pivot maps with |y| up to q/2.  On this key basis R-only
-        # projections reach 3.4x of the Q path's error at 1 BLAS thread and
-        # 5.5x at 2, below 1e-8 of a lattice step (the ratio depends on the
-        # draw: other MINI keys range from 0.6x to 20x); on S_G, whose steps
-        # are short (|R_kk| <= sqrt(5)), 1.5x, below 1e-6 of a step.  The
-        # walk test below shows that changes no output.
+        # Both paths carry the rounding error of the computed QR.  Both maps
+        # are pivot maps with |y| up to q/2.  P is the explicit Q's Q^T W to
+        # a few units in the last place, so on S_G, whose steps are short
+        # (|R_kk| <= sqrt(5)), its error is 1.0x the Q path's, below 1e-6 of
+        # a lattice step, and on this key basis 0.95-1.02x at 1 and 2 BLAS
+        # threads, below 1e-8 of a step.  The walk test below shows that
+        # the remaining error changes no output.
         targets = RandomSource(95).integers(0, MINI.q, (MINI.n, 16))
-        for (name, basis, cmap, _), limit in zip(coset_cases, (1e-5, 1e-8)):
-            err_p, err_q = self.errors(basis, cmap, targets)
-            assert err_p <= 10 * err_q and err_p < limit, (name, err_p, err_q)
+        (_, master, master_map, _), (_, key, key_map, _) = coset_cases
+        for basis, cmap in ((master, master_map), (key, key_map)):
+            q_factor = np.linalg.qr(basis.astype(np.float64))[0]
+            assert np.abs(cmap.proj - q_factor.T @ cmap.w).max() < 1e-14
+        err_p, err_q = self.errors(master, master_map, targets)
+        assert err_p <= 1.5 * err_q and err_p < 1e-5, (err_p, err_q)
+        err_p, err_q = self.errors(key, key_map, targets)
+        assert err_p <= 5 * err_q and err_p < 1e-8, (err_p, err_q)
 
     def test_matches_explicit_q_on_small_gs_basis(self):
-        # a trap_gen basis: Gram-Schmidt norms at most ~25, pivot W
+        # a trap_gen basis: Gram-Schmidt norms at most ~25, pivot W.  P is
+        # the explicit Q's Q^T W to a few units in the last place (5e-16),
+        # so its error is the Q path's: 3.6e-11 of a lattice step, 1.003x
         q, n = 4093, 2
         pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
         td = TrapdoorBasis(pair.trapdoor.basis)
         cmap = td.coset_map(pair.a, q)
+        q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
+        assert np.abs(cmap.proj - q_factor.T @ cmap.w).max() < 1e-14
         err_p, err_q = self.errors(td.basis, cmap, RandomSource(97).integers(0, q, (n, 16)))
-        assert err_p <= err_q, (err_p, err_q)
+        assert err_p < 1e-10, (err_p, err_q)
 
     def test_walk_from_p_y_matches_q_path(self, coset_cases):
         # the reference walks from Q^T c with an explicit Q; walking from

@@ -330,7 +330,7 @@ class TestBasisFromPreimages:
         preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
         with pytest.raises(SamplingError):
-            trapdoor._basis_from_preimages(sampler, 2)
+            trapdoor._basis_from_preimages(sampler, np.array([[1, 0]]), 7)
         assert calls == [2]
         assert preps.calls == 1
 
@@ -489,9 +489,9 @@ class TestSampleD:
             built.append(np.shape(args[0]))
             return real_basis(*args, **kwargs)
 
-        def prep_spy(basis):
+        def prep_spy(basis, *args):
             prepared.append(np.shape(basis))
-            return real_prep(basis)
+            return real_prep(basis, *args)
 
         for mod in (trapdoor, scheme):
             monkeypatch.setattr(mod, "gadget_basis", basis_spy)

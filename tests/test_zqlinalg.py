@@ -310,7 +310,7 @@ class TestNonsingularityThreshold:
             except SingularMatrix:
                 assert not accepted, k
             try:
-                got, _ = trapdoor._basis_from_preimages(lambda count: b, d)
+                got, _ = trapdoor._basis_from_preimages(lambda count: b, np.ones((1, d), dtype=np.int64), 7)
                 assert accepted, k
                 assert np.array_equal(got.prepared().r_rows, prep.r_rows)
             except SamplingError:
