@@ -36,8 +36,8 @@ keeps the R block and appends the coset map extract built for E'_ID
 under F'_ID: its n pivot rows (i64), the n x n elimination matrix E (u64
 residues) and the 2m x n projections P = Q^T W (binary64).  The load
 checks the pivots, E's range and P against E'_ID and R in O(m^2 n)
-(trapdoor.adopt_trapdoor); the map is bound to F'_ID on first use
-(CosetMap.bound_to), so a loaded key derives nothing before it samples.
+(trapdoor.adopt_trapdoor), so a loaded key derives nothing; each draw
+checks the map against F'_ID (TrapdoorBasis.require).
 Version 5 (user secret key only) replaces the 2m x 2m basis E_ID by the
 key's gadget trapdoor R_ID ((2m - nk) x nk, i32) and appends the public
 Abar_ID, the left 2m - nk columns of F_ID (u64 residues), from which a
@@ -265,25 +265,21 @@ def _load_identity(rd: _Reader, ell: int) -> Identity:
 
 
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
-    """The sk file (version 5); ParameterError for a key whose E'_ID holds no
-    coset map (extract and load_user_secret always give it one).  The key's
-    integer matrices are int32 (UserSecretKey narrows them), so they are
-    written as they are."""
+    """The sk file (version 5).  The key's integer matrices are int32
+    (UserSecretKey narrows them), so they are written as they are."""
     td = sk.trapdoor_prime
     cmap = td.coset
-    if cmap is None:
-        raise ParameterError("user secret key: E'_ID has no coset map to write")
     sections = [memoryview(np.ascontiguousarray(arr, dtype="<i4"))
                 for arr in (sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
     return b"".join(
         [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _words(sk.a_bar_id),
-         _reals(td.prepared().r_rows), _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
+         _reals(td.prep.r_rows), _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
     )
 
 
 def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecretKey:
-    """The key in blob, E'_ID holding its stored R factor and (unbound) coset
-    map once both are checked against it; FormatError otherwise.
+    """The key in blob, E'_ID holding its stored R factor and coset map once
+    both are checked against it; FormatError otherwise.
 
     Each int32 section is copied once, at its width; E'_ID is the only
     2m x 2m one.  An Abar_ID word outside [0, q) is refused.  R and the

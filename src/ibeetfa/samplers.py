@@ -210,18 +210,16 @@ class PreparedBasis:
     No Q is formed or kept: a walk needs only R and the projections Q^T t
     of its targets, which a coset map holds as P = Q^T W (prepare_basis).
     Only the upper triangle of R is kept, row after row, which halves its
-    memory: a key holds this data for as long as it lives.  basis is the
-    factored array itself, int32 or int64, never a copy: for a user key's
-    E'_ID it is the int32 array its TrapdoorBasis holds.
+    memory: a key holds this data for as long as it lives.  The basis
+    itself is held by its trapdoor.TrapdoorBasis.
     """
 
-    basis: np.ndarray          # int32 or int64, d x d, columns are basis vectors
     r_rows: np.ndarray         # float64, R[0, 0:], R[1, 1:], ... end to end
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.gs_norms.shape[0]
 
     def r_row(self, k: int) -> np.ndarray:
         """R[k, k:], a view into r_rows."""
@@ -241,35 +239,31 @@ class PreparedBasis:
         return rows
 
 
-def prepare_basis(basis, w=None):
-    """Factor a nonsingular integer column basis for repeated sampling.
+def prepare_basis(basis, w):
+    """Factor a nonsingular integer column basis for repeated sampling:
+    (PreparedBasis, Q^T w) for a d x k matrix w, both from one QR.
 
     R comes from zqlinalg.certified_r_factor, so a basis is factored
     exactly when it is certified nonsingular: SingularMatrix otherwise.
-    An int32 basis is kept as it is, not copied to int64.
-
-    Given a d x k matrix w, returns (PreparedBasis, Q^T w) instead, both
-    from one QR: Q^T w applies the QR's Householder reflectors to w, so it
-    is as accurate as an explicit Q's product and no Q is formed.  (An
-    R-only Q^T w = R^-T B^T w carries the error of the computed R, which
-    on some bases is many times the explicit Q's.)
+    An int32 basis is read as it is, not copied to int64.  Q^T w applies
+    the QR's Householder reflectors to w, so it is as accurate as an
+    explicit Q's product and no Q is formed.  (An R-only
+    Q^T w = R^-T B^T w carries the error of the computed R, which on some
+    bases is many times the explicit Q's.)
     """
     b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
     d = b.shape[0]
-    if w is None:
-        r_factor = certified_r_factor(b)
-        return PreparedBasis(b, np.concatenate([r_factor[k, k:] for k in range(d)]), np.abs(np.diag(r_factor)))
     # h.T holds R on and above its diagonal and reflector j's tail below it
-    h, tau = certified_r_factor(b, raw=True)
+    h, tau = certified_r_factor(b)
     proj = np.array(w, dtype=np.float64)
     for j in range(d):
         v = h[j, j + 1 :]
         s = tau[j] * (proj[j] + v @ proj[j + 1 :])
         proj[j] -= s
         proj[j + 1 :] -= np.outer(v, s)
-    return PreparedBasis(b, np.concatenate([h[k:, k] for k in range(d)]), np.abs(np.diag(h))), proj
+    return PreparedBasis(np.concatenate([h[k:, k] for k in range(d)]), np.abs(np.diag(h))), proj
 
 
 #: Seed of the fixed probes adopt_r_factor checks an R factor on, so the
@@ -305,7 +299,7 @@ def adopt_r_factor(basis, r_rows, proj):
     if r_rows.shape != (d * (d + 1) // 2,):
         raise DimensionMismatch(f"r_rows must hold {d * (d + 1) // 2} entries, got {r_rows.shape}")
     k = np.arange(d)
-    prep = PreparedBasis(b, r_rows, np.abs(r_rows[k * d - k * (k - 1) // 2]))
+    prep = PreparedBasis(r_rows, np.abs(r_rows[k * d - k * (k - 1) // 2]))
     x = RandomSource(_R_PROBE_SEED).integers(0, 2, (d, _R_PROBES)) * 2.0 - 1.0
     bx, rx, rt, norm2 = np.empty(x.shape), np.empty(x.shape), np.zeros((d, proj.shape[1])), 0.0
     for lo in range(0, d, WALK_BLOCK):

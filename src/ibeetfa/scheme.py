@@ -8,24 +8,22 @@ thread counts, so the R block of a key file differs and, at a rounding
 tie, so could a sampled coordinate.  A key
 file carries the R extract certified E'_ID with, so a loaded key samples
 with exactly the R of the host that extracted it.  Data objects are
-immutable apart from what they build on first use.  A master trapdoor
-builds everything SampleD needs when it is made and nothing later, so
-the master key has no lazy state.  Extract builds E'_ID's R factor and
-coset map (with projections) and the key file carries both, so a loaded
-key's only lazy state is binding its stored map to F'_ID, which td2 and
-td3_ct do once under a per-basis lock.  A key's E_ID is rebuilt from its
-R_ID on every access and kept by nobody, so it is no lazy state.
-Decrypt and the type-1 tests read the key's preimages of U, fixed at
-extract.  The other lazy state is the integrity tag a
-Ciphertext keeps per parameter set, which two racing threads at worst
-compute twice, with equal results.  Calls may therefore run
+immutable, and every trapdoor is complete when it is made: a master
+trapdoor builds everything SampleD needs, and a key's E'_ID holds its R
+factor and coset map from extract (or from the key file, checked at
+load); sample_left checks either against the public matrix on every
+draw and stores nothing.  A key's E_ID is rebuilt from its R_ID on every
+access and kept by nobody.  Decrypt and the type-1 tests read the key's
+preimages of U, fixed at extract.  The only lazy state is the integrity
+tag a Ciphertext keeps per parameter set, which two racing threads at
+worst compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
 call has a RandomSource of its own: a RandomSource is single-owner state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,7 +148,8 @@ class UserSecretKey:
     extract hands it the R factor it was certified with and builds its
     coset map under F'_ID, the key file stores both, and a loaded key
     adopts them once load has checked them against E'_ID
-    (trapdoor.adopt_trapdoor) and binds the map to F'_ID on first use.
+    (trapdoor.adopt_trapdoor).  Either key holds no lazy state: its
+    trapdoor is checked against F'_ID on every draw (TrapdoorBasis.require).
     Carries its identity so decryption can rebuild the concatenated
     matrices without out-of-band context.
 
@@ -158,11 +157,10 @@ class UserSecretKey:
     from extract or loaded, as the key file stores them: construction
     narrows each one (zqlinalg.int32_matrix, no copy of an int32 array),
     so an entry that does not fit raises ParameterError here, and a key
-    that dump cannot write never exists.  An E'_ID handed over at another
-    width is held as TrapdoorBasis.narrowed, with the sampling data it
-    carries.  Arithmetic on these matrices goes through mat_mul,
-    exact_int_matmul or an explicit float64 or int64 conversion, never
-    int32 products.
+    that dump cannot write never exists.  E'_ID's TrapdoorBasis is held
+    with its basis narrowed (dataclasses.replace keeps its sampling data).
+    Arithmetic on these matrices goes through mat_mul, exact_int_matmul
+    or an explicit float64 or int64 conversion, never int32 products.
     """
 
     identity: Identity
@@ -174,7 +172,8 @@ class UserSecretKey:
     e_f_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "trapdoor_prime", self.trapdoor_prime.narrowed("user secret key: E'_ID"))
+        basis = int32_matrix(self.trapdoor_prime.basis, "user secret key: E'_ID")
+        object.__setattr__(self, "trapdoor_prime", replace(self.trapdoor_prime, basis=basis))
         for name, section in (("r_id", "R_ID"), ("e_f", "e_F"), ("e_f_prime", "e_F'")):
             arr = int32_matrix(getattr(self, name), f"user secret key: {section}")
             object.__setattr__(self, name, frozen_array(arr, np.int32))
@@ -186,7 +185,7 @@ class UserSecretKey:
         determines (trapdoor.gadget_basis), written straight into one int32
         array on each access and kept by nobody.  It is for checks, not for
         sampling: its smallest Gram-Schmidt norm lies far below the bound of
-        the QR certificate, so TrapdoorBasis(sk.e_id) cannot be prepared.
+        the QR certificate, so trapdoor.derive_trapdoor refuses it.
         """
         return gadget_basis(self.a_bar_id, self.r_id, self.q, np.int32, "user secret key: E_ID")
 

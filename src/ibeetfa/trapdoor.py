@@ -20,17 +20,17 @@ factor of the basis only.  Every coset representative is c = W @ y, y
 the mod-q solution on the n pivot columns of A and W the map that places
 it there (CosetMap).  The walk's projections Q^T c are then P @ y with
 P = Q^T W computed once per basis, by the same QR that gives its R
-(samplers.prepare_basis), so no Q is ever formed.  A user key's map is
-built with E'_ID's certificate at extract and shipped in the key file; a
-loaded map is checked against the basis at load (adopt_trapdoor) and
-bound to its public matrix on first use.
+(samplers.prepare_basis), so no Q is ever formed.  A TrapdoorBasis is
+complete when it is made, fresh (derive_trapdoor: extract builds E'_ID's
+with its certificate) or loaded (adopt_trapdoor: a key file's R and map,
+checked against the basis), and sample_left checks it against the public
+matrix before every draw (require).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .zqlinalg import (
     check_modulus,
     concat_cols,
     exact_int_matmul,
-    int32_matrix,
     int_array,
     mat_mul,
     qr_singularity_bound,
@@ -209,11 +208,9 @@ class CosetMap:
     applies to A, and W puts y on solve_mod's pivot rows, so c is the
     centered solve_mod solution.  proj = Q^T W of the basis the map
     belongs to, which turns the walk's projections Q^T c into proj @ y.
-    A map read from a key file (adopt_trapdoor) holds no A until
-    TrapdoorBasis.coset_map binds it (bound_to).
+    The map holds no A: TrapdoorBasis.require checks A on every draw.
     """
 
-    a: np.ndarray | None     # the public matrix (residues) the map is bound to; None if unbound
     q: int
     elim: np.ndarray         # n x n, E
     w: np.ndarray            # d x n int64
@@ -227,18 +224,6 @@ class CosetMap:
     def coordinates(self, targets: np.ndarray) -> np.ndarray:
         """y with A @ (W @ y) == targets (mod q)."""
         return center_rep(mat_mul(self.elim, targets, self.q), self.q)
-
-    def bound_to(self, a: np.ndarray, q: int) -> CosetMap:
-        """This map bound to A: KeyMismatch (a ParameterError) unless
-        A[:, pivots] @ E == I (mod q), which makes every c = W @ y a solution."""
-        a = np.array(a, dtype=np.int64)
-        a.setflags(write=False)
-        n = self.elim.shape[0]
-        if q != self.q or a.shape != (n, self.w.shape[0]) or not np.array_equal(
-            mat_mul(a[:, self.pivots], self.elim, q), np.eye(n, dtype=np.int64)
-        ):
-            raise KeyMismatch("the trapdoor basis belongs to another public matrix")
-        return replace(self, a=a)
 
 
 def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
@@ -265,17 +250,17 @@ def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:
     return w
 
 
-def derive_coset_map(a: np.ndarray, basis, q: int) -> tuple[PreparedBasis, CosetMap]:
-    """The R factor of the basis and its CosetMap of A, from one QR
-    (samplers.prepare_basis: SingularMatrix unless it certifies the basis)."""
-    a = np.array(a, dtype=np.int64)
-    a.setflags(write=False)
+def derive_trapdoor(a: np.ndarray, basis, q: int) -> TrapdoorBasis:
+    """A fresh TrapdoorBasis of A: the R factor of the basis and the
+    projections of its CosetMap, from one QR (samplers.prepare_basis:
+    SingularMatrix unless it certifies the basis)."""
+    basis = int_array(basis)
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
     w = _pivot_map(pivots, a.shape[1])
     prep, proj = prepare_basis(basis, w)
-    return prep, CosetMap(a, q, x[pivots], w, proj)
+    return TrapdoorBasis(basis, prep, CosetMap(q, x[pivots], w, proj))
 
 
 def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
@@ -284,7 +269,7 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     (a key file: the packed R rows, n pivots, n x n E, d x n proj), the R
     factor checked first (samplers.adopt_r_factor: SingularMatrix if it is
     not the basis's), then the pivot-path coset map (ParameterError if it is
-    not the basis's).  The map is left unbound.
+    not the basis's).
 
     The pivots must be n distinct rows of the basis and E a residue
     matrix.  proj must be Q^T W of this basis: B = QR gives
@@ -296,90 +281,72 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     less than another bound, which the tolerance allows.  The bound is
     taken from |R|_F = |B + F|_F.  R^T proj comes from the pass over R
     that checks R, so no block of R is built twice.  Which A the map
-    solves for is checked when it is bound (CosetMap.bound_to).
+    solves for is checked on every draw (TrapdoorBasis.require).
     """
+    basis = int_array(basis)
     prep, rt_proj = adopt_r_factor(basis, r_rows, proj)
     d, n = prep.dim, pivots.size
     if pivots.min() < 0 or pivots.max() >= d or np.unique(pivots).size != n:
         raise ParameterError(f"pivots must be {n} distinct rows in [0, {d})")
     if elim.min() < 0 or elim.max() >= q:
         raise ParameterError(f"E holds entries outside [0, {q})")
-    gap = np.linalg.norm(rt_proj - prep.basis[pivots].T, axis=0)
+    gap = np.linalg.norm(rt_proj - basis[pivots].T, axis=0)
     bound = qr_singularity_bound(float(np.linalg.norm(prep.r_rows)), d)
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:
         raise ParameterError("projections are not Q^T W of this basis")
-    coset = CosetMap(None, q, elim, _pivot_map(pivots, d), proj)
-    return TrapdoorBasis(prep.basis, prep=prep, coset=coset)
+    return TrapdoorBasis(basis, prep, CosetMap(q, elim, _pivot_map(pivots, d), proj))
 
 
+@dataclass(frozen=True, eq=False)
 class TrapdoorBasis:
-    """A short basis together with the sampling data built from it.
+    """A short basis of the q-ary nullspace lattice of one public matrix A,
+    with the sampling data built from it.
 
-    The basis is held as given when it is int32 or int64, anything else as
-    int64: a user key's E'_ID is int32, and its PreparedBasis holds the
-    same array.  The R factor (PreparedBasis) and the CosetMap of the
-    public matrix the basis is a trapdoor of are each built once and then
-    kept by this object: handed over (sample_basis_left builds both with
-    its certificate; a loaded key carries both, its map unbound), or built
-    on first use, both by the one QR that derives the map (a basis
-    prepared before its map is derived is factored again).  The coset map
-    belongs to the matrix it was derived for or first bound to: a call
-    with another matrix, or the binding of a handed-over map to a matrix
-    it does not solve, raises KeyMismatch (a ParameterError).  A lock
-    guards every first use and the binding, so one instance may serve
-    concurrent calls.
+    It is complete when it is made, in one of two ways: fresh
+    (derive_trapdoor, one QR for the R factor and the coset map's
+    projections) or loaded (adopt_trapdoor, a key file's R and map checked
+    against the basis).  Nothing is written to it afterwards, so one
+    instance may serve concurrent calls.  The basis is int32 or int64: a
+    user key's E'_ID is int32 (scheme.UserSecretKey swaps it in with
+    dataclasses.replace).
     """
 
-    def __init__(self, basis, *, prep: PreparedBasis | None = None, coset: CosetMap | None = None):
-        self.basis = int_array(basis)
-        self._prep = prep
-        self._coset = coset
-        self._lock = threading.RLock()
+    basis: np.ndarray        # int32 or int64, d x d, columns are basis vectors
+    prep: PreparedBasis      # its R factor
+    coset: CosetMap          # its coset map of A
 
-    @property
-    def coset(self) -> CosetMap | None:
-        """The coset map held so far, bound or not; None before first use."""
-        return self._coset
-
-    def prepared(self) -> PreparedBasis:
-        with self._lock:
-            if self._prep is None:
-                self._prep = prepare_basis(self.basis)
-            return self._prep
-
-    def narrowed(self, what: str) -> TrapdoorBasis:
-        """This trapdoor with its basis as int32 (zqlinalg.int32_matrix:
-        ParameterError naming what if an entry does not fit): itself when the
-        basis already is, else a new one holding the R factor and coset map
-        built so far, its PreparedBasis over the same int32 array."""
-        basis = int32_matrix(self.basis, what)
-        if basis is self.basis:
-            return self
-        with self._lock:
-            prep = self._prep and replace(self._prep, basis=basis)
-            return TrapdoorBasis(basis, prep=prep, coset=self._coset)
-
-    def coset_map(self, a: np.ndarray, q: int) -> CosetMap:
-        with self._lock:
-            if self._coset is None:
-                prep, self._coset = derive_coset_map(a, self.basis, q)
-                self._prep = self._prep or prep
-            elif self._coset.a is None:
-                self._coset = self._coset.bound_to(a, q)
-            elif q != self._coset.q or not np.array_equal(a, self._coset.a):
-                raise KeyMismatch("the trapdoor basis belongs to another public matrix")
-            return self._coset
+    def require(self, a: np.ndarray, q: int) -> None:
+        """KeyMismatch (a ParameterError) unless this is a trapdoor of A for
+        q; nothing is stored.  A[:, pivots] @ E == I (mod q) makes every
+        c = W @ y a solution, and A @ b == 0 (mod q) for the basis's first
+        column b: the pivot check alone passes another matrix with the same
+        pivot columns, such as another identity's F'_ID under the same A'."""
+        cmap = self.coset
+        n = cmap.elim.shape[0]
+        if q != cmap.q or a.shape != (n, self.basis.shape[0]) or not np.array_equal(
+            mat_mul(a[:, cmap.pivots], cmap.elim, q), np.eye(n, dtype=np.int64)
+        ) or mat_mul(a, self.basis[:, :1], q).any():
+            raise KeyMismatch("the trapdoor basis belongs to another public matrix")
 
     def sigma_floor(self, slack: float) -> float:
         """The walk's threshold: the Gram-Schmidt norm times slack."""
-        return self.prepared().gs_norm * slack
+        return self.prep.gs_norm * slack
 
     def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
                   rng: RandomSource) -> np.ndarray:
-        """The walk's preimages of the n x k targets under A (_preimage_batch;
-        KeyMismatch if A is not the matrix of this basis's coset map)."""
-        return _preimage_batch(a, self, targets, q, sigma, rng)
+        """The walk's preimages c - B @ z, c = W @ y, of the n x k targets
+        under A (which sample_left has checked, require)."""
+        prep, cmap = self.prep, self.coset
+        y = cmap.coordinates(targets)
+        z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
+        e = exact_int_matmul(cmap.w, y) - exact_int_matmul(self.basis, z)
+        # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
+        # direction, so anything far beyond this bound means numerical corruption.
+        cap = 2.0 * math.sqrt(prep.dim) * (0.5 * prep.gs_norm + TAIL_CUT * sigma)
+        if _magnitude(e) > cap:
+            raise SamplingError("preimage walk produced an implausibly long vector")
+        return e
 
 
 class GadgetTrapdoor:
@@ -392,9 +359,9 @@ class GadgetTrapdoor:
     (s_G * s1(W))^2, rounded at width r = sqrt(sigma^2 - c) (Peikert,
     CRYPTO 2010), and z the walk's preimage of u - A @ p under G at width
     s_G over S_G = I_n (x) S_k.  The eigendecomposition of W^T W, and S_G's
-    R factor and coset map, are built here; nothing is built later, so
-    there is no lock.  Each draw checks A first (require).  T_A is built
-    only on access (basis).
+    TrapdoorBasis of G, are built here; nothing is built later, so there
+    is no lock.  sample_left checks A before each draw (require).  T_A is
+    built only on access (basis).
     """
 
     def __init__(self, a_bar, r_bar, q: int):
@@ -411,8 +378,8 @@ class GadgetTrapdoor:
         self.scale = SAMPLE_D_MARGIN * (self.width_g * self.s1) ** 2  # c
         # sqrt(c*I - s_G^2 W W^T) = sqrt(c)*I + W @ root @ W^T
         self._root = (vecs * ((np.sqrt(self.scale - self.width_g**2 * lam) - math.sqrt(self.scale)) / lam)) @ vecs.T
-        self.g_trapdoor = TrapdoorBasis(np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, gadget_length(q))))
-        self.g_trapdoor.coset_map(self.g, q)
+        s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, gadget_length(q)))
+        self.g_trapdoor = derive_trapdoor(self.g, s_g, q)
 
     @property
     def basis(self) -> np.ndarray:
@@ -438,9 +405,8 @@ class GadgetTrapdoor:
 
     def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
                   rng: RandomSource) -> np.ndarray:
-        """SampleD's preimages of the n x k targets, sigma cleared (sample_left);
-        KeyMismatch before anything is drawn if this is no trapdoor of A (require)."""
-        self.require(a, q)
+        """SampleD's preimages of the n x k targets under A, which sample_left
+        has checked (require), sigma cleared."""
         p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
         x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
         del p
@@ -462,22 +428,6 @@ def _require_trapdoor(t) -> TrapdoorBasis | GadgetTrapdoor:
 # ---------------------------------------------------------------------------
 
 
-def _preimage_batch(a: np.ndarray, td: TrapdoorBasis, targets: np.ndarray, q: int, sigma: float,
-                    rng: RandomSource) -> np.ndarray:
-    """The walk: preimages c - B @ z, c = W @ y, of the targets under A."""
-    prep = td.prepared()
-    cmap = td.coset_map(a, q)
-    y = cmap.coordinates(targets)
-    z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
-    e = exact_int_matmul(cmap.w, y) - exact_int_matmul(td.basis, z)
-    # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
-    # direction, so anything far beyond this bound means numerical corruption.
-    cap = 2.0 * math.sqrt(prep.dim) * (0.5 * prep.gs_norm + TAIL_CUT * sigma)
-    if _magnitude(e) > cap:
-        raise SamplingError("preimage walk produced an implausibly long vector")
-    return e
-
-
 def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, enforce_sigma: bool = True) -> np.ndarray:
     """Preimages E of the n x k targets U for the concatenation (A | M), using a trapdoor for A.
 
@@ -489,7 +439,7 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     below the trapdoor's threshold (its sigma_floor) raises SamplingError:
     SampleD's always, a basis's (its Gram-Schmidt norm times
     slack_factor) only with enforce_sigma.  A trapdoor of another matrix
-    raises KeyMismatch before any A-side draw.
+    raises KeyMismatch before any draw.
     """
     q = check_modulus(q)
     a = as_residues(a, q)
@@ -508,6 +458,7 @@ def sample_left(a, m_block, t_a, u, q: int, sigma: float, rng: RandomSource, *, 
     floor = td.sigma_floor(slack)
     if sigma < floor and (enforce_sigma or isinstance(td, GadgetTrapdoor)):
         raise SamplingError(f"sigma = {sigma:.6g} is below the sampling threshold {floor:.6g} (slack {slack})")
+    td.require(a, q)
     n_cols = u.shape[1]
     e_m = sample_z_gaussian_batch(
         sigma, np.zeros(m_block.shape[1] * n_cols), rng
@@ -525,7 +476,7 @@ def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis
 
     ``sampler(dim)`` returns dim preimages of zero, then any further
     columns, which come back untouched next to the basis.  The dim
-    columns are certified nonsingular by factoring them (derive_coset_map,
+    columns are certified nonsingular by factoring them (derive_trapdoor,
     whose QR must clear zqlinalg.qr_singularity_bound), and the basis
     keeps that factorization and the coset map of F it gives.  A batch
     that fails it raises SamplingError (extract draws the whole key again).
@@ -535,8 +486,7 @@ def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis
     # both parts are copied so that neither keeps the whole batch alive
     basis, rest = np.ascontiguousarray(batch[:, :dim]), batch[:, dim:].copy()
     try:
-        prep, cmap = derive_coset_map(f, basis, q)
-        return TrapdoorBasis(basis, prep=prep, coset=cmap), rest
+        return derive_trapdoor(f, basis, q), rest
     except SingularMatrix:
         raise SamplingError("could not certify the preimages as a full-rank basis") from None
 

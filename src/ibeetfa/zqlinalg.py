@@ -328,10 +328,10 @@ def qr_singularity_bound(norm: float, d: int) -> float:
     return float(norm) * np.finfo(np.float64).eps * d * 16
 
 
-def certified_r_factor(s, raw: bool = False):
-    """The R factor of a float QR of the square integer matrix s, without Q;
-    with raw, numpy's raw QR output (h, tau) instead: R = triu(h.T), and
-    the Householder reflectors that make up Q (samplers.prepare_basis).
+def certified_r_factor(s):
+    """A float QR of the square integer matrix s as numpy's raw output
+    (h, tau): R = triu(h.T), and the Householder reflectors that make up
+    Q (samplers.prepare_basis), which is never formed.
 
     Raises SingularMatrix unless every |R_kk| exceeds qr_singularity_bound,
     which certifies s nonsingular over the reals; a failure means
@@ -339,10 +339,10 @@ def certified_r_factor(s, raw: bool = False):
     """
     s = int_array(s)
     bound = qr_singularity_bound(np.linalg.norm(s), s.shape[1])
-    r = np.linalg.qr(s, mode="raw" if raw else "r")
-    if not float(np.abs(np.diag(r[0] if raw else r)).min()) > bound:
+    h, tau = np.linalg.qr(s, mode="raw")
+    if not float(np.abs(np.diag(h)).min()) > bound:
         raise SingularMatrix("basis columns are (numerically) linearly dependent")
-    return r
+    return h, tau
 
 
 def solve_mod(a, b, q: int) -> np.ndarray:

@@ -252,7 +252,7 @@ class TestVersionOneFiles:
             "sk_v2": (fileio.load_user_secret, 2, self.old_blob(fileio.KIND_SK, 2, ident, *bases)),
             "sk_v3": (fileio.load_user_secret, 3,
                       self.old_blob(fileio.KIND_SK, 3, ident, *bases)
-                      + sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()),
+                      + sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()),
             # version 4: E_ID in R_ID's place, as int32, no Abar_ID, then the same R block and map
             "sk_v4": (fileio.load_user_secret, 4,
                       self.old_blob(fileio.KIND_SK, 4, ident)

@@ -27,7 +27,7 @@ from ibeetfa import fileio, scheme, trapdoor
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test3 as eq_test3
-from ibeetfa.errors import FormatError, ParameterError, SingularMatrix
+from ibeetfa.errors import FormatError, KeyMismatch, ParameterError, SingularMatrix
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
@@ -51,15 +51,15 @@ def preps(monkeypatch):
 
 
 @pytest.fixture
-def coset_maps(monkeypatch):
-    counter = CallCounter(trapdoor.derive_coset_map)
-    monkeypatch.setattr(trapdoor, "derive_coset_map", counter)
+def derivations(monkeypatch):
+    counter = CallCounter(trapdoor.derive_trapdoor)
+    monkeypatch.setattr(trapdoor, "derive_trapdoor", counter)
     return counter
 
 
 @pytest.fixture(scope="module")
 def fresh_key(mini_system):
-    """A key no other test samples with, so its basis E'_ID has no QR data yet."""
+    """A key fresh from extract, which no other test samples with."""
     pp, msk = mini_system
     ident = identity_from_string("frank", MINI.ell)
     return ident, extract(pp, msk, ident, RandomSource(381))
@@ -232,55 +232,46 @@ class TestOwnership:
             assert got[0] == got[1]
 
 
-    def test_threads_share_a_fresh_key(self, mini_system, preps, coset_maps, monkeypatch):
-        # a freshly loaded key: E'_ID carries its R and an unbound coset map
+    def test_threads_share_a_fresh_key(self, mini_system, preps, derivations):
+        # a key fresh from extract and the same key loaded: E'_ID is complete
+        # when made, so concurrent draws derive, factor and write nothing
         pp, msk = mini_system
         ident = identity_from_string("erin", MINI.ell)
-        sk = extract(pp, msk, ident, RandomSource(351))
-        sk = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
-        assert sk.trapdoor_prime.coset.a is None
+        fresh = extract(pp, msk, ident, RandomSource(351))
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(fresh, MINI), MINI)
         msgs = [random_message(MINI.t, 352 + i) for i in range(2)]
         cts = [encrypt(pp, ident, msg, RandomSource(354 + i)) for i, msg in enumerate(msgs)]
-        binds = CallCounter(trapdoor.CosetMap.bound_to)
-        monkeypatch.setattr(trapdoor.CosetMap, "bound_to", lambda cmap, a, q: binds(cmap, a, q))
-        seen = []
-        coset_map = sk.trapdoor_prime.coset_map
-
-        def recording_coset_map(a, q):
-            seen.append(coset_map(a, q))
-            return seen[-1]
-
-        monkeypatch.setattr(sk.trapdoor_prime, "coset_map", recording_coset_map)
-        preps.calls = coset_maps.calls = 0
-        start = threading.Barrier(2, timeout=60)
-
-        def work(i):
-            rng = RandomSource(360 + i)
-            start.wait()
-            return td2(pp, sk, ident, cts[i], rng), decrypt(pp, sk, cts[i], rng)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(work, i) for i in range(2)]
-                results = [f.result(timeout=300) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
         q = MINI.q
         f_prime = compute_f(pp, ident, "prime")
-        for (bound, out), ct, msg in zip(results, cts, msgs):
-            f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
-            assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
-            assert np.array_equal(out, msg)
-        # E'_ID's stored coset map is bound once, however the two threads
-        # race, both walk with that one bound map, and nothing is derived
-        # or factored
-        assert binds.calls == 1
-        assert len(seen) == 2 and seen[0] is seen[1] is sk.trapdoor_prime.coset
-        assert np.array_equal(seen[0].a, f_prime)
-        assert coset_maps.calls == 0
-        assert preps.calls == 0
+
+        def draw_in_two_threads(sk):
+            start = threading.Barrier(2, timeout=60)
+
+            def work(i):
+                rng = RandomSource(360 + i)
+                start.wait()
+                return td2(pp, sk, ident, cts[i], rng), decrypt(pp, sk, cts[i], rng)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = [pool.submit(work, i) for i in range(2)]
+                    return [f.result(timeout=300) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+
+        for sk in (fresh, loaded):
+            held = dict(vars(sk.trapdoor_prime))
+            preps.calls = derivations.calls = 0
+            for (bound, out), ct, msg in zip(draw_in_two_threads(sk), cts, msgs):
+                f2 = concat_cols([f_prime, mat_mul(pp.a, ct.r_tag, q)])
+                assert np.array_equal(mat_mul(f2, bound.e_prime, q), pp.u)
+                assert np.array_equal(out, msg)
+            now = vars(sk.trapdoor_prime)
+            assert now.keys() == held.keys() and all(now[k] is v for k, v in held.items())
+            assert derivations.calls == 0
+            assert preps.calls == 0
 
 
 class TestStoredRFactor:
@@ -299,9 +290,9 @@ class TestStoredRFactor:
         _, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
         start = self.r_block(blob)
-        assert blob[sk_sections(MINI)["r_rows"]] == sk.trapdoor_prime.prepared().r_rows.astype("<f8").tobytes()
+        assert blob[sk_sections(MINI)["r_rows"]] == sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()
         loaded = fileio.load_user_secret(blob, MINI)
-        assert np.array_equal(loaded.trapdoor_prime.prepared().r_rows, sk.trapdoor_prime.prepared().r_rows)
+        assert np.array_equal(loaded.trapdoor_prime.prep.r_rows, sk.trapdoor_prime.prep.r_rows)
         assert fileio.dump_user_secret(loaded, MINI) == blob
 
     def test_corrupted_r_block_refused(self, mini_key, mini_key_other):
@@ -309,7 +300,7 @@ class TestStoredRFactor:
         _, other = mini_key_other
         blob = fileio.dump_user_secret(sk, MINI)
         start = self.r_block(blob)
-        r_rows = sk.trapdoor_prime.prepared().r_rows
+        r_rows = sk.trapdoor_prime.prep.r_rows
         off_diagonal = np.ones(r_rows.size, dtype=bool)
         off_diagonal[[self.diagonal_word(k) for k in range(2 * MINI.m)]] = False
         big = int(np.argmax(np.abs(r_rows) * off_diagonal))
@@ -328,8 +319,8 @@ class TestStoredRFactor:
 
 
 class TestStoredCosetMap:
-    """Extract builds E'_ID's coset map, the key file carries it, and a
-    loaded key checks it at load and binds it to F'_ID on first use."""
+    """Extract builds E'_ID's coset map, the key file carries it, a loaded
+    key checks it at load, and every draw checks it against F'_ID."""
 
     @staticmethod
     def with_word(blob, section, index, value, dtype="<i8"):
@@ -342,12 +333,12 @@ class TestStoredCosetMap:
         pp, _ = mini_system
         ident, sk = mini_key
         cmap = sk.trapdoor_prime.coset
-        assert np.array_equal(cmap.a, compute_f(pp, ident, "prime"))
+        sk.trapdoor_prime.require(compute_f(pp, ident, "prime"), MINI.q)
         blob = fileio.dump_user_secret(sk, MINI)
         assert len(blob) == sk_sections(MINI)["proj"].stop
         loaded = fileio.load_user_secret(blob, MINI)
         held = loaded.trapdoor_prime.coset
-        assert held.a is None
+        loaded.trapdoor_prime.require(compute_f(pp, ident, "prime"), MINI.q)
         assert np.array_equal(held.pivots, cmap.pivots) and np.array_equal(held.elim, cmap.elim)
         assert held.proj.tobytes() == cmap.proj.tobytes()
         for name in ("r_id", "e_id_prime", "e_f", "e_f_prime"):
@@ -361,22 +352,22 @@ class TestStoredCosetMap:
         ident, sk = mini_key
         pp_other, _ = setup(MINI, RandomSource(0x0DD))
         ct_other = encrypt(pp_other, ident, random_message(MINI.t, 421), RandomSource(422))
-        # extract bound the fresh key's map to pp's F'_ID
+        # the fresh key's map solves for pp's F'_ID
         with pytest.raises(ParameterError, match="another public matrix"):
             td2(pp_other, sk, ident, ct_other, RandomSource(423))
-        # a failed binding keeps the map unbound: the key still serves its own system
+        # so does the loaded key's, and a refused draw changes nothing: the
+        # key still serves its own system
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         with pytest.raises(ParameterError, match="another public matrix"):
             td2(pp_other, loaded, ident, ct_other, RandomSource(424))
-        assert loaded.trapdoor_prime.coset.a is None
         ct = encrypt(pp, ident, random_message(MINI.t, 425), RandomSource(426))
         assert td2(pp, loaded, ident, ct, RandomSource(427)) is not None
         with pytest.raises(ParameterError, match="another public matrix"):
             td2(pp_other, loaded, ident, ct_other, RandomSource(428))
 
     def test_elimination_word_in_range_is_caught_at_binding(self, mini_system, mini_key):
-        # E is checked against F'_ID, which the key file does not hold, when
-        # the map is bound: before any walk
+        # E is checked against F'_ID, which the key file does not hold, on
+        # every draw: before any walk
         pp, _ = mini_system
         ident, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
@@ -385,6 +376,28 @@ class TestStoredCosetMap:
         ct = encrypt(pp, ident, random_message(MINI.t, 431), RandomSource(432))
         with pytest.raises(ParameterError, match="another public matrix"):
             td2(pp, bad, ident, ct, RandomSource(433))
+
+    def test_another_identitys_matrix_raises_before_any_draw(self, mini_system, mini_key, mini_key_other):
+        # another identity's F'_ID shares A', so it passes the pivot check;
+        # the probe column refuses it for a fresh and a loaded key alike,
+        # before anything is drawn, and the key keeps serving its own identity
+        pp, _ = mini_system
+        ident, sk = mini_key
+        ident_o, _ = mini_key_other
+        q = MINI.q
+        ct = encrypt(pp, ident, random_message(MINI.t, 441), RandomSource(442))
+        ar = mat_mul(pp.a, ct.r_tag, q)
+        f_other = compute_f(pp, ident_o, "prime")
+        cmap = sk.trapdoor_prime.coset
+        assert np.array_equal(mat_mul(f_other[:, cmap.pivots], cmap.elim, q), np.eye(MINI.n, dtype=np.int64))
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        for key in (sk, loaded):
+            rng = RandomSource(443)
+            with pytest.raises(KeyMismatch, match="another public matrix"):
+                trapdoor.sample_left(f_other, ar, key.trapdoor_prime, pp.u, q, MINI.sigma, rng,
+                                     enforce_sigma=False)
+            assert rng.random() == RandomSource(443).random()
+            assert td2(pp, key, ident, ct, RandomSource(444)) is not None
 
     def test_corrupted_map_refused_at_load(self, mini_key, mini_key_other):
         _, sk = mini_key
@@ -425,8 +438,8 @@ class TestStoredCosetMap:
 
                 def build():
                     if name == "e_id_prime":
-                        return dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(
-                            arr, prep=sk.trapdoor_prime.prepared(), coset=sk.trapdoor_prime.coset))
+                        return dataclasses.replace(
+                            sk, trapdoor_prime=dataclasses.replace(sk.trapdoor_prime, basis=arr))
                     return dataclasses.replace(sk, **{name: arr})
 
                 if fits:
@@ -438,17 +451,12 @@ class TestStoredCosetMap:
                     with pytest.raises(ParameterError, match=re.escape(
                             f"user secret key: {section} holds an entry outside int32")):
                         build()
-        # a basis that holds no coset map: dump has no public matrix to derive one from
-        bare = dataclasses.replace(sk, trapdoor_prime=trapdoor.TrapdoorBasis(sk.e_id_prime))
-        with pytest.raises(ParameterError, match="no coset map"):
-            fileio.dump_user_secret(bare, MINI)
 
 
 class TestKeyWidth:
     """A key's integer matrices (R_ID, E'_ID, e_F, e_F') are int32 in memory,
     fresh or loaded, as the key file stores them, and so is the E_ID it
-    derives; E'_ID is one array, shared with the PreparedBasis it samples
-    with."""
+    derives."""
 
     def test_fresh_and_loaded_keys_hold_int32(self, mini_key):
         _, sk = mini_key
@@ -456,8 +464,6 @@ class TestKeyWidth:
         for key in (sk, loaded):
             for name in ("r_id", "e_id", "e_id_prime", "e_f", "e_f_prime"):
                 assert getattr(key, name).dtype == np.int32, name
-            assert key.trapdoor_prime.basis is key.trapdoor_prime.prepared().basis
-        assert loaded.trapdoor_prime.narrowed("E'_ID") is loaded.trapdoor_prime
 
     def test_extract_refuses_a_basis_outside_int32(self, mini_system, monkeypatch):
         # R_ID (extract's first sample_left) and E'_ID (its sample_basis_left)
@@ -518,7 +524,7 @@ class TestDerivedKeyBasis:
         assert sk.e_id is not e_id  # built per access, kept by nobody
         # its Gram-Schmidt norms fall far below the certificate's bound
         with pytest.raises(SingularMatrix):
-            trapdoor.TrapdoorBasis(e_id).prepared()
+            trapdoor.derive_trapdoor(f_id, e_id, MINI.q)
 
     def test_changed_r_id_entry_breaks_e_id(self, mini_system, mini_key):
         pp, _ = mini_system

@@ -1,5 +1,5 @@
-"""Distributional checks for every randomness source, and the R-only
-projections the walk starts from against an explicit Q.
+"""Distributional checks for every randomness source, and the projections
+the walk starts from against an explicit Q.
 
 Monte-Carlo expectations are compared against exact mass functions
 summed over the truncated support, which is the independent oracle for
@@ -30,7 +30,7 @@ from ibeetfa.samplers import (
     slack_factor,
 )
 from ibeetfa.scheme import compute_f, encrypt
-from ibeetfa.trapdoor import TrapdoorBasis, trap_gen, trapgen_width
+from ibeetfa.trapdoor import derive_trapdoor, trap_gen, trapgen_width
 from ibeetfa.zqlinalg import exact_gram, exact_int_matmul
 
 from conftest import MINI, random_message
@@ -48,6 +48,11 @@ def gaussian_mass_moments(sigma, center, width=None):
     return mean, var
 
 
+def r_factor(basis):
+    """The PreparedBasis of a basis, with no projections asked for."""
+    return prepare_basis(basis, np.zeros((len(basis), 0)))[0]
+
+
 def explicit_projections(basis, t):
     """Q^T t with an explicit Q: numpy's QR of the basis, whose R prepare_basis keeps."""
     return np.linalg.qr(np.asarray(basis, dtype=np.float64))[0].T @ t
@@ -57,7 +62,7 @@ def lattice_points(basis, sigma, center, count, rng):
     """count lattice points near center: one walk per column, as extract and td2 run it."""
     basis = np.asarray(basis, dtype=np.int64)
     targets = np.repeat(np.asarray(center, dtype=np.float64)[:, None], count, axis=1)
-    z = klein_coefficients(prepare_basis(basis), sigma, explicit_projections(basis, targets), rng)
+    z = klein_coefficients(r_factor(basis), sigma, explicit_projections(basis, targets), rng)
     return (basis @ z).T
 
 
@@ -297,7 +302,7 @@ class TestLatticeGaussian:
         rng = RandomSource(123456)
         basis = np.eye(2, dtype=np.int64)
         n = 100_000
-        prep = prepare_basis(basis)
+        prep = r_factor(basis)
         coeffs = klein_coefficients(prep, 4.0, np.zeros((2, n)), rng)
         pts = coeffs.T  # identity basis: lattice point equals coefficients
         grid = np.arange(-20, 21)
@@ -321,10 +326,10 @@ class TestLatticeGaussian:
     def test_singular_basis_rejected(self):
         bad = np.array([[1, 2], [2, 4]], dtype=np.int64)
         with pytest.raises(SingularMatrix):
-            prepare_basis(bad)
+            r_factor(bad)
 
     def test_walk_takes_target_matrices_only(self):
-        prep = prepare_basis(np.eye(3, dtype=np.int64))
+        prep = r_factor(np.eye(3, dtype=np.int64))
         for bad in (np.zeros(3), np.zeros((2, 4))):
             with pytest.raises(DimensionMismatch):
                 klein_coefficients(prep, 5.0, bad, RandomSource(7))
@@ -570,7 +575,7 @@ class TestReferenceAgreement:
         assert 150 > 2 * WALK_BLOCK and 150 % WALK_BLOCK
         for dim in (40, 150):
             basis = RandomSource(83).integers(-50, 51, (dim, dim)) + 200 * np.eye(dim, dtype=np.int64)
-            prep = prepare_basis(basis)
+            prep = r_factor(basis)
             proj = explicit_projections(basis, RandomSource(84).normal(500.0, (dim, lanes)))
             mixed = 2.0 * float(np.median(prep.gs_norms))
             for sigma, regimes in ((3.0, {True}), (mixed, {True, False}), (3000.0, {False})):
@@ -607,9 +612,10 @@ def coset_cases(mini_system, mini_key):
     ident, sk = mini_key
     master = msk.trapdoor_a
     cases = []
-    for name, td, a, sigma in (("master", master.g_trapdoor, master.g, master.width_g),
-                               ("key", TrapdoorBasis(sk.e_id_prime), compute_f(pp, ident, "prime"), MINI.sigma)):
-        cases.append((name, td.basis, td.coset_map(a, MINI.q), sigma))
+    for name, td, sigma in (("master", master.g_trapdoor, master.width_g),
+                               ("key", derive_trapdoor(compute_f(pp, ident, "prime"), sk.e_id_prime, MINI.q),
+                                MINI.sigma)):
+        cases.append((name, td.basis, td.coset, sigma))
     assert [case[2].w.shape[1] for case in cases] == [MINI.n, MINI.n]
     return cases
 
@@ -632,10 +638,10 @@ class TestProjection:
         ct = encrypt(pp, ident, random_message(MINI.t, 91), RandomSource(92))
         assert td2(pp, loaded, ident, ct, RandomSource(93)) is not None
         assert modes == []  # a loaded key adopts the R its file carries
-        prep = TrapdoorBasis(loaded.e_id_prime).prepared()
-        assert modes == ["r"]  # a basis without one factors it, R only
+        prep = derive_trapdoor(compute_f(pp, ident, "prime"), loaded.e_id_prime, MINI.q).prep
+        assert modes == ["raw"]  # a fresh basis is factored once, without Q
         d = prep.dim
-        assert [f.name for f in fields(prep)] == ["basis", "r_rows", "gs_norms"]
+        assert [f.name for f in fields(prep)] == ["r_rows", "gs_norms"]
         assert prep.r_rows.shape == (d * (d + 1) // 2,)
 
     @staticmethod
@@ -645,7 +651,7 @@ class TestProjection:
         c = W @ y of targets that sample_left would form."""
         y = cmap.coordinates(targets)
         c = exact_int_matmul(cmap.w, y)
-        gs = prepare_basis(basis).gs_norms[:, None]
+        gs = r_factor(basis).gs_norms[:, None]
         ref = _longdouble_projections(basis, c)
         q_factor = np.linalg.qr(basis.astype(np.float64))[0]
         err_p = float(np.max(np.abs(cmap.proj @ y - ref) / gs))
@@ -676,8 +682,8 @@ class TestProjection:
         # so its error is the Q path's: 3.6e-11 of a lattice step, 1.003x
         q, n = 4093, 2
         pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
-        td = TrapdoorBasis(pair.trapdoor.basis)
-        cmap = td.coset_map(pair.a, q)
+        td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
+        cmap = td.coset
         q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
         assert np.abs(cmap.proj - q_factor.T @ cmap.w).max() < 1e-14
         err_p, err_q = self.errors(td.basis, cmap, RandomSource(97).integers(0, q, (n, 16)))
@@ -687,7 +693,7 @@ class TestProjection:
         # the reference walks from Q^T c with an explicit Q; walking from
         # P @ y must give the same coefficients and stream position
         for name, basis, cmap, sigma in coset_cases:
-            prep = prepare_basis(basis)
+            prep = r_factor(basis)
             q_factor = np.linalg.qr(basis.astype(np.float64))[0]
             for seed in range(20):
                 targets = RandomSource(1000 + seed).integers(0, MINI.q, (MINI.n, 4))
@@ -710,7 +716,7 @@ class TestAdoptRFactor:
     def test_accepts_any_r_factor_of_the_basis(self, mini_key):
         _, sk = mini_key
         basis = sk.e_id_prime
-        prep = sk.trapdoor_prime.prepared()
+        prep = sk.trapdoor_prime.prep
         d = basis.shape[0]
         r_full = np.zeros((d, d))
         r_full[np.triu_indices(d)] = prep.r_rows
@@ -730,10 +736,10 @@ class TestAdoptRFactor:
     def test_refuses_an_r_factor_of_another_basis(self, mini_key, mini_key_other):
         _, sk = mini_key
         _, other = mini_key_other
-        r_rows = sk.trapdoor_prime.prepared().r_rows
+        r_rows = sk.trapdoor_prime.prep.r_rows
         none = np.zeros((sk.e_id_prime.shape[0], 0))
         with pytest.raises(SingularMatrix):
-            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prepared().r_rows, none)
+            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prep.r_rows, none)
         for word, value in ((1, 2.0 * r_rows[1]), (0, 0.0), (5, np.nan), (7, np.inf)):
             bad = r_rows.copy()
             bad[word] = value

@@ -19,6 +19,7 @@ from ibeetfa.trapdoor import (
     GadgetTrapdoor,
     TrapdoorBasis,
     bound_gs,
+    derive_trapdoor,
     gadget_length,
     sample_basis_left,
     sample_left,
@@ -116,8 +117,9 @@ class TestTrapGen:
                 assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
         # SampleD's G-sampling walks S_G with G's coset map: the unit digit of
         # each row is its pivot, so E = I
+        pair.trapdoor.g_trapdoor.require(gadget, q)
         cmap = pair.trapdoor.g_trapdoor.coset
-        assert np.array_equal(cmap.a, gadget) and np.array_equal(cmap.pivots, np.arange(n) * k)
+        assert np.array_equal(cmap.pivots, np.arange(n) * k)
         assert np.array_equal(cmap.elim, np.eye(n, dtype=np.int64))
 
 
@@ -163,7 +165,7 @@ class TestSamplePre:
         # reordering columns changes the Gram-Schmidt profile
         sigma = gram_schmidt_norm(shuffled) * slack_factor(m) * 1.05
         u = RandomSource(67).integers(0, q, (n, 8))
-        e = preimages_under_a(pair.a, TrapdoorBasis(shuffled), u, q, sigma, RandomSource(71))
+        e = preimages_under_a(pair.a, derive_trapdoor(pair.a, shuffled, q), u, q, sigma, RandomSource(71))
         assert np.array_equal(mat_mul(pair.a, e, q), u)
 
 
@@ -203,14 +205,14 @@ class TestSampleLeft:
         mblk = RandomSource(127).integers(0, q, (n, 6))
         sigma = master_sigma(pair, m + 6)
         u = RandomSource(131).integers(0, q, (n, 64))
-        draw = trapdoor._preimage_batch
+        draw = TrapdoorBasis.preimages
 
         def corrupted(*args):
             e = draw(*args)
             e[0, 3] += 1
             return e
 
-        monkeypatch.setattr(trapdoor, "_preimage_batch", corrupted)
+        monkeypatch.setattr(TrapdoorBasis, "preimages", corrupted)
         with pytest.raises(SamplingError):
             sample_left(pair.a, mblk, pair.trapdoor, u, q, sigma, RandomSource(137))
 
@@ -358,12 +360,11 @@ class TestBasisFromPreimages:
         sk = scheme.extract(pp, msk, ident, RandomSource(419))
         assert len(lefts) == 4 and len(drawn) == 2
         # the key holds the last draws narrowed to int32; E'_ID keeps that
-        # draw's own R factor, over the narrowed array
+        # draw's own R factor and coset map
         assert sk.r_id.dtype == sk.e_id_prime.dtype == np.int32
         assert np.array_equal(sk.r_id, lefts[2]) and np.array_equal(sk.e_f, lefts[3])
         assert np.array_equal(sk.e_id_prime, drawn[1][0].basis)
-        prep = sk.trapdoor_prime.prepared()
-        assert prep.r_rows is drawn[1][0].prepared().r_rows and prep.basis is sk.e_id_prime
+        assert sk.trapdoor_prime.prep is drawn[1][0].prep and sk.trapdoor_prime.coset is drawn[1][0].coset
         trapdoor.require_gadget_trapdoor(scheme.compute_f(pp, ident, "primary"), sk.r_id, MINI.q)
         scheme.checked_preimage(pp, ident, "primary", sk.e_f)
         scheme.checked_preimage(pp, ident, "prime", sk.e_f_prime)
@@ -517,22 +518,67 @@ class TestSampleD:
 
 
 class TestCosetMapBinding:
-    """A basis's coset map belongs to the public matrix it was derived for;
-    a master trapdoor checks its matrix on every draw."""
+    """A trapdoor is complete when it is made: sample_left checks it against
+    the public matrix once, before any draw, and nothing is stored."""
 
     def test_other_matrix_raises_after_first_use(self):
         pair, q, n, m = small_pair(361)
         other, _, _, _ = small_pair(367)
-        td = TrapdoorBasis(pair.trapdoor.basis)
+        td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
         sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
         u = RandomSource(373).integers(0, q, (n, 4))
         assert np.array_equal(mat_mul(pair.a, preimages_under_a(pair.a, td, u, q, sigma,
                                                                 RandomSource(379)), q), u)
         with pytest.raises(KeyMismatch):
-            td.coset_map(other.a, q)
+            td.require(other.a, q)
         with pytest.raises(KeyMismatch):
-            td.coset_map(pair.a, 4091)
-        assert td.coset_map(pair.a.copy(), q) is td.coset_map(pair.a, q)
+            td.require(pair.a, 4091)
+        td.require(pair.a.copy(), q)
+
+    def test_checked_once_before_any_draw(self, monkeypatch):
+        # M-side included, for both trapdoor types; SampleD's own walk under
+        # G is not checked again
+        pair, q, n, m = small_pair(503)
+        other, _, _, _ = small_pair(509)
+        mblk = RandomSource(521).integers(0, q, (n, 6))
+        u = RandomSource(523).integers(0, q, (n, 4))
+        counts = {}
+        for cls in (GadgetTrapdoor, TrapdoorBasis):
+            counts[cls] = CallCounter(cls.require)
+            monkeypatch.setattr(cls, "require", lambda td, a, modulus, c=counts[cls]: c(td, a, modulus))
+        basis_td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
+        for td, sigma in ((pair.trapdoor, master_sigma(pair, m + 6)),
+                          (basis_td, basis_td.sigma_floor(slack_factor(m + 6)) * 1.05)):
+            for a, modulus in ((other.a, q), (pair.a, 4091)):
+                rng = RandomSource(527)
+                with pytest.raises(KeyMismatch):
+                    sample_left(a, mblk, td, u, modulus, sigma, rng)
+                assert rng.random() == RandomSource(527).random()
+            for counter in counts.values():
+                counter.calls = 0
+            e = sample_left(pair.a, mblk, td, u, q, sigma, RandomSource(529))
+            assert np.array_equal(mat_mul(concat_cols([pair.a, mblk]), e, q), u)
+            assert {cls: c.calls for cls, c in counts.items()} == {
+                GadgetTrapdoor: int(td is pair.trapdoor), TrapdoorBasis: int(td is basis_td)}
+
+    def test_a_fresh_basis_is_factored_once(self, monkeypatch):
+        # one QR gives a fresh basis its R factor and its coset map's
+        # projections, and sampling with it factors nothing
+        pair, q, n, m = small_pair(541)
+        basis = pair.trapdoor.basis
+        modes, qr = [], np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        td = derive_trapdoor(pair.a, basis, q)
+        assert modes == ["raw"]
+        u = RandomSource(547).integers(0, q, (n, 4))
+        e = preimages_under_a(pair.a, td, u, q, td.sigma_floor(slack_factor(m)) * 1.05, RandomSource(557))
+        assert np.array_equal(mat_mul(pair.a, e, q), u)
+        assert modes == ["raw"]
 
     def test_gadget_basis_of_another_matrix_raises_before_binding(self):
         # a master trapdoor whose Rbar does not give A @ [Rbar; I] == G is
@@ -556,8 +602,7 @@ class TestCosetMapBinding:
         # centered solve_mod solution
         pair, q, n, m = small_pair(397)
         perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
-        td = TrapdoorBasis(np.ascontiguousarray(pair.trapdoor.basis[:, perm]))
-        cmap = td.coset_map(pair.a, q)
+        cmap = derive_trapdoor(pair.a, np.ascontiguousarray(pair.trapdoor.basis[:, perm]), q).coset
         assert cmap.w.shape == (m, n)
         targets = RandomSource(409).integers(0, q, (n, 12))
         got = cmap.w @ cmap.coordinates(targets)

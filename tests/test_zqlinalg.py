@@ -300,7 +300,7 @@ class TestNonsingularityThreshold:
             b = base.copy()
             b[:, -1] = (1 << k) * base[:, 0] + rng.integers(-3, 4, d)
             try:
-                prep = prepare_basis(b)
+                prep, _ = prepare_basis(b, np.zeros((d, 0)))
                 accepted = True
             except SingularMatrix:
                 accepted = False
@@ -312,7 +312,7 @@ class TestNonsingularityThreshold:
             try:
                 got, _ = trapdoor._basis_from_preimages(lambda count: b, np.ones((1, d), dtype=np.int64), 7)
                 assert accepted, k
-                assert np.array_equal(got.prepared().r_rows, prep.r_rows)
+                assert np.array_equal(got.prep.r_rows, prep.r_rows)
             except SamplingError:
                 assert not accepted, k
             seen.add(accepted)
