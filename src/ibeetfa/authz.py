@@ -33,6 +33,7 @@ from .scheme import (
     compute_f,
     decode_with_preimage,
     frozen_array,
+    read_only,
     tag_product,
 )
 from .trapdoor import sample_left
@@ -58,13 +59,19 @@ class TrapdoorT2:
     """Single-ciphertext comparison authority: a bound preimage.
 
     Carries the parameters it was issued under, so the test side can check
-    the ciphertext's integrity without the public parameters.
+    the ciphertext's integrity without the public parameters.  The binding
+    and the preimage are held as read-only views of the arrays td2 or the
+    load built.
     """
 
     identity: Identity
     ct_binding: np.ndarray  # lambda-bit digest of the bound ciphertext
     e_prime: np.ndarray     # 3m x t
     params: ParamSet
+
+    def __post_init__(self):
+        object.__setattr__(self, "ct_binding", read_only(self.ct_binding))
+        object.__setattr__(self, "e_prime", read_only(self.e_prime))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ integer matrices as i64 two's-complement little-endian (the user secret
 key's as i32, see below); real factors as
 IEEE-754 binary64 little-endian; bit strings are packed little-endian
 within each byte.  Dumps join views of the arrays' own buffers, so each
-blob is built in one copy.  Loads verify magic, version, kind, exact
-payload length, and (when the caller supplies a reference parameter
-set) the fingerprint, so mixed-parameter artifacts are always rejected.
+blob is built in one copy.  Loads verify magic, version, kind, the
+header's fingerprint, that its parameter set passes
+params.validate_params, the exact payload length, and (when the caller
+supplies a reference parameter set) that the parameters are the
+reference's, so mixed-parameter artifacts are always rejected.
 Writes are atomic: temp file in the directory of the target (symlinks
 resolved), then rename (a target that exists and is no regular file,
 such as a FIFO, is written in place instead).
@@ -34,10 +36,12 @@ width a key holds them at in memory too (scheme.UserSecretKey), so dump
 writes them as they are and a load copies them without widening.  It
 keeps the R block and appends the coset map extract built for E'_ID
 under F'_ID: its n pivot rows (i64), the n x n elimination matrix E (u64
-residues) and the 2m x n projections P = Q^T W (binary64).  The load
-checks the pivots, E's range and P against E'_ID and R in O(m^2 n)
-(trapdoor.adopt_trapdoor), so a loaded key derives nothing; each draw
-checks the map against F'_ID (TrapdoorBasis.require).
+residues) and the 2m x n projections P = Q^T W (binary64), W the 0/1
+matrix that puts a coordinate on each pivot row (neither the file nor
+the key holds W).  The load checks the pivots, E's range and P against
+E'_ID and R in O(m^2 n) (trapdoor.adopt_trapdoor), so a loaded key
+derives nothing; each draw checks the map against F'_ID
+(TrapdoorBasis.require).
 Version 5 (user secret key only) replaces the 2m x 2m basis E_ID by the
 key's gadget trapdoor R_ID ((2m - nk) x nk, i32) and appends the public
 Abar_ID, the left 2m - nk columns of F_ID (u64 residues), from which a
@@ -64,7 +68,7 @@ import numpy as np
 from .authz import TrapdoorT1, TrapdoorT2, TrapdoorT3
 from .errors import FormatError, IbeetfaError, ParameterError, SingularMatrix
 from .hashing import bits_to_bytes, bytes_to_bits, hash_hprime
-from .params import ParamSet
+from .params import ParamSet, validate_params
 from .scheme import Ciphertext, Identity, MasterSecretKey, PublicParams, UserSecretKey
 from .trapdoor import GadgetTrapdoor, adopt_trapdoor, gadget_length, require_gadget_trapdoor
 
@@ -191,6 +195,9 @@ def _open(blob: bytes, expect_kind: int, reference: ParamSet | None):
     params = decode_params(rd.take(_PARAMS_STRUCT.size))
     if fingerprint != params_fingerprint(params):
         raise FormatError(f"{what}: parameter fingerprint mismatch within file")
+    violations = validate_params(params)
+    if violations:
+        raise FormatError(f"{what}: parameter set violates constraints: " + "; ".join(violations))
     if reference is not None and params != reference:
         raise FormatError(f"{what}: parameters differ from the other artifacts in use")
     return rd, params
@@ -268,12 +275,11 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     """The sk file (version 5).  The key's integer matrices are int32
     (UserSecretKey narrows them), so they are written as they are."""
     td = sk.trapdoor_prime
-    cmap = td.coset
     sections = [memoryview(np.ascontiguousarray(arr, dtype="<i4"))
                 for arr in (sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
     return b"".join(
         [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _words(sk.a_bar_id),
-         _reals(td.prep.r_rows), _words(cmap.pivots), _words(cmap.elim), _reals(cmap.proj)]
+         _reals(td.prep.r_rows), _words(td.pivots), _words(td.elim), _reals(td.proj)]
     )
 
 

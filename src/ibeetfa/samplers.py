@@ -9,9 +9,13 @@ Gaussians are the randomized-nearest-plane walk of klein_coefficients
 over the R factor that prepare_basis keeps of a basis (or adopt_r_factor
 takes over, checked, from a key file); no Q is ever formed.  A walk
 takes the projections Q^T t of its d x k targets (one walk per column),
-which prepare_basis gives for the t = W @ y of a coset map by applying
-the QR's Householder reflectors to W.  Encryption's noise and small
-matrices are drawn here too.
+which prepare_basis gives for coset representatives t = W @ y, W a d x n
+0/1 matrix that puts y on n pivot rows, by applying the QR's Householder
+reflectors to W once per basis (trapdoor.TrapdoorBasis keeps the result
+P, not W).  The same QR's |R_kk| are the basis's Gram-Schmidt norms
+(PreparedBasis.gs_norms; zqlinalg.gram_schmidt_norm takes their maximum
+from the same certified QR).  Encryption's noise and small matrices are
+drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -203,12 +207,13 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 WALK_BLOCK = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedBasis:
     """The R factor of a column basis, reused across many sampling calls.
 
     No Q is formed or kept: a walk needs only R and the projections Q^T t
-    of its targets, which a coset map holds as P = Q^T W (prepare_basis).
+    of its targets, which a trapdoor.TrapdoorBasis holds as P = Q^T W
+    (prepare_basis).
     Only the upper triangle of R is kept, row after row, which halves its
     memory: a key holds this data for as long as it lives.  The basis
     itself is held by its trapdoor.TrapdoorBasis.

@@ -5,18 +5,18 @@ every produced artifact on one host at one BLAS thread count.  Across
 hosts or thread counts, one thing can move: the walks center on a float
 QR's R factor, whose last bits LAPACK rounds differently under other BLAS
 thread counts, so the R block of a key file differs and, at a rounding
-tie, so could a sampled coordinate.  A key
-file carries the R extract certified E'_ID with, so a loaded key samples
-with exactly the R of the host that extracted it.  Data objects are
-immutable, and every trapdoor is complete when it is made: a master
+tie, so could a sampled coordinate.  A key file carries the R extract
+certified E'_ID with, so a loaded key samples with exactly the R of the
+host that extracted it.  Data objects are immutable, their arrays
+read-only, and every trapdoor is complete when it is made: a master
 trapdoor builds everything SampleD needs, and a key's E'_ID holds its R
-factor and coset map from extract (or from the key file, checked at
-load); sample_left checks either against the public matrix on every
-draw and stores nothing.  A key's E_ID is rebuilt from its R_ID on every
-access and kept by nobody.  Decrypt and the type-1 tests read the key's
-preimages of U, fixed at extract.  The only lazy state is the integrity
-tag a Ciphertext keeps per parameter set, which two racing threads at
-worst compute twice, with equal results.  Calls may therefore run
+factor, pivots, E and projections from extract (or from the key file,
+checked at load); sample_left checks either against the public matrix on
+every draw and stores nothing.  A key's E_ID is rebuilt from its R_ID on
+every access and kept by nobody.  Decrypt and the type-1 tests read the
+key's preimages of U, fixed at extract.  The only lazy state is the
+integrity tag a Ciphertext keeps per parameter set, which two racing
+threads at worst compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
 call has a RandomSource of its own: a RandomSource is single-owner state.
 """
@@ -66,9 +66,18 @@ def frozen_array(arr, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def read_only(arr) -> np.ndarray:
+    """A read-only view of arr, for an array the holder owns: no copy, and no
+    write through the view."""
+    out = np.asarray(arr).view()
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class PublicParams:
-    """System-wide public material: (A, A', A_1..A_ell, B, U) plus params."""
+    """System-wide public material: (A, A', A_1..A_ell, B, U) plus params,
+    held as read-only views of the arrays setup or load built (read_only)."""
 
     params: ParamSet
     a: np.ndarray
@@ -77,6 +86,11 @@ class PublicParams:
     b: np.ndarray
     u: np.ndarray
 
+    def __post_init__(self):
+        for name in ("a", "a_prime", "b", "u"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        object.__setattr__(self, "a_list", tuple(read_only(x) for x in self.a_list))
+
     def element_count(self) -> int:
         total = self.a.size + self.a_prime.size + self.b.size + self.u.size
         return total + sum(x.size for x in self.a_list)
@@ -84,7 +98,8 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class MasterSecretKey:
-    """The gadget trapdoors behind A and A': (Abar, Rbar, q) each.
+    """The gadget trapdoors behind A and A': (Abar, Rbar, q) each, which
+    every GadgetTrapdoor holds as read-only copies.
 
     A trapdoor asked to sample under a matrix A with A @ [Rbar; I] != G
     (mod q) raises KeyMismatch (a ParameterError).  The bases T_A and T_A'
@@ -145,8 +160,8 @@ class UserSecretKey:
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
     them, so neither builds any sampling data.  Both are held as read-only
     copies.  Only the basis E'_ID is sampled with (by td2 and td3_ct):
-    extract hands it the R factor it was certified with and builds its
-    coset map under F'_ID, the key file stores both, and a loaded key
+    extract hands it the R factor it was certified with and its pivots, E
+    and P under F'_ID, the key file stores them, and a loaded key
     adopts them once load has checked them against E'_ID
     (trapdoor.adopt_trapdoor).  Either key holds no lazy state: its
     trapdoor is checked against F'_ID on every draw (TrapdoorBasis.require).
@@ -158,7 +173,9 @@ class UserSecretKey:
     narrows each one (zqlinalg.int32_matrix, no copy of an int32 array),
     so an entry that does not fit raises ParameterError here, and a key
     that dump cannot write never exists.  E'_ID's TrapdoorBasis is held
-    with its basis narrowed (dataclasses.replace keeps its sampling data).
+    with its basis narrowed, and E'_ID, its R rows, pivots, E and P as
+    read-only views (dataclasses.replace): no second copy of the key's
+    largest arrays is made.
     Arithmetic on these matrices goes through mat_mul, exact_int_matmul
     or an explicit float64 or int64 conversion, never int32 products.
     """
@@ -172,8 +189,12 @@ class UserSecretKey:
     e_f_prime: np.ndarray
 
     def __post_init__(self):
-        basis = int32_matrix(self.trapdoor_prime.basis, "user secret key: E'_ID")
-        object.__setattr__(self, "trapdoor_prime", replace(self.trapdoor_prime, basis=basis))
+        td = self.trapdoor_prime
+        basis = int32_matrix(td.basis, "user secret key: E'_ID")
+        prep = replace(td.prep, r_rows=read_only(td.prep.r_rows), gs_norms=read_only(td.prep.gs_norms))
+        object.__setattr__(self, "trapdoor_prime", replace(
+            td, basis=read_only(basis), prep=prep, pivots=read_only(td.pivots),
+            elim=read_only(td.elim), proj=read_only(td.proj)))
         for name, section in (("r_id", "R_ID"), ("e_f", "e_F"), ("e_f_prime", "e_F'")):
             arr = int32_matrix(getattr(self, name), f"user secret key: {section}")
             object.__setattr__(self, name, frozen_array(arr, np.int32))
@@ -316,10 +337,10 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
     under F_ID; and E'_ID with e_F' from one sample_basis_left call.
     Every master draw is SampleD (trapdoor.GadgetTrapdoor).  E'_ID is
     certified by factoring it and keeps that R factor for td2, with the
-    coset map of F'_ID that td2 walks with, from the same QR.  A draw
-    that fails (SamplingError) draws the whole key again, up to
-    _EXTRACT_ATTEMPTS times.  A master key that is no trapdoor of pp's A
-    and A' raises KeyMismatch (a ParameterError) on the first draw.
+    pivots, E and projections under F'_ID that td2 walks with, from the
+    same QR.  A draw that fails (SamplingError) draws the whole key again,
+    up to _EXTRACT_ATTEMPTS times.  A master key that is no trapdoor of
+    pp's A and A' raises KeyMismatch (a ParameterError) on the first draw.
     """
     p = pp.params
     a_id = compute_a_id(pp, ident)

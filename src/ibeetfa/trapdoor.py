@@ -16,15 +16,19 @@ and checks every column it returns, and sample_basis_left, which builds a
 delegated basis (and preimages of U) from one sample_left batch.  With a
 short basis (TrapdoorBasis: a user key's E'_ID, and S_G inside SampleD)
 the A-side is the randomized nearest plane of samplers.py, over the R
-factor of the basis only.  Every coset representative is c = W @ y, y
-the mod-q solution on the n pivot columns of A and W the map that places
-it there (CosetMap).  The walk's projections Q^T c are then P @ y with
-P = Q^T W computed once per basis, by the same QR that gives its R
-(samplers.prepare_basis), so no Q is ever formed.  A TrapdoorBasis is
-complete when it is made, fresh (derive_trapdoor: extract builds E'_ID's
-with its certificate) or loaded (adopt_trapdoor: a key file's R and map,
-checked against the basis), and sample_left checks it against the public
-matrix before every draw (require).
+factor of the basis only.  Every coset representative c is the mod-q
+solution y = center_rep(E @ targets) on the basis's n pivot rows (the
+pivot columns of A, E the elimination solve_mod applies to them) and zero
+elsewhere, so c = W @ y for the d x n 0/1 matrix W that puts y on the
+pivots.  The walk's projections Q^T c are then P @ y with P = Q^T W
+computed once per basis, by the same QR that gives its R
+(samplers.prepare_basis), so no Q is ever formed, and W is built only as
+that QR's input.  A TrapdoorBasis holds its R factor, pivots, E and P
+next to the basis and is complete when it is made, fresh
+(derive_trapdoor: extract builds E'_ID's with its certificate) or loaded
+(adopt_trapdoor: a key file's R, pivots, E and P, checked against the
+basis); sample_left checks it against the public matrix before every draw
+(require).
 """
 
 from __future__ import annotations
@@ -200,32 +204,6 @@ def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int, dtype=np.int64,
 # Trapdoors that own their sampling data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetMap:
-    """Short coset representatives under one public matrix A, as c = W @ y.
-
-    y = center_rep(E @ targets mod q) with E the elimination solve_mod
-    applies to A, and W puts y on solve_mod's pivot rows, so c is the
-    centered solve_mod solution.  proj = Q^T W of the basis the map
-    belongs to, which turns the walk's projections Q^T c into proj @ y.
-    The map holds no A: TrapdoorBasis.require checks A on every draw.
-    """
-
-    q: int
-    elim: np.ndarray         # n x n, E
-    w: np.ndarray            # d x n int64
-    proj: np.ndarray         # d x n float64
-
-    @property
-    def pivots(self) -> np.ndarray:
-        """The row of W that each column of W puts its coordinate on."""
-        return self.w.argmax(axis=0)
-
-    def coordinates(self, targets: np.ndarray) -> np.ndarray:
-        """y with A @ (W @ y) == targets (mod q)."""
-        return center_rep(mat_mul(self.elim, targets, self.q), self.q)
-
-
 def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
     """KeyMismatch unless A @ [Rbar; I] == G (mod q): Rbar is a gadget trapdoor of A.
 
@@ -243,24 +221,18 @@ def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
         raise KeyMismatch("the trapdoor basis is no trapdoor of this public matrix")
 
 
-def _pivot_map(pivots: np.ndarray, d: int) -> np.ndarray:
-    """The d x n matrix W that puts coordinate j on row pivots[j]."""
-    w = np.zeros((d, pivots.size), dtype=np.int64)
-    w[pivots, np.arange(pivots.size)] = 1
-    return w
-
-
 def derive_trapdoor(a: np.ndarray, basis, q: int) -> TrapdoorBasis:
-    """A fresh TrapdoorBasis of A: the R factor of the basis and the
-    projections of its CosetMap, from one QR (samplers.prepare_basis:
+    """A fresh TrapdoorBasis of A: the R factor of the basis and its
+    projections P = Q^T W, from one QR (samplers.prepare_basis:
     SingularMatrix unless it certifies the basis)."""
     basis = int_array(basis)
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
-    w = _pivot_map(pivots, a.shape[1])
+    w = np.zeros((a.shape[1], pivots.size))
+    w[pivots, np.arange(pivots.size)] = 1.0
     prep, proj = prepare_basis(basis, w)
-    return TrapdoorBasis(basis, prep, CosetMap(q, x[pivots], w, proj))
+    return TrapdoorBasis(basis, prep, q, pivots, x[pivots], proj)
 
 
 def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
@@ -268,11 +240,12 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     """A TrapdoorBasis from a basis and its sampling data computed elsewhere
     (a key file: the packed R rows, n pivots, n x n E, d x n proj), the R
     factor checked first (samplers.adopt_r_factor: SingularMatrix if it is
-    not the basis's), then the pivot-path coset map (ParameterError if it is
+    not the basis's), then the pivots, E and P (ParameterError if they are
     not the basis's).
 
     The pivots must be n distinct rows of the basis and E a residue
-    matrix.  proj must be Q^T W of this basis: B = QR gives
+    matrix.  proj must be Q^T W of this basis, W the d x n matrix that
+    puts coordinate j on row pivots[j]: B = QR gives
     R^T (Q^T W) = B^T W = B[pivots, :]^T.  A backward-stable QR returns the
     exact R factor of B + F with |F| at most qr_singularity_bound (the
     error adopt_r_factor allows), so for the exact Q of B + F each column
@@ -280,8 +253,9 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     computing Q^T W (samplers.prepare_basis) and R^T proj in float64 adds
     less than another bound, which the tolerance allows.  The bound is
     taken from |R|_F = |B + F|_F.  R^T proj comes from the pass over R
-    that checks R, so no block of R is built twice.  Which A the map
-    solves for is checked on every draw (TrapdoorBasis.require).
+    that checks R, so no block of R is built twice, and no W is built.
+    Which A the pivots and E solve for is checked on every draw
+    (TrapdoorBasis.require).
     """
     basis = int_array(basis)
     prep, rt_proj = adopt_r_factor(basis, r_rows, proj)
@@ -295,37 +269,40 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:
         raise ParameterError("projections are not Q^T W of this basis")
-    return TrapdoorBasis(basis, prep, CosetMap(q, elim, _pivot_map(pivots, d), proj))
+    return TrapdoorBasis(basis, prep, q, pivots, elim, proj)
 
 
 @dataclass(frozen=True, eq=False)
 class TrapdoorBasis:
     """A short basis of the q-ary nullspace lattice of one public matrix A,
-    with the sampling data built from it.
+    with the sampling data built from it: its R factor, and the pivots, E
+    and P = Q^T W of its coset representatives under A (module docstring).
 
     It is complete when it is made, in one of two ways: fresh
-    (derive_trapdoor, one QR for the R factor and the coset map's
-    projections) or loaded (adopt_trapdoor, a key file's R and map checked
-    against the basis).  Nothing is written to it afterwards, so one
-    instance may serve concurrent calls.  The basis is int32 or int64: a
-    user key's E'_ID is int32 (scheme.UserSecretKey swaps it in with
-    dataclasses.replace).
+    (derive_trapdoor, one QR for the R factor and P) or loaded
+    (adopt_trapdoor, a key file's R, pivots, E and P checked against the
+    basis).  Nothing is written to it afterwards, so one instance may serve
+    concurrent calls.  The basis is int32 or int64: a user key's E'_ID is
+    int32 (scheme.UserSecretKey swaps it in with dataclasses.replace).
     """
 
     basis: np.ndarray        # int32 or int64, d x d, columns are basis vectors
     prep: PreparedBasis      # its R factor
-    coset: CosetMap          # its coset map of A
+    q: int
+    pivots: np.ndarray       # n distinct rows of the basis: A's pivot columns
+    elim: np.ndarray         # n x n residues, E
+    proj: np.ndarray         # d x n float64, P = Q^T W
 
     def require(self, a: np.ndarray, q: int) -> None:
         """KeyMismatch (a ParameterError) unless this is a trapdoor of A for
         q; nothing is stored.  A[:, pivots] @ E == I (mod q) makes every
-        c = W @ y a solution, and A @ b == 0 (mod q) for the basis's first
-        column b: the pivot check alone passes another matrix with the same
-        pivot columns, such as another identity's F'_ID under the same A'."""
-        cmap = self.coset
-        n = cmap.elim.shape[0]
-        if q != cmap.q or a.shape != (n, self.basis.shape[0]) or not np.array_equal(
-            mat_mul(a[:, cmap.pivots], cmap.elim, q), np.eye(n, dtype=np.int64)
+        coset representative a solution, and A @ b == 0 (mod q) for the
+        basis's first column b: the pivot check alone passes another matrix
+        with the same pivot columns, such as another identity's F'_ID under
+        the same A'."""
+        n = self.elim.shape[0]
+        if q != self.q or a.shape != (n, self.basis.shape[0]) or not np.array_equal(
+            mat_mul(a[:, self.pivots], self.elim, q), np.eye(n, dtype=np.int64)
         ) or mat_mul(a, self.basis[:, :1], q).any():
             raise KeyMismatch("the trapdoor basis belongs to another public matrix")
 
@@ -335,12 +312,15 @@ class TrapdoorBasis:
 
     def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
                   rng: RandomSource) -> np.ndarray:
-        """The walk's preimages c - B @ z, c = W @ y, of the n x k targets
-        under A (which sample_left has checked, require)."""
-        prep, cmap = self.prep, self.coset
-        y = cmap.coordinates(targets)
-        z = klein_coefficients(prep, sigma, cmap.proj @ y, rng)
-        e = exact_int_matmul(cmap.w, y) - exact_int_matmul(self.basis, z)
+        """The walk's preimages c - B @ z of the n x k targets under A (which
+        sample_left has checked, require): c holds y = center_rep(E @ targets)
+        on the pivot rows, so y is added to -B @ z there."""
+        prep = self.prep
+        y = center_rep(mat_mul(self.elim, targets, q), q)
+        z = klein_coefficients(prep, sigma, self.proj @ y, rng)
+        e = exact_int_matmul(self.basis, z)
+        np.negative(e, out=e)
+        e[self.pivots] += y
         # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
         # direction, so anything far beyond this bound means numerical corruption.
         cap = 2.0 * math.sqrt(prep.dim) * (0.5 * prep.gs_norm + TAIL_CUT * sigma)
@@ -368,6 +348,8 @@ class GadgetTrapdoor:
         self.q = check_modulus(q)
         self.a_bar = np.array(a_bar, dtype=np.int64)
         self.r_bar = np.array(r_bar, dtype=np.int64)
+        self.a_bar.setflags(write=False)
+        self.r_bar.setflags(write=False)
         n, nk = self.a_bar.shape[0], self.r_bar.shape[1]
         self.dim = self.a_bar.shape[1] + nk
         self.g = gadget_matrix(n, q)
@@ -478,7 +460,7 @@ def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis
     columns, which come back untouched next to the basis.  The dim
     columns are certified nonsingular by factoring them (derive_trapdoor,
     whose QR must clear zqlinalg.qr_singularity_bound), and the basis
-    keeps that factorization and the coset map of F it gives.  A batch
+    keeps that factorization with its pivots, E and P under F.  A batch
     that fails it raises SamplingError (extract draws the whole key again).
     """
     dim = f.shape[1]
@@ -499,7 +481,7 @@ def sample_basis_left(a, m_block, t_a, u, q: int, sigma: float,
     One sample_left call covers the zero targets the basis is
     assembled from and u's columns, so the preimages cost no draw of their
     own.  Returns (basis, E): the basis is certified nonsingular by its
-    own factorization, which it keeps with its coset map of F (see
+    own factorization, which it keeps with its pivots, E and P under F (see
     _basis_from_preimages).  Both are columns of the sample_left batch,
     which checked F @ basis == 0 and F @ E == u (mod q) on every column.
     A batch with no certified basis raises SamplingError.

@@ -14,12 +14,12 @@ and split (at most three limbs), and the short one enters the products
 as it is; otherwise both are split into two 19-bit limbs, exact for any
 inner dimension up to 2**14.  This caps the modulus at 2**38, which
 every supported parameter set respects; the gain is that the hot paths
-run through BLAS instead of arbitrary-precision integers.
+run through BLAS instead of arbitrary-precision integers.  Gram-Schmidt
+norms come from one place, the certified float QR the walks sample with
+(certified_r_factor, gram_schmidt_norm).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -250,70 +250,6 @@ def exact_int_matmul(a, b) -> np.ndarray:
     return out.reshape(-1) if b_vec else out
 
 
-def exact_gram(b) -> np.ndarray:
-    """Exact Gram matrix b.T @ b of an integer matrix, in int64."""
-    b = np.asarray(b, dtype=np.int64)
-    return exact_int_matmul(b.T, b)
-
-
-def _gs_norms_fraction(s: np.ndarray) -> list[Fraction]:
-    """Squared Gram-Schmidt norms of the columns, exact rationals."""
-    cols = [[Fraction(int(x)) for x in s[:, j]] for j in range(s.shape[1])]
-    basis: list[list[Fraction]] = []
-    norms2: list[Fraction] = []
-    for v in cols:
-        w = list(v)
-        for u, n2 in zip(basis, norms2):
-            coeff = sum(a * b for a, b in zip(w, u)) / n2
-            w = [a - coeff * b for a, b in zip(w, u)]
-        n2 = sum(a * a for a in w)
-        if n2 == 0:
-            raise SingularMatrix("columns are linearly dependent over the rationals")
-        basis.append(w)
-        norms2.append(n2)
-    return norms2
-
-
-def _gs_norms_longdouble(s: np.ndarray) -> np.ndarray:
-    """Squared GS norms via extended-precision Cholesky of the exact Gram."""
-    gram = exact_gram(s).astype(np.longdouble)
-    d = gram.shape[0]
-    scale = np.longdouble(np.diag(gram).max(initial=1))
-    tol = scale * np.finfo(np.longdouble).eps * d * 8
-    low = np.zeros((d, d), dtype=np.longdouble)
-    norms2 = np.zeros(d, dtype=np.longdouble)
-    for j in range(d):
-        v = gram[j, j] - low[j, :j] @ low[j, :j]
-        if v <= tol:
-            raise SingularMatrix("columns are (numerically) linearly dependent")
-        norms2[j] = v
-        low[j, j] = np.sqrt(v)
-        if j + 1 < d:
-            low[j + 1 :, j] = (gram[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return norms2
-
-
-#: Dimension threshold below which Gram-Schmidt runs over exact rationals.
-GS_EXACT_DIM = 64
-
-
-def gram_schmidt_norm(s) -> float:
-    """Max Euclidean norm of the Gram-Schmidt orthogonalized columns.
-
-    Exact rational arithmetic up to GS_EXACT_DIM columns, extended
-    precision Cholesky above that.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    if s.ndim != 2 or s.size == 0:
-        raise DimensionMismatch("expected a nonempty matrix")
-    if s.shape[1] > s.shape[0]:
-        raise SingularMatrix("more columns than rows cannot be independent")
-    if s.shape[1] <= GS_EXACT_DIM:
-        norms2 = _gs_norms_fraction(s)
-        return float(max(norms2)) ** 0.5
-    return float(np.sqrt(_gs_norms_longdouble(s).max()))
-
-
 def qr_singularity_bound(norm: float, d: int) -> float:
     """16*d*eps*norm, for the Frobenius norm of a d-column matrix sf: a
     float QR of sf certifies full rank only when every |R_kk| exceeds this.
@@ -329,13 +265,14 @@ def qr_singularity_bound(norm: float, d: int) -> float:
 
 
 def certified_r_factor(s):
-    """A float QR of the square integer matrix s as numpy's raw output
-    (h, tau): R = triu(h.T), and the Householder reflectors that make up
-    Q (samplers.prepare_basis), which is never formed.
+    """A float QR of the integer matrix s (square for a basis, at least as
+    many rows as columns) as numpy's raw output (h, tau): R = triu(h.T),
+    and the Householder reflectors that make up Q (samplers.prepare_basis),
+    which is never formed.
 
     Raises SingularMatrix unless every |R_kk| exceeds qr_singularity_bound,
-    which certifies s nonsingular over the reals; a failure means
-    "unknown", not "singular".  An int32 s is read as it is.
+    which certifies the columns of s independent over the reals; a failure
+    means "unknown", not "singular".  An int32 s is read as it is.
     """
     s = int_array(s)
     bound = qr_singularity_bound(np.linalg.norm(s), s.shape[1])
@@ -343,6 +280,22 @@ def certified_r_factor(s):
     if not float(np.abs(np.diag(h)).min()) > bound:
         raise SingularMatrix("basis columns are (numerically) linearly dependent")
     return h, tau
+
+
+def gram_schmidt_norm(s) -> float:
+    """Max Euclidean norm of the Gram-Schmidt orthogonalized columns: the
+    largest |R_kk| of certified_r_factor, the QR every walk samples with.
+
+    Raises SingularMatrix when the columns outnumber the rows or the
+    certificate fails.
+    """
+    s = int_array(s)
+    if s.ndim != 2 or s.size == 0:
+        raise DimensionMismatch("expected a nonempty matrix")
+    if s.shape[1] > s.shape[0]:
+        raise SingularMatrix("more columns than rows cannot be independent")
+    h, _ = certified_r_factor(s)
+    return float(np.abs(np.diag(h)).max())
 
 
 def solve_mod(a, b, q: int) -> np.ndarray:

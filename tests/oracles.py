@@ -3,14 +3,37 @@
 No scheme operation calls these; they judge what the package produces.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from ibeetfa.errors import DimensionMismatch, SingularMatrix
 from ibeetfa.samplers import RandomSource
-from ibeetfa.zqlinalg import GS_EXACT_DIM, _gs_norms_fraction, as_residues, certified_r_factor, mat_mul
+from ibeetfa.zqlinalg import as_residues, certified_r_factor, mat_mul
 
 # Primes just below 2**25, used for randomized exact rank checks.
 _RANK_CHECK_PRIMES = (33554393, 33554383, 33554371)
+
+#: Largest dimension is_nonsingular runs exact_gs_norm on.
+GS_EXACT_DIM = 64
+
+
+def exact_gs_norm(s) -> float:
+    """Max Gram-Schmidt norm of the columns of s, from exact rational
+    Gram-Schmidt; SingularMatrix if the columns are dependent."""
+    done: list[list[Fraction]] = []
+    norms2: list[Fraction] = []
+    for j in range(s.shape[1]):
+        w = [Fraction(int(x)) for x in s[:, j]]
+        for u, n2 in zip(done, norms2):
+            coeff = sum(a * b for a, b in zip(w, u)) / n2
+            w = [a - coeff * b for a, b in zip(w, u)]
+        n2 = sum(a * a for a in w)
+        if n2 == 0:
+            raise SingularMatrix("columns are linearly dependent over the rationals")
+        done.append(w)
+        norms2.append(n2)
+    return float(max(norms2)) ** 0.5
 
 
 def _pivot_columns_mod_p(s: np.ndarray, p: int) -> list[int]:
@@ -62,11 +85,11 @@ def operator_norm(r, iters: int = 50) -> float:
 def is_nonsingular(s) -> bool:
     """Nonsingularity over the rationals.
 
-    Small matrices get an exact rational elimination.  Large ones first
-    try a rigorous float QR certificate, then fall back to rank checks
-    modulo several 25-bit primes (a nonzero determinant mod any prime
-    proves nonsingularity; vanishing mod all of them, combined with the
-    failed certificate, is treated as singular).
+    Small matrices get exact rational Gram-Schmidt (exact_gs_norm).
+    Large ones first try a rigorous float QR certificate, then fall back
+    to rank checks modulo several 25-bit primes (a nonzero determinant
+    mod any prime proves nonsingularity; vanishing mod all of them,
+    combined with the failed certificate, is treated as singular).
     """
     s = np.asarray(s, dtype=np.int64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -74,7 +97,7 @@ def is_nonsingular(s) -> bool:
     d = s.shape[0]
     if d <= GS_EXACT_DIM:
         try:
-            _gs_norms_fraction(s)
+            exact_gs_norm(s)
             return True
         except SingularMatrix:
             return False

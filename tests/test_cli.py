@@ -4,6 +4,7 @@ No test writes to a device: an output that must not be written is a
 path in the test's own directory.
 """
 
+import dataclasses
 import json
 import os
 import stat
@@ -212,6 +213,65 @@ class TestTamperingAndErrors:
         code = run_command(["extract", "--pp", pp2, "--msk", workspace["msk"],
                             "--id", "eve", "--out", unused])
         assert code == 65
+
+
+class TestHeaderParamsValidated:
+    """A file whose header holds a parameter set that `params validate`
+    refuses is a load error, for every kind, even with its fingerprint
+    recomputed and a payload of the shapes that set gives."""
+
+    # header edit -> the violation it names
+    BAD = {
+        "n=0": ({"n": 0}, "positive-sizes"),
+        "t=0": ({"t": 0}, "positive-sizes"),
+        "q=4": ({"q": 4}, "modulus-prime"),
+        "m=1": ({"m": 1}, "trapgen-width"),
+        "sigma=nan": ({"sigma": float("nan")}, "sigma-sampling"),
+    }
+    HEADER = 4 + 3 + 32 + 72  # magic, version and kind, fingerprint, parameters
+
+    @classmethod
+    def reheaded(cls, blob, p, payload=None):
+        """blob under p's header: its own magic, version and kind, p's
+        fingerprint and fields, then payload (blob's own by default)."""
+        payload = blob[cls.HEADER :] if payload is None else payload
+        return blob[:7] + fileio.params_fingerprint(p) + fileio.encode_params(p) + payload
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_public_params_load_and_encrypt(self, workspace, case, tmp_path, capsys, unused):
+        change, violation = self.BAD[case]
+        p = dataclasses.replace(MINI, **change)
+        # zero residues in the shapes p gives: A, A', A_1..A_ell, B, then U
+        words = p.n * p.m * (p.ell + 3) + p.n * p.t
+        blob = self.reheaded(fileio.read_file(workspace["pp"]), p, bytes(8 * words))
+        with pytest.raises(FormatError, match=f"violates constraints: {violation}"):
+            fileio.load_public_params(blob)
+        bad = str(tmp_path / "pp.ibfa")
+        fileio.write_file(bad, blob)
+        code = run_command(["encrypt", "--pp", bad, "--id", "alice", "--in", workspace["msg1"],
+                            "--seed", "04", "--out", unused])
+        assert code == 65 and violation in capsys.readouterr().err
+        assert not os.path.exists(unused)
+
+    def test_every_kind(self, workspace, mini_system, mini_key):
+        # sigma = NaN keeps every payload's shape, so only the header is wrong
+        pp, msk = mini_system
+        ident, sk = mini_key
+        p = dataclasses.replace(MINI, sigma=float("nan"))
+        ct = encrypt(pp, ident, random_message(MINI.t, 471), RandomSource(472))
+        loads = {
+            "pp": (fileio.dump_public_params(pp), fileio.load_public_params),
+            "msk": (fileio.dump_master_secret(msk, MINI), lambda b: fileio.load_master_secret(b, pp)),
+            "sk": (fileio.dump_user_secret(sk, MINI), fileio.load_user_secret),
+            "ct": (fileio.dump_ciphertext(ct, MINI), fileio.load_ciphertext),
+            "td1": (fileio.dump_td1(td1(sk, ident), MINI), fileio.load_td1),
+            "td2": (fileio.dump_td2(td2(pp, sk, ident, ct, RandomSource(473)), MINI), fileio.load_td2),
+            "td3": (fileio.dump_td3(td3_basis(sk, ident), MINI), fileio.load_td3),
+        }
+        for kind, (blob, load) in loads.items():
+            load(blob)
+            with pytest.raises(FormatError, match="violates constraints: sigma-sampling"):
+                load(self.reheaded(blob, p))
 
 
 class TestVersionOneFiles:

@@ -336,4 +336,4 @@ class TestGoldenBytes:
         assert len(blob) == proj.stop
         assert hashlib.sha256(blob[: r_block.start] + blob[r_block.stop : proj.start]).hexdigest() == self.SK
         assert blob[r_block] == sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()
-        assert blob[proj] == sk.trapdoor_prime.coset.proj.astype("<f8").tobytes()
+        assert blob[proj] == sk.trapdoor_prime.proj.astype("<f8").tobytes()

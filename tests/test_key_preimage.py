@@ -332,15 +332,15 @@ class TestStoredCosetMap:
     def test_extract_binds_and_the_file_carries_the_map(self, mini_system, mini_key):
         pp, _ = mini_system
         ident, sk = mini_key
-        cmap = sk.trapdoor_prime.coset
+        key_td = sk.trapdoor_prime
         sk.trapdoor_prime.require(compute_f(pp, ident, "prime"), MINI.q)
         blob = fileio.dump_user_secret(sk, MINI)
         assert len(blob) == sk_sections(MINI)["proj"].stop
         loaded = fileio.load_user_secret(blob, MINI)
-        held = loaded.trapdoor_prime.coset
+        held = loaded.trapdoor_prime
         loaded.trapdoor_prime.require(compute_f(pp, ident, "prime"), MINI.q)
-        assert np.array_equal(held.pivots, cmap.pivots) and np.array_equal(held.elim, cmap.elim)
-        assert held.proj.tobytes() == cmap.proj.tobytes()
+        assert np.array_equal(held.pivots, key_td.pivots) and np.array_equal(held.elim, key_td.elim)
+        assert held.proj.tobytes() == key_td.proj.tobytes()
         for name in ("r_id", "e_id_prime", "e_f", "e_f_prime"):
             assert getattr(loaded, name).dtype == getattr(sk, name).dtype == np.int32
             assert np.array_equal(getattr(loaded, name), getattr(sk, name))
@@ -371,7 +371,7 @@ class TestStoredCosetMap:
         pp, _ = mini_system
         ident, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
-        word = int(sk.trapdoor_prime.coset.elim[0, 0])
+        word = int(sk.trapdoor_prime.elim[0, 0])
         bad = fileio.load_user_secret(self.with_word(blob, "elim", 0, (word + 1) % MINI.q), MINI)
         ct = encrypt(pp, ident, random_message(MINI.t, 431), RandomSource(432))
         with pytest.raises(ParameterError, match="another public matrix"):
@@ -388,8 +388,8 @@ class TestStoredCosetMap:
         ct = encrypt(pp, ident, random_message(MINI.t, 441), RandomSource(442))
         ar = mat_mul(pp.a, ct.r_tag, q)
         f_other = compute_f(pp, ident_o, "prime")
-        cmap = sk.trapdoor_prime.coset
-        assert np.array_equal(mat_mul(f_other[:, cmap.pivots], cmap.elim, q), np.eye(MINI.n, dtype=np.int64))
+        key_td = sk.trapdoor_prime
+        assert np.array_equal(mat_mul(f_other[:, key_td.pivots], key_td.elim, q), np.eye(MINI.n, dtype=np.int64))
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         for key in (sk, loaded):
             rng = RandomSource(443)
@@ -403,18 +403,18 @@ class TestStoredCosetMap:
         _, sk = mini_key
         _, other = mini_key_other
         blob = fileio.dump_user_secret(sk, MINI)
-        cmap = sk.trapdoor_prime.coset
+        key_td = sk.trapdoor_prime
         spans = sk_sections(MINI)
-        proj = cmap.proj.reshape(-1)
+        proj = key_td.proj.reshape(-1)
         big = int(np.argmax(np.abs(proj)))
-        free_row = next(row for row in range(2 * MINI.m) if row not in cmap.pivots)
+        free_row = next(row for row in range(2 * MINI.m) if row not in key_td.pivots)
         bad = {
             "proj sign": self.with_word(blob, "proj", big, -proj[big], "<f8"),
             "proj nan": self.with_word(blob, "proj", big, np.nan, "<f8"),
             "proj of another key": blob[: spans["proj"].start]
             + fileio.dump_user_secret(other, MINI)[spans["proj"]],
             "pivot moved": self.with_word(blob, "pivots", 0, free_row),
-            "pivot repeated": self.with_word(blob, "pivots", 1, int(cmap.pivots[0])),
+            "pivot repeated": self.with_word(blob, "pivots", 1, int(key_td.pivots[0])),
             "pivot past the last row": self.with_word(blob, "pivots", 0, 2 * MINI.m),
             "negative pivot": self.with_word(blob, "pivots", 0, -1),
             "E word q": self.with_word(blob, "elim", 0, MINI.q),

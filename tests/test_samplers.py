@@ -31,7 +31,7 @@ from ibeetfa.samplers import (
 )
 from ibeetfa.scheme import compute_f, encrypt
 from ibeetfa.trapdoor import derive_trapdoor, trap_gen, trapgen_width
-from ibeetfa.zqlinalg import exact_gram, exact_int_matmul
+from ibeetfa.zqlinalg import center_rep, exact_int_matmul, mat_mul
 
 from conftest import MINI, random_message
 
@@ -600,23 +600,29 @@ def _longdouble_projections(basis, t):
     return a[:, d:] * sign[:, None]
 
 
+def coset_representatives(td, targets):
+    """(y, c) for the n x k targets under a TrapdoorBasis's public matrix:
+    y = center_rep(E @ targets), and c = W @ y holds y on the pivot rows."""
+    y = center_rep(mat_mul(td.elim, targets, td.q), td.q)
+    c = np.zeros((td.basis.shape[0], y.shape[1]), dtype=np.int64)
+    c[td.pivots] = y
+    return y, c
+
+
 @pytest.fixture(scope="module")
 def coset_cases(mini_system, mini_key):
-    """(name, basis, coset map, sigma) for the bases the MINI scheme walks.
+    """(name, TrapdoorBasis, sigma) for the bases the MINI scheme walks.
 
     The master trapdoor's SampleD walks S_G under G at its width s_G; td2
-    walks the key basis E'_ID under F'_ID at sigma.  Both maps put n
-    centered residues on pivot rows (W = n unit columns).
+    walks the key basis E'_ID under F'_ID at sigma.  Both put n centered
+    residues on pivot rows (W = n unit columns).
     """
     pp, msk = mini_system
     ident, sk = mini_key
     master = msk.trapdoor_a
-    cases = []
-    for name, td, sigma in (("master", master.g_trapdoor, master.width_g),
-                               ("key", derive_trapdoor(compute_f(pp, ident, "prime"), sk.e_id_prime, MINI.q),
-                                MINI.sigma)):
-        cases.append((name, td.basis, td.coset, sigma))
-    assert [case[2].w.shape[1] for case in cases] == [MINI.n, MINI.n]
+    cases = [("master", master.g_trapdoor, master.width_g),
+             ("key", derive_trapdoor(compute_f(pp, ident, "prime"), sk.e_id_prime, MINI.q), MINI.sigma)]
+    assert [case[1].pivots.size for case in cases] == [MINI.n, MINI.n]
     return cases
 
 
@@ -645,16 +651,16 @@ class TestProjection:
         assert prep.r_rows.shape == (d * (d + 1) // 2,)
 
     @staticmethod
-    def errors(basis, cmap, targets):
+    def errors(td, targets):
         """Max error of P @ y and of Q^T c against a long-double reference,
         in lattice units (divided by |R_kk|), for the coset representatives
         c = W @ y of targets that sample_left would form."""
-        y = cmap.coordinates(targets)
-        c = exact_int_matmul(cmap.w, y)
+        basis = td.basis
+        y, c = coset_representatives(td, targets)
         gs = r_factor(basis).gs_norms[:, None]
         ref = _longdouble_projections(basis, c)
         q_factor = np.linalg.qr(basis.astype(np.float64))[0]
-        err_p = float(np.max(np.abs(cmap.proj @ y - ref) / gs))
+        err_p = float(np.max(np.abs(td.proj @ y - ref) / gs))
         err_q = float(np.max(np.abs(q_factor.T @ c.astype(np.float64) - ref) / gs))
         return err_p, err_q
 
@@ -667,13 +673,13 @@ class TestProjection:
         # threads, below 1e-8 of a step.  The walk test below shows that
         # the remaining error changes no output.
         targets = RandomSource(95).integers(0, MINI.q, (MINI.n, 16))
-        (_, master, master_map, _), (_, key, key_map, _) = coset_cases
-        for basis, cmap in ((master, master_map), (key, key_map)):
-            q_factor = np.linalg.qr(basis.astype(np.float64))[0]
-            assert np.abs(cmap.proj - q_factor.T @ cmap.w).max() < 1e-14
-        err_p, err_q = self.errors(master, master_map, targets)
+        (_, master, _), (_, key, _) = coset_cases
+        for td in (master, key):
+            q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
+            assert np.abs(td.proj - q_factor[td.pivots].T).max() < 1e-14
+        err_p, err_q = self.errors(master, targets)
         assert err_p <= 1.5 * err_q and err_p < 1e-5, (err_p, err_q)
-        err_p, err_q = self.errors(key, key_map, targets)
+        err_p, err_q = self.errors(key, targets)
         assert err_p <= 5 * err_q and err_p < 1e-8, (err_p, err_q)
 
     def test_matches_explicit_q_on_small_gs_basis(self):
@@ -683,25 +689,23 @@ class TestProjection:
         q, n = 4093, 2
         pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
         td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
-        cmap = td.coset
         q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
-        assert np.abs(cmap.proj - q_factor.T @ cmap.w).max() < 1e-14
-        err_p, err_q = self.errors(td.basis, cmap, RandomSource(97).integers(0, q, (n, 16)))
+        assert np.abs(td.proj - q_factor[td.pivots].T).max() < 1e-14
+        err_p, err_q = self.errors(td, RandomSource(97).integers(0, q, (n, 16)))
         assert err_p < 1e-10, (err_p, err_q)
 
     def test_walk_from_p_y_matches_q_path(self, coset_cases):
         # the reference walks from Q^T c with an explicit Q; walking from
         # P @ y must give the same coefficients and stream position
-        for name, basis, cmap, sigma in coset_cases:
-            prep = r_factor(basis)
-            q_factor = np.linalg.qr(basis.astype(np.float64))[0]
+        for name, td, sigma in coset_cases:
+            prep = r_factor(td.basis)
+            q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
             for seed in range(20):
                 targets = RandomSource(1000 + seed).integers(0, MINI.q, (MINI.n, 4))
-                y = cmap.coordinates(targets)
-                c = exact_int_matmul(cmap.w, y).astype(np.float64)
+                y, c = coset_representatives(td, targets)
                 r1, r2 = RandomSource(2000 + seed), RandomSource(2000 + seed)
-                got = klein_coefficients(prep, sigma, cmap.proj @ y, r1)
-                want = klein_coefficients(prep, sigma, q_factor.T @ c, r2)
+                got = klein_coefficients(prep, sigma, td.proj @ y, r1)
+                want = klein_coefficients(prep, sigma, q_factor.T @ c.astype(np.float64), r2)
                 assert np.array_equal(got, want), (name, seed)
                 assert r1.random() == r2.random()
 
@@ -727,7 +731,7 @@ class TestAdoptRFactor:
         assert np.array_equal(got.r_rows, prep.r_rows) and np.array_equal(got.gs_norms, prep.gs_norms)
         # other R factors of the same basis, rounded differently or with
         # other row signs, as another host's QR may return them
-        cholesky = np.linalg.cholesky(exact_gram(basis).astype(np.float64)).T
+        cholesky = np.linalg.cholesky(exact_int_matmul(basis.T, basis).astype(np.float64)).T
         signs = np.where(RandomSource(98).integers(0, 2, basis.shape[0]) == 1, -1.0, 1.0)
         for r in (cholesky, signs[:, None] * cholesky):
             got, _ = adopt_r_factor(basis, self.packed(r), none)

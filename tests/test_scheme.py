@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ibeetfa import fileio
+from ibeetfa.authz import td2
 from ibeetfa.errors import DimensionMismatch, ParameterError
 from ibeetfa.hashing import bits_to_bytes, hash_h
 from ibeetfa.samplers import RandomSource
@@ -275,3 +277,46 @@ class TestDecrypt:
         assert np.array_equal(
             hash_h(bits_to_bytes(out), MINI.t), hash_h(bits_to_bytes(msg), MINI.t)
         )
+
+
+class TestReadOnly:
+    """Data objects hold read-only arrays, fresh or loaded: a write through
+    one raises ValueError and changes nothing."""
+
+    @staticmethod
+    def assert_read_only(arrays):
+        for name, arr in arrays.items():
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+            assert not arr.flags.writeable, name
+
+    def test_public_params_and_master_key(self, mini_system):
+        pp, msk = mini_system
+        loaded_pp = fileio.load_public_params(fileio.dump_public_params(pp))
+        loaded_msk = fileio.load_master_secret(fileio.dump_master_secret(msk, MINI), pp)
+        for params in (pp, loaded_pp):
+            self.assert_read_only({"A": params.a, "A'": params.a_prime, "B": params.b, "U": params.u,
+                                   **{f"A_{i}": x for i, x in enumerate(params.a_list)}})
+        for key in (msk, loaded_msk):
+            for td in (key.trapdoor_a, key.trapdoor_a_prime):
+                self.assert_read_only({"Abar": td.a_bar, "Rbar": td.r_bar})
+
+    def test_user_key_basis_and_sampling_data(self, mini_key):
+        _, sk = mini_key
+        loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
+        for key in (sk, loaded):
+            td = key.trapdoor_prime
+            self.assert_read_only({"E'_ID": key.e_id_prime, "R rows": td.prep.r_rows,
+                                   "GS norms": td.prep.gs_norms, "pivots": td.pivots,
+                                   "E": td.elim, "P": td.proj})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                td.prep.r_rows = td.prep.r_rows
+
+    def test_type2_trapdoor(self, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        ct = encrypt(pp, ident, random_message(MINI.t, 461), RandomSource(462))
+        td = td2(pp, sk, ident, ct, RandomSource(463))
+        loaded = fileio.load_td2(fileio.dump_td2(td, MINI), MINI)
+        for trapdoor in (td, loaded):
+            self.assert_read_only({"binding": trapdoor.ct_binding, "e'": trapdoor.e_prime})

@@ -117,10 +117,10 @@ class TestTrapGen:
                 assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
         # SampleD's G-sampling walks S_G with G's coset map: the unit digit of
         # each row is its pivot, so E = I
-        pair.trapdoor.g_trapdoor.require(gadget, q)
-        cmap = pair.trapdoor.g_trapdoor.coset
-        assert np.array_equal(cmap.pivots, np.arange(n) * k)
-        assert np.array_equal(cmap.elim, np.eye(n, dtype=np.int64))
+        g_td = pair.trapdoor.g_trapdoor
+        g_td.require(gadget, q)
+        assert np.array_equal(g_td.pivots, np.arange(n) * k)
+        assert np.array_equal(g_td.elim, np.eye(n, dtype=np.int64))
 
 
 class TestSamplePre:
@@ -360,11 +360,15 @@ class TestBasisFromPreimages:
         sk = scheme.extract(pp, msk, ident, RandomSource(419))
         assert len(lefts) == 4 and len(drawn) == 2
         # the key holds the last draws narrowed to int32; E'_ID keeps that
-        # draw's own R factor and coset map
+        # draw's own R factor, pivots, E and P, as views (no copy)
         assert sk.r_id.dtype == sk.e_id_prime.dtype == np.int32
         assert np.array_equal(sk.r_id, lefts[2]) and np.array_equal(sk.e_f, lefts[3])
         assert np.array_equal(sk.e_id_prime, drawn[1][0].basis)
-        assert sk.trapdoor_prime.prep is drawn[1][0].prep and sk.trapdoor_prime.coset is drawn[1][0].coset
+        held, fresh = sk.trapdoor_prime, drawn[1][0]
+        assert held.q == fresh.q and all(
+            np.shares_memory(getattr(held, name), getattr(fresh, name)) for name in ("pivots", "elim", "proj"))
+        assert np.shares_memory(held.prep.r_rows, fresh.prep.r_rows)
+        assert np.shares_memory(held.prep.gs_norms, fresh.prep.gs_norms)
         trapdoor.require_gadget_trapdoor(scheme.compute_f(pp, ident, "primary"), sk.r_id, MINI.q)
         scheme.checked_preimage(pp, ident, "primary", sk.e_f)
         scheme.checked_preimage(pp, ident, "prime", sk.e_f_prime)
@@ -598,14 +602,15 @@ class TestCosetMapBinding:
         assert np.array_equal(mat_mul(pair.a, e, q), u)
 
     def test_pivot_path_reproduces_solve_mod(self):
-        # a basis takes the pivot path, whatever its layout: W @ y is the
-        # centered solve_mod solution
+        # a basis takes the pivot path, whatever its layout: y on the pivot
+        # rows is the centered solve_mod solution
         pair, q, n, m = small_pair(397)
         perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
-        cmap = derive_trapdoor(pair.a, np.ascontiguousarray(pair.trapdoor.basis[:, perm]), q).coset
-        assert cmap.w.shape == (m, n)
+        td = derive_trapdoor(pair.a, np.ascontiguousarray(pair.trapdoor.basis[:, perm]), q)
+        assert td.pivots.shape == (n,) and td.proj.shape == (m, n)
         targets = RandomSource(409).integers(0, q, (n, 12))
-        got = cmap.w @ cmap.coordinates(targets)
+        got = np.zeros((m, 12), dtype=np.int64)
+        got[td.pivots] = center_rep(mat_mul(td.elim, targets, q), q)
         assert np.array_equal(got, center_rep(solve_mod(pair.a, targets, q), q))
 
 

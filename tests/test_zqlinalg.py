@@ -1,13 +1,13 @@
 """Exact modular linear algebra: examples, oracles, and properties."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibeetfa.errors import DimensionMismatch, ParameterError, SingularMatrix
+from ibeetfa.samplers import RandomSource
+from ibeetfa.trapdoor import derive_trapdoor, trap_gen, trapgen_width
 from ibeetfa.zqlinalg import (
     center_rep,
     check_modulus,
@@ -20,7 +20,7 @@ from ibeetfa.zqlinalg import (
     solve_mod,
 )
 
-from oracles import check_nullspace_basis
+from oracles import check_nullspace_basis, exact_gs_norm
 
 
 def schoolbook_mod(a, b, q):
@@ -35,22 +35,6 @@ def schoolbook_mod(a, b, q):
         ],
         dtype=np.int64,
     )
-
-
-def gs_norm_fraction_oracle(s):
-    """Plain rational Gram-Schmidt over the columns, fully independent."""
-    cols = [[Fraction(int(x)) for x in s[:, j]] for j in range(s.shape[1])]
-    done = []
-    best = Fraction(0)
-    for v in cols:
-        w = list(v)
-        for u in done:
-            n2 = sum(x * x for x in u)
-            coeff = sum(x * y for x, y in zip(w, u)) / n2
-            w = [x - coeff * y for x, y in zip(w, u)]
-        done.append(w)
-        best = max(best, sum(x * x for x in w))
-    return float(best) ** 0.5
 
 
 class TestModulus:
@@ -336,14 +320,14 @@ class TestGramSchmidtNorm:
             s = rs.integers(-9, 10, (6, 6))
             if abs(np.linalg.det(s.astype(float))) < 0.5:
                 continue
-            assert gram_schmidt_norm(s) == pytest.approx(gs_norm_fraction_oracle(s), rel=1e-12)
+            assert gram_schmidt_norm(s) == pytest.approx(exact_gs_norm(s), rel=1e-12)
 
     def test_large_path_agrees_with_oracle(self):
-        # force the extended-precision path (more than 64 columns)
+        # a 70 x 70 matrix: the QR's norm keeps its tolerance at a larger size
         rs = np.random.default_rng(11)
         s = rs.integers(-4, 5, (70, 70))
         s += np.eye(70, dtype=np.int64) * 20  # keep it comfortably nonsingular
-        assert gram_schmidt_norm(s) == pytest.approx(gs_norm_fraction_oracle(s), rel=1e-9)
+        assert gram_schmidt_norm(s) == pytest.approx(exact_gs_norm(s), rel=1e-9)
 
     def test_bounded_by_max_column_norm(self):
         rs = np.random.default_rng(13)
@@ -358,6 +342,22 @@ class TestGramSchmidtNorm:
         s = np.array([[1, 2], [2, 4]], dtype=np.int64)
         with pytest.raises(SingularMatrix):
             gram_schmidt_norm(s)
+
+    def test_input_checks(self):
+        with pytest.raises(DimensionMismatch):
+            gram_schmidt_norm(np.zeros((0, 0), dtype=np.int64))
+        with pytest.raises(SingularMatrix):
+            gram_schmidt_norm(np.ones((2, 3), dtype=np.int64))
+
+    def test_is_the_walks_gs_norm(self, mini_key):
+        # the norm the walks sample with (the QR's |R_kk|), on a key basis
+        # E'_ID and on a trap_gen basis T_A
+        _, sk = mini_key
+        assert gram_schmidt_norm(sk.e_id_prime) == sk.trapdoor_prime.prep.gs_norm
+        q, n = 4093, 2
+        pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(71))
+        t_a = pair.trapdoor.basis
+        assert gram_schmidt_norm(t_a) == derive_trapdoor(pair.a, t_a, q).prep.gs_norm
 
 
 class TestHelpers:
