@@ -43,15 +43,18 @@ from .trapdoor import sample_left
 class TrapdoorT1:
     """Identity-wide comparison authority: the key's preimage e_F' (2m x t) of U.
 
-    Held as a read-only copy.  Carries the identity because checking
-    F'_ID @ e_F' == U requires it.
+    Held read-only: an array that is read-only already (a key's int32
+    e_F', so td1 copies nothing) as a view, any other as a copy at its
+    own width.  Carries the identity because checking F'_ID @ e_F' == U
+    requires it.
     """
 
     identity: Identity
     e_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "e_prime", frozen_array(self.e_prime))
+        e = np.asarray(self.e_prime)
+        object.__setattr__(self, "e_prime", frozen_array(e, e.dtype) if e.flags.writeable else read_only(e))
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
                 for arr in (sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)]
     return b"".join(
         [_header(KIND_SK, p), _dump_identity(sk.identity), *sections, _words(sk.a_bar_id),
-         _reals(td.prep.r_rows), _words(td.pivots), _words(td.elim), _reals(td.proj)]
+         *map(_reals, td.prep.rows()), _words(td.pivots), _words(td.elim), _reals(td.proj)]
     )
 
 
@@ -301,7 +301,8 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     e_f = rd.int32s((d, p.t))
     e_f_prime = rd.int32s((d, p.t))
     a_bar_id = rd.words((p.n, d - nk))
-    r_rows = rd.reals(d * (d + 1) // 2)
+    # read in place: adopt_trapdoor copies R into its blocks and keeps no rows
+    r_rows = np.frombuffer(rd.take(8 * (d * (d + 1) // 2)), dtype="<f8")
     pivots = rd.words((p.n,))
     elim = rd.words((p.n, p.n))
     proj = rd.reals(d * p.n).reshape(d, p.n)

@@ -4,18 +4,25 @@ One-dimensional discrete Gaussians (sample_z_gaussian_batch) are exact
 on the support cut at 12*sigma: below sigma = 2 by inverse-CDF
 enumeration, from sigma = 2 on by rejection from a rounded, slightly
 wider continuous Gaussian (_sample_z_reject), which keeps 0.57 of its
-proposals at sigma = 2 and nearly all at the walks' sigmas.  Lattice
-Gaussians are the randomized-nearest-plane walk of klein_coefficients
-over the R factor that prepare_basis keeps of a basis (or adopt_r_factor
-takes over, checked, from a key file); no Q is ever formed.  A walk
-takes the projections Q^T t of its d x k targets (one walk per column),
-which prepare_basis gives for coset representatives t = W @ y, W a d x n
-0/1 matrix that puts y on n pivot rows, by applying the QR's Householder
+proposals at sigma = 2 and nearly all at the walks' sigmas.
+
+Lattice Gaussians are the randomized-nearest-plane walk of
+klein_coefficients over the R factor that prepare_basis keeps of a basis
+(or adopt_r_factor takes over, checked, from a key file), held in the
+row blocks the walk reads; no Q is ever formed.  A walk takes the
+projections Q^T t of its d x k targets (one walk per column), which
+prepare_basis gives for coset representatives t = W @ y, W a d x n 0/1
+matrix that puts y on n pivot rows, by applying the QR's Householder
 reflectors to W once per basis (trapdoor.TrapdoorBasis keeps the result
 P, not W).  The same QR's |R_kk| are the basis's Gram-Schmidt norms
 (PreparedBasis.gs_norms; zqlinalg.gram_schmidt_norm takes their maximum
-from the same certified QR).  Encryption's noise and small matrices are
-drawn here too.
+from the same certified QR).  The walk's rows below sigma = 2 draw their
+uniforms a run of rows at a time, and a row whose every lane lies within
+a per-lane bound (_round_bounds) of round(c) takes round(c), which is
+what the enumeration would return on those uniforms, without computing
+a weight: every output and the stream position are those of one
+sample_z_gaussian_batch call per row.  Encryption's noise and small
+matrices are drawn here too.
 
 The density convention throughout is rho(x) = exp(-pi*|x - c|^2 / sigma^2),
 so a 1-D sample has standard deviation about sigma/sqrt(2*pi).
@@ -94,14 +101,15 @@ def _enum_offsets(w: int) -> np.ndarray:
     return offsets
 
 
-def _sample_z_enum(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
+def _sample_z_enum(sigma: float, centers: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF enumeration over round(c) + [-w, w]; exact for small sigma.
 
     The weights are rho(x)/rho(round(c)): round(c) is the integer nearest
     c, so no offset has a larger log-weight (a tie has the same one), and
     subtracting that row needs no reduction over the window.  The lane
     takes round(c) - w plus the number of partial sums at or below
-    u = r * total, r < 1, so u < total and the last sum never counts.
+    u = r * total, r < 1 its entry of uniforms (drawn by the caller), so
+    u < total and the last sum never counts.
     """
     w = max(1, math.ceil(TAIL_CUT * sigma))
     base = np.rint(centers)
@@ -113,15 +121,49 @@ def _sample_z_enum(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.n
     weights = np.exp(logw)
     out = base.astype(np.int64) - w
     if w == 1:
-        # three rows, half of a key basis's walk at toy: cumsum's two adds
-        # and the count, row by row, cost less than the axis calls
+        # three rows: cumsum's two adds and the count, row by row, cost
+        # less than the axis calls
         low = weights[0]
         mid = low + weights[1]
-        u = rng.random(centers.shape[0]) * (mid + weights[2])
+        u = uniforms * (mid + weights[2])
         return out + (u >= low) + (u >= mid)
     cdf = np.cumsum(weights, axis=0)
-    u = rng.random(centers.shape[0]) * cdf[-1]
+    u = uniforms * cdf[-1]
     return out + (u >= cdf[:-1]).sum(axis=0)
+
+
+#: Margins of _round_bounds: relative on g, absolute on the bound.
+_ROUND_MARGIN = 1e-9
+
+
+def _round_bounds(sigmas: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per lane of _sample_z_enum, rows of uniforms drawn at sigmas: a bound
+    t such that |c - round(c)| <= t makes the lane return round(c).
+
+    t = (1 + ln(g/w)/kappa)/2 - 1e-9, kappa = pi/sigma^2, w = ceil(12*sigma)
+    (at least 1) and g = (1 - 1e-9) * min(r, (1/r - 1)/2) for the lane's
+    uniform r.  With s = c - round(c), offset j != 0 has weight
+    exp(-kappa*(j^2 - 2*j*s)) <= exp(-kappa*(1 - 2|s|)), so each side's mass
+    L (below) and H (above) is at most w*exp(-kappa*(1 - 2|s|)) <= g against
+    the center's weight 1.  Then u = r*(L + 1 + H) >= r >= g >= L, and
+    u <= r*(1 + 2g) < 1 <= L + 1: u falls in the center's interval.  The
+    margins cover the float error of the weights (below 1e-12 relative)
+    and of u; c - round(c) itself is exact.  r = 0 gives t = -inf.
+    """
+    kappa = math.pi / (sigmas * sigmas)
+    w = np.maximum(1.0, np.ceil(TAIL_CUT * sigmas))
+    with np.errstate(divide="ignore"):
+        g = np.reciprocal(uniforms)
+        g -= 1.0
+        g *= 0.5
+        np.minimum(g, uniforms, out=g)
+        g *= (1.0 - _ROUND_MARGIN) / w[:, None]
+        t = np.log(g, out=g)
+    t /= kappa[:, None]
+    t += 1.0
+    t *= 0.5
+    t -= _ROUND_MARGIN
+    return t
 
 
 def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np.ndarray:
@@ -187,14 +229,21 @@ def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
 def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndarray:
     """Vector of independent D_{Z, sigma, c_i} samples, one per center."""
     centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-    # one product checks every center: a sum of squares below 2**104 puts
-    # each |c| below 2**52, where round(c) + offset is exact in float64 and
-    # int64; a NaN or infinite center fails the comparison
+    _check_lanes(sigma, centers)
+    if sigma < 2.0:
+        return _sample_z_enum(sigma, centers, rng.random(centers.shape[0]))
+    return _sample_z_reject(sigma, centers, rng)
+
+
+def _check_lanes(sigma: float, centers: np.ndarray) -> None:
+    """SamplingError unless sigma is positive and finite and every |center| below 2**52.
+
+    One product checks every center: a sum of squares below 2**104 puts
+    each |c| below 2**52, where round(c) + offset is exact in float64 and
+    int64; a NaN or infinite center fails the comparison.
+    """
     if not (0 < sigma < math.inf and centers.dot(centers) < _CENTER_SQUARES):
         raise SamplingError(f"sigma must be positive and finite and every |center| below 2**52, got sigma {sigma}")
-    if sigma < 2.0:
-        return _sample_z_enum(sigma, centers, rng)
-    return _sample_z_reject(sigma, centers, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +251,25 @@ def sample_z_gaussian_batch(sigma: float, centers, rng: RandomSource) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-#: Rows per block of the walk's back substitution (klein_coefficients)
-#: and of the pass over R that checks a stored R factor (adopt_r_factor).
+#: Rows per block of R as PreparedBasis holds it: the walk's back
+#: substitution (klein_coefficients) and the pass that checks a stored R
+#: factor (adopt_r_factor) read it a block at a time.
 WALK_BLOCK = 64
+
+
+def _r_blocks(d: int) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, zeros) for R's row blocks R[lo:hi, lo:], top down: WALK_BLOCK
+    rows each, counted from the bottom row, where the walk starts, so only
+    the top block may be shorter.  The arrays are views into one buffer,
+    allocated at once as the packed rows were: a key holds R's blocks for
+    as long as it lives, and with a separate array per block a process
+    that extracts and ships `toy` keys peaked 14-20% higher in RSS (heap
+    fragmentation; tracemalloc's peaks were equal)."""
+    bounds = [(max(0, hi - WALK_BLOCK), hi) for hi in range(d, 0, -WALK_BLOCK)][::-1]
+    sizes = [(hi - lo) * (d - lo) for lo, hi in bounds]
+    buffer, ends = np.zeros(sum(sizes)), np.cumsum(sizes)
+    return [(lo, hi, buffer[end - size : end].reshape(hi - lo, d - lo))
+            for (lo, hi), size, end in zip(bounds, sizes, ends)]
 
 
 @dataclass(frozen=True)
@@ -213,35 +278,35 @@ class PreparedBasis:
 
     No Q is formed or kept: a walk needs only R and the projections Q^T t
     of its targets, which a trapdoor.TrapdoorBasis holds as P = Q^T W
-    (prepare_basis).
-    Only the upper triangle of R is kept, row after row, which halves its
-    memory: a key holds this data for as long as it lives.  The basis
-    itself is held by its trapdoor.TrapdoorBasis.
+    (prepare_basis).  R is held as the walk reads it: one float64 array
+    R[lo:hi, lo:] per block of rows (_r_blocks), zeros below the
+    diagonal, so no walk copies any of R.  The blocks hold R's upper
+    triangle and 32 zeros a row more; a key holds them for as long as it
+    lives.  The basis itself is held by its trapdoor.TrapdoorBasis.
     """
 
-    r_rows: np.ndarray         # float64, R[0, 0:], R[1, 1:], ... end to end
+    blocks: tuple              # float64 R[lo:hi, lo:] per row block, top down
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
 
     @property
     def dim(self) -> int:
         return self.gs_norms.shape[0]
 
-    def r_row(self, k: int) -> np.ndarray:
-        """R[k, k:], a view into r_rows."""
-        d = self.dim
-        start = k * d - k * (k - 1) // 2
-        return self.r_rows[start : start + d - k]
-
     @property
     def gs_norm(self) -> float:
         return float(self.gs_norms.max())
 
-    def _r_block(self, lo: int, hi: int) -> np.ndarray:
-        """R[lo:hi, lo:], zeros below the diagonal."""
-        rows = np.zeros((hi - lo, self.dim - lo))
-        for i in range(hi - lo):
-            rows[i, i:] = self.r_row(lo + i)
-        return rows
+    def rows(self):
+        """R[k, k:] for k = 0, 1, ...: views into the blocks."""
+        for block in self.blocks:
+            for i in range(block.shape[0]):
+                yield block[i, i:]
+
+    @property
+    def r_rows(self) -> np.ndarray:
+        """R's upper triangle row after row, as the key file stores it,
+        built on each access."""
+        return np.concatenate(list(self.rows()))
 
 
 def prepare_basis(basis, w):
@@ -268,7 +333,11 @@ def prepare_basis(basis, w):
         s = tau[j] * (proj[j] + v @ proj[j + 1 :])
         proj[j] -= s
         proj[j + 1 :] -= np.outer(v, s)
-    return PreparedBasis(np.concatenate([h[k:, k] for k in range(d)]), np.abs(np.diag(h))), proj
+    blocks = _r_blocks(d)
+    for lo, hi, block in blocks:
+        block[...] = h[lo:, lo:hi].T
+        block[np.tril_indices(hi - lo, -1)] = 0.0
+    return PreparedBasis(tuple(block for _, _, block in blocks), np.abs(np.diag(h))), proj
 
 
 #: Seed of the fixed probes adopt_r_factor checks an R factor on, so the
@@ -278,9 +347,10 @@ _R_PROBES = 4
 
 
 def adopt_r_factor(basis, r_rows, proj):
-    """(PreparedBasis, R^T proj) from R rows factored elsewhere (packed as in
-    PreparedBasis.r_rows), checked to belong to basis in O(d^2), not O(d^3),
-    and a d x k matrix proj (k may be 0).
+    """(PreparedBasis, R^T proj) from R rows factored elsewhere (R's upper
+    triangle row after row, as PreparedBasis.r_rows gives it), checked to
+    belong to basis in O(d^2), not O(d^3), and a d x k matrix proj (k may
+    be 0).
 
     The check repeats the certificate of certified_r_factor on the given
     diagonal (every |R_kk| must exceed qr_singularity_bound), then compares
@@ -290,11 +360,12 @@ def adopt_r_factor(basis, r_rows, proj):
     at most bound * |x|; forming Bx and Rx in float64 adds less than
     another bound * |x|, which the tolerance allows.  An R from a QR run on
     another host (another LAPACK, another BLAS thread count) passes.
-    B and R are read WALK_BLOCK rows at a time, so no d x d float copy of
+    B and R are read a block of rows at a time, so no d x d float copy of
     B is made, and an int32 basis is kept as it is.  Raises SingularMatrix
-    when r_rows does not certify basis.  R^T proj is formed from the same
-    blocks of R as the check, so a load that checks more against R
-    (trapdoor.adopt_trapdoor) builds none of them again.
+    when r_rows does not certify basis.  The blocks of R the check builds
+    are the ones the PreparedBasis holds, and R^T proj is formed from them
+    in the same pass, so a load that checks more against R
+    (trapdoor.adopt_trapdoor) builds none of them again; r_rows is not kept.
     """
     b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -304,25 +375,27 @@ def adopt_r_factor(basis, r_rows, proj):
     if r_rows.shape != (d * (d + 1) // 2,):
         raise DimensionMismatch(f"r_rows must hold {d * (d + 1) // 2} entries, got {r_rows.shape}")
     k = np.arange(d)
-    prep = PreparedBasis(r_rows, np.abs(r_rows[k * d - k * (k - 1) // 2]))
+    starts = k * d - k * (k - 1) // 2          # where R[k, k:] begins in r_rows
+    gs_norms = np.abs(r_rows[starts])
     x = RandomSource(_R_PROBE_SEED).integers(0, 2, (d, _R_PROBES)) * 2.0 - 1.0
     bx, rx, rt, norm2 = np.empty(x.shape), np.empty(x.shape), np.zeros((d, proj.shape[1])), 0.0
-    for lo in range(0, d, WALK_BLOCK):
-        hi = min(d, lo + WALK_BLOCK)
+    blocks = _r_blocks(d)
+    for lo, hi, block in blocks:
         rows = b[lo:hi].astype(np.float64)
         norm2 += float(np.einsum("ij,ij->", rows, rows))
         bx[lo:hi] = rows @ x
-        r_block = prep._r_block(lo, hi)
-        rx[lo:hi] = r_block @ x[lo:]
-        rt[lo:] += r_block.T @ proj[lo:hi]
+        for i in range(hi - lo):
+            block[i, i:] = r_rows[starts[lo + i] : starts[lo + i] + d - lo - i]
+        rx[lo:hi] = block @ x[lo:]
+        rt[lo:] += block.T @ proj[lo:hi]
     bound = qr_singularity_bound(math.sqrt(norm2), d)
     # both comparisons are written so that a NaN fails them
-    if not float(prep.gs_norms.min()) > bound:
+    if not float(gs_norms.min()) > bound:
         raise SingularMatrix("R factor does not certify the basis nonsingular")
     gap = np.abs(np.linalg.norm(bx, axis=0) - np.linalg.norm(rx, axis=0))
     if not float(gap.max()) <= 2.0 * bound * math.sqrt(d):
         raise SingularMatrix("R factor is not the basis's: |Bx| and |Rx| differ")
-    return prep, rt
+    return PreparedBasis(tuple(block for _, _, block in blocks), gs_norms), rt
 
 
 def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:
@@ -337,29 +410,58 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
     toward deterministic nearest-plane rounding.
 
     The walk is a back substitution through R, bottom-up: Z[k] is drawn at
-    sigma/|R_kk| around (proj[k] - R[k, k+1:] @ Z[k+1:]) / R_kk, one 1-D
-    sampler call per row.  It is blocked by WALK_BLOCK rows, whose R rows
-    are built once (PreparedBasis._r_block): the rows below a block enter
-    its centers through one product R[lo:hi, hi:] @ Z[hi:].
+    sigma_k = sigma/|R_kk| around (proj[k] - R[k, k+1:] @ Z[k+1:]) / R_kk,
+    over the blocks PreparedBasis holds: the rows below a block enter its
+    centers through one product R[lo:hi, hi:] @ Z[hi:].  A row with
+    sigma_k >= 2 is one sample_z_gaussian_batch call.  Each maximal run of
+    rows below 2 draws its uniforms at once, k per row in walk order (the
+    stream the per-row draws took), and gets every lane's bound from them
+    in one pass (_round_bounds).  A row whose lanes all lie within their
+    bounds takes round(c), which the enumeration would return, and
+    computes no weight; any other row enumerates (_sample_z_enum) on its
+    uniforms.  So every Z and the stream position after the walk are those
+    of one sample_z_gaussian_batch call per row.  Every row's centers are
+    checked as that call checks them; a walk that raises there may
+    already have drawn the uniforms of its current run.
     """
     proj = np.asarray(proj, dtype=np.float64)
     d = prep.dim
     if proj.ndim != 2 or proj.shape[0] != d:
         raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
     # row k draws at sigma/|R_kk|, taken for every row at once
-    row_sigmas = (sigma / prep.gs_norms).tolist()
+    sigmas = sigma / prep.gs_norms
+    row_sigmas = sigmas.tolist()
+    rejects = np.flatnonzero(~(sigmas < 2.0))   # NaN rows too: their call raises
     # float64 holds a walk's coefficients exactly (they stay far below
     # 2**53) and avoids an int-to-float copy of the tail on every step
     z = np.zeros((d, proj.shape[1]), dtype=np.float64)
-    for hi in range(d, 0, -WALK_BLOCK):
-        lo = max(0, hi - WALK_BLOCK)
-        rows = prep._r_block(lo, hi)
+    top = bottom = d      # rows of the enumeration run being walked: bottom..top
+    hi = d
+    for block in reversed(prep.blocks):
+        lo = hi - block.shape[0]
         shifted = proj[lo:hi]
         if hi < d:
-            shifted = shifted - rows[:, hi - lo :] @ z[hi:]
+            shifted = shifted - block[:, hi - lo :] @ z[hi:]
         for i in range(hi - lo - 1, -1, -1):
-            centers = (shifted[i] - rows[i, i + 1 : hi - lo] @ z[lo + i + 1 : hi]) / rows[i, i]
-            z[lo + i] = sample_z_gaussian_batch(row_sigmas[lo + i], centers, rng)
+            row = lo + i
+            centers = (shifted[i] - block[i, i + 1 : hi - lo] @ z[row + 1 : hi]) / block[i, i]
+            row_sigma = row_sigmas[row]
+            if not row_sigma < 2.0:
+                z[row] = sample_z_gaussian_batch(row_sigma, centers, rng)
+                continue
+            _check_lanes(row_sigma, centers)
+            if row < bottom:
+                # a run starts: it reaches down to the next rejection row
+                below = np.searchsorted(rejects, row)
+                top, bottom = row, int(rejects[below - 1]) + 1 if below else 0
+                uniforms = rng.random((top - bottom + 1, centers.shape[0]))
+                bounds = _round_bounds(sigmas[bottom : top + 1][::-1], uniforms)
+            base = np.rint(centers)
+            if (np.abs(centers - base) <= bounds[top - row]).all():
+                z[row] = base
+            else:
+                z[row] = _sample_z_enum(row_sigma, centers, uniforms[top - row])
+        hi = lo
     return z.astype(np.int64)
 
 

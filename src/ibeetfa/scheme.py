@@ -173,7 +173,7 @@ class UserSecretKey:
     narrows each one (zqlinalg.int32_matrix, no copy of an int32 array),
     so an entry that does not fit raises ParameterError here, and a key
     that dump cannot write never exists.  E'_ID's TrapdoorBasis is held
-    with its basis narrowed, and E'_ID, its R rows, pivots, E and P as
+    with its basis narrowed, and E'_ID, its R blocks, pivots, E and P as
     read-only views (dataclasses.replace): no second copy of the key's
     largest arrays is made.
     Arithmetic on these matrices goes through mat_mul, exact_int_matmul
@@ -191,7 +191,7 @@ class UserSecretKey:
     def __post_init__(self):
         td = self.trapdoor_prime
         basis = int32_matrix(td.basis, "user secret key: E'_ID")
-        prep = replace(td.prep, r_rows=read_only(td.prep.r_rows), gs_norms=read_only(td.prep.gs_norms))
+        prep = replace(td.prep, blocks=tuple(map(read_only, td.prep.blocks)), gs_norms=read_only(td.prep.gs_norms))
         object.__setattr__(self, "trapdoor_prime", replace(
             td, basis=read_only(basis), prep=prep, pivots=read_only(td.pivots),
             elim=read_only(td.elim), proj=read_only(td.proj)))

@@ -265,7 +265,8 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     if elim.min() < 0 or elim.max() >= q:
         raise ParameterError(f"E holds entries outside [0, {q})")
     gap = np.linalg.norm(rt_proj - basis[pivots].T, axis=0)
-    bound = qr_singularity_bound(float(np.linalg.norm(prep.r_rows)), d)
+    r_norm = math.sqrt(sum(float(np.vdot(block, block)) for block in prep.blocks))
+    bound = qr_singularity_bound(r_norm, d)
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:
         raise ParameterError("projections are not Q^T W of this basis")

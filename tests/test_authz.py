@@ -58,6 +58,18 @@ class TestTd1:
         with pytest.raises(ParameterError):
             td1(sk_a, ident_b)
 
+    def test_holds_the_keys_e_prime_without_a_copy(self, pool):
+        # the key's e_F' is read-only, so td1 and td3_basis hold a view of
+        # it; an array that can still be written is copied at its own width
+        _, (ident_a, sk_a), _, _, _ = pool
+        for td in (td1(sk_a, ident_a), td3_basis(sk_a, ident_a).payload):
+            assert np.shares_memory(td.e_prime, sk_a.e_f_prime) and not td.e_prime.flags.writeable
+        loaded = fileio.load_td1(fileio.dump_td1(td1(sk_a, ident_a), MINI), MINI)
+        assert loaded.e_prime.dtype == np.int64 and not loaded.e_prime.flags.writeable
+        mutable = sk_a.e_f_prime.copy()
+        held = type(loaded)(ident_a, mutable).e_prime
+        assert held.dtype == np.int32 and not np.shares_memory(held, mutable)
+
 
 class TestTd2:
     def test_congruence(self, pool):

@@ -63,6 +63,10 @@ def test_work_counters_read_real_sampler_calls(monkeypatch, mini_system, mini_ke
 
     td2 runs sample_left with the key basis: a Gaussian M-side draw (the
     rejection sampler) and a walk whose rows mostly fall to enumeration.
+    The walk draws the uniforms of its enumeration rows a run at a time
+    and calls no 1-D sampler for them (samplers.klein_coefficients), so
+    sample_z_gaussian_batch sees the M-side draw and one call per walk row
+    at sigma/|R_kk| >= 2, in that order.
     """
     tracing = _load_tracing()
     pp, _ = mini_system
@@ -78,13 +82,12 @@ def test_work_counters_read_real_sampler_calls(monkeypatch, mini_system, mini_ke
     assert tracing._cols_of_target(args, kwargs, out) == (MINI.t, 0) == (out.shape[1], 0)
     args, kwargs, out = walks[0]
     assert tracing._klein_work(args, kwargs, out) == (2 * MINI.m, MINI.t) == out.shape
-    kinds = set()
+    prep, sigma = args[0], args[1]
     for args, kwargs, out in draws:
         enum = args[0] < 2.0
-        kinds.add(enum)
         assert tracing._sample_z_work(args, kwargs, out) == (out.size, out.size if enum else 0)
-    assert kinds == {True, False}
-    assert sum(out.size for _, _, out in draws) == (MINI.m + 2 * MINI.m) * MINI.t
+    reject_rows = int((sigma / prep.gs_norms >= 2.0).sum())
+    assert [out.size for _, _, out in draws] == [MINI.m * MINI.t] + [MINI.t] * reject_rows
 
 
 def test_type3_trapdoors_report_their_side(mini_system, mini_key):

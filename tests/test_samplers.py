@@ -13,12 +13,16 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ibeetfa import fileio
+from ibeetfa import fileio, samplers
 from ibeetfa.authz import td2
 from ibeetfa.errors import DimensionMismatch, SamplingError, SingularMatrix
 from ibeetfa.samplers import (
     RandomSource,
+    _round_bounds,
+    _sample_z_enum,
     adopt_r_factor,
     klein_coefficients,
     prepare_basis,
@@ -334,6 +338,18 @@ class TestLatticeGaussian:
             with pytest.raises(DimensionMismatch):
                 klein_coefficients(prep, 5.0, bad, RandomSource(7))
 
+    @pytest.mark.parametrize("sigma", [1.0, 300.0, 3000.0])
+    @pytest.mark.parametrize("bad", [math.nan, 2.0**53])
+    def test_walk_checks_every_rows_centers(self, sigma, bad):
+        # rows at sigma/|R_kk| = 0.005 (decided by rounding), 1.5 (they
+        # enumerate) and 15 (rejection): a center that is not finite or not
+        # below 2**52 raises, although rounding alone would take 2**53
+        basis = 200 * np.eye(3, dtype=np.int64)
+        proj = np.zeros((3, 2))
+        proj[0, 1] = 200 * bad
+        with pytest.raises(SamplingError, match="below 2"):
+            klein_coefficients(r_factor(basis), sigma, proj, RandomSource(7))
+
     def test_offset_center_tracks(self):
         rng = RandomSource(59)
         basis = np.eye(2, dtype=np.int64)
@@ -562,7 +578,7 @@ class TestReferenceAgreement:
                               _enum_reference(sigma, centers, r2))
         assert r1.random() == r2.random()
 
-    @pytest.mark.parametrize("lanes", [1, 9])
+    @pytest.mark.parametrize("lanes", [1, 9, 64])
     def test_walk_matches_full_r_reference(self, lanes):
         from ibeetfa.samplers import WALK_BLOCK
 
@@ -584,6 +600,114 @@ class TestReferenceAgreement:
                 got = klein_coefficients(prep, sigma, proj, r1)
                 assert np.array_equal(got, _walk_reference(basis, sigma, proj, r2))
                 assert r1.random() == r2.random()
+
+
+#: Uniforms at the edges of the bound: 0 (t = -inf), tiny ones, 1/2 (where
+#: the two terms of g cross) and values either side, and the largest below 1.
+_EDGE_UNIFORMS = [0.0, 1e-300, 2.0**-53, 1e-9, 1.0 / 3.0, 0.5, 0.75, 1 - 1e-9, 1 - 2.0**-52, 1 - 2.0**-53]
+
+
+def _side_masses(sigma, centers):
+    """(L, H) per lane: the enumeration's weights below and above round(c),
+    computed as _sample_z_enum computes them (the weight of round(c) is 1)."""
+    w = max(1, math.ceil(12 * sigma))
+    base = np.rint(centers)
+    dev = (base + np.arange(-w, w + 1.0)[:, None]) - centers
+    logw = -(math.pi / sigma**2) * dev * dev
+    weights = np.exp(logw - logw[w])
+    return weights[:w].sum(axis=0), weights[w + 1 :].sum(axis=0)
+
+
+def _bound_lanes(sigma, uniforms, base, shifts=()):
+    """(centers, uniforms, bounds) of lanes that probe each uniform's bound t:
+    fractional parts at t, one step inside and outside it (as floats, and at
+    the center's own spacing near base), the ties +-0.5, 0 and any shifts."""
+    u = np.asarray(uniforms, dtype=np.float64)
+    t = _round_bounds(np.array([sigma]), u[None, :])[0]
+    centers, lanes = [], []
+    for j, tj in enumerate(t):
+        fracs = [0.5, -0.5, 0.0, *shifts]
+        if np.isfinite(tj):
+            edge = [tj, np.nextafter(tj, 0.0), np.nextafter(tj, 1.0)]
+            fracs += edge + [-f for f in edge]
+        c = base + np.array(fracs)
+        c = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
+        centers.append(c)
+        lanes.append(np.full(c.size, j))
+    lanes = np.concatenate(lanes)
+    return np.concatenate(centers), u[lanes], t[lanes]
+
+
+def _assert_bound_is_sound(sigma, centers, u, t):
+    """Every lane with |c - round(c)| <= t gets round(c) from the enumeration
+    on its uniform, and both its side masses are at most
+    g = (1 - 1e-9) * min(u, (1/u - 1)/2); returns the lanes within."""
+    rounded = np.rint(centers)
+    within = np.abs(centers - rounded) <= t
+    out = _sample_z_enum(sigma, centers, u)
+    assert np.array_equal(out[within], rounded[within].astype(np.int64)), sigma
+    with np.errstate(divide="ignore"):
+        g = (1.0 - 1e-9) * np.minimum(u, (1.0 / u - 1.0) / 2.0)
+    low, high = _side_masses(sigma, centers)
+    assert np.all(low[within] <= g[within]) and np.all(high[within] <= g[within]), sigma
+    return int(within.sum())
+
+
+class TestRoundingBound:
+    """The walk's shortcut is exact: a lane whose |c - round(c)| is within its
+    bound (samplers._round_bounds) is round(c), which the enumeration itself
+    returns on the same uniform, and its side masses are at most g, the
+    premise of that proof.  Without the window width w in the bound, the
+    masses exceed g from sigma 0.6 on (the outcomes survive on the slack of
+    the proof's last step); without the (1/u - 1)/2 term of g, lanes whose
+    u is near 1 get round(c) + 1 or round(c) - 1."""
+
+    @given(sigma=st.floats(0.03, 1.999),
+           uniforms=st.lists(st.one_of(st.sampled_from(_EDGE_UNIFORMS),
+                                       st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)),
+                             min_size=1, max_size=8),
+           base=st.sampled_from([0.0, -3.0, 1e6, -1e6 + 1.0]),
+           shifts=st.lists(st.floats(-0.5, 0.5), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_lanes_within_their_bound_take_round_c(self, sigma, uniforms, base, shifts):
+        _assert_bound_is_sound(sigma, *_bound_lanes(sigma, uniforms, base, shifts))
+
+    def test_sweep(self):
+        # 400 sigmas across the enumeration regime, each with the edge
+        # uniforms and 40 random ones, near 0 and near 1e6
+        rng = RandomSource(140)
+        within = lanes = 0
+        for sigma in np.linspace(0.03, 1.999, 400):
+            uniforms = np.concatenate([_EDGE_UNIFORMS, rng.random(40)])
+            for base in (0.0, 1e6):
+                centers, u, t = _bound_lanes(sigma, uniforms, base, rng.random(4) - 0.5)
+                within += _assert_bound_is_sound(sigma, centers, u, t)
+                lanes += centers.size
+        assert within > lanes // 10, (within, lanes)
+
+    def test_bound_is_minus_inf_at_u_zero(self):
+        assert _round_bounds(np.array([0.05, 1.5]), np.zeros((2, 3))).max() == -np.inf
+
+    def test_td2_rounds_every_row_it_may(self, monkeypatch, mini_system, mini_key):
+        # one seeded td2 on the MINI key enumerates 516 of its 815
+        # enumeration rows (0.58-0.65 over 12 seeds) and rounds the rest;
+        # a bound that is tighter than it needs to be sends more rows to
+        # the enumeration and fails the pinned share
+        pp, _ = mini_system
+        ident, sk = mini_key
+        calls = []
+        enum = samplers._sample_z_enum
+
+        def counted(*args):
+            calls.append(args[0])
+            return enum(*args)
+
+        monkeypatch.setattr(samplers, "_sample_z_enum", counted)
+        ct = encrypt(pp, ident, random_message(MINI.t, 801), RandomSource(901))
+        assert td2(pp, sk, ident, ct, RandomSource(1001)) is not None
+        rows = int((MINI.sigma / sk.trapdoor_prime.prep.gs_norms < 2.0).sum())
+        assert rows == 815
+        assert len(calls) <= 0.68 * rows, len(calls) / rows
 
 
 def _longdouble_projections(basis, t):
@@ -647,7 +771,12 @@ class TestProjection:
         prep = derive_trapdoor(compute_f(pp, ident, "prime"), loaded.e_id_prime, MINI.q).prep
         assert modes == ["raw"]  # a fresh basis is factored once, without Q
         d = prep.dim
-        assert [f.name for f in fields(prep)] == ["r_rows", "gs_norms"]
+        assert [f.name for f in fields(prep)] == ["blocks", "gs_norms"]
+        # R is held once, as the walk's row blocks R[lo:hi, lo:], counted
+        # from the bottom row; the file's packed rows are derived from them
+        rows = [(max(0, hi - samplers.WALK_BLOCK), hi) for hi in range(d, 0, -samplers.WALK_BLOCK)]
+        assert [b.shape for b in reversed(prep.blocks)] == [(hi - lo, d - lo) for lo, hi in rows]
+        assert all(not np.tril(b, -1).any() for b in prep.blocks)
         assert prep.r_rows.shape == (d * (d + 1) // 2,)
 
     @staticmethod

@@ -306,11 +306,11 @@ class TestReadOnly:
         loaded = fileio.load_user_secret(fileio.dump_user_secret(sk, MINI), MINI)
         for key in (sk, loaded):
             td = key.trapdoor_prime
-            self.assert_read_only({"E'_ID": key.e_id_prime, "R rows": td.prep.r_rows,
-                                   "GS norms": td.prep.gs_norms, "pivots": td.pivots,
-                                   "E": td.elim, "P": td.proj})
+            self.assert_read_only({"E'_ID": key.e_id_prime, "GS norms": td.prep.gs_norms,
+                                   "pivots": td.pivots, "E": td.elim, "P": td.proj,
+                                   **{f"R block {i}": b for i, b in enumerate(td.prep.blocks)}})
             with pytest.raises(dataclasses.FrozenInstanceError):
-                td.prep.r_rows = td.prep.r_rows
+                td.prep.blocks = td.prep.blocks
 
     def test_type2_trapdoor(self, mini_system, mini_key):
         pp, _ = mini_system

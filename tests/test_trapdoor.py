@@ -367,7 +367,8 @@ class TestBasisFromPreimages:
         held, fresh = sk.trapdoor_prime, drawn[1][0]
         assert held.q == fresh.q and all(
             np.shares_memory(getattr(held, name), getattr(fresh, name)) for name in ("pivots", "elim", "proj"))
-        assert np.shares_memory(held.prep.r_rows, fresh.prep.r_rows)
+        assert len(held.prep.blocks) == len(fresh.prep.blocks) and all(
+            np.shares_memory(a, b) for a, b in zip(held.prep.blocks, fresh.prep.blocks))
         assert np.shares_memory(held.prep.gs_norms, fresh.prep.gs_norms)
         trapdoor.require_gadget_trapdoor(scheme.compute_f(pp, ident, "primary"), sk.r_id, MINI.q)
         scheme.checked_preimage(pp, ident, "primary", sk.e_f)
