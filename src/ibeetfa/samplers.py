@@ -127,9 +127,10 @@ def _sample_z_enum(sigma: float, centers: np.ndarray, uniforms: np.ndarray) -> n
         mid = low + weights[1]
         u = uniforms * (mid + weights[2])
         return out + (u >= low) + (u >= mid)
-    cdf = np.cumsum(weights, axis=0)
+    # the ufuncs themselves: cumsum and sum are Python wrappers around them
+    cdf = np.add.accumulate(weights, axis=0)
     u = uniforms * cdf[-1]
-    return out + (u >= cdf[:-1]).sum(axis=0)
+    return out + np.add.reduce(u >= cdf[:-1], axis=0)
 
 
 #: Margins of _round_bounds: relative on g, absolute on the bound.
@@ -398,7 +399,8 @@ def adopt_r_factor(basis, r_rows, proj):
     return PreparedBasis(tuple(block for _, _, block in blocks), gs_norms), rt
 
 
-def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource) -> np.ndarray:
+def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource, *,
+                       on_block=None) -> np.ndarray:
     """Integer coefficient matrix Z so B @ Z is a Gaussian lattice point near each target.
 
     proj is d x k, one column per walk: the projections Q^T t of the
@@ -423,18 +425,26 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
     of one sample_z_gaussian_batch call per row.  Every row's centers are
     checked as that call checks them; a walk that raises there may
     already have drawn the uniforms of its current run.
+
+    on_block, if given, is called on the walk's thread after each block
+    as on_block(lo, z): z is the walk's float64 d x k coefficient array
+    (the values of Z), and its rows lo: are final, as no later step writes
+    them; rows above lo are still being drawn.
     """
     proj = np.asarray(proj, dtype=np.float64)
     d = prep.dim
     if proj.ndim != 2 or proj.shape[0] != d:
         raise DimensionMismatch(f"projections must be {d} x k, got shape {proj.shape}")
+    k = proj.shape[1]
     # row k draws at sigma/|R_kk|, taken for every row at once
     sigmas = sigma / prep.gs_norms
     row_sigmas = sigmas.tolist()
     rejects = np.flatnonzero(~(sigmas < 2.0))   # NaN rows too: their call raises
     # float64 holds a walk's coefficients exactly (they stay far below
     # 2**53) and avoids an int-to-float copy of the tail on every step
-    z = np.zeros((d, proj.shape[1]), dtype=np.float64)
+    z = np.zeros((d, k), dtype=np.float64)
+    # each row's centers, written in place
+    dot, centers, gap, outside = np.empty(k), np.empty(k), np.empty(k), np.empty(k, dtype=bool)
     top = bottom = d      # rows of the enumeration run being walked: bottom..top
     hi = d
     for block in reversed(prep.blocks):
@@ -442,26 +452,33 @@ def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSourc
         shifted = proj[lo:hi]
         if hi < d:
             shifted = shifted - block[:, hi - lo :] @ z[hi:]
+        diag = np.diagonal(block).tolist()
         for i in range(hi - lo - 1, -1, -1):
             row = lo + i
-            centers = (shifted[i] - block[i, i + 1 : hi - lo] @ z[row + 1 : hi]) / block[i, i]
+            np.matmul(block[i, i + 1 : hi - lo], z[row + 1 : hi], out=dot)
+            np.subtract(shifted[i], dot, out=centers)
+            np.divide(centers, diag[i], out=centers)
             row_sigma = row_sigmas[row]
             if not row_sigma < 2.0:
                 z[row] = sample_z_gaussian_batch(row_sigma, centers, rng)
                 continue
-            _check_lanes(row_sigma, centers)
+            if not (0.0 < row_sigma and centers.dot(centers) < _CENTER_SQUARES):
+                _check_lanes(row_sigma, centers)    # raises its SamplingError
             if row < bottom:
                 # a run starts: it reaches down to the next rejection row
                 below = np.searchsorted(rejects, row)
                 top, bottom = row, int(rejects[below - 1]) + 1 if below else 0
-                uniforms = rng.random((top - bottom + 1, centers.shape[0]))
+                uniforms = rng.random((top - bottom + 1, k))
                 bounds = _round_bounds(sigmas[bottom : top + 1][::-1], uniforms)
-            base = np.rint(centers)
-            if (np.abs(centers - base) <= bounds[top - row]).all():
-                z[row] = base
-            else:
-                z[row] = _sample_z_enum(row_sigma, centers, uniforms[top - row])
+            rounded = z[row]
+            np.rint(centers, out=rounded)
+            np.subtract(centers, rounded, out=gap)
+            np.abs(gap, out=gap)
+            if np.count_nonzero(np.greater(gap, bounds[top - row], out=outside)):
+                rounded[:] = _sample_z_enum(row_sigma, centers, uniforms[top - row])
         hi = lo
+        if on_block is not None:
+            on_block(lo, z)
     return z.astype(np.int64)
 
 

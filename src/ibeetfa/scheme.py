@@ -19,6 +19,9 @@ integrity tag a Ciphertext keeps per parameter set, which two racing
 threads at worst compute twice, with equal results.  Calls may therefore run
 concurrently, sharing keys, trapdoors and ciphertexts, as long as each
 call has a RandomSource of its own: a RandomSource is single-owner state.
+On a host with more than one CPU, a basis walk multiplies its output by
+the basis on a worker thread that the call starts and joins
+(trapdoor.TrapdoorBasis.preimages); nothing a call starts outlives it.
 """
 
 from __future__ import annotations

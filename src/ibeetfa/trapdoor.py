@@ -34,6 +34,8 @@ basis); sample_left checks it against the public matrix before every draw
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,9 @@ SIGN_OPNORM_CONSTANT = 2.2
 
 #: SampleD's margin: c = SAMPLE_D_MARGIN * (s_G * s1(W))^2 (GadgetTrapdoor).
 SAMPLE_D_MARGIN = 1.2
+
+#: A float64 sum of integers is exact while every partial sum stays below this.
+_FLOAT_EXACT = 1 << 53
 
 
 def trapgen_width(n: int, q: int) -> int:
@@ -315,11 +320,29 @@ class TrapdoorBasis:
                   rng: RandomSource) -> np.ndarray:
         """The walk's preimages c - B @ z of the n x k targets under A (which
         sample_left has checked, require): c holds y = center_rep(E @ targets)
-        on the pivot rows, so y is added to -B @ z there."""
+        on the pivot rows, so y is added to -B @ z there.
+
+        With more than one CPU, B @ z is formed while the walk runs, on a
+        worker thread this call starts and joins before it returns or
+        raises (_ProductBehindWalk); on one CPU, or when that product
+        cannot be certified exact, after the walk by exact_int_matmul.
+        The preimages are the same either way."""
         prep = self.prep
         y = center_rep(mat_mul(self.elim, targets, q), q)
-        z = klein_coefficients(prep, sigma, self.proj @ y, rng)
-        e = exact_int_matmul(self.basis, z)
+        proj = self.proj @ y
+        e = None
+        if _cpus() > 1:
+            product = _ProductBehindWalk(self.basis, proj.shape)
+            try:
+                z = klein_coefficients(prep, sigma, proj, rng, on_block=product.rows_done)
+            except BaseException:
+                product.abandon()
+                raise
+            e = product.result()
+        else:
+            z = klein_coefficients(prep, sigma, proj, rng)
+        if e is None:
+            e = exact_int_matmul(self.basis, z)
         np.negative(e, out=e)
         e[self.pivots] += y
         # The walk leaves at most 1/2 + TAIL_CUT*sigma/gs_j per orthogonalized
@@ -328,6 +351,86 @@ class TrapdoorBasis:
         if _magnitude(e) > cap:
             raise SamplingError("preimage walk produced an implausibly long vector")
         return e
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _ProductBehindWalk:
+    """B @ z for a walk's coefficients z, formed on a worker thread while
+    the walk (samplers.klein_coefficients, bottom-up) still draws z.
+
+    rows_done is the walk's on_block hook: rows lo: of its float64 z are
+    final.  The worker multiplies every row finished since its last chunk
+    in one np.matmul into a buffer and adds that to the total.  Both
+    buffers are allocated here, by the caller, and the worker calls numpy
+    only, so nothing it runs is traced or allocates an output.  Each chunk
+    is exact in float64 while max|B| * max|z_chunk| * rows, summed over the
+    chunks, stays below 2**53: then every partial sum, in any order, is an
+    integer of smaller magnitude.  A chunk past that stops the worker, and
+    result() returns None for the caller to multiply exactly instead.
+    """
+
+    def __init__(self, basis: np.ndarray, shape: tuple):
+        self._basis = basis
+        self._total, self._part = np.zeros(shape), np.empty(shape)
+        self._exact = True
+        self._error = None
+        self._cond = threading.Condition(threading.Lock())
+        self._ready = shape[0]      # rows ready: ready..d-1
+        self._z = None
+        self._stop = False
+        self._thread = threading.Thread(target=self._run, name="walk-product", daemon=True)
+        self._thread.start()
+
+    def rows_done(self, lo: int, z: np.ndarray) -> None:
+        with self._cond:
+            self._ready, self._z = lo, z
+            self._cond.notify()
+
+    def abandon(self) -> None:
+        """Stop the worker (the walk raised) and wait for it."""
+        with self._cond:
+            self._stop = True
+            self._cond.notify()
+        self._thread.join()
+
+    def result(self) -> np.ndarray | None:
+        """Wait for the worker once the walk has returned: B @ z as int64, or
+        None if the product could not be certified exact.  An exception
+        raised on the worker is raised here."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._total.astype(np.int64) if self._exact else None
+
+    def _run(self) -> None:
+        try:
+            b = self._basis
+            b_max, bound = max(int(b.max()), -int(b.min())), 0
+            done = self._total.shape[0]      # rows multiplied: done..d-1
+            while done:
+                with self._cond:
+                    while self._ready == done and not self._stop:
+                        self._cond.wait()
+                    if self._stop:
+                        return
+                    lo, z = self._ready, self._z
+                chunk = z[lo:done]
+                bound += b_max * int(np.abs(chunk).max()) * (done - lo)
+                if bound >= _FLOAT_EXACT:
+                    self._exact = False
+                    return
+                np.matmul(b[:, lo:done], chunk, out=self._part)
+                self._total += self._part
+                done = lo
+        except BaseException as exc:       # raised again on the caller's thread
+            self._error = exc
 
 
 class GadgetTrapdoor:
@@ -466,8 +569,10 @@ def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis
     """
     dim = f.shape[1]
     batch = sampler(dim)
-    # both parts are copied so that neither keeps the whole batch alive
+    # both parts are copied, and the batch dropped, so that nothing keeps
+    # the whole batch alive through the QR
     basis, rest = np.ascontiguousarray(batch[:, :dim]), batch[:, dim:].copy()
+    del batch
     try:
         return derive_trapdoor(f, basis, q), rest
     except SingularMatrix:

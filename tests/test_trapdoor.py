@@ -1,18 +1,23 @@
 """Trapdoor generation and preimage/basis sampling."""
 
+import dataclasses
+import inspect
 import math
 import os
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from ibeetfa import fileio, scheme, trapdoor
+from ibeetfa import fileio, samplers, scheme, trapdoor, zqlinalg
+from ibeetfa.authz import td2
 from ibeetfa.errors import DimensionMismatch, KeyMismatch, ParameterError, SamplingError
 from ibeetfa.params import preset
 from ibeetfa.samplers import RandomSource, slack_factor
-from ibeetfa.scheme import identity_from_string
+from ibeetfa.scheme import encrypt, identity_from_string
 from ibeetfa.trapdoor import (
     SAMPLE_D_MARGIN,
     SIGN_OPNORM_CONSTANT,
@@ -34,7 +39,7 @@ from ibeetfa.zqlinalg import (
     solve_mod,
 )
 
-from conftest import MINI, CallCounter
+from conftest import MINI, CallCounter, random_message
 from oracles import check_nullspace_basis, is_nonsingular, operator_norm
 
 Q_SMALL = 4093
@@ -336,6 +341,27 @@ class TestBasisFromPreimages:
         assert calls == [2]
         assert preps.calls == 1
 
+    def test_batch_is_dropped_before_the_qr(self, mini_system, monkeypatch):
+        # the basis and the other columns are copies: no reference to the
+        # whole sample_left batch (1,828 x 1,956 int64 at toy) outlives them
+        pp, msk = mini_system
+        batches, alive = [], []
+        real_left, real_derive = trapdoor.sample_left, trapdoor.derive_trapdoor
+
+        def left(*args, **kwargs):
+            batch = real_left(*args, **kwargs)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        def derive(*args):
+            alive.append(batches[-1]() is not None)
+            return real_derive(*args)
+
+        monkeypatch.setattr(trapdoor, "sample_left", left)
+        monkeypatch.setattr(trapdoor, "derive_trapdoor", derive)
+        scheme.extract(pp, msk, identity_from_string("gina", MINI.ell), RandomSource(439))
+        assert alive == [False]
+
     def test_extract_redraws_the_whole_key(self, mini_system, monkeypatch):
         # extract's loop is the only retry: a failed E'_ID draw draws R_ID and
         # e_F again
@@ -613,6 +639,139 @@ class TestCosetMapBinding:
         got = np.zeros((m, 12), dtype=np.int64)
         got[td.pivots] = center_rep(mat_mul(td.elim, targets, q), q)
         assert np.array_equal(got, center_rep(solve_mod(pair.a, targets, q), q))
+
+
+def gadget_walk_basis(scale=0):
+    """A TrapdoorBasis of MINI's gadget matrix over S_G (68 rows, two walk
+    blocks), with N = scale times its column 1 added to column 0: the same
+    lattice, with entries and coefficients about N times larger."""
+    g = trapdoor.gadget_matrix(MINI.n, MINI.q)
+    k = gadget_length(MINI.q)
+    s_g = np.kron(np.eye(MINI.n, dtype=np.int64), trapdoor._gadget_block(MINI.q, k))
+    s_g[:, 0] += scale * s_g[:, 1]
+    return g, derive_trapdoor(g, s_g, MINI.q)
+
+
+class _MaxRaises(np.ndarray):
+    """An array whose max() raises: the worker reads max|B| first."""
+
+    def max(self, *args, **kwargs):
+        raise RuntimeError("stub: max|B|")
+
+
+class TestProductBehindWalk:
+    """TrapdoorBasis.preimages forms B @ z on a worker thread while the walk
+    runs, and on one CPU after it; both give the same preimages."""
+
+    @staticmethod
+    def draw(monkeypatch, cpus, call):
+        monkeypatch.setattr(trapdoor, "_cpus", lambda: cpus)
+        before = threading.active_count()
+        try:
+            return call()
+        finally:
+            assert threading.active_count() == before
+
+    @staticmethod
+    def basis_products(monkeypatch, td):
+        """Count the exact_int_matmul calls of preimages with td's basis."""
+        shapes, real = [], trapdoor.exact_int_matmul
+
+        def spy(a, b):
+            if a is td.basis:
+                shapes.append(np.shape(b))
+            return real(a, b)
+
+        monkeypatch.setattr(trapdoor, "exact_int_matmul", spy)
+        return shapes
+
+    def test_td2_is_the_same_on_one_cpu(self, monkeypatch, mini_system, mini_key):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        products = self.basis_products(monkeypatch, sk.trapdoor_prime)
+        for seed in (0xD1, 0xD2):
+            ct = encrypt(pp, ident, random_message(MINI.t, seed), RandomSource(seed))
+            got = [self.draw(monkeypatch, cpus, lambda: fileio.dump_td2(
+                td2(pp, sk, ident, ct, RandomSource(seed + 1)), MINI)) for cpus in (2, 1)]
+            assert got[0] == got[1]
+        # the worker formed every product: only the one-CPU draws multiplied after the walk
+        assert products == [(2 * MINI.m, MINI.t)] * 2
+
+    def test_multi_block_walk_is_the_same_on_one_cpu(self, monkeypatch):
+        g, td = gadget_walk_basis()
+        assert len(td.prep.blocks) == 2
+        targets = RandomSource(467).integers(0, MINI.q, (MINI.n, 300))
+        products = self.basis_products(monkeypatch, td)
+        got = [self.draw(monkeypatch, cpus, lambda: td.preimages(
+            g, targets, MINI.q, 9.0, RandomSource(469))) for cpus in (2, 1)]
+        assert np.array_equal(got[0], got[1])
+        assert products == [(td.basis.shape[0], 300)]
+
+    def test_large_entries_take_the_exact_product(self, monkeypatch):
+        # max|B| * max|z| * rows passes 2**53, so the worker's float sums
+        # could be inexact: preimages multiplies after the walk instead
+        g, td = gadget_walk_basis(1 << 10)
+        targets = RandomSource(471).integers(0, MINI.q, (MINI.n, 40))
+        products = self.basis_products(monkeypatch, td)
+        walks, real = [], trapdoor.klein_coefficients
+
+        def walk(*args, **kwargs):
+            walks.append(real(*args, **kwargs))
+            return walks[-1]
+
+        monkeypatch.setattr(trapdoor, "klein_coefficients", walk)
+        got = [self.draw(monkeypatch, cpus, lambda: td.preimages(
+            g, targets, MINI.q, 9.0, RandomSource(473))) for cpus in (2, 1)]
+        assert np.array_equal(got[0], got[1])
+        assert products == [(td.basis.shape[0], 40)] * 2
+        assert int(np.abs(td.basis).max()) * int(np.abs(walks[0]).max()) * td.basis.shape[0] >= 2**53
+
+    def test_a_failed_walk_stops_the_worker(self, monkeypatch):
+        # NaN projections in the top block: the walk raises after it has
+        # handed the lower block to the worker
+        g, td = gadget_walk_basis()
+        proj = td.proj.copy()
+        proj[:2] = np.nan
+        bad = dataclasses.replace(td, proj=proj)
+        targets = RandomSource(479).integers(0, MINI.q, (MINI.n, 8))
+        for cpus in (2, 1):
+            with pytest.raises(SamplingError):
+                self.draw(monkeypatch, cpus, lambda: bad.preimages(g, targets, MINI.q, 9.0, RandomSource(487)))
+
+    def test_a_failed_product_raises_on_the_caller(self, monkeypatch):
+        g, td = gadget_walk_basis()
+        bad = dataclasses.replace(td, basis=td.basis.view(_MaxRaises))
+        targets = RandomSource(491).integers(0, MINI.q, (MINI.n, 8))
+        with pytest.raises(RuntimeError, match="stub: max"):
+            self.draw(monkeypatch, 2, lambda: bad.preimages(g, targets, MINI.q, 9.0, RandomSource(499)))
+
+    def test_td2_calls_the_library_on_its_own_thread(self, monkeypatch, mini_system, mini_key):
+        # the worker calls numpy only, so a tracer's span stack sees every
+        # zqlinalg and samplers call on the thread that made the td2
+        pp, _ = mini_system
+        ident, sk = mini_key
+        ct = encrypt(pp, ident, random_message(MINI.t, 503), RandomSource(503))
+        threads, lock = [], threading.Lock()
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                with lock:
+                    threads.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return call
+
+        homes = (zqlinalg.__name__, samplers.__name__)
+        for name, mod in list(sys.modules.items()):
+            if name == "ibeetfa" or name.startswith("ibeetfa."):
+                for attr, val in list(vars(mod).items()):
+                    if getattr(val, "__module__", None) in homes and callable(val) and not inspect.isclass(val):
+                        monkeypatch.setattr(mod, attr, recorded(val))
+        products = self.basis_products(monkeypatch, sk.trapdoor_prime)
+        assert self.draw(monkeypatch, 2, lambda: td2(pp, sk, ident, ct, RandomSource(509))) is not None
+        names = {name for name, _ in threads}
+        assert {"mat_mul", "klein_coefficients", "sample_z_gaussian_batch"} <= names
+        assert {ident for _, ident in threads} == {threading.get_ident()}
+        assert products == []
 
 
 @pytest.mark.parametrize("sampler", ["sample_left", "sample_basis_left"])
