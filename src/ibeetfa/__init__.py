@@ -17,6 +17,7 @@ from .samplers import RandomSource
 from .scheme import (
     Ciphertext,
     Identity,
+    KeyPreimage,
     MasterSecretKey,
     PublicParams,
     UserSecretKey,
@@ -46,6 +47,7 @@ __all__ = [
     "IbeetfaError",
     "Identity",
     "KeyMismatch",
+    "KeyPreimage",
     "MasterSecretKey",
     "ParamSet",
     "ParameterError",

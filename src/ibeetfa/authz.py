@@ -26,6 +26,7 @@ from .samplers import RandomSource
 from .scheme import (
     Ciphertext,
     Identity,
+    KeyPreimage,
     PublicParams,
     UserSecretKey,
     checked_preimage,
@@ -88,7 +89,7 @@ class TrapdoorT3:
         return isinstance(self.payload, TrapdoorT1)
 
 
-def td1(sk: UserSecretKey, ident: Identity) -> TrapdoorT1:
+def td1(sk: KeyPreimage, ident: Identity) -> TrapdoorT1:
     """Identity-wide trapdoor from a secret key."""
     if ident.bits != sk.identity.bits:
         raise ParameterError("secret key belongs to a different identity")
@@ -113,7 +114,7 @@ def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rn
     return TrapdoorT2(ident, ct.c5, e_prime, p)
 
 
-def td3_basis(sk: UserSecretKey, ident: Identity) -> TrapdoorT3:
+def td3_basis(sk: KeyPreimage, ident: Identity) -> TrapdoorT3:
     """Type-3 trapdoor, identity-wide flavor."""
     return TrapdoorT3(td1(sk, ident))
 

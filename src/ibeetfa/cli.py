@@ -139,10 +139,18 @@ def _cmd_encrypt(args) -> int:
     return EXIT_OK
 
 
-def _load_key(path: str, pp):
+def _load_key(path: str, pp, whole: bool = False):
     """The key file at path, once it belongs to pp: KeyMismatch unless its
-    Abar_ID is F_ID's first 2m - nk columns and F_ID @ [R_ID; I] == G."""
-    sk = fileio.load_user_secret(fileio.read_file(path), pp.params)
+    Abar_ID is F_ID's first 2m - nk columns and F_ID @ [R_ID; I] == G.
+
+    With whole, the whole file is read and loaded (UserSecretKey: td2 and
+    td3_ct sample with E'_ID); otherwise only its header and prefix
+    (fileio.read_key_preimage: decrypt, td1 and td3_basis use no more).
+    """
+    if whole:
+        sk = fileio.load_user_secret(fileio.read_file(path), pp.params)
+    else:
+        sk = fileio.read_key_preimage(path, pp.params)
     f = compute_f(pp, sk.identity)
     if not np.array_equal(sk.a_bar_id, f[:, : sk.r_id.shape[0]]):
         raise KeyMismatch("the key's Abar_ID is not F_ID's for these public parameters")
@@ -183,12 +191,13 @@ _TD_TYPES = {
 
 def _cmd_td(args) -> int:
     pp = fileio.load_public_params(fileio.read_file(args.pp))
-    sk = _load_key(args.sk, pp)
+    bound = args.ct is not None and args.type != 1  # a type-1 trapdoor is never bound
+    sk = _load_key(args.sk, pp, whole=bound)
     kind, grant, _ = _TD_TYPES[args.type]
     if args.type == 2 and args.ct is None:
         raise ParameterError("--type 2 requires --ct")
     ct = rng = None
-    if args.ct is not None and args.type != 1:  # a type-1 trapdoor is never bound
+    if bound:
         ct, _ = fileio.load_ciphertext(fileio.read_file(args.ct), pp.params)
         rng = _rng(args)
     td = grant(pp, sk, ct, rng)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,19 +258,33 @@ def _check_lanes(sigma: float, centers: np.ndarray) -> None:
 WALK_BLOCK = 64
 
 
-def _r_blocks(d: int) -> list[tuple[int, int, np.ndarray]]:
-    """(lo, hi, zeros) for R's row blocks R[lo:hi, lo:], top down: WALK_BLOCK
-    rows each, counted from the bottom row, where the walk starts, so only
-    the top block may be shorter.  The arrays are views into one buffer,
-    allocated at once as the packed rows were: a key holds R's blocks for
-    as long as it lives, and with a separate array per block a process
-    that extracts and ships `toy` keys peaked 14-20% higher in RSS (heap
-    fragmentation; tracemalloc's peaks were equal)."""
-    bounds = [(max(0, hi - WALK_BLOCK), hi) for hi in range(d, 0, -WALK_BLOCK)][::-1]
-    sizes = [(hi - lo) * (d - lo) for lo, hi in bounds]
-    buffer, ends = np.zeros(sum(sizes)), np.cumsum(sizes)
-    return [(lo, hi, buffer[end - size : end].reshape(hi - lo, d - lo))
-            for (lo, hi), size, end in zip(bounds, sizes, ends)]
+def _r_bounds(d: int) -> list[tuple[int, int]]:
+    """(lo, hi) for R's row blocks R[lo:hi, lo:], top down: WALK_BLOCK rows
+    each, counted from the bottom row, where the walk starts, so only the
+    top block may be shorter."""
+    return [(max(0, hi - WALK_BLOCK), hi) for hi in range(d, 0, -WALK_BLOCK)][::-1]
+
+
+def r_factor_words(d: int) -> int:
+    """float64 words of the buffer that holds a d x d R factor's row blocks
+    (PreparedBasis.r): R's upper triangle and the zeros below each block's
+    diagonal, 32 a row more than the triangle."""
+    return sum((hi - lo) * (d - lo) for lo, hi in _r_bounds(d))
+
+
+def _r_blocks(r: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, view) for R's row blocks, top down, each block R[lo:hi, lo:]
+    a view into the one buffer r, block after block.  One buffer, not an
+    array per block: a key holds R's blocks for as long as it lives, and
+    with a separate array per block a process that extracts and ships
+    `toy` keys peaked 14-20% higher in RSS (heap fragmentation;
+    tracemalloc's peaks were equal)."""
+    out, start = [], 0
+    for lo, hi in _r_bounds(d):
+        stop = start + (hi - lo) * (d - lo)
+        out.append((lo, hi, r[start:stop].reshape(hi - lo, d - lo)))
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,15 +293,19 @@ class PreparedBasis:
 
     No Q is formed or kept: a walk needs only R and the projections Q^T t
     of its targets, which a trapdoor.TrapdoorBasis holds as P = Q^T W
-    (prepare_basis).  R is held as the walk reads it: one float64 array
-    R[lo:hi, lo:] per block of rows (_r_blocks), zeros below the
-    diagonal, so no walk copies any of R.  The blocks hold R's upper
-    triangle and 32 zeros a row more; a key holds them for as long as it
-    lives.  The basis itself is held by its trapdoor.TrapdoorBasis.
+    (prepare_basis).  R is held as the walk reads it: one float64 buffer r
+    of r_factor_words(d) words, the row blocks R[lo:hi, lo:] one after
+    another (_r_blocks), zeros below each block's diagonal, and blocks,
+    views into r made here, so no walk copies any of R.  A key file stores
+    r as it is.  The basis itself is held by its trapdoor.TrapdoorBasis.
     """
 
-    blocks: tuple              # float64 R[lo:hi, lo:] per row block, top down
+    r: np.ndarray              # float64 row blocks of R, top down
     gs_norms: np.ndarray       # |diag(R)|, the Gram-Schmidt norms
+    blocks: tuple = field(init=False, repr=False, compare=False)   # views into r
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(block for _, _, block in _r_blocks(self.r, self.dim)))
 
     @property
     def dim(self) -> int:
@@ -296,18 +314,6 @@ class PreparedBasis:
     @property
     def gs_norm(self) -> float:
         return float(self.gs_norms.max())
-
-    def rows(self):
-        """R[k, k:] for k = 0, 1, ...: views into the blocks."""
-        for block in self.blocks:
-            for i in range(block.shape[0]):
-                yield block[i, i:]
-
-    @property
-    def r_rows(self) -> np.ndarray:
-        """R's upper triangle row after row, as the key file stores it,
-        built on each access."""
-        return np.concatenate(list(self.rows()))
 
 
 def prepare_basis(basis, w):
@@ -334,11 +340,11 @@ def prepare_basis(basis, w):
         s = tau[j] * (proj[j] + v @ proj[j + 1 :])
         proj[j] -= s
         proj[j + 1 :] -= np.outer(v, s)
-    blocks = _r_blocks(d)
-    for lo, hi, block in blocks:
+    r = np.zeros(r_factor_words(d))
+    for lo, hi, block in _r_blocks(r, d):
         block[...] = h[lo:, lo:hi].T
         block[np.tril_indices(hi - lo, -1)] = 0.0
-    return PreparedBasis(tuple(block for _, _, block in blocks), np.abs(np.diag(h))), proj
+    return PreparedBasis(r, np.abs(np.diag(h))), proj
 
 
 #: Seed of the fixed probes adopt_r_factor checks an R factor on, so the
@@ -347,46 +353,49 @@ _R_PROBE_SEED = 0x0B5E
 _R_PROBES = 4
 
 
-def adopt_r_factor(basis, r_rows, proj):
-    """(PreparedBasis, R^T proj) from R rows factored elsewhere (R's upper
-    triangle row after row, as PreparedBasis.r_rows gives it), checked to
-    belong to basis in O(d^2), not O(d^3), and a d x k matrix proj (k may
-    be 0).
+def adopt_r_factor(basis, r, proj):
+    """(PreparedBasis, R^T proj, |R|_F) from R's row blocks factored
+    elsewhere (the buffer PreparedBasis.r holds, as a key file stores it),
+    checked to belong to basis in O(d^2), not O(d^3), and a d x k matrix
+    proj (k may be 0).
 
-    The check repeats the certificate of certified_r_factor on the given
-    diagonal (every |R_kk| must exceed qr_singularity_bound), then compares
-    |Bx| with |Rx| on a few fixed +-1 probes x, since B = QR gives
-    |Bx| = |Rx| for every x.  A backward-stable QR returns the exact R
-    factor of B + E with |E| at most the bound, so an honest R differs by
-    at most bound * |x|; forming Bx and Rx in float64 adds less than
-    another bound * |x|, which the tolerance allows.  An R from a QR run on
-    another host (another LAPACK, another BLAS thread count) passes.
-    B and R are read a block of rows at a time, so no d x d float copy of
-    B is made, and an int32 basis is kept as it is.  Raises SingularMatrix
-    when r_rows does not certify basis.  The blocks of R the check builds
-    are the ones the PreparedBasis holds, and R^T proj is formed from them
-    in the same pass, so a load that checks more against R
-    (trapdoor.adopt_trapdoor) builds none of them again; r_rows is not kept.
+    The check first asks for zeros below each block's diagonal, then
+    repeats the certificate of certified_r_factor on R's diagonal (every
+    |R_kk| must exceed qr_singularity_bound), then compares |Bx| with |Rx|
+    on a few fixed +-1 probes x, since B = QR gives |Bx| = |Rx| for every
+    x.  A backward-stable QR returns the exact R factor of B + E with |E|
+    at most the bound, so an honest R differs by at most bound * |x|;
+    forming Bx and Rx in float64 adds less than another bound * |x|, which
+    the tolerance allows.  An R from a QR run on another host (another
+    LAPACK, another BLAS thread count) passes.  B and R are read a block
+    of rows at a time, so no d x d float copy of B is made, and an int32
+    basis is kept as it is.  Raises SingularMatrix when r does not
+    certify basis.  The PreparedBasis holds r itself (a float64 r is not
+    copied, so a read-only view of a file's bytes is kept as it is), and
+    R^T proj and |R|_F are formed in the same pass over its blocks, so a
+    load that checks more against R (trapdoor.adopt_trapdoor) reads none
+    of them again.
     """
     b = int_array(basis)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"basis must be square, got {b.shape}")
     d = b.shape[0]
-    r_rows = np.asarray(r_rows, dtype=np.float64)
-    if r_rows.shape != (d * (d + 1) // 2,):
-        raise DimensionMismatch(f"r_rows must hold {d * (d + 1) // 2} entries, got {r_rows.shape}")
-    k = np.arange(d)
-    starts = k * d - k * (k - 1) // 2          # where R[k, k:] begins in r_rows
-    gs_norms = np.abs(r_rows[starts])
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != (r_factor_words(d),):
+        raise DimensionMismatch(f"R must hold {r_factor_words(d)} words, got {r.shape}")
+    blocks = _r_blocks(r, d)
+    gs_norms = np.abs(np.concatenate([np.diagonal(block) for _, _, block in blocks]))
     x = RandomSource(_R_PROBE_SEED).integers(0, 2, (d, _R_PROBES)) * 2.0 - 1.0
-    bx, rx, rt, norm2 = np.empty(x.shape), np.empty(x.shape), np.zeros((d, proj.shape[1])), 0.0
-    blocks = _r_blocks(d)
+    bx, rx, rt = np.empty(x.shape), np.empty(x.shape), np.zeros((d, proj.shape[1]))
+    norm2 = r_norm2 = 0.0
     for lo, hi, block in blocks:
+        # written so that a NaN below the diagonal fails it
+        if np.tril(block[:, : hi - lo], -1).any():
+            raise SingularMatrix("R factor holds nonzeros below its diagonal")
         rows = b[lo:hi].astype(np.float64)
         norm2 += float(np.einsum("ij,ij->", rows, rows))
+        r_norm2 += float(np.vdot(block, block))
         bx[lo:hi] = rows @ x
-        for i in range(hi - lo):
-            block[i, i:] = r_rows[starts[lo + i] : starts[lo + i] + d - lo - i]
         rx[lo:hi] = block @ x[lo:]
         rt[lo:] += block.T @ proj[lo:hi]
     bound = qr_singularity_bound(math.sqrt(norm2), d)
@@ -396,7 +405,7 @@ def adopt_r_factor(basis, r_rows, proj):
     gap = np.abs(np.linalg.norm(bx, axis=0) - np.linalg.norm(rx, axis=0))
     if not float(gap.max()) <= 2.0 * bound * math.sqrt(d):
         raise SingularMatrix("R factor is not the basis's: |Bx| and |Rx| differ")
-    return PreparedBasis(tuple(block for _, _, block in blocks), gs_norms), rt
+    return PreparedBasis(r, gs_norms), rt, math.sqrt(r_norm2)
 
 
 def klein_coefficients(prep: PreparedBasis, sigma: float, proj, rng: RandomSource, *,

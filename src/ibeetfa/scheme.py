@@ -37,7 +37,6 @@ from .hashing import (
     hash_h,
     hash_hprime,
     require_tag_in_range,
-    tag_in_range,
 )
 from .params import ParamSet, require_valid
 from .samplers import (
@@ -63,10 +62,24 @@ _EXTRACT_ATTEMPTS = 8
 
 
 def frozen_array(arr, dtype=np.int64) -> np.ndarray:
-    """A read-only copy of arr, so later changes to the caller's array cannot reach it."""
+    """arr as a read-only array of dtype that later changes to the caller's
+    array cannot reach: arr itself when it is a read-only array of dtype
+    whose memory is a bytes object (a view of a file's bytes, which nothing
+    can change), a read-only copy otherwise."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable
+            and isinstance(_memory_owner(arr), bytes)):
+        return arr
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _memory_owner(arr):
+    """The object at the end of arr's chain of bases (a memoryview's exporter
+    for a memoryview)."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 def read_only(arr) -> np.ndarray:
@@ -150,8 +163,12 @@ def identity_from_string(name: str, ell: int) -> Identity:
 
 
 @dataclass(frozen=True)
-class UserSecretKey:
-    """Per-identity key: a gadget trapdoor of F_ID, a basis of F'_ID, and a preimage of U under each.
+class KeyPreimage:
+    """What decrypt, td1 and td3_basis use of a user secret key: its
+    identity, its gadget trapdoor of F_ID and a preimage of U under F_ID and
+    under F'_ID.  A UserSecretKey is this and a basis of F'_ID; a key file
+    holds this part first, so it can be read alone
+    (fileio.load_key_preimage).
 
     r_id (R_ID, (2m - nk) x nk; not the sign-matrix sum encrypt draws) is
     a gadget trapdoor of F_ID = (A | A_ID) in the Micciancio-Peikert
@@ -161,24 +178,17 @@ class UserSecretKey:
     e_f (e_F, 2m x t) satisfies F_ID @ e_F == U and e_f_prime (e_F') does
     for F'_ID; extract samples both with the master trapdoor (the
     Agrawal-Boneh-Boyen key shape), and decrypt and the type-1 tests read
-    them, so neither builds any sampling data.  Both are held as read-only
-    copies.  Only the basis E'_ID is sampled with (by td2 and td3_ct):
-    extract hands it the R factor it was certified with and its pivots, E
-    and P under F'_ID, the key file stores them, and a loaded key
-    adopts them once load has checked them against E'_ID
-    (trapdoor.adopt_trapdoor).  Either key holds no lazy state: its
-    trapdoor is checked against F'_ID on every draw (TrapdoorBasis.require).
+    them, so neither builds any sampling data.
     Carries its identity so decryption can rebuild the concatenated
     matrices without out-of-band context.
 
-    All four integer matrices (R_ID, E'_ID, e_F, e_F') are int32, fresh
-    from extract or loaded, as the key file stores them: construction
-    narrows each one (zqlinalg.int32_matrix, no copy of an int32 array),
-    so an entry that does not fit raises ParameterError here, and a key
-    that dump cannot write never exists.  E'_ID's TrapdoorBasis is held
-    with its basis narrowed, and E'_ID, its R blocks, pivots, E and P as
-    read-only views (dataclasses.replace): no second copy of the key's
-    largest arrays is made.
+    R_ID, e_F and e_F' are int32, fresh from extract or loaded, as the key
+    file stores them: construction narrows each one
+    (zqlinalg.int32_matrix, no copy of an int32 array), so an entry that
+    does not fit raises ParameterError here, and a key that dump cannot
+    write never exists.  They and Abar_ID are held read-only
+    (frozen_array: a loaded section is a view of the file's bytes, any
+    other array a copy).
     Arithmetic on these matrices goes through mat_mul, exact_int_matmul
     or an explicit float64 or int64 conversion, never int32 products.
     """
@@ -187,17 +197,10 @@ class UserSecretKey:
     r_id: np.ndarray
     a_bar_id: np.ndarray
     q: int
-    trapdoor_prime: TrapdoorBasis
     e_f: np.ndarray
     e_f_prime: np.ndarray
 
     def __post_init__(self):
-        td = self.trapdoor_prime
-        basis = int32_matrix(td.basis, "user secret key: E'_ID")
-        prep = replace(td.prep, blocks=tuple(map(read_only, td.prep.blocks)), gs_norms=read_only(td.prep.gs_norms))
-        object.__setattr__(self, "trapdoor_prime", replace(
-            td, basis=read_only(basis), prep=prep, pivots=read_only(td.pivots),
-            elim=read_only(td.elim), proj=read_only(td.proj)))
         for name, section in (("r_id", "R_ID"), ("e_f", "e_F"), ("e_f_prime", "e_F'")):
             arr = int32_matrix(getattr(self, name), f"user secret key: {section}")
             object.__setattr__(self, name, frozen_array(arr, np.int32))
@@ -213,6 +216,36 @@ class UserSecretKey:
         """
         return gadget_basis(self.a_bar_id, self.r_id, self.q, np.int32, "user secret key: E_ID")
 
+
+@dataclass(frozen=True)
+class UserSecretKey(KeyPreimage):
+    """Per-identity key: a KeyPreimage (a gadget trapdoor of F_ID, a
+    preimage of U under F_ID and under F'_ID) and a basis E'_ID of F'_ID.
+
+    Only the basis E'_ID is sampled with (by td2 and td3_ct): extract hands
+    it the R factor it was certified with and its pivots, E and P under
+    F'_ID, the key file stores them, and a loaded key adopts them once
+    load has checked them against E'_ID (trapdoor.adopt_trapdoor).  Either
+    key holds no lazy state: its trapdoor is checked against F'_ID on
+    every draw (TrapdoorBasis.require).
+
+    E'_ID is int32 like the KeyPreimage's matrices, narrowed here.  Its
+    TrapdoorBasis is held with its basis narrowed, and E'_ID, its R
+    buffer, pivots, E and P as read-only views (dataclasses.replace): no
+    second copy of the key's largest arrays is made.
+    """
+
+    trapdoor_prime: TrapdoorBasis
+
+    def __post_init__(self):
+        super().__post_init__()
+        td = self.trapdoor_prime
+        basis = int32_matrix(td.basis, "user secret key: E'_ID")
+        prep = replace(td.prep, r=read_only(td.prep.r), gs_norms=read_only(td.prep.gs_norms))
+        object.__setattr__(self, "trapdoor_prime", replace(
+            td, basis=read_only(basis), prep=prep, pivots=read_only(td.pivots),
+            elim=read_only(td.elim), proj=read_only(td.proj)))
+
     @property
     def e_id_prime(self) -> np.ndarray:
         return self.trapdoor_prime.basis
@@ -225,8 +258,10 @@ class UserSecretKey:
 class Ciphertext:
     """(R, c1, c2, c3, c4, c5): tag matrix, payloads, integrity digest.
 
-    Holds read-only copies of its arrays (int64; c5 as uint8 bits), so a
-    later change to the caller's arrays cannot reach it, and keeps the
+    Holds its arrays read-only (int64; c5 as uint8 bits) through
+    frozen_array, so a later change to the caller's arrays cannot reach
+    it: a loaded one holds views of its file's bytes, any other copies.  It
+    keeps the
     integrity tag recomputed under each ParamSet (see intact).
     dataclasses.replace builds a new ciphertext that recomputes its tag.
     """
@@ -251,25 +286,27 @@ class Ciphertext:
         """Whether c5 is the integrity tag H'(R, c1..c4) under params.
 
         An R entry outside [-ell, ell] has no code in the input of H'
-        (canonical_ct_bytes), and a c1..c4 word outside [0, q) is no
-        residue, so such a ciphertext is not intact: False before any
-        hashing, never a raise, so that a tampered file loads and is then
-        rejected, and no word moved by q (or an R entry by 256, a wrap of
-        its code) keeps the tag.  The tag is hashed once per ParamSet and
-        kept; later checks compare lambda bits.  Two threads that race
-        store the same tag.  Malformed shapes raise DimensionMismatch: c5
-        here, R and c1..c4 in canonical_ct_bytes.
+        (canonical_ct_bytes raises ParameterError, the one range check of
+        R), and a c1..c4 word outside [0, q) is no residue, so such a
+        ciphertext is not intact: False before any hashing, never a raise,
+        so that a tampered file loads and is then rejected, and no word
+        moved by q (or an R entry by 256, a wrap of its code) keeps the
+        tag.  The tag is hashed once per ParamSet and kept; later checks
+        compare lambda bits.  Two threads that race store the same tag.
+        Malformed shapes raise DimensionMismatch: c5 here, R and c1..c4 in
+        canonical_ct_bytes.
         """
         if self.c5.shape != (params.lambda_bits,):
             raise DimensionMismatch(f"c5 must have {params.lambda_bits} bits")
         tag = self._tags.get(params)
         if tag is None:
             payloads = (self.c1, self.c2, self.c3, self.c4)
-            if not tag_in_range(self.r_tag, params.ell) or any(
-                c.size and (c.min() < 0 or c.max() >= params.q) for c in payloads
-            ):
+            if any(c.size and (c.min() < 0 or c.max() >= params.q) for c in payloads):
                 return False
-            data = canonical_ct_bytes(params, self.r_tag, self.c1, self.c2, self.c3, self.c4)
+            try:
+                data = canonical_ct_bytes(params, self.r_tag, *payloads)
+            except ParameterError:      # an R entry with no code
+                return False
             tag = self._tags[params] = hash_hprime(data, params.lambda_bits)
         return bool(np.array_equal(tag, self.c5))
 
@@ -359,7 +396,7 @@ def extract(pp: PublicParams, msk: MasterSecretKey, ident: Identity, rng: Random
                 pp.a_prime, a_id, msk.trapdoor_a_prime, pp.u, p.q, p.sigma, rng
             )
             a_bar_id = concat_cols([pp.a, a_id[:, :split]])
-            return UserSecretKey(ident, r_id, a_bar_id, p.q, basis_prime, e_f, e_f_prime)
+            return UserSecretKey(ident, r_id, a_bar_id, p.q, e_f, e_f_prime, basis_prime)
         except SamplingError as err:
             last_err = err
     raise SamplingError(f"key extraction failed after {_EXTRACT_ATTEMPTS} attempts: {last_err}")
@@ -490,7 +527,7 @@ def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
     return ct.intact(pp.params)
 
 
-def decrypt(pp: PublicParams, sk: UserSecretKey, ct: Ciphertext, rng: RandomSource):
+def decrypt(pp: PublicParams, sk: KeyPreimage, ct: Ciphertext, rng: RandomSource):
     """Recover the message, or None when the ciphertext fails its checks.
 
     None is a domain outcome (tampered or mismatched ciphertext), not an

@@ -240,13 +240,13 @@ def derive_trapdoor(a: np.ndarray, basis, q: int) -> TrapdoorBasis:
     return TrapdoorBasis(basis, prep, q, pivots, x[pivots], proj)
 
 
-def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
+def adopt_trapdoor(basis, r: np.ndarray, q: int, pivots: np.ndarray, elim: np.ndarray,
                    proj: np.ndarray) -> TrapdoorBasis:
     """A TrapdoorBasis from a basis and its sampling data computed elsewhere
-    (a key file: the packed R rows, n pivots, n x n E, d x n proj), the R
+    (a key file: R's row blocks, n pivots, n x n E, d x n proj), the R
     factor checked first (samplers.adopt_r_factor: SingularMatrix if it is
     not the basis's), then the pivots, E and P (ParameterError if they are
-    not the basis's).
+    not the basis's).  Arrays of the right dtype are held as they are.
 
     The pivots must be n distinct rows of the basis and E a residue
     matrix.  proj must be Q^T W of this basis, W the d x n matrix that
@@ -257,20 +257,19 @@ def adopt_trapdoor(basis, r_rows: np.ndarray, q: int, pivots: np.ndarray, elim: 
     of R^T Q^T W is off B[pivots[j], :] by at most |F| |w_j| = bound;
     computing Q^T W (samplers.prepare_basis) and R^T proj in float64 adds
     less than another bound, which the tolerance allows.  The bound is
-    taken from |R|_F = |B + F|_F.  R^T proj comes from the pass over R
-    that checks R, so no block of R is built twice, and no W is built.
-    Which A the pivots and E solve for is checked on every draw
+    taken from |R|_F = |B + F|_F.  R^T proj and |R|_F come from the pass
+    over R that checks R, so no block of R is read twice, and no W is
+    built.  Which A the pivots and E solve for is checked on every draw
     (TrapdoorBasis.require).
     """
     basis = int_array(basis)
-    prep, rt_proj = adopt_r_factor(basis, r_rows, proj)
+    prep, rt_proj, r_norm = adopt_r_factor(basis, r, proj)
     d, n = prep.dim, pivots.size
     if pivots.min() < 0 or pivots.max() >= d or np.unique(pivots).size != n:
         raise ParameterError(f"pivots must be {n} distinct rows in [0, {d})")
     if elim.min() < 0 or elim.max() >= q:
         raise ParameterError(f"E holds entries outside [0, {q})")
     gap = np.linalg.norm(rt_proj - basis[pivots].T, axis=0)
-    r_norm = math.sqrt(sum(float(np.vdot(block, block)) for block in prep.blocks))
     bound = qr_singularity_bound(r_norm, d)
     # written so that a NaN fails it
     if not float(gap.max()) <= 2.0 * bound:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ibeetfa.params import ParamSet
-from ibeetfa.samplers import RandomSource
+from ibeetfa.samplers import WALK_BLOCK, RandomSource
 from ibeetfa.scheme import extract, identity_from_string, setup
 from ibeetfa.trapdoor import gadget_length
 
@@ -48,16 +48,39 @@ def mini_key_other(mini_system):
     return ident, sk
 
 
+#: Bytes of the common header of every artifact: magic, version, kind, a
+#: reserved zero byte, the parameter fingerprint and the nine parameter words.
+HEADER = 4 + 2 + 1 + 1 + 32 + 72
+
+
+def r_block_words(d):
+    """float64 words of R's row blocks R[lo:hi, lo:], WALK_BLOCK rows each
+    counted from the bottom row, as a key file stores them."""
+    return sum(min(WALK_BLOCK, hi) * (d - max(0, hi - WALK_BLOCK)) for hi in range(d, 0, -WALK_BLOCK))
+
+
+def r_diagonal_words(d):
+    """Where each R[k, k] lies among those words, k = 0, 1, ..."""
+    out, start = [], 0
+    for hi in range(d % WALK_BLOCK or WALK_BLOCK, d + 1, WALK_BLOCK):
+        lo = max(0, hi - WALK_BLOCK)
+        out += [start + i * (d - lo) + i for i in range(hi - lo)]
+        start += (hi - lo) * (d - lo)
+    return out
+
+
 def sk_sections(p):
-    """Byte slices of the sections of a user secret key file (format version 5)."""
+    """Byte slices of the sections of a user secret key file (format version
+    6), each started on an 8-byte boundary: the prefix (identity through
+    Abar_ID), then E'_ID, R's row blocks and the coset map."""
     d = 2 * p.m
     nk = p.n * gadget_length(p.q)
-    sizes = (("identity", 8 * p.ell), ("r_id", 4 * (d - nk) * nk), ("e_id_prime", 4 * d * d),
-             ("e_f", 4 * d * p.t), ("e_f_prime", 4 * d * p.t), ("a_bar_id", 8 * p.n * (d - nk)),
-             ("r_rows", 8 * d * (d + 1) // 2),
-             ("pivots", 8 * p.n), ("elim", 8 * p.n * p.n), ("proj", 8 * d * p.n))
-    spans, pos = {}, 4 + 2 + 1 + 32 + 72  # the common header
+    sizes = (("identity", 8 * p.ell), ("r_id", 4 * (d - nk) * nk), ("e_f", 4 * d * p.t),
+             ("e_f_prime", 4 * d * p.t), ("a_bar_id", 8 * p.n * (d - nk)), ("e_id_prime", 4 * d * d),
+             ("r", 8 * r_block_words(d)), ("pivots", 8 * p.n), ("elim", 8 * p.n * p.n), ("proj", 8 * d * p.n))
+    spans, pos = {}, HEADER
     for name, size in sizes:
+        pos += -pos % 8
         spans[name] = slice(pos, pos + size)
         pos += size
     return spans

@@ -25,7 +25,7 @@ from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
 from ibeetfa.authz import test3 as eq_test3
 from ibeetfa.params import preset, validate_params
-from ibeetfa.samplers import RandomSource, sample_psi_bar, sample_z_gaussian_batch
+from ibeetfa.samplers import RandomSource, sample_psi_bar, sample_z_gaussian_batch, slack_factor
 from ibeetfa.scheme import (
     Identity,
     compute_f,
@@ -220,11 +220,20 @@ def test_criterion_3_algebraic_invariants(system, keys, pool):
                          rng, enforce_sigma=False)
         ep_ok += int(np.array_equal(mat_mul(f2, ep, q), u))
     ok = key_ok == 20 and gadget_ok == 20 and e_f_ok == 20 and ep_ok == 50
+    # td2's deviation, from this key's Gram-Schmidt norms: the F2 preimages
+    # above (and td2, td3_ct) sample below E'_ID's floor (enforce_sigma=False),
+    # and E'_ID spans a sublattice of Lambda_q^perp(F'_ID), whose determinant is q^n
+    gs = sk.trapdoor_prime.prep.gs_norms
+    floor = sk.trapdoor_prime.sigma_floor(slack_factor(3 * TOY.m))
+    log_index = float(np.log10(gs).sum()) - TOY.n * math.log10(q)
     report(
         "criterion-3",
         ok,
         f"key nullspace {key_ok}/20, F_ID [R_ID; I] = G {gadget_ok}/20, "
-        f"F_ID e_F = U {e_f_ok}/20, F2 preimages {ep_ok}/50",
+        f"F_ID e_F = U {e_f_ok}/20, F2 preimages {ep_ok}/50; "
+        f"deviation: sigma = {TOY.sigma:.6g} is 1/{floor / TOY.sigma:.1f} of E'_ID's floor {floor:.6g} "
+        f"(not enforced), {int(np.count_nonzero(TOY.sigma / gs < 2.0))} of {gs.size} walk rows "
+        f"below sigma/|R_kk| = 2, E'_ID spans a sublattice of index 10^{log_index:,.0f}",
     )
 
 
@@ -242,10 +251,11 @@ def test_criterion_4_size_formulas(system, keys, pool):
     nk = p.n * gadget_length(p.q)
     sk_ok = sk_measured == 4 * p.m**2 + 4 * p.m * p.t + (2 * p.m - nk) * nk
     # the file stores the key entries as int32 words, then the identity,
-    # Abar_ID, the packed R factor and the coset map of E'_ID as 8-byte words
-    header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
+    # Abar_ID, R's row blocks and the coset map of E'_ID as 8-byte words,
+    # each section from an 8-byte boundary, after zero pad bytes
+    header = 4 + 2 + 1 + 1 + 32 + 72  # magic/version/kind/reserved byte/fingerprint/params
     sk_bytes = len(fileio.dump_user_secret(sk, p))
-    extra_words = (sk_bytes - header - 4 * sk_measured) // 8
+    extra_words, pad = divmod(sk_bytes - header - 4 * sk_measured, 8)
     report(
         "criterion-4",
         pp_ok and msk_ok and ct_ok and sk_ok,
@@ -255,7 +265,8 @@ def test_criterion_4_size_formulas(system, keys, pool):
         f"(E'_ID, e_F, e_F' and R_ID; published table lists 4m^2 = {4 * p.m ** 2}; "
         f"discrepancy reported, not matched), "
         f"its file {sk_bytes} bytes: a {header}-byte header, those {sk_measured} entries "
-        f"as int32 words and {extra_words} 8-byte words (identity, Abar_ID, R and coset map of E'_ID)",
+        f"as int32 words, {extra_words} 8-byte words (identity, Abar_ID, R's row blocks and "
+        f"coset map of E'_ID) and {pad} pad bytes",
     )
 
 

@@ -22,7 +22,7 @@ from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import decrypt, encrypt, encrypt_traced, extract, identity_from_string, setup
 from ibeetfa.trapdoor import gadget_length
 
-from conftest import MINI, random_message, sk_sections
+from conftest import HEADER, MINI, r_block_words, r_diagonal_words, random_message, sk_sections
 
 
 @pytest.fixture(scope="module")
@@ -228,14 +228,12 @@ class TestHeaderParamsValidated:
         "m=1": ({"m": 1}, "trapgen-width"),
         "sigma=nan": ({"sigma": float("nan")}, "sigma-sampling"),
     }
-    HEADER = 4 + 3 + 32 + 72  # magic, version and kind, fingerprint, parameters
-
-    @classmethod
-    def reheaded(cls, blob, p, payload=None):
-        """blob under p's header: its own magic, version and kind, p's
-        fingerprint and fields, then payload (blob's own by default)."""
-        payload = blob[cls.HEADER :] if payload is None else payload
-        return blob[:7] + fileio.params_fingerprint(p) + fileio.encode_params(p) + payload
+    @staticmethod
+    def reheaded(blob, p, payload=None):
+        """blob under p's header: its own magic, version, kind and reserved
+        byte, p's fingerprint and fields, then payload (blob's own by default)."""
+        payload = blob[HEADER:] if payload is None else payload
+        return blob[:8] + fileio.params_fingerprint(p) + fileio.encode_params(p) + payload
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_public_params_load_and_encrypt(self, workspace, case, tmp_path, capsys, unused):
@@ -280,21 +278,38 @@ class TestVersionOneFiles:
     version 3 appends, version-3 keys hold 64-bit integer words and lack
     the coset map of E'_ID that version 4 carries, version-4 keys hold the
     2m x 2m basis E_ID where version 5 holds the gadget trapdoor R_ID and
-    Abar_ID, version-1 master keys carry the bases T_A and
+    Abar_ID, version-5 keys have the 111-byte header, R's packed upper
+    triangle and no prefix order where version 6 has the aligned layout,
+    version-1 master keys carry the bases T_A and
     T_A' where version 2 carries Rbar and Rbar', and a version-1
     ciphertext's c5 hashed R as 64-bit residues where version 2 hashes one
     code per entry: they are refused, never read as something else (a
     version-1 ciphertext never comes back as a misleading REJECT)."""
 
-    @staticmethod
-    def old_blob(kind, version, *arrays, variant=b""):
+    #: The header before the aligned layout: no reserved byte.
+    OLD_HEADER = HEADER - 1
+
+    @classmethod
+    def old_blob(cls, kind, version, *arrays, variant=b""):
         header = (fileio.MAGIC + struct.pack("<HB", version, kind) + fileio.params_fingerprint(MINI)
                   + fileio.encode_params(MINI))
+        assert len(header) == cls.OLD_HEADER
         return header + variant + b"".join(np.ascontiguousarray(a, dtype="<i8").tobytes() for a in arrays)
 
     @staticmethod
     def with_version(blob, version):
         return blob[:4] + struct.pack("<H", version) + blob[6:]
+
+    @staticmethod
+    def packed_r(sk):
+        """R's upper triangle row after row as binary64, the R block of key versions 3 to 5."""
+        blocks = sk.trapdoor_prime.prep.blocks
+        return np.concatenate([b[i, i:] for b in blocks for i in range(b.shape[0])]).astype("<f8").tobytes()
+
+    @staticmethod
+    def coset_map(sk):
+        td = sk.trapdoor_prime
+        return td.pivots.astype("<i8").tobytes() + td.elim.astype("<i8").tobytes() + td.proj.astype("<f8").tobytes()
 
     @pytest.fixture(scope="class")
     def v1_files(self, workspace):
@@ -304,6 +319,10 @@ class TestVersionOneFiles:
         pp = fileio.load_public_params(fileio.read_file(workspace["pp"]))
         msk = fileio.load_master_secret(fileio.read_file(workspace["msk"]), pp)
         bases = (sk.e_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)
+
+        def int32s(*arrays):
+            return b"".join(np.ascontiguousarray(a, dtype="<i4").tobytes() for a in arrays)
+
         blobs = {
             "msk": (lambda blob, _: fileio.load_master_secret(blob, pp), 1,
                     self.old_blob(fileio.KIND_MSK, 1, msk.t_a, msk.t_a_prime)),
@@ -311,17 +330,20 @@ class TestVersionOneFiles:
                    self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
             "sk_v2": (fileio.load_user_secret, 2, self.old_blob(fileio.KIND_SK, 2, ident, *bases)),
             "sk_v3": (fileio.load_user_secret, 3,
-                      self.old_blob(fileio.KIND_SK, 3, ident, *bases)
-                      + sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()),
-            # version 4: E_ID in R_ID's place, as int32, no Abar_ID, then the same R block and map
+                      self.old_blob(fileio.KIND_SK, 3, ident, *bases) + self.packed_r(sk)),
+            # version 4: E_ID in R_ID's place, as int32, no Abar_ID, then the R block and the map
             "sk_v4": (fileio.load_user_secret, 4,
-                      self.old_blob(fileio.KIND_SK, 4, ident)
-                      + b"".join(np.ascontiguousarray(a, dtype="<i4").tobytes() for a in bases)
-                      + current[sk_sections(MINI)["r_rows"].start:]),
+                      self.old_blob(fileio.KIND_SK, 4, ident) + int32s(*bases)
+                      + self.packed_r(sk) + self.coset_map(sk)),
+            # version 5: R_ID and Abar_ID, unaligned, R packed
+            "sk_v5": (fileio.load_user_secret, 5,
+                      self.old_blob(fileio.KIND_SK, 5, ident)
+                      + int32s(sk.r_id, sk.e_id_prime, sk.e_f, sk.e_f_prime)
+                      + sk.a_bar_id.astype("<i8").tobytes() + self.packed_r(sk) + self.coset_map(sk)),
             "td1": (fileio.load_td1, 1, self.old_blob(fileio.KIND_TD1, 1, ident, sk.e_id_prime)),
             "td3": (fileio.load_td3, 1,
                     self.old_blob(fileio.KIND_TD3, 1, ident, sk.e_id_prime, variant=b"\x00")),
-            # the layout did not change, only what c5 means
+            # only the header and what c5 means changed
             "ct": (fileio.load_ciphertext, 1, self.with_version(fileio.read_file(workspace["ct_a1"]), 1)),
         }
         paths = {}
@@ -357,15 +379,15 @@ class TestVersionOneFiles:
     def test_v3_secret_key_refused(self, workspace, v1_files, unused):
         # a version-3 key holds the version-4 integer sections as 64-bit words,
         # then the same R block, and no coset map
-        current = fileio.read_file(workspace["sk_a"])
-        v3, v4 = (fileio.read_file(v1_files[name]) for name in ("sk_v3", "sk_v4"))
-        spans = sk_sections(MINI)
-        r_block = current[spans["r_rows"]]
-        assert v3.endswith(r_block)
+        v3, v4, v5 = (fileio.read_file(v1_files[name]) for name in ("sk_v3", "sk_v4", "sk_v5"))
         d = 2 * MINI.m
+        r_block = 8 * d * (d + 1) // 2
+        map_bytes = 8 * (MINI.n + MINI.n * MINI.n + d * MINI.n)
+        assert v3[-r_block:] == v4[-r_block - map_bytes : -map_bytes] == v5[-r_block - map_bytes : -map_bytes]
+        head = self.OLD_HEADER + 8 * MINI.ell
         int32_bytes = 4 * (2 * d * d + 2 * d * MINI.t)  # E_ID, E'_ID, e_F, e_F' in version 4
-        assert len(v4) == spans["identity"].stop + int32_bytes + len(current) - spans["r_rows"].start
-        assert len(v3) - len(r_block) == spans["identity"].stop + 2 * int32_bytes
+        assert len(v4) == head + int32_bytes + r_block + map_bytes
+        assert len(v3) - r_block == head + 2 * int32_bytes
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v3"],
                             "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
@@ -376,15 +398,15 @@ class TestVersionOneFiles:
     def test_v4_secret_key_refused(self, workspace, v1_files, unused):
         # a version-4 key holds E_ID (2m x 2m) where version 5 holds R_ID and
         # Abar_ID; the identity, E'_ID, e_F, e_F', the R block and the map are the same
-        current = fileio.read_file(workspace["sk_a"])
-        v4 = fileio.read_file(v1_files["sk_v4"])
-        spans = sk_sections(MINI)
+        v4, v5 = (fileio.read_file(v1_files[name]) for name in ("sk_v4", "sk_v5"))
         d = 2 * MINI.m
-        assert v4[6:spans["identity"].stop] == current[6:spans["identity"].stop]
-        assert v4.endswith(current[spans["e_id_prime"].start:spans["e_f_prime"].stop]
-                           + current[spans["r_rows"].start:])
-        assert len(v4) - len(current) == 4 * d * d - (spans["r_id"].stop - spans["r_id"].start) - (
-            spans["a_bar_id"].stop - spans["a_bar_id"].start)
+        nk = MINI.n * gadget_length(MINI.q)
+        head = self.OLD_HEADER + 8 * MINI.ell
+        r_id, a_bar = 4 * (d - nk) * nk, 8 * MINI.n * (d - nk)
+        middle = 4 * (d * d + 2 * d * MINI.t)  # E'_ID, e_F, e_F'
+        assert v4[6:head] == v5[6:head]
+        assert v4.endswith(v5[head + r_id : head + r_id + middle] + v5[head + r_id + middle + a_bar :])
+        assert len(v4) - len(v5) == 4 * d * d - r_id - a_bar
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", v1_files["sk_v4"],
                             "--ct", workspace["ct_a1"], "--out", unused])
         assert code == 65
@@ -392,9 +414,21 @@ class TestVersionOneFiles:
                             "--ct", workspace["ct_a1"], "--seed", "13", "--out", unused])
         assert code == 65
 
+    def test_v5_secret_key_refused(self, workspace, v1_files, unused):
+        # a version-5 key holds the version-6 sections unaligned, in another
+        # order, with R packed: the reserved byte and the zeros below R's
+        # block diagonals are all that version 6 adds at MINI, which needs no pad
+        v5, current = (fileio.read_file(path) for path in (v1_files["sk_v5"], workspace["sk_a"]))
+        d = 2 * MINI.m
+        assert len(current) - len(v5) == 1 + 8 * (r_block_words(d) - d * (d + 1) // 2)
+        common = ["--pp", workspace["pp"], "--sk", v1_files["sk_v5"], "--out", unused]
+        assert run_command(["decrypt", *common, "--ct", workspace["ct_a1"]]) == 65
+        assert run_command(["td", "--type", "1", *common]) == 65
+        assert run_command(["td", "--type", "2", *common, "--ct", workspace["ct_a1"], "--seed", "13"]) == 65
+
     def test_v1_ciphertext_refused(self, workspace, v1_files, unused):
         current = fileio.read_file(workspace["ct_a1"])
-        assert self.with_version(current, 2) == current
+        assert self.with_version(current, 3) == current
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", workspace["sk_a"],
                             "--ct", v1_files["ct"], "--out", unused])
         assert code == 65
@@ -414,38 +448,53 @@ class TestVersionOneFiles:
 
 
 class TestStoredRBlock:
-    """A key file whose R block is not E'_ID's R factor is a load error."""
+    """A key file whose R block is not E'_ID's R factor is a load error of
+    every command that reads it (td --type 2, td --type 3 --ct); decrypt
+    reads the key's prefix only, which ends before the R block."""
 
     @pytest.fixture(scope="class")
     def bad_keys(self, workspace):
         blob = fileio.read_file(workspace["sk_a"])
         d = 2 * MINI.m
-        span = sk_sections(MINI)["r_rows"]
+        span = sk_sections(MINI)["r"]
         start = span.start
-        r_rows = np.frombuffer(blob[span], dtype="<f8")
-        diagonal = [k * d - k * (k - 1) // 2 for k in range(d)]
-        off_diagonal = np.abs(r_rows).copy()
+        r = np.frombuffer(blob[span], dtype="<f8")
+        diagonal = r_diagonal_words(d)
+        off_diagonal = np.abs(r).copy()
         off_diagonal[diagonal] = 0
         flipped = bytearray(blob)
         flipped[start + 8 * int(np.argmax(off_diagonal)) + 7] ^= 0x80
         zeroed = bytearray(blob)
         word = start + 8 * diagonal[d // 2]
         zeroed[word : word + 8] = bytes(8)
+        # R[1, 0], a zero below the top block's diagonal (the top block starts at row 0)
+        below = bytearray(blob)
+        word = start + 8 * d
+        assert r[d] == 0
+        below[word : word + 8] = struct.pack("<d", 1.0)
         swapped = blob[:start] + fileio.read_file(workspace["sk_b"])[span] + blob[span.stop :]
         paths = {}
-        for name, bad in (("flipped", flipped), ("zeroed", zeroed), ("swapped", swapped)):
+        for name, bad in (("flipped", flipped), ("zeroed", zeroed), ("below", below), ("swapped", swapped)):
+            assert bytes(bad) != blob
+            with pytest.raises(FormatError, match="stored R factor refused"):
+                fileio.load_user_secret(bytes(bad), MINI)
             paths[name] = str(workspace["dir"] / f"{name}.sk")
             fileio.write_file(paths[name], bytes(bad))
         return paths
 
-    @pytest.mark.parametrize("name", ["flipped", "zeroed", "swapped"])
-    def test_bad_r_block_is_load_error(self, workspace, bad_keys, name, unused):
+    @pytest.mark.parametrize("name", ["flipped", "zeroed", "below", "swapped"])
+    def test_bad_r_block_is_load_error(self, workspace, bad_keys, name, unused, capsys):
+        out = str(workspace["dir"] / f"{name}.out")
         code = run_command(["decrypt", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--out", unused])
-        assert code == 65
-        code = run_command(["td", "--type", "2", "--pp", workspace["pp"], "--sk", bad_keys[name],
-                            "--ct", workspace["ct_a1"], "--seed", "14", "--out", unused])
-        assert code == 65
+                            "--ct", workspace["ct_a1"], "--out", out])
+        assert code == 0
+        for extra in (["--type", "2"], ["--type", "3"]):
+            capsys.readouterr()
+            code = run_command(["td", *extra, "--pp", workspace["pp"], "--sk", bad_keys[name],
+                                "--ct", workspace["ct_a1"], "--seed", "14", "--out", unused])
+            assert code == 65
+            assert "stored R factor refused" in capsys.readouterr().err
+        assert not os.path.exists(unused)
 
 
 class TestStoredCosetMap:
@@ -626,7 +675,7 @@ class TestMasterKeyFile:
         blob = bytearray(fileio.read_file(workspace["msk"]))
         nk = MINI.n * gadget_length(MINI.q)
         start = len(blob) - 16 * (MINI.m - nk) * nk
-        assert start == len(fileio.MAGIC) + 3 + 32 + fileio._PARAMS_STRUCT.size
+        assert start == HEADER == fileio.HEADER_SIZE
         assert struct.unpack_from("<q", blob, start)[0] in (-1, 1)
         blob[start : start + 8] = struct.pack("<q", 2)
         path = str(workspace["dir"] / "bad_rbar.msk")
@@ -754,17 +803,15 @@ class TestSerializationUnits:
     def test_unknown_td3_variant_rejected(self, mini_key):
         ident, sk = mini_key
         blob = bytearray(fileio.dump_td3(td3_basis(sk, ident), MINI))
-        header = 4 + 2 + 1 + 32 + 72  # magic/version/kind/fingerprint/params
-        assert blob[header] == 0
-        blob[header] = 2
+        assert blob[HEADER] == 0
+        blob[HEADER] = 2
         with pytest.raises(FormatError, match="unknown variant"):
             fileio.load_td3(bytes(blob), MINI)
 
     def test_ct_payload_length_formula(self, workspace):
         blob = fileio.read_file(workspace["ct_a1"])
         p = MINI
-        header = 4 + 2 + 1 + 32 + 72 + 8  # magic/version/kind/fingerprint/params/bitlen
-        want = header + 8 * (p.m * p.m + 2 * p.t + 6 * p.m) + (p.lambda_bits + 7) // 8
+        want = HEADER + 8 + 8 * (p.m * p.m + 2 * p.t + 6 * p.m) + (p.lambda_bits + 7) // 8  # header, bit length, R..c5
         assert len(blob) == want
 
     def test_truncated_file_rejected(self, workspace):

@@ -15,12 +15,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ibeetfa import fileio, scheme
+from ibeetfa import fileio, hashing, scheme
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
 from ibeetfa.authz import test3 as eq_test3
 from ibeetfa.cli import run_command
+from ibeetfa.errors import DimensionMismatch
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import Ciphertext, ciphertext_integrity_ok, decrypt, encrypt
 
@@ -62,6 +63,30 @@ class TestImmutable:
             with pytest.raises(ValueError):
                 arr.reshape(-1)[0] = 0
         assert built.c5.dtype == np.uint8 and built.r_tag.dtype == np.int64
+
+
+    def test_only_views_of_bytes_are_kept(self):
+        # a load's arrays are read-only views of the file's bytes, which
+        # nothing can change, so frozen_array keeps them; it copies any other
+        data = np.arange(6, dtype="<i8").tobytes()
+        view = np.frombuffer(data, dtype="<i8").reshape(2, 3)
+        row = view[1:]
+        assert scheme.frozen_array(view) is view and scheme.frozen_array(row) is row
+        shared = np.frombuffer(bytearray(data), dtype="<i8")
+        locked = shared.view()
+        locked.setflags(write=False)
+        for arr, dtype in ((shared, np.int64), (locked, np.int64), (view, np.int32), (np.arange(6), np.int64)):
+            out = scheme.frozen_array(arr, dtype)
+            assert out.dtype == dtype and not out.flags.writeable
+            assert not np.shares_memory(out, arr) and np.array_equal(out.reshape(-1), arr.reshape(-1))
+
+    def test_a_loaded_ciphertext_holds_its_file_bytes(self, sent):
+        _, ct, blob = sent
+        loaded = _load(blob)
+        for name in FIELDS[:-1]:
+            arr = getattr(loaded, name)
+            assert np.array_equal(arr, getattr(ct, name)) and not arr.flags.writeable
+            assert not arr.flags.owndata and Ciphertext(**{n: getattr(loaded, n) for n in FIELDS}).__dict__[name] is arr
 
 
 class TestHashedOnce:
@@ -203,6 +228,35 @@ class TestTagRange:
         assert not os.path.exists(paths["out"])
 
 
+class TestRangeCheckedOnce:
+    """Ciphertext.intact range-checks R once per tag: canonical_ct_bytes'
+    check, whose ParameterError reads as not intact."""
+
+    @pytest.fixture
+    def range_checks(self, monkeypatch):
+        counter = CallCounter(hashing.tag_in_range)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "ibeetfa" and getattr(mod, "tag_in_range", None) is hashing.tag_in_range:
+                monkeypatch.setattr(mod, "tag_in_range", counter)
+        return counter
+
+    def test_one_check_per_tag(self, sent, range_checks, hashes):
+        _, _, blob = sent
+        rx = _load(blob)
+        assert rx.intact(MINI) and range_checks.calls == 1 and hashes.calls == 1
+        assert rx.intact(MINI) and range_checks.calls == 1  # the kept tag
+        out_of_range = dict(_r_word_changes(blob))["zero entry +256"]
+        assert not _load(out_of_range).intact(MINI)
+        assert range_checks.calls == hashes.calls == 2
+
+    def test_malformed_r_still_raises(self, sent):
+        _, ct, _ = sent
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(ct, r_tag=ct.r_tag[:-1]).intact(MINI)
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(ct, r_tag=np.full((MINI.m - 1, MINI.m), 99)).intact(MINI)
+
+
 def _payload_word_changes(blob):
     """(label, file) for the first word of each of c1..c4 moved by +q (an
     alias mod q), set to -1 and set to -2**63."""
@@ -260,8 +314,15 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
-    TD3_CT last changed when every master draw of extract became SampleD
+    td2 sample may change these values.  Every value last changed with
+    the aligned file layout (every kind's version moved once): a 112-byte
+    header with a reserved zero byte, every section on an 8-byte boundary
+    after zero pad bytes, and the user secret key's sections reordered
+    into its prefix (identity, R_ID, e_F, e_F', Abar_ID) and the rest
+    (E'_ID, R as the walk's row blocks, the coset map).  No sampled array
+    moved: every key, ciphertext and trapdoor array of a seeded run at
+    MINI and at `toy` was compared, fresh and loaded, before and after.
+    Before that, SK, TD1, TD2, TD3_BASIS and TD3_CT changed when every master draw of extract became SampleD
     over Rbar (a perturbation rounded by the 1-D sampler, then a walk over
     S_G under G) in place of the walk over the basis T_A, and E'_ID's batch
     lost the 8 spare columns only a removed fallback read: R_ID, E'_ID,
@@ -292,15 +353,15 @@ class TestGoldenBytes:
     field and c5, which H' computes.
     """
 
-    CT = "d4ba5daf9d976a6fbdfcedafeb387e9a6bc862b0143a706447d5cb4b6fea47d0"
-    CT_BODY = "adc5a3674af98d7fff3689a6cc7a36174e247db06ba5b913c37035b8aae80fe4"
-    TD2 = "3e59f41ff021ad4655e47189c0700ae382e67c9af1e35753108f3a1531a7fcd5"
-    SK = "68288278965178407088260f5e4ecf421797cac8a99d71307c972d1f48643cc3"
-    PP = "c29b35f900ec7e8c7b69064ae60f0a516a0b81f9430cd2e776367c0f4fcd80d6"
-    MSK = "04d6bf7dc42c370729e753c4dac0ceba542f437717c5117c9a17d2b29fa89280"
-    TD1 = "baafd6a4e9b236cb547755e3503eb85321c35bcd35a0d5aea52257a7f5d72b33"
-    TD3_BASIS = "51124f8bc1ef179d676caa3c711a82ab8bc23693959484050e7181d396e290d9"
-    TD3_CT = "f4891b6cb1866f421464543711d8ef52e3649b648666f550e5baf2b8ecc6193f"
+    CT = "dace951db9efae96a09bc5e518428dbdf3c3190353ba455f5623a5303f84acf4"
+    CT_BODY = "600add26b48e524db82305932effdaf1fa64452e7b117a57952f69f2db98d56c"
+    TD2 = "48d2f1ee8a90cb8d6deebdd06745b24b8ee06830331e28a2c7d85dc689af6dca"
+    SK = "58e5649ae6c58f79ad401bafb3a69dca9f62eaf4c1ec233f4e44e84faf958f45"
+    PP = "45d8ba2c8c87a1cc90daa6b4dd8e2548b6215bfcbddc829e108b8fa3710fa088"
+    MSK = "3429fc67961e7ab64f5d74d3c8e08436f2a8fed1e373c0932726f008c04e5243"
+    TD1 = "f02edaff58c725ce35433e3f2cd856a0dd059c04def936be7fc4efff22134219"
+    TD3_BASIS = "c353fc5867614cf25c801a5e72dd0b8c9783c7cff60329a87fd061b57ef15e71"
+    TD3_CT = "26e9f8cee7d2f87e0a1ebaf870d36217b976353ca2ac36d60a3c51f25f875c9f"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system
@@ -332,8 +393,8 @@ class TestGoldenBytes:
         _, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
         spans = sk_sections(MINI)
-        r_block, proj = spans["r_rows"], spans["proj"]
+        r_block, proj = spans["r"], spans["proj"]
         assert len(blob) == proj.stop
         assert hashlib.sha256(blob[: r_block.start] + blob[r_block.stop : proj.start]).hexdigest() == self.SK
-        assert blob[r_block] == sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()
+        assert blob[r_block] == sk.trapdoor_prime.prep.r.astype("<f8").tobytes()
         assert blob[proj] == sk.trapdoor_prime.proj.astype("<f8").tobytes()

@@ -33,7 +33,7 @@ from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import compute_f, decrypt, encrypt, extract, identity_from_string, setup
 from ibeetfa.zqlinalg import center_rep, concat_cols, mat_mul
 
-from conftest import MINI, CallCounter, random_message, sk_sections
+from conftest import MINI, CallCounter, r_diagonal_words, random_message, sk_sections
 
 
 @pytest.fixture
@@ -277,41 +277,37 @@ class TestOwnership:
 class TestStoredRFactor:
     """The R block of a key file is checked against E'_ID at load."""
 
-    @staticmethod
-    def r_block(blob):
-        return sk_sections(MINI)["r_rows"].start
-
-    @staticmethod
-    def diagonal_word(k):
-        d = 2 * MINI.m
-        return k * d - k * (k - 1) // 2
-
     def test_r_block_is_the_certified_r(self, mini_key):
         _, sk = mini_key
         blob = fileio.dump_user_secret(sk, MINI)
-        start = self.r_block(blob)
-        assert blob[sk_sections(MINI)["r_rows"]] == sk.trapdoor_prime.prep.r_rows.astype("<f8").tobytes()
+        assert blob[sk_sections(MINI)["r"]] == sk.trapdoor_prime.prep.r.astype("<f8").tobytes()
         loaded = fileio.load_user_secret(blob, MINI)
-        assert np.array_equal(loaded.trapdoor_prime.prep.r_rows, sk.trapdoor_prime.prep.r_rows)
+        assert np.array_equal(loaded.trapdoor_prime.prep.r, sk.trapdoor_prime.prep.r)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.trapdoor_prime.prep.blocks,
+                                                        sk.trapdoor_prime.prep.blocks))
         assert fileio.dump_user_secret(loaded, MINI) == blob
 
     def test_corrupted_r_block_refused(self, mini_key, mini_key_other):
         _, sk = mini_key
         _, other = mini_key_other
         blob = fileio.dump_user_secret(sk, MINI)
-        start = self.r_block(blob)
-        r_rows = sk.trapdoor_prime.prep.r_rows
-        off_diagonal = np.ones(r_rows.size, dtype=bool)
-        off_diagonal[[self.diagonal_word(k) for k in range(2 * MINI.m)]] = False
-        big = int(np.argmax(np.abs(r_rows) * off_diagonal))
+        span = sk_sections(MINI)["r"]
+        start, stop = span.start, span.stop
+        d = 2 * MINI.m
+        r = sk.trapdoor_prime.prep.r
+        diagonal = r_diagonal_words(d)
+        off_diagonal = np.ones(r.size, dtype=bool)
+        off_diagonal[diagonal] = False
+        big = int(np.argmax(np.abs(r) * off_diagonal))
         flipped = bytearray(blob)
         flipped[start + 8 * big + 7] ^= 0x80  # the sign bit of a little-endian binary64
         zeroed = bytearray(blob)
-        word = start + 8 * self.diagonal_word(MINI.m)
+        word = start + 8 * diagonal[MINI.m]
         zeroed[word : word + 8] = bytes(8)
-        stop = sk_sections(MINI)["r_rows"].stop
+        below = bytearray(blob)  # R[1, 0], below the top block's diagonal
+        below[start + 8 * d + 7] = 0x3F
         swapped = blob[:start] + fileio.dump_user_secret(other, MINI)[start:stop] + blob[stop:]
-        for bad in (flipped, zeroed, swapped):
+        for bad in (flipped, zeroed, below, swapped):
             assert bytes(bad) != blob
             with pytest.raises(FormatError, match="stored R factor refused"):
                 fileio.load_user_secret(bytes(bad), MINI)

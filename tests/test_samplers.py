@@ -771,13 +771,14 @@ class TestProjection:
         prep = derive_trapdoor(compute_f(pp, ident, "prime"), loaded.e_id_prime, MINI.q).prep
         assert modes == ["raw"]  # a fresh basis is factored once, without Q
         d = prep.dim
-        assert [f.name for f in fields(prep)] == ["blocks", "gs_norms"]
+        assert [f.name for f in fields(prep) if f.init] == ["r", "gs_norms"]
         # R is held once, as the walk's row blocks R[lo:hi, lo:], counted
-        # from the bottom row; the file's packed rows are derived from them
+        # from the bottom row, views into one buffer, which the key file stores
         rows = [(max(0, hi - samplers.WALK_BLOCK), hi) for hi in range(d, 0, -samplers.WALK_BLOCK)]
         assert [b.shape for b in reversed(prep.blocks)] == [(hi - lo, d - lo) for lo, hi in rows]
         assert all(not np.tril(b, -1).any() for b in prep.blocks)
-        assert prep.r_rows.shape == (d * (d + 1) // 2,)
+        assert prep.r.shape == (samplers.r_factor_words(d),) == (sum(b.size for b in prep.blocks),)
+        assert all(np.shares_memory(b, prep.r) for b in prep.blocks)
 
     @staticmethod
     def errors(td, targets):
@@ -843,8 +844,13 @@ class TestAdoptRFactor:
     """adopt_r_factor takes a basis's R factor from elsewhere after an O(d^2) check."""
 
     @staticmethod
-    def packed(r):
-        return np.concatenate([r[k, k:] for k in range(r.shape[0])])
+    def bounds(d):
+        return [(max(0, hi - samplers.WALK_BLOCK), hi) for hi in range(d, 0, -samplers.WALK_BLOCK)][::-1]
+
+    @classmethod
+    def blocked(cls, r):
+        """A full upper-triangular R as its row blocks in one buffer, the layout PreparedBasis.r holds."""
+        return np.concatenate([r[lo:hi, lo:].ravel() for lo, hi in cls.bounds(r.shape[0])])
 
     def test_accepts_any_r_factor_of_the_basis(self, mini_key):
         _, sk = mini_key
@@ -852,31 +858,38 @@ class TestAdoptRFactor:
         prep = sk.trapdoor_prime.prep
         d = basis.shape[0]
         r_full = np.zeros((d, d))
-        r_full[np.triu_indices(d)] = prep.r_rows
+        for (lo, hi), block in zip(self.bounds(d), prep.blocks):
+            r_full[lo:hi, lo:] = block
+        assert np.array_equal(self.blocked(r_full), prep.r)
         proj = np.linspace(-1.0, 1.0, 3 * d).reshape(d, 3)
-        got, rt = adopt_r_factor(basis, prep.r_rows, proj)
+        got, rt, r_norm = adopt_r_factor(basis, prep.r, proj)
         assert np.allclose(rt, r_full.T @ proj, rtol=0, atol=1e-9 * np.abs(r_full).sum())
+        assert math.isclose(r_norm, np.linalg.norm(r_full), rel_tol=1e-12)
         none = np.zeros((d, 0))
-        assert np.array_equal(got.r_rows, prep.r_rows) and np.array_equal(got.gs_norms, prep.gs_norms)
+        # the buffer is held as it is, not copied
+        assert got.r is prep.r and np.array_equal(got.gs_norms, prep.gs_norms)
         # other R factors of the same basis, rounded differently or with
         # other row signs, as another host's QR may return them
         cholesky = np.linalg.cholesky(exact_int_matmul(basis.T, basis).astype(np.float64)).T
         signs = np.where(RandomSource(98).integers(0, 2, basis.shape[0]) == 1, -1.0, 1.0)
         for r in (cholesky, signs[:, None] * cholesky):
-            got, _ = adopt_r_factor(basis, self.packed(r), none)
+            got, _, _ = adopt_r_factor(basis, self.blocked(r), none)
             assert np.allclose(got.gs_norms, prep.gs_norms, rtol=1e-9)
 
     def test_refuses_an_r_factor_of_another_basis(self, mini_key, mini_key_other):
         _, sk = mini_key
         _, other = mini_key_other
-        r_rows = sk.trapdoor_prime.prep.r_rows
-        none = np.zeros((sk.e_id_prime.shape[0], 0))
+        r = sk.trapdoor_prime.prep.r
+        d = sk.e_id_prime.shape[0]
+        none = np.zeros((d, 0))
         with pytest.raises(SingularMatrix):
-            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prep.r_rows, none)
-        for word, value in ((1, 2.0 * r_rows[1]), (0, 0.0), (5, np.nan), (7, np.inf)):
-            bad = r_rows.copy()
+            adopt_r_factor(sk.e_id_prime, other.trapdoor_prime.prep.r, none)
+        # words 0, 1, 5 and 7 are R[0, 0], R[0, 1], R[0, 5] and R[0, 7]; word d
+        # is R[1, 0], below the diagonal of the top block, which starts at row 0
+        for word, value in ((1, 2.0 * r[1]), (0, 0.0), (5, np.nan), (7, np.inf), (d, 1e-300), (d, np.nan)):
+            bad = r.copy()
             bad[word] = value
             with pytest.raises(SingularMatrix):
                 adopt_r_factor(sk.e_id_prime, bad, none)
         with pytest.raises(DimensionMismatch):
-            adopt_r_factor(sk.e_id_prime, r_rows[:-1], none)
+            adopt_r_factor(sk.e_id_prime, r[:-1], none)

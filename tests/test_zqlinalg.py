@@ -296,7 +296,7 @@ class TestNonsingularityThreshold:
             try:
                 got, _ = trapdoor._basis_from_preimages(lambda count: b, np.ones((1, d), dtype=np.int64), 7)
                 assert accepted, k
-                assert np.array_equal(got.prep.r_rows, prep.r_rows)
+                assert np.array_equal(got.prep.r, prep.r)
             except SamplingError:
                 assert not accepted, k
             seen.add(accepted)
