@@ -190,12 +190,12 @@ _TD_TYPES = {
 
 
 def _cmd_td(args) -> int:
+    if args.type == 2 and args.ct is None:
+        raise ParameterError("--type 2 requires --ct")
     pp = fileio.load_public_params(fileio.read_file(args.pp))
     bound = args.ct is not None and args.type != 1  # a type-1 trapdoor is never bound
     sk = _load_key(args.sk, pp, whole=bound)
     kind, grant, _ = _TD_TYPES[args.type]
-    if args.type == 2 and args.ct is None:
-        raise ParameterError("--type 2 requires --ct")
     ct = rng = None
     if bound:
         ct, _ = fileio.load_ciphertext(fileio.read_file(args.ct), pp.params)

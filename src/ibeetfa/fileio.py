@@ -11,70 +11,55 @@ Layout of every artifact:
 
 The header is 112 bytes, and every section starts on an 8-byte boundary:
 a section whose length is no multiple of 8 is followed by zero pad bytes
-up to the next one, and the last section by none.  Residue matrices are
-stored row-major as u64 little-endian; signed integer matrices as i64
-two's-complement little-endian (the user secret key's as i32, see
-below); real factors as IEEE-754 binary64 little-endian; bit strings are
+up to the next one, and the last section by none.  _layout gives each
+kind's sections, in order, as (dtype, shape): it is the one description
+of every layout, which _dump writes and _load reads.
+
+- public parameters: A, A', A_1..A_ell, B (n x m), U (n x t), residues
+  as u64;
+- master secret key: Rbar and Rbar' ((m - nk) x nk, entries +-1) as i64;
+- user secret key: its prefix, the identity (ell words +-1), R_ID
+  ((2m - nk) x nk), e_F and e_F' (2m x t) as i32 and Abar_ID (n x (2m -
+  nk) residues), then E'_ID (2m x 2m, i32), R's row blocks as the walk
+  holds them (samplers.PreparedBasis.r, binary64), the n pivot rows, the
+  n x n elimination matrix E and the 2m x n projections P (binary64);
+- ciphertext: the message's bit length (u64, at most t), R (m x m), c1
+  and c2 (t), c3 and c4 (3m), then c5 (lambda bits);
+- type-1 trapdoor: the identity and e_F' (2m x t);
+- type-2 trapdoor: the identity, the binding H'(ct) (lambda bits) and
+  the bound preimage (3m x t);
+- type-3 trapdoor: a variant byte, 0 or 1, then a type-1 or a type-2
+  trapdoor's sections.
+
+Integer matrices are row-major, two's complement little-endian (a
+residue in [0, q) has the same bytes as i64 and as u64); bit strings are
 packed little-endian within each byte.  Dumps join views of the arrays'
 own buffers, so each blob is built in one copy.  Loads verify magic,
 version, kind, the reserved byte and every pad byte (zero), the header's
 fingerprint, that its parameter set passes params.validate_params, the
-exact payload length, and (when the caller supplies a reference
-parameter set) that the parameters are the reference's, so
-mixed-parameter artifacts are always rejected.  A load holds its blob as
-an immutable bytes object and reads each array section as a read-only
-np.frombuffer view of it, aligned, with no copy: the loaded objects keep
-those views (scheme.frozen_array), so they keep the blob alive.
-Writes are atomic: temp file in the directory of the target (symlinks
-resolved), then rename (a target that exists and is no regular file,
-such as a FIFO, is written in place instead).
+exact length, and (when the caller supplies a reference parameter set)
+that the parameters are the reference's, so mixed-parameter artifacts
+are always rejected.  A load holds its blob as an immutable bytes object
+and reads each section as a read-only np.frombuffer view of it, aligned,
+with no copy: the loaded objects keep those views (scheme.frozen_array),
+so they keep the blob alive.  Writes are atomic: temp file in the
+directory of the target (symlinks resolved), then rename (a target that
+exists and is no regular file, such as a FIFO, is written in place
+instead).
 
-A user secret key file holds first its prefix (identity, R_ID, e_F,
-e_F', Abar_ID), all that decrypt, td1 and td3_basis use, then E'_ID's
-basis and sampling data (E'_ID, R, pivots, E, P), so read_key_preimage
-reads the header and the prefix alone (a KeyPreimage), from a file whose
-size it checks; load_user_secret reads and checks it all.
+A user secret key file's prefix is all that decrypt, td1 and td3_basis
+use, so read_key_preimage reads the header and the prefix alone (a
+KeyPreimage), from a file whose size it checks; load_user_secret reads
+and checks it all.
 
 Each kind is written and read at the format version in which its layout
-last changed (_VERSIONS); a file of any other version is refused.
-Version 2 gave the user secret key its preimages e_F and e_F' of U, and
-made the type-1 payload (also the basis side of type 3) e_F' instead of
-the basis E'_ID.  Version 3 (user secret key only) appends the R factor
-extract certified E'_ID with, its upper triangle row after row, so a
-loaded key factors nothing; the load checks in O(m^2) that it is E'_ID's
-(samplers.adopt_r_factor) and refuses the file otherwise.  Version 4
-(user secret key only) stores E_ID, E'_ID, e_F and e_F' as i32, the
-width a key holds them at in memory too (scheme.UserSecretKey), and
-appends the coset map extract built for E'_ID under F'_ID: its n pivot
-rows (i64), the n x n elimination matrix E (u64 residues) and the 2m x n
-projections P = Q^T W (binary64), W the 0/1 matrix that puts a
-coordinate on each pivot row (neither the file nor the key holds W).
-The load checks the pivots, E's range and P against E'_ID and R in
-O(m^2 n) (trapdoor.adopt_trapdoor), so a loaded key derives nothing;
-each draw checks the map against F'_ID (TrapdoorBasis.require).
-Version 5 (user secret key only) replaces the 2m x 2m basis E_ID by the
-key's gadget trapdoor R_ID ((2m - nk) x nk, i32) and appends the public
-Abar_ID, the left 2m - nk columns of F_ID (u64 residues), from which a
-key rebuilds E_ID (scheme.KeyPreimage.e_id).
-Version 2 of the master secret key holds only Rbar and Rbar' (entries
-+-1), not T_A, T_A'.
-Version 2 of the ciphertext keeps the version-1 layout, but its c5 is
-H' over the coded tag matrix (hashing.canonical_ct_bytes), so a
-version-1 ciphertext, whose c5 hashed R as 64-bit residues, is refused
-rather than rejected as tampered.  Type-2 and type-3 trapdoors kept
-their version then: their binding is simply the new c5.
-The aligned layout moved every kind once: public parameters to version
-2, master secret key 3, user secret key 6, ciphertext 3, type-1 trapdoor
-3, type-2 2 and type-3 3.  It added the reserved header byte and the pad
-bytes (a ciphertext has none: its file still ends with R, c1..c4 and
-c5), and it reordered the user secret key into its prefix and the rest,
-with R stored as the walk's row blocks (samplers.PreparedBasis.r, the
-zeros below each block's diagonal included and checked) in place of the
-packed upper triangle.
+last changed (_VERSIONS); a file of any other version, every earlier
+one included, is refused.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -138,146 +123,137 @@ def params_fingerprint(p: ParamSet) -> bytes:
     return bits_to_bytes(hash_hprime(encode_params(p), 256))
 
 
-def _section(arr, dtype: str) -> memoryview:
-    """The words of arr at dtype ("<i8", "<i4" or "<f8"), as a view (no copy
-    for a C-ordered array of that dtype).
-
-    Signed entries are written in two's complement, residues in [0, q)
-    read back as u64: the bytes are the same.
-    """
-    return memoryview(np.ascontiguousarray(arr, dtype=dtype))
-
-
-def _words(arr) -> memoryview:
-    """The 8-byte little-endian words of arr (_section)."""
-    return _section(arr, "<i8")
-
-
-def _pad(pos: int) -> int:
-    """Zero bytes that take pos to the next 8-byte boundary."""
-    return -pos % 8
-
-
-def _join(parts) -> bytes:
-    """The parts (bytes-like), each started on an 8-byte boundary by zero
-    pad bytes, in one copy."""
-    out, pos = [], 0
-    for part in parts:
-        pad = _pad(pos)
-        out += [bytes(pad), part]
-        pos += pad + memoryview(part).nbytes
-    return b"".join(out)
-
-
-def _size(sections) -> int:
-    """The length of a file of these (dtype, shape) sections after the header."""
-    pos = HEADER_SIZE
-    for dtype, shape in sections:
-        pos += _pad(pos) + np.dtype(dtype).itemsize * int(np.prod(shape))
-    return pos
-
-
-class _Reader:
-    """The sections of one artifact, in order.  The blob is held as bytes
-    (copied once if it is not), so the arrays read are views of memory
-    nothing can change."""
-
-    def __init__(self, blob: bytes, what: str):
-        self.blob = memoryview(blob if type(blob) is bytes else bytes(blob))
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> memoryview:
-        """The next n bytes, in place."""
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.what}: truncated (need {n} more bytes)")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def section(self, n: int) -> memoryview:
-        """The next section's n bytes, after its pad bytes, which must be zero."""
-        if any(self.take(_pad(self.pos))):
-            raise FormatError(f"{self.what}: nonzero pad byte")
-        return self.take(n)
-
-    def array(self, dtype: str, shape) -> np.ndarray:
-        """The next section as a read-only array of dtype: a view of the
-        blob, aligned, with no copy (the mirror of _section)."""
-        dtype = np.dtype(dtype)
-        count = int(np.prod(shape))
-        return np.frombuffer(self.section(dtype.itemsize * count), dtype=dtype).reshape(shape)
-
-    def words(self, shape) -> np.ndarray:
-        """The next 8-byte words as an int64 view.
-
-        A residue word of 2**63 or more reads back negative, which the
-        range check of load_public_params rejects.
-        """
-        return self.array("<i8", shape)
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.section(8))[0]
-
-    def done(self):
-        if self.pos != len(self.blob):
-            raise FormatError(f"{self.what}: {len(self.blob) - self.pos} trailing bytes")
-
-
 def _header(kind: int, p: ParamSet) -> bytes:
-    version = _VERSIONS[kind]
-    return MAGIC + struct.pack("<HBB", version, kind, 0) + params_fingerprint(p) + encode_params(p)
+    return MAGIC + struct.pack("<HBB", _VERSIONS[kind], kind, 0) + params_fingerprint(p) + encode_params(p)
 
 
-def _open(blob: bytes, expect_kind: int, reference: ParamSet | None):
-    what = _KIND_NAMES.get(expect_kind, "artifact")
-    rd = _Reader(blob, what)
-    if rd.take(4) != MAGIC:
+def _params(blob: bytes, kind: int, reference: ParamSet | None) -> ParamSet:
+    """The parameter set of blob's header, once the header is one of kind's."""
+    what = _KIND_NAMES[kind]
+    if blob[:4] != MAGIC:
         raise FormatError(f"{what}: bad magic")
-    version, kind, reserved = struct.unpack("<HBB", rd.take(4))
-    if kind != expect_kind:
-        raise FormatError(
-            f"expected {what}, file holds {_KIND_NAMES.get(kind, f'kind {kind}')}"
-        )
+    if len(blob) < HEADER_SIZE:
+        raise FormatError(f"{what}: truncated header")
+    version, got, reserved = struct.unpack_from("<HBB", blob, 4)
+    if got != kind:
+        raise FormatError(f"expected {what}, file holds {_KIND_NAMES.get(got, f'kind {got}')}")
     if version != _VERSIONS[kind]:
         raise FormatError(f"{what}: unsupported format version {version}")
     if reserved:
         raise FormatError(f"{what}: nonzero reserved header byte")
-    fingerprint = rd.take(32)
-    params = decode_params(rd.take(_PARAMS_STRUCT.size))
-    if fingerprint != params_fingerprint(params):
+    params = decode_params(blob[40:HEADER_SIZE])  # after 8 bytes of the above and the fingerprint
+    if blob[8:40] != params_fingerprint(params):
         raise FormatError(f"{what}: parameter fingerprint mismatch within file")
     violations = validate_params(params)
     if violations:
         raise FormatError(f"{what}: parameter set violates constraints: " + "; ".join(violations))
     if reference is not None and params != reference:
         raise FormatError(f"{what}: parameters differ from the other artifacts in use")
-    return rd, params
+    return params
+
+
+def _layout(kind: int, p: ParamSet, variant: int = 0) -> list[tuple[str, tuple]]:
+    """(dtype, shape) of each section of a file of kind after its header, in
+    order: the one description of every kind's layout, which _dump writes
+    and _load reads.  A type-3 trapdoor's first section is its variant
+    byte, 0 before a type-1 payload's sections and 1 before a type-2
+    one's; any other variant is refused."""
+    d, nk = 2 * p.m, p.n * gadget_length(p.q)
+    identity, binding = ("<i8", (p.ell,)), ("u1", ((p.lambda_bits + 7) // 8,))
+    if kind == KIND_PP:  # A, A', A_1..A_ell, B (n x m residues), U (n x t)
+        return [("<i8", (p.n, p.m))] * (p.ell + 3) + [("<i8", (p.n, p.t))]
+    if kind == KIND_MSK:  # Rbar, Rbar'
+        return [("<i8", (p.m - nk, nk))] * 2
+    if kind == KIND_SK:  # identity, R_ID, e_F, e_F', Abar_ID; E'_ID, R's row blocks, pivots, E, P
+        return [identity, ("<i4", (d - nk, nk)), ("<i4", (d, p.t)), ("<i4", (d, p.t)),
+                ("<i8", (p.n, d - nk)),
+                ("<i4", (d, d)), ("<f8", (r_factor_words(d),)), ("<i8", (p.n,)), ("<i8", (p.n, p.n)),
+                ("<f8", (d, p.n))]
+    if kind == KIND_CT:  # message bit length, R, c1, c2, c3, c4, c5
+        return [("<u8", (1,)), ("<i8", (p.m, p.m)), ("<i8", (p.t,)), ("<i8", (p.t,)),
+                ("<i8", (3 * p.m,)), ("<i8", (3 * p.m,)), binding]
+    if kind == KIND_TD1:  # identity, e_F'
+        return [identity, ("<i8", (d, p.t))]
+    if kind == KIND_TD2:  # identity, the ciphertext binding, the bound preimage
+        return [identity, binding, ("<i8", (3 * p.m, p.t))]
+    if variant not in (0, 1):
+        raise FormatError(f"type-3 trapdoor: unknown variant {variant}")
+    return [("u1", (1,)), *_layout(KIND_TD2 if variant else KIND_TD1, p)]
+
+
+#: Sections of a user secret key file's prefix, the KeyPreimage.
+_SK_PREFIX = 5
+
+
+def _size(layout) -> int:
+    """The length of a file of these (dtype, shape) sections."""
+    pos = HEADER_SIZE
+    for dtype, shape in layout:
+        pos += -pos % 8 + np.dtype(dtype).itemsize * math.prod(shape)
+    return pos
+
+
+def _dump(kind: int, p: ParamSet, *values) -> bytes:
+    """The file of kind holding values, one per section of _layout (a
+    type-3 trapdoor's first is its variant), in one copy: the header, then
+    each value at its section's dtype and shape after zero pad bytes, as a
+    view where the value is a C-ordered array of that dtype.  Signed
+    entries are written in two's complement, so a residue in [0, q)
+    written as "<i8" has the bytes of its u64."""
+    layout = _layout(kind, p, values[0] if kind == KIND_TD3 else 0)
+    parts, pos = [_header(kind, p)], HEADER_SIZE
+    for value, (dtype, shape) in zip(values, layout, strict=True):
+        pad, part = -pos % 8, memoryview(np.ascontiguousarray(value, dtype=dtype).reshape(shape))
+        parts += [bytes(pad), part]
+        pos += pad + part.nbytes
+    return b"".join(parts)
+
+
+def _load(blob: bytes, kind: int, reference: ParamSet | None, count: int | None = None):
+    """The parameter set of the file of kind in blob and its first count
+    sections (all by default), which must be all blob holds.  The header
+    is checked (_params), then the exact length and every pad byte (zero).
+    blob is held as bytes (copied once if it is not), and each section is
+    a read-only view of it, aligned, with no copy."""
+    blob = blob if type(blob) is bytes else bytes(blob)
+    what = _KIND_NAMES[kind]
+    p = _params(blob, kind, reference)
+    # the byte after the header is a type-3 trapdoor's variant (no other kind reads it)
+    layout = _layout(kind, p, int.from_bytes(blob[HEADER_SIZE : HEADER_SIZE + 1], "little"))[:count]
+    size = _size(layout)
+    if len(blob) != size:
+        raise FormatError(f"{what}: {len(blob)} bytes where the layout needs {size}")
+    sections, pos = [], HEADER_SIZE
+    for dtype, shape in layout:
+        pad = -pos % 8
+        if any(blob[pos : pos + pad]):
+            raise FormatError(f"{what}: nonzero pad byte")
+        sections.append(np.frombuffer(blob, dtype, math.prod(shape), pos + pad).reshape(shape))
+        pos += pad + sections[-1].nbytes
+    return p, sections
+
+
+def _identity(bits: np.ndarray, kind: int) -> Identity:
+    if not np.all(np.abs(bits) == 1):
+        raise FormatError(f"{_KIND_NAMES[kind]}: identity entries must be +-1")
+    return Identity(tuple(int(b) for b in bits))
 
 
 # -- public parameters -------------------------------------------------------
 
 
 def dump_public_params(pp: PublicParams) -> bytes:
-    p = pp.params
-    parts = [_header(KIND_PP, p), _words(pp.a), _words(pp.a_prime)]
-    parts += [_words(a_i) for a_i in pp.a_list]
-    parts += [_words(pp.b), _words(pp.u)]
-    return _join(parts)
+    return _dump(KIND_PP, pp.params, pp.a, pp.a_prime, *pp.a_list, pp.b, pp.u)
 
 
 def load_public_params(blob: bytes) -> PublicParams:
-    rd, p = _open(blob, KIND_PP, None)
-    a = rd.words((p.n, p.m))
-    a_prime = rd.words((p.n, p.m))
-    a_list = tuple(rd.words((p.n, p.m)) for _ in range(p.ell))
-    b = rd.words((p.n, p.m))
-    u = rd.words((p.n, p.t))
-    rd.done()
+    """The public parameters in blob.  A word of 2**63 or more reads back
+    negative, so the range check refuses it too."""
+    p, (a, a_prime, *a_list, b, u) = _load(blob, KIND_PP, None)
     for name, mat in (("A", a), ("A'", a_prime), ("B", b), ("U", u), *(("A_i", x) for x in a_list)):
         if mat.min() < 0 or mat.max() >= p.q:
             raise FormatError(f"public parameters: {name} holds out-of-range residues")
-    return PublicParams(p, a, a_prime, a_list, b, u)
+    return PublicParams(p, a, a_prime, tuple(a_list), b, u)
 
 
 # -- master secret key -------------------------------------------------------
@@ -285,7 +261,7 @@ def load_public_params(blob: bytes) -> PublicParams:
 
 def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
     """The msk file: Rbar and Rbar'."""
-    return _join([_header(KIND_MSK, p), _words(msk.trapdoor_a.r_bar), _words(msk.trapdoor_a_prime.r_bar)])
+    return _dump(KIND_MSK, p, msk.trapdoor_a.r_bar, msk.trapdoor_a_prime.r_bar)
 
 
 def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
@@ -294,49 +270,19 @@ def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
     Each Rbar must be a gadget trapdoor of pp's A or A' (require_gadget_trapdoor),
     so another system's master key is refused here, before any sampling.
     """
-    rd, p = _open(blob, KIND_MSK, pp.params)
-    m_bar = p.m - p.n * gadget_length(p.q)
-    r_bar = rd.words((2, m_bar, p.m - m_bar))
-    rd.done()
-    if np.any(np.abs(r_bar) != 1):
+    p, r_bars = _load(blob, KIND_MSK, pp.params)
+    if any(np.any(np.abs(r_bar) != 1) for r_bar in r_bars):
         raise FormatError("master secret key: Rbar entries must be +-1")
+    pairs = list(zip((pp.a, pp.a_prime), r_bars))
     try:
-        for a, r in zip((pp.a, pp.a_prime), r_bar):
-            require_gadget_trapdoor(a, r, p.q)
+        for a, r_bar in pairs:
+            require_gadget_trapdoor(a, r_bar, p.q)
     except ParameterError:
         raise FormatError("master secret key: Rbar is no trapdoor of these public parameters") from None
-    return MasterSecretKey(GadgetTrapdoor(pp.a[:, :m_bar], r_bar[0], p.q),
-                           GadgetTrapdoor(pp.a_prime[:, :m_bar], r_bar[1], p.q))
+    return MasterSecretKey(*(GadgetTrapdoor(a[:, : len(r_bar)], r_bar, p.q) for a, r_bar in pairs))
 
 
 # -- user secret key ---------------------------------------------------------
-
-
-def _dump_identity(ident: Identity) -> memoryview:
-    return _words(np.asarray(ident.bits, dtype=np.int64))
-
-
-def _load_identity(rd: _Reader, ell: int) -> Identity:
-    bits = rd.words((ell,))
-    if not np.all(np.abs(bits) == 1):
-        raise FormatError(f"{rd.what}: identity entries must be +-1")
-    return Identity(tuple(int(b) for b in bits))
-
-
-#: Sections of a user secret key file's prefix, the KeyPreimage.
-_SK_PREFIX = 5
-
-
-def _sk_sections(p: ParamSet) -> list[tuple[str, tuple]]:
-    """(dtype, shape) of each section of a user secret key file, in order:
-    the prefix (identity, R_ID, e_F, e_F', Abar_ID), then E'_ID, R's row
-    blocks, the pivots, E and P."""
-    d = 2 * p.m
-    nk = p.n * gadget_length(p.q)
-    return [("<i8", (p.ell,)), ("<i4", (d - nk, nk)), ("<i4", (d, p.t)), ("<i4", (d, p.t)),
-            ("<i8", (p.n, d - nk)),
-            ("<i4", (d, d)), ("<f8", (r_factor_words(d),)), ("<i8", (p.n,)), ("<i8", (p.n, p.n)),
-            ("<f8", (d, p.n))]
 
 
 def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
@@ -344,29 +290,24 @@ def dump_user_secret(sk: UserSecretKey, p: ParamSet) -> bytes:
     (KeyPreimage narrows them) and its R one float64 buffer, so each is
     written as it is."""
     td = sk.trapdoor_prime
-    arrays = (sk.identity.bits, sk.r_id, sk.e_f, sk.e_f_prime, sk.a_bar_id,
-              td.basis, td.prep.r, td.pivots, td.elim, td.proj)
-    return _join([_header(KIND_SK, p),
-                  *(_section(arr, dtype) for arr, (dtype, _) in zip(arrays, _sk_sections(p)))])
+    return _dump(KIND_SK, p, sk.identity.bits, sk.r_id, sk.e_f, sk.e_f_prime, sk.a_bar_id,
+                 td.basis, td.prep.r, td.pivots, td.elim, td.proj)
 
 
-def _load_key_prefix(rd: _Reader, p: ParamSet) -> tuple:
-    """The KeyPreimage fields from a key file's prefix, as views of it."""
-    ident = _load_identity(rd, p.ell)
-    r_id, e_f, e_f_prime, a_bar_id = (rd.array(*s) for s in _sk_sections(p)[1:_SK_PREFIX])
+def _key_prefix(p: ParamSet, sections: list) -> tuple:
+    """The KeyPreimage fields of a key file's prefix sections, once checked."""
+    ident, r_id, e_f, e_f_prime, a_bar_id = sections[:_SK_PREFIX]
     if a_bar_id.min() < 0 or a_bar_id.max() >= p.q:
         raise FormatError("user secret key: Abar_ID holds out-of-range residues")
-    return ident, r_id, a_bar_id, p.q, e_f, e_f_prime
+    return _identity(ident, KIND_SK), r_id, a_bar_id, p.q, e_f, e_f_prime
 
 
 def load_key_preimage(blob: bytes, reference: ParamSet | None = None) -> KeyPreimage:
     """The KeyPreimage in blob, a user secret key file's header and prefix
     (and nothing after it; read_key_preimage reads those from a file).
     Every check load_user_secret runs on the prefix runs here."""
-    rd, p = _open(blob, KIND_SK, reference)
-    key = KeyPreimage(*_load_key_prefix(rd, p))
-    rd.done()
-    return key
+    p, sections = _load(blob, KIND_SK, reference, _SK_PREFIX)
+    return KeyPreimage(*_key_prefix(p, sections))
 
 
 def read_key_preimage(path: str, reference: ParamSet) -> KeyPreimage:
@@ -374,8 +315,8 @@ def read_key_preimage(path: str, reference: ParamSet) -> KeyPreimage:
     and prefix alone (load_key_preimage, about 2 MB of a 29 MB key at
     `toy`), read through read_file, which refuses a file of any length but
     a whole key's at reference's parameters (truncated or extended)."""
-    sections = _sk_sections(reference)
-    blob = read_file(path, _size(sections[:_SK_PREFIX]), _size(sections))
+    layout = _layout(KIND_SK, reference)
+    blob = read_file(path, _size(layout[:_SK_PREFIX]), _size(layout))
     return load_key_preimage(blob, reference)
 
 
@@ -388,10 +329,9 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
     checked in that order (trapdoor.adopt_trapdoor), in one pass over R's
     blocks, which the key then holds in place.
     """
-    rd, p = _open(blob, KIND_SK, reference)
-    prefix = _load_key_prefix(rd, p)
-    e_id_prime, r, pivots, elim, proj = (rd.array(*s) for s in _sk_sections(p)[_SK_PREFIX:])
-    rd.done()
+    p, sections = _load(blob, KIND_SK, reference)
+    e_id_prime, r, pivots, elim, proj = sections[_SK_PREFIX:]
+    prefix = _key_prefix(p, sections)
     try:
         td = adopt_trapdoor(e_id_prime, r, p.q, pivots, elim, proj)
     except SingularMatrix as err:
@@ -405,99 +345,69 @@ def load_user_secret(blob: bytes, reference: ParamSet | None = None) -> UserSecr
 
 
 def dump_ciphertext(ct: Ciphertext, p: ParamSet, msg_bitlen: int | None = None) -> bytes:
+    """The ct file, recording msg_bitlen (t by default), which must lie in
+    [0, t] as load_ciphertext requires; ParameterError otherwise."""
     msg_bitlen = p.t if msg_bitlen is None else int(msg_bitlen)
-    return _join(
-        [
-            _header(KIND_CT, p),
-            struct.pack("<Q", msg_bitlen),
-            _words(ct.r_tag),
-            _words(ct.c1),
-            _words(ct.c2),
-            _words(ct.c3),
-            _words(ct.c4),
-            bits_to_bytes(ct.c5),
-        ]
-    )
+    if not 0 <= msg_bitlen <= p.t:
+        raise ParameterError(f"message length {msg_bitlen} lies outside [0, t = {p.t}]")
+    return _dump(KIND_CT, p, msg_bitlen, ct.r_tag, ct.c1, ct.c2, ct.c3, ct.c4, memoryview(bits_to_bytes(ct.c5)))
 
 
 def load_ciphertext(blob: bytes, reference: ParamSet | None = None) -> tuple[Ciphertext, int]:
-    rd, p = _open(blob, KIND_CT, reference)
-    msg_bitlen = rd.u64()
-    if msg_bitlen > p.t:
+    p, (msg_bitlen, r_tag, c1, c2, c3, c4, c5) = _load(blob, KIND_CT, reference)
+    if msg_bitlen[0] > p.t:
         raise FormatError("ciphertext: recorded message length exceeds t")
-    r_tag = rd.words((p.m, p.m))
-    c1 = rd.words((p.t,))
-    c2 = rd.words((p.t,))
-    c3 = rd.words((3 * p.m,))
-    c4 = rd.words((3 * p.m,))
-    c5 = bytes_to_bits(rd.section((p.lambda_bits + 7) // 8), p.lambda_bits)
-    rd.done()
     # no value-range checks here: the integrity check (Ciphertext.intact,
     # which range-checks R) is the authority on tampered content, and
     # decryption must answer REJECT, not a load error
-    return Ciphertext(r_tag, c1, c2, c3, c4, c5), int(msg_bitlen)
+    return Ciphertext(r_tag, c1, c2, c3, c4, bytes_to_bits(c5, p.lambda_bits)), int(msg_bitlen[0])
 
 
 # -- trapdoors ----------------------------------------------------------------
 
 
-def _dump_td1_payload(td: TrapdoorT1) -> list:
-    return [_dump_identity(td.identity), _words(td.e_prime)]
+def _payload(td: TrapdoorT1 | TrapdoorT2) -> list:
+    """The section values of a type-1 or type-2 trapdoor: its file's, and a
+    type-3 trapdoor file's after the variant."""
+    if isinstance(td, TrapdoorT2):
+        return [td.identity.bits, memoryview(bits_to_bytes(td.ct_binding)), td.e_prime]
+    return [td.identity.bits, td.e_prime]
 
 
-def _load_td1_payload(rd: _Reader, p: ParamSet) -> TrapdoorT1:
-    ident = _load_identity(rd, p.ell)
-    return TrapdoorT1(ident, rd.words((2 * p.m, p.t)))
-
-
-def _dump_td2_payload(td: TrapdoorT2) -> list:
-    return [_dump_identity(td.identity), bits_to_bytes(td.ct_binding), _words(td.e_prime)]
-
-
-def _load_td2_payload(rd: _Reader, p: ParamSet) -> TrapdoorT2:
-    ident = _load_identity(rd, p.ell)
-    binding = bytes_to_bits(rd.section((p.lambda_bits + 7) // 8), p.lambda_bits)
-    return TrapdoorT2(ident, binding, rd.words((3 * p.m, p.t)), p)
+def _trapdoor(p: ParamSet, kind: int, ident, *rest) -> TrapdoorT1 | TrapdoorT2:
+    """The trapdoor of a payload's sections: a type-1 one's (identity, e_F')
+    or a type-2 one's (identity, binding, preimage)."""
+    if len(rest) == 1:
+        return TrapdoorT1(_identity(ident, kind), *rest)
+    binding, e_prime = rest
+    return TrapdoorT2(_identity(ident, kind), bytes_to_bits(binding, p.lambda_bits), e_prime, p)
 
 
 def dump_td1(td: TrapdoorT1, p: ParamSet) -> bytes:
-    return _join([_header(KIND_TD1, p), *_dump_td1_payload(td)])
+    return _dump(KIND_TD1, p, *_payload(td))
 
 
 def load_td1(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT1:
-    rd, p = _open(blob, KIND_TD1, reference)
-    td = _load_td1_payload(rd, p)
-    rd.done()
-    return td
+    p, sections = _load(blob, KIND_TD1, reference)
+    return _trapdoor(p, KIND_TD1, *sections)
 
 
 def dump_td2(td: TrapdoorT2, p: ParamSet) -> bytes:
-    return _join([_header(KIND_TD2, p), *_dump_td2_payload(td)])
+    return _dump(KIND_TD2, p, *_payload(td))
 
 
 def load_td2(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT2:
-    rd, p = _open(blob, KIND_TD2, reference)
-    td = _load_td2_payload(rd, p)
-    rd.done()
-    return td
+    p, sections = _load(blob, KIND_TD2, reference)
+    return _trapdoor(p, KIND_TD2, *sections)
 
 
-# type-3 payload: variant byte (0 basis side, 1 ciphertext-bound), then the
-# type-1 or type-2 payload
 def dump_td3(td: TrapdoorT3, p: ParamSet) -> bytes:
-    if td.is_basis_side:
-        return _join([_header(KIND_TD3, p), b"\x00", *_dump_td1_payload(td.payload)])
-    return _join([_header(KIND_TD3, p), b"\x01", *_dump_td2_payload(td.payload)])
+    return _dump(KIND_TD3, p, 0 if td.is_basis_side else 1, *_payload(td.payload))
 
 
 def load_td3(blob: bytes, reference: ParamSet | None = None) -> TrapdoorT3:
-    rd, p = _open(blob, KIND_TD3, reference)
-    variant = rd.section(1)[0]
-    if variant not in (0, 1):
-        raise FormatError(f"type-3 trapdoor: unknown variant {variant}")
-    td = (_load_td2_payload if variant else _load_td1_payload)(rd, p)
-    rd.done()
-    return TrapdoorT3(td)
+    p, (_, *sections) = _load(blob, KIND_TD3, reference)
+    return TrapdoorT3(_trapdoor(p, KIND_TD3, *sections))
 
 
 # -- atomic file helpers ------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from ibeetfa import fileio
 from ibeetfa.authz import td1, td2, td3_basis, td3_ct
 from ibeetfa.cli import run_command
-from ibeetfa.errors import FormatError, IbeetfaError, KeyMismatch
+from ibeetfa.errors import FormatError, IbeetfaError, KeyMismatch, ParameterError
 from ibeetfa.samplers import RandomSource
 from ibeetfa.scheme import decrypt, encrypt, encrypt_traced, extract, identity_from_string, setup
 from ibeetfa.trapdoor import gadget_length
@@ -79,6 +79,29 @@ def workspace(tmp_path_factory, params_file):
     assert run_command(["encrypt", "--pp", paths["pp"], "--id", "bob",
                         "--in", paths["msg2"], "--seed", "06", "--out", paths["ct_b2"]]) == 0
     return paths
+
+
+#: A file of every kind, a type-3 trapdoor of either variant ("td3_ct" is bound).
+EVERY_KIND = ("pp", "msk", "sk", "ct", "td1", "td2", "td3", "td3_ct")
+
+
+@pytest.fixture(scope="module")
+def every_kind(workspace):
+    """kind -> (load, blob): a load at MINI that takes a file's bytes, and the
+    bytes of the workspace's file of that kind."""
+    files = {"pp": workspace["pp"], "msk": workspace["msk"], "sk": workspace["sk_a"], "ct": workspace["ct_a1"]}
+    for kind, extra in (("td1", ["--type", "1"]), ("td2", ["--type", "2", "--ct", workspace["ct_a1"]]),
+                        ("td3", ["--type", "3"]), ("td3_ct", ["--type", "3", "--ct", workspace["ct_a1"]])):
+        files[kind] = str(workspace["dir"] / f"every-kind-{kind}.ibfa")
+        assert run_command(["td", *extra, "--pp", workspace["pp"], "--sk", workspace["sk_a"], "--seed", "2a",
+                            "--out", files[kind]]) == 0
+    pp = fileio.load_public_params(fileio.read_file(files["pp"]))
+    loads = {"pp": fileio.load_public_params, "msk": lambda blob: fileio.load_master_secret(blob, pp),
+             "sk": lambda blob: fileio.load_user_secret(blob, MINI),
+             "ct": lambda blob: fileio.load_ciphertext(blob, MINI),
+             "td1": lambda blob: fileio.load_td1(blob, MINI), "td2": lambda blob: fileio.load_td2(blob, MINI),
+             "td3": lambda blob: fileio.load_td3(blob, MINI), "td3_ct": lambda blob: fileio.load_td3(blob, MINI)}
+    return {kind: (loads[kind], fileio.read_file(path)) for kind, path in files.items()}
 
 
 @pytest.fixture
@@ -160,10 +183,20 @@ class TestEqualityVerbs:
                             "--ct-i", workspace["ct_a1"], "--ct-j", workspace["ct_b1"],
                             "--seed", "10"]) == 0
 
-    def test_type2_requires_ct(self, workspace, unused):
-        code = run_command(["td", "--type", "2", "--pp", workspace["pp"],
-                            "--sk", workspace["sk_a"], "--out", unused])
-        assert code == 64
+    def test_type2_requires_ct(self, workspace, unused, monkeypatch):
+        # the usage is checked before any file is opened: a missing pp file
+        # read first would exit 65 ("cannot read ...")
+        opened = []
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", counted_open, raising=False)
+        for pp in (workspace["pp"], str(workspace["dir"] / "no-such-pp")):
+            code = run_command(["td", "--type", "2", "--pp", pp, "--sk", workspace["sk_a"], "--out", unused])
+            assert code == 64
+        assert opened == []
 
 
 class TestTamperingAndErrors:
@@ -814,15 +847,25 @@ class TestSerializationUnits:
         want = HEADER + 8 + 8 * (p.m * p.m + 2 * p.t + 6 * p.m) + (p.lambda_bits + 7) // 8  # header, bit length, R..c5
         assert len(blob) == want
 
-    def test_truncated_file_rejected(self, workspace):
-        blob = fileio.read_file(workspace["ct_a1"])
-        with pytest.raises(FormatError):
-            fileio.load_ciphertext(blob[:-5], MINI)
+    def test_dump_ciphertext_refuses_a_length_its_load_refuses(self, workspace):
+        ct, _ = fileio.load_ciphertext(fileio.read_file(workspace["ct_a1"]), MINI)
+        for bitlen in (MINI.t + 1, -1):
+            with pytest.raises(ParameterError, match="message length"):
+                fileio.dump_ciphertext(ct, MINI, bitlen)
+        for bitlen in (0, MINI.t):
+            assert fileio.load_ciphertext(fileio.dump_ciphertext(ct, MINI, bitlen), MINI)[1] == bitlen
 
-    def test_trailing_bytes_rejected(self, workspace):
-        blob = fileio.read_file(workspace["ct_a1"]) + b"\x00"
+    @pytest.mark.parametrize("kind", EVERY_KIND)
+    def test_truncated_file_rejected(self, every_kind, kind):
+        load, blob = every_kind[kind]
         with pytest.raises(FormatError):
-            fileio.load_ciphertext(blob, MINI)
+            load(blob[:-1])
+
+    @pytest.mark.parametrize("kind", EVERY_KIND)
+    def test_trailing_bytes_rejected(self, every_kind, kind):
+        load, blob = every_kind[kind]
+        with pytest.raises(FormatError):
+            load(blob + b"\x00")
 
 
 @pytest.mark.slow
