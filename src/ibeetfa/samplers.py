@@ -4,7 +4,11 @@ One-dimensional discrete Gaussians (sample_z_gaussian_batch) are exact
 on the support cut at 12*sigma: below sigma = 2 by inverse-CDF
 enumeration, from sigma = 2 on by rejection from a rounded, slightly
 wider continuous Gaussian (_sample_z_reject), which keeps 0.57 of its
-proposals at sigma = 2 and nearly all at the walks' sigmas.
+proposals at sigma = 2 and nearly all at the walks' sigmas.  A rejection
+round draws one normal for every pending lane, then one uniform for
+every pending lane, and then tests them REJECT_CHUNK lanes at a time
+(_reject_round), so that its arithmetic runs in cache; how the lanes are
+chunked moves no output and no stream position.
 
 Lattice Gaussians are the randomized-nearest-plane walk of
 klein_coefficients over the R factor that prepare_basis keeps of a basis
@@ -194,36 +198,54 @@ def _sample_z_reject(sigma: float, centers: np.ndarray, rng: RandomSource) -> np
     return out
 
 
+#: Lanes per pass of a rejection round (_reject_round): its arithmetic runs
+#: over chunks of this many lanes through scratch buffers of this length,
+#: which stay in cache from one pass to the next.
+REJECT_CHUNK = 1 << 13
+
+
 def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
     """One round of _sample_z_reject over every lane of centers: (round(c) + x
-    as int64, whether x is kept), in at most four 8-byte arrays a lane at a
-    time besides centers.
+    as int64, whether x is kept).
 
-    Each buffer is reused as soon as its value is spent, and every float is
-    the one the plain expressions give: (inv_s2*|d|)*|d| equals
-    (inv_s2*d)*d bit for bit, as a sign change is exact.
+    The round draws its normals for every lane, then its uniforms for every
+    lane, and then works through REJECT_CHUNK lanes at a time: each of its
+    passes reads what the one before it left in cache, in three float64
+    scratch buffers of a chunk's length.  Full-length arrays besides
+    centers are the normals and the uniforms (both overwritten in place),
+    the output and the kept flags.  Every float is the one the plain
+    expressions give: (inv_s2*|d|)*|d| equals (inv_s2*d)*d bit for bit, as
+    a sign change is exact.
     """
+    lanes = centers.shape[0]
     eps = math.sqrt(math.pi / 2.0) / sigma
     inv_s2, inv_sp2, log_m = math.pi / sigma**2, math.pi / ((1.0 + eps) * sigma**2), _SQRT_2PI / (4.0 * sigma)
-    x = np.rint(centers)
-    d = centers - x                                   # delta = c - round(c)
-    out = x.astype(np.int64)
-    v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, centers.shape[0])
-    np.add(d, v, out=x)
-    np.rint(x, out=x)
-    np.subtract(x, d, out=d)                          # d = x - delta
-    np.add(out, x, out=out, dtype=np.int64, casting="unsafe")
-    np.abs(d, out=d)
-    kept = d <= TAIL_CUT * sigma
-    np.multiply(v, inv_sp2, out=x)
-    x *= v
-    np.multiply(d, inv_s2, out=v)
-    v *= d
-    x -= v
-    x -= log_m                                        # the log of the acceptance
-    del v, d
-    u = rng.random(centers.shape[0])
-    kept &= np.log(u, out=u) < x
+    cut = TAIL_CUT * sigma
+    v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, lanes)
+    u = rng.random(lanes)
+    out, kept = np.empty(lanes, dtype=np.int64), np.empty(lanes, dtype=bool)
+    size = min(lanes, REJECT_CHUNK)
+    bufs, accept = (np.empty(size), np.empty(size), np.empty(size)), np.empty(size, dtype=bool)
+    for lo in range(0, lanes, REJECT_CHUNK):
+        hi = min(lanes, lo + REJECT_CHUNK)
+        x, d, t = (buf[: hi - lo] for buf in bufs)
+        c, vs, us, o, k = centers[lo:hi], v[lo:hi], u[lo:hi], out[lo:hi], kept[lo:hi]
+        np.rint(c, out=x)
+        np.subtract(c, x, out=d)                      # delta = c - round(c)
+        np.copyto(o, x, casting="unsafe")
+        np.add(d, vs, out=x)
+        np.rint(x, out=x)                             # the proposal x
+        np.subtract(x, d, out=d)                      # d = x - delta
+        np.add(o, x, out=o, dtype=np.int64, casting="unsafe")
+        np.abs(d, out=d)
+        np.less_equal(d, cut, out=k)
+        np.multiply(vs, inv_sp2, out=x)
+        x *= vs
+        np.multiply(d, inv_s2, out=t)
+        t *= d
+        x -= t
+        x -= log_m                                    # the log of the acceptance
+        k &= np.less(np.log(us, out=us), x, out=accept[: hi - lo])
     return out, kept
 
 

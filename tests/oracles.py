@@ -3,12 +3,13 @@
 No scheme operation calls these; they judge what the package produces.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from ibeetfa.errors import DimensionMismatch, SingularMatrix
-from ibeetfa.samplers import RandomSource
+from ibeetfa.samplers import TAIL_CUT, RandomSource
 from ibeetfa.zqlinalg import as_residues, certified_r_factor, mat_mul
 
 # Primes just below 2**25, used for randomized exact rank checks.
@@ -124,3 +125,32 @@ def check_nullspace_basis(f, s, q: int) -> bool:
     if np.any(mat_mul(f, s, q)):
         return False
     return is_nonsingular(s)
+
+
+def reject_round_reference(sigma: float, centers: np.ndarray, rng: RandomSource):
+    """One round of the sigma >= 2 rejection sampler over every lane at once,
+    as samplers._reject_round computed it before it worked in chunks:
+    (round(c) + x as int64, whether x is kept), from one normal, then one
+    uniform, per lane, each step a pass over the whole lane vector."""
+    eps = math.sqrt(math.pi / 2.0) / sigma
+    inv_s2, inv_sp2 = math.pi / sigma**2, math.pi / ((1.0 + eps) * sigma**2)
+    log_m = math.sqrt(2.0 * math.pi) / (4.0 * sigma)
+    x = np.rint(centers)
+    d = centers - x
+    out = x.astype(np.int64)
+    v = rng.normal(sigma * math.sqrt(1.0 + eps) / math.sqrt(2.0 * math.pi), centers.shape[0])
+    np.add(d, v, out=x)
+    np.rint(x, out=x)
+    np.subtract(x, d, out=d)
+    np.add(out, x, out=out, dtype=np.int64, casting="unsafe")
+    np.abs(d, out=d)
+    kept = d <= TAIL_CUT * sigma
+    np.multiply(v, inv_sp2, out=x)
+    x *= v
+    np.multiply(d, inv_s2, out=v)
+    v *= d
+    x -= v
+    x -= log_m
+    u = rng.random(centers.shape[0])
+    kept &= np.log(u, out=u) < x
+    return out, kept

@@ -38,6 +38,7 @@ from ibeetfa.trapdoor import derive_trapdoor, trap_gen, trapgen_width
 from ibeetfa.zqlinalg import center_rep, exact_int_matmul, mat_mul
 
 from conftest import MINI, random_message
+from oracles import reject_round_reference
 
 
 def gaussian_mass_moments(sigma, center, width=None):
@@ -600,6 +601,74 @@ class TestReferenceAgreement:
                 got = klein_coefficients(prep, sigma, proj, r1)
                 assert np.array_equal(got, _walk_reference(basis, sigma, proj, r2))
                 assert r1.random() == r2.random()
+
+
+#: Lane counts around REJECT_CHUNK: none, one, either side of one chunk,
+#: and several chunks and a remainder.
+_CHUNK_LANES = [0, 1, samplers.REJECT_CHUNK - 1, samplers.REJECT_CHUNK, samplers.REJECT_CHUNK + 1,
+                3 * samplers.REJECT_CHUNK + 77]
+
+
+def _signed_centers(lanes, seed, bits=51):
+    """lanes centers of both signs up to +-2**bits: half-integer ties, values
+    a step either side of them, and random magnitudes from 1 to 2**bits."""
+    rng = RandomSource(seed)
+    top = 2.0**bits
+    specials = np.array([0.0, 0.5, -0.5, 2.5, -3.5, top, -top, top - 0.5, -top + 0.5, 1e6 + 0.5, -1e6 - 0.5])
+    specials = np.concatenate([specials, np.nextafter(specials, np.inf), np.nextafter(specials, -np.inf)])
+    spread = np.exp2(rng.random(lanes) * bits) * (rng.integers(0, 2, lanes) * 2.0 - 1.0) + rng.random(lanes)
+    return np.concatenate([specials, spread])[:lanes]
+
+
+class TestChunkedRound:
+    """A rejection round works through REJECT_CHUNK lanes at a time and
+    gives, bit for bit, what one pass over every lane gave
+    (oracles.reject_round_reference): every output, every kept flag, and
+    the stream position after it."""
+
+    @pytest.mark.parametrize("sigma", [2.0, 4.47, 2.3e5])
+    @pytest.mark.parametrize("lanes", _CHUNK_LANES)
+    def test_round_matches_the_unchunked_round(self, sigma, lanes):
+        centers = _signed_centers(lanes, 95)
+        r1, r2 = RandomSource(96), RandomSource(96)
+        out, kept = samplers._reject_round(sigma, centers, r1)
+        want_out, want_kept = reject_round_reference(sigma, centers, r2)
+        assert out.dtype == np.int64 and kept.dtype == bool
+        assert np.array_equal(kept, want_kept) and np.array_equal(out, want_out)
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("sigma", [2.0, 4.47, 2.3e5])
+    @pytest.mark.parametrize("lanes", _CHUNK_LANES)
+    def test_sampler_matches_the_unchunked_rounds(self, sigma, lanes, monkeypatch):
+        # every round of a call, refused lanes included, against the same
+        # call whose rounds are the reference's; centers up to 2**44 keep a
+        # call's sum of squares below the 2**104 it accepts
+        centers = _signed_centers(lanes, 97, bits=44)
+        r1, r2 = RandomSource(98), RandomSource(98)
+        got = sample_z_gaussian_batch(sigma, centers, r1)
+        monkeypatch.setattr(samplers, "_reject_round", reject_round_reference)
+        assert np.array_equal(got, sample_z_gaussian_batch(sigma, centers, r2))
+        assert r1.random() == r2.random()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0 / math.sqrt(2 * math.pi), 4.47, 2.3e5])
+    def test_normals_are_the_generators(self, scale):
+        # RandomSource.normal(s) is numpy's Generator.normal(0, s) on the
+        # same PCG64 stream, and so standard normals times s, bit for bit
+        for size in (1, 5000):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
+            std = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
+            got = RandomSource(99).normal(scale, size)
+            assert np.array_equal(got.view(np.uint64), gen.normal(0.0, scale, size).view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), (std.standard_normal(size) * scale).view(np.uint64))
+
+    @pytest.mark.parametrize("sigma, centers", [
+        (4.47, [0.0, math.nan]), (2.3e5, [math.nan]), (0.0, [0.0]), (-4.47, [1.0]), (-0.0, [0.0]),
+    ])
+    def test_lanes_are_still_checked(self, sigma, centers):
+        with pytest.raises(SamplingError, match="sigma must be positive"):
+            samplers._check_lanes(sigma, np.asarray(centers, dtype=np.float64))
+        with pytest.raises(SamplingError, match="sigma must be positive"):
+            sample_z_gaussian_batch(sigma, centers, RandomSource(100))
 
 
 #: Uniforms at the edges of the bound: 0 (t = -inf), tiny ones, 1/2 (where
