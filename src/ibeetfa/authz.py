@@ -34,8 +34,8 @@ from .scheme import (
     compute_f,
     decode_with_preimage,
     frozen_array,
+    intact_tag_product,
     read_only,
-    tag_product,
 )
 from .trapdoor import sample_left
 
@@ -100,10 +100,10 @@ def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rn
     """Ciphertext-bound trapdoor, or None if the ciphertext fails integrity."""
     if ident.bits != sk.identity.bits:
         raise ParameterError("secret key belongs to a different identity")
-    if not ciphertext_integrity_ok(pp, ct):
+    ar = intact_tag_product(pp, ct)
+    if ar is None:
         return None
     p = pp.params
-    ar = tag_product(pp, ct.r_tag)
     f_prime = compute_f(pp, ident, "prime")
     # Sampled afresh against this ciphertext's A@R, with a Gaussian A@R-side
     # block: the key's ciphertext-independent preimage of U would let the

@@ -361,7 +361,7 @@ def prepare_basis(basis, w):
         v = h[j, j + 1 :]
         s = tau[j] * (proj[j] + v @ proj[j + 1 :])
         proj[j] -= s
-        proj[j + 1 :] -= np.outer(v, s)
+        proj[j + 1 :] -= v[:, None] * s
     r = np.zeros(r_factor_words(d))
     for lo, hi, block in _r_blocks(r, d):
         block[...] = h[lo:, lo:hi].T

@@ -414,9 +414,9 @@ def tag_product(pp: PublicParams, r_tag) -> np.ndarray:
 
     exact_int_matmul then gives the exact integer product (one float64
     product at the presets) without mat_mul's per-entry reduction and
-    limb split.  Encrypt draws R in range and td2 calls this only on an
-    intact ciphertext, whose R is range-checked; any other R raises
-    ParameterError.
+    limb split.  Encrypt draws R in range; any other R raises
+    ParameterError.  An intact ciphertext's R was range-checked by
+    Ciphertext.intact, so td2 takes intact_tag_product instead.
     """
     r_tag = np.asarray(r_tag, dtype=np.int64)
     require_tag_in_range(r_tag, pp.params.ell)
@@ -525,6 +525,18 @@ def checked_preimage(pp: PublicParams, ident: Identity, which: str, e) -> np.nda
 def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
     """Whether ct passes its integrity check under pp's parameters (Ciphertext.intact)."""
     return ct.intact(pp.params)
+
+
+def intact_tag_product(pp: PublicParams, ct: Ciphertext) -> np.ndarray | None:
+    """A @ R mod q for ct's tag matrix R (as tag_product), or None if ct is
+    not intact under pp's parameters (ciphertext_integrity_ok).
+
+    Ciphertext.intact has range-checked R when it hashed the tag it keeps,
+    and a Ciphertext's arrays are read-only, so R is not checked again.
+    """
+    if not ciphertext_integrity_ok(pp, ct):
+        return None
+    return exact_int_matmul(pp.a, ct.r_tag) % pp.params.q
 
 
 def decrypt(pp: PublicParams, sk: KeyPreimage, ct: Ciphertext, rng: RandomSource):

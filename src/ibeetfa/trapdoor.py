@@ -441,10 +441,14 @@ class GadgetTrapdoor:
     with parameter matrix c*I - s_G^2 W W^T, c = SAMPLE_D_MARGIN *
     (s_G * s1(W))^2, rounded at width r = sqrt(sigma^2 - c) (Peikert,
     CRYPTO 2010), and z the walk's preimage of u - A @ p under G at width
-    s_G over S_G = I_n (x) S_k.  The eigendecomposition of W^T W, and S_G's
-    TrapdoorBasis of G, are built here; nothing is built later, so there
-    is no lock.  sample_left checks A before each draw (require).  T_A is
-    built only on access (basis).
+    s_G over S_G = I_n (x) S_k.  G = I_n (x) g^T and S_G are block
+    diagonal, so each of the n rows of u - A @ p is an independent walk
+    over S_k under the gadget row g^T: the n blocks are walked as n times
+    the lanes of one k-row walk over S_k, not as one nk-row walk.  The
+    eigendecomposition of W^T W, and S_k's TrapdoorBasis of g^T (one
+    k x k QR), are built here; nothing is built later, so there is no
+    lock.  sample_left checks A before each draw (require).  T_A is built
+    only on access (basis).
     """
 
     def __init__(self, a_bar, r_bar, q: int):
@@ -455,7 +459,6 @@ class GadgetTrapdoor:
         self.r_bar.setflags(write=False)
         n, nk = self.a_bar.shape[0], self.r_bar.shape[1]
         self.dim = self.a_bar.shape[1] + nk
-        self.g = gadget_matrix(n, q)
         self.width_g = gadget_width(n, q)
         self._w = np.vstack([self.r_bar, np.eye(nk, dtype=np.int64)]).astype(np.float64)
         lam, vecs = np.linalg.eigh(self._w.T @ self._w)  # every eigenvalue >= 1
@@ -463,8 +466,8 @@ class GadgetTrapdoor:
         self.scale = SAMPLE_D_MARGIN * (self.width_g * self.s1) ** 2  # c
         # sqrt(c*I - s_G^2 W W^T) = sqrt(c)*I + W @ root @ W^T
         self._root = (vecs * ((np.sqrt(self.scale - self.width_g**2 * lam) - math.sqrt(self.scale)) / lam)) @ vecs.T
-        s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, gadget_length(q)))
-        self.g_trapdoor = derive_trapdoor(self.g, s_g, q)
+        self.g_row = gadget_matrix(1, q)
+        self.g_trapdoor = derive_trapdoor(self.g_row, _gadget_block(q, gadget_length(q)), q)
 
     @property
     def basis(self) -> np.ndarray:
@@ -488,6 +491,16 @@ class GadgetTrapdoor:
         g += h
         return g
 
+    def g_preimages(self, v: np.ndarray, rng: RandomSource) -> np.ndarray:
+        """The walk's preimages z (nk x cols) of the n x cols residues v under
+        G at width s_G: row i of v is G's block i, lanes i*cols to
+        (i + 1)*cols - 1 of one walk over S_k under g^T, and the k x n*cols
+        preimages of that walk are z's rows i*k to i*k + k - 1."""
+        n, cols = v.shape
+        k = self.g_row.shape[1]
+        z = self.g_trapdoor.preimages(self.g_row, v.reshape(1, -1), self.q, self.width_g, rng)
+        return z.reshape(k, n, cols).transpose(1, 0, 2).reshape(n * k, cols)
+
     def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
                   rng: RandomSource) -> np.ndarray:
         """SampleD's preimages of the n x k targets under A, which sample_left
@@ -495,7 +508,7 @@ class GadgetTrapdoor:
         p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
         x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
         del p
-        z = self.g_trapdoor.preimages(self.g, (targets - mat_mul(a, x, q)) % q, q, self.width_g, rng)
+        z = self.g_preimages((targets - mat_mul(a, x, q)) % q, rng)
         m_bar = self.r_bar.shape[0]
         x[:m_bar] += exact_int_matmul(self.r_bar, z)
         x[m_bar:] += z

@@ -10,6 +10,7 @@ import numpy as np
 
 from ibeetfa.errors import DimensionMismatch, SingularMatrix
 from ibeetfa.samplers import TAIL_CUT, RandomSource
+from ibeetfa.trapdoor import _gadget_block, derive_trapdoor, gadget_length, gadget_matrix
 from ibeetfa.zqlinalg import as_residues, certified_r_factor, mat_mul
 
 # Primes just below 2**25, used for randomized exact rank checks.
@@ -154,3 +155,14 @@ def reject_round_reference(sigma: float, centers: np.ndarray, rng: RandomSource)
     u = rng.random(centers.shape[0])
     kept &= np.log(u, out=u) < x
     return out, kept
+
+
+def s_g_walk(td, v: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """A GadgetTrapdoor's G-step as one walk over the whole nk x nk basis
+    S_G = I_n (x) S_k under G, nk rows deep, one lane per column of the
+    n x cols residues v: the walk GadgetTrapdoor.g_preimages replaces by
+    one over S_k with n times the lanes."""
+    n = v.shape[0]
+    g = gadget_matrix(n, td.q)
+    s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(td.q, gadget_length(td.q)))
+    return derive_trapdoor(g, s_g, td.q).preimages(g, v, td.q, td.width_g, rng)

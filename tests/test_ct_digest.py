@@ -230,7 +230,8 @@ class TestTagRange:
 
 class TestRangeCheckedOnce:
     """Ciphertext.intact range-checks R once per tag: canonical_ct_bytes'
-    check, whose ParameterError reads as not intact."""
+    check, whose ParameterError reads as not intact.  td2 and td3_ct ask
+    intact first and take A @ R without checking R again."""
 
     @pytest.fixture
     def range_checks(self, monkeypatch):
@@ -248,6 +249,15 @@ class TestRangeCheckedOnce:
         out_of_range = dict(_r_word_changes(blob))["zero entry +256"]
         assert not _load(out_of_range).intact(MINI)
         assert range_checks.calls == hashes.calls == 2
+
+    def test_td2_and_td3_ct_check_once(self, mini_system, mini_key, sent, range_checks, hashes):
+        pp, _ = mini_system
+        ident, sk = mini_key
+        _, _, blob = sent
+        for issue in (td2, td3_ct):
+            range_checks.calls = hashes.calls = 0
+            assert issue(pp, sk, ident, _load(blob), RandomSource(441)) is not None
+            assert range_checks.calls == hashes.calls == 1, issue.__name__
 
     def test_malformed_r_still_raises(self, sent):
         _, ct, _ = sent
@@ -314,9 +324,19 @@ class TestGoldenBytes:
     How encrypt computes its products, how a Ciphertext stores its arrays
     and how extract walks and certifies must not move a byte; only a
     deliberate change of the file format or of what extract, encrypt and
-    td2 sample may change these values.  Every value last changed with
-    the aligned file layout (every kind's version moved once): a 112-byte
-    header with a reserved zero byte, every section on an 8-byte boundary
+    td2 sample may change these values.  SK, TD1, TD2, TD3_BASIS and
+    TD3_CT last changed when SampleD's G-step began walking S_k once over
+    n times the lanes (the n blocks of S_G = I_n (x) S_k as lanes of one
+    k-row walk under the gadget row) in place of one nk-row walk over S_G:
+    the distribution is the same, but every master draw of extract takes
+    its normals and uniforms in another order, so R_ID, e_F, e_F' and
+    E'_ID moved (SK), e_F' is TD1 and TD3_BASIS, and td2 and td3_ct walk
+    with the new E'_ID (TD2, TD3_CT).  Setup and encrypt draw nothing
+    through a master trapdoor, so PP, MSK, CT and CT_BODY stayed; at n = 1,
+    where S_G is S_k, every draw stayed.  The rejection rounds' work in
+    chunks of lanes, landed just before, moved no byte.  Before that,
+    every value changed with the aligned file layout (every kind's version
+    moved once): a 112-byte header with a reserved zero byte, every section on an 8-byte boundary
     after zero pad bytes, and the user secret key's sections reordered
     into its prefix (identity, R_ID, e_F, e_F', Abar_ID) and the rest
     (E'_ID, R as the walk's row blocks, the coset map).  No sampled array
@@ -355,13 +375,13 @@ class TestGoldenBytes:
 
     CT = "dace951db9efae96a09bc5e518428dbdf3c3190353ba455f5623a5303f84acf4"
     CT_BODY = "600add26b48e524db82305932effdaf1fa64452e7b117a57952f69f2db98d56c"
-    TD2 = "48d2f1ee8a90cb8d6deebdd06745b24b8ee06830331e28a2c7d85dc689af6dca"
-    SK = "58e5649ae6c58f79ad401bafb3a69dca9f62eaf4c1ec233f4e44e84faf958f45"
+    TD2 = "13497ef2c15a8d7002d2c388ec88e104f4b20a8da0a4883bf850329172c4b626"
+    SK = "a311f8f96726a0567eb96c9cdab31031d8032ebbdfcf87371960e1a37fd15148"
     PP = "45d8ba2c8c87a1cc90daa6b4dd8e2548b6215bfcbddc829e108b8fa3710fa088"
     MSK = "3429fc67961e7ab64f5d74d3c8e08436f2a8fed1e373c0932726f008c04e5243"
-    TD1 = "f02edaff58c725ce35433e3f2cd856a0dd059c04def936be7fc4efff22134219"
-    TD3_BASIS = "c353fc5867614cf25c801a5e72dd0b8c9783c7cff60329a87fd061b57ef15e71"
-    TD3_CT = "26e9f8cee7d2f87e0a1ebaf870d36217b976353ca2ac36d60a3c51f25f875c9f"
+    TD1 = "1c8cf512529b87d470504f1d719ed565c2ca50d8f26912edf3bc0bd3abfe9673"
+    TD3_BASIS = "da21f440d7c46f6503a657dc2b2ad95dcc5237440e4163b5807e65c63f67a9c4"
+    TD3_CT = "efff17c363ade9b0826145c21baadbb32b61fb98d62ef8bc9539aed12f9e7a1b"
 
     def test_setup_bytes(self, mini_system):
         pp, msk = mini_system

@@ -1,6 +1,7 @@
 """Trapdoor generation and preimage/basis sampling."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
 import os
@@ -26,6 +27,7 @@ from ibeetfa.trapdoor import (
     bound_gs,
     derive_trapdoor,
     gadget_length,
+    gadget_matrix,
     sample_basis_left,
     sample_left,
     trap_gen,
@@ -40,7 +42,8 @@ from ibeetfa.zqlinalg import (
 )
 
 from conftest import MINI, CallCounter, random_message
-from oracles import check_nullspace_basis, is_nonsingular, operator_norm
+from oracles import check_nullspace_basis, is_nonsingular, operator_norm, s_g_walk
+from test_file_layout import ODD
 
 Q_SMALL = 4093
 TOY = preset("toy")
@@ -120,12 +123,13 @@ class TestTrapGen:
                 solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
                 rebuilt = GadgetTrapdoor(pair.a[:, : m - n * k].copy(), r_bar, q)
                 assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
-        # SampleD's G-sampling walks S_G with G's coset map: the unit digit of
-        # each row is its pivot, so E = I
+        # SampleD's G-sampling walks S_k under the gadget row g^T, once for
+        # all n blocks of G: its unit digit is the one pivot, so E = [1]
         g_td = pair.trapdoor.g_trapdoor
-        g_td.require(gadget, q)
-        assert np.array_equal(g_td.pivots, np.arange(n) * k)
-        assert np.array_equal(g_td.elim, np.eye(n, dtype=np.int64))
+        g_td.require(gadget[:1, :k], q)
+        assert g_td.basis.shape == (k, k)
+        assert np.array_equal(g_td.pivots, [0])
+        assert np.array_equal(g_td.elim, [[1]])
 
 
 class TestSamplePre:
@@ -531,10 +535,10 @@ class TestSampleD:
         loaded = fileio.load_master_secret(fileio.dump_master_secret(msk, MINI), pp)
         scheme.extract(pp, loaded, identity_from_string("nina", MINI.ell), RandomSource(491))
         assert loaded.element_count() == 2 * MINI.m**2
-        nk = MINI.n * gadget_length(MINI.q)
+        k = gadget_length(MINI.q)
         assert built == []
-        # S_G of each master trapdoor at load, then E'_ID's certificate
-        assert prepared == [(nk, nk), (nk, nk), (2 * MINI.m, 2 * MINI.m)]
+        # S_k of each master trapdoor at load, then E'_ID's certificate
+        assert prepared == [(k, k), (k, k), (2 * MINI.m, 2 * MINI.m)]
 
     def test_master_draws_do_not_follow_the_blas_thread_count(self):
         here = os.path.dirname(os.path.abspath(__file__))
@@ -546,6 +550,64 @@ class TestSampleD:
                                  capture_output=True, text=True, timeout=300)
             digests.append(out.stdout.split())
         assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
+#: SHA-256 of R_ID, e_F, e_F' and E'_ID of one seeded n = 1 extract,
+#: taken while SampleD's G-step was one walk over S_G under G.
+_ODD_DRAWS = [
+    "d7884fcde0f7b2bf45de130fcfaa9435faf870a6c01b2f0bffdf4527083eab5e",
+    "274527f5dd79daaffb8dc9dc86db02c56530263635aa5c5afc183435d1c87b1f",
+    "6cedd3fc570c094ee7c9e1cb44c387f25bf2807ed2b24a1659bfecccc8b8ae0d",
+    "5d8c96fb7b25de96e17d22e6a1949c766cb0498e09c25122e646b4facb071073",
+]
+
+
+class TestGadgetStep:
+    """SampleD's G-step walks S_k once, over n times the lanes
+    (GadgetTrapdoor.g_preimages).  S_G = I_n (x) S_k is block diagonal, so
+    its n blocks are independent walks over S_k: the nk-row walk over S_G
+    (oracles.s_g_walk) in distribution, and at n = 1, where S_G is S_k,
+    draw for draw."""
+
+    @pytest.mark.parametrize("p", [ODD, MINI, TOY], ids=["n=1", "MINI", "toy"])
+    def test_every_column_is_a_preimage(self, p):
+        td = trap_gen(p.q, p.n, p.m, RandomSource(503)).trapdoor
+        v = RandomSource(509).integers(0, p.q, (p.n, 40))
+        v[:, :3] = [0, 1, p.q - 1]
+        z = td.g_preimages(v, RandomSource(521))
+        assert z.shape == (p.n * gadget_length(p.q), 40) and z.dtype == np.int64
+        assert np.array_equal(mat_mul(gadget_matrix(p.n, p.q), z, p.q), v)
+
+    def test_one_block_draws_what_the_s_g_walk_drew(self):
+        td = trap_gen(ODD.q, ODD.n, ODD.m, RandomSource(523)).trapdoor
+        v = RandomSource(541).integers(0, ODD.q, (1, 64))
+        r1, r2 = RandomSource(547), RandomSource(547)
+        assert np.array_equal(td.g_preimages(v, r1), s_g_walk(td, v, r2))
+        assert r1.random() == r2.random()
+
+    def test_one_block_keys_did_not_move(self):
+        pp, msk = scheme.setup(ODD, RandomSource(0x0DD1))
+        sk = scheme.extract(pp, msk, identity_from_string("odd", ODD.ell), RandomSource(0x0DD3))
+        digests = [hashlib.sha256(arr.tobytes()).hexdigest() for arr in (sk.r_id, sk.e_f, sk.e_f_prime, sk.e_id_prime)]
+        assert digests == _ODD_DRAWS
+
+    def test_moments_match_the_s_g_walk(self, mini_system):
+        # per coordinate of z over 20,000 preimages of one target at MINI
+        # (n = 2): the means differ by less than 5 standard errors and the
+        # variances by less than 5 standard errors of their difference,
+        # 2 var/sqrt(count) for a near-Gaussian coordinate
+        _, msk = mini_system
+        td, count = msk.trapdoor_a, 20_000
+        v = np.repeat(RandomSource(557).integers(0, MINI.q, (MINI.n, 1)), count, axis=1)
+        got = td.g_preimages(v, RandomSource(563)).astype(np.float64)
+        want = s_g_walk(td, v, RandomSource(569)).astype(np.float64)
+        assert got.shape == want.shape == (MINI.n * gadget_length(MINI.q), count)
+        var_got, var_want = got.var(axis=1), want.var(axis=1)
+        assert var_want.min() > 1.0
+        gap = np.abs(got.mean(axis=1) - want.mean(axis=1))
+        assert np.all(gap < 5 * np.sqrt((var_got + var_want) / count)), gap
+        spread = np.maximum(var_got, var_want)
+        assert np.all(np.abs(var_got - var_want) < 5 * 2 * spread / math.sqrt(count)), (var_got, var_want)
 
 
 class TestCosetMapBinding:
