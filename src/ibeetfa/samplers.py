@@ -211,7 +211,7 @@ def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
     The round draws its normals for every lane, then its uniforms for every
     lane, and then works through REJECT_CHUNK lanes at a time: each of its
     passes reads what the one before it left in cache, in three float64
-    scratch buffers of a chunk's length.  Full-length arrays besides
+    scratch rows of a chunk's length.  Full-length arrays besides
     centers are the normals and the uniforms (both overwritten in place),
     the output and the kept flags.  Every float is the one the plain
     expressions give: (inv_s2*|d|)*|d| equals (inv_s2*d)*d bit for bit, as
@@ -224,11 +224,11 @@ def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
     v = rng.normal(sigma * math.sqrt(1.0 + eps) / _SQRT_2PI, lanes)
     u = rng.random(lanes)
     out, kept = np.empty(lanes, dtype=np.int64), np.empty(lanes, dtype=bool)
-    size = min(lanes, REJECT_CHUNK)
-    bufs, accept = (np.empty(size), np.empty(size), np.empty(size)), np.empty(size, dtype=bool)
+    x, d, t = np.empty((3, min(lanes, REJECT_CHUNK)))
     for lo in range(0, lanes, REJECT_CHUNK):
         hi = min(lanes, lo + REJECT_CHUNK)
-        x, d, t = (buf[: hi - lo] for buf in bufs)
+        if hi - lo < x.shape[0]:                      # the last chunk is shorter
+            x, d, t = x[: hi - lo], d[: hi - lo], t[: hi - lo]
         c, vs, us, o, k = centers[lo:hi], v[lo:hi], u[lo:hi], out[lo:hi], kept[lo:hi]
         np.rint(c, out=x)
         np.subtract(c, x, out=d)                      # delta = c - round(c)
@@ -245,7 +245,7 @@ def _reject_round(sigma: float, centers: np.ndarray, rng: RandomSource):
         t *= d
         x -= t
         x -= log_m                                    # the log of the acceptance
-        k &= np.less(np.log(us, out=us), x, out=accept[: hi - lo])
+        k &= np.log(us, out=us) < x
     return out, kept
 
 

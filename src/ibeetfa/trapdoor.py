@@ -14,7 +14,7 @@ The scheme samples through two functions only: sample_left, which draws
 preimages of an n x k target matrix under (A | M) with a trapdoor for A
 and checks every column it returns, and sample_basis_left, which builds a
 delegated basis (and preimages of U) from one sample_left batch.  With a
-short basis (TrapdoorBasis: a user key's E'_ID, and S_G inside SampleD)
+short basis (TrapdoorBasis: a user key's E'_ID, and S_k inside SampleD)
 the A-side is the randomized nearest plane of samplers.py, over the R
 factor of the basis only.  Every coset representative c is the mod-q
 solution y = center_rep(E @ targets) on the basis's n pivot rows (the
