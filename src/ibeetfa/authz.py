@@ -34,10 +34,9 @@ from .scheme import (
     compute_f,
     decode_with_preimage,
     frozen_array,
-    intact_tag_product,
-    read_only,
 )
 from .trapdoor import sample_left
+from .zqlinalg import mat_mul, read_only
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,17 @@ def td1(sk: KeyPreimage, ident: Identity) -> TrapdoorT1:
 
 
 def td2(pp: PublicParams, sk: UserSecretKey, ident: Identity, ct: Ciphertext, rng: RandomSource):
-    """Ciphertext-bound trapdoor, or None if the ciphertext fails integrity."""
+    """Ciphertext-bound trapdoor, or None if the ciphertext fails integrity.
+
+    The integrity check (Ciphertext.intact) is the one range check of the
+    tag matrix R; A @ R is then one mat_mul, exact for any R.
+    """
     if ident.bits != sk.identity.bits:
         raise ParameterError("secret key belongs to a different identity")
-    ar = intact_tag_product(pp, ct)
-    if ar is None:
+    if not ciphertext_integrity_ok(pp, ct):
         return None
     p = pp.params
+    ar = mat_mul(pp.a, ct.r_tag, p.q)
     f_prime = compute_f(pp, ident, "prime")
     # Sampled afresh against this ciphertext's A@R, with a Gaussian A@R-side
     # block: the key's ciphertext-independent preimage of U would let the

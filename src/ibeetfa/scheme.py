@@ -26,7 +26,7 @@ the basis on a worker thread that the call starts and joins
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .hashing import (
     canonical_ct_bytes,
     hash_h,
     hash_hprime,
-    require_tag_in_range,
 )
 from .params import ParamSet, require_valid
 from .samplers import (
@@ -56,7 +55,7 @@ from .trapdoor import (
     sample_left,
     trap_gen,
 )
-from .zqlinalg import concat_cols, exact_int_matmul, int32_matrix, mat_mul
+from .zqlinalg import concat_cols, int32_matrix, mat_mul, read_only
 
 _EXTRACT_ATTEMPTS = 8
 
@@ -80,14 +79,6 @@ def _memory_owner(arr):
     while isinstance(arr, np.ndarray):
         arr = arr.base
     return arr.obj if isinstance(arr, memoryview) else arr
-
-
-def read_only(arr) -> np.ndarray:
-    """A read-only view of arr, for an array the holder owns: no copy, and no
-    write through the view."""
-    out = np.asarray(arr).view()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -229,22 +220,13 @@ class UserSecretKey(KeyPreimage):
     key holds no lazy state: its trapdoor is checked against F'_ID on
     every draw (TrapdoorBasis.require).
 
-    E'_ID is int32 like the KeyPreimage's matrices, narrowed here.  Its
-    TrapdoorBasis is held with its basis narrowed, and E'_ID, its R
-    buffer, pivots, E and P as read-only views (dataclasses.replace): no
-    second copy of the key's largest arrays is made.
+    E'_ID is int32 like the KeyPreimage's matrices: its TrapdoorBasis
+    narrows it when it is made and holds it, its R buffer, pivots, E and
+    P as read-only views, so the key holds that trapdoor as it is, with
+    no second copy of the key's largest arrays.
     """
 
     trapdoor_prime: TrapdoorBasis
-
-    def __post_init__(self):
-        super().__post_init__()
-        td = self.trapdoor_prime
-        basis = int32_matrix(td.basis, "user secret key: E'_ID")
-        prep = replace(td.prep, r=read_only(td.prep.r), gs_norms=read_only(td.prep.gs_norms))
-        object.__setattr__(self, "trapdoor_prime", replace(
-            td, basis=read_only(basis), prep=prep, pivots=read_only(td.pivots),
-            elim=read_only(td.elim), proj=read_only(td.proj)))
 
     @property
     def e_id_prime(self) -> np.ndarray:
@@ -409,20 +391,6 @@ def _message_bits(msg, t: int) -> np.ndarray:
     return bits
 
 
-def tag_product(pp: PublicParams, r_tag) -> np.ndarray:
-    """A @ R mod q for a ciphertext's tag matrix R, whose entries lie in [-ell, ell].
-
-    exact_int_matmul then gives the exact integer product (one float64
-    product at the presets) without mat_mul's per-entry reduction and
-    limb split.  Encrypt draws R in range; any other R raises
-    ParameterError.  An intact ciphertext's R was range-checked by
-    Ciphertext.intact, so td2 takes intact_tag_product instead.
-    """
-    r_tag = np.asarray(r_tag, dtype=np.int64)
-    require_tag_in_range(r_tag, pp.params.ell)
-    return exact_int_matmul(pp.a, r_tag) % pp.params.q
-
-
 def encrypt_traced(
     pp: PublicParams,
     ident: Identity,
@@ -464,18 +432,16 @@ def encrypt_traced(
     r_id = sample_sign_sum(ell, m, rng)
     r_tag = sample_bounded_matrix(ell, m, rng)
 
-    # R and R_ID have entries in [-ell, ell], so exact_int_matmul gives the
-    # exact integer products (one float64 product at the presets) and % q
-    # the residues mat_mul would, without its per-entry reduction and limb split
     f_id = compute_f(pp, ident, "primary")
     f_id_prime = compute_f(pp, ident, "prime")
-    ar = tag_product(pp, r_tag)
+    ar = mat_mul(pp.a, r_tag, q)
     f1 = concat_cols([f_id, ar])
     f2 = concat_cols([f_id_prime, ar])
 
+    # y^T first keeps the m x m operand contiguous in the product
     y = np.column_stack([y1, y2])
-    z1, z2 = exact_int_matmul(r_id.T, y).T % q
-    rr1, rr2 = exact_int_matmul(r_tag.T, y).T % q
+    z1, z2 = mat_mul(y.T, r_id, q)
+    rr1, rr2 = mat_mul(y.T, r_tag, q)
 
     c3 = (mat_mul(f1.T, s1, q) + np.concatenate([y1, z1, rr1])) % q
     c4 = (mat_mul(f2.T, s2, q) + np.concatenate([y2, z2, rr2])) % q
@@ -525,18 +491,6 @@ def checked_preimage(pp: PublicParams, ident: Identity, which: str, e) -> np.nda
 def ciphertext_integrity_ok(pp: PublicParams, ct: Ciphertext) -> bool:
     """Whether ct passes its integrity check under pp's parameters (Ciphertext.intact)."""
     return ct.intact(pp.params)
-
-
-def intact_tag_product(pp: PublicParams, ct: Ciphertext) -> np.ndarray | None:
-    """A @ R mod q for ct's tag matrix R (as tag_product), or None if ct is
-    not intact under pp's parameters (ciphertext_integrity_ok).
-
-    Ciphertext.intact has range-checked R when it hashed the tag it keeps,
-    and a Ciphertext's arrays are read-only, so R is not checked again.
-    """
-    if not ciphertext_integrity_ok(pp, ct):
-        return None
-    return exact_int_matmul(pp.a, ct.r_tag) % pp.params.q
 
 
 def decrypt(pp: PublicParams, sk: KeyPreimage, ct: Ciphertext, rng: RandomSource):

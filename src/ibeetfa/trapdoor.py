@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,9 +58,11 @@ from .zqlinalg import (
     check_modulus,
     concat_cols,
     exact_int_matmul,
+    int32_matrix,
     int_array,
     mat_mul,
     qr_singularity_bound,
+    read_only,
     solve_mod,
 )
 
@@ -229,8 +231,9 @@ def require_gadget_trapdoor(a: np.ndarray, r_bar: np.ndarray, q: int) -> None:
 def derive_trapdoor(a: np.ndarray, basis, q: int) -> TrapdoorBasis:
     """A fresh TrapdoorBasis of A: the R factor of the basis and its
     projections P = Q^T W, from one QR (samplers.prepare_basis:
-    SingularMatrix unless it certifies the basis)."""
-    basis = int_array(basis)
+    SingularMatrix unless it certifies the basis) of the basis narrowed
+    to int32 first, as the TrapdoorBasis holds it."""
+    basis = int32_matrix(basis, "trapdoor basis")
     # solve_mod of the identity is E on the pivot rows and zero elsewhere
     x = solve_mod(a, np.eye(a.shape[0], dtype=np.int64), q)
     pivots = np.flatnonzero(x.any(axis=1))
@@ -287,16 +290,25 @@ class TrapdoorBasis:
     (derive_trapdoor, one QR for the R factor and P) or loaded
     (adopt_trapdoor, a key file's R, pivots, E and P checked against the
     basis).  Nothing is written to it afterwards, so one instance may serve
-    concurrent calls.  The basis is int32 or int64: a user key's E'_ID is
-    int32 (scheme.UserSecretKey swaps it in with dataclasses.replace).
+    concurrent calls.  It holds its basis at int32 (zqlinalg.int32_matrix:
+    ParameterError for an entry outside it, so a key dump cannot write
+    never exists), and the basis, R, pivots, E and P as read-only views
+    (zqlinalg.read_only).
     """
 
-    basis: np.ndarray        # int32 or int64, d x d, columns are basis vectors
+    basis: np.ndarray        # int32, d x d, columns are basis vectors
     prep: PreparedBasis      # its R factor
     q: int
     pivots: np.ndarray       # n distinct rows of the basis: A's pivot columns
     elim: np.ndarray         # n x n residues, E
     proj: np.ndarray         # d x n float64, P = Q^T W
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", read_only(int32_matrix(self.basis, "trapdoor basis")))
+        for name in ("pivots", "elim", "proj"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        object.__setattr__(self, "prep", replace(
+            self.prep, r=read_only(self.prep.r), gs_norms=read_only(self.prep.gs_norms)))
 
     def require(self, a: np.ndarray, q: int) -> None:
         """KeyMismatch (a ParameterError) unless this is a trapdoor of A for
@@ -492,14 +504,12 @@ class GadgetTrapdoor:
         return g
 
     def g_preimages(self, v: np.ndarray, rng: RandomSource) -> np.ndarray:
-        """The walk's preimages z (nk x cols) of the n x cols residues v under
-        G at width s_G: row i of v is G's block i, lanes i*cols to
-        (i + 1)*cols - 1 of one walk over S_k under g^T, and the k x n*cols
-        preimages of that walk are z's rows i*k to i*k + k - 1."""
-        n, cols = v.shape
-        k = self.g_row.shape[1]
-        z = self.g_trapdoor.preimages(self.g_row, v.reshape(1, -1), self.q, self.width_g, rng)
-        return z.reshape(k, n, cols).transpose(1, 0, 2).reshape(n * k, cols)
+        """The walk's preimages of the n x cols residues v under G at width
+        s_G, in the walk's order: row i of v is G's block i, lanes i*cols to
+        (i + 1)*cols - 1 of one walk over S_k under g^T, so columns i*cols
+        to (i + 1)*cols - 1 of the k x n*cols result are rows i*k to
+        i*k + k - 1 of the nk x cols preimage z under G."""
+        return self.g_trapdoor.preimages(self.g_row, v.reshape(1, -1), self.q, self.width_g, rng)
 
     def preimages(self, a: np.ndarray, targets: np.ndarray, q: int, sigma: float,
                   rng: RandomSource) -> np.ndarray:
@@ -508,10 +518,14 @@ class GadgetTrapdoor:
         p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
         x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
         del p
+        cols = targets.shape[1]
         z = self.g_preimages((targets - mat_mul(a, x, q)) % q, rng)
-        m_bar = self.r_bar.shape[0]
-        x[:m_bar] += exact_int_matmul(self.r_bar, z)
-        x[m_bar:] += z
+        # x += [Rbar; I] @ z, a gadget block of z at a time as the walk left it
+        m_bar, k = self.r_bar.shape[0], z.shape[0]
+        for i, lo in enumerate(range(0, self.r_bar.shape[1], k)):
+            block = z[:, i * cols : (i + 1) * cols]
+            x[:m_bar] += exact_int_matmul(self.r_bar[:, lo : lo + k], block)
+            x[m_bar + lo : m_bar + lo + k] += block
         return x
 
 
@@ -581,9 +595,9 @@ def _basis_from_preimages(sampler, f: np.ndarray, q: int) -> tuple[TrapdoorBasis
     """
     dim = f.shape[1]
     batch = sampler(dim)
-    # both parts are copied, and the batch dropped, so that nothing keeps
-    # the whole batch alive through the QR
-    basis, rest = np.ascontiguousarray(batch[:, :dim]), batch[:, dim:].copy()
+    # both parts are copied, the basis at int32, and the batch dropped, so
+    # that nothing keeps the whole batch alive through the QR
+    basis, rest = int32_matrix(batch[:, :dim], "trapdoor basis"), batch[:, dim:].copy()
     del batch
     try:
         return derive_trapdoor(f, basis, q), rest

@@ -5,17 +5,21 @@ signed integer matrices (trapdoor bases, Gaussian preimages) are int64
 arrays whose magnitudes stay far below 2**62, or int32 ones: a user
 key's matrices are held at the int32 width of its file (int32_matrix),
 and the products and factorizations here read them as they are, without
-an int64 copy, never multiplying two int32 entries in int32.  Every
-mod-q product is exact: operands are split into limbs, the limb products
-are accumulated with float64 matmuls whose partial sums stay below
-2**53, and the limbs are recombined in int64.  When the operand with
-more entries is a short signed matrix, only the other one is reduced
-and split (at most three limbs), and the short one enters the products
-as it is; otherwise both are split into two 19-bit limbs, exact for any
-inner dimension up to 2**14.  This caps the modulus at 2**38, which
-every supported parameter set respects; the gain is that the hot paths
-run through BLAS instead of arbitrary-precision integers.  Gram-Schmidt
-norms come from one place, the certified float QR the walks sample with
+an int64 copy, never multiplying two int32 entries in int32.  mat_mul
+is the one mod-q product, and every mod-q product is exact: operands
+are split into limbs, the limb products are accumulated with float64
+matmuls whose partial sums stay below 2**53, and the limbs are
+recombined in int64.  When the operand with more entries is a short
+signed matrix, it enters the products as it is and only the other one
+is reduced and split: into one limb, a single float64 product, when the
+residues fit beside the short entries (a ciphertext's A @ R and R^T y),
+into at most three otherwise.  Failing that, both are split into two
+19-bit limbs, exact for any inner dimension up to 2**14.  This caps the
+modulus at 2**38, which every supported parameter set respects; the
+gain is that the hot paths run through BLAS instead of
+arbitrary-precision integers.  exact_int_matmul is for integer results
+(no modulus) only.  Gram-Schmidt norms come from one place, the
+certified float QR the walks sample with
 (certified_r_factor, gram_schmidt_norm).
 """
 
@@ -91,6 +95,14 @@ def int_array(a) -> np.ndarray:
     return arr if arr.dtype in (np.int32, np.int64) else arr.astype(np.int64)
 
 
+def read_only(arr) -> np.ndarray:
+    """A read-only view of arr, for an array the holder owns: no copy, and no
+    write through the view."""
+    out = np.asarray(arr).view()
+    out.setflags(write=False)
+    return out
+
+
 def int32_matrix(a, what: str) -> np.ndarray:
     """a as a C-ordered int32 array (itself when it already is one).
 
@@ -119,7 +131,8 @@ def _magnitude(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-#: Widest limb of the one-sided split; wider limbs would let acc << L pass 2**63.
+#: Widest limb of a one-sided split into two limbs or more; wider limbs
+#: would let acc << L pass 2**63.
 _WIDE_LIMB_MAX = 24
 #: Narrowest limb of the one-sided split, so a residue below 2**38 takes at most 3.
 _WIDE_LIMB_MIN = 13
@@ -128,19 +141,25 @@ _WIDE_LIMB_MIN = 13
 def _mod_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q of two int64 matrices; a and b need not be reduced.
 
-    When the operand with more entries (g) is short, with
-    L = min(24, 53 - bitlen(max|g|) - bitlen(k)) >= 13 for inner
-    dimension k, g enters float64 as it is, and only the other operand is
-    reduced to [0, q) and split into L-bit limbs: every product
-    g @ limb is then exact in float64, and acc = ((acc << L) + p) % q
-    stays below 2**38 * 2**24 + 2**53 < 2**63.  Otherwise both operands
-    are reduced and split into two 19-bit limbs (four products).
+    When the operand with more entries (g) is short, g enters float64 as
+    it is, and only the other operand is reduced to [0, q) and split into
+    L-bit limbs, L = 53 - bitlen(max|g|) - bitlen(k) for inner dimension
+    k: every product g @ limb is then exact in float64.  When
+    L >= bitlen(q - 1) the residues are one limb, so the loop makes one
+    float64 product and reduces it, with no shift.  With more limbs,
+    acc = ((acc << L) + p) % q must stay below 2**38 * 2**24 + 2**53 <
+    2**63, so L is capped at 24, and an L below 13 (more than three limbs)
+    takes the other path: both operands reduced and split into two 19-bit
+    limbs (four products).
     """
     k = a.shape[1]
     g_left = a.size > b.size
     g, other = (a, b) if g_left else (b, a)
-    width = min(_WIDE_LIMB_MAX, 53 - _magnitude(g).bit_length() - k.bit_length())
-    if width < _WIDE_LIMB_MIN:
+    bits = (q - 1).bit_length()
+    width = 53 - _magnitude(g).bit_length() - k.bit_length()
+    if width < bits:
+        width = min(_WIDE_LIMB_MAX, width)
+    if width < min(bits, _WIDE_LIMB_MIN):
         a_hi, a_lo = _limbs(as_residues(a, q))
         b_hi, b_lo = _limbs(as_residues(b, q))
         acc = (a_hi @ b_hi).astype(np.int64) % q
@@ -149,7 +168,7 @@ def _mod_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     gf = g.astype(np.float64)
     other = as_residues(other, q)
     acc = 0
-    for shift in range(((q - 1).bit_length() - 1) // width * width, -1, -width):
+    for shift in range((bits - 1) // width * width, -1, -width):
         limb = ((other >> shift) & ((1 << width) - 1)).astype(np.float64)
         acc = ((acc << width) + (gf @ limb if g_left else limb @ gf).astype(np.int64)) % q
     return acc

@@ -423,10 +423,12 @@ class TestStoredCosetMap:
 
     def test_key_refuses_what_dump_cannot_write(self, mini_key):
         # a key holds its integer matrices as int32, so an entry outside int32
-        # is refused when the key is built, and one inside dumps to its word
+        # is refused when the key is built (E'_ID's when its TrapdoorBasis
+        # is), and one inside dumps to its word
         ident, sk = mini_key
         top = 1 << 31
-        sections = {"r_id": "R_ID", "e_id_prime": "E'_ID", "e_f": "e_F", "e_f_prime": "e_F'"}
+        sections = {"r_id": "user secret key: R_ID", "e_id_prime": "trapdoor basis",
+                    "e_f": "user secret key: e_F", "e_f_prime": "user secret key: e_F'"}
         for name, section in sections.items():
             for value, fits in ((top - 1, True), (-top, True), (top, False), (-top - 1, False)):
                 arr = getattr(sk, name).astype(np.int64)
@@ -445,7 +447,7 @@ class TestStoredCosetMap:
                     assert int(np.frombuffer(blob[sk_sections(MINI)[name]], dtype="<i4")[0]) == value
                 else:
                     with pytest.raises(ParameterError, match=re.escape(
-                            f"user secret key: {section} holds an entry outside int32")):
+                            f"{section} holds an entry outside int32")):
                         build()
 
 
@@ -462,28 +464,24 @@ class TestKeyWidth:
                 assert getattr(key, name).dtype == np.int32, name
 
     def test_extract_refuses_a_basis_outside_int32(self, mini_system, monkeypatch):
-        # R_ID (extract's first sample_left) and E'_ID (its sample_basis_left)
-        # are narrowed when the key is built
+        # R_ID (extract's first sample_left) is narrowed when the key is
+        # built, E'_ID (the first columns of sample_basis_left's batch) when
+        # its TrapdoorBasis is, before the QR
         pp, msk = mini_system
         ident = identity_from_string("ivan", MINI.ell)
-        left, basis_left = scheme.sample_left, scheme.sample_basis_left
 
-        def spoiled_left(*args):
-            e = left(*args)
-            e[0, 0] = 1 << 31
-            return e
+        def spoiled(left):
+            def call(*args):
+                e = left(*args)
+                e[0, 0] = 1 << 31
+                return e
+            return call
 
-        def spoiled_basis_left(*args):
-            basis, e = basis_left(*args)
-            basis.basis[0, 0] = 1 << 31
-            return basis, e
-
-        for name, spoiled, section in (("sample_left", spoiled_left, "R_ID"),
-                                       ("sample_basis_left", spoiled_basis_left, "E'_ID")):
+        for mod, section in ((scheme, "user secret key: R_ID"), (trapdoor, "trapdoor basis")):
             with monkeypatch.context() as patch:
-                patch.setattr(scheme, name, spoiled)
+                patch.setattr(mod, "sample_left", spoiled(mod.sample_left))
                 with pytest.raises(ParameterError, match=re.escape(
-                        f"user secret key: {section} holds an entry outside int32")):
+                        f"{section} holds an entry outside int32")):
                     extract(pp, msk, ident, RandomSource(437))
 
     def test_load_peaks_near_the_file_size(self, mini_key):

@@ -25,7 +25,6 @@ from ibeetfa.scheme import (
     extract,
     identity_from_string,
     setup,
-    tag_product,
 )
 from ibeetfa.trapdoor import gadget_length
 from ibeetfa.zqlinalg import mat_mul
@@ -195,20 +194,27 @@ class TestEncrypt:
             encrypt(pp, ident, np.zeros(MINI.t - 1, dtype=np.uint8), RandomSource(1))
 
     def test_tag_product_matches_mat_mul(self, mini_system):
+        # encrypt's products of residues by short matrices, against Python
+        # ints: A @ R in the tag block of c3 and c4 (zero noise), and
+        # R_ID^T y and R^T y in their noise
         pp, _ = mini_system
-        m, ell = MINI.m, MINI.ell
-        inside = RandomSource(10).integers(-ell, ell + 1, (m, m))
-        inside[0, :2] = [-ell, ell]
-        assert np.array_equal(tag_product(pp, inside), mat_mul(pp.a, inside, MINI.q))
-        # every R that reaches it is in range (encrypt draws it so, td2 asks
-        # Ciphertext.intact first): entries past ell, past q and at the
-        # int64 extremes raise, never reduce to a product
-        for word in (ell + 1, -(ell + 1), 5 * MINI.q + 3, -(7 * MINI.q) - 1,
-                     np.iinfo(np.int64).max, np.iinfo(np.int64).min):
-            outside = inside.copy()
-            outside[1, 3] = word
-            with pytest.raises(ParameterError, match="tag matrix"):
-                tag_product(pp, outside)
+        q, m = MINI.q, MINI.m
+        ident = identity_from_string("alice", MINI.ell)
+        msg = random_message(MINI.t, 10)
+
+        def exact(a, b):
+            return np.asarray((np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % q, dtype=np.int64)
+
+        ct, tr = encrypt_traced(pp, ident, msg, RandomSource(10), zero_noise=True)
+        ar = exact(pp.a, tr.r_tag)
+        assert np.array_equal(ct.c3[2 * m :], exact(ar.T, tr.s1))
+        assert np.array_equal(ct.c4[2 * m :], exact(ar.T, tr.s2))
+        _, tr = encrypt_traced(pp, ident, msg, RandomSource(11))
+        assert np.abs(tr.r_tag).max() == np.abs(tr.r_id).max() == MINI.ell
+        for y, z, rr in ((tr.y1, tr.z1, tr.rr1), (tr.y2, tr.z2, tr.rr2)):
+            assert np.any(y)
+            assert np.array_equal(z, exact(tr.r_id.T, y))
+            assert np.array_equal(rr, exact(tr.r_tag.T, y))
 
 
 class TestDecodeBits:

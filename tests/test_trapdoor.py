@@ -331,12 +331,12 @@ class TestBasisFromPreimages:
         return sampler, calls
 
     def test_uncertified_batch_raises_after_one_draw(self, monkeypatch):
-        # nonsingular, but 2**60 + 1 rounds to 2**60 in float64, so the
-        # float certificate fails; no other columns are tried and the batch
-        # is not drawn again (extract's loop redraws the whole key)
-        big = 1 << 60
+        # consecutive Fibonacci numbers below 2**31: determinant -1, but
+        # |R_22| = 1/|b_1| lies far below the bound, so the float certificate
+        # fails; no other columns are tried and the batch is not drawn again
+        # (extract's loop redraws the whole key)
         bad = np.zeros((2, 10), dtype=np.int64)
-        bad[:, :2] = [[big, big + 1], [big, big]]
+        bad[:, :2] = [[1_836_311_903, 1_134_903_170], [1_134_903_170, 701_408_733]]
         sampler, calls = self.stub(bad, bad)
         preps = CallCounter(trapdoor.prepare_basis)
         monkeypatch.setattr(trapdoor, "prepare_basis", preps)
@@ -562,6 +562,13 @@ _ODD_DRAWS = [
 ]
 
 
+def g_order(z, n):
+    """The k x n*cols walk output of GadgetTrapdoor.g_preimages in G's row
+    order: block i's columns become rows i*k to i*k + k - 1."""
+    k, cols = z.shape[0], z.shape[1] // n
+    return z.reshape(k, n, cols).transpose(1, 0, 2).reshape(n * k, cols)
+
+
 class TestGadgetStep:
     """SampleD's G-step walks S_k once, over n times the lanes
     (GadgetTrapdoor.g_preimages).  S_G = I_n (x) S_k is block diagonal, so
@@ -574,7 +581,7 @@ class TestGadgetStep:
         td = trap_gen(p.q, p.n, p.m, RandomSource(503)).trapdoor
         v = RandomSource(509).integers(0, p.q, (p.n, 40))
         v[:, :3] = [0, 1, p.q - 1]
-        z = td.g_preimages(v, RandomSource(521))
+        z = g_order(td.g_preimages(v, RandomSource(521)), p.n)
         assert z.shape == (p.n * gadget_length(p.q), 40) and z.dtype == np.int64
         assert np.array_equal(mat_mul(gadget_matrix(p.n, p.q), z, p.q), v)
 
@@ -599,7 +606,7 @@ class TestGadgetStep:
         _, msk = mini_system
         td, count = msk.trapdoor_a, 20_000
         v = np.repeat(RandomSource(557).integers(0, MINI.q, (MINI.n, 1)), count, axis=1)
-        got = td.g_preimages(v, RandomSource(563)).astype(np.float64)
+        got = g_order(td.g_preimages(v, RandomSource(563)), MINI.n).astype(np.float64)
         want = s_g_walk(td, v, RandomSource(569)).astype(np.float64)
         assert got.shape == want.shape == (MINI.n * gadget_length(MINI.q), count)
         var_got, var_want = got.var(axis=1), want.var(axis=1)
@@ -802,7 +809,9 @@ class TestProductBehindWalk:
 
     def test_a_failed_product_raises_on_the_caller(self, monkeypatch):
         g, td = gadget_walk_basis()
-        bad = dataclasses.replace(td, basis=td.basis.view(_MaxRaises))
+        bad = dataclasses.replace(td)
+        # past __post_init__, whose int32 narrowing gives a plain array
+        object.__setattr__(bad, "basis", td.basis.view(_MaxRaises))
         targets = RandomSource(491).integers(0, MINI.q, (MINI.n, 8))
         with pytest.raises(RuntimeError, match="stub: max"):
             self.draw(monkeypatch, 2, lambda: bad.preimages(g, targets, MINI.q, 9.0, RandomSource(499)))

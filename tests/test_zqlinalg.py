@@ -182,6 +182,24 @@ class TestOneSidedSplit:
         wide = rs.integers(0, q, (k, 4))
         assert np.array_equal(mat_mul(picks, wide, q), wide[:3])
 
+    @pytest.mark.parametrize("q", _SPLIT_MODULI)
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_single_limb_boundary(self, q, below):
+        # L = 53 - bitlen(max|g|) - bitlen(k) = bitlen(q - 1) - below: at
+        # L = bitlen(q - 1) the residues are one limb (one float64 product,
+        # no shift), one bit less takes more limbs or the two-sided split.
+        # Every sum is at its extreme: a column of g at -max|g|, a row of
+        # residues at q - 1
+        bits, k = (q - 1).bit_length(), 300
+        top = (1 << (53 - k.bit_length() - bits + below)) - 1
+        rs = np.random.default_rng(q % 991 + below)
+        g = rs.integers(-top, top + 1, (k, 5))
+        g[:, 0] = -top
+        residues = rs.integers(0, q, (3, k))
+        residues[0] = q - 1
+        for a, b in ((residues, g), (g.T, residues.T), (residues[0], g), (g.T, residues[0])):
+            assert np.array_equal(mat_mul(a, b, q), _python_product(a, b, q)), (a.shape, b.shape)
+
     def test_limb_width_is_capped(self):
         # |g| <= 2**10 and k = 2**10 leave 53 - 11 - 11 = 31 bits for a limb;
         # acc << 31 with acc near 2**38 would overflow int64
@@ -270,9 +288,10 @@ class TestNonsingularityThreshold:
         # a batch exactly when prepare_basis factors it, and keeps that R; the
         # float branch of is_nonsingular draws the line at the same place.
         # The last column approaches 2**k times the first, which walks
-        # |R_dd| / ||B|| through the bound.
+        # |R_dd| / ||B|| through the bound.  A trapdoor basis is int32, so
+        # _basis_from_preimages refuses a batch past int32 before its QR.
         from ibeetfa import trapdoor
-        from ibeetfa.errors import SamplingError
+        from ibeetfa.errors import ParameterError, SamplingError
         from ibeetfa.samplers import prepare_basis
         from ibeetfa.zqlinalg import certified_r_factor
 
@@ -299,6 +318,8 @@ class TestNonsingularityThreshold:
                 assert np.array_equal(got.prep.r, prep.r)
             except SamplingError:
                 assert not accepted, k
+            except ParameterError:
+                assert np.abs(b).max() >= 1 << 31, k
             seen.add(accepted)
         assert seen == {True, False}
 
