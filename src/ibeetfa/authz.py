@@ -33,10 +33,9 @@ from .scheme import (
     ciphertext_integrity_ok,
     compute_f,
     decode_with_preimage,
-    frozen_array,
 )
 from .trapdoor import sample_left
-from .zqlinalg import mat_mul, read_only
+from .zqlinalg import frozen_array, mat_mul, read_only
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ exact length, and (when the caller supplies a reference parameter set)
 that the parameters are the reference's, so mixed-parameter artifacts
 are always rejected.  A load holds its blob as an immutable bytes object
 and reads each section as a read-only np.frombuffer view of it, aligned,
-with no copy: the loaded objects keep those views (scheme.frozen_array),
+with no copy: the loaded objects keep those views (zqlinalg.frozen_array),
 so they keep the blob alive.  Writes are atomic: temp file in the
 directory of the target (symlinks resolved), then rename (a target that
 exists and is no regular file, such as a FIFO, is written in place
@@ -265,7 +265,8 @@ def dump_master_secret(msk: MasterSecretKey, p: ParamSet) -> bytes:
 
 
 def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
-    """The master key of pp: a GadgetTrapdoor of each Rbar and pp's Abar.
+    """The master key of pp: a GadgetTrapdoor of each Rbar, which holds it
+    as a read-only view of blob (zqlinalg.frozen_array).
 
     Each Rbar must be a gadget trapdoor of pp's A or A' (require_gadget_trapdoor),
     so another system's master key is refused here, before any sampling.
@@ -273,13 +274,12 @@ def load_master_secret(blob: bytes, pp: PublicParams) -> MasterSecretKey:
     p, r_bars = _load(blob, KIND_MSK, pp.params)
     if any(np.any(np.abs(r_bar) != 1) for r_bar in r_bars):
         raise FormatError("master secret key: Rbar entries must be +-1")
-    pairs = list(zip((pp.a, pp.a_prime), r_bars))
     try:
-        for a, r_bar in pairs:
+        for a, r_bar in zip((pp.a, pp.a_prime), r_bars):
             require_gadget_trapdoor(a, r_bar, p.q)
     except ParameterError:
         raise FormatError("master secret key: Rbar is no trapdoor of these public parameters") from None
-    return MasterSecretKey(*(GadgetTrapdoor(a[:, : len(r_bar)], r_bar, p.q) for a, r_bar in pairs))
+    return MasterSecretKey(*(GadgetTrapdoor(r_bar, p.q) for r_bar in r_bars))
 
 
 # -- user secret key ---------------------------------------------------------

@@ -55,30 +55,9 @@ from .trapdoor import (
     sample_left,
     trap_gen,
 )
-from .zqlinalg import concat_cols, int32_matrix, mat_mul, read_only
+from .zqlinalg import concat_cols, frozen_array, int32_matrix, mat_mul, read_only
 
 _EXTRACT_ATTEMPTS = 8
-
-
-def frozen_array(arr, dtype=np.int64) -> np.ndarray:
-    """arr as a read-only array of dtype that later changes to the caller's
-    array cannot reach: arr itself when it is a read-only array of dtype
-    whose memory is a bytes object (a view of a file's bytes, which nothing
-    can change), a read-only copy otherwise."""
-    if (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable
-            and isinstance(_memory_owner(arr), bytes)):
-        return arr
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _memory_owner(arr):
-    """The object at the end of arr's chain of bases (a memoryview's exporter
-    for a memoryview)."""
-    while isinstance(arr, np.ndarray):
-        arr = arr.base
-    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 @dataclass(frozen=True)
@@ -105,25 +84,17 @@ class PublicParams:
 
 @dataclass(frozen=True)
 class MasterSecretKey:
-    """The gadget trapdoors behind A and A': (Abar, Rbar, q) each, which
-    every GadgetTrapdoor holds as read-only copies.
+    """The gadget trapdoors behind A and A': (Rbar, q) each, which every
+    GadgetTrapdoor holds read-only (zqlinalg.frozen_array).
 
     A trapdoor asked to sample under a matrix A with A @ [Rbar; I] != G
-    (mod q) raises KeyMismatch (a ParameterError).  The bases T_A and T_A'
-    are built on each access (t_a, t_a_prime) and no draw reads them; the
-    element count is that of the two m x m bases, as published.
+    (mod q) raises KeyMismatch (a ParameterError).  No basis of A or A' is
+    held or built; the element count is that of the two m x m bases T_A
+    and T_A' the paper's master key publishes, from their dimensions.
     """
 
     trapdoor_a: GadgetTrapdoor
     trapdoor_a_prime: GadgetTrapdoor
-
-    @property
-    def t_a(self) -> np.ndarray:
-        return self.trapdoor_a.basis
-
-    @property
-    def t_a_prime(self) -> np.ndarray:
-        return self.trapdoor_a_prime.basis
 
     def element_count(self) -> int:
         return self.trapdoor_a.dim ** 2 + self.trapdoor_a_prime.dim ** 2
@@ -205,7 +176,7 @@ class KeyPreimage:
         sampling: its smallest Gram-Schmidt norm lies far below the bound of
         the QR certificate, so trapdoor.derive_trapdoor refuses it.
         """
-        return gadget_basis(self.a_bar_id, self.r_id, self.q, np.int32, "user secret key: E_ID")
+        return gadget_basis(self.a_bar_id, self.r_id, self.q)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 Trapdoor generation follows the gadget template: A = [Abar | G - Abar*Rbar]
 with Rbar a random sign matrix and G the base-2 gadget, so
-A @ [Rbar; I] == G (mod q).  The master trapdoor is Rbar itself
+A @ [Rbar; I] == G (mod q).  The master trapdoor is (Rbar, q)
 (GadgetTrapdoor), and its preimages come from Micciancio-Peikert SampleD:
-a perturbation, then a preimage under G.  The m x m basis T_A of the
-q-ary nullspace lattice of A, the gadget-block columns [Rbar*S_G; S_G]
-(S_G the standard gadget basis, determinant q^n) followed by the
-completion columns [I - Rbar*D; -D] with D the bit decomposition of
-Abar, is built only when asked for (gadget_basis); no draw uses it.
+a perturbation, then a preimage under G.  The trapdoor holds no basis and
+no copy of Abar.  A basis of the q-ary nullspace lattice of [Abar | G -
+Abar*R] for any integer R, the gadget-block columns [R*S_G; S_G] (S_G the
+standard gadget basis, determinant q^n) followed by the completion
+columns [I - R*D; -D] with D the bit decomposition of Abar, is
+gadget_basis(Abar, R, q); the library builds one only for a user key's
+E_ID (scheme.KeyPreimage.e_id), and no draw uses it.
 
 The scheme samples through two functions only: sample_left, which draws
 preimages of an n x k target matrix under (A | M) with a trapdoor for A
@@ -58,6 +60,7 @@ from .zqlinalg import (
     check_modulus,
     concat_cols,
     exact_int_matmul,
+    frozen_array,
     int32_matrix,
     int_array,
     mat_mul,
@@ -111,7 +114,7 @@ class TrapdoorPair:
     """Public matrix with a trapdoor for its q-ary nullspace lattice."""
 
     a: np.ndarray               # n x m residues
-    trapdoor: GadgetTrapdoor    # (Abar, Rbar, q)
+    trapdoor: GadgetTrapdoor    # (Rbar, q)
 
 
 def _gadget_block(q: int, k: int) -> np.ndarray:
@@ -148,8 +151,9 @@ def gadget_matrix(n: int, q: int) -> np.ndarray:
 def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     """Generate a near-uniform matrix with a short nullspace basis.
 
-    Requires m >= 6 * n * ceil(log2 q); the trapdoor's basis S (built on
-    demand) satisfies A @ S == 0 (mod q), det S = +-q**n, and
+    Requires m >= 6 * n * ceil(log2 q); the basis S = gadget_basis(Abar,
+    Rbar, q) of A's first m - nk columns Abar and the trapdoor's Rbar
+    satisfies A @ S == 0 (mod q), det S = +-q**n, and
     gs_norm <= bound_gs(n, q).
     """
     q = check_modulus(q)
@@ -168,28 +172,27 @@ def trap_gen(q: int, n: int, m: int, rng: RandomSource) -> TrapdoorPair:
     r_bar = rng.integers(0, 2, (m_bar, nk)) * 2 - 1
     a_right = (gadget_matrix(n, q) - mat_mul(a_bar, r_bar, q)) % q
     a = concat_cols([a_bar, a_right])
-    return TrapdoorPair(a, GadgetTrapdoor(a_bar, r_bar, q))
+    return TrapdoorPair(a, GadgetTrapdoor(r_bar, q))
 
 
 #: Rows of Rbar per block of the products gadget_basis writes out.
 _GADGET_ROW_BLOCK = 256
 
 
-def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int, dtype=np.int64,
-                 what: str = "gadget basis") -> np.ndarray:
-    """[[Rbar*S_G, I - Rbar*D], [S_G, -D]] as one dtype array, D the bits of Abar.
+def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int) -> np.ndarray:
+    """[[Rbar*S_G, I - Rbar*D], [S_G, -D]] as one int32 array, D the bits of Abar.
 
     The top rows are written a block of Rbar's rows at a time, so no
-    full-size int64 product is staged for a narrower dtype; an entry the
-    dtype cannot hold raises ParameterError naming what holds it.
+    full-size int64 product is staged; an entry outside int32 raises
+    ParameterError.
     """
     n, m_bar = a_bar.shape
     k = gadget_length(q)
     nk = n * k
     s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(q, k))
     d_bits = _bit_decompose(a_bar, k)
-    info = np.iinfo(dtype)
-    s = np.empty((m_bar + nk, m_bar + nk), dtype=dtype)
+    info = np.iinfo(np.int32)
+    s = np.empty((m_bar + nk, m_bar + nk), dtype=np.int32)
     # gadget block first, completion block second (keeps its GS norms <= 1)
     s[m_bar:, :nk] = s_g
     s[m_bar:, nk:] = -d_bits
@@ -201,7 +204,7 @@ def gadget_basis(a_bar: np.ndarray, r_bar: np.ndarray, q: int, dtype=np.int64,
         right[np.arange(hi - lo), np.arange(lo, hi)] += 1
         for part in (left, right):
             if part.min() < info.min or part.max() > info.max:
-                raise ParameterError(f"{what} holds an entry outside {info.dtype.name}")
+                raise ParameterError("gadget basis holds an entry outside int32")
         s[lo:hi, :nk] = left
         s[lo:hi, nk:] = right
     return s
@@ -445,8 +448,8 @@ class _ProductBehindWalk:
 
 
 class GadgetTrapdoor:
-    """A master trapdoor (Abar, Rbar, q): A @ W == G (mod q) for
-    A = [Abar | G - Abar*Rbar] and W = [Rbar; I].
+    """A master trapdoor (Rbar, q): A @ W == G (mod q) for
+    A = [Abar | G - Abar*Rbar] and W = [Rbar; I], whatever Abar.
 
     It samples by SampleD (Micciancio-Peikert, EUROCRYPT 2012, 5.4): a
     preimage of u at width sigma is x = p + W @ z, p a continuous Gaussian
@@ -459,19 +462,22 @@ class GadgetTrapdoor:
     the lanes of one k-row walk over S_k, not as one nk-row walk.  The
     eigendecomposition of W^T W, and S_k's TrapdoorBasis of g^T (one
     k x k QR), are built here; nothing is built later, so there is no
-    lock.  sample_left checks A before each draw (require).  T_A is built
-    only on access (basis).
+    lock.  sample_left checks A before each draw (require).
+
+    Rbar is held through zqlinalg.frozen_array: a loaded master key's as
+    the read-only view of its file's bytes, any other as a read-only copy.
+    G has n = nk / k rows for Rbar's width nk; a width that is no multiple
+    of k raises ParameterError.
     """
 
-    def __init__(self, a_bar, r_bar, q: int):
+    def __init__(self, r_bar, q: int):
         self.q = check_modulus(q)
-        self.a_bar = np.array(a_bar, dtype=np.int64)
-        self.r_bar = np.array(r_bar, dtype=np.int64)
-        self.a_bar.setflags(write=False)
-        self.r_bar.setflags(write=False)
-        n, nk = self.a_bar.shape[0], self.r_bar.shape[1]
-        self.dim = self.a_bar.shape[1] + nk
-        self.width_g = gadget_width(n, q)
+        self.r_bar = frozen_array(r_bar)
+        k, (m_bar, nk) = gadget_length(q), self.r_bar.shape
+        if nk % k:
+            raise ParameterError(f"Rbar's width {nk} is no multiple of k = {k}")
+        self.dim = m_bar + nk
+        self.width_g = gadget_width(nk // k, q)
         self._w = np.vstack([self.r_bar, np.eye(nk, dtype=np.int64)]).astype(np.float64)
         lam, vecs = np.linalg.eigh(self._w.T @ self._w)  # every eigenvalue >= 1
         self.s1 = math.sqrt(float(lam.max()))
@@ -479,12 +485,7 @@ class GadgetTrapdoor:
         # sqrt(c*I - s_G^2 W W^T) = sqrt(c)*I + W @ root @ W^T
         self._root = (vecs * ((np.sqrt(self.scale - self.width_g**2 * lam) - math.sqrt(self.scale)) / lam)) @ vecs.T
         self.g_row = gadget_matrix(1, q)
-        self.g_trapdoor = derive_trapdoor(self.g_row, _gadget_block(q, gadget_length(q)), q)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """T_A (gadget_basis), built on each access."""
-        return gadget_basis(self.a_bar, self.r_bar, self.q)
+        self.g_trapdoor = derive_trapdoor(self.g_row, _gadget_block(q, k), q)
 
     def require(self, a: np.ndarray, q: int) -> None:
         """KeyMismatch unless this is a trapdoor of A for q."""
@@ -518,14 +519,16 @@ class GadgetTrapdoor:
         p = self.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (self.dim, targets.shape[1])))
         x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - self.scale), p.reshape(-1), rng).reshape(p.shape)
         del p
-        cols = targets.shape[1]
         z = self.g_preimages((targets - mat_mul(a, x, q)) % q, rng)
-        # x += [Rbar; I] @ z, a gadget block of z at a time as the walk left it
-        m_bar, k = self.r_bar.shape[0], z.shape[0]
-        for i, lo in enumerate(range(0, self.r_bar.shape[1], k)):
-            block = z[:, i * cols : (i + 1) * cols]
-            x[:m_bar] += exact_int_matmul(self.r_bar[:, lo : lo + k], block)
-            x[m_bar + lo : m_bar + lo + k] += block
+        # x += [Rbar; I] @ z as the walk left z: row j*n + i of
+        # z.reshape(nk, cols) is row i*k + j of the preimage under G (digit
+        # j of block i), so Rbar's columns are taken in that order, and x's
+        # identity rows, viewed as (n, k, cols), add z viewed as (k, n, cols)
+        (m_bar, nk), k, cols = self.r_bar.shape, z.shape[0], targets.shape[1]
+        walk_order = np.arange(nk).reshape(-1, k).T.reshape(-1)
+        x[:m_bar] += exact_int_matmul(self.r_bar[:, walk_order], z.reshape(nk, cols))
+        identity_rows = x[m_bar:].reshape(-1, k, cols)
+        identity_rows += z.reshape(k, -1, cols).transpose(1, 0, 2)
         return x
 
 

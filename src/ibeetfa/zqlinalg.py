@@ -103,6 +103,27 @@ def read_only(arr) -> np.ndarray:
     return out
 
 
+def frozen_array(arr, dtype=np.int64) -> np.ndarray:
+    """arr as a read-only array of dtype that later changes to the caller's
+    array cannot reach: arr itself when it is a read-only array of dtype
+    whose memory is a bytes object (a view of a file's bytes, which nothing
+    can change), a read-only copy otherwise."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable
+            and isinstance(_memory_owner(arr), bytes)):
+        return arr
+    out = np.array(arr, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _memory_owner(arr):
+    """The object at the end of arr's chain of bases (a memoryview's exporter
+    for a memoryview)."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
 def int32_matrix(a, what: str) -> np.ndarray:
     """a as a C-ordered int32 array (itself when it already is one).
 

@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 
 from ibeetfa.errors import DimensionMismatch, SingularMatrix
-from ibeetfa.samplers import TAIL_CUT, RandomSource
-from ibeetfa.trapdoor import _gadget_block, derive_trapdoor, gadget_length, gadget_matrix
-from ibeetfa.zqlinalg import as_residues, certified_r_factor, mat_mul
+from ibeetfa.samplers import TAIL_CUT, RandomSource, sample_z_gaussian_batch
+from ibeetfa.trapdoor import _gadget_block, derive_trapdoor, gadget_basis, gadget_length, gadget_matrix
+from ibeetfa.zqlinalg import as_residues, certified_r_factor, exact_int_matmul, mat_mul
 
 # Primes just below 2**25, used for randomized exact rank checks.
 _RANK_CHECK_PRIMES = (33554393, 33554383, 33554371)
@@ -166,3 +166,25 @@ def s_g_walk(td, v: np.ndarray, rng: RandomSource) -> np.ndarray:
     g = gadget_matrix(n, td.q)
     s_g = np.kron(np.eye(n, dtype=np.int64), _gadget_block(td.q, gadget_length(td.q)))
     return derive_trapdoor(g, s_g, td.q).preimages(g, v, td.q, td.width_g, rng)
+
+
+def master_basis(a, td) -> np.ndarray:
+    """T_A, the m x m basis of A's nullspace lattice that A's gadget trapdoor
+    td determines, from A's public first m - nk columns (trapdoor.gadget_basis)."""
+    return gadget_basis(a[:, : td.r_bar.shape[0]], td.r_bar, td.q)
+
+
+def sample_d_reference(td, a, targets, q: int, sigma: float, rng: RandomSource) -> np.ndarray:
+    """GadgetTrapdoor.preimages with [Rbar; I] @ z added a gadget block of z
+    at a time, as the walk leaves it (block i in columns i*cols to
+    (i + 1)*cols - 1): the addition SampleD made before it took one product."""
+    cols = targets.shape[1]
+    p = td.perturbation(rng.normal(1.0 / math.sqrt(2.0 * math.pi), (td.dim, cols)))
+    x = sample_z_gaussian_batch(math.sqrt(sigma * sigma - td.scale), p.reshape(-1), rng).reshape(p.shape)
+    z = td.g_preimages((targets - mat_mul(a, x, q)) % q, rng)
+    m_bar, k = td.r_bar.shape[0], z.shape[0]
+    for i, lo in enumerate(range(0, td.r_bar.shape[1], k)):
+        block = z[:, i * cols : (i + 1) * cols]
+        x[:m_bar] += exact_int_matmul(td.r_bar[:, lo : lo + k], block)
+        x[m_bar + lo : m_bar + lo + k] += block
+    return x

@@ -1,12 +1,14 @@
 """What perfbench reads of the package it benchmarks must keep existing.
 
 perfbench/tracing.py wraps functions by module and name and counts their
-work from the arguments, and the authority workload's oracle
+work from the arguments, perfbench/workloads.py and perfbench/run.py call
+the package as ib.<module>.<name>, and the authority workload's oracle
 (Authority._key_ok and _shipped_ok) reads a key's delegated bases; a
 change that drops one of them, or changes an argument a counter reads,
 would only surface when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -14,6 +16,8 @@ import sys
 
 import numpy as np
 
+import ibeetfa
+import ibeetfa.cli
 from ibeetfa import fileio, samplers, trapdoor
 from ibeetfa.authz import td2, td3_basis, td3_ct
 from ibeetfa.samplers import RandomSource
@@ -22,8 +26,8 @@ from ibeetfa.zqlinalg import mat_mul
 
 from conftest import MINI, random_message
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "perfbench", "tracing.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+TRACING = os.path.join(PERFBENCH, "tracing.py")
 
 
 def _load_tracing():
@@ -39,6 +43,40 @@ def test_every_traced_name_resolves():
         mod = importlib.import_module(f"ibeetfa.{modname}")
         missing += [f"{modname}.{f}" for f in funcs if not callable(getattr(mod, f, None))]
     assert not missing, f"traced names missing from ibeetfa: {missing}"
+
+
+def _package_chains(path):
+    """Every chain of names perfbench's file at path reads of the package,
+    ib.<module>.<name> or self.ib.<module>.<name>, as the names after ib."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "self" and names[-1:] == ["ib"]:
+            names.pop()
+        elif not (isinstance(node, ast.Name) and node.id == "ib"):
+            continue
+        if names:
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_every_name_the_workloads_read_resolves():
+    # the package as perfbench/run.py imports it: ibeetfa, ibeetfa.cli, ibeetfa.fileio
+    chains = set().union(*(_package_chains(os.path.join(PERFBENCH, f)) for f in ("workloads.py", "run.py")))
+    assert {("scheme", "extract"), ("cli", "run_command"), ("RandomSource",)} <= chains
+    absent, missing = object(), []
+    for chain in sorted(chains):
+        obj = ibeetfa
+        for name in chain:
+            obj = getattr(obj, name, absent)
+        if obj is absent:
+            missing.append(".".join(chain))
+    assert not missing, f"names perfbench reads missing from ibeetfa: {missing}"
 
 
 def _record_calls(monkeypatch, home, name):

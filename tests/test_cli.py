@@ -23,6 +23,7 @@ from ibeetfa.scheme import decrypt, encrypt, encrypt_traced, extract, identity_f
 from ibeetfa.trapdoor import gadget_length
 
 from conftest import HEADER, MINI, r_block_words, r_diagonal_words, random_message, sk_sections
+from oracles import master_basis
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +359,8 @@ class TestVersionOneFiles:
 
         blobs = {
             "msk": (lambda blob, _: fileio.load_master_secret(blob, pp), 1,
-                    self.old_blob(fileio.KIND_MSK, 1, msk.t_a, msk.t_a_prime)),
+                    self.old_blob(fileio.KIND_MSK, 1, master_basis(pp.a, msk.trapdoor_a),
+                                  master_basis(pp.a_prime, msk.trapdoor_a_prime))),
             "sk": (fileio.load_user_secret, 1,
                    self.old_blob(fileio.KIND_SK, 1, ident, sk.e_id, sk.e_id_prime)),
             "sk_v2": (fileio.load_user_secret, 2, self.old_blob(fileio.KIND_SK, 2, ident, *bases)),
@@ -807,7 +809,9 @@ class TestSerializationUnits:
         blob2 = fileio.dump_master_secret(msk, MINI)
         back2 = fileio.load_master_secret(blob2, pp)
         assert fileio.dump_master_secret(back2, MINI) == blob2
-        assert np.array_equal(back2.t_a, msk.t_a) and np.array_equal(back2.t_a_prime, msk.t_a_prime)
+        for a, got, want in ((pp.a, back2.trapdoor_a, msk.trapdoor_a),
+                             (pp.a_prime, back2.trapdoor_a_prime, msk.trapdoor_a_prime)):
+            assert np.array_equal(master_basis(a, got), master_basis(a, want))
 
     def test_pp_out_of_range_residue_rejected(self, mini_system):
         # the last word of a pp blob is an entry of U; every word is read as

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ibeetfa import fileio, hashing, scheme
+from ibeetfa import fileio, hashing, scheme, zqlinalg
 from ibeetfa.authz import digest_from_basis, td1, td2, td3_basis, td3_ct
 from ibeetfa.authz import test1 as eq_test1
 from ibeetfa.authz import test2 as eq_test2
@@ -71,12 +71,12 @@ class TestImmutable:
         data = np.arange(6, dtype="<i8").tobytes()
         view = np.frombuffer(data, dtype="<i8").reshape(2, 3)
         row = view[1:]
-        assert scheme.frozen_array(view) is view and scheme.frozen_array(row) is row
+        assert zqlinalg.frozen_array(view) is view and zqlinalg.frozen_array(row) is row
         shared = np.frombuffer(bytearray(data), dtype="<i8")
         locked = shared.view()
         locked.setflags(write=False)
         for arr, dtype in ((shared, np.int64), (locked, np.int64), (view, np.int32), (np.arange(6), np.int64)):
-            out = scheme.frozen_array(arr, dtype)
+            out = zqlinalg.frozen_array(arr, dtype)
             assert out.dtype == dtype and not out.flags.writeable
             assert not np.shares_memory(out, arr) and np.array_equal(out.reshape(-1), arr.reshape(-1))
 

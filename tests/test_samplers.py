@@ -38,7 +38,7 @@ from ibeetfa.trapdoor import derive_trapdoor, trap_gen, trapgen_width
 from ibeetfa.zqlinalg import center_rep, exact_int_matmul, mat_mul
 
 from conftest import MINI, random_message
-from oracles import reject_round_reference
+from oracles import master_basis, reject_round_reference
 
 
 def gaussian_mass_moments(sigma, center, width=None):
@@ -889,7 +889,7 @@ class TestProjection:
         # so its error is the Q path's: 3.6e-11 of a lattice step, 1.003x
         q, n = 4093, 2
         pair = trap_gen(q, n, trapgen_width(n, q), RandomSource(96))
-        td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
+        td = derive_trapdoor(pair.a, master_basis(pair.a, pair.trapdoor), q)
         q_factor = np.linalg.qr(td.basis.astype(np.float64))[0]
         assert np.abs(td.proj - q_factor[td.pivots].T).max() < 1e-14
         err_p, err_q = self.errors(td, RandomSource(97).integers(0, q, (n, 16)))

@@ -26,11 +26,11 @@ from ibeetfa.scheme import (
     identity_from_string,
     setup,
 )
-from ibeetfa.trapdoor import gadget_length
+from ibeetfa.trapdoor import GadgetTrapdoor, gadget_length
 from ibeetfa.zqlinalg import mat_mul
 
 from conftest import MINI, random_message
-from oracles import check_nullspace_basis
+from oracles import check_nullspace_basis, master_basis
 
 
 class TestSetup:
@@ -45,15 +45,15 @@ class TestSetup:
 
     def test_trapdoors_match_matrices(self, mini_system):
         pp, msk = mini_system
-        assert check_nullspace_basis(pp.a, msk.t_a, MINI.q)
-        assert check_nullspace_basis(pp.a_prime, msk.t_a_prime, MINI.q)
+        assert check_nullspace_basis(pp.a, master_basis(pp.a, msk.trapdoor_a), MINI.q)
+        assert check_nullspace_basis(pp.a_prime, master_basis(pp.a_prime, msk.trapdoor_a_prime), MINI.q)
 
     def test_deterministic_under_seed(self):
         pp1, msk1 = setup(MINI, RandomSource(99))
         pp2, msk2 = setup(MINI, RandomSource(99))
         assert np.array_equal(pp1.a, pp2.a)
         assert np.array_equal(pp1.u, pp2.u)
-        assert np.array_equal(msk1.t_a, msk2.t_a)
+        assert np.array_equal(master_basis(pp1.a, msk1.trapdoor_a), master_basis(pp2.a, msk2.trapdoor_a))
 
     def test_rejects_invalid_params(self):
         bad = dataclasses.replace(MINI, m=10)
@@ -305,7 +305,28 @@ class TestReadOnly:
                                    **{f"A_{i}": x for i, x in enumerate(params.a_list)}})
         for key in (msk, loaded_msk):
             for td in (key.trapdoor_a, key.trapdoor_a_prime):
-                self.assert_read_only({"Abar": td.a_bar, "Rbar": td.r_bar})
+                self.assert_read_only({"Rbar": td.r_bar})
+
+    def test_master_key_owns_its_rbar(self, mini_system):
+        # a loaded master key's Rbar is a view of the msk blob, with no
+        # copy; a fresh one is a private copy of trap_gen's draw; and an
+        # Rbar whose width is no multiple of k is refused
+        pp, msk = mini_system
+        blob = fileio.dump_master_secret(msk, MINI)
+        loaded = fileio.load_master_secret(blob, pp)
+        for td in (loaded.trapdoor_a, loaded.trapdoor_a_prime):
+            assert not td.r_bar.flags.writeable and not td.r_bar.flags.owndata
+            assert np.shares_memory(td.r_bar, np.frombuffer(blob, np.uint8))
+        k = gadget_length(MINI.q)
+        r_bar = RandomSource(464).integers(0, 2, (MINI.m - MINI.n * k, MINI.n * k)) * 2 - 1
+        td = GadgetTrapdoor(r_bar, MINI.q)
+        assert not np.shares_memory(td.r_bar, r_bar)
+        for fresh in (td, msk.trapdoor_a, msk.trapdoor_a_prime):
+            assert fresh.r_bar.flags.owndata and not fresh.r_bar.flags.writeable
+        r_bar[0, 0] = -r_bar[0, 0]
+        assert td.r_bar[0, 0] == -r_bar[0, 0]
+        with pytest.raises(ParameterError, match="no multiple of k"):
+            GadgetTrapdoor(r_bar[:, 1:], MINI.q)
 
     def test_user_key_basis_and_sampling_data(self, mini_key):
         _, sk = mini_key

@@ -42,7 +42,14 @@ from ibeetfa.zqlinalg import (
 )
 
 from conftest import MINI, CallCounter, random_message
-from oracles import check_nullspace_basis, is_nonsingular, operator_norm, s_g_walk
+from oracles import (
+    check_nullspace_basis,
+    is_nonsingular,
+    master_basis,
+    operator_norm,
+    s_g_walk,
+    sample_d_reference,
+)
 from test_file_layout import ODD
 
 Q_SMALL = 4093
@@ -55,7 +62,7 @@ def small_pair(seed=0, q=Q_SMALL, n=2):
 
 
 def basis_gs_norm(pair):
-    return gram_schmidt_norm(pair.trapdoor.basis)
+    return gram_schmidt_norm(master_basis(pair.a, pair.trapdoor))
 
 
 def master_sigma(pair, width):
@@ -78,7 +85,7 @@ def preimages_under_a_waived(a, td, u, sigma, enforce):
 class TestTrapGen:
     def test_tiny_instance_is_valid_basis(self):
         pair = trap_gen(7, 1, 18, RandomSource(3))
-        assert check_nullspace_basis(pair.a, pair.trapdoor.basis, 7)
+        assert check_nullspace_basis(pair.a, master_basis(pair.a, pair.trapdoor), 7)
 
     def test_gs_norm_within_declared_bound(self):
         q, n = Q_SMALL, 4
@@ -95,7 +102,8 @@ class TestTrapGen:
     def test_deterministic_under_seed(self):
         a = trap_gen(Q_SMALL, 2, trapgen_width(2, Q_SMALL), RandomSource(7))
         b = trap_gen(Q_SMALL, 2, trapgen_width(2, Q_SMALL), RandomSource(7))
-        assert np.array_equal(a.a, b.a) and np.array_equal(a.trapdoor.basis, b.trapdoor.basis)
+        assert np.array_equal(a.a, b.a)
+        assert np.array_equal(master_basis(a.a, a.trapdoor), master_basis(b.a, b.trapdoor))
 
     def test_matrix_statistics_roughly_uniform(self):
         pair, q, _, _ = small_pair(11)
@@ -104,12 +112,13 @@ class TestTrapGen:
 
     def test_full_nullspace_check(self):
         pair, q, _, _ = small_pair(13)
-        assert check_nullspace_basis(pair.a, pair.trapdoor.basis, q)
+        assert check_nullspace_basis(pair.a, master_basis(pair.a, pair.trapdoor), q)
 
     def test_aux_recoverable_from_matrices(self):
         # the trapdoor is its Rbar, A @ [Rbar; I] == G (mod q), so A has
         # rank n for every q: setup draws each public matrix once; the basis
-        # is a fixed function of (Abar, Rbar), which the master key file relies on
+        # is a fixed function of (Abar, Rbar), and a trapdoor rebuilt from
+        # Rbar alone is the same, which the master key file relies on
         for q, n in ((7, 1), (Q_SMALL, 2), (MINI.q, MINI.n), (TOY.q, TOY.n)):
             k = gadget_length(q)
             gadget = np.kron(np.eye(n, dtype=np.int64), 1 << np.arange(k, dtype=np.int64))
@@ -121,8 +130,9 @@ class TestTrapGen:
                 w = np.vstack([r_bar, np.eye(n * k, dtype=np.int64)])
                 assert np.array_equal(mat_mul(pair.a, w, q), gadget % q), (q, seed)
                 solve_mod(pair.a, np.eye(n, dtype=np.int64), q)
-                rebuilt = GadgetTrapdoor(pair.a[:, : m - n * k].copy(), r_bar, q)
-                assert np.array_equal(rebuilt.basis, pair.trapdoor.basis), (q, seed)
+                rebuilt = GadgetTrapdoor(r_bar.copy(), q)
+                assert np.array_equal(master_basis(pair.a.copy(), rebuilt),
+                                      master_basis(pair.a, pair.trapdoor)), (q, seed)
         # SampleD's G-sampling walks S_k under the gadget row g^T, once for
         # all n blocks of G: its unit digit is the one pivot, so E = [1]
         g_td = pair.trapdoor.g_trapdoor
@@ -170,7 +180,7 @@ class TestSamplePre:
         # the generic mod-q solve path must still produce valid preimages
         pair, q, n, m = small_pair(59)
         perm = RandomSource(61).integers(0, 1 << 30, m).argsort()
-        shuffled = np.ascontiguousarray(pair.trapdoor.basis[:, perm])
+        shuffled = np.ascontiguousarray(master_basis(pair.a, pair.trapdoor)[:, perm])
         # reordering columns changes the Gram-Schmidt profile
         sigma = gram_schmidt_norm(shuffled) * slack_factor(m) * 1.05
         u = RandomSource(67).integers(0, q, (n, 8))
@@ -446,15 +456,21 @@ class TestGadgetPreimage:
         assert shapes and (MINI.m, MINI.m) not in shapes, shapes
 
     def test_narrow_basis_refuses_an_entry_outside_its_dtype(self):
+        # gadget_basis writes int32: [[R*S_G, I - R*D], [S_G, -D]] as the
+        # int64 blocks give it, and an R whose products leave int32 is refused
         pair, q, n, m = small_pair(457)
-        r_bar = pair.trapdoor.r_bar * (1 << 29)
+        r_bar = pair.trapdoor.r_bar
         a_bar = pair.a[:, : r_bar.shape[0]]
-        wide = trapdoor.gadget_basis(a_bar, r_bar, q)
-        assert np.abs(wide).max() >= 1 << 31
-        with pytest.raises(ParameterError, match="E_ID holds an entry outside int32"):
-            trapdoor.gadget_basis(a_bar, r_bar, q, np.int32, "E_ID")
-        assert np.array_equal(trapdoor.gadget_basis(a_bar, pair.trapdoor.r_bar, q, np.int32, "E_ID"),
-                              pair.trapdoor.basis)
+        k = gadget_length(q)
+        s_g = np.kron(np.eye(n, dtype=np.int64), trapdoor._gadget_block(q, k))
+        d_bits = trapdoor._bit_decompose(a_bar, k)
+        wide = np.block([[r_bar @ s_g, np.eye(r_bar.shape[0], dtype=np.int64) - r_bar @ d_bits],
+                         [s_g, -d_bits]])
+        got = trapdoor.gadget_basis(a_bar, r_bar, q)
+        assert got.dtype == np.int32 and np.array_equal(got, wide)
+        assert np.abs(r_bar * (1 << 29) @ s_g).max() >= 1 << 31
+        with pytest.raises(ParameterError, match="gadget basis holds an entry outside int32"):
+            trapdoor.gadget_basis(a_bar, r_bar * (1 << 29), q)
 
 
 #: Prints digests of the master-side draws of one seeded MINI extract.
@@ -487,6 +503,21 @@ class TestSampleD:
         assert np.allclose(cov, want, rtol=0, atol=1e-9 * td.scale)
         least = (SAMPLE_D_MARGIN - 1) * (td.width_g * td.s1) ** 2
         assert np.linalg.eigvalsh(cov).min() == pytest.approx(least, rel=1e-6)
+
+    @pytest.mark.parametrize("cols", [64, 152, 1892])
+    @pytest.mark.parametrize("p", [ODD, MINI, TOY], ids=["n=1", "MINI", "toy"])
+    def test_one_product_adds_what_the_block_loop_added(self, p, cols):
+        # [Rbar; I] @ z in one product with Rbar's columns in the walk's
+        # order, against the gadget block at a time of oracles.sample_d_reference
+        pair = trap_gen(p.q, p.n, p.m, RandomSource(571))
+        u = RandomSource(577).integers(0, p.q, (p.n, cols))
+        sigma = master_sigma(pair, p.m)
+        r1, r2 = RandomSource(587), RandomSource(587)
+        got = pair.trapdoor.preimages(pair.a, u, p.q, sigma, r1)
+        want = sample_d_reference(pair.trapdoor, pair.a, u, p.q, sigma, r2)
+        assert got.shape == (p.m, cols) and np.array_equal(got, want)
+        assert r1.random() == r2.random()
+        assert np.array_equal(mat_mul(pair.a, got, p.q), u)
 
     def test_sigma_below_the_threshold_raises_without_waiver(self, mini_system):
         pp, msk = mini_system
@@ -624,7 +655,7 @@ class TestCosetMapBinding:
     def test_other_matrix_raises_after_first_use(self):
         pair, q, n, m = small_pair(361)
         other, _, _, _ = small_pair(367)
-        td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
+        td = derive_trapdoor(pair.a, master_basis(pair.a, pair.trapdoor), q)
         sigma = basis_gs_norm(pair) * slack_factor(m) * 1.05
         u = RandomSource(373).integers(0, q, (n, 4))
         assert np.array_equal(mat_mul(pair.a, preimages_under_a(pair.a, td, u, q, sigma,
@@ -646,7 +677,7 @@ class TestCosetMapBinding:
         for cls in (GadgetTrapdoor, TrapdoorBasis):
             counts[cls] = CallCounter(cls.require)
             monkeypatch.setattr(cls, "require", lambda td, a, modulus, c=counts[cls]: c(td, a, modulus))
-        basis_td = derive_trapdoor(pair.a, pair.trapdoor.basis, q)
+        basis_td = derive_trapdoor(pair.a, master_basis(pair.a, pair.trapdoor), q)
         for td, sigma in ((pair.trapdoor, master_sigma(pair, m + 6)),
                           (basis_td, basis_td.sigma_floor(slack_factor(m + 6)) * 1.05)):
             for a, modulus in ((other.a, q), (pair.a, 4091)):
@@ -665,7 +696,7 @@ class TestCosetMapBinding:
         # one QR gives a fresh basis its R factor and its coset map's
         # projections, and sampling with it factors nothing
         pair, q, n, m = small_pair(541)
-        basis = pair.trapdoor.basis
+        basis = master_basis(pair.a, pair.trapdoor)
         modes, qr = [], np.linalg.qr
 
         def spy(a, mode="reduced"):
@@ -685,7 +716,7 @@ class TestCosetMapBinding:
         # refused before anything is drawn, and keeps nothing for that matrix
         pair, q, n, m = small_pair(383)
         other, _, _, _ = small_pair(389)
-        td = GadgetTrapdoor(pair.a[:, : pair.trapdoor.r_bar.shape[0]], pair.trapdoor.r_bar, q)
+        td = GadgetTrapdoor(pair.trapdoor.r_bar, q)
         held = dict(vars(td))
         u = RandomSource(391).integers(0, q, (n, 4))
         for a, modulus in ((other.a, q), (pair.a, 4091)):
@@ -702,7 +733,7 @@ class TestCosetMapBinding:
         # rows is the centered solve_mod solution
         pair, q, n, m = small_pair(397)
         perm = RandomSource(401).integers(0, 1 << 30, m).argsort()
-        td = derive_trapdoor(pair.a, np.ascontiguousarray(pair.trapdoor.basis[:, perm]), q)
+        td = derive_trapdoor(pair.a, np.ascontiguousarray(master_basis(pair.a, pair.trapdoor)[:, perm]), q)
         assert td.pivots.shape == (n,) and td.proj.shape == (m, n)
         targets = RandomSource(409).integers(0, q, (n, 12))
         got = np.zeros((m, 12), dtype=np.int64)
@@ -849,7 +880,7 @@ class TestProductBehindWalk:
 def test_raw_array_trapdoor_rejected(sampler):
     # every sampler takes a TrapdoorBasis; a bare basis array is not converted
     pair, q, n, m = small_pair(331)
-    raw = pair.trapdoor.basis
+    raw = master_basis(pair.a, pair.trapdoor)
     a = RandomSource(337).integers(0, q, (n, m))
     u = np.zeros((n, 1), dtype=np.int64)
     rng = RandomSource(349)
